@@ -1,5 +1,5 @@
 # Convenience targets; scripts/check.sh is the canonical CI gate.
-.PHONY: check test build fmt lint vet-custom equiv serve loadgen bench-serve bench-vet bench-parallel bench-stage
+.PHONY: check test build fmt lint vet-custom equiv serve loadgen bench bench-trace bench-serve bench-vet bench-parallel bench-stage
 
 check:
 	./scripts/check.sh
@@ -40,6 +40,18 @@ loadgen:
 	go run ./cmd/loadgen -addr 127.0.0.1:8080 -workers 64 -n 256 \
 		-scale 0.1 -cold 0.05 -verify -check
 
+# The repository benchmark (bench/, BENCHMARK.json): every workload in fresh
+# child processes, end-to-end metrics plus correctness checks, appended to
+# .bench_build/results.json. Pass ARGS to narrow it, e.g.
+# `make bench ARGS="--workload matrix45"`.
+bench:
+	bash bench/run.sh $(ARGS)
+
+# The same run traced: per-layer metrics (stage times, gate counts, alloc,
+# gates share) and a Chrome trace under .bench_build/trace.
+bench-trace:
+	bash bench/run.sh --trace 1 $(ARGS)
+
 bench-serve:
 	go test ./internal/serve -run '^$$' -bench BenchmarkServe -benchmem
 
@@ -47,13 +59,14 @@ bench-vet:
 	go test ./internal/vet -run '^$$' -bench BenchmarkVet
 
 # The parallel-driver benches: serial baseline, flow-pool fan-out (PR 3),
-# and the intra-flow stage-loop fleet (ROADMAP item 3). Compare ns/op;
-# BENCH_parallel.json holds the committed baseline.
+# and the intra-flow stage-loop fleet (ROADMAP item 3). Compare ns/op; the
+# tracked numbers are `make bench`'s matrix45 latency_ms and par.speedup_*.
 bench-parallel:
 	go test . -run '^$$' -bench 'BenchmarkStudy(Serial|Parallel|IntraFlow)' -benchtime 1x
 
 # The staged flow engine's reuse on a clock sweep: monolithic vs cold vs
-# warm staged runs, measured in stage-body executions per sweep point.
-# BENCH_stage.json holds the committed baseline.
+# warm staged runs, measured in stage-body executions per sweep point. The
+# tracked numbers are `make bench`'s sweep_cold/sweep_warm latency_ms and
+# stage.execs_per_point.
 bench-stage:
 	go test ./internal/stage -run '^$$' -bench BenchmarkStagedSweep -benchtime 1x

@@ -1,0 +1,66 @@
+package tmi3d_test
+
+import (
+	"testing"
+
+	"tmi3d/internal/circuits"
+	"tmi3d/internal/equiv"
+	"tmi3d/internal/liberty"
+	"tmi3d/internal/lint"
+	"tmi3d/internal/netlist"
+	"tmi3d/internal/synth"
+	"tmi3d/internal/tech"
+	"tmi3d/internal/wlm"
+)
+
+// The allocation guards pin the per-run allocation counts of the two
+// sign-off gates on one small fixed synthesized design. Both gates read cell
+// templates from the shared cellgen table and walk the netlist with
+// per-design buffers, so their counts track compare points and findings, not
+// instances; a regression that rebuilds templates or name strings per
+// instance multiplies them by the design size. Each bound is about twice
+// the measured count.
+
+func signoffDesign(t *testing.T) (lib *liberty.Library, generic, mapped *netlist.Design) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	lib, err := liberty.Default(tech.N45, tech.Mode2D)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := circuits.Generate("FPU", 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := synth.Run(d, synth.Options{Lib: lib, WLM: wlm.BuildForMode(tech.N45, tech.Mode2D, 20000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lib, d, sr.Design
+}
+
+func TestEquivCheckAllocs(t *testing.T) {
+	_, d, s := signoffDesign(t)
+	got := testing.AllocsPerRun(3, func() {
+		if _, err := equiv.Check(d, s, equiv.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const bound = 1900
+	t.Logf("equiv.Check, FPU %d vs %d instances: %.0f allocs/run", len(d.Instances), len(s.Instances), got)
+	if got > bound {
+		t.Errorf("equiv.Check allocates %.0f times per run, bound %d", got, bound)
+	}
+}
+
+func TestLintCheckDesignAllocs(t *testing.T) {
+	lib, _, s := signoffDesign(t)
+	got := testing.AllocsPerRun(3, func() { lint.CheckDesign(s, lint.DesignOptions{Lib: lib}) })
+	const bound = 470
+	t.Logf("lint.CheckDesign, FPU %d instances: %.0f allocs/run", len(s.Instances), got)
+	if got > bound {
+		t.Errorf("lint.CheckDesign allocates %.0f times per run, bound %d", got, bound)
+	}
+}

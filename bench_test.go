@@ -373,8 +373,8 @@ func BenchmarkStudySerial(b *testing.B) { benchMatrix(b, 1, 1) }
 
 // BenchmarkStudyParallel fans the same matrix across GOMAXPROCS flow workers
 // (stage loops serial — the PR 3 axis); compare ns/op against
-// BenchmarkStudySerial for the wall-clock speedup (BENCH_parallel.json holds
-// the committed baseline).
+// BenchmarkStudySerial for the wall-clock speedup (the repository benchmark
+// tracks it as matrix45 latency_ms and par.speedup_*, make bench).
 func BenchmarkStudyParallel(b *testing.B) { benchMatrix(b, runtime.GOMAXPROCS(0), 1) }
 
 // BenchmarkStudyIntraFlow runs the matrix one flow at a time with the full
@@ -398,6 +398,8 @@ func BenchmarkEquiv(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rep, err := equiv.Check(d, sr.Design, equiv.Options{})
 		if err != nil {

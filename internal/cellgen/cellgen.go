@@ -82,6 +82,17 @@ type CellDef struct {
 	Arcs []Arc
 }
 
+// Dir returns the direction of the named port, and false when the cell has
+// no such port.
+func (c *CellDef) Dir(pin string) (PortDir, bool) {
+	for _, p := range c.Ports {
+		if p.Name == pin {
+			return p.Dir, true
+		}
+	}
+	return In, false
+}
+
 // NumP and NumN return the transistor counts by polarity.
 func (c *CellDef) NumP() int { return c.countKind(device.PMOS) }
 

@@ -1,6 +1,9 @@
 package cellgen
 
-import "sort"
+import (
+	"sort"
+	"sync"
+)
 
 // strengths lists the drive strengths generated per function. The totals add
 // up to the 66-cell library the paper's supplement describes (Section S1).
@@ -63,7 +66,8 @@ func Functions() []string {
 	return names
 }
 
-// Template returns the X1 definition for a function name.
+// Template returns a freshly built X1 definition for a function name. The
+// caller owns the copy and may modify it; read-only callers use Lookup.
 func Template(base string) (CellDef, bool) {
 	f, ok := templates[base]
 	if !ok {
@@ -73,6 +77,29 @@ func Template(base string) (CellDef, bool) {
 	d.Name = d.Base + "_X1"
 	d.Strength = 1
 	return d, true
+}
+
+// x1Defs is the process-wide table of X1 definitions behind Lookup, built
+// once from Template and never written after publication.
+var (
+	x1Once sync.Once
+	x1Defs map[string]*CellDef
+)
+
+// Lookup returns the shared X1 definition for a function name — the same
+// pointer on every call. The definition is read-only: its slices, Side maps
+// and fields are seen by every caller in the process, so a caller that needs
+// to modify one takes its own copy from Template instead.
+func Lookup(base string) (*CellDef, bool) {
+	x1Once.Do(func() {
+		x1Defs = make(map[string]*CellDef, len(templates))
+		for _, fn := range Functions() {
+			d, _ := Template(fn)
+			x1Defs[fn] = &d
+		}
+	})
+	d, ok := x1Defs[base]
+	return d, ok
 }
 
 // Library returns every cell definition (all functions × strengths), sorted

@@ -21,11 +21,12 @@ func TestAIGBaseFunctions(t *testing.T) {
 		for i := range in {
 			in[i] = g.PI()
 		}
-		var built, fallback []Lit
+		built := make([]Lit, len(def.Outputs))
+		fallback := make([]Lit, len(def.Outputs))
 		if hasBuilder {
-			built = builder(g, in)
+			builder(g, in, built)
 		}
-		fallback = truthTableAIG(g, &def, in)
+		truthTableAIG(g, &def, in, fallback)
 
 		rows := 1 << len(def.Inputs)
 		args := make([]bool, len(def.Inputs))

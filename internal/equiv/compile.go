@@ -9,15 +9,15 @@ import (
 )
 
 // funcAIG builds the AIG literals of a base function's outputs from its input
-// literals. The builder table covers every function of the cellgen library
-// explicitly; unknown functions fall back to a truth-table expansion of the
-// cellgen template's Logic closure, so any future cell is checkable the day
-// it is added.
-type funcAIG func(g *AIG, in []Lit) []Lit
+// literals into out (one slot per output). The builder table covers every
+// function of the cellgen library explicitly; unknown functions fall back to
+// a truth-table expansion of the cellgen template's Logic closure, so any
+// future cell is checkable the day it is added.
+type funcAIG func(g *AIG, in, out []Lit)
 
 // one wraps a single-output builder.
 func one(f func(g *AIG, in []Lit) Lit) funcAIG {
-	return func(g *AIG, in []Lit) []Lit { return []Lit{f(g, in)} }
+	return func(g *AIG, in, out []Lit) { out[0] = f(g, in) }
 }
 
 func andAll(g *AIG, in []Lit) Lit {
@@ -65,24 +65,22 @@ var baseFuncs = map[string]funcAIG{
 	"OAI22": one(func(g *AIG, in []Lit) Lit {
 		return g.And(g.Or(in[0], in[1]), g.Or(in[2], in[3])).Not()
 	}),
-	"HA": func(g *AIG, in []Lit) []Lit {
-		return []Lit{g.Xor(in[0], in[1]), g.And(in[0], in[1])}
+	"HA": func(g *AIG, in, out []Lit) {
+		out[0], out[1] = g.Xor(in[0], in[1]), g.And(in[0], in[1])
 	},
-	"FA": func(g *AIG, in []Lit) []Lit {
-		s := g.Xor(g.Xor(in[0], in[1]), in[2])
-		co := g.Or(g.And(in[0], in[1]), g.And(in[2], g.Xor(in[0], in[1])))
-		return []Lit{s, co}
+	"FA": func(g *AIG, in, out []Lit) {
+		out[0] = g.Xor(g.Xor(in[0], in[1]), in[2])
+		out[1] = g.Or(g.And(in[0], in[1]), g.And(in[2], g.Xor(in[0], in[1])))
 	},
 }
 
-// truthTableAIG synthesizes a function's outputs from the cellgen template's
-// Logic closure by Shannon expansion over the inputs — the fallback for
-// functions without an explicit builder. Cells have ≤4 inputs, so the
-// enumeration is at most 16 rows.
-func truthTableAIG(g *AIG, def *cellgen.CellDef, in []Lit) []Lit {
+// truthTableAIG synthesizes a function's outputs into out from the cellgen
+// template's Logic closure by Shannon expansion over the inputs — the
+// fallback for functions without an explicit builder. Cells have ≤4 inputs,
+// so the enumeration is at most 16 rows.
+func truthTableAIG(g *AIG, def *cellgen.CellDef, in, out []Lit) {
 	n := len(def.Inputs)
 	rows := 1 << n
-	out := make([]Lit, len(def.Outputs))
 	args := make([]bool, n)
 	for o := range out {
 		l := ConstFalse
@@ -105,7 +103,6 @@ func truthTableAIG(g *AIG, def *cellgen.CellDef, in []Lit) []Lit {
 		}
 		out[o] = l
 	}
-	return out
 }
 
 // Compiled is one design lowered onto a (possibly shared) AIG.
@@ -205,20 +202,32 @@ func compile(d *netlist.Design, src *inputSource, regKey func(inst int) string) 
 	const grey = 1
 	state := make([]uint8, len(d.Nets))
 	var err error
+	// One DFS stack, one flat slice of pending input nets (a frame's inputs
+	// are deps[off:off+len(def.Inputs)], truncated when the frame pops) and
+	// one input- and one output-literal buffer serve every root, so the walk
+	// allocates per design, not per instance.
+	type frame struct {
+		ni  int
+		def *cellgen.CellDef // the driver's template; nil until expanded
+		off int
+		di  int
+	}
+	var (
+		stack []frame
+		deps  []int
+		in    []Lit
+		outs  []Lit
+	)
 	iterVisit := func(root int) error {
-		type frame struct {
-			ni   int
-			deps []int
-			di   int
-		}
 		if c.NetLit[root] != litUnset {
 			return nil
 		}
-		stack := []frame{{ni: root}}
+		stack = append(stack[:0], frame{ni: root})
+		deps = deps[:0]
 		state[root] = grey
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			if f.deps == nil {
+			if f.def == nil {
 				drv := d.Nets[f.ni].Driver
 				if drv.Inst < 0 {
 					// Undriven net (the generators leave unused helper nets
@@ -229,25 +238,25 @@ func compile(d *netlist.Design, src *inputSource, regKey func(inst int) string) 
 					continue
 				}
 				inst := &d.Instances[drv.Inst]
-				def, ok := cellgen.Template(inst.Func)
+				def, ok := cellgen.Lookup(inst.Func)
 				if !ok {
 					return fmt.Errorf("equiv: instance %q: no template for function %q", inst.Name, inst.Func)
 				}
 				if def.Seq {
 					return fmt.Errorf("equiv: sequential instance %q output not cut", inst.Name)
 				}
-				f.deps = make([]int, len(def.Inputs))
-				for k, pin := range def.Inputs {
+				f.def, f.off = def, len(deps)
+				for _, pin := range def.Inputs {
 					pn, ok := inst.Pins[pin]
 					if !ok {
 						return fmt.Errorf("equiv: instance %q: missing input pin %s", inst.Name, pin)
 					}
-					f.deps[k] = pn
+					deps = append(deps, pn)
 				}
 			}
 			advanced := false
-			for f.di < len(f.deps) {
-				pn := f.deps[f.di]
+			for f.di < len(f.def.Inputs) {
+				pn := deps[f.off+f.di]
 				if c.NetLit[pn] != litUnset {
 					f.di++
 					continue
@@ -264,20 +273,20 @@ func compile(d *netlist.Design, src *inputSource, regKey func(inst int) string) 
 				continue
 			}
 			// All inputs ready: emit this net's driver.
-			ni := f.ni
+			ni, def := f.ni, f.def
+			in = in[:0]
+			for _, pn := range deps[f.off:] {
+				in = append(in, c.NetLit[pn])
+			}
+			deps = deps[:f.off]
 			stack = stack[:len(stack)-1]
 			drv := d.Nets[ni].Driver
 			inst := &d.Instances[drv.Inst]
-			def, _ := cellgen.Template(inst.Func)
-			in := make([]Lit, len(def.Inputs))
-			for k := range def.Inputs {
-				in[k] = c.NetLit[f.deps[k]]
-			}
-			var outs []Lit
+			outs = append(outs[:0], make([]Lit, len(def.Outputs))...)
 			if fb, ok := baseFuncs[inst.Func]; ok {
-				outs = fb(g, in)
+				fb(g, in, outs)
 			} else {
-				outs = truthTableAIG(g, &def, in)
+				truthTableAIG(g, def, in, outs)
 			}
 			for k, pin := range def.Outputs {
 				if on, ok := inst.Pins[pin]; ok && c.NetLit[on] == litUnset {

@@ -6,8 +6,8 @@ package lint
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
 
 	"tmi3d/internal/cellgen"
 	"tmi3d/internal/liberty"
@@ -32,40 +32,6 @@ type DesignOptions struct {
 // synthesis fanout limit is 16; anything above 64 escaped every buffering
 // pass and will wreck timing and slew.
 const DefaultMaxFanout = 64
-
-// funcInfo caches the pin direction and sequential-ness of a cellgen
-// function template, so per-instance lookups don't rebuild transistor
-// networks.
-type funcInfo struct {
-	known   bool
-	seq     bool
-	outputs map[string]bool
-	ports   map[string]bool
-}
-
-var (
-	funcInfoOnce sync.Once
-	funcInfos    map[string]funcInfo
-)
-
-func functionInfo(fn string) funcInfo {
-	funcInfoOnce.Do(func() {
-		funcInfos = map[string]funcInfo{}
-		for _, base := range cellgen.Functions() {
-			def, _ := cellgen.Template(base)
-			fi := funcInfo{known: true, seq: def.Seq,
-				outputs: map[string]bool{}, ports: map[string]bool{}}
-			for _, o := range def.Outputs {
-				fi.outputs[o] = true
-			}
-			for _, p := range def.Ports {
-				fi.ports[p.Name] = true
-			}
-			funcInfos[base] = fi
-		}
-	})
-	return funcInfos[fn]
-}
 
 // CheckDesign runs the netlist rules (ERC-*, plus the design-side LIB-*
 // resolution rules when a library is supplied) and returns the report.
@@ -112,48 +78,67 @@ func CheckDesign(d *netlist.Design, opts DesignOptions) *Report {
 // counting true driver connections per net: instance output pins (per the
 // cellgen function definition) plus primary-input ports.
 func checkDrivers(rep *Report, d *netlist.Design) {
-	type driver struct {
-		name string // "inst.PIN" or "PI port"
-	}
-	drivers := make(map[int][]driver)
-	for i := range d.Instances {
-		inst := &d.Instances[i]
-		fi := functionInfo(inst.Func)
-		if !fi.known {
-			continue // direction unknown; LIB-NOCELL reports the function
-		}
-		for pin, ni := range inst.Pins {
-			if ni < 0 || ni >= len(d.Nets) {
-				continue // ERC-STRUCT already reported
+	// forEachDriver visits every driver connection once: instance output
+	// pins (function direction unknown: skipped, LIB-NOCELL reports it;
+	// out-of-range nets: skipped, ERC-STRUCT reports them), then PI ports.
+	forEachDriver := func(visit func(ni int, inst *netlist.Instance, pin string)) {
+		for i := range d.Instances {
+			inst := &d.Instances[i]
+			def, ok := cellgen.Lookup(inst.Func)
+			if !ok {
+				continue
 			}
-			if fi.outputs[pin] {
-				drivers[ni] = append(drivers[ni], driver{inst.Name + "." + pin})
+			for _, pin := range def.Outputs {
+				if ni, ok := inst.Pins[pin]; ok && ni >= 0 && ni < len(d.Nets) {
+					visit(ni, inst, pin)
+				}
 			}
 		}
-	}
-	for _, port := range sortedPorts(d.PIs) {
-		ni := d.PIs[port]
-		if ni >= 0 && ni < len(d.Nets) {
-			drivers[ni] = append(drivers[ni], driver{"PI " + port})
+		for port, ni := range d.PIs {
+			if ni >= 0 && ni < len(d.Nets) {
+				visit(ni, nil, port)
+			}
 		}
+	}
+	drivers := make([]int32, len(d.Nets))
+	multi := 0
+	forEachDriver(func(ni int, _ *netlist.Instance, _ string) {
+		if drivers[ni]++; drivers[ni] == 2 {
+			multi++
+		}
+	})
+	// Driver names ("inst.PIN" or "PI port") only for the multiply driven
+	// nets; each list is sorted, so visit order does not matter.
+	var names map[int][]string
+	if multi > 0 {
+		names = make(map[int][]string, multi)
+		forEachDriver(func(ni int, inst *netlist.Instance, pin string) {
+			if drivers[ni] < 2 {
+				return
+			}
+			if inst != nil {
+				names[ni] = append(names[ni], inst.Name+"."+pin)
+			} else {
+				names[ni] = append(names[ni], "PI "+pin)
+			}
+		})
 	}
 
-	poNets := map[int]bool{}
+	poNets := make([]bool, len(d.Nets))
 	for _, ni := range d.POs {
-		poNets[ni] = true
+		if ni >= 0 && ni < len(d.Nets) {
+			poNets[ni] = true
+		}
 	}
 	for ni := range d.Nets {
 		n := &d.Nets[ni]
-		if ds := drivers[ni]; len(ds) > 1 {
-			names := make([]string, len(ds))
-			for i, dd := range ds {
-				names[i] = dd.name
-			}
-			sort.Strings(names)
+		if drivers[ni] > 1 {
+			ds := names[ni]
+			sort.Strings(ds)
 			rep.add("ERC-MULTIDRIVE", "net "+n.Name,
-				"driven by %d connections: %s", len(ds), joinMax(names, 6))
+				"driven by %d connections: %s", len(ds), joinMax(ds, 6))
 		}
-		undriven := n.Driver.Inst == -2 && len(drivers[ni]) == 0
+		undriven := n.Driver.Inst == -2 && drivers[ni] == 0
 		if undriven && len(n.Sinks) > 0 {
 			rep.add("ERC-FLOATINPUT", "net "+n.Name,
 				"%d sink pin(s) on a net with no driver", len(n.Sinks))
@@ -175,21 +160,36 @@ func checkLoops(rep *Report, d *netlist.Design) {
 	n := len(d.Instances)
 	comb := make([]bool, n)
 	for i := range d.Instances {
-		fi := functionInfo(d.Instances[i].Func)
-		comb[i] = !fi.known || !fi.seq
+		def, ok := cellgen.Lookup(d.Instances[i].Func)
+		comb[i] = !ok || !def.Seq
 	}
-	adj := make([][]int, n)
-	for ni := range d.Nets {
-		drv := d.Nets[ni].Driver
-		if drv.Inst < 0 || !comb[drv.Inst] {
-			continue
-		}
-		for _, s := range d.Nets[ni].Sinks {
-			if s.Inst >= 0 && s.Inst < n && comb[s.Inst] {
-				adj[drv.Inst] = append(adj[drv.Inst], s.Inst)
+	// Combinational fanout edges in compressed-row form: the successors of
+	// instance v are succ[start[v]:start[v+1]], in net order.
+	eachEdge := func(visit func(from, to int)) {
+		for ni := range d.Nets {
+			drv := d.Nets[ni].Driver
+			if drv.Inst < 0 || drv.Inst >= n || !comb[drv.Inst] {
+				continue
+			}
+			for _, s := range d.Nets[ni].Sinks {
+				if s.Inst >= 0 && s.Inst < n && comb[s.Inst] {
+					visit(drv.Inst, s.Inst)
+				}
 			}
 		}
 	}
+	start := make([]int, n+1)
+	eachEdge(func(from, _ int) { start[from+1]++ })
+	for v := 1; v <= n; v++ {
+		start[v] += start[v-1]
+	}
+	succ := make([]int, start[n])
+	fill := append([]int(nil), start[:n]...)
+	eachEdge(func(from, to int) {
+		succ[fill[from]] = to
+		fill[from]++
+	})
+	adj := func(v int) []int { return succ[start[v]:start[v+1]] }
 
 	// Iterative Tarjan (the benchmark netlists reach 200k+ instances;
 	// recursion would overflow the stack).
@@ -203,19 +203,20 @@ func checkLoops(rep *Report, d *netlist.Design) {
 	var stack []int
 	next := 0
 	type frame struct{ v, ei int }
+	var call []frame
 	for root := 0; root < n; root++ {
 		if index[root] != unvisited || !comb[root] {
 			continue
 		}
-		call := []frame{{root, 0}}
+		call = append(call[:0], frame{root, 0})
 		index[root], low[root] = next, next
 		next++
 		stack = append(stack, root)
 		onStack[root] = true
 		for len(call) > 0 {
 			f := &call[len(call)-1]
-			if f.ei < len(adj[f.v]) {
-				w := adj[f.v][f.ei]
+			if out := adj(f.v); f.ei < len(out) {
+				w := out[f.ei]
 				f.ei++
 				if index[w] == unvisited {
 					index[w], low[w] = next, next
@@ -239,20 +240,20 @@ func checkLoops(rep *Report, d *netlist.Design) {
 			if low[v] != index[v] {
 				continue
 			}
-			// v roots an SCC; pop it.
-			var scc []int
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				scc = append(scc, w)
-				if w == v {
-					break
-				}
+			// v roots an SCC: the stack from v up.
+			k := len(stack) - 1
+			for stack[k] != v {
+				k--
 			}
-			if len(scc) == 1 && !hasSelfEdge(adj, scc[0]) {
+			scc := stack[k:]
+			stack = stack[:k]
+			for _, w := range scc {
+				onStack[w] = false
+			}
+			if len(scc) == 1 && !slices.Contains(adj(v), v) {
 				continue
 			}
+			scc = slices.Clone(scc)
 			sort.Ints(scc)
 			names := make([]string, 0, len(scc))
 			for _, w := range scc {
@@ -262,15 +263,6 @@ func checkLoops(rep *Report, d *netlist.Design) {
 				"combinational cycle through %d instance(s): %s", len(scc), joinMax(names, 6))
 		}
 	}
-}
-
-func hasSelfEdge(adj [][]int, v int) bool {
-	for _, w := range adj[v] {
-		if w == v {
-			return true
-		}
-	}
-	return false
 }
 
 // checkFanout enforces the per-net fanout ceiling (ERC-FANOUT).
@@ -337,16 +329,16 @@ func checkMapping(rep *Report, d *netlist.Design, lib *liberty.Library, mapped b
 	badFunc := map[string]bool{}
 	for i := range d.Instances {
 		inst := &d.Instances[i]
-		fi := functionInfo(inst.Func)
-		if !fi.known {
+		def, known := cellgen.Lookup(inst.Func)
+		if !known {
 			if !badFunc[inst.Func] {
 				badFunc[inst.Func] = true
 				rep.add("LIB-NOCELL", "instance "+inst.Name,
 					"function %q has no cellgen template", inst.Func)
 			}
-		} else {
-			for pin := range inst.Pins {
-				if !fi.ports[pin] {
+		} else if foreignPin(def, inst) {
+			for _, pin := range inst.SortedPins() {
+				if _, ok := def.Dir(pin); !ok {
 					rep.add("LIB-PINSET", "instance "+inst.Name,
 						"pin %q is not a port of function %q", pin, inst.Func)
 				}
@@ -359,7 +351,7 @@ func checkMapping(rep *Report, d *netlist.Design, lib *liberty.Library, mapped b
 		if lib == nil {
 			continue
 		}
-		if fi.known && len(lib.Variants(inst.Func)) == 0 && !badFunc[inst.Func] {
+		if known && len(lib.Variants(inst.Func)) == 0 && !badFunc[inst.Func] {
 			badFunc[inst.Func] = true
 			rep.add("LIB-NOCELL", "instance "+inst.Name,
 				"function %q has no cells in the %v/%v library", inst.Func, lib.Node, lib.Mode)
@@ -371,13 +363,16 @@ func checkMapping(rep *Report, d *netlist.Design, lib *liberty.Library, mapped b
 	}
 }
 
-func sortedPorts(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// foreignPin reports whether the instance carries a pin that is not a port of
+// its function's template. It checks without sorting, so the common clean
+// instance never pays for SortedPins.
+func foreignPin(def *cellgen.CellDef, inst *netlist.Instance) bool {
+	for pin := range inst.Pins {
+		if _, ok := def.Dir(pin); !ok {
+			return true
+		}
 	}
-	sort.Strings(out)
-	return out
+	return false
 }
 
 func joinMax(names []string, limit int) string {

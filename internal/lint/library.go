@@ -37,7 +37,7 @@ func checkCell(rep *Report, c *liberty.Cell) {
 
 	// LIB-PINSET: the liberty pin groups must match the cellgen function
 	// definition the cell was characterized from.
-	def, ok := cellgen.Template(c.Base)
+	def, ok := cellgen.Lookup(c.Base)
 	if !ok {
 		rep.add("LIB-NOCELL", where, "base function %q has no cellgen template", c.Base)
 	} else {

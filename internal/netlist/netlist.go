@@ -237,15 +237,44 @@ func (d *Design) Violations() []Violation {
 			}
 		}
 	}
-	// Per-net connection sets, to verify every instance pin is recorded on
-	// its net (as driver or sink). An unlisted pin means the net's driver
-	// was overwritten — e.g. two outputs bound to the same net.
-	onNet := make(map[PinRef]bool, len(d.Nets)*2)
-	for i := range d.Nets {
-		onNet[d.Nets[i].Driver] = true
-		for _, s := range d.Nets[i].Sinks {
-			onNet[s] = true
+	// Every instance pin must be recorded on some net (as driver or sink).
+	// An unlisted pin means the net's driver was overwritten — e.g. two
+	// outputs bound to the same net. The recorded pins of instance i are
+	// recorded[first[i]:first[i+1]], a flat table filled in two passes.
+	first := make([]int32, len(d.Instances)+1)
+	eachRef := func(visit func(r PinRef)) {
+		for i := range d.Nets {
+			if r := d.Nets[i].Driver; r.Inst >= 0 && r.Inst < len(d.Instances) {
+				visit(r)
+			}
+			for _, r := range d.Nets[i].Sinks {
+				if r.Inst >= 0 && r.Inst < len(d.Instances) {
+					visit(r)
+				}
+			}
 		}
+	}
+	eachRef(func(r PinRef) { first[r.Inst+1]++ })
+	for i := 1; i < len(first); i++ {
+		first[i] += first[i-1]
+	}
+	recorded := make([]string, first[len(d.Instances)])
+	fill := make([]int32, len(d.Instances))
+	copy(fill, first)
+	eachRef(func(r PinRef) {
+		recorded[fill[r.Inst]] = r.Pin
+		fill[r.Inst]++
+	})
+	pinOK := func(i int, pin string, ni int) bool {
+		if ni < 0 || ni >= len(d.Nets) {
+			return false
+		}
+		for _, p := range recorded[first[i]:first[i+1]] {
+			if p == pin {
+				return true
+			}
+		}
+		return false
 	}
 	for i := range d.Instances {
 		inst := &d.Instances[i]
@@ -254,6 +283,18 @@ func (d *Design) Violations() []Violation {
 				fmt.Sprintf("instance %q (%d) has no pins", inst.Name, i)})
 			continue
 		}
+		clean := true
+		for pin, ni := range inst.Pins {
+			if !pinOK(i, pin, ni) {
+				clean = false
+				break
+			}
+		}
+		if clean {
+			continue
+		}
+		// Only an instance with a finding pays for the sort that fixes the
+		// report order.
 		for _, pin := range inst.SortedPins() {
 			ni := inst.Pins[pin]
 			if ni < 0 || ni >= len(d.Nets) {
@@ -261,7 +302,7 @@ func (d *Design) Violations() []Violation {
 					fmt.Sprintf("instance %q pin %s: net %d out of range", inst.Name, pin, ni)})
 				continue
 			}
-			if !onNet[PinRef{Inst: i, Pin: pin}] {
+			if !pinOK(i, pin, ni) {
 				out = append(out, Violation{KindUnlistedPin, ni, i,
 					fmt.Sprintf("instance %q pin %s not recorded on net %q (driver overwritten?)",
 						inst.Name, pin, d.Nets[ni].Name)})

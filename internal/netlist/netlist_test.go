@@ -293,3 +293,33 @@ func TestRemoveNetRefusesConnected(t *testing.T) {
 		t.Error("clock net removed")
 	}
 }
+
+// TestViolationsOrder pins the exact Violations sequence for one instance
+// with two unlisted pins and one out-of-range pin: findings come in sorted
+// pin order whatever the Pins map iteration order.
+func TestViolationsOrder(t *testing.T) {
+	d := New("v")
+	d.AddPI("a", "a")
+	d.AddInstance("g", "INV", map[string]string{"A": "a", "Z": "z"}, "Z")
+	d.AddPO("out", "z")
+	na, nz := d.NetByName("a"), d.NetByName("z")
+	d.Instances[0].Pins["Y"] = na
+	d.Instances[0].Pins["B"] = nz
+	d.Instances[0].Pins["X"] = 99
+	want := []Violation{
+		{KindUnlistedPin, nz, 0, `instance "g" pin B not recorded on net "z" (driver overwritten?)`},
+		{KindBadPin, 99, 0, `instance "g" pin X: net 99 out of range`},
+		{KindUnlistedPin, na, 0, `instance "g" pin Y not recorded on net "a" (driver overwritten?)`},
+	}
+	for run := 0; run < 20; run++ {
+		got := d.Violations()
+		if len(got) != len(want) {
+			t.Fatalf("run %d: got %d violations %v, want %v", run, len(got), got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("run %d violation %d: got %+v, want %+v", run, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -334,7 +334,7 @@ func bufferLongNets(d *netlist.Design, opt Options, res *sta.Result, st *Stats, 
 // stage, but this names the exact insertion that went wrong.
 func checkBufferInsertion(d *netlist.Design, opt Options, origNet, newNet, instIdx, prevFanout int) error {
 	inst := &d.Instances[instIdx]
-	def, ok := cellgen.Template(inst.Func)
+	def, ok := cellgen.Lookup(inst.Func)
 	if !ok || def.Seq || def.Logic == nil || len(def.Inputs) != 1 || len(def.Outputs) != 1 {
 		return fmt.Errorf("opt: inserted %s %q is not a single-input combinational cell", inst.Func, inst.Name)
 	}

@@ -14,7 +14,8 @@ import (
 // stubbed runner returns instantly, so BenchmarkServeHot is the full HTTP +
 // LRU path for a warm key and BenchmarkServeCold is the miss path (job table,
 // queue hand-off, canonical encode, store write) with a unique key per
-// iteration. Baselines live in BENCH_serve.json.
+// iteration. The repository benchmark tracks the served path end to end as
+// the serve_hot and serve_mix workloads (make bench).
 
 func newBenchServer(b *testing.B) (*Server, *httptest.Server) {
 	b.Helper()

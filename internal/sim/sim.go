@@ -51,71 +51,7 @@ func (r *Result) Values() []bool {
 }
 
 // Run evaluates the design for one input vector.
-func Run(d *netlist.Design, in Vector) (*Result, error) {
-	vals := make([]bool, len(d.Nets))
-	have := make([]bool, len(d.Nets))
-	for name, ni := range d.PIs {
-		switch name {
-		case "tie0":
-			have[ni] = true
-		case "tie1":
-			vals[ni], have[ni] = true, true
-		case "clk":
-			have[ni] = true
-		default:
-			vals[ni] = in[name]
-			have[ni] = true
-		}
-	}
-	// Fixed-point sweeps handle any instance ordering, including the
-	// transparent-DFF feedthrough of pipelined designs.
-	for pass := 0; pass < len(d.Instances)+10; pass++ {
-		changed := false
-		for ii := range d.Instances {
-			inst := &d.Instances[ii]
-			if inst.Func == "DFF" {
-				dn, qn := inst.Pins["D"], inst.Pins["Q"]
-				if have[dn] && (!have[qn] || vals[qn] != vals[dn]) {
-					vals[qn], have[qn] = vals[dn], true
-					changed = true
-				}
-				continue
-			}
-			def, ok := cellgen.Template(inst.Func)
-			if !ok {
-				return nil, fmt.Errorf("sim: no logic for function %q", inst.Func)
-			}
-			ready := true
-			args := make([]bool, len(def.Inputs))
-			for k, pin := range def.Inputs {
-				ni, ok := inst.Pins[pin]
-				if !ok || !have[ni] {
-					ready = false
-					break
-				}
-				args[k] = vals[ni]
-			}
-			if !ready {
-				continue
-			}
-			outs := def.Logic(args)
-			for k, pin := range def.Outputs {
-				ni, ok := inst.Pins[pin]
-				if !ok {
-					continue
-				}
-				if !have[ni] || vals[ni] != outs[k] {
-					vals[ni], have[ni] = outs[k], true
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	return &Result{d: d, vals: vals}, nil
-}
+func Run(d *netlist.Design, in Vector) (*Result, error) { return run(d, in, nil, false) }
 
 // RunCycle evaluates one clock cycle with explicit sequential state: every
 // DFF output Q is forced from state (keyed by DFF instance name, missing
@@ -124,6 +60,13 @@ func Run(d *netlist.Design, in Vector) (*Result, error) {
 // cut uses, so a SAT counterexample over (inputs, state) replays exactly.
 // Each DFF's next state is its D net value in the result.
 func RunCycle(d *netlist.Design, in Vector, state Vector) (*Result, error) {
+	return run(d, in, state, true)
+}
+
+// run is the fixed-point evaluator behind Run and RunCycle: with hold set,
+// every DFF output is held at its state value; otherwise DFFs are
+// transparent.
+func run(d *netlist.Design, in Vector, state Vector, hold bool) (*Result, error) {
 	vals := make([]bool, len(d.Nets))
 	have := make([]bool, len(d.Nets))
 	for name, ni := range d.PIs {
@@ -139,35 +82,48 @@ func RunCycle(d *netlist.Design, in Vector, state Vector) (*Result, error) {
 			have[ni] = true
 		}
 	}
-	for ii := range d.Instances {
-		inst := &d.Instances[ii]
-		if inst.Func != "DFF" {
-			continue
-		}
-		if qn, ok := inst.Pins["Q"]; ok {
-			vals[qn], have[qn] = state[inst.Name], true
+	if hold {
+		for ii := range d.Instances {
+			inst := &d.Instances[ii]
+			if inst.Func != "DFF" {
+				continue
+			}
+			if qn, ok := inst.Pins["Q"]; ok {
+				vals[qn], have[qn] = state[inst.Name], true
+			}
 		}
 	}
+	// Fixed-point sweeps handle any instance ordering, including the
+	// transparent-DFF feedthrough of pipelined designs.
+	var args []bool
 	for pass := 0; pass < len(d.Instances)+10; pass++ {
 		changed := false
 		for ii := range d.Instances {
 			inst := &d.Instances[ii]
 			if inst.Func == "DFF" {
-				continue // state is held, not propagated
+				if hold {
+					continue // state is held, not propagated
+				}
+				dn, qn := inst.Pins["D"], inst.Pins["Q"]
+				if have[dn] && (!have[qn] || vals[qn] != vals[dn]) {
+					vals[qn], have[qn] = vals[dn], true
+					changed = true
+				}
+				continue
 			}
-			def, ok := cellgen.Template(inst.Func)
+			def, ok := cellgen.Lookup(inst.Func)
 			if !ok {
 				return nil, fmt.Errorf("sim: no logic for function %q", inst.Func)
 			}
 			ready := true
-			args := make([]bool, len(def.Inputs))
-			for k, pin := range def.Inputs {
+			args = args[:0]
+			for _, pin := range def.Inputs {
 				ni, ok := inst.Pins[pin]
 				if !ok || !have[ni] {
 					ready = false
 					break
 				}
-				args[k] = vals[ni]
+				args = append(args, vals[ni])
 			}
 			if !ready {
 				continue

@@ -21,7 +21,8 @@ import (
 //   - staged-warm: the store already holds this sweep's artifacts (a re-run
 //     sweep); nothing executes.
 //
-// BENCH_stage.json holds the committed baseline (make bench-stage).
+// The tracked numbers are the repository benchmark's sweep_cold/sweep_warm
+// workloads and stage.execs_per_point (make bench-trace).
 func BenchmarkStagedSweep(b *testing.B) {
 	base, err := circuits.TargetClockPs("FPU", tech.N45)
 	if err != nil {

@@ -4,7 +4,7 @@
 #
 # The gates run fail-fast in cost order: formatting and stock static analysis
 # first, then the custom tmi3dvet determinism/concurrency analyzers, then the
-# race-detector test suite, then the end-to-end smokes (parallel determinism,
+# benchmark module's smoke test, then the race-detector test suite, then the end-to-end smokes (parallel determinism,
 # formal equivalence, serving). Each gate opens with a named banner so a CI
 # log identifies the failing stage at a glance.
 set -euo pipefail
@@ -42,6 +42,13 @@ stage tmi3dvet
 # the log shows every check ran. Run `go run ./cmd/tmi3dvet -list` for the
 # suite and the suppression syntax.
 go run ./cmd/tmi3dvet -counts ./...
+
+stage bench-smoke
+# The repository benchmark (bench/) is its own Go module, so the root
+# `go test ./...` never builds it; an API change in flow, stage or serve
+# would otherwise break it silently. Its smoke test builds it and runs every
+# workload briefly (about 30 s).
+(cd bench && go test ./...)
 
 stage race
 go test -race ./...
