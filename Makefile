@@ -1,5 +1,5 @@
 # Convenience targets; scripts/check.sh is the canonical CI gate.
-.PHONY: check test build fmt lint vet-custom equiv serve loadgen bench bench-trace bench-serve bench-vet bench-parallel bench-stage
+.PHONY: check test build fmt lint vet-custom equiv serve loadgen bench bench-trace bench-kernels bench-serve bench-vet bench-parallel bench-stage
 
 check:
 	./scripts/check.sh
@@ -51,6 +51,11 @@ bench:
 # gates share) and a Chrome trace under .bench_build/trace.
 bench-trace:
 	bash bench/run.sh --trace 1 $(ARGS)
+
+# The hot layout kernels on the fixed FPU@0.15 design: one sta.Analyze and
+# one place.Run per op, with allocations.
+bench-kernels:
+	go test -run '^$$' -bench . -benchmem ./internal/sta ./internal/place
 
 bench-serve:
 	go test ./internal/serve -run '^$$' -bench BenchmarkServe -benchmem

@@ -8,18 +8,23 @@ import (
 	"tmi3d/internal/liberty"
 	"tmi3d/internal/lint"
 	"tmi3d/internal/netlist"
+	"tmi3d/internal/place"
+	"tmi3d/internal/sta"
 	"tmi3d/internal/synth"
 	"tmi3d/internal/tech"
 	"tmi3d/internal/wlm"
 )
 
 // The allocation guards pin the per-run allocation counts of the two
-// sign-off gates on one small fixed synthesized design. Both gates read cell
-// templates from the shared cellgen table and walk the netlist with
-// per-design buffers, so their counts track compare points and findings, not
-// instances; a regression that rebuilds templates or name strings per
-// instance multiplies them by the design size. Each bound is about twice
-// the measured count.
+// sign-off gates and the two hot layout kernels on one small fixed
+// synthesized design. Both gates read cell templates from the shared cellgen
+// table and walk the netlist with per-design buffers, so their counts track
+// compare points and findings, not instances; a regression that rebuilds
+// templates or name strings per instance multiplies them by the design size.
+// sta.Analyze compiles the design into flat presized tables once per call
+// and place.Run refines every region in engine-owned arrays, so their counts
+// track timing levels and bisection regions, not pins. Each bound is about
+// twice the measured count.
 
 func signoffDesign(t *testing.T) (lib *liberty.Library, generic, mapped *netlist.Design) {
 	t.Helper()
@@ -62,5 +67,44 @@ func TestLintCheckDesignAllocs(t *testing.T) {
 	t.Logf("lint.CheckDesign, FPU %d instances: %.0f allocs/run", len(s.Instances), got)
 	if got > bound {
 		t.Errorf("lint.CheckDesign allocates %.0f times per run, bound %d", got, bound)
+	}
+}
+
+func TestStaAnalyzeAllocs(t *testing.T) {
+	lib, _, s := signoffDesign(t)
+	pl, err := place.Run(s, place.Options{Lib: lib, Tech: tech.New(tech.N45, tech.Mode2D)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := sta.Env{Lib: lib, Wire: func(ni int) sta.WireRC {
+		l := pl.NetHPWL(ni)
+		return sta.WireRC{R: 2 * l, C: 0.2 * l}
+	}}
+	got := testing.AllocsPerRun(3, func() {
+		if _, err := sta.Analyze(s, env); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// 128 allocs/run; the map-walking levelizer it replaced made 6851.
+	const bound = 260
+	t.Logf("sta.Analyze, FPU %d instances: %.0f allocs/run", len(s.Instances), got)
+	if got > bound {
+		t.Errorf("sta.Analyze allocates %.0f times per run, bound %d", got, bound)
+	}
+}
+
+func TestPlaceRunAllocs(t *testing.T) {
+	lib, _, s := signoffDesign(t)
+	opts := place.Options{Lib: lib, Tech: tech.New(tech.N45, tech.Mode2D)}
+	got := testing.AllocsPerRun(3, func() {
+		if _, err := place.Run(s, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// 2604 allocs/run; per-region maps and pin slices made 272772.
+	const bound = 5200
+	t.Logf("place.Run, FPU %d instances: %.0f allocs/run", len(s.Instances), got)
+	if got > bound {
+		t.Errorf("place.Run allocates %.0f times per run, bound %d", got, bound)
 	}
 }

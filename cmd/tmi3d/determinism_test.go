@@ -101,20 +101,15 @@ func TestAnchoredLoopRaceClean(t *testing.T) {
 	}
 	for _, pkg := range []struct {
 		path string
-		run  string // test filter; empty = full suite
+		run  string // test filter
 	}{
-		{"tmi3d/internal/place", ""},
+		{"tmi3d/internal/place", "WorkersMatchSerial"},
 		{"tmi3d/internal/sta", "WorkersMatchSerial"},
 		{"tmi3d/internal/route", "RouteWorkersMatchSerial"},
 		{"tmi3d/internal/spice", "ParallelStampMatchesSerial"},
 		{"tmi3d/internal/opt", "WorkersMatchSerial"},
 	} {
-		args := []string{"test", "-race", "-count=1"}
-		if pkg.run != "" {
-			args = append(args, "-run", pkg.run)
-		}
-		args = append(args, pkg.path)
-		cmd := exec.Command("go", args...)
+		cmd := exec.Command("go", "test", "-race", "-count=1", "-run", pkg.run, pkg.path)
 		if out, err := cmd.CombinedOutput(); err != nil {
 			t.Fatalf("race-instrumented %s tests failed: %v\n%s", pkg.path, err, out)
 		}

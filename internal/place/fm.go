@@ -2,21 +2,102 @@ package place
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"tmi3d/internal/geom"
 	"tmi3d/internal/par"
 )
 
-// engine drives the recursive bisection.
+// engine drives the recursive bisection. Its FM scratch is owned here and
+// reused by every region: per-instance and per-net stamp arrays with an
+// epoch counter stand in for per-region sets, so refining a region costs
+// time proportional to the region, not the design.
 type engine struct {
 	p       *Placement
 	widths  []float64
 	noFM    bool
 	workers int
+
+	// netStart/nets hold each instance's nets as compressed rows: instance
+	// i touches nets[netStart[i]:netStart[i+1]], ascending, clock excluded,
+	// one entry per pin (duplicates kept).
+	netStart []int32
+	nets     []int32
+	// side is the current bipartition side of each instance (true = B).
+	side []bool
+	// instStamp[i] == epoch marks instance i inside the region being
+	// refined; netStamp[ni] == epoch marks net ni as collected, with local
+	// id netLocal[ni].
+	epoch     int32
+	instStamp []int32
+	netStamp  []int32
+	netLocal  []int32
+	// Region buffers, resliced per region and sized for the root region
+	// (every instance, every net): the collected global net ids, their pin
+	// states, and the flat backing of the FM core's cell→net and net→cell
+	// lists with the net rows' offsets.
+	netList  []int32
+	states   []netState
+	cellBuf  []int32
+	pinBuf   []int32
+	pinStart []int32
+	core     fmCore
+	// scratch holds one side of a region while bisect splits it in place.
+	scratch []int32
 }
 
-// bisect recursively partitions insts into the region.
+// netState counts a net's pins inside the region per side and records
+// whether it has an external anchor on either side.
+type netState struct {
+	cntA, cntB int
+	ancA, ancB bool
+}
+
+// newEngine builds the instance→nets rows once and sizes the FM scratch.
+func newEngine(p *Placement, widths []float64, noFM bool, workers int) *engine {
+	d := p.Design
+	n, m := len(d.Instances), len(d.Nets)
+	pins := 0
+	for i := range d.Instances {
+		pins += len(d.Instances[i].Pins)
+	}
+	e := &engine{
+		p: p, widths: widths, noFM: noFM, workers: workers,
+		netStart:  make([]int32, n+1),
+		nets:      make([]int32, 0, pins),
+		side:      make([]bool, n),
+		instStamp: make([]int32, n),
+		netStamp:  make([]int32, m),
+		netLocal:  make([]int32, m),
+		netList:   make([]int32, 0, m),
+		states:    make([]netState, m),
+		cellBuf:   make([]int32, 0, pins),
+		pinBuf:    make([]int32, pins),
+		pinStart:  make([]int32, m+1),
+		scratch:   make([]int32, n),
+	}
+	var row []int32
+	for i := range d.Instances {
+		e.netStart[i] = int32(len(e.nets))
+		row = row[:0]
+		for _, ni := range d.Instances[i].Pins {
+			if ni != d.ClockNet {
+				row = append(row, int32(ni))
+			}
+		}
+		slices.Sort(row)
+		e.nets = append(e.nets, row...)
+	}
+	e.netStart[n] = int32(len(e.nets))
+	return e
+}
+
+// netsOf returns instance i's nets.
+func (e *engine) netsOf(i int32) []int32 { return e.nets[e.netStart[i]:e.netStart[i+1]] }
+
+// bisect recursively partitions insts into the region, reordering insts in
+// place. insts is always in ascending index order: the root is 0..n-1, and
+// each half is split off in order.
 func (e *engine) bisect(insts []int32, region geom.Rect, vertical bool) {
 	// Update position estimates: everything in this region sits at its
 	// center until split further.
@@ -42,7 +123,6 @@ func (e *engine) bisect(insts []int32, region geom.Rect, vertical bool) {
 	// Split the longer side.
 	vertical = region.W() >= region.H()
 
-	areaA := 0.0
 	total := 0.0
 	for _, i := range insts {
 		total += e.widths[i]
@@ -52,34 +132,32 @@ func (e *engine) bisect(insts []int32, region geom.Rect, vertical bool) {
 	// Initial split in instance-index order: the circuit generators emit
 	// structurally-related gates consecutively, so index order is a strong
 	// locality prior that FM then refines.
-	ord := make([]int32, len(insts))
-	copy(ord, insts)
-	sort.Slice(ord, func(a, b int) bool { return ord[a] < ord[b] })
-	side := make(map[int32]bool, len(insts)) // true = B
 	acc := 0.0
-	for _, i := range ord {
-		if acc >= half {
-			side[i] = true
-		} else {
-			areaA += e.widths[i]
-		}
+	for _, i := range insts {
+		e.side[i] = acc >= half
 		acc += e.widths[i]
 	}
 
 	if !e.noFM {
-		e.fmRefine(insts, side, region, vertical, total)
+		e.fmRefine(insts, region, vertical, total)
 	}
 
-	var a, bset []int32
-	areaA = 0
+	// Split insts in place, A side first, each side keeping index order:
+	// B-side instances wait in scratch while the A side compacts.
+	na, nb := 0, 0
+	areaA := 0.0
 	for _, i := range insts {
-		if side[i] {
-			bset = append(bset, i)
+		if e.side[i] {
+			e.scratch[nb] = i
+			nb++
 		} else {
-			a = append(a, i)
+			insts[na] = i
+			na++
 			areaA += e.widths[i]
 		}
 	}
+	copy(insts[na:], e.scratch[:nb])
+	a, bset := insts[:na], insts[na:]
 	frac := areaA / total
 	if frac < 0.1 {
 		frac = 0.1
@@ -101,26 +179,19 @@ func (e *engine) bisect(insts []int32, region geom.Rect, vertical bool) {
 	e.bisect(bset, rb, !vertical)
 }
 
-// fmRefine improves the initial bipartition with a bounded
-// Fiduccia–Mattheyses pass using anchor-aware cut gains.
-func (e *engine) fmRefine(insts []int32, side map[int32]bool, region geom.Rect, vertical bool, totalArea float64) {
+// fmRefine improves the region's initial bipartition (e.side) with a
+// bounded Fiduccia–Mattheyses pass using anchor-aware cut gains.
+func (e *engine) fmRefine(insts []int32, region geom.Rect, vertical bool, totalArea float64) {
 	d := e.p.Design
-	inRegion := make(map[int32]bool, len(insts))
+	e.epoch++
+	epoch := e.epoch
 	for _, i := range insts {
-		inRegion[i] = true
+		e.instStamp[i] = epoch
 	}
-	// Per-net pin counts inside the region plus external anchors.
-	type netState struct {
-		cntA, cntB int
-		ancA, ancB bool
+	cutPos := region.Center().Y
+	if vertical {
+		cutPos = region.Center().X
 	}
-	cut := func(r geom.Rect) float64 {
-		if vertical {
-			return r.Center().X
-		}
-		return r.Center().Y
-	}
-	cutPos := cut(region)
 	sideOf := func(pt geom.Point) bool {
 		if vertical {
 			return pt.X >= cutPos
@@ -128,30 +199,22 @@ func (e *engine) fmRefine(insts []int32, side map[int32]bool, region geom.Rect, 
 		return pt.Y >= cutPos
 	}
 
-	// Collect nets touching the region.
-	netIdx := map[int]*netState{}
-	instNets := make([][]int, 0, len(insts))
-	netList := []int{}
+	// Collect the nets touching the region, numbered in first-touch order
+	// (instances ascending, each instance's nets ascending).
+	e.netList = e.netList[:0]
 	for _, i := range insts {
-		var nets []int
-		for _, ni := range e.instancePins(int(i)) {
-			if ni == d.ClockNet {
-				continue
-			}
-			nets = append(nets, ni)
-			if _, ok := netIdx[ni]; !ok {
-				netIdx[ni] = &netState{}
-				netList = append(netList, ni)
+		for _, ni := range e.netsOf(i) {
+			if e.netStamp[ni] != epoch {
+				e.netStamp[ni] = epoch
+				e.netLocal[ni] = int32(len(e.netList))
+				e.netList = append(e.netList, ni)
 			}
 		}
-		instNets = append(instNets, nets)
 	}
-	pos := map[int32]int{}
-	for k, i := range insts {
-		pos[i] = k
-	}
-	// Each net owns its private *netState, so shards mutate disjoint
-	// structs; positions and side assignments are only read.
+	netList := e.netList
+	states := e.states[:len(netList)]
+	// Each net owns its states slot, so shards write disjoint entries;
+	// positions, stamps and side assignments are only read.
 	netWorkers := e.workers
 	if len(netList) < 512 {
 		netWorkers = 1
@@ -159,14 +222,14 @@ func (e *engine) fmRefine(insts []int32, side map[int32]bool, region geom.Rect, 
 	par.For(netWorkers, len(netList), func(pw, plo, phi int) {
 		//tmi3dvet:parloop place.netstate
 		for pk := plo; pk < phi; pk++ {
-			ni := netList[pk]
-			st := netIdx[ni]
+			st := &states[pk]
+			*st = netState{}
 			visit := func(inst int) {
 				if inst < 0 {
 					return
 				}
-				if inRegion[int32(inst)] {
-					if side[int32(inst)] {
+				if e.instStamp[inst] == epoch {
+					if e.side[inst] {
 						st.cntB++
 					} else {
 						st.cntA++
@@ -179,7 +242,7 @@ func (e *engine) fmRefine(insts []int32, side map[int32]bool, region geom.Rect, 
 					}
 				}
 			}
-			net := &d.Nets[ni]
+			net := &d.Nets[netList[pk]]
 			if net.Driver.Inst >= 0 {
 				visit(net.Driver.Inst)
 			} else if pt, ok := e.p.Ports[net.Driver.Pin]; ok {
@@ -203,30 +266,48 @@ func (e *engine) fmRefine(insts []int32, side map[int32]bool, region geom.Rect, 
 		}
 	})
 
-	// Build the FM core over local ids and run bucket-based passes with
-	// best-prefix rollback.
-	core := newFMCore(len(insts))
-	localNet := map[int]int{}
-	for li, ni := range netList {
-		localNet[ni] = li
-		st := netIdx[ni]
-		core.nets = append(core.nets, fmNet{
+	// Build the FM core over local ids: each cell's local nets and each
+	// net's local cells are sub-slices of two flat buffers, filled in cell
+	// order. Then run bucket-based passes with best-prefix rollback.
+	core := &e.core
+	core.reset(len(insts), len(netList))
+	for li := range netList {
+		st := &states[li]
+		core.nets[li] = fmNet{
 			cnt: [2]int{st.cntA, st.cntB},
 			anc: [2]bool{st.ancA, st.ancB},
-		})
-	}
-	for k, i := range insts {
-		core.side[k] = side[i]
-		core.area[k] = e.widths[i]
-		for _, ni := range instNets[k] {
-			li := localNet[ni]
-			core.cells[k] = append(core.cells[k], int32(li))
-			core.nets[li].pins = append(core.nets[li].pins, int32(k))
 		}
-		if !side[i] {
+	}
+	cellBuf := e.cellBuf[:0]
+	pinStart := e.pinStart[:len(netList)+1]
+	clear(pinStart)
+	for k, i := range insts {
+		lo := len(cellBuf)
+		for _, ni := range e.netsOf(i) {
+			li := e.netLocal[ni]
+			cellBuf = append(cellBuf, li)
+			pinStart[li+1]++
+		}
+		core.cells[k] = cellBuf[lo:]
+		core.side[k] = e.side[i]
+		core.area[k] = e.widths[i]
+		if !e.side[i] {
 			core.areaA += e.widths[i]
 		}
 		core.totArea += e.widths[i]
+	}
+	for li := 1; li < len(pinStart); li++ {
+		pinStart[li] += pinStart[li-1]
+	}
+	// Each net's pin list starts empty with exactly its row's capacity, so
+	// the appends below fill pinBuf in place, in cell order.
+	for li := range core.nets {
+		core.nets[li].pins = e.pinBuf[pinStart[li]:pinStart[li]:pinStart[li+1]]
+	}
+	for k := range insts {
+		for _, li := range core.cells[k] {
+			core.nets[li].pins = append(core.nets[li].pins, int32(k))
+		}
 	}
 	lo, hi := 0.42*totalArea, 0.58*totalArea
 	for pass := 0; pass < 3; pass++ {
@@ -235,27 +316,16 @@ func (e *engine) fmRefine(insts []int32, side map[int32]bool, region geom.Rect, 
 		}
 	}
 	for k, i := range insts {
-		side[i] = core.side[k]
+		e.side[i] = core.side[k]
 	}
 }
 
-// instancePins returns the nets an instance touches.
-func (e *engine) instancePins(inst int) []int {
-	pins := e.p.Design.Instances[inst].Pins
-	out := make([]int, 0, len(pins))
-	for _, ni := range pins {
-		out = append(out, ni)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// placeLeaf spreads a handful of cells across the leaf region's rows.
+// placeLeaf spreads a handful of cells, in index order, across the leaf
+// region's rows.
 func (e *engine) placeLeaf(insts []int32, region geom.Rect) {
 	if len(insts) == 0 {
 		return
 	}
-	sort.Slice(insts, func(a, b int) bool { return insts[a] < insts[b] })
 	rows := int(math.Max(1, math.Floor(region.H()/e.p.RowH)))
 	perRow := (len(insts) + rows - 1) / rows
 	for k, i := range insts {

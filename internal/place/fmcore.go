@@ -2,7 +2,9 @@ package place
 
 // Proper Fiduccia–Mattheyses refinement: gain buckets with doubly-linked
 // lists, single-cell moves with balance control, and best-prefix rollback.
-// Used by fmRefine for regions large enough to matter.
+// Used by fmRefine for regions large enough to matter. One core per
+// placement is reset for each region, so its buffers are allocated once, at
+// the size of the root region.
 
 type fmNet struct {
 	cnt  [2]int // movable pins on each side
@@ -25,21 +27,34 @@ type fmCore struct {
 	locked  []bool
 	areaA   float64
 	totArea float64
+	moved   []int32 // the current pass's moves, in order
 }
 
 const fmNil = int32(-1)
 
-func newFMCore(numCells int) *fmCore {
-	return &fmCore{
-		cells:  make([][]int32, numCells),
-		side:   make([]bool, numCells),
-		area:   make([]float64, numCells),
-		gain:   make([]int, numCells),
-		next:   make([]int32, numCells),
-		prev:   make([]int32, numCells),
-		inList: make([]bool, numCells),
-		locked: make([]bool, numCells),
+// reset empties the core for a region of numCells cells and numNets nets.
+func (f *fmCore) reset(numCells, numNets int) {
+	f.nets = resize(f.nets, numNets)
+	f.cells = resize(f.cells, numCells)
+	f.side = resize(f.side, numCells)
+	f.area = resize(f.area, numCells)
+	f.gain = resize(f.gain, numCells)
+	f.next = resize(f.next, numCells)
+	f.prev = resize(f.prev, numCells)
+	f.inList = resize(f.inList, numCells)
+	f.locked = resize(f.locked, numCells)
+	f.areaA, f.totArea = 0, 0
+}
+
+// resize returns s with length n and every element zero, reusing its
+// backing array when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 func (f *fmCore) gainOf(c int32) int {
@@ -73,7 +88,7 @@ func (f *fmCore) initBuckets() {
 			f.maxGain = d
 		}
 	}
-	f.bucket = make([]int32, 2*f.maxGain+1)
+	f.bucket = resize(f.bucket, 2*f.maxGain+1)
 	for i := range f.bucket {
 		f.bucket[i] = fmNil
 	}
@@ -226,7 +241,7 @@ func (f *fmCore) runPass(lo, hi float64) int {
 	startCut := f.cutSize()
 	bestCut := startCut
 	curCut := startCut
-	var moved []int32
+	moved := f.moved[:0]
 	bestPrefix := 0
 	for {
 		c := f.pickBest(lo, hi)
@@ -241,6 +256,7 @@ func (f *fmCore) runPass(lo, hi float64) int {
 			bestPrefix = len(moved)
 		}
 	}
+	f.moved = moved
 	// Roll back moves beyond the best prefix.
 	for i := len(moved) - 1; i >= bestPrefix; i-- {
 		c := moved[i]

@@ -95,7 +95,7 @@ func Run(d *netlist.Design, opt Options) (*Placement, error) {
 		p.Y[i] = die.Center().Y
 	}
 
-	eng := &engine{p: p, widths: widths, noFM: opt.DisableFM, workers: opt.Workers}
+	eng := newEngine(p, widths, opt.DisableFM, opt.Workers)
 	_ = opt.Seed // placement is fully deterministic; the seed is reserved
 	all := make([]int32, n)
 	for i := range all {

@@ -123,17 +123,111 @@ func resolveCells(lib *liberty.Library, d *netlist.Design) ([]*liberty.Cell, err
 	return cells, nil
 }
 
-// netVal is one output net's staged value pair from a parallel level pass
-// (arrival/slew for the max pass, min-arrival in a for the hold pass).
-type netVal struct {
-	net  int
-	a, b float64
+// outVal is one output's staged value pair from a parallel level pass
+// (arrival/slew for the max pass, min-arrival in a for the hold pass). The
+// staging array parallels graph.outs, so each instance writes only its own
+// outputs' slots and the serial scatter replays them in a fixed order.
+type outVal struct{ a, b float64 }
+
+// graph is the compiled timing view of one design, built once per Analyze:
+// every pin name the passes need is resolved to a net index up front, so
+// the forward, hold and backward passes walk flat arrays and never touch
+// Instance.Pins. Combinational instance ii drives outs[outStart[ii]:
+// outStart[ii+1]] (in Cell.Outputs order); each output's arcs are
+// arcs[arcLo:arcHi] (in Cell.Arcs order, so the max pass breaks arrival
+// ties exactly as a walk over the cell would). Unconnected pins are dropped
+// here rather than skipped in every pass.
+type graph struct {
+	outStart []int32
+	outs     []outPin
+	arcs     []arcIn
+	// seqs holds the sequential instances in index order.
+	seqs []seqInst
 }
 
-// instSlot buffers one instance's output-net values during a level pass; the
-// slot array is indexed by position within the level, so concurrent workers
-// write disjoint slots and the serial scatter replays them in a fixed order.
-type instSlot struct{ outs []netVal }
+// outPin is one connected output of a combinational instance.
+type outPin struct {
+	net          int32
+	arcLo, arcHi int32
+}
+
+// arcIn is one timing arc whose input pin is connected.
+type arcIn struct {
+	net int32 // input net
+	arc *liberty.TimingArc
+}
+
+// seqInst is one flop: its D and Q nets (-1 when unconnected) and, with Q
+// connected, its clock→Q launch arc.
+type seqInst struct {
+	cell   *liberty.Cell
+	d, q   int32
+	launch *liberty.TimingArc
+}
+
+// compile builds the timing graph, presized from the cells' output and arc
+// counts. An error reports a flop whose Q is connected but whose cell has
+// no clock→Q arc.
+func compile(d *netlist.Design, cells []*liberty.Cell) (*graph, error) {
+	nOut, nArc, nSeq := 0, 0, 0
+	for _, c := range cells {
+		if c.Seq {
+			nSeq++
+			continue
+		}
+		nOut += len(c.Outputs)
+		nArc += len(c.Arcs)
+	}
+	g := &graph{
+		outStart: make([]int32, len(cells)+1),
+		outs:     make([]outPin, 0, nOut),
+		arcs:     make([]arcIn, 0, nArc),
+		seqs:     make([]seqInst, 0, nSeq),
+	}
+	for ii, c := range cells {
+		g.outStart[ii] = int32(len(g.outs))
+		pins := d.Instances[ii].Pins
+		if c.Seq {
+			s := seqInst{cell: c, d: -1, q: -1}
+			if ni, ok := pins["D"]; ok {
+				s.d = int32(ni)
+			}
+			if ni, ok := pins["Q"]; ok {
+				s.q = int32(ni)
+				if s.launch = c.Arc(c.Clock, "Q"); s.launch == nil {
+					return nil, fmt.Errorf("sta: %s has no %s→Q arc", c.Name, c.Clock)
+				}
+			}
+			g.seqs = append(g.seqs, s)
+			continue
+		}
+		for _, out := range c.Outputs {
+			outNet, ok := pins[out]
+			if !ok {
+				continue
+			}
+			lo := len(g.arcs)
+			for ai := range c.Arcs {
+				arc := &c.Arcs[ai]
+				if arc.To != out {
+					continue
+				}
+				if inNet, ok := pins[arc.From]; ok {
+					g.arcs = append(g.arcs, arcIn{net: int32(inNet), arc: arc})
+				}
+			}
+			g.outs = append(g.outs, outPin{net: int32(outNet), arcLo: int32(lo), arcHi: int32(len(g.arcs))})
+		}
+	}
+	g.outStart[len(cells)] = int32(len(g.outs))
+	return g, nil
+}
+
+// outputs returns instance ii's connected outputs (none for a flop).
+func (g *graph) outputs(ii int32) []outPin { return g.outs[g.outStart[ii]:g.outStart[ii+1]] }
+
+// inputs returns the connected arcs into one output.
+func (g *graph) inputs(o outPin) []arcIn { return g.arcs[o.arcLo:o.arcHi] }
 
 // Analyze runs full static timing analysis.
 func Analyze(d *netlist.Design, env Env) (*Result, error) {
@@ -160,12 +254,15 @@ func Analyze(d *netlist.Design, env Env) (*Result, error) {
 		return nil, err
 	}
 
-	// Net loads: wire capacitance plus sink pin capacitance. Every
-	// iteration writes only its own res.Load[i], so the shards are disjoint.
+	// Net loads (wire capacitance plus sink pin capacitance) and each net's
+	// wire delay, priced once here instead of once per arc per pass. Every
+	// iteration writes only its own slot i, so the shards are disjoint.
+	wireDelay := make([]float64, n)
 	par.For(workers, n, func(w, lo, hi int) {
 		//tmi3dvet:parloop sta.loads
 		for i := lo; i < hi; i++ {
-			load := env.Wire(i).C
+			wire := env.Wire(i)
+			load := wire.C
 			for _, s := range d.Nets[i].Sinks {
 				if s.Inst < 0 {
 					continue
@@ -173,13 +270,20 @@ func Analyze(d *netlist.Design, env Env) (*Result, error) {
 				load += cells[s.Inst].PinCap[s.Pin]
 			}
 			res.Load[i] = load
+			wireDelay[i] = WireDelay(wire, load)
 		}
 	})
 
-	levels, err := levelize(d)
+	levelStart, levelOrder, err := levelize(d)
 	if err != nil {
 		return nil, err
 	}
+	g, err := compile(d, cells)
+	if err != nil {
+		return nil, err
+	}
+	nLevels := len(levelStart) - 1
+	level := func(l int) []int32 { return levelOrder[levelStart[l]:levelStart[l+1]] }
 
 	// Startpoints.
 	for i := range res.Arrival {
@@ -194,91 +298,61 @@ func Analyze(d *netlist.Design, env Env) (*Result, error) {
 		res.Slew[d.ClockNet] = inputSlew
 	}
 	// Sequential outputs launch at the clock edge.
-	for ii := range d.Instances {
-		inst := &d.Instances[ii]
-		c := cells[ii]
-		if !c.Seq {
+	for _, s := range g.seqs {
+		if s.q < 0 {
 			continue
 		}
-		qNet, ok := inst.Pins["Q"]
-		if !ok {
-			continue
-		}
-		arc := c.Arc(c.Clock, "Q")
-		if arc == nil {
-			return nil, fmt.Errorf("sta: %s has no %s→Q arc", c.Name, c.Clock)
-		}
-		res.Arrival[qNet] = arc.Delay.At(inputSlew, res.Load[qNet])
-		res.Slew[qNet] = arc.OutSlew.At(inputSlew, res.Load[qNet])
+		res.Arrival[s.q] = s.launch.Delay.At(inputSlew, res.Load[s.q])
+		res.Slew[s.q] = s.launch.OutSlew.At(inputSlew, res.Load[s.q])
 	}
 
 	// Propagate through combinational instances level by level. Within a
 	// level, every input net is driven from a strictly lower level (or a
 	// startpoint), so the per-instance computations are independent: they
-	// run in parallel into position-indexed slots, and the scatter back
-	// into res.Arrival/res.Slew is serial. Each output net has exactly one
-	// driver, so scattered writes never collide either.
-	maxLevel := 0
-	for _, lv := range levels {
-		if len(lv) > maxLevel {
-			maxLevel = len(lv)
+	// run in parallel into their own outputs' staging slots, and the
+	// scatter back into res.Arrival/res.Slew is serial. Each output net has
+	// exactly one driver, so scattered writes never collide either.
+	staged := make([]outVal, len(g.outs))
+	scatter := func(lv []int32, set func(net int32, v outVal)) {
+		for _, ii := range lv {
+			for oi := g.outStart[ii]; oi < g.outStart[ii+1]; oi++ {
+				set(g.outs[oi].net, staged[oi])
+			}
 		}
 	}
-	slots := make([]instSlot, maxLevel)
-	for _, lv := range levels {
-		lv := lv
+	for l := 0; l < nLevels; l++ {
+		lv := level(l)
 		par.For(workers, len(lv), func(w, lo, hi int) {
 			//tmi3dvet:parloop sta.propagate
 			for k := lo; k < hi; k++ {
-				buf := &slots[k]
-				buf.outs = buf.outs[:0]
-				ii := int(lv[k])
-				inst := &d.Instances[ii]
-				c := cells[ii]
-				if c.Seq {
-					continue
-				}
-				for _, out := range c.Outputs {
-					outNet, ok := inst.Pins[out]
-					if !ok {
-						continue
-					}
-					load := res.Load[outNet]
+				vals := staged[g.outStart[lv[k]]:g.outStart[lv[k]+1]]
+				for j, out := range g.outputs(lv[k]) {
+					load := res.Load[out.net]
 					bestArr := math.Inf(-1)
 					bestSlew := 0.0
-					for ai := range c.Arcs {
-						arc := &c.Arcs[ai]
-						if arc.To != out {
-							continue
-						}
-						inNet, ok := inst.Pins[arc.From]
-						if !ok {
-							continue
-						}
-						inArr := res.Arrival[inNet]
+					for _, in := range g.inputs(out) {
+						inArr := res.Arrival[in.net]
 						if math.IsInf(inArr, -1) {
 							continue
 						}
-						inSlew := res.Slew[inNet]
+						inSlew := res.Slew[in.net]
 						// Wire delay from the input net's driver to this pin.
-						a := inArr + WireDelay(env.Wire(inNet), res.Load[inNet]) + arc.Delay.At(inSlew, load)
+						a := inArr + wireDelay[in.net] + in.arc.Delay.At(inSlew, load)
 						if a > bestArr {
 							bestArr = a
-							bestSlew = arc.OutSlew.At(inSlew, load)
+							bestSlew = in.arc.OutSlew.At(inSlew, load)
 						}
 					}
-					if !math.IsInf(bestArr, -1) {
-						buf.outs = append(buf.outs, netVal{outNet, bestArr, bestSlew})
-					}
+					vals[j] = outVal{bestArr, bestSlew}
 				}
 			}
 		})
-		for k := range lv {
-			for _, nv := range slots[k].outs {
-				res.Arrival[nv.net] = nv.a
-				res.Slew[nv.net] = nv.b
+		scatter(lv, func(net int32, v outVal) {
+			if !math.IsInf(v.a, -1) {
+				res.Arrival[net] = v.a
+				res.Slew[net] = v.b
 			}
-		}
+		})
 	}
 
 	// Endpoint checks: DFF D pins (setup) and primary outputs.
@@ -299,17 +373,13 @@ func Analyze(d *netlist.Design, env Env) (*Result, error) {
 			res.TNS += slack
 		}
 	}
-	for ii := range d.Instances {
-		inst := &d.Instances[ii]
-		c := cells[ii]
-		if !c.Seq {
-			continue
-		}
-		if dNet, ok := inst.Pins["D"]; ok {
-			check(dNet, res.ClockPs-c.Setup)
+	for _, s := range g.seqs {
+		if s.d >= 0 {
+			check(int(s.d), res.ClockPs-s.cell.Setup)
 		}
 	}
-	for _, po := range d.SortedPOs() {
+	pos := d.SortedPOs()
+	for _, po := range pos {
 		check(d.POs[po], res.ClockPs)
 	}
 	if math.IsInf(res.WNS, 1) {
@@ -319,8 +389,8 @@ func Analyze(d *netlist.Design, env Env) (*Result, error) {
 	// Hold analysis: propagate MINIMUM arrivals (fastest arc per gate, no
 	// wire pessimism) and check each sequential data pin against its hold
 	// requirement. The clock is ideal, so launch and capture edges align.
-	// The pass reuses the levelized fan-out structure (and the slot
-	// buffers) of the max pass above — same independence argument.
+	// The pass reuses the levels (and the staging slots) of the max pass
+	// above — same independence argument.
 	minArr := make([]float64, n)
 	for i := range minArr {
 		minArr[i] = math.Inf(1)
@@ -334,70 +404,40 @@ func Analyze(d *netlist.Design, env Env) (*Result, error) {
 	if d.ClockNet >= 0 {
 		minArr[d.ClockNet] = 0
 	}
-	for ii := range d.Instances {
-		inst := &d.Instances[ii]
-		c := cells[ii]
-		if !c.Seq {
-			continue
-		}
-		if qNet, ok := inst.Pins["Q"]; ok {
-			if arc := c.Arc(c.Clock, "Q"); arc != nil {
-				minArr[qNet] = arc.Delay.At(inputSlew, res.Load[qNet])
-			}
+	for _, s := range g.seqs {
+		if s.q >= 0 {
+			minArr[s.q] = s.launch.Delay.At(inputSlew, res.Load[s.q])
 		}
 	}
-	for _, lv := range levels {
-		lv := lv
+	for l := 0; l < nLevels; l++ {
+		lv := level(l)
 		par.For(workers, len(lv), func(w, lo, hi int) {
 			for k := lo; k < hi; k++ {
-				buf := &slots[k]
-				buf.outs = buf.outs[:0]
-				ii := int(lv[k])
-				inst := &d.Instances[ii]
-				c := cells[ii]
-				if c.Seq {
-					continue
-				}
-				for _, out := range c.Outputs {
-					outNet, ok := inst.Pins[out]
-					if !ok {
-						continue
-					}
+				vals := staged[g.outStart[lv[k]]:g.outStart[lv[k]+1]]
+				for j, out := range g.outputs(lv[k]) {
 					best := math.Inf(1)
-					for ai := range c.Arcs {
-						arc := &c.Arcs[ai]
-						if arc.To != out {
+					for _, in := range g.inputs(out) {
+						if math.IsInf(minArr[in.net], 1) {
 							continue
 						}
-						inNet, ok := inst.Pins[arc.From]
-						if !ok || math.IsInf(minArr[inNet], 1) {
-							continue
-						}
-						if a := minArr[inNet] + arc.Delay.At(res.Slew[inNet], res.Load[outNet]); a < best {
+						if a := minArr[in.net] + in.arc.Delay.At(res.Slew[in.net], res.Load[out.net]); a < best {
 							best = a
 						}
 					}
-					if !math.IsInf(best, 1) {
-						buf.outs = append(buf.outs, netVal{net: outNet, a: best})
-					}
+					vals[j] = outVal{a: best}
 				}
 			}
 		})
-		for k := range lv {
-			for _, nv := range slots[k].outs {
-				minArr[nv.net] = nv.a
+		scatter(lv, func(net int32, v outVal) {
+			if !math.IsInf(v.a, 1) {
+				minArr[net] = v.a
 			}
-		}
+		})
 	}
 	res.HoldWNS = math.Inf(1)
-	for ii := range d.Instances {
-		inst := &d.Instances[ii]
-		c := cells[ii]
-		if !c.Seq {
-			continue
-		}
-		if dNet, ok := inst.Pins["D"]; ok && !math.IsInf(minArr[dNet], 1) {
-			if slack := minArr[dNet] - c.Hold; slack < res.HoldWNS {
+	for _, s := range g.seqs {
+		if s.d >= 0 && !math.IsInf(minArr[s.d], 1) {
+			if slack := minArr[s.d] - s.cell.Hold; slack < res.HoldWNS {
 				res.HoldWNS = slack
 			}
 		}
@@ -407,54 +447,38 @@ func Analyze(d *netlist.Design, env Env) (*Result, error) {
 	}
 
 	// Backward pass: required times, for slack-driven optimization. Runs
-	// serially in reverse level order — setReq is a min-fold over edges
-	// into shared inNet entries, and a min over a fixed edge set yields the
-	// same value in any order, so this pass needs no slot machinery; it
-	// simply is not the bottleneck the forward passes are.
+	// serially in reverse level order — each arc min-folds into its input
+	// net's entry, and a min over a fixed edge set yields the same value in
+	// any order, so this pass needs no slot machinery; it simply is not the
+	// bottleneck the forward passes are.
 	res.Required = make([]float64, n)
 	for i := range res.Required {
 		res.Required[i] = math.Inf(1)
 	}
-	setReq := func(net int, req float64) {
-		if req < res.Required[net] {
-			res.Required[net] = req
+	for _, s := range g.seqs {
+		if s.d >= 0 && res.ClockPs-s.cell.Setup < res.Required[s.d] {
+			res.Required[s.d] = res.ClockPs - s.cell.Setup
 		}
 	}
-	for ii := range d.Instances {
-		inst := &d.Instances[ii]
-		c := cells[ii]
-		if !c.Seq {
-			continue
-		}
-		if dNet, ok := inst.Pins["D"]; ok {
-			setReq(dNet, res.ClockPs-c.Setup)
+	for _, po := range pos {
+		if ni := d.POs[po]; res.ClockPs < res.Required[ni] {
+			res.Required[ni] = res.ClockPs
 		}
 	}
-	for _, po := range d.SortedPOs() {
-		setReq(d.POs[po], res.ClockPs)
-	}
-	for li := len(levels) - 1; li >= 0; li-- {
-		lv := levels[li]
+	for l := nLevels - 1; l >= 0; l-- {
+		lv := level(l)
 		for k := len(lv) - 1; k >= 0; k-- {
-			ii := int(lv[k])
-			inst := &d.Instances[ii]
-			c := cells[ii]
-			if c.Seq {
-				continue
-			}
-			for ai := range c.Arcs {
-				arc := &c.Arcs[ai]
-				outNet, ok := inst.Pins[arc.To]
-				if !ok {
+			for _, out := range g.outputs(lv[k]) {
+				req := res.Required[out.net]
+				if math.IsInf(req, 1) {
 					continue
 				}
-				inNet, ok := inst.Pins[arc.From]
-				if !ok || math.IsInf(res.Required[outNet], 1) {
-					continue
+				for _, in := range g.inputs(out) {
+					r := req - in.arc.Delay.At(res.Slew[in.net], res.Load[out.net]) - wireDelay[in.net]
+					if r < res.Required[in.net] {
+						res.Required[in.net] = r
+					}
 				}
-				inSlew := res.Slew[inNet]
-				wireDelay := WireDelay(env.Wire(inNet), res.Load[inNet])
-				setReq(inNet, res.Required[outNet]-arc.Delay.At(inSlew, res.Load[outNet])-wireDelay)
 			}
 		}
 	}
@@ -474,95 +498,130 @@ func (r *Result) Slack(net int) float64 {
 // logic only; sequential outputs are treated as sources). An error reports a
 // combinational cycle.
 func Levelize(d *netlist.Design) ([]int, error) {
-	levels, err := levelize(d)
+	_, order, err := levelize(d)
 	if err != nil {
 		return nil, err
 	}
-	order := make([]int, 0, len(d.Instances))
-	for _, lv := range levels {
-		for _, ii := range lv {
-			order = append(order, int(ii))
-		}
+	out := make([]int, len(order))
+	for k, ii := range order {
+		out[k] = int(ii)
 	}
-	return order, nil
+	return out, nil
 }
 
 // levelize computes the topological depth of every instance over the
 // combinational dependency graph (sequential instances and primary inputs
-// are sources) and returns the instances bucketed by level, each bucket in
-// ascending instance-index order. Every instance in a level depends only on
-// strictly lower levels — the independence property the parallel arrival
-// passes rely on. An error reports a combinational cycle.
-func levelize(d *netlist.Design) ([][]int32, error) {
-	// Dependencies: instance depends on the drivers of its input nets.
-	indeg := make([]int, len(d.Instances))
-	dependents := make([][]int32, len(d.Nets))
-	isSeq := make([]bool, len(d.Instances))
+// are sources) and returns the instances bucketed by level as compressed
+// rows: level l is order[start[l]:start[l+1]], in ascending instance-index
+// order. A level is the longest-path depth, so the buckets do not depend on
+// the order the work queue visits instances. Every instance in a level
+// depends only on strictly lower levels — the independence property the
+// parallel arrival passes rely on. It keys on Instance.Func, not a library
+// cell, so it works on unmapped designs. An error reports a combinational
+// cycle.
+func levelize(d *netlist.Design) (start, order []int32, err error) {
+	n := len(d.Instances)
+	isSeq := make([]bool, n)
+	rowStart := make([]int32, n+1)
 	for ii := range d.Instances {
 		isSeq[ii] = d.Instances[ii].Func == "DFF"
+		rowStart[ii+1] = rowStart[ii] + int32(len(d.Instances[ii].Pins))
 	}
+	// Split every combinational instance's pins once, within a row sized by
+	// its pin count: output nets fill the row from the front, dependencies
+	// (input nets driven by combinational logic) from the back. Count each
+	// net's dependents on the way.
+	rows := make([]int32, rowStart[n])
+	outEnd := make([]int32, n)
+	indeg := make([]int32, n)
+	netStart := make([]int32, len(d.Nets)+1)
 	for ii := range d.Instances {
-		if isSeq[ii] {
-			continue
+		o, dep := rowStart[ii], rowStart[ii+1]
+		if !isSeq[ii] {
+			inst := &d.Instances[ii]
+			//tmi3dvet:ordered pins are only split into per-instance rows and counted; levels are longest-path depths bucketed in index order, so they do not depend on queue order
+			for pin, ni := range inst.Pins {
+				if isOutputPin(inst.Func, pin) {
+					rows[o] = int32(ni)
+					o++
+				} else if drv := d.Nets[ni].Driver; drv.Inst >= 0 && !isSeq[drv.Inst] {
+					dep--
+					rows[dep] = int32(ni)
+					netStart[ni+1]++
+				}
+			}
 		}
-		inst := &d.Instances[ii]
-		for pin, ni := range inst.Pins {
-			if isOutputPin(inst.Func, pin) {
-				continue
-			}
-			drv := d.Nets[ni].Driver
-			if drv.Inst >= 0 && !isSeq[drv.Inst] {
-				dependents[ni] = append(dependents[ni], int32(ii))
-				indeg[ii]++
-			}
+		outEnd[ii] = o
+		indeg[ii] = rowStart[ii+1] - dep
+	}
+	outputs := func(ii int32) []int32 { return rows[rowStart[ii]:outEnd[ii]] }
+
+	// Net → dependent instances as compressed rows, each row in ascending
+	// instance order (one entry per dependent pin). The fill pass advances
+	// netStart[ni] to the end of row ni; the shift turns it back into the
+	// start of each row.
+	for ni := 1; ni < len(netStart); ni++ {
+		netStart[ni] += netStart[ni-1]
+	}
+	dependents := make([]int32, netStart[len(d.Nets)])
+	for ii := range d.Instances {
+		for _, ni := range rows[rowStart[ii+1]-indeg[ii] : rowStart[ii+1]] {
+			dependents[netStart[ni]] = int32(ii)
+			netStart[ni]++
 		}
 	}
-	level := make([]int32, len(d.Instances))
-	queue := make([]int, 0, len(d.Instances))
-	for ii := range d.Instances {
+	copy(netStart[1:], netStart)
+	netStart[0] = 0
+
+	level := make([]int32, n)
+	queue := make([]int32, 0, n)
+	for ii := range indeg {
 		if indeg[ii] == 0 {
-			queue = append(queue, ii)
+			queue = append(queue, int32(ii))
 		}
 	}
-	processed := 0
-	for len(queue) > 0 {
-		ii := queue[0]
-		queue = queue[1:]
-		processed++
-		if isSeq[ii] {
-			continue
-		}
-		inst := &d.Instances[ii]
-		for _, pin := range inst.SortedPins() {
-			ni := inst.Pins[pin]
-			if !isOutputPin(inst.Func, pin) {
-				continue
-			}
-			for _, dep := range dependents[ni] {
+	for head := 0; head < len(queue); head++ {
+		ii := queue[head]
+		for _, ni := range outputs(ii) {
+			for _, dep := range dependents[netStart[ni]:netStart[ni+1]] {
 				if l := level[ii] + 1; l > level[dep] {
 					level[dep] = l
 				}
 				indeg[dep]--
 				if indeg[dep] == 0 {
-					queue = append(queue, int(dep))
+					queue = append(queue, dep)
 				}
 			}
 		}
 	}
-	if processed != len(d.Instances) {
-		return nil, fmt.Errorf("sta: combinational cycle (%d of %d ordered)", processed, len(d.Instances))
+	if len(queue) != n {
+		return nil, nil, fmt.Errorf("sta: combinational cycle (%d of %d ordered)", len(queue), n)
 	}
+
+	// Bucket by level with a counting sort: after the fill pass start[l]
+	// has advanced to the end of bucket l, which the shift turns back into
+	// the start of each bucket.
 	maxLevel := int32(-1)
 	for _, l := range level {
 		if l > maxLevel {
 			maxLevel = l
 		}
 	}
-	levels := make([][]int32, maxLevel+1)
-	for ii := range d.Instances {
-		levels[level[ii]] = append(levels[level[ii]], int32(ii))
+	start = make([]int32, maxLevel+2)
+	for _, l := range level {
+		start[l+1]++
 	}
-	return levels, nil
+	for l := 1; l < len(start); l++ {
+		start[l] += start[l-1]
+	}
+	order = queue // every instance is queued once; reuse the buffer
+	for ii, l := range level {
+		order[start[l]] = int32(ii)
+		start[l]++
+	}
+	copy(start[1:], start)
+	start[0] = 0
+	return start, order, nil
 }
 
 // isOutputPin reports whether the pin is an output for the given function.

@@ -361,3 +361,41 @@ func TestCriticalPath(t *testing.T) {
 		t.Errorf("format:\n%s", text)
 	}
 }
+
+// An input pin with no Pins entry has no net to time from: every pass skips
+// its arc, and the instance's connected arcs still time.
+func TestUnconnectedInputPinSkipped(t *testing.T) {
+	l := lib(t)
+	d := netlist.New("open")
+	d.AddPI("a", "a")
+	d.AddInstance("g", "NAND2", map[string]string{"A": "a", "Z": "z"}, "Z") // B left open
+	d.Instances[0].CellName = "NAND2_X1"
+	d.AddInstance("ff", "DFF", map[string]string{"D": "z", "CK": "clk", "Q": "q"}, "Q")
+	d.Instances[1].CellName = "DFF_X1"
+	d.AddPO("out", "q")
+	d.SetClock("clk")
+	d.TargetClockPs = 1000
+	res, err := Analyze(d, Env{Lib: l, Wire: noWire})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, z := d.NetByName("a"), d.NetByName("z")
+	arc := l.MustCell("NAND2_X1").Arc("A", "Z")
+	dff := l.MustCell("DFF_X1")
+	delay := arc.Delay.At(20, res.Load[z])
+	if want := delay; res.Arrival[z] != want {
+		t.Errorf("arrival at z = %v, want the A→Z arc's %v", res.Arrival[z], want)
+	}
+	if want := arc.OutSlew.At(20, res.Load[z]); res.Slew[z] != want {
+		t.Errorf("slew at z = %v, want %v", res.Slew[z], want)
+	}
+	// Hold: the PI's 20 ps input delay plus the same arc, against the
+	// flop's hold window (the D pin is the only hold endpoint).
+	if want := 20 + delay - dff.Hold; res.HoldWNS != want {
+		t.Errorf("hold slack %v, want %v", res.HoldWNS, want)
+	}
+	// Backward: the required time at a is z's, less the arc.
+	if want := 1000 - dff.Setup - delay; res.Required[a] != want {
+		t.Errorf("required at a = %v, want %v", res.Required[a], want)
+	}
+}

@@ -4,7 +4,8 @@
 #
 # The gates run fail-fast in cost order: formatting and stock static analysis
 # first, then the custom tmi3dvet determinism/concurrency analyzers, then the
-# benchmark module's smoke test, then the race-detector test suite, then the end-to-end smokes (parallel determinism,
+# benchmark module's smoke test and the kernel benchmarks, then the
+# race-detector test suite, then the end-to-end smokes (parallel determinism,
 # formal equivalence, serving). Each gate opens with a named banner so a CI
 # log identifies the failing stage at a glance.
 set -euo pipefail
@@ -49,6 +50,11 @@ stage bench-smoke
 # would otherwise break it silently. Its smoke test builds it and runs every
 # workload briefly (about 30 s).
 (cd bench && go test ./...)
+
+stage bench-kernels
+# The kernel benchmarks (sta.Analyze, place.Run) run once each, so they keep
+# compiling and running; `make bench-kernels` times them with -benchmem.
+go test -run '^$' -bench . -benchtime 1x ./internal/sta ./internal/place
 
 stage race
 go test -race ./...
