@@ -53,9 +53,12 @@ bench-trace:
 	bash bench/run.sh --trace 1 $(ARGS)
 
 # The hot layout kernels on the fixed FPU@0.15 design: one sta.Analyze and
-# one place.Run per op, with allocations.
+# one place.Run per op, with allocations; then the stage artifact codec,
+# encode and decode per cached node on FPU@0.1 (by name: `-bench .` would
+# also run the sweep benchmark).
 bench-kernels:
 	go test -run '^$$' -bench . -benchmem ./internal/sta ./internal/place
+	go test -run '^$$' -bench BenchmarkArtifactCodec -benchmem ./internal/stage
 
 bench-serve:
 	go test ./internal/serve -run '^$$' -bench BenchmarkServe -benchmem

@@ -31,7 +31,7 @@ var WireTypes = map[string][]string{
 	"internal/liberty.Library":       {},
 	"internal/lint.Report":           {},
 	"internal/netlist.Design":        {},
-	"internal/netlist.Net":           {},
+	"internal/netlist.netJSON":       {},
 	"internal/netlist.Stats":         {},
 	"internal/opt.Stats":             {},
 	"internal/place.Snapshot":        {},

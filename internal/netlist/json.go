@@ -9,44 +9,54 @@ import "encoding/json"
 // included. Maps encode with sorted keys under encoding/json, so equal
 // designs encode to identical bytes.
 
-// netJSON is the canonical wire form of a Net: nil and empty sink lists both
-// encode as [] and decode to nil, so a design and its Clone (which normalizes
-// nil slices to empty) encode to identical bytes — equal designs must yield
-// equal artifact bytes regardless of how their sink slices were built.
+// netJSON is the canonical wire form of a Net. Its fields are Net's, so the
+// two convert into each other (the compiler keeps them in step), and the
+// design codec moves every net through one []netJSON slice — one encoding/json
+// pass over the whole net list instead of a Marshaler call per net. nil and
+// empty sink lists both encode as [] and decode to nil, so a design and its
+// Clone (which normalizes nil slices to empty) encode to identical bytes —
+// equal designs must yield equal artifact bytes regardless of how their sink
+// slices were built.
 type netJSON struct {
 	Name   string   `json:"name"`
 	Driver PinRef   `json:"driver"`
 	Sinks  []PinRef `json:"sinks"`
 }
 
-// MarshalJSON encodes the net with a canonical (never-null) sink list.
-func (n Net) MarshalJSON() ([]byte, error) {
-	sinks := n.Sinks
-	if sinks == nil {
-		sinks = []PinRef{}
+// netsToWire converts the net list to its wire form with never-null sinks.
+func netsToWire(nets []Net) []netJSON {
+	if nets == nil {
+		return nil
 	}
-	return json.Marshal(netJSON{Name: n.Name, Driver: n.Driver, Sinks: sinks})
+	out := make([]netJSON, len(nets))
+	for i := range nets {
+		out[i] = netJSON(nets[i])
+		if out[i].Sinks == nil {
+			out[i].Sinks = []PinRef{}
+		}
+	}
+	return out
 }
 
-// UnmarshalJSON restores a net, normalizing an empty sink list to nil.
-func (n *Net) UnmarshalJSON(b []byte) error {
-	var in netJSON
-	if err := json.Unmarshal(b, &in); err != nil {
-		return err
+// netsFromWire restores the net list, normalizing empty sink lists to nil.
+func netsFromWire(in []netJSON) []Net {
+	if in == nil {
+		return nil
 	}
-	n.Name = in.Name
-	n.Driver = in.Driver
-	n.Sinks = in.Sinks
-	if len(n.Sinks) == 0 {
-		n.Sinks = nil
+	out := make([]Net, len(in))
+	for i := range in {
+		out[i] = Net(in[i])
+		if len(out[i].Sinks) == 0 {
+			out[i].Sinks = nil
+		}
 	}
-	return nil
+	return out
 }
 
 type designJSON struct {
 	Name          string         `json:"name"`
 	Instances     []Instance     `json:"instances"`
-	Nets          []Net          `json:"nets"`
+	Nets          []netJSON      `json:"nets"`
 	PIs           map[string]int `json:"pis"`
 	POs           map[string]int `json:"pos"`
 	ClockNet      int            `json:"clock_net"`
@@ -59,7 +69,7 @@ func (d *Design) MarshalJSON() ([]byte, error) {
 	return json.Marshal(designJSON{
 		Name:          d.Name,
 		Instances:     d.Instances,
-		Nets:          d.Nets,
+		Nets:          netsToWire(d.Nets),
 		PIs:           d.PIs,
 		POs:           d.POs,
 		ClockNet:      d.ClockNet,
@@ -76,7 +86,7 @@ func (d *Design) UnmarshalJSON(b []byte) error {
 	}
 	d.Name = in.Name
 	d.Instances = in.Instances
-	d.Nets = in.Nets
+	d.Nets = netsFromWire(in.Nets)
 	d.PIs = in.PIs
 	d.POs = in.POs
 	if d.PIs == nil {

@@ -78,3 +78,68 @@ func TestDesignJSONCloneStable(t *testing.T) {
 		t.Fatal("clone encodes differently from original")
 	}
 }
+
+// The bulk net path keeps the per-net wire form: nil and empty sink lists
+// both encode as [] and decode to nil, non-empty lists keep their order, the
+// net list keeps its order (not sorted by name), and nil and empty net lists
+// stay distinct.
+func TestDesignJSONNetsBulk(t *testing.T) {
+	d := &Design{
+		Name: "bulk",
+		Nets: []Net{
+			{Name: "z", Driver: PinRef{Inst: -1, Pin: "z"}},
+			{Name: "a", Driver: PinRef{Inst: 0, Pin: "Y"}, Sinks: []PinRef{}},
+			{Name: "m", Driver: PinRef{Inst: -2}, Sinks: []PinRef{{Inst: 3, Pin: "B"}, {Inst: -1, Pin: "out"}, {Inst: 1, Pin: "A"}}},
+		},
+		PIs:      map[string]int{},
+		POs:      map[string]int{},
+		ClockNet: -1,
+	}
+	data, err := json.Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantNets = `"nets":[` +
+		`{"name":"z","driver":{"Inst":-1,"Pin":"z"},"sinks":[]},` +
+		`{"name":"a","driver":{"Inst":0,"Pin":"Y"},"sinks":[]},` +
+		`{"name":"m","driver":{"Inst":-2,"Pin":""},"sinks":[{"Inst":3,"Pin":"B"},{"Inst":-1,"Pin":"out"},{"Inst":1,"Pin":"A"}]}]`
+	if !bytes.Contains(data, []byte(wantNets)) {
+		t.Fatalf("nets wire form changed:\n got %s\nwant %s", data, wantNets)
+	}
+	var back Design
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"z", "a", "m"} {
+		if back.Nets[i].Name != want || back.NetByName(want) != i {
+			t.Fatalf("net %d = %q (index %d), want %q in input order", i, back.Nets[i].Name, back.NetByName(want), want)
+		}
+	}
+	if back.Nets[0].Sinks != nil || back.Nets[1].Sinks != nil {
+		t.Fatalf("empty sink lists must decode to nil: %#v, %#v", back.Nets[0].Sinks, back.Nets[1].Sinks)
+	}
+	if !reflect.DeepEqual(back.Nets[2].Sinks, d.Nets[2].Sinks) {
+		t.Fatalf("sinks = %v, want %v", back.Nets[2].Sinks, d.Nets[2].Sinks)
+	}
+
+	for _, c := range []struct {
+		nets []Net
+		wire string
+	}{{nil, `"nets":null`}, {[]Net{}, `"nets":[]`}} {
+		d.Nets = c.nets
+		data, err := json.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(data, []byte(c.wire)) {
+			t.Fatalf("net list %#v encodes as %s, want %s", c.nets, data, c.wire)
+		}
+		var back Design
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatal(err)
+		}
+		if (back.Nets == nil) != (c.nets == nil) {
+			t.Fatalf("net list %#v decodes to %#v", c.nets, back.Nets)
+		}
+	}
+}

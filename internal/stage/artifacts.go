@@ -17,10 +17,16 @@ import (
 	"tmi3d/internal/wlm"
 )
 
-// Artifact envelopes: the wire form of each cached node's output. Every
-// envelope encodes canonically (encoding/json with sorted map keys, HTML
-// escaping off) and decodes to an exact inverse — artifact IDs address these
-// bytes, and the byte-identity tests re-encode decoded envelopes to prove it.
+// Artifact envelopes: each cached node's output. In process an envelope is a
+// plain value — a cold run publishes the pointer its stage body built, and
+// the memory tier hands that same value to every consumer. Only the
+// persistent tier sees bytes: every envelope encodes canonically
+// (encoding/json with sorted map keys, HTML escaping off) and decodes to an
+// exact inverse, so a value decoded from the store is interchangeable with
+// the value that was encoded. wiresafe proves the codecs total, the
+// round-trip fuzzers and `tmi3d wireid` re-encode decoded envelopes, and
+// TestPublishedValueIsStored checks that the published value encodes to the
+// stored bytes.
 //
 // The report node has no envelope: its artifact is the raw flow.EncodeResult
 // payload, byte-for-byte what the serving layer stores and serves.
@@ -84,6 +90,14 @@ type powerArtifact struct {
 	Clock *cts.Result   `json:"clock_tree"`
 }
 
+// encodeNode renders a node's artifact value as its stored bytes.
+func encodeNode(name string, v any) ([]byte, error) {
+	if name == "report" {
+		return v.([]byte), nil
+	}
+	return encodeArtifact(v)
+}
+
 // encodeArtifact renders the canonical bytes of an envelope.
 func encodeArtifact(v any) ([]byte, error) {
 	var buf bytes.Buffer
@@ -95,10 +109,9 @@ func encodeArtifact(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeNode parses a node's artifact bytes into its envelope. The engine
-// routes every artifact — freshly computed or loaded from a cache tier —
-// through this decoder, so consumers always see the decoded form and cold and
-// warm executions are identical by construction.
+// decodeNode parses a node's stored artifact bytes into its envelope — the
+// inverse of encodeNode. Only store hits and the wire-identity replay decode;
+// a freshly executed artifact is published as the value its body built.
 func decodeNode(name string, data []byte) (any, error) {
 	var v any
 	switch name {

@@ -115,3 +115,51 @@ func BenchmarkStagedSweep(b *testing.B) {
 		b.ReportMetric(float64(upstreamExecs)/n, "upstream-execs/point")
 	})
 }
+
+// BenchmarkArtifactCodec times the persistent tier's codec per cached node on
+// FPU@0.1: encode is what a cold run over a store pays per miss, decode what
+// a disk hit pays; -benchmem shows the codec garbage. The report node is
+// absent — its artifact is stored as the flow.EncodeResult payload itself.
+func BenchmarkArtifactCodec(b *testing.B) {
+	cfg := testConfig()
+	e, err := New("")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := e.Run(cfg); err != nil {
+		b.Fatal(err)
+	}
+	for _, pe := range e.Plan(cfg) {
+		if !pe.Cached || pe.Name == "report" {
+			continue
+		}
+		e.mu.Lock()
+		v, ok := e.memGet(pe.ID)
+		e.mu.Unlock()
+		if !ok {
+			b.Fatalf("%s artifact missing from the memory tier", pe.Name)
+		}
+		data, err := encodeNode(pe.Name, v)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(pe.Name+"/encode", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(data)))
+			for i := 0; i < b.N; i++ {
+				if _, err := encodeNode(pe.Name, v); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(pe.Name+"/decode", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(data)))
+			for i := 0; i < b.N; i++ {
+				if _, err := decodeNode(pe.Name, data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

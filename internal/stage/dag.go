@@ -26,9 +26,14 @@
 // state. The argument: every node executes the same exported stage helper
 // (flow.RunSynth, flow.ClosePreRoute, ...) the monolith calls, on inputs that
 // are either equal-valued clones of cached artifacts or recomputed pure
-// values; artifact codecs are exact inverses; and cached artifacts are
-// immutable (consumers clone before mutating). Tests diff report, Verilog,
-// and DEF bytes across cold, warm, and partial-hit stores.
+// values. A cold miss publishes the value its body built — what the monolith
+// hands the next stage — and encodes it only for the persistent store; a disk
+// hit decodes. The two agree because the artifact codecs are exact inverses
+// (proved by wiresafe, replayed by `tmi3d wireid`, fuzzed, and checked
+// against the published values by TestPublishedValueIsStored) and because
+// cached artifacts are immutable (bodies keep no reference to what they
+// return; consumers clone before mutating). Tests diff report, Verilog, and
+// DEF bytes across cold, warm, and partial-hit stores.
 package stage
 
 import (

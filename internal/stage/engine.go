@@ -55,7 +55,7 @@ const memLimit = 64
 
 // Engine executes flows as the stage DAG with content-addressed reuse. Its
 // Run is a drop-in for flow.Run — byte-identical results at any cache state —
-// backed by two tiers: an in-process LRU of decoded artifacts and, when
+// backed by two tiers: an in-process LRU of artifact values and, when
 // opened with a directory, a persistent castore shared across processes.
 //
 // An Engine is safe for concurrent use; concurrent runs needing the same
@@ -70,6 +70,10 @@ type Engine struct {
 	inflight map[string]*call
 	counters map[string]*Counters
 	onEvent  func(stage, event string)
+
+	// beforeExecute, when set, runs at the top of every stage body. Only
+	// tests set it (export_test.go), to fail a body on demand.
+	beforeExecute func(name string)
 }
 
 type memEntry struct {
@@ -267,7 +271,7 @@ func (e *Engine) Plan(cfg flow.Config) []PlanEntry {
 // quarantine reports human-attributable.
 func storeKey(name, id string) string { return "stage|" + name + "|" + id }
 
-// memGet looks up a decoded artifact, refreshing its recency. Caller holds mu.
+// memGet looks up an artifact, refreshing its recency. Caller holds mu.
 func (e *Engine) memGet(id string) (any, bool) {
 	el, ok := e.mem[id]
 	if !ok {
@@ -277,7 +281,7 @@ func (e *Engine) memGet(id string) (any, bool) {
 	return el.Value.(*memEntry).v, true
 }
 
-// memPut inserts a decoded artifact, evicting the coldest entries past the
+// memPut inserts an artifact, evicting the coldest entries past the
 // cache limit. Caller holds mu.
 func (e *Engine) memPut(id string, v any) {
 	if el, ok := e.mem[id]; ok {
@@ -319,12 +323,27 @@ func (e *Engine) artifact(rc *runCtx, name string) (any, error) {
 		if c.err != nil {
 			return nil, c.err
 		}
-		// The other run decoded and published the artifact; serving it
-		// without re-executing is this run's memory hit.
+		// The other run published the artifact; serving it without
+		// re-executing is this run's memory hit.
 		e.event(rc, name, EventMemHit)
 		return c.v, nil
 	}
+	done := false
+	defer func() {
+		if done {
+			return
+		}
+		// The body panicked. Release the call so waiters — and every later
+		// run needing this artifact — do not block forever; the panic then
+		// carries on up this goroutine.
+		c.err = fmt.Errorf("stage: %s body panicked", name)
+		e.mu.Lock()
+		delete(e.inflight, id)
+		e.mu.Unlock()
+		c.wg.Done()
+	}()
 	v, err := e.fill(rc, name, id)
+	done = true
 	c.v, c.err = v, err
 	e.mu.Lock()
 	delete(e.inflight, id)
@@ -336,8 +355,11 @@ func (e *Engine) artifact(rc *runCtx, name string) (any, error) {
 	return v, err
 }
 
-// fill loads a node's artifact from the store or executes it, publishing
-// fresh bytes back to the store. Both paths return the decoded form.
+// fill loads a node's artifact from the store or executes it. A store hit
+// returns the decoded envelope; a miss returns the value the body built,
+// encoding it only to persist it, so an engine without a store never touches
+// the codec. Either way the result is what the monolith would hand the next
+// stage: the codecs are exact inverses.
 func (e *Engine) fill(rc *runCtx, name, id string) (any, error) {
 	key := storeKey(name, id)
 	if e.store != nil {
@@ -355,16 +377,20 @@ func (e *Engine) fill(rc *runCtx, name, id string) (any, error) {
 		}
 	}
 	e.event(rc, name, EventMiss)
-	data, err := rc.execute(name)
+	v, err := rc.execute(name)
 	if err != nil {
 		return nil, err
 	}
 	if e.store != nil {
+		data, err := encodeNode(name, v)
+		if err != nil {
+			return nil, err
+		}
 		if err := e.store.Put(key, data); err != nil {
 			return nil, err
 		}
 	}
-	return decodeNode(name, data)
+	return v, nil
 }
 
 // runCtx is one Run's working state: the normalized config, the per-node
@@ -487,9 +513,14 @@ func (rc *runCtx) captable() *captable.Table {
 
 // execute runs one cached node's stage body — the same stages.go helpers the
 // monolithic flow.Run calls, on clones of the consumed artifacts — and
-// returns the canonical artifact bytes.
-func (rc *runCtx) execute(name string) ([]byte, error) {
+// returns the artifact value: the node's envelope, or for the report node the
+// flow.EncodeResult payload. The body hands the value over and keeps no
+// reference to it, so the engine may publish it as the immutable artifact.
+func (rc *runCtx) execute(name string) (any, error) {
 	rc.eng.event(rc, name, EventExecute)
+	if rc.eng.beforeExecute != nil {
+		rc.eng.beforeExecute(name)
+	}
 	switch name {
 	case "wlm":
 		_, lib, err := rc.library()
@@ -501,7 +532,7 @@ func (rc *runCtx) execute(name string) ([]byte, error) {
 			return nil, err
 		}
 		model, util := rc.cfg.BuildWLM(d, lib)
-		return encodeArtifact(wlmArtifact{Model: model, Util: util})
+		return &wlmArtifact{Model: model, Util: util}, nil
 
 	case "synth":
 		_, lib, err := rc.library()
@@ -526,9 +557,9 @@ func (rc *runCtx) execute(name string) ([]byte, error) {
 			return nil, err
 		}
 		lintR, equivR := gs.Reports()
-		return encodeArtifact(synthArtifact{
+		return &synthArtifact{
 			Design: sres.Design, Stats: sres.Stats, Lint: lintR, Equiv: equivR,
-		})
+		}, nil
 
 	case "place":
 		_, lib, err := rc.library()
@@ -548,7 +579,7 @@ func (rc *runCtx) execute(name string) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return encodeArtifact(placeArtifact{Snap: pl.Snapshot()})
+		return &placeArtifact{Snap: pl.Snapshot()}, nil
 
 	case "opt":
 		_, lib, err := rc.library()
@@ -581,9 +612,9 @@ func (rc *runCtx) execute(name string) ([]byte, error) {
 			return nil, err
 		}
 		lintR, equivR := gs.Reports()
-		return encodeArtifact(optArtifact{
+		return &optArtifact{
 			Design: d, Snap: pl.Snapshot(), PreStats: preStats, Lint: lintR, Equiv: equivR,
-		})
+		}, nil
 
 	case "route":
 		_, _, err := rc.library()
@@ -600,7 +631,7 @@ func (rc *runCtx) execute(name string) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return encodeArtifact(routeArtifact{Route: rt})
+		return &routeArtifact{Route: rt}, nil
 
 	case "signoff":
 		_, lib, err := rc.library()
@@ -641,10 +672,10 @@ func (rc *runCtx) execute(name string) ([]byte, error) {
 			return nil, err
 		}
 		lintR, equivR := gs.Reports()
-		return encodeArtifact(signoffArtifact{
+		return &signoffArtifact{
 			Design: d, Snap: pl.Snapshot(), Route: rt, Timing: timing,
 			Stats: postStats, Lint: lintR, Equiv: equivR,
-		})
+		}, nil
 
 	case "power":
 		_, lib, err := rc.library()
@@ -668,7 +699,7 @@ func (rc *runCtx) execute(name string) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return encodeArtifact(powerArtifact{Power: pow, Clock: clk})
+		return &powerArtifact{Power: pow, Clock: clk}, nil
 
 	case "report":
 		_, lib, err := rc.library()

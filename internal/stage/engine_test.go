@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"testing"
+	"time"
 
 	"tmi3d/internal/circuits"
 	"tmi3d/internal/flow"
@@ -217,6 +218,99 @@ func TestClockSweepReuse(t *testing.T) {
 	}
 	if c["synth"].MemHits == 0 {
 		t.Errorf("synth counters = %+v, want memory hits from later sweep points", c["synth"])
+	}
+}
+
+// A cold run publishes the values its stage bodies built rather than
+// decoding what it stored, so the published value must be the stored value:
+// after the run — every consumer has read it — each cached node's memory-tier
+// value encodes to exactly the store's bytes. A body that kept mutating its
+// envelope after returning, or a consumer that mutated a shared artifact
+// instead of cloning it, fails here. An engine with no store publishes the
+// same values and must reproduce flow.Run byte for byte.
+func TestPublishedValueIsStored(t *testing.T) {
+	cfg := testConfig()
+	e, err := New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, pe := range e.Plan(cfg) {
+		if !pe.Cached {
+			continue
+		}
+		e.mu.Lock()
+		v, ok := e.memGet(pe.ID)
+		e.mu.Unlock()
+		if !ok {
+			t.Fatalf("%s artifact missing from the memory tier after a cold run", pe.Name)
+		}
+		got, err := encodeNode(pe.Name, v)
+		if err != nil {
+			t.Fatalf("encode published %s: %v", pe.Name, err)
+		}
+		stored, ok, err := e.Store().Get(storeKey(pe.Name, pe.ID))
+		if err != nil || !ok {
+			t.Fatalf("%s artifact missing from the store (%v)", pe.Name, err)
+		}
+		if !bytes.Equal(got, stored) {
+			t.Errorf("%s: published value encodes to %d bytes differing from the %d stored (first diff at %d)",
+				pe.Name, len(got), len(stored), firstDiff(got, stored))
+		}
+	}
+
+	mem, err := New("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	staged, _ := stagedRun(t, mem, cfg)
+	mustEqual(t, "in-process", monoRun(t, cfg), staged)
+}
+
+// A panicking stage body must release its inflight call: the panic reaches
+// the caller, and the next run of the same config executes the node afresh
+// instead of blocking forever on the abandoned call.
+func TestPanickingStageReleasesInflight(t *testing.T) {
+	cfg := testConfig()
+	e, err := New("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetBeforeExecute(func(name string) {
+		if name == "opt" {
+			panic("injected opt failure")
+		}
+	})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the opt body's panic did not reach Run")
+			}
+		}()
+		_, _ = e.Run(cfg)
+	}()
+	e.SetBeforeExecute(nil)
+	if n := len(e.inflight); n != 0 {
+		t.Fatalf("%d inflight calls left behind by the panicked run", n)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.Run(cfg)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("second run: %v", err)
+		}
+	case <-time.After(2 * time.Minute):
+		t.Fatal("second run of the same config blocked on the panicked run's inflight call")
+	}
+	if c := e.Counters()["opt"]; c.Executions != 2 {
+		t.Errorf("opt counters = %+v, want two executions (panicked, then fresh)", c)
 	}
 }
 

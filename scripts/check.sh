@@ -52,9 +52,11 @@ stage bench-smoke
 (cd bench && go test ./...)
 
 stage bench-kernels
-# The kernel benchmarks (sta.Analyze, place.Run) run once each, so they keep
-# compiling and running; `make bench-kernels` times them with -benchmem.
+# The kernel benchmarks (sta.Analyze, place.Run, the stage artifact codec)
+# run once each, so they keep compiling and running; `make bench-kernels`
+# times them with -benchmem.
 go test -run '^$' -bench . -benchtime 1x ./internal/sta ./internal/place
+go test -run '^$' -bench BenchmarkArtifactCodec -benchtime 1x ./internal/stage
 
 stage race
 go test -race ./...
