@@ -16,8 +16,8 @@
 //
 // -json emits one JSON object carrying every diagnostic (file/line/col/
 // analyzer/message), the per-stage read-set manifest stagedeps computed from
-// the anchored pipeline — the measured dependency surface the incremental
-// flow cache consumes — and the per-loop effect sets parsafe computed from
+// the anchored stage bodies — the measured dependency surface the staged
+// engine's cache keys must cover — and the per-loop effect sets parsafe computed from
 // the //tmi3dvet:parloop anchors, the parallelism green board of ROADMAP
 // item 3, and the per-type wire facts wiresafe proved over the flow.WireTypes
 // manifest (codec kind, round-tripping fields, audited off-wire fields). The
@@ -34,7 +34,7 @@
 //	//tmi3dvet:nonkey <reason>    on a Config field (keycoverage)
 //	//tmi3dvet:nonseed <reason>   on a Config field excluded from DeriveSeed
 //	//tmi3dvet:global <reason>    on or above a mutable global access (globalmut)
-//	//tmi3dvet:stage <name>       above a pipeline stage's first statement (stagedeps)
+//	//tmi3dvet:stage <name>       above a stage body's first statement (stagedeps)
 //	//tmi3dvet:parloop <name>     above a hot loop tracked by flow.ParLoops (parsafe)
 //	//tmi3dvet:parhazard <reason> on a hazard line, or above the for statement
 //	                              to cover the whole loop (parsafe)

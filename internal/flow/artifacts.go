@@ -1,4 +1,4 @@
-package stage
+package flow
 
 import (
 	"bytes"
@@ -7,6 +7,7 @@ import (
 
 	"tmi3d/internal/cts"
 	"tmi3d/internal/equiv"
+	"tmi3d/internal/liberty"
 	"tmi3d/internal/lint"
 	"tmi3d/internal/netlist"
 	"tmi3d/internal/opt"
@@ -14,22 +15,48 @@ import (
 	"tmi3d/internal/power"
 	"tmi3d/internal/route"
 	"tmi3d/internal/sta"
+	"tmi3d/internal/tech"
 	"tmi3d/internal/wlm"
 )
 
-// Artifact envelopes: each cached node's output. In process an envelope is a
-// plain value — a cold run publishes the pointer its stage body built, and
-// the memory tier hands that same value to every consumer. Only the
-// persistent tier sees bytes: every envelope encodes canonically
-// (encoding/json with sorted map keys, HTML escaping off) and decodes to an
-// exact inverse, so a value decoded from the store is interchangeable with
-// the value that was encoded. wiresafe proves the codecs total, the
-// round-trip fuzzers and `tmi3d wireid` re-encode decoded envelopes, and
-// TestPublishedValueIsStored checks that the published value encodes to the
-// stored bytes.
+// Stage values. Every node of the stage graph (graph.go) returns one value;
+// downstream bodies read it and never mutate it, so one value can be shared
+// by every consumer in the run and, for cached nodes, by every run a cache
+// tier serves it to. A body that needs to change an input (opt and signoff
+// optimize the netlist) clones it first.
 //
-// The report node has no envelope: its artifact is the raw flow.EncodeResult
-// payload, byte-for-byte what the serving layer stores and serves.
+// The four uncached nodes return plain in-process values. Each cached node
+// returns an artifact envelope, which is also its wire form: every envelope
+// encodes canonically (encoding/json with sorted map keys, HTML escaping off)
+// and decodes to an exact inverse, so a value decoded from a store is
+// interchangeable with the value that was encoded. wiresafe proves the
+// codecs total, the round-trip fuzzers and `tmi3d wireid` re-encode decoded
+// envelopes, and the stage engine's TestPublishedValueIsStored checks that a
+// published value encodes to the stored bytes. The report node's artifact is
+// the Result itself, whose wire form is EncodeResult's payload.
+
+// setupValue is the setup node's output: the per-run constants every later
+// stage draws from.
+type setupValue struct {
+	// seed is the run's RNG stream (DeriveSeed).
+	seed uint64
+	// workers is the resolved intra-flow worker budget shared by every
+	// parallel stage loop.
+	workers int
+	// calib is the clock calibration factor opt applies to a ClockPs override.
+	calib float64
+	// res is the resistivity scaling route, signoff and power rebuild the RC
+	// table from: their keys omit ResistivityScale, but setup's key has it
+	// and their artifact IDs include setup's.
+	res map[tech.LayerClass]float64
+}
+
+// libraryValue is the library node's output: the technology and the
+// (possibly pin-cap-scaled) cell library.
+type libraryValue struct {
+	tech *tech.Technology
+	lib  *liberty.Library
+}
 
 // wlmArtifact is the wire-load-model node's output: the model plus the
 // resolved target utilization (placement consumes both).
@@ -90,53 +117,33 @@ type powerArtifact struct {
 	Clock *cts.Result   `json:"clock_tree"`
 }
 
-// encodeNode renders a node's artifact value as its stored bytes.
-func encodeNode(name string, v any) ([]byte, error) {
-	if name == "report" {
-		return v.([]byte), nil
-	}
-	return encodeArtifact(v)
-}
-
-// encodeArtifact renders the canonical bytes of an envelope.
-func encodeArtifact(v any) ([]byte, error) {
+// encodeCanonical renders the canonical wire bytes of a value: compact JSON
+// with sorted map keys and unescaped HTML, terminated by a newline.
+func encodeCanonical(v any, what string) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetEscapeHTML(false)
 	if err := enc.Encode(v); err != nil {
-		return nil, fmt.Errorf("stage: encode artifact: %w", err)
+		return nil, fmt.Errorf("flow: encode %s: %w", what, err)
 	}
 	return buf.Bytes(), nil
 }
 
-// decodeNode parses a node's stored artifact bytes into its envelope — the
-// inverse of encodeNode. Only store hits and the wire-identity replay decode;
-// a freshly executed artifact is published as the value its body built.
-func decodeNode(name string, data []byte) (any, error) {
-	var v any
-	switch name {
-	case "wlm":
-		v = &wlmArtifact{}
-	case "synth":
-		v = &synthArtifact{}
-	case "place":
-		v = &placeArtifact{}
-	case "opt":
-		v = &optArtifact{}
-	case "route":
-		v = &routeArtifact{}
-	case "signoff":
-		v = &signoffArtifact{}
-	case "power":
-		v = &powerArtifact{}
-	case "report":
-		// The report artifact is the flow result's wire payload itself.
-		return data, nil
-	default:
-		return nil, fmt.Errorf("stage: no artifact codec for node %q", name)
+// Encode renders a cached node's artifact value as its canonical stored
+// bytes.
+func (n *Node) Encode(v any) ([]byte, error) {
+	return encodeCanonical(v, n.Name+" artifact")
+}
+
+// Decode parses a cached node's stored bytes into its artifact value — the
+// exact inverse of Encode.
+func (n *Node) Decode(data []byte) (any, error) {
+	if n.wire == nil {
+		return nil, fmt.Errorf("flow: stage %s has no artifact codec", n.Name)
 	}
+	v := n.wire()
 	if err := json.Unmarshal(data, v); err != nil {
-		return nil, fmt.Errorf("stage: decode %s artifact: %w", name, err)
+		return nil, fmt.Errorf("flow: decode %s artifact: %w", n.Name, err)
 	}
 	return v, nil
 }

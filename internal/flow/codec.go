@@ -1,7 +1,6 @@
 package flow
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 )
@@ -10,15 +9,9 @@ import (
 // JSON with sorted map keys and unescaped HTML, terminated by a newline.
 // Two encodings of equal results are byte-identical; this is the payload the
 // serving layer stores on disk, caches in its LRU, and serves to clients,
-// and the report-stage artifact of the staged engine (internal/stage).
+// and the stored bytes of the report node's artifact.
 func EncodeResult(r *Result) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(r); err != nil {
-		return nil, fmt.Errorf("flow: encode result: %w", err)
-	}
-	return buf.Bytes(), nil
+	return encodeCanonical(r, "result")
 }
 
 // DecodeResult parses a payload written by EncodeResult. The returned result

@@ -13,7 +13,6 @@ import (
 	"math"
 	"strconv"
 	"sync"
-	"time"
 
 	"tmi3d/internal/captable"
 	"tmi3d/internal/circuits"
@@ -22,7 +21,6 @@ import (
 	"tmi3d/internal/lint"
 	"tmi3d/internal/netlist"
 	"tmi3d/internal/opt"
-	"tmi3d/internal/par"
 	"tmi3d/internal/place"
 	"tmi3d/internal/power"
 	"tmi3d/internal/rcx"
@@ -219,129 +217,9 @@ func generated(name string, scale float64) (*netlist.Design, error) {
 	return e.d, e.err
 }
 
-// Run executes the full flow.
-//
-// The //tmi3dvet:stage anchors segment the body into the named regions of the
-// per-stage incremental cache (internal/stage); the stagedeps analyzer
-// verifies each region's Config read set against the StageKeys manifest in
-// stagekeys.go, so a stage can never silently grow a dependency its cache key
-// does not cover, and the staged engine's declarative DAG is tested against
-// the analyzer's computed artifact edges. The stage bodies live in stages.go,
-// shared verbatim with the engine — that sharing, plus the manifest, is what
-// makes staged execution byte-identical to this monolith.
+// Run executes the full flow: the Nodes stage graph, with no cache.
 func Run(cfg Config) (*Result, error) {
-	//tmi3dvet:stage setup
-	if cfg.Scale == 0 {
-		cfg.Scale = 1.0
-	}
-	// Every random decision downstream draws from a stream derived purely
-	// from the configuration, never from scheduling order — the determinism
-	// contract that lets the experiment engine run flows in parallel and
-	// still produce bit-identical reports.
-	seed := cfg.DeriveSeed()
-	// Intra-flow worker budget, shared by every parallel stage loop below.
-	// Resolved once (0 → GOMAXPROCS) so callers running several flows
-	// concurrently can split the cores between them without oversubscribing.
-	workers := par.Budget(cfg.Workers)
-	prof := NewProfile()
-	t0 := time.Now()
-	//tmi3dvet:stage library
-	t, lib, err := cfg.Library()
-	if err != nil {
-		return nil, err
-	}
-	prof.Add("library", time.Since(t0))
-
-	//tmi3dvet:stage generate
-	t0 = time.Now()
-	d, calib, err := cfg.GenerateDesign()
-	if err != nil {
-		return nil, err
-	}
-	prof.Add("generate", time.Since(t0))
-
-	// Wire load model: estimated die area from the generic netlist.
-	//tmi3dvet:stage wlm
-	model, util := cfg.BuildWLM(d, lib)
-
-	// Design-integrity and formal sign-off gates at the stage boundaries
-	// where the paper's flow runs Encounter sanity checks and Conformal/
-	// Formality compares; see GateSet.
-	//tmi3dvet:stage gates
-	gs, err := cfg.Gates(lib, seed, prof)
-	if err != nil {
-		return nil, err
-	}
-
-	//tmi3dvet:stage synth
-	sres, ref, err := RunSynth(d, lib, model, gs, prof)
-	if err != nil {
-		return nil, err
-	}
-	d = sres.Design
-
-	//tmi3dvet:stage place
-	pl, err := RunPlace(d, t, lib, util, seed, workers, prof)
-	if err != nil {
-		return nil, err
-	}
-
-	// Pre-route optimization on bounding-box parasitics. From here on the
-	// flow targets the sweep clock: the override steers optimization,
-	// sign-off, and power while the artifacts above stay clock-independent.
-	//tmi3dvet:stage opt
-	clock := cfg.SweepClockPs(d.TargetClockPs, calib)
-	d.TargetClockPs = clock
-	tb := captable.Build(t, captable.Options{ResistivityScale: cfg.ResistivityScale})
-	areaBudget := pl.Die.Area() * 0.95
-	preStats, ref, err := ClosePreRoute(d, pl, tb, lib, areaBudget, ref, workers, gs, prof)
-	if err != nil {
-		return nil, err
-	}
-
-	// Routing and extraction.
-	//tmi3dvet:stage route
-	rt, ex, err := RunRoute(pl, t, tb, workers, prof)
-	if err != nil {
-		return nil, err
-	}
-
-	// Post-route optimization on extracted parasitics (power recovery on),
-	// then sign-off: final route + extraction + timing, with ECO-style
-	// re-closing on residual violations. One stage: post-route closure is
-	// keyed by the first route's parasitics, exactly as the staged engine's
-	// signoff node consumes the route artifact.
-	//tmi3dvet:stage signoff
-	postStats, err := ClosePostRoute(d, pl, tb, ex, lib, areaBudget, preStats, workers, prof)
-	if err != nil {
-		return nil, err
-	}
-	rt, timing, finalWire, err := RunSignoff(d, pl, tb, t, lib, areaBudget, postStats, workers, prof)
-	if err != nil {
-		return nil, err
-	}
-	if err := gs.Lint("post-route", d); err != nil {
-		return nil, err
-	}
-	if err := gs.Equiv("post-route vs post-place", ref, d); err != nil {
-		return nil, err
-	}
-
-	//tmi3dvet:stage power
-	pow, clk, err := RunPower(d, lib, finalWire, cfg.Activities, timing, clock, pl, tb, prof)
-	if err != nil {
-		return nil, err
-	}
-
-	//tmi3dvet:stage report
-	lintReports, equivReports := gs.Reports()
-	res := AssembleResult(cfg, lib, ReportInputs{
-		Design: d, Placement: pl, Route: rt, Timing: timing, ClockPs: clock,
-		Power: pow, ClockTree: clk, OptStats: postStats, SynthStats: sres.Stats,
-		LintReports: lintReports, EquivReports: equivReports,
-		LibCheck: gs.LibCheck(), StageTimes: prof.Times(),
-	})
-	return res, nil
+	return NewExecution(cfg, nil).Result(false)
 }
 
 // estimateArea sums X1-mapped cell areas of the generic netlist.
@@ -353,14 +231,6 @@ func estimateArea(d *netlist.Design, lib *liberty.Library) float64 {
 		}
 	}
 	return area
-}
-
-func placedUtil(d *netlist.Design, lib *liberty.Library, pl *place.Placement) float64 {
-	area := 0.0
-	for i := range d.Instances {
-		area += lib.MustCell(d.Instances[i].CellName).Area
-	}
-	return area / pl.Die.Area()
 }
 
 // hpwlWire estimates net parasitics from placement bounding boxes using the

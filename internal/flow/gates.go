@@ -10,32 +10,30 @@ import (
 	"tmi3d/internal/netlist"
 )
 
-// GateSet carries one flow run's design-integrity and formal sign-off gates
-// (the Encounter sanity checks and the Conformal/Formality box of Fig 1). It
-// exists so the monolithic Run and the staged engine (internal/stage) execute
-// the byte-identical gate code: the same check order, the same subjects, the
-// same enforce/warn semantics. Reports accumulate in check order; the staged
-// engine builds one GateSet per stage execution and packages the accumulated
-// reports into that stage's artifact.
-type GateSet struct {
+// gateSet carries a flow run's design-integrity and formal sign-off gates
+// (the Encounter sanity checks and the Conformal/Formality box of Fig 1):
+// the subject, the enforce/warn/off modes, and the switch-level library
+// check. The gates node builds one per run; each gating stage (synth, opt,
+// signoff) forks it and packages the reports its fork accumulated into its
+// artifact, and the report stage concatenates them in pipeline order.
+type gateSet struct {
 	subject   string
 	lintMode  lint.GateMode
 	equivMode lint.GateMode
 	lib       *liberty.Library
 	seed      uint64
-	prof      *Profile
+	prof      *profile
 
 	lintReports  []*lint.Report
 	equivReports []*equiv.Report
 	libCheck     *equiv.LibReport
 }
 
-// Gates builds the stage-boundary gate set for this configuration. When the
+// gates builds the stage-boundary gate set for this configuration. When the
 // equivalence gate is on it runs (and under GateEnforce, enforces) the
-// once-per-process switch-level library verification, exactly as the gates
-// stage of the flow always has.
-func (c Config) Gates(lib *liberty.Library, seed uint64, prof *Profile) (*GateSet, error) {
-	g := &GateSet{
+// once-per-process switch-level library verification.
+func (c Config) gates(lib *liberty.Library, seed uint64, prof *profile) (*gateSet, error) {
+	g := &gateSet{
 		subject:   fmt.Sprintf("%s/%v/%v", c.Circuit, c.Node, c.Mode),
 		lintMode:  c.Lint,
 		equivMode: c.Equiv,
@@ -46,7 +44,7 @@ func (c Config) Gates(lib *liberty.Library, seed uint64, prof *Profile) (*GateSe
 	if c.Equiv != lint.GateOff {
 		t0 := time.Now()
 		g.libCheck = LibraryCheck()
-		prof.Add("equiv", time.Since(t0))
+		prof.add("equiv", time.Since(t0))
 		if c.Equiv == lint.GateEnforce {
 			if err := g.libCheck.Err(); err != nil {
 				return nil, err
@@ -56,13 +54,21 @@ func (c Config) Gates(lib *liberty.Library, seed uint64, prof *Profile) (*GateSe
 	return g, nil
 }
 
-// Lint runs the design-integrity gate at one stage boundary.
-func (g *GateSet) Lint(stage string, d *netlist.Design) error {
+// fork returns a copy of the gate set with no reports, for one gating stage
+// to accumulate its own.
+func (g *gateSet) fork() *gateSet {
+	f := *g
+	f.lintReports, f.equivReports = nil, nil
+	return &f
+}
+
+// checkLint runs the design-integrity gate at one stage boundary.
+func (g *gateSet) checkLint(stage string, d *netlist.Design) error {
 	if g.lintMode == lint.GateOff {
 		return nil
 	}
 	g0 := time.Now()
-	defer func() { g.prof.Add("lint", time.Since(g0)) }()
+	defer func() { g.prof.add("lint", time.Since(g0)) }()
 	rep := lint.CheckDesign(d, lint.DesignOptions{Lib: g.lib})
 	rep.Subject = fmt.Sprintf("%s %s", g.subject, stage)
 	g.lintReports = append(g.lintReports, rep)
@@ -74,13 +80,13 @@ func (g *GateSet) Lint(stage string, d *netlist.Design) error {
 	return nil
 }
 
-// Equiv proves d preserves ref's logic at one stage boundary.
-func (g *GateSet) Equiv(stage string, ref, d *netlist.Design) error {
+// checkEquiv proves d preserves ref's logic at one stage boundary.
+func (g *gateSet) checkEquiv(stage string, ref, d *netlist.Design) error {
 	if g.equivMode == lint.GateOff {
 		return nil
 	}
 	g0 := time.Now()
-	defer func() { g.prof.Add("equiv", time.Since(g0)) }()
+	defer func() { g.prof.add("equiv", time.Since(g0)) }()
 	rep, err := equiv.Check(ref, d, equiv.Options{Seed: g.seed})
 	if err != nil {
 		return fmt.Errorf("equiv gate %s: %w", stage, err)
@@ -94,16 +100,3 @@ func (g *GateSet) Equiv(stage string, ref, d *netlist.Design) error {
 	}
 	return nil
 }
-
-// NeedRef reports whether downstream equivalence checks need a reference
-// snapshot of the current netlist.
-func (g *GateSet) NeedRef() bool { return g.equivMode != lint.GateOff }
-
-// Reports returns the accumulated per-stage reports in check order.
-func (g *GateSet) Reports() ([]*lint.Report, []*equiv.Report) {
-	return g.lintReports, g.equivReports
-}
-
-// LibCheck returns the switch-level library verification result (nil when the
-// equivalence gate is off).
-func (g *GateSet) LibCheck() *equiv.LibReport { return g.libCheck }

@@ -104,27 +104,25 @@ type StageTime struct {
 	Workers int
 }
 
-// Profile accumulates wall-clock per named stage, preserving first-seen
+// profile accumulates wall-clock per named stage, preserving first-seen
 // order so reports read in pipeline order. Stages that run more than once
-// (route, opt, sta in the ECO loop) accumulate. Exported so the staged
-// engine (internal/stage) can thread one profile through the same stage
-// helpers the monolithic Run uses; timing is observational only.
-type Profile struct {
+// (route, opt, sta in the ECO loop) accumulate. One profile spans an
+// Execution; timing is observational only.
+type profile struct {
 	order   []string
 	acc     map[string]time.Duration
 	workers map[string]int
 }
 
-// NewProfile returns an empty stage-time profile.
-func NewProfile() *Profile {
-	return &Profile{acc: map[string]time.Duration{}, workers: map[string]int{}}
+func newProfile() *profile {
+	return &profile{acc: map[string]time.Duration{}, workers: map[string]int{}}
 }
 
-// Add records a serial stage interval.
-func (t *Profile) Add(stage string, d time.Duration) { t.AddPar(stage, d, 1) }
+// add records a serial stage interval.
+func (t *profile) add(stage string, d time.Duration) { t.addPar(stage, d, 1) }
 
-// AddPar records a stage interval that ran under the given worker budget.
-func (t *Profile) AddPar(stage string, d time.Duration, workers int) {
+// addPar records a stage interval that ran under the given worker budget.
+func (t *profile) addPar(stage string, d time.Duration, workers int) {
 	if _, ok := t.acc[stage]; !ok {
 		t.order = append(t.order, stage)
 	}
@@ -134,8 +132,8 @@ func (t *Profile) AddPar(stage string, d time.Duration, workers int) {
 	}
 }
 
-// Times returns the accumulated per-stage costs in first-seen order.
-func (t *Profile) Times() []StageTime {
+// times returns the accumulated per-stage costs in first-seen order.
+func (t *profile) times() []StageTime {
 	out := make([]StageTime, 0, len(t.order))
 	for _, s := range t.order {
 		out = append(out, StageTime{Stage: s, D: t.acc[s], Workers: t.workers[s]})

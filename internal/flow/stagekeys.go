@@ -1,20 +1,18 @@
 package flow
 
-// StageKeys is the declarative per-stage cache-key contract for the anchored
-// regions of Run: for each //tmi3dvet:stage name, the Config fields whose
+// StageKeys is the declarative per-stage cache-key contract of the Nodes
+// stage graph: for each //tmi3dvet:stage name, the Config fields whose
 // values the stage's cached artifacts may depend on. The stagedeps analyzer
-// (internal/vet) diffs each stage's statically computed transitive read set
-// against this map on every CI run, so the manifest is proven sound — a field
-// read here but missing from the key would serve stale cached artifacts; a
-// listed field the stage never reads would split identical artifacts into
-// distinct cache entries.
+// (internal/vet) diffs each stage body's statically computed transitive read
+// set against this map on every CI run, so the manifest is proven sound — a
+// field read here but missing from the key would serve stale cached
+// artifacts; a listed field the stage never reads would split identical
+// artifacts into distinct cache entries.
 //
-// Everything a stage consumes beyond its key fields is an upstream artifact
-// (netlist, placement, the derived seed, the gate set) and is covered by the
-// producing stage's artifact hash — that producer/consumer edge set, also
-// computed by stagedeps, is the dependency DAG the staged engine
-// (internal/stage) walks; its declarative copy is tested against the
-// analyzer's facts.
+// Everything a stage consumes beyond its key fields is an upstream node's
+// value (netlist, placement, the derived seed, the gate set), which the
+// executor hands a body only if its node's Deps name it; the staged engine
+// (internal/stage) folds those Deps' artifact IDs into the stage's own.
 //
 // Reporting-only stages have empty keys on purpose: synth, place, route, and
 // signoff are pure functions of upstream artifacts, which is exactly what

@@ -15,6 +15,7 @@ import (
 	"tmi3d/internal/lint"
 	"tmi3d/internal/netlist"
 	"tmi3d/internal/opt"
+	"tmi3d/internal/par"
 	"tmi3d/internal/place"
 	"tmi3d/internal/power"
 	"tmi3d/internal/rcx"
@@ -25,15 +26,373 @@ import (
 	"tmi3d/internal/wlm"
 )
 
-// This file holds the stage bodies shared between the monolithic Run and the
-// staged engine (internal/stage). The byte-identity contract between the two
-// execution orders rests on both calling exactly these functions with
-// equal-valued inputs; keep stage logic here, not duplicated in the engine.
+// This file holds the twelve stage bodies of the Nodes table. Each body is
+// the whole of its stage: the //tmi3dvet:stage anchor above its first
+// statement lets the stagedeps analyzer verify the body's Config read set
+// against its StageKeys entry, and everything else it consumes comes through
+// in — its node's Deps, which feed its artifact ID.
 
-// Normalized returns the config with defaulted fields resolved the way Run's
-// setup stage resolves them (Scale 0 → 1.0). The staged engine keys artifacts
-// on the normalized form so `scale 0` and `scale 1` share them, matching the
-// Result.Config the monolith reports.
+// runSetup derives the per-run constants.
+func runSetup(cfg Config, in *inputs) (any, error) {
+	//tmi3dvet:stage setup
+	return &setupValue{
+		// Every random decision downstream draws from a stream derived purely
+		// from the configuration, never from scheduling order — the
+		// determinism contract that lets the experiment engine run flows in
+		// parallel and still produce bit-identical reports.
+		seed: cfg.DeriveSeed(),
+		// Intra-flow worker budget, shared by every parallel stage loop.
+		// Resolved once (0 → GOMAXPROCS) so callers running several flows
+		// concurrently can split the cores between them without
+		// oversubscribing.
+		workers: par.Budget(cfg.Workers),
+		calib:   ClockCalibrationFactor(cfg.Circuit, cfg.Node),
+		res:     cfg.ResistivityScale,
+	}, nil
+}
+
+// runLibrary selects the technology and cell library.
+func runLibrary(cfg Config, in *inputs) (any, error) {
+	//tmi3dvet:stage library
+	t0 := time.Now()
+	t, lib, err := cfg.Library()
+	if err != nil {
+		return nil, err
+	}
+	in.prof.add("library", time.Since(t0))
+	return &libraryValue{tech: t, lib: lib}, nil
+}
+
+// runGenerate produces the generic source netlist.
+func runGenerate(cfg Config, in *inputs) (any, error) {
+	//tmi3dvet:stage generate
+	t0 := time.Now()
+	d, _, err := cfg.GenerateDesign()
+	if err != nil {
+		return nil, err
+	}
+	in.prof.add("generate", time.Since(t0))
+	return d, nil
+}
+
+// runWLM builds the wire load model for this mode (or the 2D model under
+// Use2DWLM — the "-n" rows of Table 15), sized from the generic netlist's
+// estimated die area, and resolves the target utilization.
+func runWLM(cfg Config, in *inputs) (any, error) {
+	//tmi3dvet:stage wlm
+	lib, d := in.library(), in.generate()
+	if in.err != nil {
+		return nil, in.err
+	}
+	util := cfg.Util
+	if util == 0 {
+		util = circuits.TargetUtilization(cfg.Circuit)
+	}
+	wlmMode := cfg.Mode
+	if cfg.Use2DWLM {
+		wlmMode = tech.Mode2D
+	}
+	model := wlm.BuildForMode(cfg.Node, wlmMode, estimateArea(d, lib.lib)/util)
+	return &wlmArtifact{Model: model, Util: util}, nil
+}
+
+// runGates configures the design-integrity and formal sign-off gates run at
+// the stage boundaries where the paper's flow runs Encounter sanity checks
+// and Conformal/Formality compares; see gateSet.
+func runGates(cfg Config, in *inputs) (any, error) {
+	//tmi3dvet:stage gates
+	s, lib := in.setup(), in.library()
+	if in.err != nil {
+		return nil, in.err
+	}
+	gs, err := cfg.gates(lib.lib, s.seed, in.prof)
+	if err != nil {
+		return nil, err
+	}
+	return gs, nil
+}
+
+// runSynth maps the source netlist onto the library under the wire load
+// model and runs the post-synth gates. synth.Run leaves its source untouched.
+func runSynth(cfg Config, in *inputs) (any, error) {
+	//tmi3dvet:stage synth
+	lib, src, w, gates := in.library(), in.generate(), in.wlm(), in.gates()
+	if in.err != nil {
+		return nil, in.err
+	}
+	gs := gates.fork()
+	t0 := time.Now()
+	sres, err := synth.Run(src, synth.Options{Lib: lib.lib, WLM: w.Model})
+	if err != nil {
+		return nil, fmt.Errorf("flow %s: synth: %w", gs.subject, err)
+	}
+	d := sres.Design
+	in.prof.add("synth", time.Since(t0))
+	if err := gs.checkLint("post-synth", d); err != nil {
+		return nil, err
+	}
+	if err := gs.checkEquiv("post-synth vs source", src, d); err != nil {
+		return nil, err
+	}
+	return &synthArtifact{Design: d, Stats: sres.Stats, Lint: gs.lintReports, Equiv: gs.equivReports}, nil
+}
+
+// runPlace places the mapped netlist, which place.Run leaves untouched. It
+// reserves headroom for optimization growth (buffers, upsizing) so the FINAL
+// utilization lands near the target, as the paper's flow does (Section S6
+// reports post-optimization utilizations at the target).
+func runPlace(cfg Config, in *inputs) (any, error) {
+	//tmi3dvet:stage place
+	s, lib, w, sa := in.setup(), in.library(), in.wlm(), in.synth()
+	if in.err != nil {
+		return nil, in.err
+	}
+	t0 := time.Now()
+	pl, err := place.Run(sa.Design, place.Options{
+		Lib: lib.lib, Tech: lib.tech, TargetUtil: w.Util * 0.90, Seed: s.seed, Workers: s.workers,
+	})
+	if err != nil {
+		return nil, err
+	}
+	in.prof.addPar("place", time.Since(t0), s.workers)
+	return &placeArtifact{Snap: pl.Snapshot()}, nil
+}
+
+// runOpt runs pre-route optimization on bounding-box parasitics plus the
+// post-place gates. From here on the flow targets the sweep clock: the
+// ClockPs override steers optimization, sign-off and power while the
+// artifacts above stay clock-independent.
+func runOpt(cfg Config, in *inputs) (any, error) {
+	//tmi3dvet:stage opt
+	s, lib, gates, sa, pa := in.setup(), in.library(), in.gates(), in.synth(), in.place()
+	if in.err != nil {
+		return nil, in.err
+	}
+	gs := gates.fork()
+	// Optimization mutates the netlist; the synth artifact stays the
+	// immutable post-synth reference.
+	d := sa.Design.Clone()
+	pl := pa.Snap.Restore(d)
+	if cfg.ClockPs != 0 {
+		d.TargetClockPs = cfg.ClockPs * s.calib
+	}
+	tb := captable.Build(lib.tech, captable.Options{ResistivityScale: cfg.ResistivityScale})
+	t0 := time.Now()
+	preStats, err := opt.Close(d, opt.Options{
+		Lib: lib.lib, Wire: hpwlWire(pl, tb), Placement: pl, MaxRounds: 8, AreaBudget: pl.Die.Area() * 0.95,
+		Workers: s.workers,
+	})
+	if err != nil {
+		return nil, err
+	}
+	in.prof.addPar("opt", time.Since(t0), s.workers)
+	if err := gs.checkLint("post-place", d); err != nil {
+		return nil, err
+	}
+	if err := gs.checkEquiv("post-place vs post-synth", sa.Design, d); err != nil {
+		return nil, err
+	}
+	return &optArtifact{Design: d, Snap: pl.Snapshot(), PreStats: preStats, Lint: gs.lintReports, Equiv: gs.equivReports}, nil
+}
+
+// runRoute globally routes the pre-route-closed placement.
+func runRoute(cfg Config, in *inputs) (any, error) {
+	//tmi3dvet:stage route
+	s, lib, oa := in.setup(), in.library(), in.opt()
+	if in.err != nil {
+		return nil, in.err
+	}
+	t0 := time.Now()
+	rt, err := route.Run(oa.Snap.Restore(oa.Design), route.Options{Tech: lib.tech, Workers: s.workers})
+	if err != nil {
+		return nil, err
+	}
+	in.prof.addPar("route", time.Since(t0), s.workers)
+	return &routeArtifact{Route: rt}, nil
+}
+
+// runSignoff runs post-route optimization on the route's extracted
+// parasitics (power recovery on), then converges sign-off: final route,
+// extraction and timing, with ECO-style re-closing on residual violations.
+// Post-route closure is one stage with sign-off because it is keyed by the
+// first route's parasitics.
+func runSignoff(cfg Config, in *inputs) (any, error) {
+	//tmi3dvet:stage signoff
+	s, lib, gates, oa, ra := in.setup(), in.library(), in.gates(), in.opt(), in.route()
+	if in.err != nil {
+		return nil, in.err
+	}
+	gs := gates.fork()
+	// Post-route optimization mutates the netlist; the opt artifact stays the
+	// immutable post-place reference.
+	d := oa.Design.Clone()
+	pl := oa.Snap.Restore(d)
+	tb := captable.Build(lib.tech, captable.Options{ResistivityScale: s.res})
+	areaBudget := pl.Die.Area() * 0.95
+	t0 := time.Now()
+	postSrc := extractedWire(rcx.Extract(ra.Route, tb, lib.tech), pl, tb)
+	stats, err := opt.Close(d, opt.Options{
+		Lib: lib.lib, Wire: postSrc.fn, Placement: pl, MaxRounds: 8, PowerRecovery: true,
+		NetChanged: postSrc.markDirty, AreaBudget: areaBudget, Workers: s.workers,
+	})
+	if err != nil {
+		return nil, err
+	}
+	in.prof.addPar("opt", time.Since(t0), s.workers)
+	stats.Upsized += oa.PreStats.Upsized
+	stats.BuffersAdd += oa.PreStats.BuffersAdd
+	stats.Downsized += oa.PreStats.Downsized
+	rt, timing, err := converge(d, pl, tb, lib, areaBudget, stats, s.workers, in.prof)
+	if err != nil {
+		return nil, err
+	}
+	if err := gs.checkLint("post-route", d); err != nil {
+		return nil, err
+	}
+	if err := gs.checkEquiv("post-route vs post-place", oa.Design, d); err != nil {
+		return nil, err
+	}
+	return &signoffArtifact{
+		Design: d, Snap: pl.Snapshot(), Route: rt, Timing: timing,
+		Stats: stats, Lint: gs.lintReports, Equiv: gs.equivReports,
+	}, nil
+}
+
+// converge closes final routing, extraction, and sign-off timing. Buffers
+// moved nets around, so it re-routes, re-extracts, and analyzes; if the
+// re-routed parasitics uncover a residual violation it closes once more on
+// the final extraction (ECO-style) and re-routes, up to three passes. ECO fix
+// counts accumulate into stats.
+func converge(d *netlist.Design, pl *place.Placement, tb *captable.Table, lib *libraryValue, areaBudget float64, stats *opt.Stats, workers int, prof *profile) (*route.Result, *sta.Result, error) {
+	for pass := 0; ; pass++ {
+		t0 := time.Now()
+		rt, err := route.Run(pl, route.Options{Tech: lib.tech, Workers: workers})
+		if err != nil {
+			return nil, nil, err
+		}
+		ex := rcx.Extract(rt, tb, lib.tech)
+		prof.addPar("route", time.Since(t0), workers)
+		wire := extractedWire(ex, pl, tb).fn
+		t0 = time.Now()
+		timing, err := sta.Analyze(d, sta.Env{Lib: lib.lib, Wire: wire, Workers: workers})
+		if err != nil {
+			return nil, nil, err
+		}
+		prof.addPar("sta", time.Since(t0), workers)
+		if timing.Met() || pass >= 2 {
+			return rt, timing, nil
+		}
+		t0 = time.Now()
+		eco, err := opt.Close(d, opt.Options{
+			Lib: lib.lib, Wire: wire, Placement: pl, MaxRounds: 6, SkipDRV: true,
+			AreaBudget: areaBudget, Workers: workers,
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		prof.addPar("opt", time.Since(t0), workers)
+		stats.Upsized += eco.Upsized
+		stats.BuffersAdd += eco.BuffersAdd
+	}
+}
+
+// runPower computes the sign-off power report, including the clock
+// distribution tree: an ideal-skew buffered tree over the DFFs. Its wire
+// capacitance and buffer energy are charged at two transitions per cycle; the
+// tree shrinks with the T-MI footprint like signal wiring.
+func runPower(cfg Config, in *inputs) (any, error) {
+	//tmi3dvet:stage power
+	s, lib, sg := in.setup(), in.library(), in.signoff()
+	if in.err != nil {
+		return nil, in.err
+	}
+	d := sg.Design
+	pl := sg.Snap.Restore(d)
+	tb := captable.Build(lib.tech, captable.Options{ResistivityScale: s.res})
+	// Nothing is re-optimized after sign-off's last route, so the wire
+	// function rebuilt from its extraction is the one sign-off timed.
+	wire := extractedWire(rcx.Extract(sg.Route, tb, lib.tech), pl, tb).fn
+	t0 := time.Now()
+	pow, err := power.Analyze(d, power.Env{
+		Lib: lib.lib, Wire: wire, Activities: cfg.Activities, Timing: sg.Timing,
+	})
+	if err != nil {
+		return nil, err
+	}
+	clock := d.TargetClockPs
+	clk := cts.Build(pl, 0)
+	_, cInt, _ := tb.ClassAverage(tech.ClassIntermediate)
+	clkCap := clk.Wirelength * cInt
+	pow.Wire += clkCap * lib.lib.VDD * lib.lib.VDD / clock
+	pow.WireCap += clkCap / 1000
+	if buf := lib.lib.Cell("CLKBUF_X4"); buf != nil && len(buf.Arcs) > 0 {
+		e := buf.Arcs[0].Energy.At(20, 10)
+		pow.Cell += float64(clk.NumBuffers) * e * 2 / clock
+		pow.Leakage += float64(clk.NumBuffers) * buf.Leakage
+	}
+	pow.Net = pow.Wire + pow.Pin
+	pow.Total = pow.Cell + pow.Net + pow.Leakage
+	in.prof.add("power", time.Since(t0))
+	return &powerArtifact{Power: pow, Clock: clk}, nil
+}
+
+// runReport assembles the Result's wire form from the final artifacts;
+// Execution.Result attaches the netlist, placement and profile.
+func runReport(cfg Config, in *inputs) (any, error) {
+	//tmi3dvet:stage report
+	res := &Result{Config: cfg, WLSamples: map[int][]float64{}}
+	// Take only the statistics and gate reports from the synth and opt
+	// artifacts, and read them before sign-off: their netlists are then free
+	// to go while sign-off runs. Reports concatenate in check order
+	// (post-synth, post-place, post-route); all-nil stays nil, so a gates-off
+	// run omits them.
+	if sa, oa := in.synth(), in.opt(); in.err == nil {
+		res.SynthStats = sa.Stats
+		res.LintReports = append(append([]*lint.Report(nil), sa.Lint...), oa.Lint...)
+		res.EquivReports = append(append([]*equiv.Report(nil), sa.Equiv...), oa.Equiv...)
+	}
+	lib, gates, sg, pw := in.library(), in.gates(), in.signoff(), in.power()
+	if in.err != nil {
+		return nil, in.err
+	}
+	res.LintReports = append(res.LintReports, sg.Lint...)
+	res.EquivReports = append(res.EquivReports, sg.Equiv...)
+	res.LibCheck = gates.libCheck
+	d, rt, die, clk := sg.Design, sg.Route, sg.Snap.Die, pw.Clock
+	res.Footprint, res.DieW, res.DieH = die.Area(), die.W(), die.H()
+	res.NumCells = len(d.Instances)
+	res.TotalWL = rt.TotalLen + clk.Wirelength
+	res.WLByClass = rt.LenByClass
+	res.WLByClass[tech.ClassIntermediate] += clk.Wirelength // clock routes on 2x layers
+	res.Overflow = rt.Overflow
+	res.WNS = sta.Finite(sg.Timing.WNS)
+	res.ClockPs = d.TargetClockPs
+	res.Power, res.OptStats = pw.Power, sg.Stats
+	res.ClockWL = clk.Wirelength
+	res.ClockBuffers = clk.NumBuffers
+	st := d.Stats()
+	res.NumBuffers = st.NumBuffers + clk.NumBuffers
+	res.AvgFanout = st.AverageFanout
+	for i := range d.Instances {
+		res.CellArea += lib.lib.MustCell(d.Instances[i].CellName).Area
+	}
+	res.Util = res.CellArea / die.Area()
+	for ni := range d.Nets {
+		if ni == d.ClockNet {
+			continue
+		}
+		f := d.Nets[ni].Fanout()
+		if f > 32 {
+			f = 32
+		}
+		res.WLSamples[f] = append(res.WLSamples[f], rt.Routes[ni].Len)
+	}
+	return res, nil
+}
+
+// Normalized returns the config with defaulted fields resolved (Scale 0 →
+// 1.0) — the form an Execution runs and reports, and the staged engine keys
+// artifacts on, so `scale 0` and `scale 1` share them.
 func (c Config) Normalized() Config {
 	if c.Scale == 0 {
 		c.Scale = 1.0
@@ -41,8 +400,8 @@ func (c Config) Normalized() Config {
 	return c
 }
 
-// Library runs the library stage body: the technology and the (possibly
-// pin-cap-scaled) cell library for this configuration.
+// Library returns the technology and the (possibly pin-cap-scaled) cell
+// library for this configuration.
 func (c Config) Library() (*tech.Technology, *liberty.Library, error) {
 	t := tech.New(c.Node, c.Mode)
 	lib, err := liberty.Default(c.Node, c.Mode)
@@ -55,10 +414,9 @@ func (c Config) Library() (*tech.Technology, *liberty.Library, error) {
 	return t, lib, nil
 }
 
-// GenerateDesign runs the generate stage body: a fresh clone of the
-// process-cached generated netlist, carrying the calibrated base (Table 12)
-// target clock. It also returns the calibration factor, which SweepClockPs
-// applies to a ClockPs override at the opt stage.
+// GenerateDesign returns a fresh clone of the process-cached generated
+// netlist, carrying the calibrated base (Table 12) target clock, and the
+// calibration factor.
 func (c Config) GenerateDesign() (*netlist.Design, float64, error) {
 	src, err := generated(c.Circuit, c.Scale)
 	if err != nil {
@@ -78,286 +436,10 @@ func (c Config) GenerateDesign() (*netlist.Design, float64, error) {
 	return d, calib, nil
 }
 
-// BuildWLM runs the wire-load-model stage body: the model for this mode (or
-// the 2D model under Use2DWLM — the "-n" rows of Table 15) sized from the
-// generic netlist's estimated die area, plus the resolved target utilization.
-func (c Config) BuildWLM(d *netlist.Design, lib *liberty.Library) (*wlm.Model, float64) {
-	areaEst := estimateArea(d, lib)
-	util := c.Util
-	if util == 0 {
-		util = circuits.TargetUtilization(c.Circuit)
-	}
-	wlmMode := c.Mode
-	if c.Use2DWLM {
-		wlmMode = tech.Mode2D
-	}
-	model := wlm.BuildForMode(c.Node, wlmMode, areaEst/util)
-	return model, util
-}
-
-// SweepClockPs resolves the effective target clock for the optimization and
-// sign-off stages: the calibrated ClockPs override when set, else the base
-// (already-calibrated) clock carried on the design since generate.
-func (c Config) SweepClockPs(base, calib float64) float64 {
-	if c.ClockPs != 0 {
-		return c.ClockPs * calib
-	}
-	return base
-}
-
-// RunSynth maps the source netlist onto the library under the wire load model
-// and runs the post-synth gates. It returns the synthesis result and the
-// reference snapshot for the next equivalence check (nil when equiv is off).
-func RunSynth(src *netlist.Design, lib *liberty.Library, model *wlm.Model, gs *GateSet, prof *Profile) (*synth.Result, *netlist.Design, error) {
-	t0 := time.Now()
-	sres, err := synth.Run(src, synth.Options{Lib: lib, WLM: model})
-	if err != nil {
-		return nil, nil, fmt.Errorf("flow %s: synth: %w", gs.subject, err)
-	}
-	d := sres.Design
-	prof.Add("synth", time.Since(t0))
-	if err := gs.Lint("post-synth", d); err != nil {
-		return nil, nil, err
-	}
-	if err := gs.Equiv("post-synth vs source", src, d); err != nil {
-		return nil, nil, err
-	}
-	var ref *netlist.Design
-	if gs.NeedRef() {
-		ref = d.Clone()
-	}
-	return sres, ref, nil
-}
-
-// RunPlace places the mapped netlist. It reserves headroom for optimization
-// growth (buffers, upsizing) so the FINAL utilization lands near the target,
-// as the paper's flow does (Section S6 reports post-optimization utilizations
-// at the target).
-func RunPlace(d *netlist.Design, t *tech.Technology, lib *liberty.Library, util float64, seed uint64, workers int, prof *Profile) (*place.Placement, error) {
-	placeUtil := util * 0.90
-	t0 := time.Now()
-	pl, err := place.Run(d, place.Options{Lib: lib, Tech: t, TargetUtil: placeUtil, Seed: seed, Workers: workers})
-	if err != nil {
-		return nil, err
-	}
-	prof.AddPar("place", time.Since(t0), workers)
-	return pl, nil
-}
-
-// ClosePreRoute runs pre-route optimization on bounding-box parasitics plus
-// the post-place gates, mutating d and pl in place. ref is the post-synth
-// reference; the returned design is the reference snapshot for the post-route
-// check (ref itself when equiv is off — i.e. nil stays nil).
-func ClosePreRoute(d *netlist.Design, pl *place.Placement, tb *captable.Table, lib *liberty.Library, areaBudget float64, ref *netlist.Design, workers int, gs *GateSet, prof *Profile) (*opt.Stats, *netlist.Design, error) {
-	t0 := time.Now()
-	estWire := hpwlWire(pl, tb)
-	preStats, err := opt.Close(d, opt.Options{
-		Lib: lib, Wire: estWire, Placement: pl, MaxRounds: 8, AreaBudget: areaBudget,
-		Workers: workers,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	prof.AddPar("opt", time.Since(t0), workers)
-	if err := gs.Lint("post-place", d); err != nil {
-		return nil, nil, err
-	}
-	if err := gs.Equiv("post-place vs post-synth", ref, d); err != nil {
-		return nil, nil, err
-	}
-	nextRef := ref
-	if gs.NeedRef() {
-		nextRef = d.Clone()
-	}
-	return preStats, nextRef, nil
-}
-
-// RunRoute globally routes the placement and extracts parasitics.
-func RunRoute(pl *place.Placement, t *tech.Technology, tb *captable.Table, workers int, prof *Profile) (*route.Result, *rcx.Extraction, error) {
-	t0 := time.Now()
-	rt, err := route.Run(pl, route.Options{Tech: t, Workers: workers})
-	if err != nil {
-		return nil, nil, err
-	}
-	ex := rcx.Extract(rt, tb, t)
-	prof.AddPar("route", time.Since(t0), workers)
-	return rt, ex, nil
-}
-
-// ClosePostRoute runs post-route optimization on extracted parasitics with
-// power recovery, folding preStats into the returned totals.
-func ClosePostRoute(d *netlist.Design, pl *place.Placement, tb *captable.Table, ex *rcx.Extraction, lib *liberty.Library, areaBudget float64, preStats *opt.Stats, workers int, prof *Profile) (*opt.Stats, error) {
-	t0 := time.Now()
-	postSrc := extractedWire(ex, pl, tb)
-	postStats, err := opt.Close(d, opt.Options{
-		Lib: lib, Wire: postSrc.fn, Placement: pl, MaxRounds: 8, PowerRecovery: true,
-		NetChanged: postSrc.markDirty, AreaBudget: areaBudget, Workers: workers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	prof.AddPar("opt", time.Since(t0), workers)
-	postStats.Upsized += preStats.Upsized
-	postStats.BuffersAdd += preStats.BuffersAdd
-	postStats.Downsized += preStats.Downsized
-	return postStats, nil
-}
-
-// RunSignoff converges final routing, extraction, and sign-off timing.
-// Buffers moved nets around, so it re-routes, re-extracts, and analyzes; if
-// the re-routed parasitics uncover a residual violation it closes once more
-// on the final extraction (ECO-style) and re-routes, up to three passes.
-// ECO fix counts accumulate into postStats. The returned wire function serves
-// the final extraction.
-func RunSignoff(d *netlist.Design, pl *place.Placement, tb *captable.Table, t *tech.Technology, lib *liberty.Library, areaBudget float64, postStats *opt.Stats, workers int, prof *Profile) (*route.Result, *sta.Result, func(int) sta.WireRC, error) {
-	var rt *route.Result
-	var timing *sta.Result
-	var finalWire func(int) sta.WireRC
-	for pass := 0; ; pass++ {
-		t0 := time.Now()
-		var err error
-		rt, err = route.Run(pl, route.Options{Tech: t, Workers: workers})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		ex := rcx.Extract(rt, tb, t)
-		prof.AddPar("route", time.Since(t0), workers)
-		finalSrc := extractedWire(ex, pl, tb)
-		finalWire = finalSrc.fn
-		t0 = time.Now()
-		timing, err = sta.Analyze(d, sta.Env{Lib: lib, Wire: finalWire, Workers: workers})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		prof.AddPar("sta", time.Since(t0), workers)
-		if timing.Met() || pass >= 2 {
-			break
-		}
-		t0 = time.Now()
-		ecoStats, err := opt.Close(d, opt.Options{
-			Lib: lib, Wire: finalWire, Placement: pl, MaxRounds: 6, SkipDRV: true,
-			AreaBudget: areaBudget, Workers: workers,
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		prof.AddPar("opt", time.Since(t0), workers)
-		postStats.Upsized += ecoStats.Upsized
-		postStats.BuffersAdd += ecoStats.BuffersAdd
-	}
-	return rt, timing, finalWire, nil
-}
-
-// WireFromExtraction rebuilds the sign-off wire function from a routed
-// design's extraction — the staged engine's path to the finalWire the
-// monolith carries out of its sign-off loop. At loop exit the extraction is
-// fresh (nothing re-optimized after the last route), so the dirty set is
-// empty and the two functions agree on every net.
-func WireFromExtraction(ex *rcx.Extraction, pl *place.Placement, tb *captable.Table) func(int) sta.WireRC {
-	return extractedWire(ex, pl, tb).fn
-}
-
-// RunPower computes the sign-off power report, including the clock
-// distribution tree: an ideal-skew buffered tree over the DFFs. Its wire
-// capacitance and buffer energy are charged at two transitions per cycle; the
-// tree shrinks with the T-MI footprint like signal wiring.
-func RunPower(d *netlist.Design, lib *liberty.Library, wire func(int) sta.WireRC, acts power.Activities, timing *sta.Result, clock float64, pl *place.Placement, tb *captable.Table, prof *Profile) (*power.Report, *cts.Result, error) {
-	t0 := time.Now()
-	pow, err := power.Analyze(d, power.Env{
-		Lib: lib, Wire: wire, Activities: acts, Timing: timing,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	clk := cts.Build(pl, 0)
-	_, cInt, _ := tb.ClassAverage(tech.ClassIntermediate)
-	clkCap := clk.Wirelength * cInt
-	pow.Wire += clkCap * lib.VDD * lib.VDD / clock
-	pow.WireCap += clkCap / 1000
-	if buf := lib.Cell("CLKBUF_X4"); buf != nil && len(buf.Arcs) > 0 {
-		e := buf.Arcs[0].Energy.At(20, 10)
-		pow.Cell += float64(clk.NumBuffers) * e * 2 / clock
-		pow.Leakage += float64(clk.NumBuffers) * buf.Leakage
-	}
-	pow.Net = pow.Wire + pow.Pin
-	pow.Total = pow.Cell + pow.Net + pow.Leakage
-	prof.Add("power", time.Since(t0))
-	return pow, clk, nil
-}
-
-// ReportInputs bundles the final artifacts AssembleResult reads. The staged
-// engine fills it from cached artifacts; the monolith from its locals.
-type ReportInputs struct {
-	Design     *netlist.Design
-	Placement  *place.Placement
-	Route      *route.Result
-	Timing     *sta.Result
-	ClockPs    float64
-	Power      *power.Report
-	ClockTree  *cts.Result
-	OptStats   *opt.Stats
-	SynthStats netlist.Stats
-
-	LintReports  []*lint.Report
-	EquivReports []*equiv.Report
-	LibCheck     *equiv.LibReport
-	StageTimes   []StageTime
-}
-
-// AssembleResult builds the flow Result from the final artifacts. lib must be
-// the same (possibly pin-cap-scaled) library the flow ran under.
-func AssembleResult(cfg Config, lib *liberty.Library, in ReportInputs) *Result {
-	d, pl, rt, clk := in.Design, in.Placement, in.Route, in.ClockTree
-	res := &Result{
-		Config:     cfg,
-		Design:     d,
-		Placement:  pl,
-		Footprint:  pl.Die.Area(),
-		DieW:       pl.Die.W(),
-		DieH:       pl.Die.H(),
-		NumCells:   len(d.Instances),
-		Util:       placedUtil(d, lib, pl),
-		TotalWL:    rt.TotalLen,
-		WLByClass:  rt.LenByClass,
-		Overflow:   rt.Overflow,
-		WNS:        sta.Finite(in.Timing.WNS),
-		ClockPs:    in.ClockPs,
-		Power:      in.Power,
-		OptStats:   in.OptStats,
-		SynthStats: in.SynthStats,
-		WLSamples:  map[int][]float64{},
-	}
-	res.LintReports = in.LintReports
-	res.EquivReports = in.EquivReports
-	res.LibCheck = in.LibCheck
-	res.StageTimes = in.StageTimes
-	res.TotalWL += clk.Wirelength
-	res.WLByClass[tech.ClassIntermediate] += clk.Wirelength // clock routes on 2x layers
-	res.ClockWL = clk.Wirelength
-	res.ClockBuffers = clk.NumBuffers
-	st := d.Stats()
-	res.NumBuffers = st.NumBuffers + clk.NumBuffers
-	res.AvgFanout = st.AverageFanout
-	for i := range d.Instances {
-		res.CellArea += lib.MustCell(d.Instances[i].CellName).Area
-	}
-	for ni := range d.Nets {
-		if ni == d.ClockNet {
-			continue
-		}
-		f := d.Nets[ni].Fanout()
-		if f > 32 {
-			f = 32
-		}
-		res.WLSamples[f] = append(res.WLSamples[f], rt.Routes[ni].Len)
-	}
-	return res
-}
-
 // FieldKeyTerm renders one Config field's value in the same canonical form
 // the cache key uses (strconv round-trip floats, sorted map entries), the
 // basis of the staged engine's per-stage keys. It panics on a field name that
-// is not a Config field — the DAG consistency test keeps the engine's key
+// is not a Config field — TestDAGMatchesStageKeys keeps the engine's key
 // sets inside this domain.
 func (c Config) FieldKeyTerm(field string) string {
 	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

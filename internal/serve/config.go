@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"net/url"
 	"strconv"
 	"strings"
@@ -39,6 +40,12 @@ func ParseConfig(q url.Values) (flow.Config, error) {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil {
 			return fmt.Errorf("param %s: %w", name, err)
+		}
+		// ParseFloat accepts "NaN" and "Inf", which slip past every range
+		// check below (NaN compares false) and would run a whole flow on a
+		// value the result encoding then rejects.
+		if !finite(f) {
+			return fmt.Errorf("param %s must be a finite number, got %q", name, v)
 		}
 		*dst = f
 		return nil
@@ -147,6 +154,8 @@ func ParseConfig(q url.Values) (flow.Config, error) {
 	}
 	return cfg, nil
 }
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // ConfigQuery renders a configuration as the query parameters ParseConfig
 // parses back to it. Only fields representable as parameters are emitted;

@@ -99,7 +99,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	scale := 0.5
 	if v := r.URL.Query().Get("scale"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f <= 0 {
+		if err != nil || !finite(f) || f <= 0 {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: "param scale must be a positive number"})
 			return
 		}

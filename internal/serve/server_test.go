@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -365,6 +366,35 @@ func TestBadRequests(t *testing.T) {
 		if code != tc.code {
 			t.Errorf("%s: status %d (%s), want %d", tc.path, code, body, tc.code)
 		}
+	}
+}
+
+// TestNonFiniteParamsRejected: strconv.ParseFloat accepts NaN and ±Inf, and
+// NaN slips past every range and admission check (it compares false). Each
+// float parameter must reject them with a 400 before any flow runs.
+func TestNonFiniteParamsRejected(t *testing.T) {
+	var runs atomic.Int64
+	_, ts := newTestServer(t, Config{Workers: 1, MaxScale: 1},
+		func(cfg flow.Config) (*flow.Result, error) {
+			runs.Add(1)
+			return stubResult(cfg), nil
+		})
+	for _, param := range []string{"scale", "clock", "util", "pincap", "act_pi", "act_seq"} {
+		for _, v := range []string{"NaN", "+Inf", "-Inf"} {
+			q := url.Values{"circuit": {"FPU"}, param: {v}}
+			if code, _, body := get(t, ts.URL+"/v1/ppa?"+q.Encode()); code != http.StatusBadRequest {
+				t.Errorf("%s=%s: status %d (%s), want 400", param, v, code, body)
+			}
+		}
+	}
+	for _, v := range []string{"NaN", "+Inf", "-Inf"} {
+		q := url.Values{"scale": {v}}
+		if code, _, body := get(t, ts.URL+"/v1/experiment/table1?"+q.Encode()); code != http.StatusBadRequest {
+			t.Errorf("experiment scale=%s: status %d (%s), want 400", v, code, body)
+		}
+	}
+	if got := runs.Load(); got != 0 {
+		t.Fatalf("non-finite parameters reached the flow %d times", got)
 	}
 }
 

@@ -118,8 +118,7 @@ func BenchmarkStagedSweep(b *testing.B) {
 
 // BenchmarkArtifactCodec times the persistent tier's codec per cached node on
 // FPU@0.1: encode is what a cold run over a store pays per miss, decode what
-// a disk hit pays; -benchmem shows the codec garbage. The report node is
-// absent — its artifact is stored as the flow.EncodeResult payload itself.
+// a disk hit pays; -benchmem shows the codec garbage.
 func BenchmarkArtifactCodec(b *testing.B) {
 	cfg := testConfig()
 	e, err := New("")
@@ -130,16 +129,17 @@ func BenchmarkArtifactCodec(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, pe := range e.Plan(cfg) {
-		if !pe.Cached || pe.Name == "report" {
+		if !pe.Cached {
 			continue
 		}
+		n := node(b, pe.Name)
 		e.mu.Lock()
 		v, ok := e.memGet(pe.ID)
 		e.mu.Unlock()
 		if !ok {
 			b.Fatalf("%s artifact missing from the memory tier", pe.Name)
 		}
-		data, err := encodeNode(pe.Name, v)
+		data, err := n.Encode(v)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func BenchmarkArtifactCodec(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(data)))
 			for i := 0; i < b.N; i++ {
-				if _, err := encodeNode(pe.Name, v); err != nil {
+				if _, err := n.Encode(v); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -156,7 +156,7 @@ func BenchmarkArtifactCodec(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(data)))
 			for i := 0; i < b.N; i++ {
-				if _, err := decodeNode(pe.Name, data); err != nil {
+				if _, err := n.Decode(data); err != nil {
 					b.Fatal(err)
 				}
 			}

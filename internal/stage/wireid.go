@@ -55,7 +55,7 @@ func (e *Engine) WireIdentity(cfg flow.Config) ([]WireCheck, error) {
 			continue
 		}
 		wc.Bytes = len(data)
-		re, err := reencodeNode(n.Name, data)
+		re, err := reencode(n, data)
 		switch {
 		case err != nil:
 			wc.Detail = err.Error()
@@ -70,20 +70,13 @@ func (e *Engine) WireIdentity(cfg flow.Config) ([]WireCheck, error) {
 	return out, nil
 }
 
-// reencodeNode round-trips one node's artifact bytes through its codec.
-func reencodeNode(name string, data []byte) ([]byte, error) {
-	if name == "report" {
-		res, err := flow.DecodeResult(data)
-		if err != nil {
-			return nil, err
-		}
-		return flow.EncodeResult(res)
-	}
-	v, err := decodeNode(name, data)
+// reencode round-trips one node's artifact bytes through its codec.
+func reencode(n *flow.Node, data []byte) ([]byte, error) {
+	v, err := n.Decode(data)
 	if err != nil {
 		return nil, err
 	}
-	return encodeArtifact(v)
+	return n.Encode(v)
 }
 
 func firstDiff(a, b []byte) int {

@@ -9,30 +9,31 @@ import (
 	"strings"
 )
 
-// StageDeps proves the per-stage cache keys of the future incremental flow
-// cache sound before that cache exists (ROADMAP item 1). A content-addressed
-// stage cache is correct only if each stage's key covers everything the stage
-// actually reads; keycoverage proves that for the whole-flow Config.Key, and
-// stagedeps proves it stage by stage.
+// StageDeps proves the per-stage cache keys of the staged flow engine
+// (internal/stage) sound. A content-addressed stage cache is correct only if
+// each stage's key covers everything the stage actually reads; keycoverage
+// proves that for the whole-flow Config.Key, and stagedeps proves it stage by
+// stage.
 //
-// Stage boundaries are declared in the pipeline function itself with anchor
-// directives on (or above) the first statement of each stage region:
+// Stages are declared by anchor directives on (or above) the first statement
+// of a stage region in a function with a Config parameter:
 //
 //	//tmi3dvet:stage synth
 //
-// The anchor names refine the flow profiler's prof.add stage vocabulary: a
-// region covers every top-level statement up to the next anchor, and regions
-// sharing a name (route runs twice) merge their read sets. From each region
-// the analyzer computes, transitively through same-package calls (including
-// Config methods like DeriveSeed and closures defined in the region):
+// In the flow package each stage body is its own function with one anchor
+// above its first statement. In general a region covers every top-level
+// statement up to the next anchor, and regions sharing a name merge their
+// read sets. From each region the analyzer computes, transitively through
+// same-package calls (including Config methods like DeriveSeed and closures
+// defined in the region):
 //
 //   - the Config fields the stage reads — a bare use of a whole Config value
 //     (Result{Config: cfg}) reads every field;
-//   - the package-level variables it touches (ambient state);
-//   - the upstream artifacts it consumes: locals defined in an earlier stage
-//     (netlist, placement, seed, the gate closures). Artifacts need no key
-//     coverage — the upstream stage's artifact hash covers them, which is
-//     exactly the DAG the incremental cache will build.
+//   - the package-level variables it touches (ambient state).
+//
+// Everything else a stage consumes is an upstream stage's value, covered by
+// that stage's artifact ID; the flow executor lets a body read only the
+// values its node's Deps name, which is what puts them in the ID.
 //
 // The Config read set is then diffed against the package's declarative
 // manifest, a package-level
@@ -45,7 +46,7 @@ import (
 // provably key-addressed-and-immutable (globalstate.go) cannot be covered by
 // any Config-derived key at all. The computed read sets are exported through
 // Pass.ExportStage so cmd/tmi3dvet -json can hand the measured dependency
-// surface to CI and the cache builder.
+// surface to CI.
 //
 // Soundness posture: same-package transitivity plus the globalmut contract on
 // the leaf packages. Cross-package callees (place.Run, sta.Analyze) cannot
@@ -59,21 +60,14 @@ var StageDeps = &Analyzer{
 	Run:  runStageDeps,
 }
 
-// StageReads is the computed read set of one stage of an anchored pipeline
-// function — the measured dependency surface a per-stage cache key must
-// cover.
+// StageReads is the computed read set of one anchored stage — the measured
+// dependency surface a per-stage cache key must cover.
 type StageReads struct {
 	Package      string   `json:"package"`
 	Func         string   `json:"func"`
 	Stage        string   `json:"stage"`
 	ConfigFields []string `json:"config_fields"`
 	Globals      []string `json:"globals,omitempty"`
-	Artifacts    []string `json:"artifacts,omitempty"`
-	// ArtifactSources maps each consumed artifact to the stage that defines
-	// it — the computed inter-stage dependency edges. The staged engine's
-	// declarative DAG (internal/stage) is tested against these: every edge
-	// here must lie inside the transitive closure of the DAG's Deps.
-	ArtifactSources map[string]string `json:"artifact_sources,omitempty"`
 }
 
 const stageDirective = "tmi3dvet:stage"
@@ -286,20 +280,12 @@ type stageRegion struct {
 	stmts  []ast.Stmt
 }
 
-func (r *stageRegion) span() (token.Pos, token.Pos) {
-	if len(r.stmts) == 0 {
-		return r.anchor.pos, r.anchor.pos
-	}
-	return r.stmts[0].Pos(), r.stmts[len(r.stmts)-1].End()
-}
-
 // stageAccum merges the read sets of all regions sharing a stage name.
 type stageAccum struct {
 	name      string
 	anchorPos token.Pos
 	fields    map[string]token.Pos // Config field -> first read position
 	globals   map[types.Object]token.Pos
-	artifacts map[string]string // consumed local -> defining stage
 }
 
 func checkStagedFunc(p *Pass, fd *ast.FuncDecl, anchors []*stageAnchor, cfgType *types.Named, manifest *stageManifest, sums *effects, gs *globalState, sup *suppressions) {
@@ -381,30 +367,23 @@ func checkStagedFunc(p *Pass, fd *ast.FuncDecl, anchors []*stageAnchor, cfgType 
 				anchorPos: r.anchor.pos,
 				fields:    map[string]token.Pos{},
 				globals:   map[types.Object]token.Pos{},
-				artifacts: map[string]string{},
 			}
 			accums[r.anchor.name] = acc
 			order = append(order, r.anchor.name)
 		}
-		scanStageRegion(p, sums, cfgType, fd, regions, r, acc)
+		scanStageRegion(p, sums, cfgType, r, acc)
 	}
 
 	fieldSet := configFieldSet(cfgType)
 	for _, name := range order {
 		acc := accums[name]
 		reportStage(p, manifest, fieldSet, acc, gs, sup)
-		sources := make(map[string]string, len(acc.artifacts))
-		for a, src := range acc.artifacts {
-			sources[a] = src
-		}
 		p.ExportStage(StageReads{
-			Package:         p.Pkg.Path,
-			Func:            fd.Name.Name,
-			Stage:           name,
-			ConfigFields:    sortedKeys(acc.fields),
-			Globals:         sortedGlobalNames(acc.globals),
-			Artifacts:       sortedStringMapKeys(acc.artifacts),
-			ArtifactSources: sources,
+			Package:      p.Pkg.Path,
+			Func:         fd.Name.Name,
+			Stage:        name,
+			ConfigFields: sortedKeys(acc.fields),
+			Globals:      sortedGlobalNames(acc.globals),
 		})
 	}
 }
@@ -487,9 +466,8 @@ func fieldList(fields []string) string {
 
 // scanStageRegion walks one region's statements, attributing Config field
 // reads (direct, transitive through same-package calls, and whole-Config
-// uses), global touches, and cross-stage artifact uses to the accumulator.
-func scanStageRegion(p *Pass, sums *effects, cfgType *types.Named, fd *ast.FuncDecl, regions []*stageRegion, r *stageRegion, acc *stageAccum) {
-	lo, hi := r.span()
+// uses) and global touches to the accumulator.
+func scanStageRegion(p *Pass, sums *effects, cfgType *types.Named, r *stageRegion, acc *stageAccum) {
 	addField := func(name string, pos token.Pos) {
 		if _, ok := acc.fields[name]; !ok {
 			acc.fields[name] = pos
@@ -505,15 +483,6 @@ func scanStageRegion(p *Pass, sums *effects, cfgType *types.Named, fd *ast.FuncD
 		if _, ok := acc.globals[obj]; !ok {
 			acc.globals[obj] = pos
 		}
-	}
-	regionName := func(pos token.Pos) (string, bool) {
-		for _, reg := range regions {
-			rlo, rhi := reg.span()
-			if pos >= rlo && pos < rhi {
-				return reg.anchor.name, true
-			}
-		}
-		return "", false
 	}
 	pkgScope := p.Pkg.Types.Scope()
 	for _, st := range r.stmts {
@@ -566,19 +535,6 @@ func scanStageRegion(p *Pass, sums *effects, cfgType *types.Named, fd *ast.FuncD
 				case derefType(v.Type()) == cfgType && !selBases[n]:
 					// Whole-Config use: copies every field.
 					addAll(n.Pos())
-				case v.Pos() > fd.Body.Lbrace && v.Pos() < fd.Body.Rbrace && (v.Pos() < lo || v.Pos() >= hi):
-					// Defined in the staged function but outside this region:
-					// an artifact of another stage (unless that stage shares
-					// our name — a stage split across regions is one stage).
-					// Error-typed locals are control flow, not artifacts: the
-					// shared err variable would otherwise fabricate an edge
-					// from every stage to the first one that declares it.
-					if types.Identical(v.Type(), types.Universe.Lookup("error").Type()) {
-						return true
-					}
-					if defStage, ok := regionName(v.Pos()); ok && defStage != acc.name {
-						acc.artifacts[v.Name()] = defStage
-					}
 				}
 			}
 			return true
@@ -597,15 +553,6 @@ func fieldOfConfig(cfgType *types.Named, f *types.Var) bool {
 }
 
 func sortedKeys(m map[string]token.Pos) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedStringMapKeys(m map[string]string) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

@@ -18,10 +18,10 @@
 //   - keycoverage: flow.Config fields missing from Config.Key (the ClockPs
 //     precision collision that poisoned the flow cache in PR 3), and drift
 //     between Key and the DeriveSeed physical-key subset.
-//   - stagedeps: per-stage Config read sets in the anchored flow.Run pipeline
+//   - stagedeps: per-stage Config read sets of the anchored flow stage bodies
 //     diffed against the declarative StageKeys manifest — the soundness proof
-//     for the incremental per-stage flow cache (ROADMAP item 1): a stage that
-//     reads a Config field its key omits would serve stale cached artifacts.
+//     for the staged engine's per-stage cache keys: a stage that reads a
+//     Config field its key omits would serve stale cached artifacts.
 //   - globalmut: reads or writes of mutable package-level state outside the
 //     key-addressed sync.Once cache shape (liberty.Default, flow.generated) —
 //     the class where a cache entry mutated after publication silently

@@ -7,11 +7,28 @@
 # benchmark module's smoke test and the kernel benchmarks, then the
 # race-detector test suite, then the end-to-end smokes (parallel determinism,
 # formal equivalence, serving). Each gate opens with a named banner so a CI
-# log identifies the failing stage at a glance.
+# log identifies the failing stage at a glance, closes with its wall time,
+# and a passing run ends with one timing line per stage.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+stage_names=()
+stage_secs=()
+stage_start=""
+
+# stage_done prints and records the wall time of the stage in progress.
+stage_done() {
+    if [ -n "$stage_start" ]; then
+        local secs=$((SECONDS - stage_start))
+        stage_secs+=("$secs")
+        echo "-- stage ${stage_names[${#stage_names[@]}-1]}: ${secs}s"
+    fi
+}
+
 stage() {
+    stage_done
+    stage_names+=("$1")
+    stage_start=$SECONDS
     echo
     echo "==================================================================="
     echo "== stage: $1"
@@ -172,5 +189,9 @@ kill "$serve_pid"
 wait "$serve_pid" 2>/dev/null || true
 serve_pid=""
 
+stage_done
 echo
 echo "check.sh: all clean"
+for i in "${!stage_names[@]}"; do
+    printf '  %-24s %5ss\n' "${stage_names[$i]}" "${stage_secs[$i]}"
+done
