@@ -18,9 +18,9 @@ fmt:
 lint:
 	@go run ./cmd/tmi3d lint -all
 
-# The repo's own static analyzers (ctxdisc, globalmut, godisc, keycoverage,
-# lockorder, maporder, parsafe, seedpurity, stagedeps, wiresafe) over every
-# package with per-analyzer diagnostic counts (see internal/vet and
+# The repo's own nine static analyzers (ctxdisc, globalmut, godisc,
+# keycoverage, lockorder, maporder, seedpurity, stagedeps, wiresafe) over
+# every package with per-analyzer diagnostic counts (see internal/vet and
 # cmd/tmi3dvet).
 vet-custom:
 	go run ./cmd/tmi3dvet -counts ./...
@@ -52,12 +52,13 @@ bench:
 bench-trace:
 	bash bench/run.sh --trace 1 $(ARGS)
 
-# The hot layout kernels on the fixed FPU@0.15 design: one sta.Analyze and
-# one place.Run per op, with allocations; then the stage artifact codec,
-# encode and decode per cached node on FPU@0.1 (by name: `-bench .` would
-# also run the sweep benchmark).
+# The hot layout kernels, with allocations: one sta.Analyze and one place.Run
+# per op on the fixed FPU@0.15 design, one route.Run and one pre-route
+# opt.Close per op on the fixed LDPC@1.0 T-MI placement; then the stage
+# artifact codec, encode and decode per cached node on FPU@0.1 (by name:
+# `-bench .` would also run the sweep benchmark).
 bench-kernels:
-	go test -run '^$$' -bench . -benchmem ./internal/sta ./internal/place
+	go test -run '^$$' -bench . -benchmem ./internal/sta ./internal/place ./internal/route ./internal/opt
 	go test -run '^$$' -bench BenchmarkArtifactCodec -benchmem ./internal/stage
 
 bench-serve:
@@ -66,11 +67,10 @@ bench-serve:
 bench-vet:
 	go test ./internal/vet -run '^$$' -bench BenchmarkVet
 
-# The parallel-driver benches: serial baseline, flow-pool fan-out (PR 3),
-# and the intra-flow stage-loop fleet (ROADMAP item 3). Compare ns/op; the
-# tracked numbers are `make bench`'s matrix45 latency_ms and par.speedup_*.
+# The parallel-driver benches: serial baseline and flow-pool fan-out.
+# Compare ns/op; the tracked number is `make bench`'s matrix45 latency_ms.
 bench-parallel:
-	go test . -run '^$$' -bench 'BenchmarkStudy(Serial|Parallel|IntraFlow)' -benchtime 1x
+	go test . -run '^$$' -bench 'BenchmarkStudy(Serial|Parallel)' -benchtime 1x
 
 # The staged flow engine's reuse on a clock sweep: monolithic vs cold vs
 # warm staged runs, measured in stage-body executions per sweep point. The

@@ -10,6 +10,7 @@ import (
 	"tmi3d/internal/lint"
 	"tmi3d/internal/netlist"
 	"tmi3d/internal/place"
+	"tmi3d/internal/route"
 	"tmi3d/internal/sta"
 	"tmi3d/internal/synth"
 	"tmi3d/internal/tech"
@@ -17,7 +18,7 @@ import (
 )
 
 // The allocation guards pin the per-run allocation counts of the two
-// sign-off gates and the two hot layout kernels on one small fixed
+// sign-off gates and the three hot layout kernels on one small fixed
 // synthesized design. Both gates read cell templates from the shared cellgen
 // table and walk the netlist with per-design buffers, so their counts track
 // compare points and findings, not instances; a regression that rebuilds
@@ -25,7 +26,7 @@ import (
 // sta.Analyze compiles the design into flat presized tables once per call
 // and place.Run refines every region in engine-owned arrays, so their counts
 // track timing levels and bisection regions, not pins. Each bound is about
-// twice the measured count.
+// twice the measured count unless its test says otherwise.
 
 func signoffDesign(t *testing.T) (lib *liberty.Library, generic, mapped *netlist.Design) {
 	t.Helper()
@@ -110,6 +111,29 @@ func TestPlaceRunAllocs(t *testing.T) {
 	}
 }
 
+func TestRouteRunAllocs(t *testing.T) {
+	lib, _, s := signoffDesign(t)
+	tt := tech.New(tech.N45, tech.Mode2D)
+	pl, err := place.Run(s, place.Options{Lib: lib, Tech: tt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(3, func() {
+		if _, err := route.Run(pl, route.Options{Tech: tt}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// 37754 allocs/run; the per-net overlay maps it replaced made 39125 (on
+	// this small design most nets stay inside one gcell and never needed
+	// one). The bound is about 1.1x, so a per-net copy of the usage grid
+	// lands well above it.
+	const bound = 41500
+	t.Logf("route.Run, FPU %d instances: %.0f allocs/run", len(s.Instances), got)
+	if got > bound {
+		t.Errorf("route.Run allocates %.0f times per run, bound %d", got, bound)
+	}
+}
+
 // One whole flow through the stage-graph executor, FPU@0.1 T-MI on one
 // worker. The bound is tight (about 1.1x, not 2x): an executor that clones
 // the netlist per consuming stage instead of only where a stage mutates it
@@ -120,7 +144,7 @@ func TestFlowRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	cfg := flow.Config{Circuit: "FPU", Scale: 0.1, Node: tech.N45, Mode: tech.ModeTMI, Workers: 1}
+	cfg := flow.Config{Circuit: "FPU", Scale: 0.1, Node: tech.N45, Mode: tech.ModeTMI}
 	if _, err := flow.Run(cfg); err != nil {
 		t.Fatal(err)
 	}

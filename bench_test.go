@@ -344,7 +344,7 @@ func BenchmarkAblationTMIWLM(b *testing.B) {
 // comparison matrix (5 circuits × {2D, T-MI}) on a fresh study, so every
 // flow actually executes (no warm study cache; the process-wide library and
 // netlist caches are warm for both variants alike).
-func benchMatrix(b *testing.B, workers, intra int) {
+func benchMatrix(b *testing.B, workers int) {
 	var cfgs []flow.Config
 	for _, name := range circuits.Names {
 		cfgs = append(cfgs,
@@ -354,7 +354,6 @@ func benchMatrix(b *testing.B, workers, intra int) {
 	for i := 0; i < b.N; i++ {
 		s := core.NewStudy(benchScale())
 		s.Workers = workers
-		s.IntraWorkers = intra
 		rs, err := s.RunAll(cfgs)
 		if err != nil {
 			b.Fatal(err)
@@ -364,23 +363,16 @@ func benchMatrix(b *testing.B, workers, intra int) {
 		}
 	}
 	b.ReportMetric(float64(workers), "workers")
-	b.ReportMetric(float64(intra), "intra-workers")
 }
 
-// BenchmarkStudySerial is the fully serial baseline: one flow at a time,
-// every stage loop on one worker.
-func BenchmarkStudySerial(b *testing.B) { benchMatrix(b, 1, 1) }
+// BenchmarkStudySerial is the serial baseline: one flow at a time.
+func BenchmarkStudySerial(b *testing.B) { benchMatrix(b, 1) }
 
-// BenchmarkStudyParallel fans the same matrix across GOMAXPROCS flow workers
-// (stage loops serial — the PR 3 axis); compare ns/op against
-// BenchmarkStudySerial for the wall-clock speedup (the repository benchmark
-// tracks it as matrix45 latency_ms and par.speedup_*, make bench).
-func BenchmarkStudyParallel(b *testing.B) { benchMatrix(b, runtime.GOMAXPROCS(0), 1) }
-
-// BenchmarkStudyIntraFlow runs the matrix one flow at a time with the full
-// intra-flow worker fleet — the ROADMAP item 3 axis: speedup inside a single
-// flow's stage loops, byte-identical to the serial baseline.
-func BenchmarkStudyIntraFlow(b *testing.B) { benchMatrix(b, 1, runtime.GOMAXPROCS(0)) }
+// BenchmarkStudyParallel fans the same matrix across GOMAXPROCS flow
+// workers; compare ns/op against BenchmarkStudySerial for the wall-clock
+// speedup (the repository benchmark tracks it as matrix45 latency_ms, make
+// bench).
+func BenchmarkStudyParallel(b *testing.B) { benchMatrix(b, runtime.GOMAXPROCS(0)) }
 
 // BenchmarkEquiv measures the formal sign-off cost on the DES mapped netlist:
 // AIG compilation, register correspondence, and structural proof of every

@@ -53,14 +53,12 @@ func main() {
 	log.SetFlags(0)
 
 	base := flow.Config{Circuit: strings.ToUpper(*circuit), Scale: *scale}
-	if *nodeF == "7" {
-		base.Node = tech.N7
+	var err error
+	if base.Node, err = tech.ParseNode(*nodeF); err != nil {
+		log.Fatal(err)
 	}
-	switch strings.ToLower(*modeF) {
-	case "tmi", "3d":
-		base.Mode = tech.ModeTMI
-	case "tmim", "3d+m":
-		base.Mode = tech.ModeTMIM
+	if base.Mode, err = tech.ParseMode(*modeF); err != nil {
+		log.Fatal(err)
 	}
 	if *cold < 0 || *cold > 1 {
 		log.Fatal("-cold must be in [0,1]")

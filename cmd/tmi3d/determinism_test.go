@@ -5,8 +5,20 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
+
+// buildBinary builds the tmi3d command into dir and returns its path.
+func buildBinary(t *testing.T, dir string) string {
+	t.Helper()
+	bin := filepath.Join(dir, "tmi3d")
+	build := exec.Command("go", "build", "-o", bin, ".")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
 
 // TestCrossProcessByteIdentity is the end-to-end form of the byte-identity
 // contract the internal/vet analyzers enforce statically: two separate
@@ -19,21 +31,14 @@ func TestCrossProcessByteIdentity(t *testing.T) {
 		t.Skip("builds the binary and runs the flow twice")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "tmi3d")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildBinary(t, dir)
 
 	type artifacts struct {
 		stdout, verilog, def []byte
 	}
-	run := func(tag string, extra ...string) artifacts {
+	run := func(tag string) artifacts {
 		prefix := filepath.Join(dir, tag)
-		args := append([]string{
-			"-circuit", "FPU", "-scale", "0.1", "-mode", "tmi", "-byfunc",
-			"-dump", prefix}, extra...)
-		cmd := exec.Command(bin, args...)
+		cmd := exec.Command(bin, "-circuit", "FPU", "-scale", "0.1", "-mode", "tmi", "-byfunc", "-dump", prefix)
 		stdout, err := cmd.Output() // -dump's confirmation line goes to stderr
 		if err != nil {
 			t.Fatalf("%s run: %v", tag, err)
@@ -49,11 +54,7 @@ func TestCrossProcessByteIdentity(t *testing.T) {
 		return artifacts{stdout: stdout, verilog: v, def: def}
 	}
 
-	// run1/run2 catch per-process nondeterminism (map iteration order);
-	// serial/parallel pin the intra-flow worker contract: the worker count
-	// must never reach the bytes of any artifact.
 	a, b := run("run1"), run("run2")
-	s1, s4 := run("serial", "-workers", "1"), run("parallel", "-workers", "4")
 	for _, cmp := range []struct {
 		what string
 		x, y []byte
@@ -61,10 +62,6 @@ func TestCrossProcessByteIdentity(t *testing.T) {
 		{"report stdout", a.stdout, b.stdout},
 		{"verilog artifact", a.verilog, b.verilog},
 		{"DEF artifact", a.def, b.def},
-		{"workers=1 vs workers=4 report stdout", s1.stdout, s4.stdout},
-		{"workers=1 vs workers=4 verilog artifact", s1.verilog, s4.verilog},
-		{"workers=1 vs workers=4 DEF artifact", s1.def, s4.def},
-		{"default vs workers=1 report stdout", a.stdout, s1.stdout},
 	} {
 		if !bytes.Equal(cmp.x, cmp.y) {
 			t.Errorf("%s differs between two processes of the same config (%d vs %d bytes):\n--- run1 ---\n%s\n--- run2 ---\n%s",
@@ -89,29 +86,32 @@ func firstDiffContext(a, b []byte) []byte {
 	return a[lo:hi]
 }
 
-// TestAnchoredLoopRaceClean is the dynamic counterpart of the parsafe proof:
-// parsafe statically verifies every //tmi3dvet:parloop anchored loop free of
-// cross-iteration hazards, and this test runs each anchored package's
-// worker-identity suite under the race detector so the proof is backed by an
-// execution, not just a summary walk. A race here means either the
-// effect-set analysis missed a write or the loops drifted after anchoring.
-func TestAnchoredLoopRaceClean(t *testing.T) {
+// A typo'd -node or -mode must stop the command with the accepted
+// spellings, never fall back to a default and run a whole flow.
+func TestBadNodeOrModeExits(t *testing.T) {
 	if testing.Short() {
-		t.Skip("recompiles the anchored packages instrumented for -race")
+		t.Skip("builds the binary")
 	}
-	for _, pkg := range []struct {
-		path string
-		run  string // test filter
+	bin := buildBinary(t, t.TempDir())
+	for _, tc := range []struct {
+		args []string
+		want string
 	}{
-		{"tmi3d/internal/place", "WorkersMatchSerial"},
-		{"tmi3d/internal/sta", "WorkersMatchSerial"},
-		{"tmi3d/internal/route", "RouteWorkersMatchSerial"},
-		{"tmi3d/internal/spice", "ParallelStampMatchesSerial"},
-		{"tmi3d/internal/opt", "WorkersMatchSerial"},
+		{[]string{"-mode", "tml"}, "2d, tmi, 3d, tmim, 3d+m"},
+		{[]string{"-node", "22"}, "45, 45nm, 7, 7nm"},
+		{[]string{"stages", "-mode", "t-mi"}, "2d, tmi, 3d, tmim, 3d+m"},
+		{[]string{"lint", "-node", "22"}, "45, 45nm, 7, 7nm"},
 	} {
-		cmd := exec.Command("go", "test", "-race", "-count=1", "-run", pkg.run, pkg.path)
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("race-instrumented %s tests failed: %v\n%s", pkg.path, err, out)
+		args := append(tc.args, "-circuit", "FPU", "-scale", "0.02")
+		cmd := exec.Command(bin, args...)
+		cmd.Dir = t.TempDir() // the stages subcommand opens its store here
+		out, err := cmd.CombinedOutput()
+		if err == nil {
+			t.Errorf("tmi3d %s exited 0; want a non-zero exit", strings.Join(tc.args, " "))
+			continue
+		}
+		if !strings.Contains(string(out), tc.want) {
+			t.Errorf("tmi3d %s: output %q does not list the accepted spellings %q", strings.Join(tc.args, " "), out, tc.want)
 		}
 	}
 }

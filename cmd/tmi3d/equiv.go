@@ -45,9 +45,9 @@ func equivMain(args []string) {
 		"swapgate, dropinv, multidrive, loop, float")
 	fs.Parse(args)
 
-	node := tech.N45
-	if *nodeF == "7" {
-		node = tech.N7
+	node, err := tech.ParseNode(*nodeF)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	out := equivOutput{}

@@ -62,7 +62,6 @@ func main() {
 	dump := flag.String("dump", "", "write <prefix>.v and <prefix>.def implementation artifacts")
 	byfunc := flag.Bool("byfunc", false, "print the per-function power breakdown table")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "max flows run in parallel (-compare runs 2D and T-MI concurrently when >1)")
-	workers := flag.Int("workers", 0, "intra-flow worker budget for the parallel stage loops (0 = split cores across -j flows; results are byte-identical at any value)")
 	stageDir := flag.String("stagecache", "", "staged-flow artifact store directory; reruns reuse unchanged stages (results byte-identical; empty = monolithic flow)")
 	flag.Parse()
 	log.SetFlags(0)
@@ -75,25 +74,11 @@ func main() {
 		runFlow = eng.Run
 	}
 
-	node := parseNode(*nodeF)
-	mode := parseMode(*modeF)
-
-	// Intra-flow budget: explicit, or the cores left per concurrent flow.
-	intra := *workers
-	if intra == 0 {
-		concurrent := 1
-		if *compare && *jobs > 1 {
-			concurrent = 2
-		}
-		intra = runtime.GOMAXPROCS(0) / concurrent
-		if intra < 1 {
-			intra = 1
-		}
-	}
+	node, mode := nodeMode(*nodeF, *modeF)
 
 	if *compare {
-		cfg2 := flow.Config{Circuit: *circuit, Scale: *scale, Node: node, Mode: tech.Mode2D, ClockPs: *clock, Workers: intra}
-		cfg3 := flow.Config{Circuit: *circuit, Scale: *scale, Node: node, Mode: tech.ModeTMI, ClockPs: *clock, Workers: intra}
+		cfg2 := flow.Config{Circuit: *circuit, Scale: *scale, Node: node, Mode: tech.Mode2D, ClockPs: *clock}
+		cfg3 := flow.Config{Circuit: *circuit, Scale: *scale, Node: node, Mode: tech.ModeTMI, ClockPs: *clock}
 		var r2, r3 *flow.Result
 		if *jobs > 1 {
 			// Each flow's RNG derives from its config, so the concurrent
@@ -121,7 +106,7 @@ func main() {
 			d.Footprint, d.WL, d.Total, d.Cell, d.Net, d.Leakage, d.Buffers)
 		return
 	}
-	r := run(flow.Config{Circuit: *circuit, Scale: *scale, Node: node, Mode: mode, ClockPs: *clock, Workers: intra})
+	r := run(flow.Config{Circuit: *circuit, Scale: *scale, Node: node, Mode: mode, ClockPs: *clock})
 	print1(r)
 	if *byfunc {
 		printByFunc(r)
@@ -160,21 +145,18 @@ func writeArtifacts(r *flow.Result, prefix string) {
 	log.Printf("wrote %s.v and %s.def", prefix, prefix)
 }
 
-func parseNode(s string) tech.Node {
-	if s == "7" || s == "7nm" {
-		return tech.N7
+// nodeMode parses the -node and -mode flags, exiting non-zero with the
+// accepted spellings on a typo.
+func nodeMode(node, mode string) (tech.Node, tech.Mode) {
+	n, err := tech.ParseNode(node)
+	if err != nil {
+		log.Fatal(err)
 	}
-	return tech.N45
-}
-
-func parseMode(s string) tech.Mode {
-	switch strings.ToLower(s) {
-	case "tmi", "3d":
-		return tech.ModeTMI
-	case "tmim", "3d+m":
-		return tech.ModeTMIM
+	m, err := tech.ParseMode(mode)
+	if err != nil {
+		log.Fatal(err)
 	}
-	return tech.Mode2D
+	return n, m
 }
 
 // runFlow executes one flow; -stagecache swaps in a staged engine.

@@ -24,14 +24,12 @@ func stagesMain(args []string) {
 	stageDir := fs.String("stagecache", "tmi3d-stagecache", "staged-flow artifact store directory")
 	fs.Parse(args)
 
+	node, mode := nodeMode(*nodeF, *modeF)
 	eng, err := stage.New(*stageDir)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := flow.Config{
-		Circuit: *circuit, Scale: *scale,
-		Node: parseNode(*nodeF), Mode: parseMode(*modeF), ClockPs: *clock,
-	}
+	cfg := flow.Config{Circuit: *circuit, Scale: *scale, Node: node, Mode: mode, ClockPs: *clock}
 	fmt.Printf("%-8s  %-7s  %-16s  %s\n", "stage", "tier", "artifact", "key")
 	for _, pe := range eng.Plan(cfg) {
 		tier, id := pe.Tier, pe.ID[:16]

@@ -28,6 +28,7 @@ func wireidMain(args []string) {
 	stageDir := fs.String("stagecache", "", "artifact store directory (empty = a temporary one)")
 	fs.Parse(args)
 
+	node, mode := nodeMode(*nodeF, *modeF)
 	dir := *stageDir
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "tmi3d-wireid-*")
@@ -41,10 +42,7 @@ func wireidMain(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := flow.Config{
-		Circuit: *circuit, Scale: *scale,
-		Node: parseNode(*nodeF), Mode: parseMode(*modeF), ClockPs: *clock,
-	}
+	cfg := flow.Config{Circuit: *circuit, Scale: *scale, Node: node, Mode: mode, ClockPs: *clock}
 	checks, err := eng.WireIdentity(cfg)
 	if err != nil {
 		log.Fatal(err)

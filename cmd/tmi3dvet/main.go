@@ -1,8 +1,8 @@
 // Command tmi3dvet is the repository's determinism and concurrency
 // multichecker: it loads and type-checks every package in the module and runs
 // the internal/vet analyzer suite (ctxdisc, globalmut, godisc, keycoverage,
-// lockorder, maporder, parsafe, seedpurity, stagedeps, wiresafe). A non-empty
-// report exits 1, which is what scripts/check.sh gates CI on.
+// lockorder, maporder, seedpurity, stagedeps, wiresafe). A non-empty report
+// exits 1, which is what scripts/check.sh gates CI on.
 //
 // Usage:
 //
@@ -12,21 +12,17 @@
 //	tmi3dvet -counts ./...    # append per-analyzer diagnostic counts
 //	tmi3dvet -json ./...      # machine-readable diagnostics + manifests
 //	tmi3dvet -pkg route ./... # only packages whose import path contains "route"
-//	tmi3dvet -anchor sta.loads ./...  # re-analyze one anchored parloop
 //
 // -json emits one JSON object carrying every diagnostic (file/line/col/
 // analyzer/message), the per-stage read-set manifest stagedeps computed from
 // the anchored stage bodies — the measured dependency surface the staged
-// engine's cache keys must cover — and the per-loop effect sets parsafe computed from
-// the //tmi3dvet:parloop anchors, the parallelism green board of ROADMAP
-// item 3, and the per-type wire facts wiresafe proved over the flow.WireTypes
-// manifest (codec kind, round-tripping fields, audited off-wire fields). The
-// exit status is unchanged: 1 on any diagnostic, 0 on a clean module.
+// engine's cache keys must cover — and the per-type wire facts wiresafe
+// proved over the flow.WireTypes manifest (codec kind, round-tripping fields,
+// audited off-wire fields). The exit status is unchanged: 1 on any
+// diagnostic, 0 on a clean module.
 //
-// -pkg and -anchor narrow a run for fast iteration on one package or loop.
-// Module-wide reconciliation (the ParLoops manifest diff) is skipped under
-// either filter, so a filtered run can pass while the full run still fails —
-// CI always runs unfiltered.
+// -pkg narrows a run for fast iteration on one package; CI always runs
+// unfiltered.
 //
 // Directive syntax, for sites the analyzers cannot prove safe on their own:
 //
@@ -35,9 +31,6 @@
 //	//tmi3dvet:nonseed <reason>   on a Config field excluded from DeriveSeed
 //	//tmi3dvet:global <reason>    on or above a mutable global access (globalmut)
 //	//tmi3dvet:stage <name>       above a stage body's first statement (stagedeps)
-//	//tmi3dvet:parloop <name>     above a hot loop tracked by flow.ParLoops (parsafe)
-//	//tmi3dvet:parhazard <reason> on a hazard line, or above the for statement
-//	                              to cover the whole loop (parsafe)
 //	//tmi3dvet:godisc <reason>    on or above a goroutine-discipline finding
 //	//tmi3dvet:nonwire <reason>   on a wire-type field audited off the wire (wiresafe)
 //	//tmi3dvet:finite <reason>    on a raw float field of a non-finite type's
@@ -62,12 +55,11 @@ func main() {
 	list := flag.Bool("list", false, "print the analyzer suite and exit")
 	check := flag.String("c", "", "run only the named analyzer")
 	root := flag.String("C", "", "module root (default: ascend from the working directory to go.mod)")
-	asJSON := flag.Bool("json", false, "emit diagnostics and the stage/parloop manifests as JSON")
+	asJSON := flag.Bool("json", false, "emit diagnostics and the stage/wire manifests as JSON")
 	counts := flag.Bool("counts", false, "print per-analyzer diagnostic counts after the report")
-	pkgFilter := flag.String("pkg", "", "only analyze packages whose import path contains this substring (skips manifest reconciliation)")
-	anchor := flag.String("anchor", "", "only analyze the named //tmi3dvet:parloop anchor (skips manifest reconciliation)")
+	pkgFilter := flag.String("pkg", "", "only analyze packages whose import path contains this substring")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: tmi3dvet [-list] [-c analyzer] [-C moduleroot] [-json] [-counts] [-pkg substr] [-anchor name] [./...]\n")
+		fmt.Fprintf(os.Stderr, "usage: tmi3dvet [-list] [-c analyzer] [-C moduleroot] [-json] [-counts] [-pkg substr] [./...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -110,7 +102,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tmi3dvet: %v\n", err)
 		os.Exit(2)
 	}
-	res := vet.AnalyzeOpts(mod, vet.Options{Analyzers: analyzers, PkgFilter: *pkgFilter, Anchor: *anchor})
+	res := vet.AnalyzeOpts(mod, vet.Options{Analyzers: analyzers, PkgFilter: *pkgFilter})
 
 	if *asJSON {
 		emitJSON(res)
@@ -143,19 +135,14 @@ func emitJSON(res *vet.Result) {
 	out := struct {
 		Diagnostics []jsonDiag       `json:"diagnostics"`
 		Stages      []vet.StageReads `json:"stages"`
-		ParLoops    []vet.ParLoop    `json:"parloops"`
 		WireTypes   []vet.WireFact   `json:"wiretypes"`
 	}{
 		Diagnostics: []jsonDiag{},
 		Stages:      res.Stages,
-		ParLoops:    res.ParLoops,
 		WireTypes:   res.WireTypes,
 	}
 	if out.Stages == nil {
 		out.Stages = []vet.StageReads{}
-	}
-	if out.ParLoops == nil {
-		out.ParLoops = []vet.ParLoop{}
 	}
 	if out.WireTypes == nil {
 		out.WireTypes = []vet.WireFact{}

@@ -30,7 +30,7 @@ func TestMatrixGoldenDigests(t *testing.T) {
 	}
 	for _, circuit := range []string{"FPU", "AES", "LDPC", "DES", "M256"} {
 		for _, mode := range []tech.Mode{tech.Mode2D, tech.ModeTMI} {
-			cfg := flow.Config{Circuit: circuit, Scale: 0.02, Node: tech.N45, Mode: mode, Seed: 1, Workers: 1}
+			cfg := flow.Config{Circuit: circuit, Scale: 0.02, Node: tech.N45, Mode: mode, Seed: 1}
 			want, ok := golden[cfg.Key()]
 			if !ok {
 				t.Errorf("bench/golden.json has no digest for %s", cfg.Key())

@@ -34,11 +34,6 @@ type Study struct {
 	// Workers bounds the number of flows RunAll executes concurrently;
 	// 0 means GOMAXPROCS. 1 reproduces the serial driver exactly.
 	Workers int
-	// IntraWorkers is the per-flow worker budget handed to the parallel
-	// stage loops (flow.Config.Workers). 0 splits GOMAXPROCS across the
-	// flow pool so pool × intra never oversubscribes the machine. Results
-	// are byte-identical at any value.
-	IntraWorkers int
 	// Runner, when set, replaces flow.Run as the flow executor. The staged
 	// engine's Run plugs in here (byte-identical by contract), so an
 	// experiment matrix reuses per-stage artifacts across its sweep points
@@ -56,11 +51,10 @@ type Study struct {
 	// Per-stage wall-clock totals across every flow this study executed
 	// (cache hits and deduplicated waiters excluded) — the profile behind
 	// StageReport.
-	stageMu      sync.Mutex
-	stageTotals  map[string]time.Duration
-	stageWorkers map[string]int
-	stageOrder   []string
-	flowsRun     int
+	stageMu     sync.Mutex
+	stageTotals map[string]time.Duration
+	stageOrder  []string
+	flowsRun    int
 }
 
 // inflightRun is one in-progress flow execution; latecomers for the same key
@@ -77,11 +71,10 @@ func NewStudy(scale float64) *Study {
 		scale = 1.0
 	}
 	return &Study{
-		Scale:        scale,
-		cache:        map[string]*flow.Result{},
-		inflight:     map[string]*inflightRun{},
-		stageTotals:  map[string]time.Duration{},
-		stageWorkers: map[string]int{},
+		Scale:       scale,
+		cache:       map[string]*flow.Result{},
+		inflight:    map[string]*inflightRun{},
+		stageTotals: map[string]time.Duration{},
 	}
 }
 
@@ -91,19 +84,6 @@ func (s *Study) workers() int {
 		return s.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// intraWorkers resolves the per-flow worker budget: the explicit setting,
-// or the cores left per pool slot once the flow pool has claimed its share.
-func (s *Study) intraWorkers() int {
-	if s.IntraWorkers > 0 {
-		return s.IntraWorkers
-	}
-	n := runtime.GOMAXPROCS(0) / s.workers()
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // run executes (or retrieves) one flow configuration. The cache key is the
@@ -116,10 +96,6 @@ func (s *Study) intraWorkers() int {
 func (s *Study) run(cfg flow.Config) (*flow.Result, error) {
 	cfg.Scale = s.Scale
 	cfg.Seed = s.Seed
-	cfg.Workers = s.intraWorkers()
-	// Workers is deliberately outside the cache key (flow keeps it
-	// //tmi3dvet:nonkey): any budget produces identical bytes, so runs at
-	// different worker counts share cache entries.
 	key := cfg.Key()
 
 	s.mu.Lock()
@@ -230,9 +206,6 @@ func (s *Study) recordStages(r *flow.Result) {
 			s.stageOrder = append(s.stageOrder, st.Stage)
 		}
 		s.stageTotals[st.Stage] += st.D
-		if st.Workers > s.stageWorkers[st.Stage] {
-			s.stageWorkers[st.Stage] = st.Workers
-		}
 	}
 }
 
@@ -245,8 +218,7 @@ func (s *Study) FlowsRun() int {
 }
 
 // StageReport renders the aggregate per-stage wall-clock profile of every
-// flow the study executed — where the compute went, and which stages
-// dominate the remaining serial bottleneck of a parallel run.
+// flow the study executed — where the compute went.
 func (s *Study) StageReport() string {
 	s.stageMu.Lock()
 	defer s.stageMu.Unlock()
@@ -255,18 +227,14 @@ func (s *Study) StageReport() string {
 		total += d
 	}
 	t := report.New(fmt.Sprintf("Flow stage timing — %d flows executed, %.1f s total flow compute",
-		s.flowsRun, total.Seconds()), "stage", "total s", "share", "workers")
+		s.flowsRun, total.Seconds()), "stage", "total s", "share")
 	for _, stage := range s.stageOrder {
 		d := s.stageTotals[stage]
 		share := 0.0
 		if total > 0 {
 			share = 100 * float64(d) / float64(total)
 		}
-		w := s.stageWorkers[stage]
-		if w < 1 {
-			w = 1
-		}
-		t.Add(stage, report.F(d.Seconds(), 2), report.F(share, 1)+"%", fmt.Sprintf("%d", w))
+		t.Add(stage, report.F(d.Seconds(), 2), report.F(share, 1)+"%")
 	}
 	return t.String()
 }

@@ -191,9 +191,7 @@ func TestRunAllDeterministicError(t *testing.T) {
 }
 
 // The serial/parallel bit-identity contract on real flows: the same pair run
-// through a -j 1 study and a -j 4 study must produce identical numbers. The
-// parallel study also turns on the intra-flow worker fleet, so this covers
-// both axes of parallelism — across flows and inside each flow's stage loops.
+// through a -j 1 study and a -j 4 study must produce identical numbers.
 func TestParallelMatchesSerialRealFlows(t *testing.T) {
 	cfgs := []flow.Config{
 		{Circuit: "FPU", Node: tech.N45, Mode: tech.Mode2D},
@@ -201,10 +199,8 @@ func TestParallelMatchesSerialRealFlows(t *testing.T) {
 	}
 	serial := NewStudy(0.1)
 	serial.Workers = 1
-	serial.IntraWorkers = 1
 	parallel := NewStudy(0.1)
 	parallel.Workers = 4
-	parallel.IntraWorkers = 3
 
 	rsSerial, err := serial.RunAll(cfgs)
 	if err != nil {

@@ -40,9 +40,6 @@ import (
 type setupValue struct {
 	// seed is the run's RNG stream (DeriveSeed).
 	seed uint64
-	// workers is the resolved intra-flow worker budget shared by every
-	// parallel stage loop.
-	workers int
 	// calib is the clock calibration factor opt applies to a ClockPs override.
 	calib float64
 	// res is the resistivity scaling route, signoff and power rebuild the RC

@@ -103,13 +103,13 @@ type Config struct {
 	// failing; GateOff skips the checks.
 	//tmi3dvet:nonseed observation-only gate: must not perturb the RNG stream or the layout
 	Equiv lint.GateMode `json:"equiv,omitempty"`
-	// Workers bounds the intra-flow worker fleet of the parallel stage loops
-	// (the ParLoops manifest: placement, routing, optimization, STA, SPICE
-	// stamping); 0 resolves to GOMAXPROCS at setup. Every loop is
-	// byte-identical at any worker count — that determinism contract is what
-	// keeps Workers out of the wire format and the cache key.
-	//tmi3dvet:nonkey worker count never changes result bytes (ParLoops determinism contract); keying on it would split identical artifacts
-	//tmi3dvet:nonwire execution knob, not a result input: a remote node re-resolves its own worker budget, and the determinism contract makes any budget byte-equivalent
+	// Workers is ignored: a flow runs on one goroutine, and concurrency is
+	// between flows (core.Study.Workers, serve's job pool).
+	//
+	// Deprecated: kept only because the benchmark harness still sets it;
+	// the next benchmark change removes it.
+	//tmi3dvet:nonkey ignored field: no stage uses its value
+	//tmi3dvet:nonwire ignored field: not a result input
 	Workers int `json:"-"`
 }
 

@@ -44,8 +44,7 @@ func TestDAGMatchesStageKeys(t *testing.T) {
 	}
 
 	// FieldKeyTerm is total over the manifest's key domain (Workers excepted:
-	// the staged engine filters it from every key — worker count never
-	// changes result bytes).
+	// the staged engine filters the ignored field from every key).
 	cfg := Config{
 		Circuit: "AES", Scale: 0.5, Node: tech.N45, Mode: tech.ModeTMI,
 		ClockPs: 850, Util: 0.6, PinCapScale: 0.9,

@@ -94,13 +94,14 @@ func (c Config) DeriveSeed() uint64 {
 	return h.Sum64()
 }
 
-// StageTime is the wall-clock cost of one flow stage. Workers is the
-// intra-flow worker budget the stage's parallel loops ran under (1 for
-// stages that are serial by construction) — the profile column that shows
-// whether a slow stage was actually using its cores.
+// StageTime is the wall-clock cost of one flow stage.
 type StageTime struct {
-	Stage   string
-	D       time.Duration
+	Stage string
+	D     time.Duration
+	// Workers is always 0: every stage runs on the flow's one goroutine.
+	//
+	// Deprecated: kept only because the benchmark harness still reads it;
+	// the next benchmark change removes it.
 	Workers int
 }
 
@@ -109,34 +110,27 @@ type StageTime struct {
 // (route, opt, sta in the ECO loop) accumulate. One profile spans an
 // Execution; timing is observational only.
 type profile struct {
-	order   []string
-	acc     map[string]time.Duration
-	workers map[string]int
+	order []string
+	acc   map[string]time.Duration
 }
 
 func newProfile() *profile {
-	return &profile{acc: map[string]time.Duration{}, workers: map[string]int{}}
+	return &profile{acc: map[string]time.Duration{}}
 }
 
-// add records a serial stage interval.
-func (t *profile) add(stage string, d time.Duration) { t.addPar(stage, d, 1) }
-
-// addPar records a stage interval that ran under the given worker budget.
-func (t *profile) addPar(stage string, d time.Duration, workers int) {
+// add records a stage interval.
+func (t *profile) add(stage string, d time.Duration) {
 	if _, ok := t.acc[stage]; !ok {
 		t.order = append(t.order, stage)
 	}
 	t.acc[stage] += d
-	if workers > t.workers[stage] {
-		t.workers[stage] = workers
-	}
 }
 
 // times returns the accumulated per-stage costs in first-seen order.
 func (t *profile) times() []StageTime {
 	out := make([]StageTime, 0, len(t.order))
 	for _, s := range t.order {
-		out = append(out, StageTime{Stage: s, D: t.acc[s], Workers: t.workers[s]})
+		out = append(out, StageTime{Stage: s, D: t.acc[s]})
 	}
 	return out
 }

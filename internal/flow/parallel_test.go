@@ -5,8 +5,6 @@ package flow
 // netlist / library-check caches that parallel experiment runs hammer.
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -180,45 +178,6 @@ func TestStageTimesPopulated(t *testing.T) {
 	for _, want := range []string{"library", "generate", "synth", "place", "opt", "route", "sta", "power"} {
 		if !seen[want] {
 			t.Errorf("stage %q missing from profile %v", want, stageNames(r.StageTimes))
-		}
-	}
-}
-
-// TestIntraFlowWorkersByteIdentity pins the intra-flow parallelism contract
-// at the flow boundary: the same configuration run with a serial stage-loop
-// budget and a parallel one must produce byte-identical JSON reports and
-// byte-identical Verilog/DEF artifacts. Any worker-count dependence that
-// survives the per-package identity tests — a float fold order, a map walk,
-// a slot index — lands here as a byte diff.
-func TestIntraFlowWorkersByteIdentity(t *testing.T) {
-	artifacts := func(workers int) (rep, verilog, def []byte) {
-		r := run(t, Config{Circuit: "FPU", Node: tech.N45, Mode: tech.ModeTMI, Scale: 0.1, Workers: workers})
-		rep, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var v, d bytes.Buffer
-		if err := r.Design.WriteVerilog(&v); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Placement.WriteDEF(&d); err != nil {
-			t.Fatal(err)
-		}
-		return rep, v.Bytes(), d.Bytes()
-	}
-	sRep, sV, sDef := artifacts(1)
-	pRep, pV, pDef := artifacts(3)
-	for _, cmp := range []struct {
-		what string
-		x, y []byte
-	}{
-		{"JSON report", sRep, pRep},
-		{"Verilog artifact", sV, pV},
-		{"DEF artifact", sDef, pDef},
-	} {
-		if !bytes.Equal(cmp.x, cmp.y) {
-			t.Errorf("%s differs between workers=1 and workers=3 (%d vs %d bytes)",
-				cmp.what, len(cmp.x), len(cmp.y))
 		}
 	}
 }

@@ -21,7 +21,7 @@ package flow
 // sign-off, never synthesis or placement, so clock-sweep points share every
 // upstream artifact.
 var StageKeys = map[string][]string{
-	"setup":    {"Activities", "Circuit", "Mode", "Node", "PinCapScale", "ResistivityScale", "Scale", "Seed", "Use2DWLM", "Util", "Workers"},
+	"setup":    {"Activities", "Circuit", "Mode", "Node", "PinCapScale", "ResistivityScale", "Scale", "Seed", "Use2DWLM", "Util"},
 	"library":  {"Mode", "Node", "PinCapScale"},
 	"generate": {"Circuit", "Node", "Scale"},
 	"wlm":      {"Circuit", "Mode", "Node", "Use2DWLM", "Util"},

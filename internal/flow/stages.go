@@ -15,7 +15,6 @@ import (
 	"tmi3d/internal/lint"
 	"tmi3d/internal/netlist"
 	"tmi3d/internal/opt"
-	"tmi3d/internal/par"
 	"tmi3d/internal/place"
 	"tmi3d/internal/power"
 	"tmi3d/internal/rcx"
@@ -40,14 +39,9 @@ func runSetup(cfg Config, in *inputs) (any, error) {
 		// from the configuration, never from scheduling order — the
 		// determinism contract that lets the experiment engine run flows in
 		// parallel and still produce bit-identical reports.
-		seed: cfg.DeriveSeed(),
-		// Intra-flow worker budget, shared by every parallel stage loop.
-		// Resolved once (0 → GOMAXPROCS) so callers running several flows
-		// concurrently can split the cores between them without
-		// oversubscribing.
-		workers: par.Budget(cfg.Workers),
-		calib:   ClockCalibrationFactor(cfg.Circuit, cfg.Node),
-		res:     cfg.ResistivityScale,
+		seed:  cfg.DeriveSeed(),
+		calib: ClockCalibrationFactor(cfg.Circuit, cfg.Node),
+		res:   cfg.ResistivityScale,
 	}, nil
 }
 
@@ -149,12 +143,12 @@ func runPlace(cfg Config, in *inputs) (any, error) {
 	}
 	t0 := time.Now()
 	pl, err := place.Run(sa.Design, place.Options{
-		Lib: lib.lib, Tech: lib.tech, TargetUtil: w.Util * 0.90, Seed: s.seed, Workers: s.workers,
+		Lib: lib.lib, Tech: lib.tech, TargetUtil: w.Util * 0.90, Seed: s.seed,
 	})
 	if err != nil {
 		return nil, err
 	}
-	in.prof.addPar("place", time.Since(t0), s.workers)
+	in.prof.add("place", time.Since(t0))
 	return &placeArtifact{Snap: pl.Snapshot()}, nil
 }
 
@@ -180,12 +174,11 @@ func runOpt(cfg Config, in *inputs) (any, error) {
 	t0 := time.Now()
 	preStats, err := opt.Close(d, opt.Options{
 		Lib: lib.lib, Wire: hpwlWire(pl, tb), Placement: pl, MaxRounds: 8, AreaBudget: pl.Die.Area() * 0.95,
-		Workers: s.workers,
 	})
 	if err != nil {
 		return nil, err
 	}
-	in.prof.addPar("opt", time.Since(t0), s.workers)
+	in.prof.add("opt", time.Since(t0))
 	if err := gs.checkLint("post-place", d); err != nil {
 		return nil, err
 	}
@@ -195,19 +188,21 @@ func runOpt(cfg Config, in *inputs) (any, error) {
 	return &optArtifact{Design: d, Snap: pl.Snapshot(), PreStats: preStats, Lint: gs.lintReports, Equiv: gs.equivReports}, nil
 }
 
-// runRoute globally routes the pre-route-closed placement.
+// runRoute globally routes the pre-route-closed placement. It reads no
+// setup value; setup stays in its Deps because setup's ID feeds the route
+// artifact's ID (TestArtifactIDsGolden pins it).
 func runRoute(cfg Config, in *inputs) (any, error) {
 	//tmi3dvet:stage route
-	s, lib, oa := in.setup(), in.library(), in.opt()
+	lib, oa := in.library(), in.opt()
 	if in.err != nil {
 		return nil, in.err
 	}
 	t0 := time.Now()
-	rt, err := route.Run(oa.Snap.Restore(oa.Design), route.Options{Tech: lib.tech, Workers: s.workers})
+	rt, err := route.Run(oa.Snap.Restore(oa.Design), route.Options{Tech: lib.tech})
 	if err != nil {
 		return nil, err
 	}
-	in.prof.addPar("route", time.Since(t0), s.workers)
+	in.prof.add("route", time.Since(t0))
 	return &routeArtifact{Route: rt}, nil
 }
 
@@ -233,16 +228,16 @@ func runSignoff(cfg Config, in *inputs) (any, error) {
 	postSrc := extractedWire(rcx.Extract(ra.Route, tb, lib.tech), pl, tb)
 	stats, err := opt.Close(d, opt.Options{
 		Lib: lib.lib, Wire: postSrc.fn, Placement: pl, MaxRounds: 8, PowerRecovery: true,
-		NetChanged: postSrc.markDirty, AreaBudget: areaBudget, Workers: s.workers,
+		NetChanged: postSrc.markDirty, AreaBudget: areaBudget,
 	})
 	if err != nil {
 		return nil, err
 	}
-	in.prof.addPar("opt", time.Since(t0), s.workers)
+	in.prof.add("opt", time.Since(t0))
 	stats.Upsized += oa.PreStats.Upsized
 	stats.BuffersAdd += oa.PreStats.BuffersAdd
 	stats.Downsized += oa.PreStats.Downsized
-	rt, timing, err := converge(d, pl, tb, lib, areaBudget, stats, s.workers, in.prof)
+	rt, timing, err := converge(d, pl, tb, lib, areaBudget, stats, in.prof)
 	if err != nil {
 		return nil, err
 	}
@@ -263,34 +258,34 @@ func runSignoff(cfg Config, in *inputs) (any, error) {
 // re-routed parasitics uncover a residual violation it closes once more on
 // the final extraction (ECO-style) and re-routes, up to three passes. ECO fix
 // counts accumulate into stats.
-func converge(d *netlist.Design, pl *place.Placement, tb *captable.Table, lib *libraryValue, areaBudget float64, stats *opt.Stats, workers int, prof *profile) (*route.Result, *sta.Result, error) {
+func converge(d *netlist.Design, pl *place.Placement, tb *captable.Table, lib *libraryValue, areaBudget float64, stats *opt.Stats, prof *profile) (*route.Result, *sta.Result, error) {
 	for pass := 0; ; pass++ {
 		t0 := time.Now()
-		rt, err := route.Run(pl, route.Options{Tech: lib.tech, Workers: workers})
+		rt, err := route.Run(pl, route.Options{Tech: lib.tech})
 		if err != nil {
 			return nil, nil, err
 		}
 		ex := rcx.Extract(rt, tb, lib.tech)
-		prof.addPar("route", time.Since(t0), workers)
+		prof.add("route", time.Since(t0))
 		wire := extractedWire(ex, pl, tb).fn
 		t0 = time.Now()
-		timing, err := sta.Analyze(d, sta.Env{Lib: lib.lib, Wire: wire, Workers: workers})
+		timing, err := sta.Analyze(d, sta.Env{Lib: lib.lib, Wire: wire})
 		if err != nil {
 			return nil, nil, err
 		}
-		prof.addPar("sta", time.Since(t0), workers)
+		prof.add("sta", time.Since(t0))
 		if timing.Met() || pass >= 2 {
 			return rt, timing, nil
 		}
 		t0 = time.Now()
 		eco, err := opt.Close(d, opt.Options{
 			Lib: lib.lib, Wire: wire, Placement: pl, MaxRounds: 6, SkipDRV: true,
-			AreaBudget: areaBudget, Workers: workers,
+			AreaBudget: areaBudget,
 		})
 		if err != nil {
 			return nil, nil, err
 		}
-		prof.addPar("opt", time.Since(t0), workers)
+		prof.add("opt", time.Since(t0))
 		stats.Upsized += eco.Upsized
 		stats.BuffersAdd += eco.BuffersAdd
 	}

@@ -14,7 +14,6 @@ import (
 	"tmi3d/internal/cellgen"
 	"tmi3d/internal/liberty"
 	"tmi3d/internal/netlist"
-	"tmi3d/internal/par"
 	"tmi3d/internal/place"
 	"tmi3d/internal/sta"
 )
@@ -57,10 +56,6 @@ type Options struct {
 	// optimizer regression tests run with this on; production flows leave it
 	// off and rely on the flow-level equiv gates.
 	DebugChecks bool
-	// Workers bounds the worker fleet of the parallel passes (max-cap
-	// candidate scoring and the STA runs inside the closure loop); <= 1
-	// runs serially. Results are byte-identical at any value.
-	Workers int
 }
 
 // Stats summarizes what the optimizer did.
@@ -86,7 +81,7 @@ func Close(d *netlist.Design, opt Options) (*Stats, error) {
 	if opt.SlackMarginPs == 0 {
 		opt.SlackMarginPs = 15
 	}
-	env := sta.Env{Lib: opt.Lib, Wire: opt.Wire, Workers: opt.Workers}
+	env := sta.Env{Lib: opt.Lib, Wire: opt.Wire}
 	st := &Stats{}
 	area := &areaTracker{budget: opt.AreaBudget}
 	if opt.AreaBudget > 0 {
@@ -171,13 +166,8 @@ func Close(d *netlist.Design, opt Options) (*Stats, error) {
 }
 
 // maxCapCandidate scores one net for the max-cap pass: the sinks to move
-// behind a buffer when the driver's load exceeds its limit, or nil. Pure
-// with respect to the design — it reads netlist, placement, and timing but
-// mutates nothing — and independent of every other net's outcome: a buffer
-// insertion on net A never changes net B's driver, sinks, load, or pin
-// positions. That is what lets the pass score all nets in parallel and
-// apply insertions serially afterwards with results identical to the old
-// interleaved serial loop.
+// behind a buffer when the driver's load exceeds its limit, or nil. It
+// reads netlist, placement, and timing but mutates nothing.
 func maxCapCandidate(d *netlist.Design, opt Options, res *sta.Result, ni int) []netlist.PinRef {
 	if ni == d.ClockNet {
 		return nil
@@ -193,22 +183,13 @@ func maxCapCandidate(d *netlist.Design, opt Options, res *sta.Result, ni int) []
 	return fartherHalf(d, opt, ni)
 }
 
-// fixMaxCap buffers nets whose load exceeds the driver's max capacitance:
-// candidates are scored in parallel into per-net slots, then insertions —
-// which mutate the design, placement, and area budget — run serially in
-// net order.
+// fixMaxCap buffers nets whose load exceeds the driver's max capacitance,
+// in net order. Nets the pass adds are not revisited.
 func fixMaxCap(d *netlist.Design, opt Options, res *sta.Result, st *Stats, area *areaTracker) (int, error) {
 	changed := 0
 	numNets := len(d.Nets)
-	cands := make([][]netlist.PinRef, numNets)
-	par.For(opt.Workers, numNets, func(w, lo, hi int) {
-		//tmi3dvet:parloop opt.maxcap
-		for ni := lo; ni < hi; ni++ {
-			cands[ni] = maxCapCandidate(d, opt, res, ni)
-		}
-	})
 	for ni := 0; ni < numNets; ni++ {
-		moved := cands[ni]
+		moved := maxCapCandidate(d, opt, res, ni)
 		if len(moved) == 0 || !area.allow(opt.Lib.MustCell(opt.BufferCell).Area) {
 			continue
 		}

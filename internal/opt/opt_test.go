@@ -197,40 +197,6 @@ func TestDebugChecksCatchInverter(t *testing.T) {
 	}
 }
 
-// Worker count must not change one bit of the optimizer's outcome: max-cap
-// candidates are scored in parallel but applied serially in net order, and
-// the STA runs inside the loop are themselves worker-identical.
-func TestWorkersMatchSerial(t *testing.T) {
-	l := lib(t)
-	run := func(workers int) (*Stats, *netlist.Design) {
-		d := mapped(t, "DES", 0.05)
-		d.TargetClockPs = 1400
-		st, err := Close(d, Options{Lib: l, Wire: wire(60, 8), PowerRecovery: true, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st, d
-	}
-	serialSt, serialD := run(0)
-	for _, workers := range []int{2, 7} {
-		st, d := run(workers)
-		if *st != *serialSt {
-			t.Fatalf("workers=%d: stats %+v, serial %+v", workers, *st, *serialSt)
-		}
-		if len(d.Instances) != len(serialD.Instances) {
-			t.Fatalf("workers=%d: %d instances vs %d serial", workers, len(d.Instances), len(serialD.Instances))
-		}
-		for i := range d.Instances {
-			if d.Instances[i].CellName != serialD.Instances[i].CellName ||
-				d.Instances[i].Name != serialD.Instances[i].Name {
-				t.Fatalf("workers=%d: instance %d = %s/%s, serial %s/%s", workers, i,
-					d.Instances[i].Name, d.Instances[i].CellName,
-					serialD.Instances[i].Name, serialD.Instances[i].CellName)
-			}
-		}
-	}
-}
-
 func TestNoChangesWhenComfortable(t *testing.T) {
 	l := lib(t)
 	d := mapped(t, "FPU", 0.05)

@@ -1,64 +1,18 @@
-// Package par provides the fixed-fleet fork/join helper behind the repo's
-// intra-flow parallelism (ROADMAP item 3): the anchored hot loops in place,
-// route, sta, spice and opt shard their iteration space over a bounded set
-// of workers and join before the stage continues.
-//
-// The helper is deliberately shaped like the godisc-sanctioned spawn
-// pattern — a fixed-count worker loop, WaitGroup.Add before go, loop
-// variables passed as closure arguments — and deliberately determinism-
-// preserving: shard boundaries are a pure function of (workers, n), never
-// of scheduling, so a caller whose shards write disjoint slots produces
-// byte-identical results at any worker count.
+// Package par holds the worker-budget helper the benchmark harness still
+// calls. Flows run on one goroutine; concurrency is between flows
+// (core.Study.Workers, serve's job pool).
 package par
 
-import (
-	"runtime"
-	"sync"
-)
+import "runtime"
 
 // Budget resolves a worker-count request: a positive value is taken as-is,
-// zero or negative defaults to GOMAXPROCS. Callers that subdivide a budget
-// across nested pools (core.Study over flow.Config.Workers) do their own
-// division and pass the result here.
+// zero or negative defaults to GOMAXPROCS.
+//
+// Deprecated: kept only because the benchmark harness still calls it; the
+// next benchmark change removes it, and this package with it.
 func Budget(n int) int {
 	if n > 0 {
 		return n
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// For splits [0, n) into one contiguous shard per worker and runs fn once
-// per shard, returning after every shard finished. fn receives the worker
-// index w and its half-open range [lo, hi).
-//
-// workers <= 1, or n too small to be worth a fleet, runs fn(0, 0, n) on the
-// calling goroutine — the serial path executes the same code over the same
-// range, which is what the byte-identity contract is checked against.
-func For(workers, n int, fn func(w, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < 2*workers {
-		fn(0, 0, n)
-		return
-	}
-	base, rem := n/workers, n%workers
-	var wg sync.WaitGroup
-	lo := 0
-	for w := 0; w < workers; w++ {
-		hi := lo + base
-		if w < rem {
-			hi++
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
-		lo = hi
-	}
-	wg.Wait()
 }

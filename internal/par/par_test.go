@@ -2,63 +2,8 @@ package par
 
 import (
 	"runtime"
-	"sync/atomic"
 	"testing"
 )
-
-// Every index in [0, n) must be covered by exactly one shard, for any
-// (workers, n) combination — the partition invariant the disjoint-slot
-// writes of the parallel loops rely on.
-func TestForCoversEachIndexOnce(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 3, 7, 16, 100} {
-		for _, n := range []int{0, 1, 2, 5, 16, 97, 1024} {
-			hits := make([]int32, n)
-			For(workers, n, func(w, lo, hi int) {
-				if lo < 0 || hi > n || lo > hi {
-					t.Errorf("workers=%d n=%d: bad shard [%d,%d)", workers, n, lo, hi)
-				}
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&hits[i], 1)
-				}
-			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("workers=%d n=%d: index %d covered %d times", workers, n, i, h)
-				}
-			}
-		}
-	}
-}
-
-// The serial fast path must run on the calling goroutine as one shard.
-func TestForSerialFastPath(t *testing.T) {
-	calls := 0
-	For(1, 100, func(w, lo, hi int) {
-		calls++
-		if w != 0 || lo != 0 || hi != 100 {
-			t.Errorf("serial shard = (%d, %d, %d), want (0, 0, 100)", w, lo, hi)
-		}
-	})
-	if calls != 1 {
-		t.Errorf("serial path ran fn %d times, want 1", calls)
-	}
-}
-
-// Shard boundaries are a pure function of (workers, n): two runs must hand
-// every worker the same range, regardless of scheduling.
-func TestForDeterministicShards(t *testing.T) {
-	shard := func() [8][2]int {
-		var recs [8][2]int // per-worker slots: no shared-state race
-		For(8, 1000, func(w, lo, hi int) { recs[w] = [2]int{lo, hi} })
-		return recs
-	}
-	a, b := shard(), shard()
-	for w := range a {
-		if a[w] != b[w] {
-			t.Errorf("worker %d shard differs across runs: %v vs %v", w, a[w], b[w])
-		}
-	}
-}
 
 func TestBudget(t *testing.T) {
 	if got := Budget(3); got != 3 {

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"tmi3d/internal/geom"
-	"tmi3d/internal/par"
 )
 
 // engine drives the recursive bisection. Its FM scratch is owned here and
@@ -13,10 +12,9 @@ import (
 // epoch counter stand in for per-region sets, so refining a region costs
 // time proportional to the region, not the design.
 type engine struct {
-	p       *Placement
-	widths  []float64
-	noFM    bool
-	workers int
+	p      *Placement
+	widths []float64
+	noFM   bool
 
 	// netStart/nets hold each instance's nets as compressed rows: instance
 	// i touches nets[netStart[i]:netStart[i+1]], ascending, clock excluded,
@@ -54,7 +52,7 @@ type netState struct {
 }
 
 // newEngine builds the instance→nets rows once and sizes the FM scratch.
-func newEngine(p *Placement, widths []float64, noFM bool, workers int) *engine {
+func newEngine(p *Placement, widths []float64, noFM bool) *engine {
 	d := p.Design
 	n, m := len(d.Instances), len(d.Nets)
 	pins := 0
@@ -62,7 +60,7 @@ func newEngine(p *Placement, widths []float64, noFM bool, workers int) *engine {
 		pins += len(d.Instances[i].Pins)
 	}
 	e := &engine{
-		p: p, widths: widths, noFM: noFM, workers: workers,
+		p: p, widths: widths, noFM: noFM,
 		netStart:  make([]int32, n+1),
 		nets:      make([]int32, 0, pins),
 		side:      make([]bool, n),
@@ -102,20 +100,10 @@ func (e *engine) bisect(insts []int32, region geom.Rect, vertical bool) {
 	// Update position estimates: everything in this region sits at its
 	// center until split further.
 	cx, cy := region.Center().X, region.Center().Y
-	// Each shard writes the X/Y slots of its own instances only; below the
-	// threshold the fleet isn't worth its spawn cost (the recursion visits
-	// mostly small regions) and par.For degenerates to the same serial loop.
-	centerWorkers := e.workers
-	if len(insts) < 2048 {
-		centerWorkers = 1
+	for _, i := range insts {
+		e.p.X[i] = cx
+		e.p.Y[i] = cy
 	}
-	par.For(centerWorkers, len(insts), func(w, lo, hi int) {
-		//tmi3dvet:parloop place.center
-		for k := lo; k < hi; k++ {
-			e.p.X[insts[k]] = cx
-			e.p.Y[insts[k]] = cy
-		}
-	})
 	if len(insts) <= 8 || (region.W() < 4*e.p.SiteW && region.H() < 2*e.p.RowH) {
 		e.placeLeaf(insts, region)
 		return
@@ -213,58 +201,50 @@ func (e *engine) fmRefine(insts []int32, region geom.Rect, vertical bool, totalA
 	}
 	netList := e.netList
 	states := e.states[:len(netList)]
-	// Each net owns its states slot, so shards write disjoint entries;
-	// positions, stamps and side assignments are only read.
-	netWorkers := e.workers
-	if len(netList) < 512 {
-		netWorkers = 1
-	}
-	par.For(netWorkers, len(netList), func(pw, plo, phi int) {
-		//tmi3dvet:parloop place.netstate
-		for pk := plo; pk < phi; pk++ {
-			st := &states[pk]
-			*st = netState{}
-			visit := func(inst int) {
-				if inst < 0 {
-					return
-				}
-				if e.instStamp[inst] == epoch {
-					if e.side[inst] {
-						st.cntB++
-					} else {
-						st.cntA++
-					}
+	for pk := range netList {
+		st := &states[pk]
+		*st = netState{}
+		visit := func(inst int) {
+			if inst < 0 {
+				return
+			}
+			if e.instStamp[inst] == epoch {
+				if e.side[inst] {
+					st.cntB++
 				} else {
-					if sideOf(geom.Point{X: e.p.X[inst], Y: e.p.Y[inst]}) {
-						st.ancB = true
-					} else {
-						st.ancA = true
-					}
+					st.cntA++
+				}
+			} else {
+				if sideOf(geom.Point{X: e.p.X[inst], Y: e.p.Y[inst]}) {
+					st.ancB = true
+				} else {
+					st.ancA = true
 				}
 			}
-			net := &d.Nets[netList[pk]]
-			if net.Driver.Inst >= 0 {
-				visit(net.Driver.Inst)
-			} else if pt, ok := e.p.Ports[net.Driver.Pin]; ok {
+		}
+		net := &d.Nets[netList[pk]]
+		if net.Driver.Inst >= 0 {
+			visit(net.Driver.Inst)
+		} else if pt, ok := e.p.Ports[net.Driver.Pin]; ok {
+			if sideOf(pt) {
+				st.ancB = true
+			} else {
+				st.ancA = true
+			}
+		}
+		for _, s := range net.Sinks {
+			if s.Inst >= 0 {
+				visit(s.Inst)
+			} else if pt, ok := e.p.Ports[s.Pin]; ok {
 				if sideOf(pt) {
 					st.ancB = true
 				} else {
 					st.ancA = true
 				}
 			}
-			for _, s := range net.Sinks {
-				if s.Inst >= 0 {
-					visit(s.Inst)
-				} else if pt, ok := e.p.Ports[s.Pin]; ok {
-					if sideOf(pt) {
-						st.ancB = true
-					} else {
-						st.ancA = true
-					}
-				}
-			}
 		}
-	})
+
+	}
 
 	// Build the FM core over local ids: each cell's local nets and each
 	// net's local cells are sub-slices of two flat buffers, filled in cell

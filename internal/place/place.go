@@ -40,10 +40,6 @@ type Options struct {
 	// DisableFM skips the Fiduccia–Mattheyses refinement (ablation: the
 	// bisection then relies on the structural index-order prior alone).
 	DisableFM bool
-	// Workers bounds the worker fleet of the parallel loops (center
-	// re-estimation and FM net-state collection); <= 1 runs serially.
-	// Results are byte-identical at any value.
-	Workers int
 }
 
 // Run places the mapped design.
@@ -95,7 +91,7 @@ func Run(d *netlist.Design, opt Options) (*Placement, error) {
 		p.Y[i] = die.Center().Y
 	}
 
-	eng := newEngine(p, widths, opt.DisableFM, opt.Workers)
+	eng := newEngine(p, widths, opt.DisableFM)
 	_ = opt.Seed // placement is fully deterministic; the seed is reserved
 	all := make([]int32, n)
 	for i := range all {

@@ -179,47 +179,3 @@ func TestDEFRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-// The worker count must never change a bit of the placement. The design is
-// past both parallel thresholds (2048 instances for the center loop, 512
-// region nets for the FM net-state loop), so the parallel paths really run.
-func TestWorkersMatchSerial(t *testing.T) {
-	lib, err := liberty.Default(tech.N45, tech.ModeTMI)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := circuits.Generate("LDPC", 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr, err := synth.Run(d, synth.Options{Lib: lib, WLM: wlm.BuildForMode(tech.N45, tech.ModeTMI, 20000)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, m := len(sr.Design.Instances), len(sr.Design.Nets); n < 2048 || m < 512 {
-		t.Fatalf("design has %d instances and %d nets, below the parallel thresholds", n, m)
-	}
-	run := func(workers int) *Placement {
-		p, err := Run(sr.Design, Options{Lib: lib, Tech: tech.New(tech.N45, tech.ModeTMI), Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	serial, parallel := run(1), run(4)
-	for i := range serial.X {
-		if math.Float64bits(serial.X[i]) != math.Float64bits(parallel.X[i]) ||
-			math.Float64bits(serial.Y[i]) != math.Float64bits(parallel.Y[i]) {
-			t.Fatalf("instance %d at (%v, %v) with 4 workers, (%v, %v) serially",
-				i, parallel.X[i], parallel.Y[i], serial.X[i], serial.Y[i])
-		}
-	}
-	if len(serial.Ports) != len(parallel.Ports) {
-		t.Fatalf("%d ports with 4 workers, %d serially", len(parallel.Ports), len(serial.Ports))
-	}
-	for name, pt := range serial.Ports {
-		if q, ok := parallel.Ports[name]; !ok || q != pt {
-			t.Fatalf("port %s at %v with 4 workers, %v serially", name, q, pt)
-		}
-	}
-}

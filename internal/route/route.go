@@ -16,7 +16,6 @@ import (
 	"sort"
 
 	"tmi3d/internal/geom"
-	"tmi3d/internal/par"
 	"tmi3d/internal/place"
 	"tmi3d/internal/tech"
 )
@@ -34,18 +33,12 @@ type Options struct {
 	Iterations int
 	// NoDetour disables the congestion detour-length model (ablation).
 	NoDetour bool
-	// Workers bounds the worker fleet routing each chunk of nets; <= 1
-	// routes serially. Results are byte-identical at any value: nets route
-	// against the grid as frozen at their chunk boundary, and usage commits
-	// in net order either way.
-	Workers int
 }
 
 // routeChunk is the number of nets routed against one frozen grid snapshot
-// before their usage is committed. Chunk boundaries depend only on the net
-// order, never on the worker count, so they are part of the deterministic
-// algorithm — smaller chunks track congestion more closely, larger ones
-// parallelize better.
+// before their usage is committed in net order. The chunking is part of the
+// algorithm, not an execution detail: experiments_full.txt and the golden
+// digests were generated under 64-net frozen chunks.
 const routeChunk = 64
 
 // NetRoute describes one routed net.
@@ -196,13 +189,18 @@ func Run(p *place.Placement, opt Options) (*Result, error) {
 	})
 
 	r := &router{g: g, p: p, noDetour: opt.NoDetour, segsByNet: make(map[int][]seg)}
+	for dir := range r.ov.usage {
+		for c := range r.ov.usage[dir] {
+			r.ov.usage[dir][c] = make([]float32, len(g.usage[dir][c]))
+		}
+	}
 	results := make([]netResult, routeChunk)
 	for pass := 0; pass < iters; pass++ {
 		// Pick this pass's work list up front, against the grid as the
 		// previous pass left it: every net on the first pass, only the
 		// congested ones later. Rip-ups are then batched before rerouting —
 		// the congestion decision and the reroutes all see one coherent
-		// grid, regardless of worker count.
+		// grid.
 		active := order
 		if pass > 0 {
 			active = active[:0:0]
@@ -215,17 +213,14 @@ func Run(p *place.Placement, opt Options) (*Result, error) {
 				r.ripUp(no.ni)
 			}
 		}
-		// Route in fixed-size chunks: nets of a chunk route concurrently
-		// against the frozen grid into index-addressed slots, then their
-		// usage deltas are committed serially in net order.
+		// Route in fixed-size chunks: every net of a chunk routes against the
+		// grid as frozen at the chunk boundary, then the chunk's usage is
+		// committed in net order.
 		for lo := 0; lo < len(active); lo += routeChunk {
 			chunk := active[lo:min(lo+routeChunk, len(active))]
-			par.For(opt.Workers, len(chunk), func(w, clo, chi int) {
-				//tmi3dvet:parloop route.nets
-				for k := clo; k < chi; k++ {
-					results[k] = r.routeNetFrozen(chunk[k].ni)
-				}
-			})
+			for k := range chunk {
+				results[k] = r.routeNetFrozen(chunk[k].ni)
+			}
 			for k := range chunk {
 				ni := chunk[k].ni
 				for _, s := range results[k].segs {

@@ -136,44 +136,3 @@ func TestOptionsValidation(t *testing.T) {
 		t.Error("missing tech should error")
 	}
 }
-
-// Chunk-frozen routing makes the worker count irrelevant to the result:
-// every field of every route must match bit for bit.
-func TestRouteWorkersMatchSerial(t *testing.T) {
-	lib, err := liberty.Default(tech.N45, tech.Mode2D)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := circuits.Generate("AES", 0.08)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr, err := synth.Run(d, synth.Options{Lib: lib, WLM: wlm.BuildForMode(tech.N45, tech.Mode2D, 20000)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tt := tech.New(tech.N45, tech.Mode2D)
-	p, err := place.Run(sr.Design, place.Options{Lib: lib, Tech: tt, TargetUtil: 0.8, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := Run(p, Options{Tech: tt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 7} {
-		par, err := Run(p, Options{Tech: tt, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par.TotalLen != serial.TotalLen || par.Overflow != serial.Overflow || par.MaxCongestion != serial.MaxCongestion {
-			t.Fatalf("workers=%d summary differs: len %v/%v overflow %d/%d cong %v/%v",
-				workers, par.TotalLen, serial.TotalLen, par.Overflow, serial.Overflow, par.MaxCongestion, serial.MaxCongestion)
-		}
-		for ni := range serial.Routes {
-			if par.Routes[ni] != serial.Routes[ni] {
-				t.Fatalf("workers=%d: route %d = %+v, serial %+v", workers, ni, par.Routes[ni], serial.Routes[ni])
-			}
-		}
-	}
-}

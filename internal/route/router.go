@@ -25,19 +25,40 @@ type router struct {
 	noDetour bool
 	// segsByNet stores the committed segments for rip-up.
 	segsByNet map[int][]seg
+	// ov is the routing net's own overlay, reused by every net.
+	ov overlay
 }
 
-// overlay is a net-private view of congestion-grid deltas: the usage a net
-// has committed itself mid-route, layered over the frozen shared grid. Keys
-// pack (dir, class, edge); edge counts stay far below 2^28 at any scale.
-type overlay map[uint32]float32
-
-func ovKey(dir, class, edge int) uint32 {
-	return uint32(dir)<<31 | uint32(class)<<28 | uint32(edge)
+// overlay is the usage a net has committed itself mid-route, layered over
+// the frozen shared grid: shaped like grid.usage, with the edges it touched
+// listed so reset clears only those.
+type overlay struct {
+	usage   [2][NumClasses][]float32
+	touched []ovEdge
 }
 
-func (ov overlay) at(dir, class, edge int) float64 {
-	return float64(ov[ovKey(dir, class, edge)])
+type ovEdge struct {
+	dir, class int8
+	edge       int32
+}
+
+func (ov *overlay) at(dir, class, edge int) float64 {
+	return float64(ov.usage[dir][class][edge])
+}
+
+func (ov *overlay) add(dir, class, edge int) {
+	u := &ov.usage[dir][class][edge]
+	if *u == 0 {
+		ov.touched = append(ov.touched, ovEdge{int8(dir), int8(class), int32(edge)})
+	}
+	*u++
+}
+
+func (ov *overlay) reset() {
+	for _, e := range ov.touched {
+		ov.usage[e.dir][e.class][e.edge] = 0
+	}
+	ov.touched = ov.touched[:0]
 }
 
 // netResult is one net's routing outcome before commit: the route metrics
@@ -107,7 +128,7 @@ func (g *grid) edgeCost(dir, class int, u float64) float64 {
 
 // pathCost prices a candidate segment on a class against the frozen grid
 // plus the net's overlay.
-func (g *grid) pathCost(s seg, ov overlay) float64 {
+func (g *grid) pathCost(s seg, ov *overlay) float64 {
 	cost := 0.0
 	g.walk(s, func(dir, edge int) {
 		u := float64(g.usage[dir][int(s.class)][edge]) + ov.at(dir, int(s.class), edge)
@@ -123,10 +144,10 @@ func (g *grid) apply(s seg, delta float32) {
 }
 
 // routeNetFrozen routes one net against the shared congestion grid as
-// frozen at the start of its chunk. The net's own mid-route commits go to a
-// private overlay (each 2-pin connection must see the previous ones), so
-// concurrent calls never touch shared state; the chunk's commit step folds
-// the returned segments into the grid serially in net order.
+// frozen at the start of its chunk. The net's own mid-route commits go to
+// the router's overlay (each 2-pin connection must see the previous ones);
+// the chunk's commit step folds the returned segments into the grid in net
+// order.
 func (r *router) routeNetFrozen(ni int) netResult {
 	d := r.p.Design
 	net := &d.Nets[ni]
@@ -170,7 +191,8 @@ func (r *router) routeNetFrozen(ni int) netResult {
 		route.Class = tech.ClassM1
 		return netResult{route: route}
 	}
-	ov := overlay{}
+	ov := &r.ov
+	defer ov.reset()
 
 	// Prim-style 2-pin decomposition over gcell positions. Nodes carry the
 	// real coordinates of the point they stand for (pin location, or gcell
@@ -253,7 +275,7 @@ func (r *router) routeNetFrozen(ni int) netResult {
 			}
 		}
 		g.walk(bestSeg, func(dir, edge int) {
-			ov[ovKey(dir, int(bestSeg.class), edge)]++
+			ov.add(dir, int(bestSeg.class), edge)
 		})
 		segs = append(segs, bestSeg)
 		cl := tech.LayerClass(bestSeg.class)

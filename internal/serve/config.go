@@ -75,24 +75,12 @@ func ParseConfig(q url.Values) (flow.Config, error) {
 	}
 
 	seen["node"] = true
-	switch q.Get("node") {
-	case "", "45", "45nm":
-		cfg.Node = tech.N45
-	case "7", "7nm":
-		cfg.Node = tech.N7
-	default:
+	var err error
+	if cfg.Node, err = tech.ParseNode(q.Get("node")); err != nil {
 		return cfg, fmt.Errorf("unknown node %q (45 or 7)", q.Get("node"))
 	}
-
 	seen["mode"] = true
-	switch strings.ToLower(q.Get("mode")) {
-	case "", "2d":
-		cfg.Mode = tech.Mode2D
-	case "tmi", "3d":
-		cfg.Mode = tech.ModeTMI
-	case "tmim", "3d+m":
-		cfg.Mode = tech.ModeTMIM
-	default:
+	if cfg.Mode, err = tech.ParseMode(q.Get("mode")); err != nil {
 		return cfg, fmt.Errorf("unknown mode %q (2d, tmi or tmim)", q.Get("mode"))
 	}
 

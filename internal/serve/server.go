@@ -531,27 +531,11 @@ func (s *Server) requestConfig(r *http.Request) (flow.Config, error) {
 	return ParseConfig(r.URL.Query())
 }
 
-// intraWorkers splits the cores between the job pool and each flow's
-// intra-flow worker fleet so pool × intra never oversubscribes the machine.
-// The budget is byte-identity-neutral (flow keeps Workers out of the cache
-// key), so it never reaches the client-visible result.
-func (s *Server) intraWorkers() int {
-	intra := runtime.GOMAXPROCS(0) / s.cfg.Workers
-	if intra < 1 {
-		intra = 1
-	}
-	return intra
-}
-
 func (s *Server) runner() func(flow.Config) (*flow.Result, error) {
 	if s.runFlow != nil {
 		return s.runFlow
 	}
-	intra := s.intraWorkers()
-	return func(cfg flow.Config) (*flow.Result, error) {
-		cfg.Workers = intra
-		return flow.Run(cfg)
-	}
+	return flow.Run
 }
 
 // ppaJob builds the compute closure for one configuration: run the flow
@@ -565,7 +549,6 @@ func (s *Server) ppaJob(cfg flow.Config, stageHits *string) func() ([]byte, erro
 		var r *flow.Result
 		var err error
 		if s.runFlow == nil && s.engine != nil {
-			cfg.Workers = s.intraWorkers()
 			var stats stage.RunStats
 			r, stats, err = s.engine.RunStats(cfg)
 			if err == nil && stageHits != nil {

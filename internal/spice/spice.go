@@ -15,10 +15,8 @@ package spice
 import (
 	"fmt"
 	"math"
-	"os"
 
 	"tmi3d/internal/device"
-	"tmi3d/internal/par"
 )
 
 // Ground is the reserved name of the reference node.
@@ -176,11 +174,6 @@ type Options struct {
 	Step float64 // fixed timestep, ps; default Stop/800
 	// MaxNewton bounds Newton iterations per step (default 60).
 	MaxNewton int
-	// Workers bounds the worker fleet that linearizes FETs inside each
-	// Newton iteration; <= 1 (or a small circuit) stamps serially. Results
-	// are bit-identical at any value: stamps are recorded per FET and
-	// folded into G/rhs in FET index order either way.
-	Workers int
 }
 
 // stampOp is one recorded matrix/rhs contribution: G[r,c] += v, or, when
@@ -191,17 +184,14 @@ type stampOp struct {
 }
 
 // fetStamp holds one FET's linearized contributions — at most six G entries
-// and two rhs entries — in the exact order the direct serial stamping used
-// to apply them, so replaying stamps in FET index order reproduces the
-// serial float accumulation bit for bit.
+// and two rhs entries — in the order apply folds them into the system.
 type fetStamp struct {
 	ops [8]stampOp
 	n   int
 }
 
 // stampFET linearizes one FET about the node voltages v and records its
-// companion-model contributions. Pure: it writes only the returned stamp,
-// which is what lets the Newton loop evaluate all FETs concurrently.
+// companion-model contributions. Pure: it writes only the returned stamp.
 func stampFET(m *mosfet, v []float64, row []int) (st fetStamp) {
 	id, gm, gds, dE, sE, sign := fetCurrent(m, v)
 	// Current sign·id flows dE→sE (in NMOS convention after swap).
@@ -253,11 +243,6 @@ func (st *fetStamp) apply(G *matrix, rhs []float64) {
 		}
 	}
 }
-
-// parFetThreshold is the circuit size below which parallel stamping is not
-// worth the fork/join; characterization circuits (a handful of FETs) stay
-// on the serial path.
-const parFetThreshold = 64
 
 // Result holds transient waveforms.
 type Result struct {
@@ -320,8 +305,6 @@ func (c *Circuit) Transient(o Options) (*Result, error) {
 	rhs := make([]float64, nf)
 	dv := make([]float64, nf)
 	vPrev := make([]float64, n)
-	workers := o.Workers
-	stamps := make([]fetStamp, len(c.fets))
 
 	// solveStep performs Newton iterations for one system; withCaps=false
 	// computes the DC operating point. hStep is the timestep used for the
@@ -361,25 +344,10 @@ func (c *Circuit) Transient(o Options) (*Result, error) {
 					}
 				}
 			}
-			// FET linearization: evaluation is per-FET pure (stampFET), so it
-			// shards across workers into index-addressed stamp slots; the
-			// float accumulation into the shared G/rhs happens serially in
-			// FET index order, replaying exactly the serial op sequence.
-			if workers > 1 && len(c.fets) >= parFetThreshold {
-				par.For(workers, len(c.fets), func(w, lo, hi int) {
-					//tmi3dvet:parloop spice.stamp
-					for fi := lo; fi < hi; fi++ {
-						stamps[fi] = stampFET(&c.fets[fi], v, row)
-					}
-				})
-				for fi := range stamps {
-					stamps[fi].apply(G, rhs)
-				}
-			} else {
-				for fi := range c.fets {
-					st := stampFET(&c.fets[fi], v, row)
-					st.apply(G, rhs)
-				}
+			// FET linearization, folded into G/rhs in FET index order.
+			for fi := range c.fets {
+				st := stampFET(&c.fets[fi], v, row)
+				st.apply(G, rhs)
 			}
 			if nf > 0 {
 				if err := G.solve(rhs, dv); err != nil {
@@ -387,12 +355,10 @@ func (c *Circuit) Transient(o Options) (*Result, error) {
 				}
 			}
 			maxDelta := 0.0
-			maxNode := -1
 			for k, fi := range free {
 				delta := dv[k] - v[fi]
 				if math.Abs(delta) > maxDelta {
 					maxDelta = math.Abs(delta)
-					maxNode = fi
 				}
 				// Damped update: generous steps early, tight steps late.
 				// The tight clamp bounds the damage of occasional wild Newton
@@ -417,10 +383,6 @@ func (c *Circuit) Transient(o Options) (*Result, error) {
 				return nil
 			}
 			lastDelta = maxDelta
-			if os.Getenv("SPICE_DEBUG") != "" && iter > iters-12 {
-				fmt.Fprintf(os.Stderr, "  iter %d maxDelta=%.5g node=%s v=%.5f target=%.5f\n",
-					iter, maxDelta, c.names[maxNode], v[maxNode], dv[row[maxNode]])
-			}
 		}
 		if c.kclResidual(v, vPrev, hStep, free, withCaps) < 1e-4 {
 			return nil
@@ -450,11 +412,6 @@ func (c *Circuit) Transient(o Options) (*Result, error) {
 			}
 		}
 		if !ok {
-			if os.Getenv("SPICE_DEBUG") != "" {
-				for i, name := range c.names {
-					fmt.Fprintf(os.Stderr, "  node %-8s v=%.4f fixed=%v\n", name, v[i], fixed[i])
-				}
-			}
 			return nil, fmt.Errorf("spice: DC operating point did not converge")
 		}
 		setSources(0)

@@ -1,7 +1,6 @@
 package spice
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -224,49 +223,5 @@ func TestMatrixSolve(t *testing.T) {
 	s := newMatrix(2) // all zeros → singular
 	if err := s.solve([]float64{1, 1}, make([]float64, 2)); err == nil {
 		t.Error("singular matrix should error")
-	}
-}
-
-// A long inverter chain crosses parFetThreshold, so its Newton iterations
-// take the parallel stamping path. Worker count must not change one bit of
-// the solution: stamps are folded into G/rhs in FET index order either way.
-func TestParallelStampMatchesSerial(t *testing.T) {
-	build := func() *Circuit {
-		c := New()
-		vdd := 1.1
-		c.AddV("vdd", DC(vdd))
-		c.AddV("a", Ramp{V0: 0, V1: vdd, T0: 20, Rise: 7.5})
-		for i := 0; i < 40; i++ { // 80 FETs ≥ parFetThreshold
-			out := fmt.Sprintf("z%d", i)
-			c.AddMOS(device.PTM45(device.PMOS), 0.63, out, "a", "vdd")
-			c.AddMOS(device.PTM45(device.NMOS), 0.415, out, "a", Ground)
-			c.AddC(out, Ground, 0.2+0.05*float64(i%7))
-		}
-		return c
-	}
-	serial, err := build().Transient(Options{Stop: 200, Step: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 5} {
-		par, err := build().Transient(Options{Stop: 200, Step: 0.5, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(par.V) != len(serial.V) {
-			t.Fatalf("workers=%d: %d timepoints vs %d serial", workers, len(par.V), len(serial.V))
-		}
-		for k := range serial.V {
-			for n := range serial.V[k] {
-				if par.V[k][n] != serial.V[k][n] {
-					t.Fatalf("workers=%d: V[%d][%d] = %v, serial %v", workers, k, n, par.V[k][n], serial.V[k][n])
-				}
-			}
-			for j := range serial.SourceCurrent[k] {
-				if par.SourceCurrent[k][j] != serial.SourceCurrent[k][j] {
-					t.Fatalf("workers=%d: I[%d][%d] differs", workers, k, j)
-				}
-			}
-		}
 	}
 }

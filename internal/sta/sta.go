@@ -6,13 +6,6 @@
 // The same engine serves every stage by injecting different wire parasitics:
 // wire-load-model estimates during synthesis, bounding-box estimates after
 // placement, and extracted RC after routing.
-//
-// Analysis is optionally parallel (Env.Workers): the per-net load pass
-// shards nets across a fixed worker fleet, and the arrival/slew passes run
-// level by level — every instance in a topological level depends only on
-// strictly lower levels, so a level's instances compute concurrently into
-// per-instance slots that are scattered serially. Results are byte-identical
-// at any worker count.
 package sta
 
 import (
@@ -21,7 +14,6 @@ import (
 
 	"tmi3d/internal/liberty"
 	"tmi3d/internal/netlist"
-	"tmi3d/internal/par"
 )
 
 // WireRC carries the lumped parasitics of one net.
@@ -62,9 +54,6 @@ type Env struct {
 	InputSlew float64
 	// ClockPs overrides the design target clock when non-zero.
 	ClockPs float64
-	// Workers bounds the worker fleet of the parallel passes; <= 1 analyzes
-	// serially. Results are byte-identical at any value.
-	Workers int
 }
 
 // Result holds per-net timing plus the summary metrics.
@@ -109,8 +98,7 @@ func cellOf(lib *liberty.Library, inst *netlist.Instance) (*liberty.Cell, error)
 // resolveCells binds every instance to its library cell up front. A
 // library/netlist mismatch is reported as one error here instead of
 // surfacing as a nil-cell crash in whichever propagation pass touches the
-// unmapped instance first — and the parallel passes then never see an
-// error path inside their loop bodies.
+// unmapped instance first.
 func resolveCells(lib *liberty.Library, d *netlist.Design) ([]*liberty.Cell, error) {
 	cells := make([]*liberty.Cell, len(d.Instances))
 	for ii := range d.Instances {
@@ -122,12 +110,6 @@ func resolveCells(lib *liberty.Library, d *netlist.Design) ([]*liberty.Cell, err
 	}
 	return cells, nil
 }
-
-// outVal is one output's staged value pair from a parallel level pass
-// (arrival/slew for the max pass, min-arrival in a for the hold pass). The
-// staging array parallels graph.outs, so each instance writes only its own
-// outputs' slots and the serial scatter replays them in a fixed order.
-type outVal struct{ a, b float64 }
 
 // graph is the compiled timing view of one design, built once per Analyze:
 // every pin name the passes need is resolved to a net index up front, so
@@ -247,7 +229,6 @@ func Analyze(d *netlist.Design, env Env) (*Result, error) {
 	if inputSlew == 0 {
 		inputSlew = 20
 	}
-	workers := env.Workers
 
 	cells, err := resolveCells(lib, d)
 	if err != nil {
@@ -255,26 +236,22 @@ func Analyze(d *netlist.Design, env Env) (*Result, error) {
 	}
 
 	// Net loads (wire capacitance plus sink pin capacitance) and each net's
-	// wire delay, priced once here instead of once per arc per pass. Every
-	// iteration writes only its own slot i, so the shards are disjoint.
+	// wire delay, priced once here instead of once per arc per pass.
 	wireDelay := make([]float64, n)
-	par.For(workers, n, func(w, lo, hi int) {
-		//tmi3dvet:parloop sta.loads
-		for i := lo; i < hi; i++ {
-			wire := env.Wire(i)
-			load := wire.C
-			for _, s := range d.Nets[i].Sinks {
-				if s.Inst < 0 {
-					continue
-				}
-				load += cells[s.Inst].PinCap[s.Pin]
+	for i := range d.Nets {
+		wire := env.Wire(i)
+		load := wire.C
+		for _, s := range d.Nets[i].Sinks {
+			if s.Inst < 0 {
+				continue
 			}
-			res.Load[i] = load
-			wireDelay[i] = WireDelay(wire, load)
+			load += cells[s.Inst].PinCap[s.Pin]
 		}
-	})
+		res.Load[i] = load
+		wireDelay[i] = WireDelay(wire, load)
+	}
 
-	levelStart, levelOrder, err := levelize(d)
+	_, levelOrder, err := levelize(d)
 	if err != nil {
 		return nil, err
 	}
@@ -282,8 +259,6 @@ func Analyze(d *netlist.Design, env Env) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	nLevels := len(levelStart) - 1
-	level := func(l int) []int32 { return levelOrder[levelStart[l]:levelStart[l+1]] }
 
 	// Startpoints.
 	for i := range res.Arrival {
@@ -306,53 +281,32 @@ func Analyze(d *netlist.Design, env Env) (*Result, error) {
 		res.Slew[s.q] = s.launch.OutSlew.At(inputSlew, res.Load[s.q])
 	}
 
-	// Propagate through combinational instances level by level. Within a
-	// level, every input net is driven from a strictly lower level (or a
-	// startpoint), so the per-instance computations are independent: they
-	// run in parallel into their own outputs' staging slots, and the
-	// scatter back into res.Arrival/res.Slew is serial. Each output net has
-	// exactly one driver, so scattered writes never collide either.
-	staged := make([]outVal, len(g.outs))
-	scatter := func(lv []int32, set func(net int32, v outVal)) {
-		for _, ii := range lv {
-			for oi := g.outStart[ii]; oi < g.outStart[ii+1]; oi++ {
-				set(g.outs[oi].net, staged[oi])
-			}
-		}
-	}
-	for l := 0; l < nLevels; l++ {
-		lv := level(l)
-		par.For(workers, len(lv), func(w, lo, hi int) {
-			//tmi3dvet:parloop sta.propagate
-			for k := lo; k < hi; k++ {
-				vals := staged[g.outStart[lv[k]]:g.outStart[lv[k]+1]]
-				for j, out := range g.outputs(lv[k]) {
-					load := res.Load[out.net]
-					bestArr := math.Inf(-1)
-					bestSlew := 0.0
-					for _, in := range g.inputs(out) {
-						inArr := res.Arrival[in.net]
-						if math.IsInf(inArr, -1) {
-							continue
-						}
-						inSlew := res.Slew[in.net]
-						// Wire delay from the input net's driver to this pin.
-						a := inArr + wireDelay[in.net] + in.arc.Delay.At(inSlew, load)
-						if a > bestArr {
-							bestArr = a
-							bestSlew = in.arc.OutSlew.At(inSlew, load)
-						}
-					}
-					vals[j] = outVal{bestArr, bestSlew}
+	// Propagate through combinational instances in level order: every input
+	// net is driven from a strictly lower level (or a startpoint), so it is
+	// final before any instance reads it.
+	for _, ii := range levelOrder {
+		for _, out := range g.outputs(ii) {
+			load := res.Load[out.net]
+			bestArr := math.Inf(-1)
+			bestSlew := 0.0
+			for _, in := range g.inputs(out) {
+				inArr := res.Arrival[in.net]
+				if math.IsInf(inArr, -1) {
+					continue
+				}
+				inSlew := res.Slew[in.net]
+				// Wire delay from the input net's driver to this pin.
+				a := inArr + wireDelay[in.net] + in.arc.Delay.At(inSlew, load)
+				if a > bestArr {
+					bestArr = a
+					bestSlew = in.arc.OutSlew.At(inSlew, load)
 				}
 			}
-		})
-		scatter(lv, func(net int32, v outVal) {
-			if !math.IsInf(v.a, -1) {
-				res.Arrival[net] = v.a
-				res.Slew[net] = v.b
+			if !math.IsInf(bestArr, -1) {
+				res.Arrival[out.net] = bestArr
+				res.Slew[out.net] = bestSlew
 			}
-		})
+		}
 	}
 
 	// Endpoint checks: DFF D pins (setup) and primary outputs.
@@ -389,8 +343,7 @@ func Analyze(d *netlist.Design, env Env) (*Result, error) {
 	// Hold analysis: propagate MINIMUM arrivals (fastest arc per gate, no
 	// wire pessimism) and check each sequential data pin against its hold
 	// requirement. The clock is ideal, so launch and capture edges align.
-	// The pass reuses the levels (and the staging slots) of the max pass
-	// above — same independence argument.
+	// The pass walks the level order of the max pass above.
 	minArr := make([]float64, n)
 	for i := range minArr {
 		minArr[i] = math.Inf(1)
@@ -409,30 +362,21 @@ func Analyze(d *netlist.Design, env Env) (*Result, error) {
 			minArr[s.q] = s.launch.Delay.At(inputSlew, res.Load[s.q])
 		}
 	}
-	for l := 0; l < nLevels; l++ {
-		lv := level(l)
-		par.For(workers, len(lv), func(w, lo, hi int) {
-			for k := lo; k < hi; k++ {
-				vals := staged[g.outStart[lv[k]]:g.outStart[lv[k]+1]]
-				for j, out := range g.outputs(lv[k]) {
-					best := math.Inf(1)
-					for _, in := range g.inputs(out) {
-						if math.IsInf(minArr[in.net], 1) {
-							continue
-						}
-						if a := minArr[in.net] + in.arc.Delay.At(res.Slew[in.net], res.Load[out.net]); a < best {
-							best = a
-						}
-					}
-					vals[j] = outVal{a: best}
+	for _, ii := range levelOrder {
+		for _, out := range g.outputs(ii) {
+			best := math.Inf(1)
+			for _, in := range g.inputs(out) {
+				if math.IsInf(minArr[in.net], 1) {
+					continue
+				}
+				if a := minArr[in.net] + in.arc.Delay.At(res.Slew[in.net], res.Load[out.net]); a < best {
+					best = a
 				}
 			}
-		})
-		scatter(lv, func(net int32, v outVal) {
-			if !math.IsInf(v.a, 1) {
-				minArr[net] = v.a
+			if !math.IsInf(best, 1) {
+				minArr[out.net] = best
 			}
-		})
+		}
 	}
 	res.HoldWNS = math.Inf(1)
 	for _, s := range g.seqs {
@@ -446,11 +390,8 @@ func Analyze(d *netlist.Design, env Env) (*Result, error) {
 		res.HoldWNS = 0
 	}
 
-	// Backward pass: required times, for slack-driven optimization. Runs
-	// serially in reverse level order — each arc min-folds into its input
-	// net's entry, and a min over a fixed edge set yields the same value in
-	// any order, so this pass needs no slot machinery; it simply is not the
-	// bottleneck the forward passes are.
+	// Backward pass: required times, for slack-driven optimization, in
+	// reverse level order — each arc min-folds into its input net's entry.
 	res.Required = make([]float64, n)
 	for i := range res.Required {
 		res.Required[i] = math.Inf(1)
@@ -465,19 +406,16 @@ func Analyze(d *netlist.Design, env Env) (*Result, error) {
 			res.Required[ni] = res.ClockPs
 		}
 	}
-	for l := nLevels - 1; l >= 0; l-- {
-		lv := level(l)
-		for k := len(lv) - 1; k >= 0; k-- {
-			for _, out := range g.outputs(lv[k]) {
-				req := res.Required[out.net]
-				if math.IsInf(req, 1) {
-					continue
-				}
-				for _, in := range g.inputs(out) {
-					r := req - in.arc.Delay.At(res.Slew[in.net], res.Load[out.net]) - wireDelay[in.net]
-					if r < res.Required[in.net] {
-						res.Required[in.net] = r
-					}
+	for k := len(levelOrder) - 1; k >= 0; k-- {
+		for _, out := range g.outputs(levelOrder[k]) {
+			req := res.Required[out.net]
+			if math.IsInf(req, 1) {
+				continue
+			}
+			for _, in := range g.inputs(out) {
+				r := req - in.arc.Delay.At(res.Slew[in.net], res.Load[out.net]) - wireDelay[in.net]
+				if r < res.Required[in.net] {
+					res.Required[in.net] = r
 				}
 			}
 		}
@@ -514,11 +452,10 @@ func Levelize(d *netlist.Design) ([]int, error) {
 // are sources) and returns the instances bucketed by level as compressed
 // rows: level l is order[start[l]:start[l+1]], in ascending instance-index
 // order. A level is the longest-path depth, so the buckets do not depend on
-// the order the work queue visits instances. Every instance in a level
-// depends only on strictly lower levels — the independence property the
-// parallel arrival passes rely on. It keys on Instance.Func, not a library
-// cell, so it works on unmapped designs. An error reports a combinational
-// cycle.
+// the order the work queue visits instances, and every instance in a level
+// depends only on strictly lower levels. It keys on Instance.Func, not a
+// library cell, so it works on unmapped designs. An error reports a
+// combinational cycle.
 func levelize(d *netlist.Design) (start, order []int32, err error) {
 	n := len(d.Instances)
 	isSeq := make([]bool, n)

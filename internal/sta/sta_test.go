@@ -1,7 +1,6 @@
 package sta
 
 import (
-	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -206,74 +205,6 @@ func TestWireDelayElmoreForm(t *testing.T) {
 	// Zero-parasitic nets contribute nothing.
 	if got := WireDelay(WireRC{}, 7); got != 0 {
 		t.Errorf("WireDelay with no wire = %v, want 0", got)
-	}
-}
-
-// wide builds depth rows of width parallel inverters between a shared PI and
-// per-column DFF endpoints — each row is one topological level wide enough
-// to engage the worker fleet.
-func wide(width, depth int) *netlist.Design {
-	d := netlist.New("wide")
-	d.AddPI("in", "r0c0")
-	for r := 0; r < depth; r++ {
-		for c := 0; c < width; c++ {
-			in := fmt.Sprintf("r%dc%d", r, c)
-			if r == 0 {
-				in = "r0c0"
-			}
-			out := fmt.Sprintf("r%dc%d", r+1, c)
-			d.AddInstance(fmt.Sprintf("i%d_%d", r, c), "INV", map[string]string{"A": in, "Z": out}, "Z")
-			d.Instances[len(d.Instances)-1].CellName = "INV_X1"
-		}
-	}
-	for c := 0; c < width; c++ {
-		q := fmt.Sprintf("q%d", c)
-		d.AddInstance(fmt.Sprintf("ff%d", c), "DFF",
-			map[string]string{"D": fmt.Sprintf("r%dc%d", depth, c), "CK": "clk", "Q": q}, "Q")
-		d.Instances[len(d.Instances)-1].CellName = "DFF_X1"
-		d.AddPO("out"+q, q)
-	}
-	d.SetClock("clk")
-	d.TargetClockPs = 1000
-	return d
-}
-
-// The worker count must never change a single bit of the result — the
-// intra-flow determinism contract, checked field by field.
-func TestWorkersMatchSerial(t *testing.T) {
-	l := lib(t)
-	d := wide(64, 4)
-	wireFn := func(i int) WireRC { return WireRC{R: float64(100 + i%7*50), C: float64(2 + i%5)} }
-	serial, err := Analyze(d, Env{Lib: l, Wire: wireFn})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 8} {
-		par, err := Analyze(d, Env{Lib: l, Wire: wireFn, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range []struct {
-			name string
-			a, b []float64
-		}{
-			{"Arrival", serial.Arrival, par.Arrival},
-			{"Slew", serial.Slew, par.Slew},
-			{"Required", serial.Required, par.Required},
-			{"Load", serial.Load, par.Load},
-		} {
-			for i := range s.a {
-				if s.a[i] != s.b[i] && !(math.IsInf(s.a[i], 0) && s.a[i] == s.b[i]) {
-					if !(math.IsInf(s.a[i], -1) && math.IsInf(s.b[i], -1)) && !(math.IsInf(s.a[i], 1) && math.IsInf(s.b[i], 1)) {
-						t.Fatalf("workers=%d: %s[%d] = %v, serial %v", workers, s.name, i, s.b[i], s.a[i])
-					}
-				}
-			}
-		}
-		if serial.WNS != par.WNS || serial.TNS != par.TNS || serial.HoldWNS != par.HoldWNS || serial.CriticalNet != par.CriticalNet {
-			t.Fatalf("workers=%d summary differs: WNS %v/%v TNS %v/%v hold %v/%v crit %d/%d",
-				workers, par.WNS, serial.WNS, par.TNS, serial.TNS, par.HoldWNS, serial.HoldWNS, par.CriticalNet, serial.CriticalNet)
-		}
 	}
 }
 

@@ -47,8 +47,8 @@ import (
 var Nodes = flow.Nodes
 
 // keyFields returns the stage's key fields: its flow.StageKeys entry minus
-// Workers (worker budgets never change result bytes — the ParLoops
-// determinism contract — so they must not split artifacts).
+// Workers, the ignored field the report stage copies along with the whole
+// Config (keying on it would split identical artifacts).
 func keyFields(name string) []string {
 	fields := flow.StageKeys[name]
 	out := make([]string, 0, len(fields))

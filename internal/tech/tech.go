@@ -11,7 +11,10 @@
 // the generated values land on the unit R/C the paper reports in Section 5.
 package tech
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Node identifies a process node.
 type Node int
@@ -31,6 +34,19 @@ func (n Node) String() string {
 	default:
 		return fmt.Sprintf("Node(%d)", int(n))
 	}
+}
+
+// ParseNode parses a process-node spelling, in any case: 45 or 45nm, 7 or
+// 7nm. The empty string selects N45, the zero value. Every command and the
+// serving layer parse -node / node= through here.
+func ParseNode(s string) (Node, error) {
+	switch strings.ToLower(s) {
+	case "", "45", "45nm":
+		return N45, nil
+	case "7", "7nm":
+		return N7, nil
+	}
+	return N45, fmt.Errorf("unknown node %q (accepted: 45, 45nm, 7, 7nm)", s)
 }
 
 // Mode identifies a design style.
@@ -54,6 +70,20 @@ func (m Mode) String() string {
 	default:
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
+}
+
+// ParseMode parses a design-style spelling, in any case: 2d; tmi or 3d;
+// tmim or 3d+m. The empty string selects Mode2D, the zero value.
+func ParseMode(s string) (Mode, error) {
+	switch strings.ToLower(s) {
+	case "", "2d":
+		return Mode2D, nil
+	case "tmi", "3d":
+		return ModeTMI, nil
+	case "tmim", "3d+m":
+		return ModeTMIM, nil
+	}
+	return Mode2D, fmt.Errorf("unknown mode %q (accepted: 2d, tmi, 3d, tmim, 3d+m)", s)
 }
 
 // Is3D reports whether the mode uses two device tiers.

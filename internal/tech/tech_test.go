@@ -218,3 +218,32 @@ func TestStringers(t *testing.T) {
 		}
 	}
 }
+
+func TestParseNodeMode(t *testing.T) {
+	nodes := map[string]Node{"": N45, "45": N45, "45nm": N45, "45NM": N45, "7": N7, "7nm": N7, "7NM": N7}
+	for s, want := range nodes {
+		if got, err := ParseNode(s); err != nil || got != want {
+			t.Errorf("ParseNode(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	for _, s := range []string{"22", "45 ", "7n", "nm", "N7", "tmi"} {
+		if _, err := ParseNode(s); err == nil {
+			t.Errorf("ParseNode(%q) accepted", s)
+		}
+	}
+	modes := map[string]Mode{
+		"": Mode2D, "2d": Mode2D, "2D": Mode2D,
+		"tmi": ModeTMI, "TMI": ModeTMI, "3d": ModeTMI, "3D": ModeTMI,
+		"tmim": ModeTMIM, "TMIM": ModeTMIM, "3d+m": ModeTMIM, "3D+M": ModeTMIM,
+	}
+	for s, want := range modes {
+		if got, err := ParseMode(s); err != nil || got != want {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	for _, s := range []string{"tml", "t-mi", "2", "3d+", "tmi+m", "45"} {
+		if _, err := ParseMode(s); err == nil {
+			t.Errorf("ParseMode(%q) accepted", s)
+		}
+	}
+}

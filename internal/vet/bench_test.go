@@ -6,7 +6,7 @@ import (
 )
 
 // BenchmarkVet measures a full analysis pass over the real module: parse,
-// type-check (source importer, stdlib included), and all eight analyzers.
+// type-check (source importer, stdlib included), and all nine analyzers.
 // Baseline in BENCH_vet.json; this is the cost scripts/check.sh pays per run,
 // so regressions here slow every CI cycle.
 func BenchmarkVet(b *testing.B) {

@@ -297,6 +297,18 @@ func checkSharedWrite(p *Pass, sup *suppressions, lit *ast.FuncLit, target ast.E
 	reportg(p, sup, target.Pos(), "goroutine closure writes captured %s with no lock in the closure: spawned per iteration, these writes race — guard with a mutex or partition by a per-spawn index", v.Name())
 }
 
+// unwrapWriteTarget peels slice expressions (copy(dst[a:b], …)) so rootObj
+// sees the container.
+func unwrapWriteTarget(e ast.Expr) ast.Expr {
+	for {
+		se, ok := e.(*ast.SliceExpr)
+		if !ok {
+			return e
+		}
+		e = se.X
+	}
+}
+
 // indexedByClosureLocal reports whether an index on the target's access path
 // is a closure-local value (parameter or local of lit) — each spawn gets its
 // own element.

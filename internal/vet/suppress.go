@@ -38,21 +38,20 @@ type suppressions struct {
 // owns the audit — and the ownership table is what guarantees one annotation
 // never double-reports across analyzers.
 var directiveOwner = map[string]string{
-	"ordered":   "maporder",
-	"nonkey":    "keycoverage",
-	"nonseed":   "keycoverage",
-	"global":    "globalmut",
-	"parhazard": "parsafe",
-	"godisc":    "godisc",
-	"nonwire":   "wiresafe",
-	"finite":    "wiresafe",
-	"ctxdisc":   "ctxdisc",
+	"ordered": "maporder",
+	"nonkey":  "keycoverage",
+	"nonseed": "keycoverage",
+	"global":  "globalmut",
+	"godisc":  "godisc",
+	"nonwire": "wiresafe",
+	"finite":  "wiresafe",
+	"ctxdisc": "ctxdisc",
 }
 
 // cutDirective returns the payload of a //tmi3dvet:<directive> line comment,
 // or ok=false when the comment is not that directive. This is the one
 // directive-recognition path shared by suppression collection, struct-field
-// annotations, and the stage/parloop anchor scanners.
+// annotations, and the stage anchor scanner.
 func cutDirective(c *ast.Comment, directive string) (rest string, ok bool) {
 	text, ok := strings.CutPrefix(c.Text, "//")
 	if !ok {

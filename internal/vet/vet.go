@@ -26,11 +26,6 @@
 //     key-addressed sync.Once cache shape (liberty.Default, flow.generated) —
 //     the class where a cache entry mutated after publication silently
 //     couples two configs.
-//   - parsafe: per-iteration effect sets of the //tmi3dvet:parloop-anchored
-//     hot loops slated for intra-flow parallelism (ROADMAP item 3), reporting
-//     every cross-iteration hazard — shared writes, non-iteration-keyed
-//     aliasing, order-dependent float reductions, in-loop RNG draws,
-//     append-collected results — before any goroutine exists to race.
 //   - godisc: goroutine discipline at existing go/defer sites — stale
 //     captures, WaitGroup.Add placement, send-without-receive leak shapes,
 //     unlocked shared writes in spawned closures, unbounded per-element
@@ -68,7 +63,7 @@ type Analyzer struct {
 }
 
 // All is the full analyzer suite in reporting order.
-var All = []*Analyzer{MapOrder, LockOrder, SeedPurity, KeyCoverage, StageDeps, GlobalMut, ParSafe, GoDisc, WireSafe, CtxDisc}
+var All = []*Analyzer{MapOrder, LockOrder, SeedPurity, KeyCoverage, StageDeps, GlobalMut, GoDisc, WireSafe, CtxDisc}
 
 // deterministicPkgs lists the module-relative package paths whose output
 // feeds the byte-identity contract: any map-iteration order or impure seed
@@ -156,13 +151,10 @@ type Pass struct {
 	// and seedpurity only fire inside them.
 	Deterministic bool
 
-	check         string
-	anchor        string // parsafe loop-name filter (Options.Anchor); "" = all
-	report        func(Diagnostic)
-	exportStage   func(StageReads)
-	exportParLoop func(ParLoop)
-	exportParEnt  func(parEntry)
-	exportWire    func(WireFact)
+	check       string
+	report      func(Diagnostic)
+	exportStage func(StageReads)
+	exportWire  func(WireFact)
 }
 
 // ExportStage publishes one computed stage read set (stagedeps). It is a
@@ -170,19 +162,6 @@ type Pass struct {
 func (p *Pass) ExportStage(sr StageReads) {
 	if p.exportStage != nil {
 		p.exportStage(sr)
-	}
-}
-
-// ExportParLoop publishes one analyzed anchored loop (parsafe).
-func (p *Pass) ExportParLoop(pl ParLoop) {
-	if p.exportParLoop != nil {
-		p.exportParLoop(pl)
-	}
-}
-
-func (p *Pass) exportParEntry(e parEntry) {
-	if p.exportParEnt != nil {
-		p.exportParEnt(e)
 	}
 }
 
@@ -245,29 +224,23 @@ func ExprString(e ast.Expr) string {
 
 // Result is one full analysis over a module: the findings plus the stage
 // facts stagedeps computed along the way (the measured per-stage dependency
-// surface the incremental flow cache will consume) and the anchored-loop
-// effect sets parsafe computed (the parallelism green board of ROADMAP
-// item 3).
+// surface the incremental flow cache will consume).
 type Result struct {
-	Diags    []Diagnostic
-	Stages   []StageReads
-	ParLoops []ParLoop
+	Diags  []Diagnostic
+	Stages []StageReads
 	// WireTypes is the proven wire surface: one fact per flow.WireTypes
 	// manifest entry, recording the codec kind and which fields round-trip
 	// versus which are audited off the wire (wiresafe).
 	WireTypes []WireFact
 }
 
-// Options narrows an Analyze run for fast iteration on one package or loop.
+// Options narrows an Analyze run for fast iteration on one package.
 type Options struct {
 	// Analyzers to run; nil means All.
 	Analyzers []*Analyzer
 	// PkgFilter restricts analysis to packages whose import path contains the
-	// substring. Module-wide reconciliation (the ParLoops manifest diff) is
-	// skipped under any filter — a partial view cannot judge completeness.
+	// substring.
 	PkgFilter string
-	// Anchor restricts parsafe to the named //tmi3dvet:parloop loop.
-	Anchor string
 }
 
 // Run applies the analyzers to every package of the module and returns the
@@ -277,20 +250,19 @@ func Run(mod *Module, analyzers []*Analyzer) []Diagnostic {
 	return Analyze(mod, analyzers).Diags
 }
 
-// Analyze is Run plus the exported stage read sets and anchored-loop effect
-// sets, all deterministically sorted.
+// Analyze is Run plus the exported stage read sets and wire facts, all
+// deterministically sorted.
 func Analyze(mod *Module, analyzers []*Analyzer) *Result {
 	return AnalyzeOpts(mod, Options{Analyzers: analyzers})
 }
 
-// AnalyzeOpts is Analyze with package/anchor filtering.
+// AnalyzeOpts is Analyze with package filtering.
 func AnalyzeOpts(mod *Module, opts Options) *Result {
 	analyzers := opts.Analyzers
 	if analyzers == nil {
 		analyzers = All
 	}
 	res := &Result{}
-	var entries []parEntry
 	for _, pkg := range mod.Pkgs {
 		if opts.PkgFilter != "" && !strings.Contains(pkg.Path, opts.PkgFilter) {
 			continue
@@ -301,29 +273,13 @@ func AnalyzeOpts(mod *Module, opts Options) *Result {
 				Pkg:           pkg,
 				Deterministic: Deterministic(pkg.Path),
 				check:         a.Name,
-				anchor:        opts.Anchor,
 				report:        func(d Diagnostic) { res.Diags = append(res.Diags, d) },
 				exportStage:   func(sr StageReads) { res.Stages = append(res.Stages, sr) },
-				exportParLoop: func(pl ParLoop) { res.ParLoops = append(res.ParLoops, pl) },
-				exportParEnt:  func(e parEntry) { entries = append(entries, e) },
 				exportWire:    func(wf WireFact) { res.WireTypes = append(res.WireTypes, wf) },
 			}
 			a.Run(pass)
 		}
 	}
-	if opts.PkgFilter == "" && opts.Anchor == "" {
-		reconcileParLoops(res, entries)
-	}
-	sort.Slice(res.ParLoops, func(i, j int) bool {
-		a, b := res.ParLoops[i], res.ParLoops[j]
-		if a.Package != b.Package {
-			return a.Package < b.Package
-		}
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		return a.Line < b.Line
-	})
 	sort.Slice(res.Diags, func(i, j int) bool {
 		a, b := res.Diags[i], res.Diags[j]
 		if a.Pos.Filename != b.Pos.Filename {

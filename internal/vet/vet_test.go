@@ -318,44 +318,6 @@ func TestRepoClean(t *testing.T) {
 			t.Errorf("flow stage %q missing from the stagedeps export", want)
 		}
 	}
-	// Every flow.ParLoops entry must have resolved to an anchored loop with
-	// a computed effect-set summary — the parallelism green board of ROADMAP
-	// item 3, now cashed in: all seven loops run under par.For and must
-	// verify hazard-free with zero suppressions.
-	loops := map[string]ParLoop{}
-	for _, pl := range res.ParLoops {
-		loops[pl.Name] = pl
-	}
-	wantLoops := map[string]string{
-		"place.center":   "internal/place",
-		"place.netstate": "internal/place",
-		"route.nets":     "internal/route",
-		"sta.loads":      "internal/sta",
-		"sta.propagate":  "internal/sta",
-		"spice.stamp":    "internal/spice",
-		"opt.maxcap":     "internal/opt",
-	}
-	for name, pkg := range wantLoops {
-		pl, ok := loops[name]
-		if !ok {
-			t.Errorf("manifest parloop %q resolved to no anchor", name)
-			continue
-		}
-		if !strings.HasSuffix(pl.Package, pkg) {
-			t.Errorf("parloop %q anchored in %q, manifest says %q", name, pl.Package, pkg)
-		}
-		if len(pl.Reads) == 0 && len(pl.Writes) == 0 {
-			t.Errorf("parloop %q exported an empty effect set — the proof silently stopped running", name)
-		}
-	}
-	for name := range wantLoops {
-		if pl := loops[name]; pl.Hazards != 0 {
-			t.Errorf("parloop %q regressed from verified to %d suppressed hazards", name, pl.Hazards)
-		}
-	}
-	if pl := loops["sta.loads"]; !contains(pl.Writes, "res.Load[i]") {
-		t.Errorf("sta.loads writes = %v, want the iteration-partitioned res.Load[i]", pl.Writes)
-	}
 	// The wire manifest must have fully resolved: every flow.WireTypes entry
 	// exports a WireFact (a missing fact means wiresafe silently skipped the
 	// totality proof for that type), and the audited off-wire fields keep
@@ -386,70 +348,6 @@ func TestRepoClean(t *testing.T) {
 	}
 	if fc := facts["tmi3d/internal/flow.Config"]; fc.Kind != "tags" || !contains(fc.NonWire, "Workers") {
 		t.Errorf("flow.Config wire fact = kind %q nonwire %v, want tags with Workers audited off", fc.Kind, fc.NonWire)
-	}
-}
-
-func TestParSafeFixture(t *testing.T) {
-	diags := runFixture(t, "parsafe", "fixture/parsafe", ParSafe)
-	// Each hazard class, the suppression lifecycle, the anchor discipline,
-	// and the manifest diff must all survive in the golden.
-	for _, want := range []string{
-		"reachable from every iteration",  // class 1: shared write
-		"aliases across iterations",       // class 2: aliasing index
-		"order-dependent float reduction", // class 3: shared reduce
-		"RNG draw inside the loop body",   // class 4: RNG in body
-		"append collects into shared",     // class 5: shared collection
-		"suppression without a reason",    // bare //tmi3dvet:parhazard
-		"stale //tmi3dvet:parhazard",      // annotation outlived the code
-		"anchor without a loop name",      // bare //tmi3dvet:parloop
-		"anchors no for statement",        // dangling anchor
-		"duplicate //tmi3dvet:parloop",    // duplicate anchor
-		"no ParLoops manifest entry",      // orphan anchor
-		"declares package",                // manifest package mismatch
-		"dead manifest entry",             // entry with no anchor
-	} {
-		if !hasDiag(diags, want) {
-			t.Errorf("parsafe fixture lost the %q diagnostic class", want)
-		}
-	}
-	// The interprocedural path: tally's hazard names the callee that writes
-	// the package global.
-	if !hasDiag(diags, "bump") {
-		t.Error("parsafe fixture lost the interprocedural global-write hazard through bump")
-	}
-	// The sanctioned shapes stay silent.
-	for _, clean := range []string{"clean.fill", "ok.suppressed", "ok.blanket"} {
-		for _, d := range diags {
-			if strings.Contains(d.Message, clean) {
-				t.Errorf("verified parloop %q was reported: %s", clean, d)
-			}
-		}
-	}
-}
-
-func TestParSafeEffectExport(t *testing.T) {
-	fixDir := filepath.Join("testdata", "src", "parsafe")
-	mod, err := LoadDir(fixDir, "fixture/parsafe")
-	if err != nil {
-		t.Fatalf("LoadDir(%s): %v", fixDir, err)
-	}
-	res := Analyze(mod, []*Analyzer{ParSafe})
-	loops := map[string]ParLoop{}
-	for _, pl := range res.ParLoops {
-		loops[pl.Name] = pl
-	}
-	fill, ok := loops["clean.fill"]
-	if !ok {
-		t.Fatal("clean.fill missing from the ParLoops export")
-	}
-	if fill.Hazards != 0 {
-		t.Errorf("clean.fill verified loop recorded %d suppressed hazards", fill.Hazards)
-	}
-	if !contains(fill.Writes, "dst[i]") {
-		t.Errorf("clean.fill writes = %v, want the iteration-partitioned dst[i]", fill.Writes)
-	}
-	if blanket, ok := loops["ok.blanket"]; !ok || blanket.Hazards != 2 {
-		t.Errorf("ok.blanket = %+v, want 2 hazards suppressed by the loop-level directive", blanket)
 	}
 }
 
@@ -604,7 +502,6 @@ func TestNoDoubleSuppressionReports(t *testing.T) {
 		"keycoverage": "fixture/keycoverage",
 		"stagedeps":   "fixture/internal/flow",
 		"globalmut":   "fixture/internal/liberty",
-		"parsafe":     "fixture/parsafe",
 		"godisc":      "fixture/godisc",
 		"wiresafe":    "fixture/wiresafe",
 		"ctxdisc":     "fixture/internal/serve",

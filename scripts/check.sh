@@ -6,7 +6,7 @@
 # first, then the custom tmi3dvet determinism/concurrency analyzers, then the
 # benchmark module's smoke test and the kernel benchmarks, then the
 # race-detector test suite, then the end-to-end smokes (parallel determinism,
-# formal equivalence, serving). Each gate opens with a named banner so a CI
+# staged and wire identity, formal equivalence, serving). Each gate opens with a named banner so a CI
 # log identifies the failing stage at a glance, closes with its wall time,
 # and a passing run ends with one timing line per stage.
 set -euo pipefail
@@ -52,12 +52,11 @@ go build ./...
 stage tmi3dvet
 # The repo's own analyzers: map-iteration order, lock ordering (RWMutex-mode
 # aware), seed purity, cache-key coverage, per-stage key soundness
-# (stagedeps), global-state purity (globalmut), parallel-loop safety over the
-# flow.ParLoops anchors (parsafe), goroutine discipline (godisc), wire-format
-# totality over the flow.WireTypes manifest (wiresafe), and cancellation/
-# resource discipline in the serving stack (ctxdisc). A single unsuppressed
-# diagnostic fails the gate; the -counts tail prints one line per analyzer so
-# the log shows every check ran. Run `go run ./cmd/tmi3dvet -list` for the
+# (stagedeps), global-state purity (globalmut), goroutine discipline
+# (godisc), wire-format totality over the flow.WireTypes manifest (wiresafe),
+# and cancellation/resource discipline in the serving stack (ctxdisc). A
+# single unsuppressed diagnostic fails the gate; the -counts tail prints one
+# line per analyzer (nine) so the log shows every check ran. Run `go run ./cmd/tmi3dvet -list` for the
 # suite and the suppression syntax.
 go run ./cmd/tmi3dvet -counts ./...
 
@@ -69,10 +68,10 @@ stage bench-smoke
 (cd bench && go test ./...)
 
 stage bench-kernels
-# The kernel benchmarks (sta.Analyze, place.Run, the stage artifact codec)
-# run once each, so they keep compiling and running; `make bench-kernels`
-# times them with -benchmem.
-go test -run '^$' -bench . -benchtime 1x ./internal/sta ./internal/place
+# The kernel benchmarks (sta.Analyze, place.Run, route.Run, opt.Close, the
+# stage artifact codec) run once each, so they keep compiling and running;
+# `make bench-kernels` times them with -benchmem.
+go test -run '^$' -bench . -benchtime 1x ./internal/sta ./internal/place ./internal/route ./internal/opt
 go test -run '^$' -bench BenchmarkArtifactCodec -benchtime 1x ./internal/stage
 
 stage race
@@ -94,30 +93,6 @@ if ! diff -u "$pdir/j1.txt" "$pdir/j4.txt"; then
     echo "experiments output differs between -j 1 and -j 4" >&2
     exit 1
 fi
-
-stage intraflow-determinism
-# The intra-flow parallelism contract (ROADMAP item 3): the worker budget of
-# the stage loops (flow.Config.Workers) must never reach one byte of the
-# report or the Verilog/DEF artifacts. Run one flow with serial loops and
-# with an 8-worker fleet and diff everything.
-go run ./cmd/tmi3d -circuit FPU -scale 0.1 -mode tmi -byfunc -workers 1 \
-    -dump "$pdir/w1" >"$pdir/w1.txt" 2>/dev/null
-go run ./cmd/tmi3d -circuit FPU -scale 0.1 -mode tmi -byfunc -workers 8 \
-    -dump "$pdir/w8" >"$pdir/w8.txt" 2>/dev/null
-for f in txt v def; do
-    if ! diff -u "$pdir/w1.$f" "$pdir/w8.$f"; then
-        echo "flow .$f output differs between -workers 1 and -workers 8" >&2
-        exit 1
-    fi
-done
-# And the parallel stage loops must be race-clean at more than one
-# GOMAXPROCS shape — the scheduler interleavings differ.
-for procs in 2 8; do
-    GOMAXPROCS=$procs go test -race -count=1 \
-        -run 'WorkersMatchSerial|ParallelStampMatchesSerial|IntraFlowWorkersByteIdentity' \
-        ./internal/place ./internal/sta ./internal/route ./internal/spice \
-        ./internal/opt ./internal/flow
-done
 
 stage staged-identity
 # The staged flow engine's contract: byte-identical to the monolithic flow at
