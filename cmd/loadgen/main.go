@@ -9,11 +9,6 @@
 // against a direct in-process flow.Run — the serving layer must be invisible.
 //
 //	loadgen -addr 127.0.0.1:8080 -workers 64 -n 256 -scale 0.1 -verify
-//
-// With -sweep N the tool instead issues N sequential clock-sweep points of
-// one configuration against a daemon running with -stagecache, then asserts
-// from /metrics that synthesis and placement executed exactly once across the
-// whole sweep — the staged engine's reuse contract, observed end to end.
 package main
 
 import (
@@ -25,12 +20,10 @@ import (
 	"math"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"tmi3d/internal/circuits"
 	"tmi3d/internal/flow"
 	"tmi3d/internal/serve"
 	"tmi3d/internal/tech"
@@ -47,7 +40,6 @@ func main() {
 	cold := flag.Float64("cold", 0, "fraction of requests with a unique seed (cold keys), 0..1")
 	verify := flag.Bool("verify", false, "check responses byte-identical to direct flow.Run output")
 	check := flag.Bool("check", false, "also probe /healthz and /metrics and assert they are sane")
-	sweep := flag.Int("sweep", 0, "clock-sweep mode: issue this many sequential sweep points and assert synth/place executed once (daemon must run with -stagecache; needs an otherwise idle daemon)")
 	timeout := flag.Duration("timeout", 10*time.Minute, "per-request client timeout")
 	flag.Parse()
 	log.SetFlags(0)
@@ -67,14 +59,6 @@ func main() {
 	client := &http.Client{Timeout: *timeout}
 	urlFor := func(cfg flow.Config) string {
 		return "http://" + *addr + "/v1/ppa?" + serve.ConfigQuery(cfg).Encode()
-	}
-
-	if *sweep > 0 {
-		if failures := sweepRun(client, *addr, urlFor, base, *sweep); failures > 0 {
-			log.Fatalf("FAIL: %d failures", failures)
-		}
-		fmt.Println("OK")
-		return
 	}
 
 	// Deterministic request plan: round(cold*n) requests get a unique seed
@@ -160,116 +144,6 @@ func main() {
 	fmt.Println("OK")
 }
 
-// sweepRun issues `points` sequential clock-sweep requests (a fresh seed makes
-// every key cold, so the count below measures exactly this sweep) and asserts
-// from the daemon's stage metrics that the upstream stages — wlm, synthesis,
-// placement — executed once while the clock-dependent cone executed per point.
-// Requests are deliberately sequential: concurrent points would be legal, but
-// serializing makes "synth executed once" exact rather than probabilistic.
-func sweepRun(client *http.Client, addr string, urlFor func(flow.Config) string, base flow.Config, points int) int {
-	base.Seed = uint64(time.Now().UnixNano())
-	clk, err := circuits.TargetClockPs(base.Circuit, base.Node)
-	if err != nil {
-		log.Printf("sweep: %v", err)
-		return 1
-	}
-	before, found, err := stageExecutions(client, addr)
-	if err != nil {
-		log.Printf("sweep: scrape: %v", err)
-		return 1
-	}
-	if !found {
-		log.Printf("sweep: daemon exports no tmi3d_stage_executions_total — run `tmi3d serve` with -stagecache")
-		return 1
-	}
-	failures := 0
-	t0 := time.Now()
-	for i := 0; i < points; i++ {
-		cfg := base
-		cfg.ClockPs = clk * (1.05 + 0.15*float64(i))
-		resp, err := client.Get(urlFor(cfg))
-		if err != nil {
-			log.Printf("sweep point %d: %v", i, err)
-			return failures + 1
-		}
-		body, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr != nil || resp.StatusCode != 200 {
-			log.Printf("sweep point %d: status %d (%s)", i, resp.StatusCode, bytes.TrimSpace(body))
-			return failures + 1
-		}
-		fmt.Printf("sweep %d/%d: clock %.0f ps  X-Cache=%s  X-Stage-Hits=%q\n",
-			i+1, points, cfg.ClockPs, resp.Header.Get("X-Cache"), resp.Header.Get("X-Stage-Hits"))
-		if resp.Header.Get("X-Cache") != "run" {
-			log.Printf("sweep point %d: X-Cache=%q, want \"run\" (is the daemon idle and the seed fresh?)", i, resp.Header.Get("X-Cache"))
-			failures++
-		}
-		if resp.Header.Get("X-Stage-Hits") == "" {
-			log.Printf("sweep point %d: no X-Stage-Hits header on an executed request", i)
-			failures++
-		}
-	}
-	after, _, err := stageExecutions(client, addr)
-	if err != nil {
-		log.Printf("sweep: scrape: %v", err)
-		return failures + 1
-	}
-	once := []string{"wlm", "synth", "place"}
-	per := []string{"opt", "route", "signoff", "power", "report"}
-	for _, stage := range once {
-		if d := after[stage] - before[stage]; d != 1 {
-			log.Printf("sweep: stage %s executed %.0f times across %d points, want 1", stage, d, points)
-			failures++
-		}
-	}
-	for _, stage := range per {
-		if d := after[stage] - before[stage]; d != float64(points) {
-			log.Printf("sweep: stage %s executed %.0f times, want %d (every point)", stage, d, points)
-			failures++
-		}
-	}
-	fmt.Printf("sweep     : %d points in %.2fs; synth/place executed once, clock cone %d times\n",
-		points, time.Since(t0).Seconds(), points)
-	return failures
-}
-
-// stageExecutions scrapes tmi3d_stage_executions_total by stage. found
-// reports whether the daemon exports the family at all (it only exists under
-// -stagecache).
-func stageExecutions(client *http.Client, addr string) (map[string]float64, bool, error) {
-	resp, err := client.Get("http://" + addr + "/metrics")
-	if err != nil {
-		return nil, false, err
-	}
-	body, rerr := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if rerr != nil || resp.StatusCode != 200 {
-		return nil, false, fmt.Errorf("metrics status %d", resp.StatusCode)
-	}
-	const family = "tmi3d_stage_executions_total"
-	out := map[string]float64{}
-	found := false
-	for _, line := range strings.Split(string(body), "\n") {
-		if strings.HasPrefix(line, "# TYPE "+family+" ") {
-			found = true
-		}
-		rest, ok := strings.CutPrefix(line, family+`{stage="`)
-		if !ok {
-			continue
-		}
-		name, val, ok := strings.Cut(rest, `"} `)
-		if !ok {
-			continue
-		}
-		f, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil {
-			return nil, found, fmt.Errorf("bad sample %q: %w", line, err)
-		}
-		out[name] = f
-	}
-	return out, found, nil
-}
-
 // verifyDirect re-runs every unique configuration in-process and compares the
 // canonical encoding against the daemon's bytes.
 func verifyDirect(responses map[string][]byte, cfgs []flow.Config) int {
@@ -289,7 +163,7 @@ func verifyDirect(responses map[string][]byte, cfgs []flow.Config) int {
 			failures++
 			continue
 		}
-		want, err := serve.EncodeResult(r)
+		want, err := flow.EncodeResult(r)
 		if err != nil {
 			log.Printf("verify: encode: %v", err)
 			failures++

@@ -21,7 +21,6 @@ func serveMain(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks an ephemeral port)")
 	store := fs.String("store", "tmi3d-store", "persistent result store directory")
-	stageDir := fs.String("stagecache", "", "staged-flow artifact store directory; jobs reuse per-stage artifacts across sweep points (empty = monolithic flow)")
 	workers := fs.Int("workers", 0, "concurrent flow executions (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "admission queue depth before 429 (0 = 64)")
 	lru := fs.Int("lru", 0, "in-memory cache entries (0 = 256)")
@@ -33,7 +32,6 @@ func serveMain(args []string) {
 
 	s, err := serve.NewServer(serve.Config{
 		StoreDir:       *store,
-		StageDir:       *stageDir,
 		Workers:        *workers,
 		QueueDepth:     *queue,
 		LRUSize:        *lru,

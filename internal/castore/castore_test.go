@@ -2,9 +2,13 @@ package castore
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -17,8 +21,8 @@ func openStore(t *testing.T) *Store {
 	return s
 }
 
-// A Put is read back byte for byte, a re-Put overwrites, and an absent key
-// is a clean miss.
+// A Put is read back byte for byte, a re-Put overwrites, an absent key is a
+// clean miss, and no temp file outlives its write.
 func TestPutGetRoundTrip(t *testing.T) {
 	s := openStore(t)
 	for key, payload := range map[string][]byte{
@@ -51,6 +55,57 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 	if q, err := s.QuarantineLen(); err != nil || q != 0 {
 		t.Fatalf("QuarantineLen = %d (%v), want 0", q, err)
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(s.Dir(), "*", "tmp-*")); len(tmps) != 0 {
+		t.Fatalf("leftover temp files: %v", tmps)
+	}
+}
+
+// TestStoreHammer drives concurrent Get/Put over overlapping keys under the
+// race detector. The atomicity invariant: a Get observes either a miss or
+// the complete, checksum-valid payload of its key — never torn bytes, and
+// never another key's payload.
+func TestStoreHammer(t *testing.T) {
+	s := openStore(t)
+	var quarantined atomic.Int64
+	s.OnQuarantine = func(string, error) { quarantined.Add(1) }
+
+	const keys = 5
+	payload := func(k int) []byte {
+		// Distinct sizes per key make torn reads detectable.
+		return bytes.Repeat([]byte{byte('a' + k)}, 512*(k+1))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 200; i++ {
+				k := rng.Intn(keys)
+				key := fmt.Sprintf("key-%d", k)
+				if rng.Intn(2) == 0 {
+					if err := s.Put(key, payload(k)); err != nil {
+						t.Errorf("put %s: %v", key, err)
+						return
+					}
+				} else {
+					data, ok, err := s.Get(key)
+					if err != nil {
+						t.Errorf("get %s: %v", key, err)
+						return
+					}
+					if ok && !bytes.Equal(data, payload(k)) {
+						t.Errorf("get %s returned wrong payload (%d bytes)", key, len(data))
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if q := quarantined.Load(); q != 0 {
+		t.Fatalf("hammer quarantined %d entries; writes are not atomic", q)
 	}
 }
 
@@ -130,6 +185,30 @@ func TestCorruptEntriesQuarantined(t *testing.T) {
 				t.Errorf("Get after re-Put = %q, %v; want the payload", got, ok)
 			}
 		})
+	}
+}
+
+// TestStoreKeyMismatch simulates an entry copied to the wrong path (or a
+// SHA-256 collision): the header's full key disagrees, so the copy
+// quarantines while the key it belongs to stays served.
+func TestStoreKeyMismatch(t *testing.T) {
+	s := openStore(t)
+	if err := s.Put("key-a", []byte("payload-a")); err != nil {
+		t.Fatal(err)
+	}
+	pb := s.EntryPath("key-b")
+	if err := os.MkdirAll(filepath.Dir(pb), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	writeEntry(t, pb, readEntry(t, s.EntryPath("key-a")))
+	if _, ok, err := s.Get("key-b"); err != nil || ok {
+		t.Fatalf("mismatched entry Get = ok=%v err=%v, want miss", ok, err)
+	}
+	if n, _ := s.QuarantineLen(); n != 1 {
+		t.Fatalf("quarantine holds %d entries, want 1", n)
+	}
+	if got, ok, _ := s.Get("key-a"); !ok || string(got) != "payload-a" {
+		t.Fatalf("key-a after the mismatch = %q, %v; want its payload", got, ok)
 	}
 }
 

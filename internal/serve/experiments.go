@@ -53,10 +53,6 @@ func ExperimentIDs() []string {
 	return ids
 }
 
-type studyEntry struct {
-	study *core.Study
-}
-
 // studyFor returns the shared experiment engine for a (scale, seed) point.
 // Sharing matters: every table at a scale reuses the same flow cache, so
 // serving table13 after table4 costs only the delta flows.
@@ -64,19 +60,13 @@ func (s *Server) studyFor(scale float64, seed uint64) *core.Study {
 	key := strconv.FormatFloat(scale, 'g', -1, 64) + "|" + strconv.FormatUint(seed, 10)
 	s.studyMu.Lock()
 	defer s.studyMu.Unlock()
-	e, ok := s.studies[key]
+	st, ok := s.studies[key]
 	if !ok {
-		st := core.NewStudy(scale)
+		st = core.NewStudy(scale)
 		st.Seed = seed
-		if s.engine != nil {
-			// Experiment flows route through the staged engine: sweep points
-			// sharing upstream stages reuse their artifacts.
-			st.Runner = s.engine.Run
-		}
-		e = &studyEntry{study: st}
-		s.studies[key] = e
+		s.studies[key] = st
 	}
-	return e.study
+	return st
 }
 
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {

@@ -1,3 +1,15 @@
+// Package serve is the PPA-as-a-service layer: an HTTP daemon that answers
+// power/performance/area queries over the full design flow, backed by a
+// persistent content-addressed result store (internal/castore), an in-memory
+// LRU, and a bounded job queue with singleflight deduplication and
+// backpressure.
+//
+// The serving contract is byte-identity: a response for a flow configuration
+// is exactly flow.EncodeResult(flow.Run(cfg)) — whether it was computed on
+// this request, deduplicated onto a concurrent identical request, read back
+// from the on-disk store, or served from the LRU. Everything in the package
+// is built to preserve that property (canonical JSON, checksummed store
+// entries, deterministic flow seeds).
 package serve
 
 import (
@@ -16,10 +28,11 @@ import (
 	"sync"
 	"time"
 
+	"tmi3d/internal/castore"
+	"tmi3d/internal/core"
 	"tmi3d/internal/flow"
 	"tmi3d/internal/lint"
 	"tmi3d/internal/report"
-	"tmi3d/internal/stage"
 	"tmi3d/internal/tech"
 )
 
@@ -27,11 +40,6 @@ import (
 type Config struct {
 	// StoreDir is the root of the persistent result store (required).
 	StoreDir string
-	// StageDir, when set, roots a staged-flow artifact store: jobs execute
-	// through the stage engine instead of the monolithic flow, so a sweep
-	// point that shares upstream stages with an earlier request reuses their
-	// artifacts (byte-identical results either way). Empty disables staging.
-	StageDir string
 	// Workers bounds concurrently executing jobs; 0 = GOMAXPROCS.
 	Workers int
 	// QueueDepth bounds jobs admitted but not yet running; a full queue
@@ -86,14 +94,11 @@ type job struct {
 // store), and a bounded worker pool behind a singleflight job table.
 type Server struct {
 	cfg     Config
-	store   *Store
+	store   *castore.Store
 	lru     *lruCache
 	metrics *Metrics
 	logger  *slog.Logger
 	start   time.Time
-
-	// engine is the staged-flow executor (nil without Config.StageDir).
-	engine *stage.Engine
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -114,14 +119,14 @@ type Server struct {
 
 	// studies caches experiment engines per (scale, seed).
 	studyMu sync.Mutex
-	studies map[string]*studyEntry
+	studies map[string]*core.Study
 }
 
 // NewServer opens the store and starts the worker pool. The server accepts
 // work immediately through Handler(); Serve attaches a listener.
 func NewServer(cfg Config) (*Server, error) {
 	cfg.fill()
-	store, err := OpenStore(cfg.StoreDir)
+	store, err := castore.Open(cfg.StoreDir)
 	if err != nil {
 		return nil, err
 	}
@@ -139,40 +144,12 @@ func NewServer(cfg Config) (*Server, error) {
 		jobs:    map[string]*job{},
 		queue:   make(chan *job, cfg.QueueDepth),
 		ewmaSec: 30,
-		studies: map[string]*studyEntry{},
-	}
-	if cfg.StageDir != "" {
-		eng, err := stage.New(cfg.StageDir)
-		if err != nil {
-			return nil, err
-		}
-		s.engine = eng
+		studies: map[string]*core.Study{},
 	}
 	s.registerMetrics()
 	store.OnQuarantine = func(path string, reason error) {
 		s.metrics.Add("tmi3d_store_quarantined_total", "", 1)
 		s.logger.Warn("store entry quarantined", "path", path, "reason", reason.Error())
-	}
-	if s.engine != nil {
-		s.engine.Store().OnQuarantine = func(path string, reason error) {
-			s.metrics.Add("tmi3d_store_quarantined_total", "", 1)
-			s.logger.Warn("stage artifact quarantined", "path", path, "reason", reason.Error())
-		}
-		// The callback runs off the engine's lock; castore is lock-free — no
-		// ordering against Metrics.mu (see the submit comment below).
-		s.engine.OnEvent(func(stageName, ev string) {
-			label := fmt.Sprintf(`stage=%q`, stageName)
-			switch ev {
-			case stage.EventMemHit:
-				s.metrics.Add("tmi3d_stage_hits_total", label+`,tier="mem"`, 1)
-			case stage.EventDiskHit:
-				s.metrics.Add("tmi3d_stage_hits_total", label+`,tier="disk"`, 1)
-			case stage.EventMiss:
-				s.metrics.Add("tmi3d_stage_misses_total", label, 1)
-			case stage.EventExecute:
-				s.metrics.Add("tmi3d_stage_executions_total", label, 1)
-			}
-		})
 	}
 	s.httpSrv = &http.Server{Handler: s.Handler()}
 	for i := 0; i < cfg.Workers; i++ {
@@ -203,15 +180,6 @@ func (s *Server) registerMetrics() {
 	})
 	m.Histogram("tmi3d_request_seconds", "Request latency by endpoint.",
 		[]float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300})
-	if s.engine != nil {
-		m.Counter("tmi3d_stage_hits_total", "Staged-flow artifact cache hits by stage and tier (mem or disk).")
-		m.Counter("tmi3d_stage_misses_total", "Staged-flow artifact cache misses by stage (a stage execution followed).")
-		m.Counter("tmi3d_stage_executions_total", "Staged-flow stage-body executions by stage.")
-		m.Gauge("tmi3d_stage_store_entries", "Live entries in the staged-flow artifact store.", func() float64 {
-			n, _ := s.engine.StoreLen()
-			return float64(n)
-		})
-	}
 }
 
 // Handler returns the daemon's HTTP handler (also usable under a test
@@ -402,18 +370,14 @@ func (r *statusRecorder) WriteHeader(code int) {
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
-		timeout := s.cfg.RequestTimeout
-		if v := r.URL.Query().Get("timeout_ms"); v != "" {
-			if ms, err := strconv.Atoi(v); err == nil && ms > 0 {
-				if d := time.Duration(ms) * time.Millisecond; d < timeout {
-					timeout = d
-				}
-			}
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
-		defer cancel()
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		h(rec, r.WithContext(ctx))
+		if timeout, err := s.requestTimeout(r); err != nil {
+			writeJSON(rec, http.StatusBadRequest, errorBody{Error: err.Error()})
+		} else {
+			ctx, cancel := context.WithTimeout(r.Context(), timeout)
+			defer cancel()
+			h(rec, r.WithContext(ctx))
+		}
 		sec := time.Since(t0).Seconds()
 		label := fmt.Sprintf(`endpoint=%q`, endpoint)
 		s.metrics.Observe("tmi3d_request_seconds", label, sec)
@@ -424,6 +388,25 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 			"status", rec.status, "ms", math.Round(sec*1e6)/1e3,
 			"cache", rec.Header().Get("X-Cache"))
 	}
+}
+
+// requestTimeout is the request's deadline: Config.RequestTimeout, shortened
+// (never extended) by ?timeout_ms=. Like ParseConfig, it is strict: a
+// malformed, zero or negative value is an error, not a silent default.
+func (s *Server) requestTimeout(r *http.Request) (time.Duration, error) {
+	timeout := s.cfg.RequestTimeout
+	v := r.URL.Query().Get("timeout_ms")
+	if v == "" {
+		return timeout, nil
+	}
+	ms, err := strconv.ParseInt(v, 10, 64)
+	if err != nil || ms <= 0 {
+		return 0, fmt.Errorf("param timeout_ms must be a positive integer (milliseconds), got %q", v)
+	}
+	if ms < timeout.Milliseconds() {
+		timeout = time.Duration(ms) * time.Millisecond
+	}
+	return timeout, nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -538,25 +521,11 @@ func (s *Server) runner() func(flow.Config) (*flow.Result, error) {
 	return flow.Run
 }
 
-// ppaJob builds the compute closure for one configuration: run the flow
-// (through the stage engine when one is configured), fold its stage profile
-// into the metrics, encode canonically. stageHits, when non-nil, receives the
-// staged run's cache summary — only the request whose closure actually
-// executes sees it populated, which is exactly the request answering with
-// X-Cache: run.
-func (s *Server) ppaJob(cfg flow.Config, stageHits *string) func() ([]byte, error) {
+// ppaJob builds the compute closure for one configuration: run the flow,
+// fold its stage profile into the metrics, encode canonically.
+func (s *Server) ppaJob(cfg flow.Config) func() ([]byte, error) {
 	return func() ([]byte, error) {
-		var r *flow.Result
-		var err error
-		if s.runFlow == nil && s.engine != nil {
-			var stats stage.RunStats
-			r, stats, err = s.engine.RunStats(cfg)
-			if err == nil && stageHits != nil {
-				*stageHits = stats.Summary()
-			}
-		} else {
-			r, err = s.runner()(cfg)
-		}
+		r, err := s.runner()(cfg)
 		if err != nil {
 			s.metrics.Add("tmi3d_flow_errors_total", "", 1)
 			return nil, err
@@ -566,7 +535,7 @@ func (s *Server) ppaJob(cfg flow.Config, stageHits *string) func() ([]byte, erro
 			s.metrics.Add("tmi3d_flow_stage_seconds_total",
 				fmt.Sprintf(`stage=%q`, st.Stage), st.D.Seconds())
 		}
-		return EncodeResult(r)
+		return flow.EncodeResult(r)
 	}
 }
 
@@ -581,18 +550,12 @@ func (s *Server) handlePPA(w http.ResponseWriter, r *http.Request) {
 			Error: fmt.Sprintf("scale %g exceeds server limit %g", cfg.Scale, s.cfg.MaxScale)})
 		return
 	}
-	var stageHits string
-	data, source, err := s.getOrCompute(r.Context(), "v1|ppa|"+cfg.Key(), s.ppaJob(cfg, &stageHits))
+	data, source, err := s.getOrCompute(r.Context(), "v1|ppa|"+cfg.Key(), s.ppaJob(cfg))
 	if err != nil {
 		s.writeComputeError(w, err)
 		return
 	}
 	w.Header().Set("X-Cache", source)
-	if stageHits != "" {
-		// Populated only when this request's own closure ran the staged flow
-		// (close(j.done) orders the write before this read).
-		w.Header().Set("X-Stage-Hits", stageHits)
-	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(data)
 }
@@ -646,9 +609,9 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		d2.data, d2.src, d2.err = s.getOrCompute(r.Context(), "v1|ppa|"+cfg2.Key(), s.ppaJob(cfg2, nil))
+		d2.data, d2.src, d2.err = s.getOrCompute(r.Context(), "v1|ppa|"+cfg2.Key(), s.ppaJob(cfg2))
 	}()
-	d3.data, d3.src, d3.err = s.getOrCompute(r.Context(), "v1|ppa|"+cfg3.Key(), s.ppaJob(cfg3, nil))
+	d3.data, d3.src, d3.err = s.getOrCompute(r.Context(), "v1|ppa|"+cfg3.Key(), s.ppaJob(cfg3))
 	wg.Wait()
 	for _, sd := range []side{d2, d3} {
 		if sd.err != nil {
@@ -656,12 +619,12 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	r2, err := DecodeResult(d2.data)
+	r2, err := flow.DecodeResult(d2.data)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 		return
 	}
-	r3, err := DecodeResult(d3.data)
+	r3, err := flow.DecodeResult(d3.data)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 		return

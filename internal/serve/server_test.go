@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"tmi3d/internal/castore"
 	"tmi3d/internal/flow"
 	"tmi3d/internal/power"
 )
@@ -120,7 +122,7 @@ func TestSingleflight64Workers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := EncodeResult(stubResult(cfg))
+	want, err := flow.EncodeResult(stubResult(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,6 +258,136 @@ func TestDeadlineExceeded(t *testing.T) {
 	_ = s
 }
 
+// TestClientCancelGets499: a client that goes away mid-job is answered 499,
+// but the job is not abandoned — it completes, lands in the caches, and the
+// next request for the key is an LRU hit.
+func TestClientCancelGets499(t *testing.T) {
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	s, _ := newTestServer(t, Config{Workers: 1, QueueDepth: 2},
+		func(cfg flow.Config) (*flow.Result, error) {
+			started <- struct{}{}
+			<-release
+			return stubResult(cfg), nil
+		})
+	const path = "/v1/ppa?circuit=FPU&scale=0.1&seed=3"
+	ctx, cancel := context.WithCancel(context.Background())
+	rec := httptest.NewRecorder()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil).WithContext(ctx))
+	}()
+	<-started
+	cancel()
+	<-served
+	close(release)
+	if rec.Code != 499 {
+		t.Fatalf("cancelled request: status %d (%s), want 499", rec.Code, rec.Body)
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s.mu.Lock()
+		queued := s.queued
+		s.mu.Unlock()
+		if queued == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("abandoned job never finished")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	rec = httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+	if rec.Code != 200 || rec.Header().Get("X-Cache") != "lru" {
+		t.Fatalf("request after cancel: status %d cache %q, want 200 from the LRU", rec.Code, rec.Header().Get("X-Cache"))
+	}
+	if n, err := s.store.Len(); err != nil || n != 1 {
+		t.Fatalf("store holds %d entries (err %v), want the abandoned job's 1", n, err)
+	}
+	if v := s.metrics.CounterValue("tmi3d_requests_total", `endpoint="ppa",code="499"`); v != 1 {
+		t.Fatalf("499 requests counted %v, want 1", v)
+	}
+}
+
+// TestDrainingReturns503: once Shutdown has begun, a request that needs a new
+// job is refused with 503 rather than admitted behind a closed queue.
+func TestDrainingReturns503(t *testing.T) {
+	s, err := NewServer(Config{StoreDir: t.TempDir(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.runFlow = func(cfg flow.Config) (*flow.Result, error) {
+		t.Error("flow ran on a draining server")
+		return stubResult(cfg), nil
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/ppa?circuit=FPU&scale=0.1", nil))
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "shutting down") {
+		t.Fatalf("request while draining: status %d (%s), want 503", rec.Code, rec.Body)
+	}
+}
+
+// TestStoreQuarantine: a persisted result damaged between daemon processes
+// is quarantined on load — counted in tmi3d_store_quarantined_total — and
+// recomputed to the same bytes, never served corrupt.
+func TestStoreQuarantine(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func([]byte) []byte
+	}{
+		{"garbage", func([]byte) []byte { return []byte("not an entry at all") }},
+		{"truncated", func(b []byte) []byte { return b[:len(b)-3] }},
+		{"bitflip", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			runFlow := func(cfg flow.Config) (*flow.Result, error) { return stubResult(cfg), nil }
+			const path = "/v1/ppa?circuit=AES&scale=0.2"
+			s1, ts1 := newTestServer(t, Config{StoreDir: dir, Workers: 1}, runFlow)
+			code, _, want := get(t, ts1.URL+path)
+			if code != 200 {
+				t.Fatalf("first run: %d (%s)", code, want)
+			}
+			if err := s1.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			cfg, err := ParseConfig(mustQuery("circuit=AES&scale=0.2"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			entry := s1.store.EntryPath("v1|ppa|" + cfg.Key())
+			raw, err := os.ReadFile(entry)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(entry, tc.corrupt(raw), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			s2, ts2 := newTestServer(t, Config{StoreDir: dir, Workers: 1}, runFlow)
+			code, hdr, got := get(t, ts2.URL+path)
+			if code != 200 || hdr.Get("X-Cache") != "run" {
+				t.Fatalf("after corruption: status %d cache %q, want a recompute", code, hdr.Get("X-Cache"))
+			}
+			if string(got) != string(want) {
+				t.Fatal("recomputed bytes differ from the original result")
+			}
+			if v := s2.metrics.CounterValue("tmi3d_store_quarantined_total", ""); v != 1 {
+				t.Fatalf("quarantined counter = %v, want 1", v)
+			}
+			if n, _ := s2.store.QuarantineLen(); n != 1 {
+				t.Fatalf("quarantine holds %d entries, want 1", n)
+			}
+		})
+	}
+}
+
 // TestRestartServesFromDisk: a result computed by one daemon process is
 // served by the next from the persistent store without re-running the flow.
 func TestRestartServesFromDisk(t *testing.T) {
@@ -330,7 +462,7 @@ func TestPostConfig(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("POST: %d (%s)", resp.StatusCode, data)
 	}
-	r, err := DecodeResult(data)
+	r, err := flow.DecodeResult(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,6 +493,10 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/experiment/table1?sead=7", 400},   // typoed experiment param
 		{"/v1/experiment/table1?mode=tmi", 400}, // param not on this endpoint
 		{"/nope", 404},                          // unknown route
+		{"/v1/ppa?circuit=FPU&timeout_ms=abc", 400},
+		{"/v1/ppa?circuit=FPU&timeout_ms=0", 400},
+		{"/v1/ppa?circuit=FPU&timeout_ms=-5", 400},
+		{"/v1/experiment/table1?timeout_ms=1.5", 400},
 	} {
 		code, _, body := get(t, ts.URL+tc.path)
 		if code != tc.code {
@@ -619,7 +755,7 @@ func TestGracefulShutdown(t *testing.T) {
 		t.Fatalf("serve: %v", err)
 	}
 	// The drained job's result persisted.
-	store, err := OpenStore(dir)
+	store, err := castore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

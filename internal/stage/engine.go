@@ -10,12 +10,12 @@ import (
 	"tmi3d/internal/flow"
 )
 
-// Cache events reported to OnEvent and accumulated in Counters.
+// Cache events, accumulated in Counters and a run's RunStats.
 const (
-	EventMemHit  = "hit_mem"  // artifact served from the in-process cache
-	EventDiskHit = "hit_disk" // artifact loaded and verified from the store
-	EventMiss    = "miss"     // cached node not found in any tier
-	EventExecute = "execute"  // node body ran (every miss, plus uncached nodes)
+	eventMemHit  = "hit_mem"  // artifact served from the in-process cache
+	eventDiskHit = "hit_disk" // artifact loaded and verified from the store
+	eventMiss    = "miss"     // cached node not found in any tier
+	eventExecute = "execute"  // node body ran (every miss, plus uncached nodes)
 )
 
 // Counters is one stage's cumulative cache accounting.
@@ -31,12 +31,6 @@ type RunStats struct {
 	MemHits    int
 	DiskHits   int
 	Executions int
-}
-
-// Summary renders the stats in the form the serving layer's X-Stage-Hits
-// response header carries.
-func (s RunStats) Summary() string {
-	return fmt.Sprintf("mem=%d disk=%d run=%d", s.MemHits, s.DiskHits, s.Executions)
 }
 
 // memLimit is the default in-process artifact cache capacity (entries). Eight
@@ -61,7 +55,6 @@ type Engine struct {
 	limit    int
 	inflight map[string]*call
 	counters map[string]*Counters
-	onEvent  func(stage, event string)
 
 	// beforeExecute, when set, runs before every cached node's body. Only
 	// tests set it (export_test.go), to fail a body on demand.
@@ -101,8 +94,8 @@ func New(dir string) (*Engine, error) {
 	return e, nil
 }
 
-// Store exposes the persistent tier (nil when in-process only) — the serving
-// layer hangs its quarantine metrics off it, tests corrupt entries through it.
+// Store exposes the persistent tier (nil when in-process only): `tmi3d
+// wireid` round-trips a probe entry through it, tests corrupt entries.
 func (e *Engine) Store() *castore.Store { return e.store }
 
 // SetMemLimit resizes the in-process artifact cache (entries; minimum 1).
@@ -116,11 +109,6 @@ func (e *Engine) SetMemLimit(n int) {
 	e.mu.Unlock()
 }
 
-// OnEvent registers an observer of cache events (metrics export). The
-// callback runs synchronously on the run's goroutine; it must not call back
-// into the engine.
-func (e *Engine) OnEvent(fn func(stage, event string)) { e.onEvent = fn }
-
 // Counters returns a snapshot of the cumulative per-stage cache counters.
 func (e *Engine) Counters() map[string]Counters {
 	e.mu.Lock()
@@ -132,14 +120,6 @@ func (e *Engine) Counters() map[string]Counters {
 	return out
 }
 
-// StoreLen counts live entries in the persistent tier (0 without one).
-func (e *Engine) StoreLen() (int, error) {
-	if e.store == nil {
-		return 0, nil
-	}
-	return e.store.Len()
-}
-
 func (e *Engine) event(rc *runCtx, stage, ev string) {
 	e.mu.Lock()
 	c := e.counters[stage]
@@ -147,30 +127,21 @@ func (e *Engine) event(rc *runCtx, stage, ev string) {
 		c = &Counters{}
 		e.counters[stage] = c
 	}
+	// rc.stats belongs to one run's goroutine; the lock guards only c.
 	switch ev {
-	case EventMemHit:
+	case eventMemHit:
 		c.MemHits++
-	case EventDiskHit:
+		rc.stats.MemHits++
+	case eventDiskHit:
 		c.DiskHits++
-	case EventMiss:
+		rc.stats.DiskHits++
+	case eventMiss:
 		c.Misses++
-	case EventExecute:
+	case eventExecute:
 		c.Executions++
+		rc.stats.Executions++
 	}
 	e.mu.Unlock()
-	if rc != nil {
-		switch ev {
-		case EventMemHit:
-			rc.stats.MemHits++
-		case EventDiskHit:
-			rc.stats.DiskHits++
-		case EventExecute:
-			rc.stats.Executions++
-		}
-	}
-	if e.onEvent != nil {
-		e.onEvent(stage, ev)
-	}
 }
 
 // Run executes the flow for cfg through the stage graph. The result is
@@ -289,7 +260,7 @@ type runCtx struct {
 // go through the tiers.
 func (rc *runCtx) resolve(n *flow.Node, exec func() (any, error)) (any, error) {
 	if !n.Cached {
-		rc.eng.event(rc, n.Name, EventExecute)
+		rc.eng.event(rc, n.Name, eventExecute)
 		return exec()
 	}
 	return rc.eng.artifact(rc, n, exec)
@@ -302,7 +273,7 @@ func (e *Engine) artifact(rc *runCtx, n *flow.Node, exec func() (any, error)) (a
 	e.mu.Lock()
 	if v, ok := e.memGet(id); ok {
 		e.mu.Unlock()
-		e.event(rc, name, EventMemHit)
+		e.event(rc, name, eventMemHit)
 		return v, nil
 	}
 	c, waiting := e.inflight[id]
@@ -319,7 +290,7 @@ func (e *Engine) artifact(rc *runCtx, n *flow.Node, exec func() (any, error)) (a
 		}
 		// The other run published the artifact; serving it without
 		// re-executing is this run's memory hit.
-		e.event(rc, name, EventMemHit)
+		e.event(rc, name, eventMemHit)
 		return c.v, nil
 	}
 	done := false
@@ -363,15 +334,15 @@ func (e *Engine) fill(rc *runCtx, n *flow.Node, id string, exec func() (any, err
 		}
 		if ok {
 			if v, derr := n.Decode(data); derr == nil {
-				e.event(rc, n.Name, EventDiskHit)
+				e.event(rc, n.Name, eventDiskHit)
 				return v, nil
 			}
 			// Undecodable despite a verified checksum: an envelope format
 			// skew. Recompute and overwrite below, like any miss.
 		}
 	}
-	e.event(rc, n.Name, EventMiss)
-	e.event(rc, n.Name, EventExecute)
+	e.event(rc, n.Name, eventMiss)
+	e.event(rc, n.Name, eventExecute)
 	if e.beforeExecute != nil {
 		e.beforeExecute(n.Name)
 	}

@@ -68,10 +68,12 @@ stage bench-smoke
 (cd bench && go test ./...)
 
 stage bench-kernels
-# The kernel benchmarks (sta.Analyze, place.Run, route.Run, opt.Close, the
-# stage artifact codec) run once each, so they keep compiling and running;
-# `make bench-kernels` times them with -benchmem.
-go test -run '^$' -bench . -benchtime 1x ./internal/sta ./internal/place ./internal/route ./internal/opt
+# The kernel benchmarks (sta.Analyze, place.Run, route.Run, opt.Close,
+# lint.CheckDesign, equiv.Check, castore Put/Get, the stage artifact codec)
+# run once each, so they keep compiling and running; `make bench-kernels`
+# times them with -benchmem.
+go test -run '^$' -bench . -benchtime 1x ./internal/sta ./internal/place ./internal/route ./internal/opt \
+    ./internal/lint ./internal/equiv ./internal/castore
 go test -run '^$' -bench BenchmarkArtifactCodec -benchtime 1x ./internal/stage
 
 stage race
@@ -136,15 +138,13 @@ fi
 
 stage serve-smoke
 # The serving layer's contract: a daemon answer is byte-identical to a direct
-# flow.Run. Boot on an ephemeral port (with the staged engine, so the
-# byte-identity check also covers staged serving), probe /healthz, fetch one
-# flow result twice (cold then cached), and diff against the direct encoding
-# via loadgen. Then a sequential clock sweep must show — via the stage
-# metrics — that synthesis and placement executed exactly once.
+# flow.Run. Boot on an ephemeral port, probe /healthz, fetch one flow result
+# twice (cold then cached), and diff against the direct encoding via loadgen.
+# The staged engine's identity is covered by staged-identity and
+# wire-identity above; serve always runs flow.Run.
 go build -o "$pdir/tmi3d" ./cmd/tmi3d
 go build -o "$pdir/loadgen" ./cmd/loadgen
 "$pdir/tmi3d" serve -addr 127.0.0.1:0 -store "$pdir/store" \
-    -stagecache "$pdir/stagecache-serve" \
     -addrfile "$pdir/addr" 2>"$pdir/serve.log" &
 serve_pid=$!
 for _ in $(seq 1 100); do [ -s "$pdir/addr" ] && break; sleep 0.1; done
@@ -159,7 +159,6 @@ if command -v curl >/dev/null; then
 fi
 "$pdir/loadgen" -addr "$addr" -workers 8 -n 16 -circuit FPU -scale 0.1 \
     -verify -check
-"$pdir/loadgen" -addr "$addr" -sweep 3 -circuit FPU -mode 2d -scale 0.1
 kill "$serve_pid"
 wait "$serve_pid" 2>/dev/null || true
 serve_pid=""
