@@ -1,6 +1,7 @@
 package tmi3d_test
 
 import (
+	"runtime"
 	"testing"
 
 	"tmi3d/internal/circuits"
@@ -9,6 +10,7 @@ import (
 	"tmi3d/internal/liberty"
 	"tmi3d/internal/lint"
 	"tmi3d/internal/netlist"
+	"tmi3d/internal/opt"
 	"tmi3d/internal/place"
 	"tmi3d/internal/route"
 	"tmi3d/internal/sta"
@@ -23,9 +25,10 @@ import (
 // table and walk the netlist with per-design buffers, so their counts track
 // compare points and findings, not instances; a regression that rebuilds
 // templates or name strings per instance multiplies them by the design size.
-// sta.Analyze compiles the design into flat presized tables once per call
-// and place.Run refines every region in engine-owned arrays, so their counts
-// track timing levels and bisection regions, not pins. Each bound is about
+// sta.Timer compiles the design into flat presized tables once and patches
+// them per edit, so opt.Close's count tracks its analyses, not pins or
+// rounds; place.Run refines every region in engine-owned arrays, so its
+// count tracks bisection regions. Each bound is about
 // twice the measured count unless its test says otherwise.
 
 func signoffDesign(t *testing.T) (lib *liberty.Library, generic, mapped *netlist.Design) {
@@ -92,6 +95,57 @@ func TestStaAnalyzeAllocs(t *testing.T) {
 	t.Logf("sta.Analyze, FPU %d instances: %.0f allocs/run", len(s.Instances), got)
 	if got > bound {
 		t.Errorf("sta.Analyze allocates %.0f times per run, bound %d", got, bound)
+	}
+}
+
+// Closure with power recovery at the relaxed critical path: a timing round,
+// downsizing rounds and the repair upsizing after them, about a dozen
+// analyses. Max-cap buffering is skipped: each inserted buffer allocates its
+// own netlist entries, and without it the count tracks the analyses. Close
+// edits the netlist, so each run closes a fresh copy and only Close itself
+// is counted.
+func TestOptCloseAllocs(t *testing.T) {
+	lib, _, s := signoffDesign(t)
+	pl, err := place.Run(s, place.Options{Lib: lib, Tech: tech.New(tech.N45, tech.Mode2D)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := pl.Snapshot()
+	hpwl := func(p *place.Placement) func(int) sta.WireRC {
+		return func(ni int) sta.WireRC {
+			l := p.NetHPWL(ni)
+			return sta.WireRC{R: 2 * l, C: 0.2 * l}
+		}
+	}
+	relaxed, err := sta.Analyze(s, sta.Env{Lib: lib, Wire: hpwl(pl)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := relaxed.ClockPs - relaxed.WNS
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 3
+	var mallocs uint64
+	var st *opt.Stats
+	for i := 0; i < runs; i++ {
+		d := s.Clone()
+		d.TargetClockPs = clock
+		p := snap.Restore(d)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		st, err = opt.Close(d, opt.Options{Lib: lib, Wire: hpwl(p), Placement: p, MaxRounds: 8, PowerRecovery: true, SkipDRV: true})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mallocs += after.Mallocs - before.Mallocs
+	}
+	got := float64(mallocs) / runs
+	// 67 allocs/run; compiling the timing graph per round, as sta.Analyze
+	// does, made 267.
+	const bound = 140
+	t.Logf("opt.Close, FPU %d instances, %+v: %.0f allocs/run", len(s.Instances), *st, got)
+	if got > bound {
+		t.Errorf("opt.Close allocates %.0f times per run, bound %d", got, bound)
 	}
 }
 

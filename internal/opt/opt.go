@@ -52,9 +52,11 @@ type Options struct {
 	// DebugChecks enables logic-preservation assertions after every buffer
 	// insertion: the inserted cell must be non-inverting (net polarity), the
 	// split nets must each have exactly one recorded driver, no sink may be
-	// lost, and the buffer must land inside the die. The equivalence-backed
-	// optimizer regression tests run with this on; production flows leave it
-	// off and rely on the flow-level equiv gates.
+	// lost, and the buffer must land inside the die. It also checks every
+	// incremental timing result against a from-scratch sta.Analyze, bit for
+	// bit. The equivalence-backed optimizer regression tests run with this
+	// on; production flows leave it off and rely on the flow-level equiv
+	// gates.
 	DebugChecks bool
 }
 
@@ -90,18 +92,38 @@ func Close(d *netlist.Design, opt Options) (*Stats, error) {
 		}
 	}
 
+	// One timer serves every round: it keeps the compiled timing graph, and
+	// every resize and buffer insertion below goes through it.
+	t, err := sta.NewTimer(d, env)
+	if err != nil {
+		return nil, err
+	}
+	analyze := func() (*sta.Result, error) {
+		res, err := t.Analyze()
+		if err != nil || !opt.DebugChecks {
+			return res, err
+		}
+		ref, err := sta.Analyze(d, env)
+		if err != nil {
+			return nil, err
+		}
+		if err := res.Diff(ref); err != nil {
+			return nil, fmt.Errorf("opt: incremental timing differs from a full analysis: %w", err)
+		}
+		return res, nil
+	}
+
 	var res *sta.Result
-	var err error
 	// DRV pass: fix max-capacitance violations first (Encounter's order).
 	// Long wires load their drivers beyond the library limit; splitting them
 	// behind buffers is where most of a wire-dominated design's buffer count
 	// comes from — and where T-MI's shorter wires save cells (Section 4.3).
 	for round := 0; !opt.SkipDRV && round < 4; round++ {
-		res, err = sta.Analyze(d, env)
+		res, err = analyze()
 		if err != nil {
 			return nil, err
 		}
-		n, err := fixMaxCap(d, opt, res, st, area)
+		n, err := fixMaxCap(d, t, opt, res, st, area)
 		if err != nil {
 			return nil, err
 		}
@@ -111,15 +133,18 @@ func Close(d *netlist.Design, opt Options) (*Stats, error) {
 	}
 	for round := 0; round < opt.MaxRounds; round++ {
 		st.Rounds = round + 1
-		res, err = sta.Analyze(d, env)
+		res, err = analyze()
 		if err != nil {
 			return nil, err
 		}
 		if res.Met() {
 			break
 		}
-		changed := upsizeWorst(d, opt.Lib, res, st, area)
-		buffered, err := bufferLongNets(d, opt, res, st, area)
+		changed, err := upsizeWorst(d, t, opt.Lib, res, st, area)
+		if err != nil {
+			return nil, err
+		}
+		buffered, err := bufferLongNets(d, t, opt, res, st, area)
 		if err != nil {
 			return nil, err
 		}
@@ -131,33 +156,41 @@ func Close(d *netlist.Design, opt Options) (*Stats, error) {
 
 	if opt.PowerRecovery {
 		for round := 0; round < 6; round++ {
-			res, err = sta.Analyze(d, env)
+			res, err = analyze()
 			if err != nil {
 				return nil, err
 			}
 			if !res.Met() {
 				break
 			}
-			if downsizeIdle(d, opt.Lib, res, opt.SlackMarginPs, st) == 0 {
+			n, err := downsizeIdle(d, t, opt.Lib, res, opt.SlackMarginPs, st)
+			if err != nil {
+				return nil, err
+			}
+			if n == 0 {
 				break
 			}
 		}
 		// Repair any recovery overshoot: the downsizing batches use slacks
 		// from the start of their round, so a few paths can dip negative.
 		for round := 0; round < opt.MaxRounds; round++ {
-			res, err = sta.Analyze(d, env)
+			res, err = analyze()
 			if err != nil {
 				return nil, err
 			}
 			if res.Met() {
 				break
 			}
-			if upsizeWorst(d, opt.Lib, res, st, area) == 0 {
+			n, err := upsizeWorst(d, t, opt.Lib, res, st, area)
+			if err != nil {
+				return nil, err
+			}
+			if n == 0 {
 				break
 			}
 		}
 	}
-	res, err = sta.Analyze(d, env)
+	res, err = analyze()
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +218,7 @@ func maxCapCandidate(d *netlist.Design, opt Options, res *sta.Result, ni int) []
 
 // fixMaxCap buffers nets whose load exceeds the driver's max capacitance,
 // in net order. Nets the pass adds are not revisited.
-func fixMaxCap(d *netlist.Design, opt Options, res *sta.Result, st *Stats, area *areaTracker) (int, error) {
+func fixMaxCap(d *netlist.Design, t *sta.Timer, opt Options, res *sta.Result, st *Stats, area *areaTracker) (int, error) {
 	changed := 0
 	numNets := len(d.Nets)
 	for ni := 0; ni < numNets; ni++ {
@@ -193,19 +226,8 @@ func fixMaxCap(d *netlist.Design, opt Options, res *sta.Result, st *Stats, area 
 		if len(moved) == 0 || !area.allow(opt.Lib.MustCell(opt.BufferCell).Area) {
 			continue
 		}
-		prevFanout := len(d.Nets[ni].Sinks)
-		newNet, instIdx := d.InsertBuffer(ni, moved, "BUF", opt.BufferCell)
-		if opt.Placement != nil {
-			placeBuffer(opt.Placement, newNet, instIdx)
-		}
-		if opt.DebugChecks {
-			if err := checkBufferInsertion(d, opt, ni, newNet, instIdx, prevFanout); err != nil {
-				return changed, err
-			}
-		}
-		if opt.NetChanged != nil {
-			opt.NetChanged(ni)
-			opt.NetChanged(newNet)
+		if err := insertBuffer(d, t, opt, ni, moved); err != nil {
+			return changed, err
 		}
 		st.BuffersAdd++
 		changed++
@@ -214,13 +236,13 @@ func fixMaxCap(d *netlist.Design, opt Options, res *sta.Result, st *Stats, area 
 }
 
 // upsizeWorst increases drive strength on drivers of negative-slack nets.
-func upsizeWorst(d *netlist.Design, lib *liberty.Library, res *sta.Result, st *Stats, area *areaTracker) int {
+func upsizeWorst(d *netlist.Design, t *sta.Timer, lib *liberty.Library, res *sta.Result, st *Stats, area *areaTracker) (int, error) {
 	type cand struct {
 		inst  int
 		slack float64
 	}
 	var cands []cand
-	seen := map[int]bool{}
+	seen := make([]bool, len(d.Instances))
 	for ni := range d.Nets {
 		sl := res.Slack(ni)
 		if sl >= 0 {
@@ -234,7 +256,7 @@ func upsizeWorst(d *netlist.Design, lib *liberty.Library, res *sta.Result, st *S
 		cands = append(cands, cand{drv.Inst, sl})
 	}
 	if len(cands) == 0 {
-		return 0
+		return 0, nil
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].slack < cands[j].slack })
 	limit := len(cands)/4 + 32
@@ -245,17 +267,19 @@ func upsizeWorst(d *netlist.Design, lib *liberty.Library, res *sta.Result, st *S
 		}
 		cell := lib.MustCell(d.Instances[c.inst].CellName)
 		if up := lib.Upsize(cell); up != nil && area.allow(up.Area-cell.Area) {
-			d.Instances[c.inst].CellName = up.Name
+			if err := t.Resize(c.inst, up); err != nil {
+				return changed, err
+			}
 			changed++
 			st.Upsized++
 		}
 	}
-	return changed
+	return changed, nil
 }
 
 // bufferLongNets inserts buffers on critical nets whose wire delay is large:
 // the buffer is placed at the sink centroid, cutting the driver's RC load.
-func bufferLongNets(d *netlist.Design, opt Options, res *sta.Result, st *Stats, area *areaTracker) (int, error) {
+func bufferLongNets(d *netlist.Design, t *sta.Timer, opt Options, res *sta.Result, st *Stats, area *areaTracker) (int, error) {
 	type cand struct {
 		net   int
 		delay float64
@@ -288,24 +312,36 @@ func bufferLongNets(d *netlist.Design, opt Options, res *sta.Result, st *Stats, 
 		if len(moved) == 0 || !area.allow(opt.Lib.MustCell(opt.BufferCell).Area) {
 			continue
 		}
-		prevFanout := len(d.Nets[ni].Sinks)
-		newNet, instIdx := d.InsertBuffer(ni, moved, "BUF", opt.BufferCell)
-		if opt.Placement != nil {
-			placeBuffer(opt.Placement, newNet, instIdx)
-		}
-		if opt.DebugChecks {
-			if err := checkBufferInsertion(d, opt, ni, newNet, instIdx, prevFanout); err != nil {
-				return changed, err
-			}
-		}
-		if opt.NetChanged != nil {
-			opt.NetChanged(ni)
-			opt.NetChanged(newNet)
+		if err := insertBuffer(d, t, opt, ni, moved); err != nil {
+			return changed, err
 		}
 		st.BuffersAdd++
 		changed++
 	}
 	return changed, nil
+}
+
+// insertBuffer moves the sinks behind a new buffer on net ni through the
+// timer, places the buffer, and reports both split nets as changed.
+func insertBuffer(d *netlist.Design, t *sta.Timer, opt Options, ni int, moved []netlist.PinRef) error {
+	prevFanout := len(d.Nets[ni].Sinks)
+	newNet, instIdx, err := t.InsertBuffer(ni, moved, "BUF", opt.BufferCell)
+	if err != nil {
+		return err
+	}
+	if opt.Placement != nil {
+		placeBuffer(opt.Placement, newNet, instIdx)
+	}
+	if opt.DebugChecks {
+		if err := checkBufferInsertion(d, opt, ni, newNet, instIdx, prevFanout); err != nil {
+			return err
+		}
+	}
+	if opt.NetChanged != nil {
+		opt.NetChanged(ni)
+		opt.NetChanged(newNet)
+	}
+	return nil
 }
 
 // checkBufferInsertion asserts a just-inserted buffer preserved the logic of
@@ -451,7 +487,7 @@ func (a *areaTracker) allow(delta float64) bool {
 // are downsized ... to reduce cell power"). Each candidate's delay penalty
 // is estimated from the library tables and charged against its slack, which
 // keeps a batch from overshooting too far.
-func downsizeIdle(d *netlist.Design, lib *liberty.Library, res *sta.Result, margin float64, st *Stats) int {
+func downsizeIdle(d *netlist.Design, t *sta.Timer, lib *liberty.Library, res *sta.Result, margin float64, st *Stats) (int, error) {
 	changed := 0
 	for ni := range d.Nets {
 		sl := res.Slack(ni)
@@ -480,9 +516,11 @@ func downsizeIdle(d *netlist.Design, lib *liberty.Library, res *sta.Result, marg
 		if delta > 0 && sl-5*delta < 2*margin {
 			continue
 		}
-		d.Instances[drv.Inst].CellName = dn.Name
+		if err := t.Resize(drv.Inst, dn); err != nil {
+			return changed, err
+		}
 		changed++
 		st.Downsized++
 	}
-	return changed
+	return changed, nil
 }

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -212,5 +213,52 @@ func TestNoChangesWhenComfortable(t *testing.T) {
 	}
 	if st.FinalWNS < 0 {
 		t.Error("should be met")
+	}
+}
+
+// With DebugChecks on, Close compares every incremental timing result with
+// a from-scratch sta.Analyze, bit for bit, and fails on the first
+// difference. The oracle runs the pre-route closure with power recovery
+// (all four loops: max-cap, timing, downsizing, repair) on every circuit in
+// both modes, plus LDPC at half the paper's size.
+func TestIncrementalTimingMatchesFullAnalysis(t *testing.T) {
+	type run struct {
+		circuit string
+		scale   float64
+		mode    tech.Mode
+	}
+	var runs []run
+	for _, name := range circuits.Names {
+		for _, mode := range []tech.Mode{tech.Mode2D, tech.ModeTMI} {
+			runs = append(runs, run{name, 0.1, mode})
+		}
+	}
+	runs = append(runs, run{"LDPC", 0.5, tech.ModeTMI})
+	var total Stats
+	for _, r := range runs {
+		t.Run(fmt.Sprintf("%s@%g/%s", r.circuit, r.scale, r.mode), func(t *testing.T) {
+			lib, fresh := placedDesign(t, r.circuit, r.scale, r.mode)
+			d, pl, wire := fresh()
+			// 95% of the relaxed critical path: tight enough for upsizing
+			// and buffering, loose enough for power recovery to downsize.
+			relaxed, err := sta.Analyze(d, sta.Env{Lib: lib, Wire: wire})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.TargetClockPs = 0.95 * (relaxed.ClockPs - relaxed.WNS)
+			st, err := Close(d, Options{
+				Lib: lib, Wire: wire, Placement: pl, MaxRounds: 8, PowerRecovery: true, DebugChecks: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%+v", *st)
+			total.Upsized += st.Upsized
+			total.Downsized += st.Downsized
+			total.BuffersAdd += st.BuffersAdd
+		})
+	}
+	if total.Upsized == 0 || total.Downsized == 0 || total.BuffersAdd == 0 {
+		t.Errorf("oracle exercised too few edits: %+v", total)
 	}
 }

@@ -111,20 +111,23 @@ func resolveCells(lib *liberty.Library, d *netlist.Design) ([]*liberty.Cell, err
 	return cells, nil
 }
 
-// graph is the compiled timing view of one design, built once per Analyze:
-// every pin name the passes need is resolved to a net index up front, so
-// the forward, hold and backward passes walk flat arrays and never touch
-// Instance.Pins. Combinational instance ii drives outs[outStart[ii]:
-// outStart[ii+1]] (in Cell.Outputs order); each output's arcs are
-// arcs[arcLo:arcHi] (in Cell.Arcs order, so the max pass breaks arrival
-// ties exactly as a walk over the cell would). Unconnected pins are dropped
-// here rather than skipped in every pass.
+// graph is the compiled timing view of one design: every pin name the
+// passes need is resolved to a net index up front, so the forward, hold and
+// backward passes walk flat arrays and never touch Instance.Pins.
+// Combinational instance ii drives outs[outStart[ii]:outStart[ii+1]] (in
+// Cell.Outputs order); each output's arcs are arcs[arcLo:arcHi] (in
+// Cell.Arcs order, so the max pass breaks arrival ties exactly as a walk
+// over the cell would). One instance's outputs and arcs are contiguous, so a
+// resize rewrites them in place and an inserted buffer appends its own.
+// Unconnected pins are dropped here rather than skipped in every pass.
 type graph struct {
 	outStart []int32
 	outs     []outPin
 	arcs     []arcIn
-	// seqs holds the sequential instances in index order.
-	seqs []seqInst
+	// seqs holds the sequential instances in index order; seqIdx maps an
+	// instance to its seqs entry (-1 for combinational instances).
+	seqs   []seqInst
+	seqIdx []int32
 }
 
 // outPin is one connected output of a combinational instance.
@@ -165,55 +168,267 @@ func compile(d *netlist.Design, cells []*liberty.Cell) (*graph, error) {
 		outs:     make([]outPin, 0, nOut),
 		arcs:     make([]arcIn, 0, nArc),
 		seqs:     make([]seqInst, 0, nSeq),
+		seqIdx:   make([]int32, len(cells)),
 	}
 	for ii, c := range cells {
 		g.outStart[ii] = int32(len(g.outs))
+		g.seqIdx[ii] = -1
 		pins := d.Instances[ii].Pins
 		if c.Seq {
-			s := seqInst{cell: c, d: -1, q: -1}
-			if ni, ok := pins["D"]; ok {
-				s.d = int32(ni)
+			s, err := bindSeq(c, pins)
+			if err != nil {
+				return nil, err
 			}
-			if ni, ok := pins["Q"]; ok {
-				s.q = int32(ni)
-				if s.launch = c.Arc(c.Clock, "Q"); s.launch == nil {
-					return nil, fmt.Errorf("sta: %s has no %s→Q arc", c.Name, c.Clock)
-				}
-			}
+			g.seqIdx[ii] = int32(len(g.seqs))
 			g.seqs = append(g.seqs, s)
 			continue
 		}
-		for _, out := range c.Outputs {
-			outNet, ok := pins[out]
-			if !ok {
-				continue
-			}
-			lo := len(g.arcs)
-			for ai := range c.Arcs {
-				arc := &c.Arcs[ai]
-				if arc.To != out {
-					continue
-				}
-				if inNet, ok := pins[arc.From]; ok {
-					g.arcs = append(g.arcs, arcIn{net: int32(inNet), arc: arc})
-				}
-			}
-			g.outs = append(g.outs, outPin{net: int32(outNet), arcLo: int32(lo), arcHi: int32(len(g.arcs))})
-		}
+		g.outs, g.arcs = appendComb(g.outs, g.arcs, c, pins)
 	}
 	g.outStart[len(cells)] = int32(len(g.outs))
 	return g, nil
 }
 
+// bindSeq binds a flop's D and Q pins and its launch arc.
+func bindSeq(c *liberty.Cell, pins map[string]int) (seqInst, error) {
+	s := seqInst{cell: c, d: -1, q: -1}
+	if ni, ok := pins["D"]; ok {
+		s.d = int32(ni)
+	}
+	if ni, ok := pins["Q"]; ok {
+		s.q = int32(ni)
+		if s.launch = c.Arc(c.Clock, "Q"); s.launch == nil {
+			return s, fmt.Errorf("sta: %s has no %s→Q arc", c.Name, c.Clock)
+		}
+	}
+	return s, nil
+}
+
+// appendComb appends a combinational instance's connected outputs and their
+// connected arcs, in Cell.Outputs and Cell.Arcs order.
+func appendComb(outs []outPin, arcs []arcIn, c *liberty.Cell, pins map[string]int) ([]outPin, []arcIn) {
+	for _, out := range c.Outputs {
+		outNet, ok := pins[out]
+		if !ok {
+			continue
+		}
+		lo := len(arcs)
+		for ai := range c.Arcs {
+			arc := &c.Arcs[ai]
+			if arc.To != out {
+				continue
+			}
+			if inNet, ok := pins[arc.From]; ok {
+				arcs = append(arcs, arcIn{net: int32(inNet), arc: arc})
+			}
+		}
+		outs = append(outs, outPin{net: int32(outNet), arcLo: int32(lo), arcHi: int32(len(arcs))})
+	}
+	return outs, arcs
+}
+
 // outputs returns instance ii's connected outputs (none for a flop).
 func (g *graph) outputs(ii int32) []outPin { return g.outs[g.outStart[ii]:g.outStart[ii+1]] }
 
-// inputs returns the connected arcs into one output.
-func (g *graph) inputs(o outPin) []arcIn { return g.arcs[o.arcLo:o.arcHi] }
+// instArcs returns instance ii's arcs over all its outputs (contiguous).
+func (g *graph) instArcs(ii int) []arcIn {
+	outs := g.outs[g.outStart[ii]:g.outStart[ii+1]]
+	if len(outs) == 0 {
+		return nil
+	}
+	return g.arcs[outs[0].arcLo:outs[len(outs)-1].arcHi]
+}
+
+// Timer times one design across a sequence of edits: it binds the cells,
+// compiles the timing graph and orders the instances once, and every resize
+// or buffer insertion made through it patches that state in place, so a
+// re-analysis only re-propagates. Edits must go through the Timer while it
+// is in use; an edit made to the netlist behind its back leaves it stale.
+//
+// Analyze re-propagates every net, so any topological order yields the same
+// bits: arrivals are a max over inputs that are final when read, and hold
+// and required times are min-folds, which do not depend on fold order.
+type Timer struct {
+	d     *netlist.Design
+	env   Env
+	cells []*liberty.Cell
+	g     *graph
+	// order lists every instance in topological order; pending holds the
+	// buffers inserted since the last Analyze, which merges them into it.
+	order   []int32
+	pending []int32
+	// pos is the design's primary-output names, sorted: endpoint checks
+	// visit them in that order, so TNS sums in a fixed order.
+	pos []string
+	// last is the previous Analyze's result, returned again while no edit
+	// has been made since.
+	last *Result
+	// Per-Analyze scratch, kept across calls.
+	wireDelay, minArr, arcDelay []float64
+	outBuf                      []outPin
+	arcBuf                      []arcIn
+}
+
+// NewTimer binds d's cells in env.Lib, compiles its timing graph and orders
+// its instances. An error reports an unmapped or unknown cell, a flop
+// without a clock→Q arc, or a combinational cycle.
+func NewTimer(d *netlist.Design, env Env) (*Timer, error) {
+	cells, err := resolveCells(env.Lib, d)
+	if err != nil {
+		return nil, err
+	}
+	_, order, err := levelize(d)
+	if err != nil {
+		return nil, err
+	}
+	g, err := compile(d, cells)
+	if err != nil {
+		return nil, err
+	}
+	return &Timer{d: d, env: env, cells: cells, g: g, order: order, pos: d.SortedPOs()}, nil
+}
 
 // Analyze runs full static timing analysis.
 func Analyze(d *netlist.Design, env Env) (*Result, error) {
-	lib := env.Lib
+	t, err := NewTimer(d, env)
+	if err != nil {
+		return nil, err
+	}
+	return t.Analyze()
+}
+
+// Resize rebinds instance ii to cell c, which must have the same pins and
+// arcs as its current cell (a drive-strength variant): the instance's arcs,
+// or for a flop its setup, hold and launch arc, are rebound in place.
+func (t *Timer) Resize(ii int, c *liberty.Cell) error {
+	old := t.cells[ii]
+	pins := t.d.Instances[ii].Pins
+	if c.Seq != old.Seq {
+		return fmt.Errorf("sta: cannot resize %s to %s", old.Name, c.Name)
+	}
+	if c.Seq {
+		s, err := bindSeq(c, pins)
+		if err != nil {
+			return err
+		}
+		t.g.seqs[t.g.seqIdx[ii]] = s
+	} else {
+		// Rebuild the instance's outputs and arcs as compile would, over the
+		// same span of the graph.
+		t.outBuf, t.arcBuf = appendComb(t.outBuf[:0], t.arcBuf[:0], c, pins)
+		outs := t.g.outs[t.g.outStart[ii]:t.g.outStart[ii+1]]
+		arcs := t.g.instArcs(ii)
+		if len(t.outBuf) != len(outs) || len(t.arcBuf) != len(arcs) {
+			return fmt.Errorf("sta: cannot resize %s to %s: pins or arcs differ", old.Name, c.Name)
+		}
+		if len(outs) > 0 {
+			base := outs[0].arcLo
+			for k, o := range t.outBuf {
+				outs[k] = outPin{net: o.net, arcLo: base + o.arcLo, arcHi: base + o.arcHi}
+			}
+			copy(arcs, t.arcBuf)
+		}
+	}
+	t.cells[ii] = c
+	t.d.Instances[ii].CellName = c.Name
+	t.last = nil
+	return nil
+}
+
+// InsertBuffer splits net behind a new single-input cell (see
+// netlist.Design.InsertBuffer) and patches the timing graph: the buffer's
+// output and arc are appended, and the moved sinks' arcs (or flop D pins)
+// are retargeted to the new net.
+func (t *Timer) InsertBuffer(net int, moved []netlist.PinRef, fn, cellName string) (newNet, instIdx int, err error) {
+	c := t.env.Lib.Cell(cellName)
+	if c == nil || c.Seq || c.Arc("A", "Z") == nil {
+		return 0, 0, fmt.Errorf("sta: %q is not a library cell with an A→Z arc", cellName)
+	}
+	newNet, instIdx = t.d.InsertBuffer(net, moved, fn, cellName)
+	g := t.g
+	t.cells = append(t.cells, c)
+	g.outs, g.arcs = appendComb(g.outs, g.arcs, c, t.d.Instances[instIdx].Pins)
+	g.outStart = append(g.outStart, int32(len(g.outs)))
+	g.seqIdx = append(g.seqIdx, -1)
+	for _, m := range moved {
+		if m.Inst < 0 {
+			continue // a primary output: d.POs already names the new net
+		}
+		if si := g.seqIdx[m.Inst]; si >= 0 {
+			if m.Pin == "D" {
+				g.seqs[si].d = int32(newNet)
+			}
+			continue
+		}
+		arcs := g.instArcs(m.Inst)
+		for k := range arcs {
+			if arcs[k].arc.From == m.Pin {
+				arcs[k].net = int32(newNet)
+			}
+		}
+	}
+	t.pending = append(t.pending, int32(instIdx))
+	t.last = nil
+	return newNet, instIdx, nil
+}
+
+// mergePending places each buffer inserted since the last Analyze right
+// after the driver of its input net (first, when a primary input or the
+// clock drives it), in one pass over the order. A buffer whose input is
+// another new buffer's output follows that buffer. Everything the buffer
+// drives read its input net before, so it already comes after that driver.
+func (t *Timer) mergePending() error {
+	if len(t.pending) == 0 {
+		return nil
+	}
+	// follow[a+1] heads the list of new buffers that go right after
+	// instance a (a = -1: first), in insertion order; next links each list.
+	follow := make([]int32, len(t.cells)+1)
+	next := make([]int32, len(t.cells))
+	for i := range follow {
+		follow[i] = -1
+	}
+	for k := len(t.pending) - 1; k >= 0; k-- {
+		b := t.pending[k]
+		// Every arc of an inserted buffer reads its one input net.
+		anchor := int32(-1)
+		if drv := t.d.Nets[t.g.instArcs(int(b))[0].net].Driver; drv.Inst >= 0 {
+			anchor = int32(drv.Inst)
+		}
+		next[b], follow[anchor+1] = follow[anchor+1], b
+	}
+	order := make([]int32, 0, len(t.order)+len(t.pending))
+	var emit func(ii int32)
+	emit = func(ii int32) {
+		order = append(order, ii)
+		for b := follow[ii+1]; b >= 0; b = next[b] {
+			emit(b)
+		}
+	}
+	for b := follow[0]; b >= 0; b = next[b] {
+		emit(b)
+	}
+	for _, ii := range t.order {
+		emit(ii)
+	}
+	if len(order) != len(t.cells) {
+		return fmt.Errorf("sta: %d of %d instances ordered after buffer insertion", len(order), len(t.cells))
+	}
+	t.order, t.pending = order, t.pending[:0]
+	return nil
+}
+
+// Analyze times the design in its current state: it re-propagates every
+// net over the compiled graph, or returns the previous result when no edit
+// has been made since. The result must not be modified.
+func (t *Timer) Analyze() (*Result, error) {
+	if t.last != nil {
+		return t.last, nil
+	}
+	if err := t.mergePending(); err != nil {
+		return nil, err
+	}
+	d, env, cells, g, order := t.d, t.env, t.cells, t.g, t.order
 	n := len(d.Nets)
 	res := &Result{
 		Arrival: make([]float64, n),
@@ -230,14 +445,10 @@ func Analyze(d *netlist.Design, env Env) (*Result, error) {
 		inputSlew = 20
 	}
 
-	cells, err := resolveCells(lib, d)
-	if err != nil {
-		return nil, err
-	}
-
 	// Net loads (wire capacitance plus sink pin capacitance) and each net's
 	// wire delay, priced once here instead of once per arc per pass.
-	wireDelay := make([]float64, n)
+	t.wireDelay = resize(t.wireDelay, n)
+	wireDelay := t.wireDelay
 	for i := range d.Nets {
 		wire := env.Wire(i)
 		load := wire.C
@@ -249,15 +460,6 @@ func Analyze(d *netlist.Design, env Env) (*Result, error) {
 		}
 		res.Load[i] = load
 		wireDelay[i] = WireDelay(wire, load)
-	}
-
-	_, levelOrder, err := levelize(d)
-	if err != nil {
-		return nil, err
-	}
-	g, err := compile(d, cells)
-	if err != nil {
-		return nil, err
 	}
 
 	// Startpoints.
@@ -281,22 +483,28 @@ func Analyze(d *netlist.Design, env Env) (*Result, error) {
 		res.Slew[s.q] = s.launch.OutSlew.At(inputSlew, res.Load[s.q])
 	}
 
-	// Propagate through combinational instances in level order: every input
-	// net is driven from a strictly lower level (or a startpoint), so it is
-	// final before any instance reads it.
-	for _, ii := range levelOrder {
+	// Propagate through combinational instances in topological order: every
+	// input net is driven earlier in the order (or is a startpoint), so it
+	// is final before any instance reads it. Each arc's delay is looked up
+	// once, here, at its input's final slew and its output's load; the hold
+	// and backward passes reuse it.
+	t.arcDelay = resize(t.arcDelay, len(g.arcs))
+	arcDelay := t.arcDelay
+	for _, ii := range order {
 		for _, out := range g.outputs(ii) {
 			load := res.Load[out.net]
 			bestArr := math.Inf(-1)
 			bestSlew := 0.0
-			for _, in := range g.inputs(out) {
+			for k := out.arcLo; k < out.arcHi; k++ {
+				in := g.arcs[k]
+				inSlew := res.Slew[in.net]
+				arcDelay[k] = in.arc.Delay.At(inSlew, load)
 				inArr := res.Arrival[in.net]
 				if math.IsInf(inArr, -1) {
 					continue
 				}
-				inSlew := res.Slew[in.net]
 				// Wire delay from the input net's driver to this pin.
-				a := inArr + wireDelay[in.net] + in.arc.Delay.At(inSlew, load)
+				a := inArr + wireDelay[in.net] + arcDelay[k]
 				if a > bestArr {
 					bestArr = a
 					bestSlew = in.arc.OutSlew.At(inSlew, load)
@@ -332,8 +540,7 @@ func Analyze(d *netlist.Design, env Env) (*Result, error) {
 			check(int(s.d), res.ClockPs-s.cell.Setup)
 		}
 	}
-	pos := d.SortedPOs()
-	for _, po := range pos {
+	for _, po := range t.pos {
 		check(d.POs[po], res.ClockPs)
 	}
 	if math.IsInf(res.WNS, 1) {
@@ -343,8 +550,9 @@ func Analyze(d *netlist.Design, env Env) (*Result, error) {
 	// Hold analysis: propagate MINIMUM arrivals (fastest arc per gate, no
 	// wire pessimism) and check each sequential data pin against its hold
 	// requirement. The clock is ideal, so launch and capture edges align.
-	// The pass walks the level order of the max pass above.
-	minArr := make([]float64, n)
+	// The pass walks the order of the max pass above.
+	t.minArr = resize(t.minArr, n)
+	minArr := t.minArr
 	for i := range minArr {
 		minArr[i] = math.Inf(1)
 	}
@@ -362,14 +570,15 @@ func Analyze(d *netlist.Design, env Env) (*Result, error) {
 			minArr[s.q] = s.launch.Delay.At(inputSlew, res.Load[s.q])
 		}
 	}
-	for _, ii := range levelOrder {
+	for _, ii := range order {
 		for _, out := range g.outputs(ii) {
 			best := math.Inf(1)
-			for _, in := range g.inputs(out) {
+			for k := out.arcLo; k < out.arcHi; k++ {
+				in := g.arcs[k]
 				if math.IsInf(minArr[in.net], 1) {
 					continue
 				}
-				if a := minArr[in.net] + in.arc.Delay.At(res.Slew[in.net], res.Load[out.net]); a < best {
+				if a := minArr[in.net] + arcDelay[k]; a < best {
 					best = a
 				}
 			}
@@ -391,7 +600,8 @@ func Analyze(d *netlist.Design, env Env) (*Result, error) {
 	}
 
 	// Backward pass: required times, for slack-driven optimization, in
-	// reverse level order — each arc min-folds into its input net's entry.
+	// reverse topological order — each arc min-folds into its input net's
+	// entry.
 	res.Required = make([]float64, n)
 	for i := range res.Required {
 		res.Required[i] = math.Inf(1)
@@ -401,26 +611,68 @@ func Analyze(d *netlist.Design, env Env) (*Result, error) {
 			res.Required[s.d] = res.ClockPs - s.cell.Setup
 		}
 	}
-	for _, po := range pos {
+	for _, po := range t.pos {
 		if ni := d.POs[po]; res.ClockPs < res.Required[ni] {
 			res.Required[ni] = res.ClockPs
 		}
 	}
-	for k := len(levelOrder) - 1; k >= 0; k-- {
-		for _, out := range g.outputs(levelOrder[k]) {
+	for k := len(order) - 1; k >= 0; k-- {
+		for _, out := range g.outputs(order[k]) {
 			req := res.Required[out.net]
 			if math.IsInf(req, 1) {
 				continue
 			}
-			for _, in := range g.inputs(out) {
-				r := req - in.arc.Delay.At(res.Slew[in.net], res.Load[out.net]) - wireDelay[in.net]
+			for k := out.arcLo; k < out.arcHi; k++ {
+				in := g.arcs[k]
+				r := req - arcDelay[k] - wireDelay[in.net]
 				if r < res.Required[in.net] {
 					res.Required[in.net] = r
 				}
 			}
 		}
 	}
+	t.last = res
 	return res, nil
+}
+
+// resize returns buf with length n, reallocating only when it is too small.
+func resize(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
+// Diff reports the first field in which r and o differ, comparing every
+// per-net vector and summary metric bit for bit; nil means identical.
+func (r *Result) Diff(o *Result) error {
+	vecs := []struct {
+		name string
+		a, b []float64
+	}{{"Arrival", r.Arrival, o.Arrival}, {"Slew", r.Slew, o.Slew}, {"Required", r.Required, o.Required}, {"Load", r.Load, o.Load}}
+	for _, v := range vecs {
+		if len(v.a) != len(v.b) {
+			return fmt.Errorf("sta: %s has %d nets, want %d", v.name, len(v.a), len(v.b))
+		}
+		for i := range v.a {
+			if math.Float64bits(v.a[i]) != math.Float64bits(v.b[i]) {
+				return fmt.Errorf("sta: %s[%d] = %v, want %v", v.name, i, v.a[i], v.b[i])
+			}
+		}
+	}
+	sums := []struct {
+		name string
+		a, b float64
+	}{{"WNS", r.WNS, o.WNS}, {"TNS", r.TNS, o.TNS}, {"HoldWNS", r.HoldWNS, o.HoldWNS}, {"ClockPs", r.ClockPs, o.ClockPs}}
+	for _, s := range sums {
+		if math.Float64bits(s.a) != math.Float64bits(s.b) {
+			return fmt.Errorf("sta: %s = %v, want %v", s.name, s.a, s.b)
+		}
+	}
+	if r.CriticalNet != o.CriticalNet {
+		return fmt.Errorf("sta: CriticalNet = %d, want %d", r.CriticalNet, o.CriticalNet)
+	}
+	return nil
 }
 
 // Slack returns the timing slack of a net (can be +Inf on unconstrained

@@ -76,10 +76,15 @@ func Run(src *netlist.Design, opt Options) (*Result, error) {
 		},
 	}
 
-	// Slack-driven sizing to the target clock.
+	// Slack-driven sizing to the target clock, through one timer: resizing
+	// leaves the compiled timing graph in place.
+	t, err := sta.NewTimer(d, env)
+	if err != nil {
+		return nil, err
+	}
 	var last *sta.Result
 	for round := 0; round < opt.SizingRounds; round++ {
-		res, err := sta.Analyze(d, env)
+		res, err := t.Analyze()
 		if err != nil {
 			return nil, err
 		}
@@ -87,16 +92,18 @@ func Run(src *netlist.Design, opt Options) (*Result, error) {
 		if res.Met() {
 			break
 		}
-		if upsizeCritical(d, opt.Lib, res, 0.10) == 0 {
+		n, err := upsizeCritical(d, t, opt.Lib, res, 0.10)
+		if err != nil {
+			return nil, err
+		}
+		if n == 0 {
 			break
 		}
 	}
 	if last == nil {
-		res, err := sta.Analyze(d, env)
-		if err != nil {
+		if last, err = t.Analyze(); err != nil {
 			return nil, err
 		}
-		last = res
 	}
 
 	out := &Result{Design: d, Stats: d.Stats(), WNS: last.WNS}
@@ -187,7 +194,7 @@ func bufferMaxCap(d *netlist.Design, opt Options) {
 // upsizeCritical bumps the drive strength of cells driving negative-slack
 // nets, worst first, touching at most frac of the failing drivers per call.
 // It returns the number of cells changed.
-func upsizeCritical(d *netlist.Design, lib *liberty.Library, res *sta.Result, frac float64) int {
+func upsizeCritical(d *netlist.Design, t *sta.Timer, lib *liberty.Library, res *sta.Result, frac float64) (int, error) {
 	type cand struct {
 		inst  int
 		slack float64
@@ -206,7 +213,7 @@ func upsizeCritical(d *netlist.Design, lib *liberty.Library, res *sta.Result, fr
 		cands = append(cands, cand{drv.Inst, res.Slack(ni)})
 	}
 	if len(cands) == 0 {
-		return 0
+		return 0, nil
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].slack < cands[j].slack })
 	limit := int(math.Ceil(frac * float64(len(cands))))
@@ -223,8 +230,10 @@ func upsizeCritical(d *netlist.Design, lib *liberty.Library, res *sta.Result, fr
 		if up == nil {
 			continue
 		}
-		d.Instances[c.inst].CellName = up.Name
+		if err := t.Resize(c.inst, up); err != nil {
+			return changed, err
+		}
 		changed++
 	}
-	return changed
+	return changed, nil
 }
