@@ -92,7 +92,7 @@ func (s *Study) workers() int {
 // old %.0f ClockPs key collided Fig 4 points under 1 ps apart) stay
 // distinct. The check and the run are bridged by an inflight map: the first
 // caller of a key executes, every concurrent caller of the same key waits
-// for that single execution.
+// for that single execution. Cached results carry no Design or Placement.
 func (s *Study) run(cfg flow.Config) (*flow.Result, error) {
 	cfg.Scale = s.Scale
 	cfg.Seed = s.Seed
@@ -120,6 +120,16 @@ func (s *Study) run(cfg flow.Config) (*flow.Result, error) {
 		runner = flow.Run
 	}
 	f.res, f.err = runner(cfg)
+	if f.err == nil {
+		// Cache the report, not the implementation: nothing in a study
+		// reads the netlist or placement, and at scale 1 keeping every
+		// flow's for the study's lifetime runs a one-process paper-scale
+		// report out of memory. The first caller gets the same copy as
+		// every waiter and later hit.
+		lean := *f.res
+		lean.Design, lean.Placement = nil, nil
+		f.res = &lean
+	}
 
 	s.mu.Lock()
 	if f.err == nil {

@@ -15,6 +15,8 @@ import (
 	"time"
 
 	"tmi3d/internal/flow"
+	"tmi3d/internal/netlist"
+	"tmi3d/internal/place"
 	"tmi3d/internal/report"
 	"tmi3d/internal/tech"
 )
@@ -107,6 +109,65 @@ func TestRunStampedeSingleflight(t *testing.T) {
 		}
 		if results[g] != results[0] {
 			t.Fatalf("goroutine %d received a different result", g)
+		}
+	}
+}
+
+// The study caches a flow's report, not its implementation: the first
+// caller, a concurrent waiter and a later cache hit all get one copy with
+// no Design or Placement, while the wire fields survive intact.
+func TestCachedResultDropsLayout(t *testing.T) {
+	started := make(chan struct{})
+	release := make(chan struct{})
+	s, calls := stubStudy(func(cfg flow.Config) (*flow.Result, error) {
+		close(started)
+		<-release
+		return &flow.Result{
+			Config:    cfg,
+			TotalWL:   42,
+			Design:    &netlist.Design{Name: cfg.Circuit},
+			Placement: &place.Placement{},
+		}, nil
+	})
+	cfg := flow.Config{Circuit: "FPU", Node: tech.N45, Mode: tech.ModeTMI}
+	var first, waiter *flow.Result
+	var wg sync.WaitGroup
+	run := func(dst **flow.Result) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r, err := s.run(cfg)
+			if err != nil {
+				t.Error(err)
+			}
+			*dst = r
+		}()
+	}
+	run(&first)
+	<-started
+	run(&waiter)
+	// Give the second caller time to join the inflight run, as in the
+	// stampede test; if it arrives late it is a cache hit instead, and the
+	// checks below hold either way.
+	time.Sleep(10 * time.Millisecond)
+	close(release)
+	wg.Wait()
+	hit, err := s.run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := atomic.LoadInt64(calls); n != 1 {
+		t.Fatalf("flow executed %d times, want 1", n)
+	}
+	for name, r := range map[string]*flow.Result{"first caller": first, "waiter": waiter, "cache hit": hit} {
+		if r != hit {
+			t.Errorf("%s got a different result pointer", name)
+		}
+		if r.Design != nil || r.Placement != nil {
+			t.Errorf("%s: cached result keeps its Design or Placement", name)
+		}
+		if r.TotalWL != 42 || r.Config.Circuit != "FPU" {
+			t.Errorf("%s: report fields lost: TotalWL %v, circuit %q", name, r.TotalWL, r.Config.Circuit)
 		}
 	}
 }

@@ -11,9 +11,10 @@
 package route
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"tmi3d/internal/geom"
 	"tmi3d/internal/place"
@@ -174,27 +175,43 @@ func Run(p *place.Placement, opt Options) (*Result, error) {
 		ni   int
 		hpwl float64
 	}
-	var order []netOrd
+	order := make([]netOrd, 0, len(d.Nets))
 	for ni := range d.Nets {
 		if ni == d.ClockNet || len(d.Nets[ni].Sinks) == 0 {
 			continue
 		}
 		order = append(order, netOrd{ni, p.NetHPWL(ni)})
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if order[a].hpwl != order[b].hpwl {
-			return order[a].hpwl < order[b].hpwl
+	// The key (hpwl, ni) is unique, so the order does not depend on the
+	// sort algorithm.
+	slices.SortFunc(order, func(a, b netOrd) int {
+		if a.hpwl != b.hpwl {
+			if a.hpwl < b.hpwl {
+				return -1
+			}
+			return 1
 		}
-		return order[a].ni < order[b].ni
+		return cmp.Compare(a.ni, b.ni)
 	})
 
-	r := &router{g: g, p: p, noDetour: opt.NoDetour, segsByNet: make(map[int][]seg)}
+	// A net routes at most one segment per sink: carve every net's segment
+	// slice, at that capacity, out of one arena.
+	r := &router{g: g, p: p, noDetour: opt.NoDetour, segsByNet: make([][]seg, len(d.Nets))}
+	nsegs := 0
+	for _, no := range order {
+		nsegs += len(d.Nets[no.ni].Sinks)
+	}
+	arena := make([]seg, nsegs)
+	for _, no := range order {
+		n := len(d.Nets[no.ni].Sinks)
+		r.segsByNet[no.ni], arena = arena[:0:n], arena[n:]
+	}
 	for dir := range r.ov.usage {
 		for c := range r.ov.usage[dir] {
 			r.ov.usage[dir][c] = make([]float32, len(g.usage[dir][c]))
 		}
 	}
-	results := make([]netResult, routeChunk)
+	routes := make([]NetRoute, routeChunk)
 	for pass := 0; pass < iters; pass++ {
 		// Pick this pass's work list up front, against the grid as the
 		// previous pass left it: every net on the first pass, only the
@@ -219,15 +236,14 @@ func Run(p *place.Placement, opt Options) (*Result, error) {
 		for lo := 0; lo < len(active); lo += routeChunk {
 			chunk := active[lo:min(lo+routeChunk, len(active))]
 			for k := range chunk {
-				results[k] = r.routeNetFrozen(chunk[k].ni)
+				routes[k] = r.routeNetFrozen(chunk[k].ni)
 			}
 			for k := range chunk {
 				ni := chunk[k].ni
-				for _, s := range results[k].segs {
+				for _, s := range r.segsByNet[ni] {
 					g.apply(s, 1)
 				}
-				r.segsByNet[ni] = results[k].segs
-				res.Routes[ni] = results[k].route
+				res.Routes[ni] = routes[k]
 			}
 		}
 	}

@@ -14,6 +14,17 @@ import (
 
 func routed(t testing.TB, circuit string, scale float64, mode tech.Mode) (*Result, *place.Placement) {
 	t.Helper()
+	p := placed(t, circuit, scale, mode)
+	r, err := Run(p, Options{Tech: tech.New(tech.N45, mode)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, p
+}
+
+// placed synthesizes and places a benchmark circuit for routing at 45 nm.
+func placed(t testing.TB, circuit string, scale float64, mode tech.Mode) *place.Placement {
+	t.Helper()
 	lib, err := liberty.Default(tech.N45, mode)
 	if err != nil {
 		t.Fatal(err)
@@ -31,11 +42,7 @@ func routed(t testing.TB, circuit string, scale float64, mode tech.Mode) (*Resul
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Run(p, Options{Tech: tt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r, p
+	return p
 }
 
 func TestEveryNetRouted(t *testing.T) {

@@ -1,8 +1,9 @@
 package route
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"tmi3d/internal/geom"
 	"tmi3d/internal/netlist"
@@ -23,10 +24,30 @@ type router struct {
 	g        *grid
 	p        *place.Placement
 	noDetour bool
-	// segsByNet stores the committed segments for rip-up.
-	segsByNet map[int][]seg
+	// segsByNet stores each net's committed segments for rip-up, indexed by
+	// net. ripUp truncates a net's slice, so its reroute reuses the backing
+	// array.
+	segsByNet [][]seg
 	// ov is the routing net's own overlay, reused by every net.
 	ov overlay
+	// pins and connected are the 2-pin decomposition's scratch, reused by
+	// every net.
+	pins      []pin
+	connected []node
+}
+
+// pin is one net pin: its location and its gcell.
+type pin struct {
+	pt   geom.Point
+	x, y int
+}
+
+// node is a connected point of the net being routed: its gcell plus the
+// real coordinates it stands for (pin location, or gcell center for Steiner
+// bends), so reported lengths are not quantized to whole gcells.
+type node struct {
+	x, y   int
+	px, py float64
 }
 
 // overlay is the usage a net has committed itself mid-route, layered over
@@ -40,10 +61,6 @@ type overlay struct {
 type ovEdge struct {
 	dir, class int8
 	edge       int32
-}
-
-func (ov *overlay) at(dir, class, edge int) float64 {
-	return float64(ov.usage[dir][class][edge])
 }
 
 func (ov *overlay) add(dir, class, edge int) {
@@ -61,13 +78,6 @@ func (ov *overlay) reset() {
 	ov.touched = ov.touched[:0]
 }
 
-// netResult is one net's routing outcome before commit: the route metrics
-// plus the segments whose usage the commit step folds into the shared grid.
-type netResult struct {
-	route NetRoute
-	segs  []seg
-}
-
 // classForLen picks the natural layer class for a segment length in µm —
 // short nets stay local, long nets climb the stack (Section S9 / Fig 10).
 func classForLen(lenUm float64, pitch float64) tech.LayerClass {
@@ -81,38 +91,35 @@ func classForLen(lenUm float64, pitch float64) tech.LayerClass {
 	}
 }
 
-// walk visits the edges of an L path.
-func (g *grid) walk(s seg, f func(dir, edge int)) {
-	x1, y1, x2, y2 := int(s.x1), int(s.y1), int(s.x2), int(s.y2)
-	hseg := func(y, xa, xb int) {
-		if xa > xb {
-			xa, xb = xb, xa
-		}
-		for x := xa; x < xb; x++ {
-			f(0, g.hEdge(x, y))
-		}
-	}
-	vseg := func(x, ya, yb int) {
-		if ya > yb {
-			ya, yb = yb, ya
-		}
-		for y := ya; y < yb; y++ {
-			f(1, g.vEdge(x, y))
-		}
-	}
-	if s.hFirst {
-		hseg(y1, x1, x2)
-		vseg(x2, y1, y2)
-	} else {
-		vseg(x1, y1, y2)
-		hseg(y2, x1, x2)
-	}
+// leg is one straight run of an L path: n edges of direction dir, the
+// first at index e0 and each next one stride further on — 1 along a
+// horizontal run, gx along a vertical one (see hEdge and vEdge).
+type leg struct {
+	dir, e0, stride, n int
 }
 
-// edgeCost prices one edge for a class given its effective usage (shared
-// grid plus the routing net's own overlay), strongly penalizing overflow.
-func (g *grid) edgeCost(dir, class int, u float64) float64 {
-	capc := g.cap[dir][class]
+// legs splits s into its two runs in walk order — horizontal then vertical
+// when hFirst is set, vertical then horizontal otherwise — each running from
+// its lower coordinate up. Every per-edge sum over a path follows this order,
+// which fixes its floating-point value.
+func (g *grid) legs(s seg) [2]leg {
+	x1, y1, x2, y2 := int(s.x1), int(s.y1), int(s.x2), int(s.y2)
+	hy, vx := y1, x2
+	if !s.hFirst {
+		hy, vx = y2, x1
+	}
+	h := leg{dir: 0, e0: g.hEdge(min(x1, x2), hy), stride: 1, n: abs(x2 - x1)}
+	v := leg{dir: 1, e0: g.vEdge(vx, min(y1, y2)), stride: g.gx, n: abs(y2 - y1)}
+	if s.hFirst {
+		return [2]leg{h, v}
+	}
+	return [2]leg{v, h}
+}
+
+// edgeCost prices one edge of capacity capc given its effective usage
+// (shared grid plus the routing net's own overlay), strongly penalizing
+// overflow.
+func edgeCost(capc, u float64) float64 {
 	if capc <= 0 {
 		return 1e6
 	}
@@ -126,39 +133,47 @@ func (g *grid) edgeCost(dir, class int, u float64) float64 {
 	return 4 + 8*(r-1)*(r-1)*capc
 }
 
-// pathCost prices a candidate segment on a class against the frozen grid
-// plus the net's overlay.
-func (g *grid) pathCost(s seg, ov *overlay) float64 {
-	cost := 0.0
-	g.walk(s, func(dir, edge int) {
-		u := float64(g.usage[dir][int(s.class)][edge]) + ov.at(dir, int(s.class), edge)
-		cost += g.edgeCost(dir, int(s.class), u)
-	})
-	return cost
+// price walks one L orientation's legs once and adds each edge's cost on
+// class lo+c to cost[c], against the frozen grid plus the net's overlay.
+// Every class sums its edges in walk order, so each total is bit-identical
+// to pricing that class's path on its own.
+func (g *grid) price(ls [2]leg, ov *overlay, lo int, cost []float64) {
+	var capc [3]float64
+	var gu, ou [3][]float32
+	for _, l := range ls {
+		for c := range cost {
+			capc[c] = g.cap[l.dir][lo+c]
+			gu[c], ou[c] = g.usage[l.dir][lo+c], ov.usage[l.dir][lo+c]
+		}
+		for k, e := 0, l.e0; k < l.n; k, e = k+1, e+l.stride {
+			for c := range cost {
+				cost[c] += edgeCost(capc[c], float64(gu[c][e])+float64(ou[c][e]))
+			}
+		}
+	}
 }
 
 func (g *grid) apply(s seg, delta float32) {
-	g.walk(s, func(dir, edge int) {
-		g.usage[dir][int(s.class)][edge] += delta
-	})
+	for _, l := range g.legs(s) {
+		gu := g.usage[l.dir][s.class]
+		for k, e := 0, l.e0; k < l.n; k, e = k+1, e+l.stride {
+			gu[e] += delta
+		}
+	}
 }
 
 // routeNetFrozen routes one net against the shared congestion grid as
-// frozen at the start of its chunk. The net's own mid-route commits go to
-// the router's overlay (each 2-pin connection must see the previous ones);
-// the chunk's commit step folds the returned segments into the grid in net
-// order.
-func (r *router) routeNetFrozen(ni int) netResult {
+// frozen at the start of its chunk and leaves its segments in
+// r.segsByNet[ni]. The net's own mid-route commits go to the router's
+// overlay (each 2-pin connection must see the previous ones); the chunk's
+// commit step folds the segments into the grid in net order.
+func (r *router) routeNetFrozen(ni int) NetRoute {
 	d := r.p.Design
 	net := &d.Nets[ni]
 	g := r.g
 
 	// Pin points and gcells.
-	type pin struct {
-		pt   geom.Point
-		x, y int
-	}
-	pins := make([]pin, 0, len(net.Sinks)+1)
+	pins := r.pins[:0]
 	addPin := func(ref netlist.PinRef) {
 		pt := r.p.PinPoint(ref)
 		x, y := g.cellOf(pt)
@@ -168,6 +183,7 @@ func (r *router) routeNetFrozen(ni int) netResult {
 	for _, s := range net.Sinks {
 		addPin(s)
 	}
+	r.pins = pins
 
 	route := NetRoute{Vias: 2}
 	// Intra-gcell net: local wiring only (M1/MB1 class).
@@ -189,31 +205,35 @@ func (r *router) routeNetFrozen(ni int) netResult {
 		route.Len = l
 		route.LenByClass[tech.ClassM1] = l
 		route.Class = tech.ClassM1
-		return netResult{route: route}
+		return route
 	}
 	ov := &r.ov
 	defer ov.reset()
 
-	// Prim-style 2-pin decomposition over gcell positions. Nodes carry the
-	// real coordinates of the point they stand for (pin location, or gcell
-	// center for Steiner bends) so reported lengths are not quantized to
-	// whole gcells — short nets keep their true sub-gcell lengths.
-	type node struct {
-		x, y   int
-		px, py float64
-	}
-	connected := []node{{pins[0].x, pins[0].y, pins[0].pt.X, pins[0].pt.Y}}
-	remaining := append([]pin{}, pins[1:]...)
-	sort.Slice(remaining, func(a, b int) bool {
-		da := abs(remaining[a].x-pins[0].x) + abs(remaining[a].y-pins[0].y)
-		db := abs(remaining[b].x-pins[0].x) + abs(remaining[b].y-pins[0].y)
+	// Prim-style 2-pin decomposition over gcell positions, connecting the
+	// sinks nearest-first. Pins can tie on (distance, X), and pdqsort is not
+	// stable: slices.SortFunc runs the same pdqsort as sort.Slice, which
+	// experiments_full.txt and the golden digests were generated under, so
+	// tied pins keep that permutation.
+	connected := append(r.connected[:0], node{pins[0].x, pins[0].y, pins[0].pt.X, pins[0].pt.Y})
+	x0, y0 := pins[0].x, pins[0].y
+	remaining := pins[1:]
+	slices.SortFunc(remaining, func(a, b pin) int {
+		da := abs(a.x-x0) + abs(a.y-y0)
+		db := abs(b.x-x0) + abs(b.y-y0)
 		if da != db {
-			return da < db
+			return cmp.Compare(da, db)
 		}
-		return remaining[a].pt.X < remaining[b].pt.X
+		switch {
+		case a.pt.X < b.pt.X:
+			return -1
+		case a.pt.X > b.pt.X:
+			return 1
+		}
+		return 0
 	})
 
-	var segs []seg
+	segs := r.segsByNet[ni][:0]
 	maxClass := tech.ClassM1
 	for _, pn := range remaining {
 		// Closest connected node.
@@ -249,23 +269,27 @@ func (r *router) routeNetFrozen(ni int) netResult {
 		if hi > tech.ClassGlobal {
 			hi = tech.ClassGlobal
 		}
-		var cands []seg
-		for _, hf := range []bool{true, false} {
-			for cl := lo; cl <= hi; cl++ {
-				cands = append(cands, seg{
-					x1: int16(best.x), y1: int16(best.y),
-					x2: int16(pn.x), y2: int16(pn.y),
-					hFirst: hf, class: int8(cl),
-				})
+		nc := int(hi-lo) + 1
+		var cands [6]seg
+		var costs [6]float64
+		for o, hf := range [2]bool{true, false} {
+			s := seg{
+				x1: int16(best.x), y1: int16(best.y),
+				x2: int16(pn.x), y2: int16(pn.y),
+				hFirst: hf,
 			}
+			for c := 0; c < nc; c++ {
+				s.class = int8(int(lo) + c)
+				cands[o*nc+c] = s
+			}
+			g.price(g.legs(s), ov, int(lo), costs[o*nc:(o+1)*nc])
 		}
 		bestSeg := cands[0]
 		bestCost := math.Inf(1)
-		for i, c := range cands {
-			cost := g.pathCost(c, ov)
+		for i, c := range cands[:2*nc] {
 			// Prefer the natural class on ties; off-class detours pay a
 			// small premium (extra vias, worse RC fit).
-			cost += float64(i) * 1e-6
+			cost := costs[i] + float64(i)*1e-6
 			if int(c.class) != int(natural) {
 				cost += 0.5
 			}
@@ -274,33 +298,37 @@ func (r *router) routeNetFrozen(ni int) netResult {
 				bestSeg = c
 			}
 		}
-		g.walk(bestSeg, func(dir, edge int) {
-			ov.add(dir, int(bestSeg.class), edge)
-		})
 		segs = append(segs, bestSeg)
-		cl := tech.LayerClass(bestSeg.class)
+		cl := int(bestSeg.class)
+		// Commit the segment to the overlay, counting the edges it leaves
+		// over capacity (an L path never visits an edge twice, so each
+		// count sees the overlay as the whole commit leaves it).
+		//
 		// Congestion detour: when the chosen path crosses overloaded edges,
 		// the detailed router must snake around the hotspots, lengthening
 		// the wire. Model the inflation by the overflowed fraction of the
 		// path — this is what makes the congestion-limited 2D designs pay
 		// extra wirelength that the taller T-MI stack avoids (Section 3.3).
 		edges, over := 0, 0
-		g.walk(bestSeg, func(dir, edge int) {
-			edges++
-			capc := g.cap[dir][int(bestSeg.class)]
-			u := float64(g.usage[dir][int(bestSeg.class)][edge]) + ov.at(dir, int(bestSeg.class), edge)
-			if capc > 0 && u > capc {
-				over++
+		for _, l := range g.legs(bestSeg) {
+			capc := g.cap[l.dir][cl]
+			gu, ou := g.usage[l.dir][cl], ov.usage[l.dir][cl]
+			for k, e := 0, l.e0; k < l.n; k, e = k+1, e+l.stride {
+				ov.add(l.dir, cl, e)
+				if capc > 0 && float64(gu[e])+float64(ou[e]) > capc {
+					over++
+				}
 			}
-		})
+			edges += l.n
+		}
 		if edges > 0 && over > 0 && !r.noDetour {
 			lenUm *= 1 + 0.3*float64(over)/float64(edges)
 		}
 		route.Len += lenUm
 		route.LenByClass[cl] += lenUm
 		route.Vias += 2
-		if cl > maxClass {
-			maxClass = cl
+		if tech.LayerClass(cl) > maxClass {
+			maxClass = tech.LayerClass(cl)
 		}
 		connected = append(connected, node{pn.x, pn.y, pn.pt.X, pn.pt.Y})
 		if bestSeg.x1 != bestSeg.x2 && bestSeg.y1 != bestSeg.y2 {
@@ -314,33 +342,37 @@ func (r *router) routeNetFrozen(ni int) netResult {
 				g.die.Lo.Y + (float64(by)+0.5)*g.pitch})
 		}
 	}
+	r.connected = connected
+	r.segsByNet[ni] = segs
 	route.Class = maxClass
-	return netResult{route: route, segs: segs}
+	return route
 }
 
 // isCongested reports whether any edge of the net's route is over capacity.
 func (r *router) isCongested(ni int) bool {
 	for _, s := range r.segsByNet[ni] {
-		over := false
-		r.g.walk(s, func(dir, edge int) {
-			capc := r.g.cap[dir][int(s.class)]
-			if capc > 0 && float64(r.g.usage[dir][int(s.class)][edge]) > capc {
-				over = true
+		for _, l := range r.g.legs(s) {
+			capc := r.g.cap[l.dir][s.class]
+			if capc <= 0 {
+				continue
 			}
-		})
-		if over {
-			return true
+			gu := r.g.usage[l.dir][s.class]
+			for k, e := 0, l.e0; k < l.n; k, e = k+1, e+l.stride {
+				if float64(gu[e]) > capc {
+					return true
+				}
+			}
 		}
 	}
 	return false
 }
 
-// ripUp removes a net's committed usage.
+// ripUp removes a net's committed usage and truncates its segments.
 func (r *router) ripUp(ni int) {
 	for _, s := range r.segsByNet[ni] {
 		r.g.apply(s, -1)
 	}
-	delete(r.segsByNet, ni)
+	r.segsByNet[ni] = r.segsByNet[ni][:0]
 }
 
 func abs(x int) int {
