@@ -55,6 +55,12 @@ func main() {
 	if *cold < 0 || *cold > 1 {
 		log.Fatal("-cold must be in [0,1]")
 	}
+	if *workers < 1 {
+		log.Fatal("-workers must be at least 1")
+	}
+	if *n < 1 {
+		log.Fatal("-n must be at least 1")
+	}
 
 	client := &http.Client{Timeout: *timeout}
 	urlFor := func(cfg flow.Config) string {

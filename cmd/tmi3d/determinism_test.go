@@ -115,3 +115,28 @@ func TestBadNodeOrModeExits(t *testing.T) {
 		}
 	}
 }
+
+// -dump writes one flow's artifacts and -compare runs two, so together they
+// must be refused before any flow runs, not silently write nothing.
+func TestCompareDumpConflictExits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary")
+	}
+	dir := t.TempDir()
+	bin := buildBinary(t, dir)
+	prefix := filepath.Join(dir, "out")
+	cmd := exec.Command(bin, "-compare", "-dump", prefix, "-circuit", "FPU", "-scale", "0.02")
+	cmd.Dir = dir
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatal("tmi3d -compare -dump exited 0; want a non-zero exit")
+	}
+	if !strings.Contains(string(out), "-dump") || !strings.Contains(string(out), "-compare") {
+		t.Errorf("output %q does not name the -dump/-compare conflict", out)
+	}
+	for _, ext := range []string{".v", ".def"} {
+		if _, err := os.Stat(prefix + ext); !os.IsNotExist(err) {
+			t.Errorf("%s%s exists after the refused run (stat err %v)", prefix, ext, err)
+		}
+	}
+}

@@ -8,7 +8,6 @@
 //	tmi3d -circuit LDPC -compare           # run 2D and T-MI, print the diff
 //	tmi3d -stagecache ./cache -clock 900   # staged run: reuse unchanged stages
 //	tmi3d stages -stagecache ./cache       # show the per-stage cache plan
-//	tmi3d wireid -circuit FPU -scale 0.1   # replay every artifact codec, diff bytes
 //	tmi3d lint -circuit AES -node 45       # design-integrity lint report
 //	tmi3d equiv -circuit AES -node 45      # formal equivalence sign-off report
 package main
@@ -48,11 +47,6 @@ func main() {
 		stagesMain(os.Args[2:])
 		return
 	}
-	if len(os.Args) > 1 && os.Args[1] == "wireid" {
-		log.SetFlags(0)
-		wireidMain(os.Args[2:])
-		return
-	}
 	circuit := flag.String("circuit", "AES", "benchmark: FPU, AES, LDPC, DES, M256")
 	nodeF := flag.String("node", "45", "process node: 45 or 7")
 	modeF := flag.String("mode", "2d", "design mode: 2d, tmi, tmim")
@@ -66,6 +60,9 @@ func main() {
 	flag.Parse()
 	log.SetFlags(0)
 
+	if *compare && *dump != "" {
+		log.Fatal("-dump writes the artifacts of one flow and -compare runs two: use -dump without -compare")
+	}
 	if *stageDir != "" {
 		eng, err := stage.New(*stageDir)
 		if err != nil {

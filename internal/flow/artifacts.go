@@ -30,9 +30,10 @@ import (
 // encodes canonically (encoding/json with sorted map keys, HTML escaping off)
 // and decodes to an exact inverse, so a value decoded from a store is
 // interchangeable with the value that was encoded. wiresafe proves the
-// codecs total, the round-trip fuzzers and `tmi3d wireid` re-encode decoded
-// envelopes, and the stage engine's TestPublishedValueIsStored checks that a
-// published value encodes to the stored bytes. The report node's artifact is
+// codecs total, the round-trip fuzzers and the stage engine's
+// TestArtifactRoundTrip re-encode decoded envelopes, and its
+// TestPublishedValueIsStored checks that a published value encodes to the
+// stored bytes. The report node's artifact is
 // the Result itself, whose wire form is EncodeResult's payload.
 
 // setupValue is the setup node's output: the per-run constants every later

@@ -72,7 +72,6 @@ type Config struct {
 	// placement always run at the base (Table 12) clock, so every point of a
 	// clock sweep shares its generate/synth/place artifacts — the reuse the
 	// staged engine (internal/stage) exploits.
-	//tmi3dvet:nonseed applied after placement; sweep points must share the synth/place RNG stream for per-stage artifact reuse
 	ClockPs float64 `json:"clock_ps,omitempty"`
 	// Util overrides the default placement utilization when non-zero.
 	Util float64 `json:"util,omitempty"`
@@ -92,7 +91,6 @@ type Config struct {
 	// any Error-severity diagnostic aborts the flow (the Encounter-style
 	// sanity checks of the paper's flow). GateWarnOnly records reports
 	// without failing; GateOff skips the sweeps entirely.
-	//tmi3dvet:nonseed observation-only gate: must not perturb the RNG stream or the layout
 	Lint lint.GateMode `json:"lint,omitempty"`
 	// Equiv controls the formal sign-off gates (the Conformal/Formality box
 	// of Fig 1): logical equivalence checks after every netlist-transforming
@@ -101,14 +99,12 @@ type Config struct {
 	// of the folded cell library. The zero value enforces: any disproved
 	// compare point aborts the flow. GateWarnOnly records reports without
 	// failing; GateOff skips the checks.
-	//tmi3dvet:nonseed observation-only gate: must not perturb the RNG stream or the layout
 	Equiv lint.GateMode `json:"equiv,omitempty"`
 	// Workers is ignored: a flow runs on one goroutine, and concurrency is
 	// between flows (core.Study.Workers, serve's job pool).
 	//
 	// Deprecated: kept only because the benchmark harness still sets it;
 	// the next benchmark change removes it.
-	//tmi3dvet:nonkey ignored field: no stage uses its value
 	//tmi3dvet:nonwire ignored field: not a result input
 	Workers int `json:"-"`
 }

@@ -9,7 +9,7 @@ import (
 
 // Node is one stage of the flow's stage graph.
 type Node struct {
-	// Name matches the body's //tmi3dvet:stage anchor and its StageKeys entry.
+	// Name is the node's StageKeys entry.
 	Name string
 	// Deps are the nodes whose values the body may read, in the order their
 	// artifact IDs feed this node's ID (internal/stage). The body can read no

@@ -6,6 +6,7 @@ package flow
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -36,34 +37,75 @@ func TestConfigKeyPrecision(t *testing.T) {
 	}
 }
 
-// Every result-affecting field must move the key; equal configs (including
-// semantically equal maps) must agree on it.
+// configMutations changes one field of configBase each. Together with
+// nonKeyFields they classify every field of Config: TestConfigKeyCoversFields
+// fails on a field that is in neither, so a new field cannot reach the cache
+// key (or miss it) without a decision.
+var configMutations = map[string]func(*Config){
+	"Circuit":          func(c *Config) { c.Circuit = "AES" },
+	"Scale":            func(c *Config) { c.Scale = 0.31 },
+	"Node":             func(c *Config) { c.Node = tech.N45 },
+	"Mode":             func(c *Config) { c.Mode = tech.ModeTMI },
+	"ClockPs":          func(c *Config) { c.ClockPs = 1234.5 },
+	"Util":             func(c *Config) { c.Util = 0.7 },
+	"PinCapScale":      func(c *Config) { c.PinCapScale = 0.8 },
+	"ResistivityScale": func(c *Config) { c.ResistivityScale = map[tech.LayerClass]float64{tech.ClassM1: 0.5} },
+	"Use2DWLM":         func(c *Config) { c.Use2DWLM = true },
+	"Activities":       func(c *Config) { c.Activities = power.Activities{PrimaryInput: 0.2, SeqOutput: 0.3} },
+	"Seed":             func(c *Config) { c.Seed = 99 },
+	"Lint":             func(c *Config) { c.Lint = 2 },
+	"Equiv":            func(c *Config) { c.Equiv = 2 },
+}
+
+var configBase = Config{Circuit: "DES", Scale: 0.3, Node: tech.N7, Mode: tech.Mode2D, Seed: 1}
+
+// nonKeyFields are the Config fields Key deliberately ignores.
+var nonKeyFields = map[string]string{
+	"Workers": "ignored: a flow runs on one goroutine, so no stage uses its value",
+}
+
+// nonSeedFields are the keyed fields DeriveSeed deliberately leaves out.
+var nonSeedFields = map[string]string{
+	"ClockPs": "applied after placement: sweep points share the synth/place RNG stream, and with it their artifacts",
+	"Lint":    "observation-only gate: must not perturb the RNG stream or the layout",
+	"Equiv":   "observation-only gate: must not perturb the RNG stream or the layout",
+}
+
+// Every field of Config either moves the key or is listed as non-key; equal
+// configs (including semantically equal maps) must agree on it.
 func TestConfigKeyCoversFields(t *testing.T) {
-	base := Config{Circuit: "DES", Scale: 0.3, Node: tech.N7, Mode: tech.Mode2D}
-	mutations := map[string]func(*Config){
-		"Circuit":          func(c *Config) { c.Circuit = "AES" },
-		"Scale":            func(c *Config) { c.Scale = 0.31 },
-		"Node":             func(c *Config) { c.Node = tech.N45 },
-		"Mode":             func(c *Config) { c.Mode = tech.ModeTMI },
-		"ClockPs":          func(c *Config) { c.ClockPs = 1234.5 },
-		"Util":             func(c *Config) { c.Util = 0.7 },
-		"PinCapScale":      func(c *Config) { c.PinCapScale = 0.8 },
-		"ResistivityScale": func(c *Config) { c.ResistivityScale = map[tech.LayerClass]float64{tech.ClassM1: 0.5} },
-		"Use2DWLM":         func(c *Config) { c.Use2DWLM = true },
-		"Activities":       func(c *Config) { c.Activities = power.Activities{PrimaryInput: 0.2, SeqOutput: 0.3} },
-		"Seed":             func(c *Config) { c.Seed = 99 },
-		"Lint":             func(c *Config) { c.Lint = 2 },
-		"Equiv":            func(c *Config) { c.Equiv = 2 },
+	ct := reflect.TypeOf(Config{})
+	for i := 0; i < ct.NumField(); i++ {
+		field := ct.Field(i).Name
+		mutate, mutated := configMutations[field]
+		_, nonKey := nonKeyFields[field]
+		switch {
+		case mutated && nonKey:
+			t.Errorf("Config.%s is both mutated and listed as non-key", field)
+		case nonKey:
+			// Key ignores it by decision; nothing to mutate.
+		case !mutated:
+			t.Errorf("Config.%s is unclassified: add a mutation to configMutations (it must move Key) or list it in nonKeyFields with a reason", field)
+		default:
+			c := configBase
+			mutate(&c)
+			if c.Key() == configBase.Key() {
+				t.Errorf("%s change does not change the key", field)
+			}
+		}
 	}
-	for field, mutate := range mutations {
-		c := base
-		mutate(&c)
-		if c.Key() == base.Key() {
-			t.Errorf("%s change does not change the key", field)
+	for field := range configMutations {
+		if _, ok := ct.FieldByName(field); !ok {
+			t.Errorf("configMutations names %s, which is not a field of Config", field)
+		}
+	}
+	for field := range nonKeyFields {
+		if _, ok := ct.FieldByName(field); !ok {
+			t.Errorf("nonKeyFields names %s, which is not a field of Config", field)
 		}
 	}
 	// Map identity must not matter, only contents.
-	a, b := base, base
+	a, b := configBase, configBase
 	a.ResistivityScale = map[tech.LayerClass]float64{tech.ClassM1: 0.5, tech.ClassLocal: 0.7}
 	b.ResistivityScale = map[tech.LayerClass]float64{tech.ClassLocal: 0.7, tech.ClassM1: 0.5}
 	if a.Key() != b.Key() {
@@ -72,32 +114,29 @@ func TestConfigKeyCoversFields(t *testing.T) {
 }
 
 // The derived seed is a pure function of the physical config: stable across
-// calls, distinct across configs, and independent of the observation-only
-// gate modes (lint/equiv must never move the layout).
+// calls, and moved by exactly the keyed fields outside nonSeedFields — the
+// gate modes must never move the layout, and clock-sweep points must share
+// one RNG stream.
 func TestDeriveSeed(t *testing.T) {
-	a := Config{Circuit: "AES", Scale: 0.5, Node: tech.N45, Mode: tech.Mode2D, Seed: 1}
-	if a.DeriveSeed() != a.DeriveSeed() {
+	if configBase.DeriveSeed() != configBase.DeriveSeed() {
 		t.Fatal("DeriveSeed is not stable")
 	}
-	b := a
-	b.ClockPs = 777
-	if a.DeriveSeed() != b.DeriveSeed() {
-		t.Error("ClockPs changed the derived seed — clock-sweep points must share the synth/place RNG stream")
+	for field, mutate := range configMutations {
+		c := configBase
+		mutate(&c)
+		_, nonSeed := nonSeedFields[field]
+		if moved := c.DeriveSeed() != configBase.DeriveSeed(); moved == nonSeed {
+			if nonSeed {
+				t.Errorf("%s changed the derived seed; it is listed in nonSeedFields (%s)", field, nonSeedFields[field])
+			} else {
+				t.Errorf("%s change does not reach the derived seed: two keyed-apart configs share an RNG stream", field)
+			}
+		}
 	}
-	bb := a
-	bb.Util = 0.9
-	if a.DeriveSeed() == bb.DeriveSeed() {
-		t.Error("distinct configs share an RNG stream")
-	}
-	c := a
-	c.Seed = 2
-	if a.DeriveSeed() == c.DeriveSeed() {
-		t.Error("study seed does not reach the derived stream")
-	}
-	g := a
-	g.Lint, g.Equiv = 1, 2
-	if a.DeriveSeed() != g.DeriveSeed() {
-		t.Error("gate modes changed the derived seed — observation moved the layout")
+	for field := range nonSeedFields {
+		if _, ok := configMutations[field]; !ok {
+			t.Errorf("nonSeedFields names %s, which has no key mutation", field)
+		}
 	}
 }
 

@@ -1,13 +1,13 @@
 package flow
 
 // StageKeys is the declarative per-stage cache-key contract of the Nodes
-// stage graph: for each //tmi3dvet:stage name, the Config fields whose
-// values the stage's cached artifacts may depend on. The stagedeps analyzer
-// (internal/vet) diffs each stage body's statically computed transitive read
-// set against this map on every CI run, so the manifest is proven sound — a
-// field read here but missing from the key would serve stale cached
-// artifacts; a listed field the stage never reads would split identical
-// artifacts into distinct cache entries.
+// stage graph: for each node name, the Config fields whose values the
+// stage's cached artifacts may depend on. The stagedeps analyzer
+// (internal/vet) finds each stage body through its Nodes entry and diffs the
+// body's statically computed transitive read set against this map on every
+// CI run, so the manifest is proven sound — a field read here but missing
+// from the key would serve stale cached artifacts; a listed field the stage
+// never reads would split identical artifacts into distinct cache entries.
 //
 // Everything a stage consumes beyond its key fields is an upstream node's
 // value (netlist, placement, the derived seed, the gate set), which the

@@ -26,14 +26,13 @@ import (
 )
 
 // This file holds the twelve stage bodies of the Nodes table. Each body is
-// the whole of its stage: the //tmi3dvet:stage anchor above its first
-// statement lets the stagedeps analyzer verify the body's Config read set
-// against its StageKeys entry, and everything else it consumes comes through
-// in — its node's Deps, which feed its artifact ID.
+// the whole of its stage: the stagedeps analyzer finds it through its Nodes
+// entry and verifies its Config read set against its StageKeys entry, and
+// everything else it consumes comes through in — its node's Deps, which feed
+// its artifact ID.
 
 // runSetup derives the per-run constants.
 func runSetup(cfg Config, in *inputs) (any, error) {
-	//tmi3dvet:stage setup
 	return &setupValue{
 		// Every random decision downstream draws from a stream derived purely
 		// from the configuration, never from scheduling order — the
@@ -47,7 +46,6 @@ func runSetup(cfg Config, in *inputs) (any, error) {
 
 // runLibrary selects the technology and cell library.
 func runLibrary(cfg Config, in *inputs) (any, error) {
-	//tmi3dvet:stage library
 	t0 := time.Now()
 	t, lib, err := cfg.Library()
 	if err != nil {
@@ -59,7 +57,6 @@ func runLibrary(cfg Config, in *inputs) (any, error) {
 
 // runGenerate produces the generic source netlist.
 func runGenerate(cfg Config, in *inputs) (any, error) {
-	//tmi3dvet:stage generate
 	t0 := time.Now()
 	d, _, err := cfg.GenerateDesign()
 	if err != nil {
@@ -73,7 +70,6 @@ func runGenerate(cfg Config, in *inputs) (any, error) {
 // Use2DWLM — the "-n" rows of Table 15), sized from the generic netlist's
 // estimated die area, and resolves the target utilization.
 func runWLM(cfg Config, in *inputs) (any, error) {
-	//tmi3dvet:stage wlm
 	lib, d := in.library(), in.generate()
 	if in.err != nil {
 		return nil, in.err
@@ -94,7 +90,6 @@ func runWLM(cfg Config, in *inputs) (any, error) {
 // the stage boundaries where the paper's flow runs Encounter sanity checks
 // and Conformal/Formality compares; see gateSet.
 func runGates(cfg Config, in *inputs) (any, error) {
-	//tmi3dvet:stage gates
 	s, lib := in.setup(), in.library()
 	if in.err != nil {
 		return nil, in.err
@@ -109,7 +104,6 @@ func runGates(cfg Config, in *inputs) (any, error) {
 // runSynth maps the source netlist onto the library under the wire load
 // model and runs the post-synth gates. synth.Run leaves its source untouched.
 func runSynth(cfg Config, in *inputs) (any, error) {
-	//tmi3dvet:stage synth
 	lib, src, w, gates := in.library(), in.generate(), in.wlm(), in.gates()
 	if in.err != nil {
 		return nil, in.err
@@ -136,7 +130,6 @@ func runSynth(cfg Config, in *inputs) (any, error) {
 // utilization lands near the target, as the paper's flow does (Section S6
 // reports post-optimization utilizations at the target).
 func runPlace(cfg Config, in *inputs) (any, error) {
-	//tmi3dvet:stage place
 	s, lib, w, sa := in.setup(), in.library(), in.wlm(), in.synth()
 	if in.err != nil {
 		return nil, in.err
@@ -157,7 +150,6 @@ func runPlace(cfg Config, in *inputs) (any, error) {
 // ClockPs override steers optimization, sign-off and power while the
 // artifacts above stay clock-independent.
 func runOpt(cfg Config, in *inputs) (any, error) {
-	//tmi3dvet:stage opt
 	s, lib, gates, sa, pa := in.setup(), in.library(), in.gates(), in.synth(), in.place()
 	if in.err != nil {
 		return nil, in.err
@@ -192,7 +184,6 @@ func runOpt(cfg Config, in *inputs) (any, error) {
 // setup value; setup stays in its Deps because setup's ID feeds the route
 // artifact's ID (TestArtifactIDsGolden pins it).
 func runRoute(cfg Config, in *inputs) (any, error) {
-	//tmi3dvet:stage route
 	lib, oa := in.library(), in.opt()
 	if in.err != nil {
 		return nil, in.err
@@ -212,7 +203,6 @@ func runRoute(cfg Config, in *inputs) (any, error) {
 // Post-route closure is one stage with sign-off because it is keyed by the
 // first route's parasitics.
 func runSignoff(cfg Config, in *inputs) (any, error) {
-	//tmi3dvet:stage signoff
 	s, lib, gates, oa, ra := in.setup(), in.library(), in.gates(), in.opt(), in.route()
 	if in.err != nil {
 		return nil, in.err
@@ -296,7 +286,6 @@ func converge(d *netlist.Design, pl *place.Placement, tb *captable.Table, lib *l
 // capacitance and buffer energy are charged at two transitions per cycle; the
 // tree shrinks with the T-MI footprint like signal wiring.
 func runPower(cfg Config, in *inputs) (any, error) {
-	//tmi3dvet:stage power
 	s, lib, sg := in.setup(), in.library(), in.signoff()
 	if in.err != nil {
 		return nil, in.err
@@ -334,7 +323,6 @@ func runPower(cfg Config, in *inputs) (any, error) {
 // runReport assembles the Result's wire form from the final artifacts;
 // Execution.Result attaches the netlist, placement and profile.
 func runReport(cfg Config, in *inputs) (any, error) {
-	//tmi3dvet:stage report
 	res := &Result{Config: cfg, WLSamples: map[int][]float64{}}
 	// Take only the statistics and gate reports from the synth and opt
 	// artifacts, and read them before sign-off: their netlists are then free

@@ -18,9 +18,9 @@ package flow
 // rejects non-finite values outright, so such a copy is a latent encode
 // failure on exactly the degenerate inputs nobody tests.
 //
-// This matters now because ROADMAP item 2 ships these bytes between nodes:
-// within one process a dropped field is a cache-tier identity bug; across a
-// worker fleet it is silent result corruption.
+// These bytes persist: the staged engine's artifact store and serve's result
+// store hand them to later runs and other processes, so a dropped field is a
+// cache-tier identity bug — a warm answer that differs from a cold one.
 var WireTypes = map[string][]string{
 	"internal/castore.storeHeader":  {},
 	"internal/cts.Result":           {},

@@ -94,10 +94,6 @@ func New(dir string) (*Engine, error) {
 	return e, nil
 }
 
-// Store exposes the persistent tier (nil when in-process only): `tmi3d
-// wireid` round-trips a probe entry through it, tests corrupt entries.
-func (e *Engine) Store() *castore.Store { return e.store }
-
 // SetMemLimit resizes the in-process artifact cache (entries; minimum 1).
 func (e *Engine) SetMemLimit(n int) {
 	if n < 1 {

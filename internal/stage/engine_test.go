@@ -94,7 +94,7 @@ func removeEntries(t *testing.T, e *Engine, cfg flow.Config, names ...string) {
 	for _, pe := range e.Plan(cfg) {
 		for _, name := range names {
 			if pe.Name == name {
-				p := e.Store().EntryPath(storeKey(pe.Name, pe.ID))
+				p := e.store.EntryPath(storeKey(pe.Name, pe.ID))
 				if err := os.Remove(p); err != nil {
 					t.Fatalf("remove %s entry: %v", name, err)
 				}
@@ -166,7 +166,7 @@ func TestStagedByteIdentity(t *testing.T) {
 	var powerPath string
 	for _, pe := range e3.Plan(cfg) {
 		if pe.Name == "power" {
-			powerPath = e3.Store().EntryPath(storeKey(pe.Name, pe.ID))
+			powerPath = e3.store.EntryPath(storeKey(pe.Name, pe.ID))
 		}
 	}
 	raw, err := os.ReadFile(powerPath)
@@ -183,7 +183,7 @@ func TestStagedByteIdentity(t *testing.T) {
 	}
 	corrupted, _ := stagedRun(t, e4, cfg)
 	mustEqual(t, "corrupted", mono, corrupted)
-	if q, err := e4.Store().QuarantineLen(); err != nil || q != 1 {
+	if q, err := e4.store.QuarantineLen(); err != nil || q != 1 {
 		t.Errorf("quarantined entries = %d (%v), want 1", q, err)
 	}
 	c4 := e4.Counters()
@@ -261,7 +261,7 @@ func TestPublishedValueIsStored(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode published %s: %v", pe.Name, err)
 		}
-		stored, ok, err := e.Store().Get(storeKey(pe.Name, pe.ID))
+		stored, ok, err := e.store.Get(storeKey(pe.Name, pe.ID))
 		if err != nil || !ok {
 			t.Fatalf("%s artifact missing from the store (%v)", pe.Name, err)
 		}
@@ -325,36 +325,53 @@ func TestPanickingStageReleasesInflight(t *testing.T) {
 }
 
 // Every artifact the engine persists decodes and re-encodes to identical
-// bytes — the exact-inverse codec property artifact addressing depends on.
+// bytes — the exact-inverse codec property artifact addressing depends on —
+// in both the 2D and the T-MI flow.
 func TestArtifactRoundTrip(t *testing.T) {
-	e, err := New(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	for _, mode := range []tech.Mode{tech.Mode2D, tech.ModeTMI} {
+		t.Run(mode.String(), func(t *testing.T) {
+			e, err := New(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := testConfig()
+			cfg.Mode = mode
+			if _, err := e.Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			for _, pe := range e.Plan(cfg) {
+				if !pe.Cached {
+					continue
+				}
+				data, ok, err := e.store.Get(storeKey(pe.Name, pe.ID))
+				if err != nil || !ok {
+					t.Fatalf("%s artifact missing after run (%v)", pe.Name, err)
+				}
+				n := node(t, pe.Name)
+				v, err := n.Decode(data)
+				if err != nil {
+					t.Fatalf("decode %s: %v", pe.Name, err)
+				}
+				again, err := n.Encode(v)
+				if err != nil {
+					t.Fatalf("re-encode %s: %v", pe.Name, err)
+				}
+				if !bytes.Equal(data, again) {
+					t.Errorf("%s artifact is not a codec fixed point: re-encode diverges at byte %d (stored %d bytes, re-encoded %d)",
+						pe.Name, firstDiff(data, again), len(data), len(again))
+				}
+			}
+		})
 	}
-	cfg := testConfig()
-	if _, err := e.Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	for _, pe := range e.Plan(cfg) {
-		if !pe.Cached {
-			continue
-		}
-		data, ok, err := e.Store().Get(storeKey(pe.Name, pe.ID))
-		if err != nil || !ok {
-			t.Fatalf("%s artifact missing after run (%v)", pe.Name, err)
-		}
-		n := node(t, pe.Name)
-		v, err := n.Decode(data)
-		if err != nil {
-			t.Fatalf("decode %s: %v", pe.Name, err)
-		}
-		again, err := n.Encode(v)
-		if err != nil {
-			t.Fatalf("re-encode %s: %v", pe.Name, err)
-		}
-		if !bytes.Equal(data, again) {
-			t.Errorf("%s artifact is not a codec fixed point (%d vs %d bytes)",
-				pe.Name, len(data), len(again))
+}
+
+// firstDiff returns the offset of the first byte where a and b differ.
+func firstDiff(a, b []byte) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
 		}
 	}
+	return n
 }

@@ -6,26 +6,25 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // StageDeps proves the per-stage cache keys of the staged flow engine
 // (internal/stage) sound. A content-addressed stage cache is correct only if
-// each stage's key covers everything the stage actually reads; keycoverage
-// proves that for the whole-flow Config.Key, and stagedeps proves it stage by
-// stage.
+// each stage's key covers everything the stage actually reads.
 //
-// Stages are declared by anchor directives on (or above) the first statement
-// of a stage region in a function with a Config parameter:
+// The analyzer runs on a package that declares the per-stage key contract, a
+// package-level
 //
-//	//tmi3dvet:stage synth
+//	var StageKeys = map[string][]string{"synth": {"Circuit", ...}, ...}
 //
-// In the flow package each stage body is its own function with one anchor
-// above its first statement. In general a region covers every top-level
-// statement up to the next anchor, and regions sharing a name merge their
-// read sets. From each region the analyzer computes, transitively through
-// same-package calls (including Config methods like DeriveSeed and closures
-// defined in the region):
+// (internal/flow/stagekeys.go), and finds each stage's body through the
+// package's stage table,
+//
+//	var Nodes = []Node{{Name: "opt", run: runOpt}, ...}
+//
+// whose body field is the Node field of func type taking a Config. From each
+// body the analyzer computes, transitively through same-package calls
+// (including Config methods like DeriveSeed and closures in the body):
 //
 //   - the Config fields the stage reads — a bare use of a whole Config value
 //     (Result{Config: cfg}) reads every field;
@@ -35,18 +34,17 @@ import (
 // that stage's artifact ID; the flow executor lets a body read only the
 // values its node's Deps name, which is what puts them in the ID.
 //
-// The Config read set is then diffed against the package's declarative
-// manifest, a package-level
+// The Config read set is then diffed against the stage's StageKeys entry: a
+// field the stage reads but its key omits would serve stale cached artifacts
+// when that field changes; a dead key field needlessly splits identical
+// artifacts; a key naming no Config field is a typo; and an ambient read that
+// is not provably key-addressed-and-immutable (globalstate.go) cannot be
+// covered by any Config-derived key at all. That Nodes and StageKeys name the
+// same stages is flow's TestDAGMatchesStageKeys, not this analyzer's.
 //
-//	var StageKeys = map[string][]string{"synth": {"Circuit", ...}, ...}
-//
-// (internal/flow/stagekeys.go): a field the stage reads but its key omits
-// would serve stale cached artifacts when that field changes; a dead key
-// field needlessly splits identical artifacts; an ambient read that is not
-// provably key-addressed-and-immutable (globalstate.go) cannot be covered by
-// any Config-derived key at all. The computed read sets are exported through
-// Pass.ExportStage so cmd/tmi3dvet -json can hand the measured dependency
-// surface to CI.
+// Liveness: a package with StageKeys but no resolvable Nodes table, or a
+// Nodes entry whose body is not a function of the package, is reported —
+// the proof must never silently verify nothing.
 //
 // Soundness posture: same-package transitivity plus the globalmut contract on
 // the leaf packages. Cross-package callees (place.Run, sta.Analyze) cannot
@@ -56,131 +54,51 @@ import (
 // read surface.
 var StageDeps = &Analyzer{
 	Name: "stagedeps",
-	Doc:  "verifies per-stage Config read sets against the StageKeys manifest",
+	Doc:  "verifies each flow.Nodes stage body's Config read set against the StageKeys manifest",
 	Run:  runStageDeps,
 }
 
-// StageReads is the computed read set of one anchored stage — the measured
-// dependency surface a per-stage cache key must cover.
-type StageReads struct {
-	Package      string   `json:"package"`
-	Func         string   `json:"func"`
-	Stage        string   `json:"stage"`
-	ConfigFields []string `json:"config_fields"`
-	Globals      []string `json:"globals,omitempty"`
-}
+// stageKeys is the parsed StageKeys literal: stage -> declared field ->
+// element position.
+type stageKeys map[string]map[string]token.Pos
 
-const stageDirective = "tmi3dvet:stage"
-
-type stageAnchor struct {
-	pos  token.Pos
+// stageBody is one Nodes entry: its stage name and its body function.
+type stageBody struct {
 	name string
-	used bool
+	pos  token.Pos
+	fn   *types.Func
 }
 
-// stageManifest is the parsed StageKeys literal.
-type stageManifest struct {
-	pos     token.Pos
-	entries map[string]*manifestEntry
-}
-
-type manifestEntry struct {
-	pos    token.Pos
-	fields map[string]token.Pos // declared field -> element position
-	used   bool
+// stageReads is the computed read set of one stage body.
+type stageReads struct {
+	fields  map[string]token.Pos // Config field -> first read position
+	globals map[types.Object]token.Pos
 }
 
 func runStageDeps(p *Pass) {
-	anchorsByFile := map[*ast.File][]*stageAnchor{}
-	total := 0
-	for _, f := range p.Pkg.Files {
-		as := collectStageAnchors(p, f)
-		anchorsByFile[f] = as
-		total += len(as)
-	}
-	if total == 0 {
+	keysPos, keys := parseStageKeys(p)
+	if keysPos == token.NoPos {
 		return
 	}
 	cfgType := findConfigType(p)
-	manifest := parseStageKeys(p)
-	if manifest == nil {
-		p.Reportf(firstAnchorPos(p, anchorsByFile), "package has //tmi3dvet:stage anchors but no StageKeys manifest: declare var StageKeys = map[string][]string{stage: {Config fields}} so the incremental cache has a per-stage key contract")
+	bodies := stageBodies(p, cfgType)
+	if bodies == nil {
+		p.Reportf(keysPos, "package declares StageKeys but has no resolvable Nodes table: declare var Nodes = []Node{{Name: stage, <body>: fn}} with a Node field of func type taking Config, so stagedeps can find each stage's body")
+		return
 	}
+	funcs := funcBodies(p)
 	sums := newEffects(p, cfgType)
 	gs := classifyGlobals(p)
 	sup := collectSuppressions(p, "global") // consult-only; globalmut owns the audit
-	for _, f := range p.Pkg.Files {
-		anchors := anchorsByFile[f]
-		if len(anchors) == 0 {
+	fieldSet := configFieldSet(cfgType)
+	for _, b := range bodies {
+		body := funcs[b.fn]
+		if body == nil {
+			p.Reportf(b.pos, "Nodes entry %q has no body function of this package: stagedeps cannot compute its Config read set — point its body field at a package-level function", b.name)
 			continue
 		}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			var inBody []*stageAnchor
-			for _, a := range anchors {
-				if a.pos > fd.Body.Lbrace && a.pos < fd.Body.Rbrace {
-					inBody = append(inBody, a)
-				}
-			}
-			if len(inBody) == 0 {
-				continue
-			}
-			checkStagedFunc(p, fd, inBody, cfgType, manifest, sums, gs, sup)
-		}
-		for _, a := range anchors {
-			if !a.used && a.name != "" {
-				p.Reportf(a.pos, "//tmi3dvet:stage %s anchors no top-level statement of a function body: move it directly above the stage's first statement or delete it", a.name)
-			}
-		}
+		reportStage(p, b.name, keys[b.name], fieldSet, scanStageBody(p, sums, cfgType, body), gs, sup)
 	}
-	if manifest != nil {
-		names := make([]string, 0, len(manifest.entries))
-		for n := range manifest.entries {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			if e := manifest.entries[n]; !e.used {
-				p.Reportf(e.pos, "StageKeys entry %q matches no //tmi3dvet:stage anchor: dead manifest stage — delete it or anchor the stage", n)
-			}
-		}
-	}
-}
-
-func collectStageAnchors(p *Pass, f *ast.File) []*stageAnchor {
-	var anchors []*stageAnchor
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			rest, ok := cutDirective(c, "stage")
-			if !ok {
-				continue
-			}
-			name := ""
-			if fields := strings.Fields(rest); len(fields) > 0 {
-				name = fields[0]
-			}
-			if name == "" {
-				p.Reportf(c.Pos(), "//tmi3dvet:stage anchor without a stage name — name the stage this region belongs to")
-			}
-			anchors = append(anchors, &stageAnchor{pos: c.Pos(), name: name})
-		}
-	}
-	return anchors
-}
-
-func firstAnchorPos(p *Pass, byFile map[*ast.File][]*stageAnchor) token.Pos {
-	best := token.NoPos
-	for _, f := range p.Pkg.Files {
-		for _, a := range byFile[f] {
-			if best == token.NoPos || a.pos < best {
-				best = a.pos
-			}
-		}
-	}
-	return best
 }
 
 // findConfigType resolves the package's Config named type, if any.
@@ -199,10 +117,8 @@ func findConfigType(p *Pass) *types.Named {
 	return named
 }
 
-// parseStageKeys reads the package's StageKeys map literal. Non-literal
-// manifests are reported: the analyzer (and the cache builder) must be able
-// to read the contract statically.
-func parseStageKeys(p *Pass) *stageManifest {
+// packageVar returns the value expression of the package-level var name.
+func packageVar(p *Pass, name string) (token.Pos, ast.Expr) {
 	for _, f := range p.Pkg.Files {
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
@@ -214,25 +130,31 @@ func parseStageKeys(p *Pass) *stageManifest {
 				if !ok {
 					continue
 				}
-				for i, name := range vs.Names {
-					if name.Name != "StageKeys" || i >= len(vs.Values) {
-						continue
+				for i, id := range vs.Names {
+					if id.Name == name && i < len(vs.Values) {
+						return id.Pos(), vs.Values[i]
 					}
-					return parseStageKeysLit(p, name.Pos(), vs.Values[i])
 				}
 			}
 		}
 	}
-	return nil
+	return token.NoPos, nil
 }
 
-func parseStageKeysLit(p *Pass, pos token.Pos, v ast.Expr) *stageManifest {
+// parseStageKeys reads the package's StageKeys map literal; a NoPos result
+// means the package declares no StageKeys. Non-literal manifests are
+// reported: the analyzer must be able to read the contract statically.
+func parseStageKeys(p *Pass) (token.Pos, stageKeys) {
+	pos, v := packageVar(p, "StageKeys")
+	if v == nil {
+		return token.NoPos, nil
+	}
+	keys := stageKeys{}
 	lit, ok := v.(*ast.CompositeLit)
 	if !ok {
-		p.Reportf(pos, "StageKeys must be a literal map[string][]string so stagedeps and the cache builder can read it statically")
-		return nil
+		p.Reportf(pos, "StageKeys must be a literal map[string][]string so stagedeps can read it statically")
+		return pos, keys
 	}
-	m := &stageManifest{pos: pos, entries: map[string]*manifestEntry{}}
 	for _, elt := range lit.Elts {
 		kv, ok := elt.(*ast.KeyValueExpr)
 		if !ok {
@@ -243,27 +165,27 @@ func parseStageKeysLit(p *Pass, pos token.Pos, v ast.Expr) *stageManifest {
 			p.Reportf(kv.Key.Pos(), "StageKeys stage name must be a string constant")
 			continue
 		}
-		entry := &manifestEntry{pos: kv.Key.Pos(), fields: map[string]token.Pos{}}
 		vlit, ok := kv.Value.(*ast.CompositeLit)
 		if !ok {
 			p.Reportf(kv.Value.Pos(), "StageKeys[%q] must be a literal []string of Config field names", stage)
 			continue
 		}
+		fields := map[string]token.Pos{}
 		for _, fe := range vlit.Elts {
 			field, ok := constString(p, fe)
 			if !ok {
 				p.Reportf(fe.Pos(), "StageKeys[%q] element must be a string constant naming a Config field", stage)
 				continue
 			}
-			if _, dup := entry.fields[field]; dup {
+			if _, dup := fields[field]; dup {
 				p.Reportf(fe.Pos(), "StageKeys[%q] lists Config.%s twice", stage, field)
 				continue
 			}
-			entry.fields[field] = fe.Pos()
+			fields[field] = fe.Pos()
 		}
-		m.entries[stage] = entry
+		keys[stage] = fields
 	}
-	return m
+	return pos, keys
 }
 
 func constString(p *Pass, e ast.Expr) (string, bool) {
@@ -274,133 +196,78 @@ func constString(p *Pass, e ast.Expr) (string, bool) {
 	return constant.StringVal(tv.Value), true
 }
 
-// stageRegion is one contiguous anchored run of top-level statements.
-type stageRegion struct {
-	anchor *stageAnchor
-	stmts  []ast.Stmt
-}
-
-// stageAccum merges the read sets of all regions sharing a stage name.
-type stageAccum struct {
-	name      string
-	anchorPos token.Pos
-	fields    map[string]token.Pos // Config field -> first read position
-	globals   map[types.Object]token.Pos
-}
-
-func checkStagedFunc(p *Pass, fd *ast.FuncDecl, anchors []*stageAnchor, cfgType *types.Named, manifest *stageManifest, sums *effects, gs *globalState, sup *suppressions) {
+// stageBodies resolves the Nodes literal into its (stage, body) entries, or
+// nil when there is no Nodes slice literal whose element struct has a body
+// field (a func-typed field taking Config). An entry whose body is not a
+// package function keeps fn nil.
+func stageBodies(p *Pass, cfgType *types.Named) []stageBody {
 	if cfgType == nil {
-		for _, a := range anchors {
-			a.used = true
-		}
-		p.Reportf(fd.Name.Pos(), "%s carries //tmi3dvet:stage anchors but the package declares no Config struct: stagedeps has no key domain to verify", fd.Name.Name)
-		return
-	}
-	cfgParam := configParam(p, fd, cfgType)
-	if cfgParam == nil {
-		for _, a := range anchors {
-			a.used = true
-		}
-		p.Reportf(fd.Name.Pos(), "%s carries //tmi3dvet:stage anchors but has no Config parameter: stagedeps cannot attribute reads to a key domain", fd.Name.Name)
-		return
-	}
-
-	// Map each anchor to the first top-level statement after it.
-	stmts := fd.Body.List
-	sort.Slice(anchors, func(i, j int) bool { return anchors[i].pos < anchors[j].pos })
-	startAnchor := map[int]*stageAnchor{}
-	for _, a := range anchors {
-		idx := -1
-		for i, st := range stmts {
-			if st.Pos() > a.pos {
-				idx = i
-				break
-			}
-		}
-		if idx == -1 {
-			continue // dangling; reported by the caller via !used
-		}
-		if idx > 0 && a.pos < stmts[idx-1].End() {
-			a.used = true
-			if a.name != "" {
-				p.Reportf(a.pos, "//tmi3dvet:stage %s is nested inside a statement: anchors segment the top-level statements of %s, move it between stages", a.name, fd.Name.Name)
-			}
-			continue
-		}
-		a.used = true
-		if a.name == "" {
-			continue // bare anchor already reported at collect
-		}
-		if prev := startAnchor[idx]; prev != nil {
-			p.Reportf(a.pos, "duplicate //tmi3dvet:stage anchor: stage %q already starts at this statement (anchor %q)", a.name, prev.name)
-			continue
-		}
-		startAnchor[idx] = a
-	}
-
-	var regions []*stageRegion
-	var preceding []ast.Stmt
-	var cur *stageRegion
-	for i, st := range stmts {
-		if a := startAnchor[i]; a != nil {
-			cur = &stageRegion{anchor: a}
-			regions = append(regions, cur)
-		}
-		if cur == nil {
-			preceding = append(preceding, st)
-			continue
-		}
-		cur.stmts = append(cur.stmts, st)
-	}
-	if len(preceding) > 0 {
-		p.Reportf(preceding[0].Pos(), "%d statement(s) precede the first //tmi3dvet:stage anchor in %s: every statement must belong to a named stage for the per-stage keys to be exhaustive", len(preceding), fd.Name.Name)
-	}
-
-	// Scan each region, then merge by stage name.
-	accums := map[string]*stageAccum{}
-	var order []string
-	for _, r := range regions {
-		acc := accums[r.anchor.name]
-		if acc == nil {
-			acc = &stageAccum{
-				name:      r.anchor.name,
-				anchorPos: r.anchor.pos,
-				fields:    map[string]token.Pos{},
-				globals:   map[types.Object]token.Pos{},
-			}
-			accums[r.anchor.name] = acc
-			order = append(order, r.anchor.name)
-		}
-		scanStageRegion(p, sums, cfgType, r, acc)
-	}
-
-	fieldSet := configFieldSet(cfgType)
-	for _, name := range order {
-		acc := accums[name]
-		reportStage(p, manifest, fieldSet, acc, gs, sup)
-		p.ExportStage(StageReads{
-			Package:      p.Pkg.Path,
-			Func:         fd.Name.Name,
-			Stage:        name,
-			ConfigFields: sortedKeys(acc.fields),
-			Globals:      sortedGlobalNames(acc.globals),
-		})
-	}
-}
-
-func configParam(p *Pass, fd *ast.FuncDecl, cfgType *types.Named) *types.Var {
-	if fd.Type.Params == nil {
 		return nil
 	}
-	for _, fld := range fd.Type.Params.List {
-		for _, nm := range fld.Names {
-			v, ok := p.Pkg.Info.Defs[nm].(*types.Var)
-			if ok && derefType(v.Type()) == cfgType {
-				return v
+	_, v := packageVar(p, "Nodes")
+	lit, ok := v.(*ast.CompositeLit)
+	if !ok {
+		return nil
+	}
+	slice, ok := p.TypeOf(lit).(*types.Slice)
+	if !ok {
+		return nil
+	}
+	bodyField := ""
+	if st, ok := slice.Elem().Underlying().(*types.Struct); ok {
+		for i := 0; i < st.NumFields() && bodyField == ""; i++ {
+			if takesConfig(st.Field(i).Type(), cfgType) {
+				bodyField = st.Field(i).Name()
 			}
 		}
 	}
-	return nil
+	if bodyField == "" {
+		return nil
+	}
+	out := []stageBody{}
+	for _, elt := range lit.Elts {
+		cl, ok := elt.(*ast.CompositeLit)
+		if !ok {
+			continue
+		}
+		b := stageBody{pos: cl.Pos()}
+		for _, e := range cl.Elts {
+			kv, ok := e.(*ast.KeyValueExpr)
+			if !ok {
+				continue
+			}
+			key, ok := kv.Key.(*ast.Ident)
+			if !ok {
+				continue
+			}
+			switch key.Name {
+			case "Name":
+				b.name, _ = constString(p, kv.Value)
+			case bodyField:
+				if fid, ok := kv.Value.(*ast.Ident); ok {
+					if fn, ok := p.ObjectOf(fid).(*types.Func); ok && fn.Pkg() == p.Pkg.Types {
+						b.fn = fn
+					}
+				}
+			}
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// takesConfig reports whether t is a func type with a Config parameter.
+func takesConfig(t types.Type, cfgType *types.Named) bool {
+	sig, ok := t.Underlying().(*types.Signature)
+	if !ok {
+		return false
+	}
+	for i := 0; i < sig.Params().Len(); i++ {
+		if derefType(sig.Params().At(i).Type()) == cfgType {
+			return true
+		}
+	}
+	return false
 }
 
 func configFieldSet(cfgType *types.Named) map[string]bool {
@@ -412,65 +279,49 @@ func configFieldSet(cfgType *types.Named) map[string]bool {
 	return set
 }
 
-// reportStage diffs one stage's computed read set against the manifest and
-// flags uncovered ambient state.
-func reportStage(p *Pass, manifest *stageManifest, fieldSet map[string]bool, acc *stageAccum, gs *globalState, sup *suppressions) {
-	if manifest != nil {
-		entry := manifest.entries[acc.name]
-		if entry == nil {
-			p.Reportf(acc.anchorPos, "stage %q has no StageKeys entry: the incremental cache cannot key this stage — add StageKeys[%q] covering %s", acc.name, acc.name, fieldList(sortedKeys(acc.fields)))
-		} else {
-			entry.used = true
-			for _, f := range sortedKeys(acc.fields) {
-				if _, ok := entry.fields[f]; !ok {
-					p.Reportf(acc.fields[f], "stage %q reads Config.%s but StageKeys[%q] omits it: a cache keyed by the manifest would serve stale %s artifacts when %s changes — add it to the stage key", acc.name, f, acc.name, acc.name, f)
-				}
+// reportStage diffs one stage's computed read set against its StageKeys
+// entry and flags uncovered ambient state. A stage with no entry is skipped:
+// TestDAGMatchesStageKeys owns the Nodes/StageKeys name match.
+func reportStage(p *Pass, stage string, declared map[string]token.Pos, fieldSet map[string]bool, rs stageReads, gs *globalState, sup *suppressions) {
+	if declared != nil {
+		for _, f := range sortedKeys(rs.fields) {
+			if _, ok := declared[f]; !ok {
+				p.Reportf(rs.fields[f], "stage %q reads Config.%s but StageKeys[%q] omits it: a cache keyed by the manifest would serve stale %s artifacts when %s changes — add it to the stage key", stage, f, stage, stage, f)
 			}
-			declared := make([]string, 0, len(entry.fields))
-			for f := range entry.fields {
-				declared = append(declared, f)
-			}
-			sort.Strings(declared)
-			for _, f := range declared {
-				switch {
-				case !fieldSet[f]:
-					p.Reportf(entry.fields[f], "StageKeys[%q] names %s, which is not a field of Config", acc.name, f)
-				case acc.fields[f] == token.NoPos:
-					p.Reportf(entry.fields[f], "dead key field: StageKeys[%q] lists Config.%s but the stage never reads it — a wider key splits identical artifacts into distinct cache entries", acc.name, f)
-				}
+		}
+		for _, f := range sortedKeys(declared) {
+			switch {
+			case !fieldSet[f]:
+				p.Reportf(declared[f], "StageKeys[%q] names %s, which is not a field of Config", stage, f)
+			case rs.fields[f] == token.NoPos:
+				p.Reportf(declared[f], "dead key field: StageKeys[%q] lists Config.%s but the stage never reads it — a wider key splits identical artifacts into distinct cache entries", stage, f)
 			}
 		}
 	}
 	// Ambient state: a read the stage key cannot cover. Only globals the
 	// classifier cannot prove key-addressed or immutable are findings;
 	// //tmi3dvet:global at the site (audited by globalmut) is honored.
-	for _, obj := range sortedGlobalObjs(acc.globals) {
+	for _, obj := range sortedGlobalObjs(rs.globals) {
 		switch gs.classOf(obj) {
 		case gcReadOnly, gcSync, gcOncePublished, gcGuardedMap:
 			continue
 		}
-		pos := acc.globals[obj]
+		pos := rs.globals[obj]
 		if sup.at(p, pos) != nil {
 			continue
 		}
-		p.Reportf(pos, "stage %q reads ambient package state %s that no Config-derived key can cover: make it key-addressed behind a sync.Once or annotate //tmi3dvet:global <reason>", acc.name, obj.Name())
+		p.Reportf(pos, "stage %q reads ambient package state %s that no Config-derived key can cover: make it key-addressed behind a sync.Once or annotate //tmi3dvet:global <reason>", stage, obj.Name())
 	}
 }
 
-func fieldList(fields []string) string {
-	if len(fields) == 0 {
-		return "no Config fields"
-	}
-	return "[" + strings.Join(fields, " ") + "]"
-}
-
-// scanStageRegion walks one region's statements, attributing Config field
-// reads (direct, transitive through same-package calls, and whole-Config
-// uses) and global touches to the accumulator.
-func scanStageRegion(p *Pass, sums *effects, cfgType *types.Named, r *stageRegion, acc *stageAccum) {
+// scanStageBody walks one stage body, collecting Config field reads (direct,
+// transitive through same-package calls, and whole-Config uses) and global
+// touches.
+func scanStageBody(p *Pass, sums *effects, cfgType *types.Named, body *ast.BlockStmt) stageReads {
+	rs := stageReads{fields: map[string]token.Pos{}, globals: map[types.Object]token.Pos{}}
 	addField := func(name string, pos token.Pos) {
-		if _, ok := acc.fields[name]; !ok {
-			acc.fields[name] = pos
+		if _, ok := rs.fields[name]; !ok {
+			rs.fields[name] = pos
 		}
 	}
 	addAll := func(pos token.Pos) {
@@ -480,66 +331,60 @@ func scanStageRegion(p *Pass, sums *effects, cfgType *types.Named, r *stageRegio
 		}
 	}
 	addGlobal := func(obj types.Object, pos token.Pos) {
-		if _, ok := acc.globals[obj]; !ok {
-			acc.globals[obj] = pos
+		if _, ok := rs.globals[obj]; !ok {
+			rs.globals[obj] = pos
 		}
 	}
 	pkgScope := p.Pkg.Types.Scope()
-	for _, st := range r.stmts {
-		// Idents used as a selector base are judged at the selector; a bare
-		// Config-typed use elsewhere reads the whole struct.
-		selBases := map[*ast.Ident]bool{}
-		ast.Inspect(st, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				if id, ok := sel.X.(*ast.Ident); ok {
-					selBases[id] = true
+	// Idents used as a selector base are judged at the selector; a bare
+	// Config-typed use elsewhere reads the whole struct.
+	selBases := map[*ast.Ident]bool{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok {
+			if id, ok := sel.X.(*ast.Ident); ok {
+				selBases[id] = true
+			}
+		}
+		return true
+	})
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			if sel := p.Pkg.Info.Selections[n]; sel != nil {
+				if f, ok := sel.Obj().(*types.Var); ok && f.IsField() && fieldOfConfig(cfgType, f) {
+					addField(f.Name(), n.Pos())
 				}
 			}
-			return true
-		})
-		ast.Inspect(st, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if sel := p.Pkg.Info.Selections[n]; sel != nil {
-					if f, ok := sel.Obj().(*types.Var); ok && f.IsField() && fieldOfConfig(cfgType, f) {
-						addField(f.Name(), n.Pos())
+		case *ast.CallExpr:
+			if callee := staticCalleeOf(p, n); callee != nil && callee.Pkg() == p.Pkg.Types {
+				if sum := sums.summarize(callee); sum != nil {
+					if sum.allFields {
+						addAll(n.Pos())
 					}
-				}
-			case *ast.CallExpr:
-				if callee := staticCalleeOf(p, n); callee != nil && callee.Pkg() == p.Pkg.Types {
-					sum := sums.summarize(callee)
-					if sum != nil {
-						if sum.allFields {
-							addAll(n.Pos())
-						}
-						for _, fname := range sortedBoolKeys(sum.fields) {
-							addField(fname, n.Pos())
-						}
-						for _, obj := range sortedGlobalObjs(sum.globals) {
-							addGlobal(obj, n.Pos())
-						}
+					for _, fname := range sortedBoolKeys(sum.fields) {
+						addField(fname, n.Pos())
 					}
-				}
-			case *ast.Ident:
-				obj := p.Pkg.Info.Uses[n]
-				if obj == nil {
-					return true
-				}
-				v, ok := obj.(*types.Var)
-				if !ok {
-					return true
-				}
-				switch {
-				case v.Parent() == pkgScope:
-					addGlobal(v, n.Pos())
-				case derefType(v.Type()) == cfgType && !selBases[n]:
-					// Whole-Config use: copies every field.
-					addAll(n.Pos())
+					for _, obj := range sortedGlobalObjs(sum.globals) {
+						addGlobal(obj, n.Pos())
+					}
 				}
 			}
-			return true
-		})
-	}
+		case *ast.Ident:
+			v, ok := p.Pkg.Info.Uses[n].(*types.Var)
+			if !ok {
+				return true
+			}
+			switch {
+			case v.Parent() == pkgScope:
+				addGlobal(v, n.Pos())
+			case derefType(v.Type()) == cfgType && !selBases[n]:
+				// Whole-Config use: copies every field.
+				addAll(n.Pos())
+			}
+		}
+		return true
+	})
+	return rs
 }
 
 func fieldOfConfig(cfgType *types.Named, f *types.Var) bool {
@@ -581,14 +426,5 @@ func sortedGlobalObjs(m map[types.Object]token.Pos) []types.Object {
 		}
 		return out[i].Pos() < out[j].Pos()
 	})
-	return out
-}
-
-func sortedGlobalNames(m map[types.Object]token.Pos) []string {
-	objs := sortedGlobalObjs(m)
-	out := make([]string, 0, len(objs))
-	for _, o := range objs {
-		out = append(out, o.Name())
-	}
 	return out
 }

@@ -39,8 +39,6 @@ type suppressions struct {
 // never double-reports across analyzers.
 var directiveOwner = map[string]string{
 	"ordered": "maporder",
-	"nonkey":  "keycoverage",
-	"nonseed": "keycoverage",
 	"global":  "globalmut",
 	"godisc":  "godisc",
 	"nonwire": "wiresafe",
@@ -50,8 +48,8 @@ var directiveOwner = map[string]string{
 
 // cutDirective returns the payload of a //tmi3dvet:<directive> line comment,
 // or ok=false when the comment is not that directive. This is the one
-// directive-recognition path shared by suppression collection, struct-field
-// annotations, and the stage anchor scanner.
+// directive-recognition path shared by suppression collection and struct-field
+// annotations.
 func cutDirective(c *ast.Comment, directive string) (rest string, ok bool) {
 	text, ok := strings.CutPrefix(c.Text, "//")
 	if !ok {
@@ -136,7 +134,7 @@ func (s *suppressions) reportStale(p *Pass, what string) {
 }
 
 // fieldSuppression finds a //tmi3dvet:<directive> comment in a struct
-// field's doc or trailing comment group. Used by keycoverage, where the
+// field's doc or trailing comment group. Used by wiresafe, where the
 // annotation attaches to a field declaration rather than a statement.
 func fieldSuppression(p *Pass, directive string, field *ast.Field) (reason string, pos token.Pos, ok bool) {
 	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {

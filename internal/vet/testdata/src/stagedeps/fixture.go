@@ -1,10 +1,8 @@
-// Package fixture seeds stagedeps violations around an anchored pipeline
+// Package fixture seeds stagedeps violations around a small stage table
 // whose StageKeys manifest deliberately drifts from the measured read sets:
-// an uncovered field read, a dead key field, an unknown field name, a stage
-// missing from the manifest, a dead manifest stage, malformed anchors (bare,
-// nested, duplicate, dangling), statements before the first anchor, an
-// ambient mutable-state read, and a function anchored without a Config
-// parameter. Expected diagnostics live in expect.txt.
+// an uncovered field read, a dead key field, an unknown field name, an
+// ambient mutable-state read, and a Nodes entry whose body is not a function
+// of the package. Expected diagnostics live in expect.txt.
 package fixture
 
 // Config mirrors the flow.Config shape at small scale.
@@ -15,12 +13,31 @@ type Config struct {
 	Util    float64
 }
 
-// StageKeys drifts from the pipeline below on purpose.
+// Node mirrors flow.Node: run, the func-typed field taking Config, is the
+// stage body; wire is not.
+type Node struct {
+	Name string
+	Deps []string
+	run  func(cfg Config) int
+	wire func() any
+}
+
+// Nodes is the stage table stagedeps reads the bodies from.
+var Nodes = []Node{
+	{Name: "load", run: load, wire: func() any { return new(int) }},
+	{Name: "build", Deps: []string{"load"}, run: build},
+	{Name: "emit", Deps: []string{"build"}, run: emit},
+	{Name: "report", run: report},
+	{Name: "inline", run: func(cfg Config) int { return cfg.Mode }}, // seeded: no package function
+}
+
+// StageKeys drifts from the bodies below on purpose.
 var StageKeys = map[string][]string{
-	"load":  {"Circuit", "Scale"}, // Scale is a seeded dead key field
-	"build": {"Mode"},             // the Util read is seeded uncovered
-	"emit":  {"Bogus"},            // seeded unknown field name
-	"ghost": {},                   // seeded dead manifest stage
+	"load":   {"Circuit", "Scale"},                 // Scale is a seeded dead key field
+	"build":  {"Mode"},                             // the Util read is seeded uncovered
+	"emit":   {"Bogus", "Scale"},                   // seeded unknown field name
+	"report": {"Circuit", "Mode", "Scale", "Util"}, // clean: a whole-Config use reads every field
+	"inline": {"Mode"},
 }
 
 // table is read-only after initialization: reading it in a stage is fine.
@@ -35,40 +52,24 @@ var hits int
 
 func (c Config) modeCode() int { return c.Mode }
 
-func seedOf(c Config) int { return len(c.Circuit) + c.modeCode() }
+func sink(c Config) int { return len(c.Circuit) }
 
-func Pipeline(cfg Config) int {
-	setupX := 1 // seeded: a statement before the first anchor
+func load(cfg Config) int { return len(cfg.Circuit) }
 
-	//tmi3dvet:stage load
-	//tmi3dvet:stage dup
-	a := cfg.Circuit
-	//tmi3dvet:stage
-	aa := len(a)
-
-	//tmi3dvet:stage build
-	b := cfg.modeCode()
+func build(cfg Config) int {
+	b := cfg.modeCode() // transitive read of Mode
 	c := int(cfg.Util)
-	counter++ // seeded: ambient mutable state touched inside a staged region
+	counter++ // seeded: ambient mutable state touched by a stage body
 	//tmi3dvet:global fixture: observational hit counter, reset between runs
 	hits++
+	return b + c
+}
 
-	//tmi3dvet:stage emit
-	d := aa + b + c + setupX + table[0]
+func emit(cfg Config) int {
 	if cfg.Scale > 0 {
-		//tmi3dvet:stage inner
-		d++
+		return table[0]
 	}
-
-	//tmi3dvet:stage unmapped
-	e := d + seedOf(cfg)
-	return e
-	//tmi3dvet:stage ghost2
+	return 0
 }
 
-func orphan() int {
-	//tmi3dvet:stage lost
-	return 1
-}
-
-var _ = orphan
+func report(cfg Config) int { return sink(cfg) }

@@ -15,10 +15,7 @@
 //     serve job-table / metrics-registry AB-BA inversion of PR 4).
 //   - seedpurity: wall-clock or global-RNG inputs inside flow-deterministic
 //     packages, which must derive randomness from flow.Config.DeriveSeed.
-//   - keycoverage: flow.Config fields missing from Config.Key (the ClockPs
-//     precision collision that poisoned the flow cache in PR 3), and drift
-//     between Key and the DeriveSeed physical-key subset.
-//   - stagedeps: per-stage Config read sets of the anchored flow stage bodies
+//   - stagedeps: per-stage Config read sets of the flow.Nodes stage bodies
 //     diffed against the declarative StageKeys manifest — the soundness proof
 //     for the staged engine's per-stage cache keys: a stage that reads a
 //     Config field its key omits would serve stale cached artifacts.
@@ -35,12 +32,16 @@
 //     fields diffed against what its codec pair actually reads and writes
 //     (silent-drop fields, decoder-invented fields, asymmetric pairs,
 //     unaudited off-wire fields, raw non-finite floats) — the soundness
-//     proof for shipping artifacts between nodes (ROADMAP item 2).
+//     proof for the staged engine's artifact store and serve's result store.
 //   - ctxdisc: cancellation and resource discipline in the serving/store/
 //     engine packages a fleet amplifies — goroutines no drain can reach,
 //     dropped contexts, timer leaks, handles not closed on every path
 //     (branch-sensitive through the err-check idiom), and blocking I/O
 //     while holding a mutex.
+//
+// That flow.Config.Key and DeriveSeed cover the right fields is not an
+// analyzer: flow's TestConfigKeyCoversFields and TestDeriveSeed check it over
+// every field of the struct.
 //
 // cmd/tmi3dvet runs the suite over the whole module; scripts/check.sh gates
 // CI on a clean report.
@@ -63,7 +64,7 @@ type Analyzer struct {
 }
 
 // All is the full analyzer suite in reporting order.
-var All = []*Analyzer{MapOrder, LockOrder, SeedPurity, KeyCoverage, StageDeps, GlobalMut, GoDisc, WireSafe, CtxDisc}
+var All = []*Analyzer{MapOrder, LockOrder, SeedPurity, StageDeps, GlobalMut, GoDisc, WireSafe, CtxDisc}
 
 // deterministicPkgs lists the module-relative package paths whose output
 // feeds the byte-identity contract: any map-iteration order or impure seed
@@ -151,25 +152,8 @@ type Pass struct {
 	// and seedpurity only fire inside them.
 	Deterministic bool
 
-	check       string
-	report      func(Diagnostic)
-	exportStage func(StageReads)
-	exportWire  func(WireFact)
-}
-
-// ExportStage publishes one computed stage read set (stagedeps). It is a
-// no-op when the runner did not ask for stage facts.
-func (p *Pass) ExportStage(sr StageReads) {
-	if p.exportStage != nil {
-		p.exportStage(sr)
-	}
-}
-
-// ExportWire publishes one proven wire-type fact (wiresafe).
-func (p *Pass) ExportWire(wf WireFact) {
-	if p.exportWire != nil {
-		p.exportWire(wf)
-	}
+	check  string
+	report func(Diagnostic)
 }
 
 // Reportf records a diagnostic at pos.
@@ -222,66 +206,57 @@ func ExprString(e ast.Expr) string {
 	}
 }
 
-// Result is one full analysis over a module: the findings plus the stage
-// facts stagedeps computed along the way (the measured per-stage dependency
-// surface the incremental flow cache will consume).
-type Result struct {
-	Diags  []Diagnostic
-	Stages []StageReads
-	// WireTypes is the proven wire surface: one fact per flow.WireTypes
-	// manifest entry, recording the codec kind and which fields round-trip
-	// versus which are audited off the wire (wiresafe).
-	WireTypes []WireFact
+// funcBodies maps each function declared in the package to its body.
+func funcBodies(p *Pass) map[*types.Func]*ast.BlockStmt {
+	bodies := map[*types.Func]*ast.BlockStmt{}
+	for _, f := range p.Pkg.Files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				if fn, ok := p.Pkg.Info.Defs[fd.Name].(*types.Func); ok {
+					bodies[fn] = fd.Body
+				}
+			}
+		}
+	}
+	return bodies
 }
 
-// Options narrows an Analyze run for fast iteration on one package.
-type Options struct {
-	// Analyzers to run; nil means All.
-	Analyzers []*Analyzer
-	// PkgFilter restricts analysis to packages whose import path contains the
-	// substring.
-	PkgFilter string
+// staticCalleeOf resolves the function or method a call statically targets,
+// or nil (calls through func values and interfaces).
+func staticCalleeOf(p *Pass, call *ast.CallExpr) *types.Func {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		f, _ := p.ObjectOf(fun).(*types.Func)
+		return f
+	case *ast.SelectorExpr:
+		if sel := p.Pkg.Info.Selections[fun]; sel != nil {
+			f, _ := sel.Obj().(*types.Func)
+			return f
+		}
+		f, _ := p.ObjectOf(fun.Sel).(*types.Func)
+		return f
+	}
+	return nil
 }
 
 // Run applies the analyzers to every package of the module and returns the
 // findings sorted by position. The order is deterministic — the engine holds
 // itself to the contract it enforces.
 func Run(mod *Module, analyzers []*Analyzer) []Diagnostic {
-	return Analyze(mod, analyzers).Diags
-}
-
-// Analyze is Run plus the exported stage read sets and wire facts, all
-// deterministically sorted.
-func Analyze(mod *Module, analyzers []*Analyzer) *Result {
-	return AnalyzeOpts(mod, Options{Analyzers: analyzers})
-}
-
-// AnalyzeOpts is Analyze with package filtering.
-func AnalyzeOpts(mod *Module, opts Options) *Result {
-	analyzers := opts.Analyzers
-	if analyzers == nil {
-		analyzers = All
-	}
-	res := &Result{}
+	var diags []Diagnostic
 	for _, pkg := range mod.Pkgs {
-		if opts.PkgFilter != "" && !strings.Contains(pkg.Path, opts.PkgFilter) {
-			continue
-		}
 		for _, a := range analyzers {
-			pass := &Pass{
+			a.Run(&Pass{
 				Mod:           mod,
 				Pkg:           pkg,
 				Deterministic: Deterministic(pkg.Path),
 				check:         a.Name,
-				report:        func(d Diagnostic) { res.Diags = append(res.Diags, d) },
-				exportStage:   func(sr StageReads) { res.Stages = append(res.Stages, sr) },
-				exportWire:    func(wf WireFact) { res.WireTypes = append(res.WireTypes, wf) },
-			}
-			a.Run(pass)
+				report:        func(d Diagnostic) { diags = append(diags, d) },
+			})
 		}
 	}
-	sort.Slice(res.Diags, func(i, j int) bool {
-		a, b := res.Diags[i], res.Diags[j]
+	sort.Slice(diags, func(i, j int) bool {
+		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
 			return a.Pos.Filename < b.Pos.Filename
 		}
@@ -296,18 +271,5 @@ func AnalyzeOpts(mod *Module, opts Options) *Result {
 		}
 		return a.Message < b.Message
 	})
-	sort.Slice(res.Stages, func(i, j int) bool {
-		a, b := res.Stages[i], res.Stages[j]
-		if a.Package != b.Package {
-			return a.Package < b.Package
-		}
-		if a.Func != b.Func {
-			return a.Func < b.Func
-		}
-		return a.Stage < b.Stage
-	})
-	sort.Slice(res.WireTypes, func(i, j int) bool {
-		return res.WireTypes[i].Type < res.WireTypes[j].Type
-	})
-	return res
+	return diags
 }

@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"tmi3d/internal/flow"
 )
 
 var update = flag.Bool("update", false, "rewrite the fixture expect.txt golden files")
@@ -108,49 +106,16 @@ func TestSeedPurityFixture(t *testing.T) {
 	}
 }
 
-func TestKeyCoverageFixture(t *testing.T) {
-	diags := runFixture(t, "keycoverage", "fixture/keycoverage", KeyCoverage)
-	for _, want := range []string{
-		"not covered by Config.Key",
-		"without a reason",
-		"stale //tmi3dvet:nonkey",
-		// DeriveSeed drift classes.
-		"in Key but not in DeriveSeed",
-		"DeriveSeed mixes Extra but Key omits it",
-		"stale //tmi3dvet:nonseed",
-		"//tmi3dvet:nonseed suppression without a reason",
-	} {
-		if !hasDiag(diags, want) {
-			t.Errorf("keycoverage fixture lost the %q diagnostic class", want)
-		}
-	}
-	// Gate is the clean exclusion (keyed, not seeded, reason given): any
-	// diagnostic naming it means the annotation path broke.
-	for _, d := range diags {
-		if strings.Contains(d.Message, "Config.Gate") {
-			t.Errorf("reasoned nonseed exclusion was still reported: %s", d)
-		}
-	}
-}
-
 func TestStageDepsFixture(t *testing.T) {
 	diags := runFixture(t, "stagedeps", "fixture/internal/flow", StageDeps)
 	for _, want := range []string{
-		// Manifest drift classes.
+		// Read-set classes.
 		"StageKeys[\"build\"] omits it",
 		"dead key field",
 		"not a field of Config",
-		"has no StageKeys entry",
-		"dead manifest stage",
-		// Anchor discipline classes.
-		"anchor without a stage name",
-		"duplicate //tmi3dvet:stage anchor",
-		"is nested inside a statement",
-		"anchors no top-level statement",
-		"precede the first //tmi3dvet:stage anchor",
-		"no Config parameter",
-		// Ambient-state class.
 		"ambient package state counter",
+		// Liveness: an entry whose body stagedeps cannot read.
+		"Nodes entry \"inline\" has no body function",
 	} {
 		if !hasDiag(diags, want) {
 			t.Errorf("stagedeps fixture lost the %q diagnostic class", want)
@@ -158,63 +123,23 @@ func TestStageDepsFixture(t *testing.T) {
 	}
 	// The reasoned //tmi3dvet:global on the hits access suppresses the
 	// ambient-state diagnostic; the audit of that directive belongs to
-	// globalmut, so stagedeps must not add bare/stale noise either.
+	// globalmut, so stagedeps must not add bare/stale noise either. The
+	// report stage's whole-Config use reads every field its key lists.
 	for _, d := range diags {
-		if strings.Contains(d.Message, "hits") || strings.Contains(d.Message, "tmi3dvet:global sup") {
-			t.Errorf("stagedeps fixture: quiet directive consultation leaked: %s", d)
+		if strings.Contains(d.Message, "hits") || strings.Contains(d.Message, "tmi3dvet:global sup") ||
+			strings.Contains(d.Message, `"report"`) {
+			t.Errorf("stagedeps fixture: clean shape reported: %s", d)
 		}
 	}
 }
 
+// A package with a StageKeys manifest but no Nodes table to find the stage
+// bodies in must be reported, not verified as vacuously clean.
 func TestStageDepsMissingManifest(t *testing.T) {
-	diags := runFixture(t, "stagedeps_nokeys", "fixture/stagedeps_nokeys", StageDeps)
-	if !hasDiag(diags, "no StageKeys manifest") {
-		t.Error("stagedeps did not demand a manifest from an anchored package")
+	diags := runFixture(t, "stagedeps_nonodes", "fixture/stagedeps_nonodes", StageDeps)
+	if !hasDiag(diags, "no resolvable Nodes table") {
+		t.Error("stagedeps did not demand a Nodes table from a package with StageKeys")
 	}
-}
-
-// TestStageFacts pins the exported per-stage read sets: the measured
-// dependency surface -json hands to the incremental-cache builder.
-func TestStageFacts(t *testing.T) {
-	mod, err := LoadDir(filepath.Join("testdata", "src", "stagedeps"), "fixture/internal/flow")
-	if err != nil {
-		t.Fatalf("LoadDir: %v", err)
-	}
-	res := Analyze(mod, []*Analyzer{StageDeps})
-	byStage := map[string]StageReads{}
-	for _, sr := range res.Stages {
-		if sr.Func == "Pipeline" {
-			byStage[sr.Stage] = sr
-		}
-	}
-	want := map[string][]string{
-		"load":     {"Circuit"},
-		"build":    {"Mode", "Util"},
-		"emit":     {"Scale"},
-		"unmapped": {"Circuit", "Mode", "Scale", "Util"}, // bare cfg reads every field
-	}
-	for stage, fields := range want {
-		sr, ok := byStage[stage]
-		if !ok {
-			t.Errorf("stage %q missing from exported facts", stage)
-			continue
-		}
-		if got := strings.Join(sr.ConfigFields, ","); got != strings.Join(fields, ",") {
-			t.Errorf("stage %q config fields = [%s], want %v", stage, got, fields)
-		}
-	}
-	if sr := byStage["build"]; !contains(sr.Globals, "counter") || !contains(sr.Globals, "hits") {
-		t.Errorf("build stage globals = %v, want counter and hits", sr.Globals)
-	}
-}
-
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }
 
 func TestGlobalMutFixture(t *testing.T) {
@@ -288,10 +213,9 @@ func TestDeterministicList(t *testing.T) {
 
 // TestRepoClean is the self-application gate: the full analyzer suite —
 // including stagedeps and globalmut — over the real module must report
-// nothing, and stagedeps must actually have verified the twelve stage
-// bodies of flow's stage graph against the StageKeys manifest (an empty
-// stage export would mean the proof silently stopped running). This is the same contract
-// scripts/check.sh enforces via cmd/tmi3dvet.
+// nothing. This is the same contract scripts/check.sh enforces via
+// cmd/tmi3dvet; stagedeps and wiresafe report a stage table or wire manifest
+// they cannot resolve, so a clean run means both proofs ran.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checking the whole module is slow; covered by check.sh")
@@ -300,54 +224,8 @@ func TestRepoClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load module: %v", err)
 	}
-	res := Analyze(mod, All)
-	for _, d := range res.Diags {
+	for _, d := range Run(mod, All) {
 		t.Errorf("unsuppressed diagnostic: %s", d)
-	}
-	stages := map[string]bool{}
-	for _, sr := range res.Stages {
-		if strings.HasSuffix(sr.Package, "internal/flow") {
-			stages[sr.Stage] = true
-		}
-	}
-	for _, want := range []string{
-		"setup", "library", "generate", "wlm", "gates", "synth",
-		"place", "opt", "route", "signoff", "power", "report",
-	} {
-		if !stages[want] {
-			t.Errorf("flow stage %q missing from the stagedeps export", want)
-		}
-	}
-	// The wire manifest must have fully resolved: every flow.WireTypes entry
-	// exports a WireFact (a missing fact means wiresafe silently skipped the
-	// totality proof for that type), and the audited off-wire fields keep
-	// their proven shape.
-	facts := map[string]WireFact{}
-	for _, wf := range res.WireTypes {
-		facts[wf.Type] = wf
-	}
-	for key := range flow.WireTypes {
-		if _, ok := facts["tmi3d/"+key]; !ok {
-			t.Errorf("manifest wire type %q exported no WireFact", key)
-		}
-	}
-	if len(res.WireTypes) != len(flow.WireTypes) {
-		t.Errorf("exported %d wire facts for %d manifest entries", len(res.WireTypes), len(flow.WireTypes))
-	}
-	if sr := facts["tmi3d/internal/sta.Result"]; sr.Kind != "codec" || !contains(sr.Attrs, "nonfinite") {
-		t.Errorf("sta.Result wire fact = kind %q attrs %v, want the non-finite-aware codec", sr.Kind, sr.Attrs)
-	}
-	if lib := facts["tmi3d/internal/liberty.Library"]; lib.Kind != "codec" || !contains(lib.NonWire, "byBase") {
-		t.Errorf("liberty.Library wire fact = kind %q nonwire %v, want the codec with byBase audited off", lib.Kind, lib.NonWire)
-	}
-	if des := facts["tmi3d/internal/netlist.Design"]; des.Kind != "codec" || !contains(des.NonWire, "netIndex") {
-		t.Errorf("netlist.Design wire fact = kind %q nonwire %v, want the codec with netIndex audited off", des.Kind, des.NonWire)
-	}
-	if fr := facts["tmi3d/internal/flow.Result"]; fr.Kind != "tags" || !contains(fr.NonWire, "StageTimes") {
-		t.Errorf("flow.Result wire fact = kind %q nonwire %v, want tags with StageTimes audited off", fr.Kind, fr.NonWire)
-	}
-	if fc := facts["tmi3d/internal/flow.Config"]; fc.Kind != "tags" || !contains(fc.NonWire, "Workers") {
-		t.Errorf("flow.Config wire fact = kind %q nonwire %v, want tags with Workers audited off", fc.Kind, fc.NonWire)
 	}
 }
 
@@ -496,15 +374,14 @@ func TestCtxScoped(t *testing.T) {
 // happens if two analyzers both believe they audit the same directive.
 func TestNoDoubleSuppressionReports(t *testing.T) {
 	fixtures := map[string]string{
-		"maporder":    "fixture/internal/place",
-		"lockorder":   "fixture/lockorder",
-		"seedpurity":  "fixture/internal/route",
-		"keycoverage": "fixture/keycoverage",
-		"stagedeps":   "fixture/internal/flow",
-		"globalmut":   "fixture/internal/liberty",
-		"godisc":      "fixture/godisc",
-		"wiresafe":    "fixture/wiresafe",
-		"ctxdisc":     "fixture/internal/serve",
+		"maporder":   "fixture/internal/place",
+		"lockorder":  "fixture/lockorder",
+		"seedpurity": "fixture/internal/route",
+		"stagedeps":  "fixture/internal/flow",
+		"globalmut":  "fixture/internal/liberty",
+		"godisc":     "fixture/godisc",
+		"wiresafe":   "fixture/wiresafe",
+		"ctxdisc":    "fixture/internal/serve",
 	}
 	dirs := make([]string, 0, len(fixtures))
 	for dir := range fixtures {

@@ -12,8 +12,7 @@ import (
 )
 
 // WireSafe proves wire-format totality for every type whose encoded bytes
-// cross a process boundary — keycoverage generalized from one cache key to
-// every codec. The flow.WireTypes manifest names the wire set; for each entry
+// cross a process boundary. The flow.WireTypes manifest names the wire set; for each entry
 // the analyzer diffs the struct's fields against what its codec actually
 // carries and reports:
 //
@@ -39,8 +38,7 @@ import (
 // on degenerate inputs.
 //
 // Soundness posture: field coverage is computed over the transitive
-// same-package static call graph of each codec half (the keycoverage
-// machinery), with writes collected from assignment targets, &-escapes,
+// same-package static call graph of each codec half, with writes collected from assignment targets, &-escapes,
 // keyed composite literals, and receiver-field writes in callees. Dynamic
 // dispatch through interfaces and cross-package helpers are not followed;
 // package-level Encode*/Decode* helpers that delegate the whole value to
@@ -65,17 +63,6 @@ type wireEntry struct {
 type wireManifest struct {
 	decl    *Package
 	entries []wireEntry
-}
-
-// WireFact is one manifest type's proven wire surface, exported for -json.
-type WireFact struct {
-	Type    string   `json:"type"` // fully qualified: <import path>.<TypeName>
-	Kind    string   `json:"kind"` // "codec" (custom pair) or "tags" (encoding/json struct tags)
-	File    string   `json:"file"`
-	Line    int      `json:"line"`
-	Attrs   []string `json:"attrs,omitempty"`
-	Wired   []string `json:"wired,omitempty"`   // fields proven to round-trip
-	NonWire []string `json:"nonwire,omitempty"` // fields audited off the wire
 }
 
 func runWireSafe(p *Pass) {
@@ -243,36 +230,22 @@ func checkWireType(p *Pass, e wireEntry) {
 		return
 	}
 	mar, unm := codecHalves(p.Pkg, named)
-	where := p.Mod.Fset.Position(ts.Name.Pos())
-	fact := WireFact{
-		Type:  p.Pkg.Path + "." + e.typName,
-		File:  where.Filename,
-		Line:  where.Line,
-		Attrs: e.attrs,
-	}
 	switch {
 	case mar == nil && unm == nil:
-		fact.Kind = "tags"
-		checkTagsType(p, named, st, &fact)
+		checkTagsType(p, named, st)
 		if hasWireAttr(e.attrs, "nonfinite") {
 			p.Reportf(ts.Name.Pos(), "non-finite wire type %s has no custom codec: plain encoding/json rejects the ±Inf/NaN values the attribute declares possible", e.typName)
 		}
 	case mar != nil && unm != nil:
-		fact.Kind = "codec"
-		checkCodecType(p, named, st, mar, unm, &fact)
+		checkCodecType(p, named, st, mar, unm)
 		if hasWireAttr(e.attrs, "nonfinite") {
 			checkNonfiniteWireStruct(p, named, mar)
 		}
 	case mar != nil:
-		fact.Kind = "codec"
 		p.Reportf(ts.Name.Pos(), "asymmetric codec on wire type %s: %s has no unmarshal counterpart — the bytes it writes cannot be decoded back", e.typName, mar.Name())
 	default:
-		fact.Kind = "codec"
 		p.Reportf(ts.Name.Pos(), "asymmetric codec on wire type %s: %s has no marshal counterpart — it decodes bytes nothing encodes", e.typName, unm.Name())
 	}
-	sort.Strings(fact.Wired)
-	sort.Strings(fact.NonWire)
-	p.ExportWire(fact)
 }
 
 func hasWireAttr(attrs []string, want string) bool {
@@ -307,8 +280,8 @@ func findStructDecl(pkg *Package, name string) (*ast.TypeSpec, *ast.StructType) 
 
 // checkCodecType diffs the struct's fields against the read set of the
 // marshal half and the write set of the unmarshal half.
-func checkCodecType(p *Pass, named *types.Named, st *ast.StructType, mar, unm *types.Func, fact *WireFact) {
-	mset := fieldsReferencedByKey(p, named, mar)
+func checkCodecType(p *Pass, named *types.Named, st *ast.StructType, mar, unm *types.Func) {
+	mset := fieldsReadBy(p, named, mar)
 	uset := fieldsWrittenBy(p, named, unm)
 	tname := named.Obj().Name()
 	for _, field := range st.Fields.List {
@@ -320,14 +293,13 @@ func checkCodecType(p *Pass, named *types.Named, st *ast.StructType, mar, unm *t
 			}
 			switch {
 			case mset[obj] && uset[obj]:
-				fact.Wired = append(fact.Wired, name.Name)
 				if annotated {
 					p.Reportf(dpos, "stale //tmi3dvet:nonwire on %s.%s: the field IS carried by the %s/%s pair", tname, name.Name, mar.Name(), unm.Name())
 				}
 			case annotated && reason == "":
 				p.Reportf(dpos, "//tmi3dvet:nonwire suppression without a reason — say why %s.%s may stay off the wire", tname, name.Name)
 			case annotated:
-				fact.NonWire = append(fact.NonWire, name.Name)
+				// Audited off the wire.
 			case mset[obj]:
 				p.Reportf(name.Pos(), "%s.%s is marshaled by %s but never restored by %s: a decoded copy silently drops it — restore it or annotate //tmi3dvet:nonwire <reason>", tname, name.Name, mar.Name(), unm.Name())
 			case uset[obj]:
@@ -341,7 +313,7 @@ func checkCodecType(p *Pass, named *types.Named, st *ast.StructType, mar, unm *t
 
 // checkTagsType audits a tag-driven wire struct: every field either rides the
 // default encoding/json path or carries a nonwire audit.
-func checkTagsType(p *Pass, named *types.Named, st *ast.StructType, fact *WireFact) {
+func checkTagsType(p *Pass, named *types.Named, st *ast.StructType) {
 	tname := named.Obj().Name()
 	for _, field := range st.Fields.List {
 		reason, dpos, annotated := fieldSuppression(p, "nonwire", field)
@@ -356,15 +328,12 @@ func checkTagsType(p *Pass, named *types.Named, st *ast.StructType, fact *WireFa
 			switch {
 			case how == "" && annotated:
 				p.Reportf(dpos, "stale //tmi3dvet:nonwire on %s.%s: the field IS serialized by encoding/json", tname, name.Name)
-				fact.Wired = append(fact.Wired, name.Name)
 			case how == "":
-				fact.Wired = append(fact.Wired, name.Name)
+				// Serialized by encoding/json.
 			case !annotated:
 				p.Reportf(name.Pos(), "%s.%s is excluded from the wire (%s) without an audit: a decoded copy silently loses it — annotate //tmi3dvet:nonwire <reason>", tname, name.Name, how)
 			case reason == "":
 				p.Reportf(dpos, "//tmi3dvet:nonwire suppression without a reason — say why %s.%s may stay off the wire", tname, name.Name)
-			default:
-				fact.NonWire = append(fact.NonWire, name.Name)
 			}
 		}
 	}
@@ -380,6 +349,59 @@ func jsonTagName(field *ast.Field) string {
 	}
 	name, _, _ := strings.Cut(reflect.StructTag(raw).Get("json"), ",")
 	return name
+}
+
+func methodNamed(named *types.Named, name string) *types.Func {
+	for i := 0; i < named.NumMethods(); i++ {
+		if m := named.Method(i); m.Name() == name {
+			return m
+		}
+	}
+	return nil
+}
+
+// fieldsReadBy walks fn and every same-package function it transitively
+// calls, collecting which fields of named are selected anywhere along the
+// way.
+func fieldsReadBy(p *Pass, named *types.Named, root *types.Func) map[types.Object]bool {
+	read := map[types.Object]bool{}
+	fieldOwner := map[types.Object]bool{}
+	if s, ok := named.Underlying().(*types.Struct); ok {
+		for i := 0; i < s.NumFields(); i++ {
+			fieldOwner[s.Field(i)] = true
+		}
+	}
+	bodies := funcBodies(p)
+	seen := map[*types.Func]bool{}
+	work := []*types.Func{root}
+	for len(work) > 0 {
+		fn := work[len(work)-1]
+		work = work[:len(work)-1]
+		if seen[fn] {
+			continue
+		}
+		seen[fn] = true
+		body := bodies[fn]
+		if body == nil {
+			continue
+		}
+		ast.Inspect(body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if sel := p.Pkg.Info.Selections[n]; sel != nil {
+					if f, ok := sel.Obj().(*types.Var); ok && fieldOwner[f] {
+						read[f] = true
+					}
+				}
+			case *ast.CallExpr:
+				if callee := staticCalleeOf(p, n); callee != nil && callee.Pkg() == p.Pkg.Types {
+					work = append(work, callee)
+				}
+			}
+			return true
+		})
+	}
+	return read
 }
 
 // fieldsWrittenBy collects the fields of named that fn (transitively, through

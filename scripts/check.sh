@@ -6,7 +6,7 @@
 # first, then the custom tmi3dvet determinism/concurrency analyzers, then the
 # benchmark module's smoke test and the kernel benchmarks, then the
 # race-detector test suite, then the end-to-end smokes (parallel determinism,
-# staged and wire identity, formal equivalence, serving). Each gate opens with a named banner so a CI
+# staged identity, formal equivalence, serving). Each gate opens with a named banner so a CI
 # log identifies the failing stage at a glance, closes with its wall time,
 # and a passing run ends with one timing line per stage.
 set -euo pipefail
@@ -51,14 +51,15 @@ go build ./...
 
 stage tmi3dvet
 # The repo's own analyzers: map-iteration order, lock ordering (RWMutex-mode
-# aware), seed purity, cache-key coverage, per-stage key soundness
-# (stagedeps), global-state purity (globalmut), goroutine discipline
-# (godisc), wire-format totality over the flow.WireTypes manifest (wiresafe),
-# and cancellation/resource discipline in the serving stack (ctxdisc). A
-# single unsuppressed diagnostic fails the gate; the -counts tail prints one
-# line per analyzer (nine) so the log shows every check ran. Run `go run ./cmd/tmi3dvet -list` for the
-# suite and the suppression syntax.
-go run ./cmd/tmi3dvet -counts ./...
+# aware), seed purity, per-stage key soundness over flow.Nodes (stagedeps),
+# global-state purity (globalmut), goroutine discipline (godisc), wire-format
+# totality over the flow.WireTypes manifest (wiresafe), and
+# cancellation/resource discipline in the serving stack (ctxdisc). A single
+# unsuppressed diagnostic fails the gate; the report ends with one count
+# line per analyzer (eight) so the log shows every check ran. Run
+# `go run ./cmd/tmi3dvet -list` for the suite; the suppression syntax is in
+# cmd/tmi3dvet's doc.
+go run ./cmd/tmi3dvet ./...
 
 stage bench-smoke
 # The repository benchmark (bench/) is its own Go module, so the root
@@ -120,13 +121,6 @@ for pass in cold warm; do
     done
 done
 
-stage wire-identity
-# The runtime counterpart of the wiresafe proof: run one real flow through
-# the staged engine, then replay every cached artifact's stored bytes
-# through decode -> re-encode and diff (plus the library codec and a castore
-# Put/Get round trip). Any divergence exits non-zero.
-go run ./cmd/tmi3d wireid -circuit FPU -scale 0.1
-
 stage equiv-smoke
 # Formal sign-off must prove the smallest benchmark's mapped netlist and pass
 # the switch-level library check — and must catch an injected logic defect.
@@ -140,8 +134,8 @@ stage serve-smoke
 # The serving layer's contract: a daemon answer is byte-identical to a direct
 # flow.Run. Boot on an ephemeral port, probe /healthz, fetch one flow result
 # twice (cold then cached), and diff against the direct encoding via loadgen.
-# The staged engine's identity is covered by staged-identity and
-# wire-identity above; serve always runs flow.Run.
+# The staged engine's identity is covered by staged-identity above; serve
+# always runs flow.Run.
 go build -o "$pdir/tmi3d" ./cmd/tmi3d
 go build -o "$pdir/loadgen" ./cmd/loadgen
 "$pdir/tmi3d" serve -addr 127.0.0.1:0 -store "$pdir/store" \
