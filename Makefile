@@ -18,8 +18,8 @@ fmt:
 lint:
 	@go run ./cmd/tmi3d lint -all
 
-# The repo's own eight static analyzers (ctxdisc, globalmut, godisc,
-# lockorder, maporder, seedpurity, stagedeps, wiresafe) over every package,
+# The repo's own five static analyzers (globalmut, maporder, seedpurity,
+# stagedeps, wiresafe) over every package,
 # ending with per-analyzer diagnostic counts (see internal/vet and
 # cmd/tmi3dvet).
 vet-custom:

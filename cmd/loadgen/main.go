@@ -80,16 +80,34 @@ func main() {
 		cfgs[i].Seed = 1000 + uint64(i)
 	}
 
-	var (
-		mu        sync.Mutex
-		samples   []sample
-		responses = map[string][]byte{} // key -> first body seen
-		failures  int
-	)
+	t0 := time.Now()
+	samples, responses, failures := load(client, urlFor, cfgs, *workers)
+	wall := time.Since(t0)
+
+	report(samples, wall, failures, len(responses))
+
+	if *verify {
+		failures += verifyDirect(responses, cfgs)
+	}
+	if *check {
+		failures += probe(client, *addr)
+	}
+	if failures > 0 {
+		log.Fatalf("FAIL: %d failures", failures)
+	}
+	fmt.Println("OK")
+}
+
+// load issues one GET per config, urlFor(cfgs[i]), from workers concurrent
+// workers. It returns a sample per 200 answer, the first body seen per config
+// key, and the failure count: transport errors, non-200 answers, and 200
+// bodies that differ from an earlier body for the same key.
+func load(client *http.Client, urlFor func(flow.Config) string, cfgs []flow.Config, workers int) (samples []sample, responses map[string][]byte, failures int) {
+	responses = map[string][]byte{}
+	var mu sync.Mutex
 	work := make(chan int)
 	var wg sync.WaitGroup
-	t0 := time.Now()
-	for w := 0; w < *workers; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -129,25 +147,12 @@ func main() {
 			}
 		}()
 	}
-	for i := 0; i < *n; i++ {
+	for i := range cfgs {
 		work <- i
 	}
 	close(work)
 	wg.Wait()
-	wall := time.Since(t0)
-
-	report(samples, wall, failures, len(responses))
-
-	if *verify {
-		failures += verifyDirect(responses, cfgs)
-	}
-	if *check {
-		failures += probe(client, *addr)
-	}
-	if failures > 0 {
-		log.Fatalf("FAIL: %d failures", failures)
-	}
-	fmt.Println("OK")
+	return samples, responses, failures
 }
 
 // verifyDirect re-runs every unique configuration in-process and compares the

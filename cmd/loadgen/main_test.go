@@ -1,10 +1,22 @@
 package main
 
 import (
+	"fmt"
+	"io"
+	"log"
+	"net/http"
+	"net/http/httptest"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+
+	"tmi3d/internal/flow"
+	"tmi3d/internal/serve"
 )
 
 // Flag values that leave nothing to do must be refused with a message, not
@@ -38,5 +50,81 @@ func TestBadCountsExit(t *testing.T) {
 		if !strings.Contains(string(out), tc.want) {
 			t.Errorf("loadgen %s: output %q does not contain %q", strings.Join(tc.args, " "), out, tc.want)
 		}
+	}
+}
+
+// bodyCounter is a RoundTripper that counts response bodies handed out and
+// not yet closed.
+type bodyCounter struct {
+	base http.RoundTripper
+	open atomic.Int64
+}
+
+func (c *bodyCounter) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := c.base.RoundTrip(r)
+	if err != nil {
+		return nil, err
+	}
+	c.open.Add(1)
+	resp.Body = &countedBody{ReadCloser: resp.Body, c: c}
+	return resp, nil
+}
+
+type countedBody struct {
+	io.ReadCloser
+	once sync.Once
+	c    *bodyCounter
+}
+
+func (b *countedBody) Close() error {
+	b.once.Do(func() { b.c.open.Add(-1) })
+	return b.ReadCloser.Close()
+}
+
+// TestLoadClosesEveryBody runs the request loop against a daemon stand-in
+// that answers 200, 429 and 500. Every response body, whatever its status,
+// must be closed, and every non-200 answer and every 200 body that differs
+// from an earlier one for the same key must count as a failure.
+func TestLoadClosesEveryBody(t *testing.T) {
+	var hot atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		seed, _ := strconv.Atoi(r.URL.Query().Get("seed"))
+		switch {
+		case seed == 0: // the hot key answers differently the second time
+			fmt.Fprintf(w, "hot-%d", hot.Add(1))
+		case seed <= 2:
+			w.WriteHeader(http.StatusTooManyRequests)
+			io.WriteString(w, `{"error":"queue full; retry later"}`)
+		case seed <= 4:
+			w.WriteHeader(http.StatusInternalServerError)
+			io.WriteString(w, `{"error":"boom"}`)
+		default:
+			fmt.Fprintf(w, "ok-%d", seed)
+		}
+	}))
+	defer ts.Close()
+	counter := &bodyCounter{base: http.DefaultTransport}
+	client := &http.Client{Transport: counter}
+	urlFor := func(cfg flow.Config) string {
+		return ts.URL + "/v1/ppa?" + serve.ConfigQuery(cfg).Encode()
+	}
+	var cfgs []flow.Config
+	for _, seed := range []uint64{0, 1, 2, 3, 4, 5, 6, 7, 0} {
+		cfgs = append(cfgs, flow.Config{Circuit: "FPU", Scale: 0.1, Seed: seed})
+	}
+
+	log.SetOutput(io.Discard)
+	defer log.SetOutput(os.Stderr)
+	samples, responses, failures := load(client, urlFor, cfgs, 3)
+
+	if n := counter.open.Load(); n != 0 {
+		t.Errorf("%d response bodies never closed", n)
+	}
+	// Two 429s, two 500s and the hot key's mismatched second body.
+	if failures != 5 {
+		t.Errorf("failures = %d, want 5", failures)
+	}
+	if len(samples) != 5 || len(responses) != 4 {
+		t.Errorf("%d samples over %d keys, want 5 over 4", len(samples), len(responses))
 	}
 }

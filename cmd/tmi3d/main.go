@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 
@@ -55,7 +54,6 @@ func main() {
 	compare := flag.Bool("compare", false, "run both 2D and T-MI and print the comparison")
 	dump := flag.String("dump", "", "write <prefix>.v and <prefix>.def implementation artifacts")
 	byfunc := flag.Bool("byfunc", false, "print the per-function power breakdown table")
-	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "max flows run in parallel (-compare runs 2D and T-MI concurrently when >1)")
 	stageDir := flag.String("stagecache", "", "staged-flow artifact store directory; reruns reuse unchanged stages (results byte-identical; empty = monolithic flow)")
 	flag.Parse()
 	log.SetFlags(0)
@@ -76,19 +74,7 @@ func main() {
 	if *compare {
 		cfg2 := flow.Config{Circuit: *circuit, Scale: *scale, Node: node, Mode: tech.Mode2D, ClockPs: *clock}
 		cfg3 := flow.Config{Circuit: *circuit, Scale: *scale, Node: node, Mode: tech.ModeTMI, ClockPs: *clock}
-		var r2, r3 *flow.Result
-		if *jobs > 1 {
-			// Each flow's RNG derives from its config, so the concurrent
-			// runs produce exactly what the serial runs would.
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() { defer wg.Done(); r2 = run(cfg2) }()
-			r3 = run(cfg3)
-			wg.Wait()
-		} else {
-			r2 = run(cfg2)
-			r3 = run(cfg3)
-		}
+		r2, r3 := runPair(cfg2, cfg3)
 		print1(r2)
 		if *byfunc {
 			printByFunc(r2)
@@ -165,6 +151,17 @@ func run(cfg flow.Config) *flow.Result {
 		log.Fatal(err)
 	}
 	return r
+}
+
+// runPair runs two flows concurrently. Each flow's RNG derives from its
+// config, so the results are exactly what two serial runs would give.
+func runPair(cfg2, cfg3 flow.Config) (r2, r3 *flow.Result) {
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { defer wg.Done(); r2 = run(cfg2) }()
+	r3 = run(cfg3)
+	wg.Wait()
+	return r2, r3
 }
 
 func print1(r *flow.Result) {

@@ -55,21 +55,30 @@ func serveMain(args []string) {
 
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
+	if err := serveUntilSignal(s, l, sigs, *drain); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Fprintln(os.Stderr, "tmi3d serve: stopped")
+}
+
+// serveUntilSignal serves on l until a signal arrives on sigs, then drains:
+// in-flight HTTP requests get up to drain to finish, and every admitted job
+// completes. It returns the listener's error if serving stops before a
+// signal.
+func serveUntilSignal(s *serve.Server, l net.Listener, sigs <-chan os.Signal, drain time.Duration) error {
 	done := make(chan error, 1)
 	go func() { done <- s.Serve(l) }()
 	select {
 	case sig := <-sigs:
 		log.Printf("tmi3d serve: %v; draining", sig)
-		ctx, cancel := context.WithTimeout(context.Background(), *drain)
+		ctx, cancel := context.WithTimeout(context.Background(), drain)
 		defer cancel()
 		if err := s.Shutdown(ctx); err != nil {
 			log.Printf("tmi3d serve: shutdown: %v", err)
 		}
 		<-done
+		return nil
 	case err := <-done:
-		if err != nil {
-			log.Fatal(err)
-		}
+		return err
 	}
-	fmt.Fprintln(os.Stderr, "tmi3d serve: stopped")
 }

@@ -227,3 +227,68 @@ func writeEntry(t *testing.T, path string, raw []byte) {
 		t.Fatal(err)
 	}
 }
+
+// TestNoHandleLeak runs 200 Put/Get rounds, a quarter of them through each
+// failure path — a corrupt entry quarantined on Get, a Put into a read-only
+// shard, a Put whose rename is refused — and requires the process's open
+// file count not to grow: every path closes what it opened.
+func TestNoHandleLeak(t *testing.T) {
+	if _, err := os.Stat("/proc/self/fd"); err != nil {
+		t.Skip("needs /proc/self/fd to count open files")
+	}
+	openFiles := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+	s := openStore(t)
+	payload := bytes.Repeat([]byte("payload "), 512)
+	before := openFiles()
+	for i := 0; i < 200; i++ {
+		key := fmt.Sprintf("k|%d", i)
+		if err := s.Put(key, payload); err != nil {
+			t.Fatal(err)
+		}
+		path := s.EntryPath(key)
+		switch i % 4 {
+		case 1:
+			writeEntry(t, path, readEntry(t, path)[:100])
+			if _, ok, err := s.Get(key); ok || err != nil {
+				t.Fatalf("Get(corrupt %s) = %v, %v; want a quarantined miss", key, ok, err)
+			}
+		case 2:
+			// Root ignores mode bits, so there the Put succeeds; anyone else
+			// gets an error. Either way nothing may stay open.
+			shard := filepath.Dir(path)
+			if err := os.Chmod(shard, 0o555); err != nil {
+				t.Fatal(err)
+			}
+			err := s.Put(key, payload)
+			os.Chmod(shard, 0o755)
+			if err == nil && os.Geteuid() != 0 {
+				t.Fatalf("Put into a read-only shard succeeded")
+			}
+		case 3:
+			// A directory at the entry path refuses the rename, after the
+			// temp file was written and closed.
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Mkdir(path, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Put(key, payload); err == nil {
+				t.Fatal("Put over a directory succeeded")
+			}
+			os.Remove(path)
+		}
+		if _, _, err := s.Get(key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := openFiles(); after > before {
+		t.Fatalf("open files grew from %d to %d over 200 rounds", before, after)
+	}
+}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -32,6 +33,14 @@ type metricDef struct {
 }
 
 // Metrics is a small typed registry.
+//
+// The family tables (defs, names, gauges, bounds and the per-family series
+// maps) are written by Counter, Gauge and Histogram before the registry is
+// shared, and only read after that. mu guards the series values alone, and
+// it is a leaf lock: no critical section takes another lock, runs a gauge
+// sampler or writes to an io.Writer. A slow /metrics client therefore never
+// stalls Add or Observe, and a sampler may take its owner's locks without
+// ordering them against mu.
 type Metrics struct {
 	mu       sync.Mutex
 	defs     map[string]metricDef
@@ -39,7 +48,7 @@ type Metrics struct {
 	counters map[string]map[string]float64 // name → labels → value
 	hists    map[string]map[string]*histogram
 	bounds   map[string][]float64
-	gauges   map[string]func() float64 // name → sampler, rendered at scrape
+	gauges   map[string]func() float64 // name → sampler, run at scrape outside mu
 }
 
 // NewMetrics creates an empty registry.
@@ -61,26 +70,22 @@ func (m *Metrics) register(name, help, typ string) {
 	m.names = append(m.names, name)
 }
 
-// Counter declares a counter family.
+// Counter declares a counter family. Like Gauge and Histogram, it must be
+// called before the registry is shared.
 func (m *Metrics) Counter(name, help string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.register(name, help, "counter")
 	m.counters[name] = map[string]float64{}
 }
 
-// Gauge declares a gauge whose value is sampled at scrape time.
+// Gauge declares a gauge whose value is sampled at scrape time. The sampler
+// runs outside the registry lock, so it may take its owner's locks.
 func (m *Metrics) Gauge(name, help string, sample func() float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.register(name, help, "gauge")
 	m.gauges[name] = sample
 }
 
 // Histogram declares a histogram family with the given upper bounds.
 func (m *Metrics) Histogram(name, help string, bounds []float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.register(name, help, "histogram")
 	m.hists[name] = map[string]*histogram{}
 	m.bounds[name] = bounds
@@ -137,29 +142,18 @@ func seriesName(name, labels string) string {
 }
 
 // WriteText renders the registry in Prometheus text exposition format
-// (version 0.0.4), sorted for stable output.
-//
-// Gauge samplers run before m.mu is taken: a sampler may acquire other locks
-// (the server's queue-depth gauge takes the job-table mutex), and holders of
-// those locks call Add, so sampling under m.mu would order the locks both
-// ways and deadlock a scrape against the hot path.
+// (version 0.0.4), sorted for stable output. Gauges are sampled before mu is
+// taken, and the text is written to w only after mu is released.
 func (m *Metrics) WriteText(w io.Writer) {
-	m.mu.Lock()
-	samplers := make(map[string]func() float64, len(m.gauges))
-	for name, f := range m.gauges {
-		samplers[name] = f
+	gaugeVals := make(map[string]float64, len(m.gauges))
+	for name, sample := range m.gauges {
+		gaugeVals[name] = sample()
 	}
-	m.mu.Unlock()
-	gaugeVals := make(map[string]float64, len(samplers))
-	for name, f := range samplers {
-		gaugeVals[name] = f()
-	}
-
+	var b bytes.Buffer
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	for _, name := range m.names {
 		def := m.defs[name]
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, def.help, name, def.typ)
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, def.help, name, def.typ)
 		switch def.typ {
 		case "counter":
 			series := m.counters[name]
@@ -169,10 +163,10 @@ func (m *Metrics) WriteText(w io.Writer) {
 			}
 			sort.Strings(keys)
 			for _, k := range keys {
-				fmt.Fprintf(w, "%s %s\n", seriesName(name, k), fmtFloat(series[k]))
+				fmt.Fprintf(&b, "%s %s\n", seriesName(name, k), fmtFloat(series[k]))
 			}
 		case "gauge":
-			fmt.Fprintf(w, "%s %s\n", name, fmtFloat(gaugeVals[name]))
+			fmt.Fprintf(&b, "%s %s\n", name, fmtFloat(gaugeVals[name]))
 		case "histogram":
 			series := m.hists[name]
 			keys := make([]string, 0, len(series))
@@ -183,25 +177,27 @@ func (m *Metrics) WriteText(w io.Writer) {
 			for _, k := range keys {
 				h := series[k]
 				cum := uint64(0)
-				for i, b := range h.bounds {
+				for i, bound := range h.bounds {
 					cum += h.counts[i]
-					le := fmt.Sprintf(`le="%s"`, fmtFloat(b))
+					le := fmt.Sprintf(`le="%s"`, fmtFloat(bound))
 					if k != "" {
 						le = k + "," + le
 					}
-					fmt.Fprintf(w, "%s_bucket{%s} %d\n", name, le, cum)
+					fmt.Fprintf(&b, "%s_bucket{%s} %d\n", name, le, cum)
 				}
 				cum += h.counts[len(h.bounds)]
 				le := `le="+Inf"`
 				if k != "" {
 					le = k + "," + le
 				}
-				fmt.Fprintf(w, "%s_bucket{%s} %d\n", name, le, cum)
-				fmt.Fprintf(w, "%s_sum%s %s\n", name, braced(k), fmtFloat(h.sum))
-				fmt.Fprintf(w, "%s_count%s %d\n", name, braced(k), h.count)
+				fmt.Fprintf(&b, "%s_bucket{%s} %d\n", name, le, cum)
+				fmt.Fprintf(&b, "%s_sum%s %s\n", name, braced(k), fmtFloat(h.sum))
+				fmt.Fprintf(&b, "%s_count%s %d\n", name, braced(k), h.count)
 			}
 		}
 	}
+	m.mu.Unlock()
+	w.Write(b.Bytes())
 }
 
 func braced(labels string) string {

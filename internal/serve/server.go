@@ -26,6 +26,7 @@ import (
 	"runtime/debug"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tmi3d/internal/castore"
@@ -92,6 +93,10 @@ type job struct {
 
 // Server is the PPA daemon: HTTP front end, cache hierarchy (LRU → disk
 // store), and a bounded worker pool behind a singleflight job table.
+//
+// Every mutex here (mu, ewmaMu, studyMu, and those inside lruCache and
+// Metrics) is a leaf lock: its critical section takes no other lock, does no
+// I/O and runs no callback.
 type Server struct {
 	cfg     Config
 	store   *castore.Store
@@ -103,9 +108,12 @@ type Server struct {
 	mu       sync.Mutex
 	jobs     map[string]*job
 	queue    chan *job
-	queued   int // jobs admitted, not yet finished (queue depth gauge)
 	draining bool
 	wg       sync.WaitGroup
+
+	// queued counts jobs admitted and not yet finished (the queue-depth
+	// gauge); an atomic, so readers take no lock.
+	queued atomic.Int64
 
 	// ewmaSec tracks recent job cost for the Retry-After estimate.
 	ewmaMu  sync.Mutex
@@ -171,9 +179,7 @@ func (s *Server) registerMetrics() {
 	m.Counter("tmi3d_flow_stage_seconds_total", "Cumulative wall-clock seconds per flow stage, from flow.Result.StageTimes.")
 	m.Counter("tmi3d_store_quarantined_total", "Corrupted store entries quarantined on load.")
 	m.Gauge("tmi3d_queue_depth", "Jobs admitted and not yet finished.", func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return float64(s.queued)
+		return float64(s.queued.Load())
 	})
 	m.Gauge("tmi3d_uptime_seconds", "Seconds since the daemon started.", func() float64 {
 		return time.Since(s.start).Seconds()
@@ -256,8 +262,8 @@ func (s *Server) worker() {
 		}
 		s.mu.Lock()
 		delete(s.jobs, j.key)
-		s.queued--
 		s.mu.Unlock()
+		s.queued.Add(-1)
 		j.data, j.err = data, err
 		close(j.done)
 		s.observeJob(time.Since(t0).Seconds())
@@ -276,10 +282,7 @@ func (s *Server) retryAfterSeconds() int {
 	s.ewmaMu.Lock()
 	ewma := s.ewmaSec
 	s.ewmaMu.Unlock()
-	s.mu.Lock()
-	backlog := s.queued
-	s.mu.Unlock()
-	est := int(math.Ceil(ewma * float64(backlog+1) / float64(s.cfg.Workers)))
+	est := int(math.Ceil(ewma * float64(s.queued.Load()+1) / float64(s.cfg.Workers)))
 	if est < 1 {
 		est = 1
 	}
@@ -292,10 +295,6 @@ func (s *Server) retryAfterSeconds() int {
 // submit joins an existing job for key (joined=true) or admits a new one.
 // The bounded queue is the backpressure point: a full queue rejects
 // immediately rather than building an invisible backlog.
-//
-// Metrics must be touched only after s.mu is released: the queue-depth gauge
-// samples s.mu from under Metrics.mu at scrape time, so calling Metrics.Add
-// while holding s.mu would order the two locks both ways (AB-BA deadlock).
 func (s *Server) submit(key string, fn func() ([]byte, error)) (*job, bool, error) {
 	s.mu.Lock()
 	if s.draining {
@@ -311,7 +310,7 @@ func (s *Server) submit(key string, fn func() ([]byte, error)) (*job, bool, erro
 	select {
 	case s.queue <- j:
 		s.jobs[key] = j
-		s.queued++
+		s.queued.Add(1)
 		s.mu.Unlock()
 		return j, false, nil
 	default:
@@ -443,14 +442,11 @@ func (s *Server) writeComputeError(w http.ResponseWriter, err error) {
 // ---- endpoints ----
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	queued := s.queued
-	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":      "ok",
 		"uptime_s":    int64(time.Since(s.start).Seconds()),
 		"workers":     s.cfg.Workers,
-		"queue_depth": queued,
+		"queue_depth": s.queued.Load(),
 		"lru_entries": s.lru.Len(),
 	})
 }

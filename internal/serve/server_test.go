@@ -190,10 +190,7 @@ func TestQueueFullReturns429(t *testing.T) {
 	// Wait until job 2 occupies the queue slot.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		s.mu.Lock()
-		queued := s.queued
-		s.mu.Unlock()
-		if queued == 2 {
+		if s.queued.Load() == 2 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -288,10 +285,7 @@ func TestClientCancelGets499(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		s.mu.Lock()
-		queued := s.queued
-		s.mu.Unlock()
-		if queued == 0 {
+		if s.queued.Load() == 0 {
 			break
 		}
 		if time.Now().After(deadline) {

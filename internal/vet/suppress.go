@@ -40,10 +40,8 @@ type suppressions struct {
 var directiveOwner = map[string]string{
 	"ordered": "maporder",
 	"global":  "globalmut",
-	"godisc":  "godisc",
 	"nonwire": "wiresafe",
 	"finite":  "wiresafe",
-	"ctxdisc": "ctxdisc",
 }
 
 // cutDirective returns the payload of a //tmi3dvet:<directive> line comment,

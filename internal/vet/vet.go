@@ -1,18 +1,15 @@
 // Package vet is a from-scratch static-analysis engine for the repository's
-// determinism and concurrency contracts, built directly on go/ast, go/parser
-// and go/types — no external analysis frameworks, matching the repo's
+// determinism and wire contracts, built directly on go/ast, go/parser and
+// go/types — no external analysis frameworks, matching the repo's
 // hand-rolled CDCL and hand-rolled Prometheus ethos.
 //
 // The serving contract is byte identity: a daemon response must equal the
-// canonical encoding of a direct flow.Run. Every production bug so far has
-// been a statically detectable violation of it, and each analyzer targets one
-// of those bug classes:
+// canonical encoding of a direct flow.Run. Each analyzer targets one
+// statically detectable class of violation of it:
 //
 //   - maporder: range over a map in a deterministic-output package (the
 //     netlist.AddInstance pin-order bug of PR 4), including the
 //     order-dependent float-summation variant.
-//   - lockorder: cycles in the interprocedural mutex acquisition graph (the
-//     serve job-table / metrics-registry AB-BA inversion of PR 4).
 //   - seedpurity: wall-clock or global-RNG inputs inside flow-deterministic
 //     packages, which must derive randomness from flow.Config.DeriveSeed.
 //   - stagedeps: per-stage Config read sets of the flow.Nodes stage bodies
@@ -23,25 +20,20 @@
 //     key-addressed sync.Once cache shape (liberty.Default, flow.generated) —
 //     the class where a cache entry mutated after publication silently
 //     couples two configs.
-//   - godisc: goroutine discipline at existing go/defer sites — stale
-//     captures, WaitGroup.Add placement, send-without-receive leak shapes,
-//     unlocked shared writes in spawned closures, unbounded per-element
-//     spawns.
 //   - wiresafe: wire-format totality over the flow.WireTypes manifest —
 //     every type whose encoded bytes cross a process boundary has its struct
 //     fields diffed against what its codec pair actually reads and writes
 //     (silent-drop fields, decoder-invented fields, asymmetric pairs,
 //     unaudited off-wire fields, raw non-finite floats) — the soundness
 //     proof for the staged engine's artifact store and serve's result store.
-//   - ctxdisc: cancellation and resource discipline in the serving/store/
-//     engine packages a fleet amplifies — goroutines no drain can reach,
-//     dropped contexts, timer leaks, handles not closed on every path
-//     (branch-sensitive through the err-check idiom), and blocking I/O
-//     while holding a mutex.
 //
 // That flow.Config.Key and DeriveSeed cover the right fields is not an
 // analyzer: flow's TestConfigKeyCoversFields and TestDeriveSeed check it over
-// every field of the struct.
+// every field of the struct. Concurrency is not an analyzer either: flows are
+// serial, serve's mutexes are leaf locks, and each concurrency defect class
+// has a runtime test under go test -race (serve's slow-scrape, scrape-during-
+// submit and goroutine-leak tests, loadgen's body-close test, castore's
+// handle test).
 //
 // cmd/tmi3dvet runs the suite over the whole module; scripts/check.sh gates
 // CI on a clean report.
@@ -64,7 +56,7 @@ type Analyzer struct {
 }
 
 // All is the full analyzer suite in reporting order.
-var All = []*Analyzer{MapOrder, LockOrder, SeedPurity, StageDeps, GlobalMut, GoDisc, WireSafe, CtxDisc}
+var All = []*Analyzer{MapOrder, SeedPurity, StageDeps, GlobalMut, WireSafe}
 
 // deterministicPkgs lists the module-relative package paths whose output
 // feeds the byte-identity contract: any map-iteration order or impure seed
@@ -104,24 +96,6 @@ var globalStatePkgs = append([]string{"internal/flow", "internal/stage"}, determ
 // package-level state.
 func GlobalStateScoped(importPath string) bool {
 	return pathIn(importPath, globalStatePkgs)
-}
-
-// ctxPkgs lists the packages ctxdisc polices: the serving daemon, the
-// persistent store, the staged engine, and the load harness — the four
-// surfaces ROADMAP item 2 multiplies across a node fleet, where an orphan
-// goroutine, a leaked handle, or lock-held I/O scales from an annoyance to
-// an outage.
-var ctxPkgs = []string{
-	"internal/serve",
-	"internal/castore",
-	"internal/stage",
-	"cmd/loadgen",
-}
-
-// CtxScoped reports whether ctxdisc audits the package's cancellation and
-// resource discipline.
-func CtxScoped(importPath string) bool {
-	return pathIn(importPath, ctxPkgs)
 }
 
 func pathIn(importPath string, set []string) bool {
@@ -219,6 +193,26 @@ func funcBodies(p *Pass) map[*types.Func]*ast.BlockStmt {
 		}
 	}
 	return bodies
+}
+
+// derefType strips one level of pointer indirection.
+func derefType(t types.Type) types.Type {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
+}
+
+// isMutexType reports whether t is (a pointer to) sync.Mutex or
+// sync.RWMutex.
+func isMutexType(t types.Type) bool {
+	n, ok := derefType(t).(*types.Named)
+	if !ok {
+		return false
+	}
+	o := n.Obj()
+	return o.Pkg() != nil && o.Pkg().Path() == "sync" &&
+		(o.Name() == "Mutex" || o.Name() == "RWMutex")
 }
 
 // staticCalleeOf resolves the function or method a call statically targets,

@@ -72,31 +72,6 @@ func TestMapOrderFixture(t *testing.T) {
 	}
 }
 
-func TestLockOrderFixture(t *testing.T) {
-	diags := runFixture(t, "lockorder", "fixture/lockorder", LockOrder)
-	if !hasDiag(diags, "lock order cycle") {
-		t.Error("lockorder fixture lost the AB-BA cycle diagnostic")
-	}
-	if !hasDiag(diags, "reacquire") && !hasDiag(diags, "while already held") {
-		t.Error("lockorder fixture lost the recursive-acquisition diagnostic")
-	}
-	// RWMutex modes: the inverted pure-read pair (ra, rb) is exempt, the
-	// inverted pair with a writer (wa, wb) is still a cycle, and a recursive
-	// RLock is still reported.
-	if !hasDiag(diags, "rwPair.wa → rwPair.wb → rwPair.wa") {
-		t.Error("lockorder lost the writer-involved RWMutex inversion")
-	}
-	if !hasDiag(diags, "RLock of rwPair.ra while already held") {
-		t.Error("lockorder lost the recursive-RLock diagnostic")
-	}
-	for _, d := range diags {
-		if strings.Contains(d.Message, "rwPair.ra → rwPair.rb") ||
-			strings.Contains(d.Message, "rwPair.rb → rwPair.ra") {
-			t.Errorf("pure read-read inversion must be exempt, got: %s", d)
-		}
-	}
-}
-
 func TestSeedPurityFixture(t *testing.T) {
 	diags := runFixture(t, "seedpurity", "fixture/internal/route", SeedPurity)
 	for _, want := range []string{"time.Now", "global math/rand", "derived from map iteration"} {
@@ -229,43 +204,6 @@ func TestRepoClean(t *testing.T) {
 	}
 }
 
-func TestGoDiscFixture(t *testing.T) {
-	diags := runFixture(t, "godisc", "fixture/godisc", GoDisc)
-	for _, want := range []string{
-		"the loop body reassigns",      // stale capture of last
-		"WaitGroup.Add inside",         // Add in spawned goroutine
-		"WaitGroup.Add after Wait",     // Add after Wait
-		"never receives",               // unbuffered send leak
-		"with no lock in the closure",  // unlocked shared write
-		"goroutine per range element",  // unbounded fan-out
-		"suppression without a reason", // bare //tmi3dvet:godisc
-		"stale //tmi3dvet:godisc",      // annotation outlived the code
-	} {
-		if !hasDiag(diags, want) {
-			t.Errorf("godisc fixture lost the %q diagnostic class", want)
-		}
-	}
-	// The sanctioned shapes (handoff, buffered, indexed, lockedWrite,
-	// bounded, suppressedSpawn) stay silent: each generic diagnostic class
-	// must appear exactly once, from its seeded violation — a second
-	// occurrence means a clean shape was flagged. The golden pins positions.
-	for _, once := range []string{
-		"never receives",              // leak only — not handoff or buffered
-		"with no lock in the closure", // unlockedWrite only — not lockedWrite or indexed
-		"per range element",           // unbounded only — not bounded or suppressedSpawn
-	} {
-		n := 0
-		for _, d := range diags {
-			if strings.Contains(d.Message, once) {
-				n++
-			}
-		}
-		if n != 1 {
-			t.Errorf("%q reported %d times, want exactly 1 (a sanctioned shape was flagged)", once, n)
-		}
-	}
-}
-
 func TestWireSafeFixture(t *testing.T) {
 	diags := runFixture(t, "wiresafe", "fixture/wiresafe", WireSafe)
 	for _, want := range []string{
@@ -315,59 +253,6 @@ func TestWireSafeFixture(t *testing.T) {
 	}
 }
 
-func TestCtxDiscFixture(t *testing.T) {
-	diags := runFixture(t, "ctxdisc", "fixture/internal/serve", CtxDisc)
-	for _, want := range []string{
-		"a context.Context it never uses", // dropped
-		"no cancellation path",            // orphan
-		"time.Sleep in context-bearing",   // sleeper
-		"time.After inside a loop",        // ticker
-		"is never stopped",                // unstopped
-		"is not closed on the path",       // leaked handles
-		"blocking I/O",                    // flushUnderLock / persistThroughHelper
-		"suppression without a reason",    // bareAudit
-		"stale //tmi3dvet:ctxdisc",        // staleAudit
-	} {
-		if !hasDiag(diags, want) {
-			t.Errorf("ctxdisc fixture lost the %q diagnostic class", want)
-		}
-	}
-	// Each generic class fires only from its seeded sites — a higher count
-	// means a clean twin (bounded, threaded, pool, closedBothArms,
-	// deferClosed, handedOff, stopped, snapshotThenWrite) was flagged.
-	for want, n := range map[string]int{
-		"no cancellation path":      1, // orphan only; audited and bareAudit are suppressed
-		"is not closed on the path": 3, // disjunction return, loop continue, function end
-		"blocking I/O":              2, // direct write and the writeOut helper
-		"is never stopped":          1, // unstopped only; stopped defers Stop
-	} {
-		got := 0
-		for _, d := range diags {
-			if strings.Contains(d.Message, want) {
-				got++
-			}
-		}
-		if got != n {
-			t.Errorf("%q reported %d times, want exactly %d (a clean twin was flagged)", want, got, n)
-		}
-	}
-}
-
-func TestCtxScoped(t *testing.T) {
-	for path, want := range map[string]bool{
-		"tmi3d/internal/serve":   true, // owns the HTTP lifecycle
-		"tmi3d/internal/castore": true, // owns file handles
-		"tmi3d/internal/stage":   true,
-		"tmi3d/cmd/loadgen":      true,
-		"tmi3d/internal/flow":    false, // deterministic core: no I/O to discipline
-		"tmi3d/cmd/tmi3d":        false,
-	} {
-		if got := CtxScoped(path); got != want {
-			t.Errorf("CtxScoped(%q) = %v, want %v", path, got, want)
-		}
-	}
-}
-
 // TestNoDoubleSuppressionReports pins the directive-ownership contract from
 // suppress.go: every fixture package is scanned by the full suite, and no
 // bare/stale-suppression diagnostic may appear twice — which is exactly what
@@ -375,13 +260,10 @@ func TestCtxScoped(t *testing.T) {
 func TestNoDoubleSuppressionReports(t *testing.T) {
 	fixtures := map[string]string{
 		"maporder":   "fixture/internal/place",
-		"lockorder":  "fixture/lockorder",
 		"seedpurity": "fixture/internal/route",
 		"stagedeps":  "fixture/internal/flow",
 		"globalmut":  "fixture/internal/liberty",
-		"godisc":     "fixture/godisc",
 		"wiresafe":   "fixture/wiresafe",
-		"ctxdisc":    "fixture/internal/serve",
 	}
 	dirs := make([]string, 0, len(fixtures))
 	for dir := range fixtures {

@@ -3,7 +3,7 @@
 # this; it must exit non-zero on any failure.
 #
 # The gates run fail-fast in cost order: formatting and stock static analysis
-# first, then the custom tmi3dvet determinism/concurrency analyzers, then the
+# first, then the custom tmi3dvet determinism/wire-format analyzers, then the
 # benchmark module's smoke test and the kernel benchmarks, then the
 # race-detector test suite, then the end-to-end smokes (parallel determinism,
 # staged identity, formal equivalence, serving). Each gate opens with a named banner so a CI
@@ -50,13 +50,12 @@ stage build
 go build ./...
 
 stage tmi3dvet
-# The repo's own analyzers: map-iteration order, lock ordering (RWMutex-mode
-# aware), seed purity, per-stage key soundness over flow.Nodes (stagedeps),
-# global-state purity (globalmut), goroutine discipline (godisc), wire-format
-# totality over the flow.WireTypes manifest (wiresafe), and
-# cancellation/resource discipline in the serving stack (ctxdisc). A single
+# The repo's own analyzers: map-iteration order, seed purity, per-stage key
+# soundness over flow.Nodes (stagedeps), global-state purity (globalmut), and
+# wire-format totality over the flow.WireTypes manifest (wiresafe).
+# Concurrency has runtime tests instead, run by the race stage below. A single
 # unsuppressed diagnostic fails the gate; the report ends with one count
-# line per analyzer (eight) so the log shows every check ran. Run
+# line per analyzer (five) so the log shows every check ran. Run
 # `go run ./cmd/tmi3dvet -list` for the suite; the suppression syntax is in
 # cmd/tmi3dvet's doc.
 go run ./cmd/tmi3dvet ./...
