@@ -87,7 +87,9 @@ func main() {
 	report(samples, wall, failures, len(responses))
 
 	if *verify {
-		failures += verifyDirect(responses, cfgs)
+		checked, f := verifyDirect(responses, cfgs)
+		fmt.Printf("verify    : %d unique configs checked against direct flow.Run\n", checked)
+		failures += f
 	}
 	if *check {
 		failures += probe(client, *addr)
@@ -155,14 +157,15 @@ func load(client *http.Client, urlFor func(flow.Config) string, cfgs []flow.Conf
 	return samples, responses, failures
 }
 
-// verifyDirect re-runs every unique configuration in-process and compares the
-// canonical encoding against the daemon's bytes.
-func verifyDirect(responses map[string][]byte, cfgs []flow.Config) int {
+// verifyDirect re-runs every unique configuration that got an answer
+// in-process and compares the canonical encoding against the daemon's bytes.
+// It returns the number of keys compared and the failure count; a key whose
+// every request failed is skipped (load already counted it).
+func verifyDirect(responses map[string][]byte, cfgs []flow.Config) (checked, failures int) {
 	unique := map[string]flow.Config{}
 	for _, cfg := range cfgs {
 		unique[cfg.Key()] = cfg
 	}
-	failures := 0
 	for key, cfg := range unique {
 		body, ok := responses[key]
 		if !ok {
@@ -180,13 +183,13 @@ func verifyDirect(responses map[string][]byte, cfgs []flow.Config) int {
 			failures++
 			continue
 		}
+		checked++
 		if !bytes.Equal(body, want) {
 			log.Printf("verify: daemon bytes differ from direct flow.Run for key %s", key)
 			failures++
 		}
 	}
-	fmt.Printf("verify    : %d unique configs checked against direct flow.Run\n", len(unique))
-	return failures
+	return checked, failures
 }
 
 // probe asserts the observability endpoints respond and carry the expected
@@ -226,7 +229,9 @@ func probe(client *http.Client, addr string) int {
 			failures++
 		}
 	}
-	fmt.Printf("probe     : healthz + metrics ok\n")
+	if failures == 0 {
+		fmt.Printf("probe     : healthz + metrics ok\n")
+	}
 	return failures
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"log"
@@ -126,5 +127,86 @@ func TestLoadClosesEveryBody(t *testing.T) {
 	}
 	if len(samples) != 5 || len(responses) != 4 {
 		t.Errorf("%d samples over %d keys, want 5 over 4", len(samples), len(responses))
+	}
+}
+
+// TestVerifyCountsTamperedPayload runs -verify against a daemon stand-in
+// that serves genuine flow.Run payloads, then the same with one key's payload
+// tampered. A key whose every request failed is not compared, and not
+// counted as checked.
+func TestVerifyCountsTamperedPayload(t *testing.T) {
+	cfgs := []flow.Config{
+		{Circuit: "FPU", Scale: 0.02, Seed: 1},
+		{Circuit: "FPU", Scale: 0.02, Seed: 2},
+		{Circuit: "FPU", Scale: 0.02, Seed: 3}, // the stand-in fails every request
+		{Circuit: "FPU", Scale: 0.02, Seed: 1},
+	}
+	payloads := map[string][]byte{}
+	for _, cfg := range cfgs[:2] {
+		r, err := flow.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if payloads[strconv.FormatUint(cfg.Seed, 10)], err = flow.EncodeResult(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log.SetOutput(io.Discard)
+	defer log.SetOutput(os.Stderr)
+	for _, tc := range []struct {
+		tampered string // seed whose payload is altered, or ""
+		want     int
+	}{{"", 0}, {"2", 1}} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			seed := r.URL.Query().Get("seed")
+			body, ok := payloads[seed]
+			if !ok {
+				w.WriteHeader(http.StatusInternalServerError)
+				return
+			}
+			if seed == tc.tampered {
+				body = bytes.Replace(body, []byte(`"circuit":"FPU"`), []byte(`"circuit":"fpu"`), 1)
+			}
+			w.Write(body)
+		}))
+		urlFor := func(cfg flow.Config) string {
+			return ts.URL + "/v1/ppa?" + serve.ConfigQuery(cfg).Encode()
+		}
+		_, responses, failures := load(ts.Client(), urlFor, cfgs, 2)
+		ts.Close()
+		if failures != 1 {
+			t.Errorf("tampered %q: load failures = %d, want 1 (the failing key)", tc.tampered, failures)
+		}
+		checked, failures := verifyDirect(responses, cfgs)
+		if checked != 2 || failures != tc.want {
+			t.Errorf("tampered %q: verify checked %d keys with %d failures, want 2 with %d", tc.tampered, checked, failures, tc.want)
+		}
+	}
+}
+
+// TestProbeCountsMissingSeries runs -check's probe against a stand-in whose
+// /metrics carries all four series, then each set of three.
+func TestProbeCountsMissingSeries(t *testing.T) {
+	series := []string{"tmi3d_requests_total", "tmi3d_request_seconds_count", "tmi3d_cache_misses_total", "tmi3d_queue_depth"}
+	log.SetOutput(io.Discard)
+	defer log.SetOutput(os.Stderr)
+	for drop := -1; drop < len(series); drop++ {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/metrics" {
+				for i, s := range series {
+					if i != drop {
+						fmt.Fprintf(w, "%s 1\n", s)
+					}
+				}
+			}
+		}))
+		want := 1
+		if drop < 0 {
+			want = 0
+		}
+		if got := probe(ts.Client(), strings.TrimPrefix(ts.URL, "http://")); got != want {
+			t.Errorf("metrics without series %d: probe failures = %d, want %d", drop, got, want)
+		}
+		ts.Close()
 	}
 }

@@ -21,10 +21,7 @@ import (
 
 	"tmi3d/internal/circuits"
 	"tmi3d/internal/equiv"
-	"tmi3d/internal/liberty"
-	"tmi3d/internal/synth"
 	"tmi3d/internal/tech"
-	"tmi3d/internal/wlm"
 )
 
 // equivOutput is the JSON shape of one `tmi3d equiv` invocation.
@@ -92,46 +89,25 @@ func equivMain(args []string) {
 	}
 }
 
-// equivCircuit synthesizes one benchmark the way the flow does (relaxed
-// clock: equivalence is about logic, not closure) and checks the mapped
-// netlist against the generated source. With corruptions, the corrupted
-// post-synthesis netlist is checked against the intact one instead — the
-// counterexample then names the injected defect's first diverging net.
+// equivCircuit synthesizes one benchmark (synthRelaxed) and checks the
+// mapped netlist against the generated source. With corruptions, the
+// corrupted post-synthesis netlist is checked against the intact one instead
+// — the counterexample then names the injected defect's first diverging net.
 func equivCircuit(name string, node tech.Node, scale float64, corrupt string) (*equiv.Report, error) {
-	lib, err := liberty.Default(node, tech.Mode2D)
-	if err != nil {
-		return nil, err
-	}
-	src, err := circuits.Generate(name, scale)
-	if err != nil {
-		return nil, err
-	}
-	clock, err := circuits.TargetClockPs(name, node)
-	if err != nil {
-		return nil, err
-	}
-	src.TargetClockPs = clock * 4
-	area := 0.0
-	for i := range src.Instances {
-		if c := lib.Cell(src.Instances[i].Func + "_X1"); c != nil {
-			area += c.Area
-		}
-	}
-	model := wlm.BuildForMode(node, tech.Mode2D, area/circuits.TargetUtilization(name))
-	res, err := synth.Run(src, synth.Options{Lib: lib, WLM: model})
+	_, src, mapped, err := synthRelaxed(name, node, scale)
 	if err != nil {
 		return nil, err
 	}
 
-	ref, dut := src, res.Design
+	ref, dut := src, mapped
 	var injected []string
 	for _, kind := range strings.Split(corrupt, ",") {
 		if kind = strings.TrimSpace(kind); kind == "" {
 			continue
 		}
 		if injected == nil {
-			ref = res.Design
-			dut = res.Design.Clone()
+			ref = mapped
+			dut = mapped.Clone()
 			dut.Name = name + "_corrupt"
 		}
 		if err := injectDefect(dut, kind); err != nil {

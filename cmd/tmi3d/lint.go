@@ -19,6 +19,7 @@ import (
 
 	"tmi3d/internal/cellgen"
 	"tmi3d/internal/circuits"
+	"tmi3d/internal/flow"
 	"tmi3d/internal/liberty"
 	"tmi3d/internal/lint"
 	"tmi3d/internal/netlist"
@@ -93,34 +94,37 @@ func lintMain(args []string) {
 	}
 }
 
-// lintCircuit synthesizes one benchmark the way the flow does (relaxed clock:
-// lint targets structure, not closure) and lints the mapped netlist.
-func lintCircuit(name string, node tech.Node, scale float64, corrupt string) (*lint.Report, error) {
-	lib, err := liberty.Default(node, tech.Mode2D)
-	if err != nil {
-		return nil, err
+// synthRelaxed synthesizes one benchmark the way the flow does, on the 2D
+// library at 4× its Table 12 clock: lint and equiv check structure and
+// logic, not closure. It returns the library, the generated source netlist
+// and the mapped one.
+func synthRelaxed(name string, node tech.Node, scale float64) (lib *liberty.Library, src, mapped *netlist.Design, err error) {
+	if lib, err = liberty.Default(node, tech.Mode2D); err != nil {
+		return nil, nil, nil, err
 	}
-	d, err := circuits.Generate(name, scale)
-	if err != nil {
-		return nil, err
+	if src, err = circuits.Generate(name, scale); err != nil {
+		return nil, nil, nil, err
 	}
 	clock, err := circuits.TargetClockPs(name, node)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	d.TargetClockPs = clock * 4
-	area := 0.0
-	for i := range d.Instances {
-		if c := lib.Cell(d.Instances[i].Func + "_X1"); c != nil {
-			area += c.Area
-		}
+	src.TargetClockPs = clock * 4
+	model := wlm.BuildForMode(node, tech.Mode2D, flow.EstimateArea(src, lib)/circuits.TargetUtilization(name))
+	res, err := synth.Run(src, synth.Options{Lib: lib, WLM: model})
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	model := wlm.BuildForMode(node, tech.Mode2D, area/circuits.TargetUtilization(name))
-	res, err := synth.Run(d, synth.Options{Lib: lib, WLM: model})
+	return lib, src, res.Design, nil
+}
+
+// lintCircuit synthesizes one benchmark (synthRelaxed) and lints the mapped
+// netlist.
+func lintCircuit(name string, node tech.Node, scale float64, corrupt string) (*lint.Report, error) {
+	lib, _, d, err := synthRelaxed(name, node, scale)
 	if err != nil {
 		return nil, err
 	}
-	d = res.Design
 	for _, kind := range strings.Split(corrupt, ",") {
 		if kind = strings.TrimSpace(kind); kind != "" {
 			if err := injectDefect(d, kind); err != nil {

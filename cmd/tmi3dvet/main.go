@@ -1,9 +1,9 @@
-// Command tmi3dvet is the repository's determinism and wire-format
-// multichecker: it loads and type-checks every package in the module, runs
-// the internal/vet analyzer suite (globalmut, maporder, seedpurity,
-// stagedeps, wiresafe) and prints each diagnostic, then
-// one count line per analyzer, zeros included. A non-empty report exits 1,
-// which is what scripts/check.sh gates CI on.
+// Command tmi3dvet is the repository's determinism multichecker: it loads
+// and type-checks every package in the module, runs the internal/vet
+// analyzer suite (globalmut, maporder, seedpurity, stagedeps) and prints
+// each diagnostic, then one count line per analyzer, zeros included. A
+// non-empty report exits 1, which is what scripts/check.sh gates CI on. The
+// wire contract is a runtime test, internal/flow's TestWireFormatTotal.
 //
 // Usage:
 //
@@ -15,9 +15,6 @@
 //
 //	//tmi3dvet:ordered <reason>   on or above a map range (maporder)
 //	//tmi3dvet:global <reason>    on or above a mutable global access (globalmut)
-//	//tmi3dvet:nonwire <reason>   on a wire-type field audited off the wire (wiresafe)
-//	//tmi3dvet:finite <reason>    on a raw float field of a non-finite type's
-//	                              wire struct that provably stays finite (wiresafe)
 //
 // The reason string is mandatory and stale suppressions are diagnostics.
 package main

@@ -186,13 +186,7 @@ func (s *Study) Table12() ([]Table12Row, error) {
 			clock, _ := circuits.TargetClockPs(name, node)
 			dd := d.Clone()
 			dd.TargetClockPs = clock * flow.ClockCalibrationFactor(name, node)
-			areaEst := 0.0
-			for i := range dd.Instances {
-				if c := lib.Cell(dd.Instances[i].Func + "_X1"); c != nil {
-					areaEst += c.Area
-				}
-			}
-			model := wlm.BuildForMode(node, tech.Mode2D, areaEst/circuits.TargetUtilization(name))
+			model := wlm.BuildForMode(node, tech.Mode2D, flow.EstimateArea(dd, lib)/circuits.TargetUtilization(name))
 			sr, err := synth.Run(dd, synth.Options{Lib: lib, WLM: model})
 			if err != nil {
 				return nil, err

@@ -29,12 +29,13 @@ import (
 // returns an artifact envelope, which is also its wire form: every envelope
 // encodes canonically (encoding/json with sorted map keys, HTML escaping off)
 // and decodes to an exact inverse, so a value decoded from a store is
-// interchangeable with the value that was encoded. wiresafe proves the
-// codecs total, the round-trip fuzzers and the stage engine's
-// TestArtifactRoundTrip re-encode decoded envelopes, and its
+// interchangeable with the value that was encoded. TestWireFormatTotal fills
+// every envelope's fields, round-trips it and compares every field (the
+// offWire table lists the fields deliberately left off); the stage engine's
+// TestArtifactRoundTrip re-encodes the envelopes of real runs, and its
 // TestPublishedValueIsStored checks that a published value encodes to the
-// stored bytes. The report node's artifact is
-// the Result itself, whose wire form is EncodeResult's payload.
+// stored bytes. The report node's artifact is the Result itself, whose wire
+// form is EncodeResult's payload.
 
 // setupValue is the setup node's output: the per-run constants every later
 // stage draws from.

@@ -148,3 +148,41 @@ func TestNonFiniteTimingRoundTrip(t *testing.T) {
 		t.Fatalf("re-encoding differs:\n first %s\nsecond %s", data, again)
 	}
 }
+
+// The report copies sign-off WNS into a plain JSON field, which encoding/json
+// rejects when non-finite (an unconstrained design has WNS = +Inf). A run
+// whose signoff artifact carries ±Inf or NaN WNS must still encode.
+func TestReportClampsNonFiniteWNS(t *testing.T) {
+	cfg := Config{Circuit: "FPU", Scale: 0.05, Node: tech.N45, Mode: tech.Mode2D}
+	memo := map[string]any{}
+	for _, wns := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		hook := func(n *Node, exec func() (any, error)) (any, error) {
+			if n.Name == "report" {
+				return exec()
+			}
+			v, ok := memo[n.Name]
+			if !ok {
+				var err error
+				if v, err = exec(); err != nil {
+					return nil, err
+				}
+				memo[n.Name] = v
+			}
+			if n.Name == "signoff" {
+				sg := *v.(*signoffArtifact)
+				timing := *sg.Timing
+				timing.WNS = wns
+				sg.Timing = &timing
+				return &sg, nil
+			}
+			return v, nil
+		}
+		res, err := NewExecution(cfg, hook).Result(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := EncodeResult(res); err != nil {
+			t.Errorf("sign-off WNS %v: %v", wns, err)
+		}
+	}
+}

@@ -82,7 +82,7 @@ func runWLM(cfg Config, in *inputs) (any, error) {
 	if cfg.Use2DWLM {
 		wlmMode = tech.Mode2D
 	}
-	model := wlm.BuildForMode(cfg.Node, wlmMode, estimateArea(d, lib.lib)/util)
+	model := wlm.BuildForMode(cfg.Node, wlmMode, EstimateArea(d, lib.lib)/util)
 	return &wlmArtifact{Model: model, Util: util}, nil
 }
 

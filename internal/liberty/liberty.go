@@ -176,8 +176,8 @@ type Library struct {
 	VDD  float64
 
 	Cells map[string]*Cell
-	// byBase indexes Cells by base function, ascending strength.
-	//tmi3dvet:nonwire derived index: DecodeJSON rebuilds it from Cells via index(), so wiring it would only invite drift
+	// byBase indexes Cells by base function, ascending strength. It stays
+	// off the wire: DecodeJSON rebuilds it from Cells.
 	byBase map[string][]*Cell
 }
 

@@ -60,7 +60,8 @@ type Design struct {
 	// TargetClockPs is the synthesis/layout target clock period in ps.
 	TargetClockPs float64
 
-	//tmi3dvet:nonwire derived index: UnmarshalJSON rebuilds it from Nets, so the wire form cannot drift from the source of truth
+	// netIndex maps net names to indices. It stays off the wire:
+	// UnmarshalJSON rebuilds it from Nets.
 	netIndex map[string]int
 }
 

@@ -1,7 +1,9 @@
 package opt
 
 import (
+	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -213,6 +215,20 @@ func TestNoChangesWhenComfortable(t *testing.T) {
 	}
 	if st.FinalWNS < 0 {
 		t.Error("should be met")
+	}
+}
+
+// Stats.FinalWNS is a plain JSON field, which encoding/json rejects when
+// non-finite. Infinite wire resistance drives WNS to -Inf; the returned
+// Stats must still encode.
+func TestStatsEncodeWithInfiniteWNS(t *testing.T) {
+	d := mapped(t, "FPU", 0.05)
+	st, err := Close(d, Options{Lib: lib(t), Wire: wire(math.Inf(1), 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := json.Marshal(st); err != nil {
+		t.Fatalf("stats of a -Inf WNS closure do not encode: %v", err)
 	}
 }
 

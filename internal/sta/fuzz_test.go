@@ -38,10 +38,10 @@ func FuzzResultRoundTrip(f *testing.F) {
 			ClockPs:     clock,
 		}
 		if math.IsNaN(clock) || math.IsInf(clock, 0) {
-			// ClockPs is declared finite (//tmi3dvet:finite): a non-finite
-			// value must fail loudly, not slip onto the wire.
+			// ClockPs is a plain float, always finite in a real result: a
+			// non-finite value must fail loudly, not slip onto the wire.
 			if _, err := json.Marshal(r); err == nil {
-				t.Fatal("encoding a non-finite ClockPs succeeded; the field is audited finite")
+				t.Fatal("encoding a non-finite ClockPs succeeded; the field is a plain float")
 			}
 			r.ClockPs = Finite(clock)
 		}

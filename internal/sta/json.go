@@ -197,7 +197,9 @@ type resultJSON struct {
 	TNS         nfFloat `json:"tns_ps"`
 	HoldWNS     nfFloat `json:"hold_wns_ps"`
 	CriticalNet int     `json:"critical_net"`
-	ClockPs     float64 `json:"clock_ps"` //tmi3dvet:finite the analysis clock constraint, copied from the validated config — never a propagated timing value, so ±Inf/NaN cannot reach it
+	// ClockPs is a plain float: it is the analysis clock constraint, copied
+	// from the validated config, never a propagated timing value.
+	ClockPs float64 `json:"clock_ps"`
 }
 
 // MarshalJSON encodes the result with non-finite-safe floats.

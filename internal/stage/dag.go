@@ -26,8 +26,9 @@
 // for a body with the value that body produced. A cold miss publishes the
 // value its body built and encodes it only for the persistent store; a disk
 // hit decodes. The two agree because the artifact codecs are exact inverses
-// (proved by wiresafe, replayed by TestArtifactRoundTrip, fuzzed, and checked
-// against the published values by TestPublishedValueIsStored) and because
+// (flow's TestWireFormatTotal compares every field of a filled envelope with
+// its decoded copy, TestArtifactRoundTrip replays real runs, and
+// TestPublishedValueIsStored checks the published values) and because
 // artifacts are immutable (a body that mutates an input clones it first).
 // Tests diff report, Verilog, and DEF bytes across cold, warm, and
 // partial-hit stores.

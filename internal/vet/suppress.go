@@ -40,14 +40,10 @@ type suppressions struct {
 var directiveOwner = map[string]string{
 	"ordered": "maporder",
 	"global":  "globalmut",
-	"nonwire": "wiresafe",
-	"finite":  "wiresafe",
 }
 
 // cutDirective returns the payload of a //tmi3dvet:<directive> line comment,
-// or ok=false when the comment is not that directive. This is the one
-// directive-recognition path shared by suppression collection and struct-field
-// annotations.
+// or ok=false when the comment is not that directive.
 func cutDirective(c *ast.Comment, directive string) (rest string, ok bool) {
 	text, ok := strings.CutPrefix(c.Text, "//")
 	if !ok {
@@ -129,21 +125,4 @@ func (s *suppressions) reportStale(p *Pass, what string) {
 			p.Reportf(sup.pos, "stale //tmi3dvet:%s suppression: no %s on this or the next line", s.directive, what)
 		}
 	}
-}
-
-// fieldSuppression finds a //tmi3dvet:<directive> comment in a struct
-// field's doc or trailing comment group. Used by wiresafe, where the
-// annotation attaches to a field declaration rather than a statement.
-func fieldSuppression(p *Pass, directive string, field *ast.Field) (reason string, pos token.Pos, ok bool) {
-	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			if rest, found := cutDirective(c, directive); found {
-				return strings.TrimSpace(rest), c.Pos(), true
-			}
-		}
-	}
-	return "", token.NoPos, false
 }

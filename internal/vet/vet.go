@@ -1,5 +1,5 @@
 // Package vet is a from-scratch static-analysis engine for the repository's
-// determinism and wire contracts, built directly on go/ast, go/parser and
+// determinism contracts, built directly on go/ast, go/parser and
 // go/types — no external analysis frameworks, matching the repo's
 // hand-rolled CDCL and hand-rolled Prometheus ethos.
 //
@@ -20,20 +20,16 @@
 //     key-addressed sync.Once cache shape (liberty.Default, flow.generated) —
 //     the class where a cache entry mutated after publication silently
 //     couples two configs.
-//   - wiresafe: wire-format totality over the flow.WireTypes manifest —
-//     every type whose encoded bytes cross a process boundary has its struct
-//     fields diffed against what its codec pair actually reads and writes
-//     (silent-drop fields, decoder-invented fields, asymmetric pairs,
-//     unaudited off-wire fields, raw non-finite floats) — the soundness
-//     proof for the staged engine's artifact store and serve's result store.
 //
 // That flow.Config.Key and DeriveSeed cover the right fields is not an
 // analyzer: flow's TestConfigKeyCoversFields and TestDeriveSeed check it over
-// every field of the struct. Concurrency is not an analyzer either: flows are
-// serial, serve's mutexes are leaf locks, and each concurrency defect class
-// has a runtime test under go test -race (serve's slow-scrape, scrape-during-
-// submit and goroutine-leak tests, loadgen's body-close test, castore's
-// handle test).
+// every field of the struct. Neither is the wire contract (a decoded value
+// equals the encoded one): flow's TestWireFormatTotal round-trips every type
+// the wire roots reach and compares every field. Nor is concurrency: flows
+// are serial, serve's mutexes are leaf locks, and each concurrency defect
+// class has a runtime test under go test -race (serve's slow-scrape,
+// scrape-during-submit and goroutine-leak tests, loadgen's body-close test,
+// castore's handle test).
 //
 // cmd/tmi3dvet runs the suite over the whole module; scripts/check.sh gates
 // CI on a clean report.
@@ -56,7 +52,7 @@ type Analyzer struct {
 }
 
 // All is the full analyzer suite in reporting order.
-var All = []*Analyzer{MapOrder, SeedPurity, StageDeps, GlobalMut, WireSafe}
+var All = []*Analyzer{MapOrder, SeedPurity, StageDeps, GlobalMut}
 
 // deterministicPkgs lists the module-relative package paths whose output
 // feeds the byte-identity contract: any map-iteration order or impure seed

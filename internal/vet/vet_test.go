@@ -189,8 +189,8 @@ func TestDeterministicList(t *testing.T) {
 // TestRepoClean is the self-application gate: the full analyzer suite —
 // including stagedeps and globalmut — over the real module must report
 // nothing. This is the same contract scripts/check.sh enforces via
-// cmd/tmi3dvet; stagedeps and wiresafe report a stage table or wire manifest
-// they cannot resolve, so a clean run means both proofs ran.
+// cmd/tmi3dvet; stagedeps reports a stage table it cannot resolve, so a
+// clean run means its proof ran.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checking the whole module is slow; covered by check.sh")
@@ -204,55 +204,6 @@ func TestRepoClean(t *testing.T) {
 	}
 }
 
-func TestWireSafeFixture(t *testing.T) {
-	diags := runFixture(t, "wiresafe", "fixture/wiresafe", WireSafe)
-	for _, want := range []string{
-		"never restored by",                      // silent drop: Record.Dropped
-		"but never marshaled by",                 // decoder invents: Record.invent
-		"is not covered by the",                  // uncovered: Record.Ghost
-		"stale //tmi3dvet:nonwire on Record",     // wired codec field annotated
-		"stale //tmi3dvet:nonwire on Tags",       // serialized tags field annotated
-		"no unmarshal counterpart",               // OnlyMar
-		"no marshal counterpart",                 // OnlyUnm
-		"excluded from the wire",                 // Tags.Off / Tags.hidden
-		"has no custom codec",                    // NFTags nonfinite without codec
-		"raw float field",                        // nfJSON.WNS
-		"//tmi3dvet:finite suppression without",  // nfJSON.Bad
-		"stale //tmi3dvet:finite",                // nfJSON.Name (not a float)
-		"copied into plain-JSON wire field",      // assemble()
-		"is not of the form",                     // badkey
-		"no module package matches",              // fixture/other.Gone
-		"declares no type",                       // Missing
-		"is not a struct type",                   // Scalar
-		"manifest does not name it",              // Rogue
-		"//tmi3dvet:nonwire suppression without", // Record.Bare / Tags.BareTag
-	} {
-		if !hasDiag(diags, want) {
-			t.Errorf("wiresafe fixture lost the %q diagnostic class", want)
-		}
-	}
-	// The clean shapes stay silent: the fully wired fields, the reasoned
-	// exclusions, the clamped copy, and the method+Decode* codec pair.
-	for _, clean := range []string{"Kept", "Skip", "Deco", "Fine"} {
-		for _, d := range diags {
-			if strings.Contains(d.Message, clean) {
-				t.Errorf("clean shape %q was reported: %s", clean, d)
-			}
-		}
-	}
-	// Exactly the assignment and the composite-literal copy are lexical
-	// violations; the clamp()-wrapped twin must not be.
-	n := 0
-	for _, d := range diags {
-		if strings.Contains(d.Message, "copied into plain-JSON") {
-			n++
-		}
-	}
-	if n != 2 {
-		t.Errorf("non-finite copy reported %d times, want exactly 2 (the clamped twin was flagged)", n)
-	}
-}
-
 // TestNoDoubleSuppressionReports pins the directive-ownership contract from
 // suppress.go: every fixture package is scanned by the full suite, and no
 // bare/stale-suppression diagnostic may appear twice — which is exactly what
@@ -263,7 +214,6 @@ func TestNoDoubleSuppressionReports(t *testing.T) {
 		"seedpurity": "fixture/internal/route",
 		"stagedeps":  "fixture/internal/flow",
 		"globalmut":  "fixture/internal/liberty",
-		"wiresafe":   "fixture/wiresafe",
 	}
 	dirs := make([]string, 0, len(fixtures))
 	for dir := range fixtures {

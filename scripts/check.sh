@@ -51,11 +51,11 @@ go build ./...
 
 stage tmi3dvet
 # The repo's own analyzers: map-iteration order, seed purity, per-stage key
-# soundness over flow.Nodes (stagedeps), global-state purity (globalmut), and
-# wire-format totality over the flow.WireTypes manifest (wiresafe).
-# Concurrency has runtime tests instead, run by the race stage below. A single
-# unsuppressed diagnostic fails the gate; the report ends with one count
-# line per analyzer (five) so the log shows every check ran. Run
+# soundness over flow.Nodes (stagedeps) and global-state purity (globalmut).
+# The wire contract (internal/flow TestWireFormatTotal) and concurrency have
+# runtime tests instead, run by the race stage below. A single unsuppressed
+# diagnostic fails the gate; the report ends with one count line per
+# analyzer (four) so the log shows every check ran. Run
 # `go run ./cmd/tmi3dvet -list` for the suite; the suppression syntax is in
 # cmd/tmi3dvet's doc.
 go run ./cmd/tmi3dvet ./...
