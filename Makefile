@@ -18,10 +18,10 @@ fmt:
 lint:
 	@go run ./cmd/tmi3d lint -all
 
-# The repo's own four static analyzers (globalmut, maporder, seedpurity,
-# stagedeps) over every package, ending with per-analyzer diagnostic counts
-# (see internal/vet and cmd/tmi3dvet). The wire contract is a runtime test
-# (internal/flow TestWireFormatTotal), run by `go test ./...`.
+# The repo's own two static analyzers (maporder, seedpurity) over every
+# package, ending with per-analyzer diagnostic counts (see internal/vet and
+# cmd/tmi3dvet). The stage cache keys, the shared process caches and the
+# wire contract are runtime tests in internal/flow, run by `go test ./...`.
 vet-custom:
 	go run ./cmd/tmi3dvet ./...
 

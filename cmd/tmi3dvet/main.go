@@ -1,9 +1,11 @@
 // Command tmi3dvet is the repository's determinism multichecker: it loads
 // and type-checks every package in the module, runs the internal/vet
-// analyzer suite (globalmut, maporder, seedpurity, stagedeps) and prints
-// each diagnostic, then one count line per analyzer, zeros included. A
-// non-empty report exits 1, which is what scripts/check.sh gates CI on. The
-// wire contract is a runtime test, internal/flow's TestWireFormatTotal.
+// analyzer suite (maporder, seedpurity) and prints each diagnostic, then one
+// count line per analyzer, zeros included. A non-empty report exits 1, which
+// is what scripts/check.sh gates CI on. The other contracts are runtime
+// tests in internal/flow: TestWireFormatTotal (the wire contract),
+// TestStageBodiesSeeOnlyKeyFields (stage cache keys) and
+// TestProcessCachesSurviveFlows (the shared process caches).
 //
 // Usage:
 //
@@ -11,10 +13,9 @@
 //	tmi3dvet -list            # print the analyzers and what they catch
 //	tmi3dvet -C dir ./...     # analyze the module rooted at dir
 //
-// Directive syntax, for sites the analyzers cannot prove safe on their own:
+// Directive syntax, for sites maporder cannot prove safe on its own:
 //
-//	//tmi3dvet:ordered <reason>   on or above a map range (maporder)
-//	//tmi3dvet:global <reason>    on or above a mutable global access (globalmut)
+//	//tmi3dvet:ordered <reason>   on or above a map range
 //
 // The reason string is mandatory and stale suppressions are diagnostics.
 package main

@@ -15,6 +15,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 )
 
 // Store is a persistent key→payload store.
@@ -189,8 +190,13 @@ func (s *Store) verify(key string, data []byte) ([]byte, error) {
 // ended up at (inside quarantine/), so the report points at a file that
 // exists.
 func (s *Store) quarantine(path string, reason error) {
-	dst := filepath.Join(s.dir, "quarantine", filepath.Base(path))
-	if err := os.Rename(path, dst); err != nil {
+	dst, err := reserve(filepath.Join(s.dir, "quarantine", filepath.Base(path)))
+	if err == nil {
+		if err = os.Rename(path, dst); err != nil {
+			os.Remove(dst)
+		}
+	}
+	if err != nil {
 		if _, serr := os.Stat(path); serr != nil {
 			// The source is gone: another goroutine quarantined it first and
 			// already reported it.
@@ -205,6 +211,25 @@ func (s *Store) quarantine(path string, reason error) {
 	}
 	if s.OnQuarantine != nil {
 		s.OnQuarantine(dst, reason)
+	}
+}
+
+// reserve claims an unused quarantine file name, creating it empty: the
+// entry's own name the first time, then name.1, name.2, ..., so a key that
+// is corrupted again keeps every earlier copy for post-mortem.
+func reserve(name string) (string, error) {
+	for i := 0; ; i++ {
+		dst := name
+		if i > 0 {
+			dst = name + "." + strconv.Itoa(i)
+		}
+		f, err := os.OpenFile(dst, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		if err == nil {
+			return dst, f.Close()
+		}
+		if !errors.Is(err, fs.ErrExist) {
+			return "", err
+		}
 	}
 }
 

@@ -188,6 +188,39 @@ func TestCorruptEntriesQuarantined(t *testing.T) {
 	}
 }
 
+// A key corrupted twice keeps both bad copies in quarantine, each under its
+// own name: the second post-mortem must not overwrite the first.
+func TestQuarantineKeepsEveryCopy(t *testing.T) {
+	s := openStore(t)
+	const key = "stage|opt|abc"
+	var paths []string
+	var corrupt [][]byte
+	s.OnQuarantine = func(path string, _ error) { paths = append(paths, path) }
+	for i := 0; i < 2; i++ {
+		if err := s.Put(key, []byte(fmt.Sprintf("payload %d", i))); err != nil {
+			t.Fatal(err)
+		}
+		raw := readEntry(t, s.EntryPath(key))
+		raw[len(raw)-1] ^= 0x01
+		writeEntry(t, s.EntryPath(key), raw)
+		corrupt = append(corrupt, raw)
+		if _, ok, err := s.Get(key); ok || err != nil {
+			t.Fatalf("Get(corrupt #%d) = %v, %v; want a miss", i+1, ok, err)
+		}
+	}
+	if q, err := s.QuarantineLen(); err != nil || q != 2 {
+		t.Fatalf("QuarantineLen = %d (%v), want 2", q, err)
+	}
+	if len(paths) != 2 || paths[0] == paths[1] {
+		t.Fatalf("OnQuarantine paths %v, want two distinct files", paths)
+	}
+	for i, p := range paths {
+		if raw := readEntry(t, p); !bytes.Equal(raw, corrupt[i]) {
+			t.Errorf("quarantined copy %s holds %q, want corrupt entry #%d", p, raw, i+1)
+		}
+	}
+}
+
 // TestStoreKeyMismatch simulates an entry copied to the wrong path (or a
 // SHA-256 collision): the header's full key disagrees, so the copy
 // quarantines while the key it belongs to stays served.

@@ -81,24 +81,23 @@ func Template(base string) (CellDef, bool) {
 
 // x1Defs is the process-wide table of X1 definitions behind Lookup, built
 // once from Template and never written after publication.
-var (
-	x1Once sync.Once
-	x1Defs map[string]*CellDef
-)
+var x1Defs = sync.OnceValue(buildX1Defs)
+
+func buildX1Defs() map[string]*CellDef {
+	defs := make(map[string]*CellDef, len(templates))
+	for _, fn := range Functions() {
+		d, _ := Template(fn)
+		defs[fn] = &d
+	}
+	return defs
+}
 
 // Lookup returns the shared X1 definition for a function name — the same
 // pointer on every call. The definition is read-only: its slices, Side maps
 // and fields are seen by every caller in the process, so a caller that needs
 // to modify one takes its own copy from Template instead.
 func Lookup(base string) (*CellDef, bool) {
-	x1Once.Do(func() {
-		x1Defs = make(map[string]*CellDef, len(templates))
-		for _, fn := range Functions() {
-			d, _ := Template(fn)
-			x1Defs[fn] = &d
-		}
-	})
-	d, ok := x1Defs[base]
+	d, ok := x1Defs()[base]
 	return d, ok
 }
 

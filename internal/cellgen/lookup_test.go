@@ -69,8 +69,8 @@ func TestTemplateCopyDoesNotAliasLookup(t *testing.T) {
 }
 
 func TestLookupConcurrentFirstUse(t *testing.T) {
-	// Start from an unbuilt table so the goroutines race on the Once.
-	x1Once, x1Defs = sync.Once{}, nil
+	// Start from an unbuilt table so the goroutines race on its first build.
+	x1Defs = sync.OnceValue(buildX1Defs)
 	const workers = 8
 	got := make([][]*CellDef, workers)
 	var wg sync.WaitGroup

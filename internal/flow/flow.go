@@ -168,45 +168,34 @@ type Result struct {
 }
 
 // circuit generation is deterministic and expensive at scale 1; cache it.
-// Each key owns a sync.Once so concurrent flows generating *different*
-// circuits proceed in parallel, while callers of the same key block on one
-// generation — the mutex only guards the map, never the work.
-type genEntry struct {
-	once sync.Once
-	d    *netlist.Design
-	err  error
-}
-
+// Each key owns a sync.OnceValues function, so concurrent flows generating
+// *different* circuits proceed in parallel, while callers of the same key
+// block on one generation — the mutex only guards the map, never the work.
+// The cached netlist is shared: GenerateDesign hands each flow a clone.
 var (
 	genMu    sync.Mutex
-	genCache = map[string]*genEntry{}
+	genCache = map[string]func() (*netlist.Design, error){}
 )
 
-// The folded library's transistor networks are mode- and node-independent
-// (liberty scaling only touches electrical data), so one switch-level
-// verification covers every flow run in the process.
-var (
-	libCheckOnce sync.Once
-	libCheckRep  *equiv.LibReport
-)
+// libraryCheck is the switch-level verification of the folded library. Its
+// transistor networks are mode- and node-independent (liberty scaling only
+// touches electrical data), so one check covers every flow run in the
+// process.
+var libraryCheck = sync.OnceValue(equiv.CheckLibrary)
 
 // LibraryCheck returns the cached switch-level library verification.
-func LibraryCheck() *equiv.LibReport {
-	libCheckOnce.Do(func() { libCheckRep = equiv.CheckLibrary() })
-	return libCheckRep
-}
+func LibraryCheck() *equiv.LibReport { return libraryCheck() }
 
 func generated(name string, scale float64) (*netlist.Design, error) {
 	key := name + "@" + strconv.FormatFloat(scale, 'g', -1, 64)
 	genMu.Lock()
-	e, ok := genCache[key]
+	get, ok := genCache[key]
 	if !ok {
-		e = &genEntry{}
-		genCache[key] = e
+		get = sync.OnceValues(func() (*netlist.Design, error) { return circuits.Generate(name, scale) })
+		genCache[key] = get
 	}
 	genMu.Unlock()
-	e.once.Do(func() { e.d, e.err = circuits.Generate(name, scale) })
-	return e.d, e.err
+	return get()
 }
 
 // Run executes the full flow: the Nodes stage graph, with no cache.

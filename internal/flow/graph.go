@@ -22,6 +22,8 @@ type Node struct {
 	// the gate configuration), and run once per run.
 	Cached bool
 
+	// run is the body. Its Config holds the node's StageKeys fields and
+	// zeros elsewhere, so it can depend on nothing its artifact ID omits.
 	run  func(cfg Config, in *inputs) (any, error)
 	wire func() any // cached nodes: a new, empty artifact value to decode into
 }
@@ -125,7 +127,7 @@ func (x *Execution) resolve(name string) (any, error) {
 	}
 	exec := func() (any, error) {
 		in := &inputs{read: x.read, node: n, prof: x.prof}
-		v, err := n.run(x.cfg, in)
+		v, err := n.run(x.cfg.only(StageKeys[n.Name]), in)
 		if in.err != nil {
 			return nil, in.err
 		}
@@ -177,7 +179,7 @@ func (x *Execution) Result(shared bool) (*Result, error) {
 // a body that has taken what it needs from an input can let it go.
 type inputs struct {
 	// read is the run's Execution.read. Reading a dependency may run that
-	// node's body, whose Config reads stagedeps charges to its own stage.
+	// node's body, which sees its own node's key fields, not this one's.
 	read func(name string) (any, error)
 	node *Node
 	done uint64 // bit i set: node.Deps[i] has been read

@@ -3,9 +3,12 @@ package flow
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"tmi3d/internal/lint"
+	"tmi3d/internal/power"
 	"tmi3d/internal/sta"
 	"tmi3d/internal/tech"
 )
@@ -106,6 +109,61 @@ func TestUndeclaredDepIsError(t *testing.T) {
 	}
 	if in.get("setup"); in.err == nil || !strings.Contains(in.err.Error(), "reads setup twice") {
 		t.Fatalf("second read of setup: err = %v, want the double-read error", in.err)
+	}
+}
+
+// Each body sees its StageKeys fields and nothing else: on a config with
+// every field set, a body's Config carries its key fields unchanged and
+// every other field zero, so no body can read around its artifact ID.
+func TestStageBodiesSeeOnlyKeyFields(t *testing.T) {
+	cfg := Config{
+		Circuit: "FPU", Scale: 0.03, Node: tech.N7, Mode: tech.ModeTMI,
+		ClockPs: 600, Util: 0.6, PinCapScale: 0.9,
+		ResistivityScale: map[tech.LayerClass]float64{tech.ClassLocal: 1.5},
+		Use2DWLM:         true, Activities: power.Activities{PrimaryInput: 0.3, SeqOutput: 0.2},
+		Seed: 7, Lint: lint.GateWarnOnly, Equiv: lint.GateWarnOnly, Workers: 1,
+	}
+	ct := reflect.TypeOf(cfg)
+	for i := 0; i < ct.NumField(); i++ {
+		if reflect.ValueOf(cfg).Field(i).IsZero() {
+			t.Fatalf("test config leaves %s zero: set it, or masking it shows nothing", ct.Field(i).Name)
+		}
+	}
+	x := NewExecution(cfg, nil)
+	seen := map[string]Config{}
+	x.nodes = append([]Node(nil), Nodes...)
+	for i := range x.nodes {
+		n := &x.nodes[i]
+		run := n.run
+		n.run = func(c Config, in *inputs) (any, error) {
+			seen[n.Name] = c
+			return run(c, in)
+		}
+	}
+	if _, err := x.Result(false); err != nil {
+		t.Fatal(err)
+	}
+	want := reflect.ValueOf(x.cfg)
+	for _, n := range Nodes {
+		got, ok := seen[n.Name]
+		if !ok {
+			t.Errorf("stage %s never ran", n.Name)
+			continue
+		}
+		key := map[string]bool{}
+		for _, f := range StageKeys[n.Name] {
+			key[f] = true
+		}
+		gv := reflect.ValueOf(got)
+		for i := 0; i < ct.NumField(); i++ {
+			name := ct.Field(i).Name
+			switch {
+			case key[name] && !reflect.DeepEqual(gv.Field(i).Interface(), want.Field(i).Interface()):
+				t.Errorf("stage %s: key field %s = %v, want %v", n.Name, name, gv.Field(i), want.Field(i))
+			case !key[name] && !gv.Field(i).IsZero():
+				t.Errorf("stage %s sees %s = %v, which its key omits", n.Name, name, gv.Field(i))
+			}
+		}
 	}
 }
 

@@ -16,82 +16,102 @@ import (
 // strconv.FormatFloat(-1), which round-trips, so sweep points that differ by
 // less than a printable unit (e.g. Fig 4 clocks 0.4 ps apart) never collide.
 func (c Config) Key() string {
+	return c.keyString(physicalKeyTerms) + c.keyString(gateKeyTerms)
+}
+
+// keyTerm is one labeled field of the key.
+type keyTerm struct{ label, field string }
+
+// physicalKeyTerms are the fields that determine the physical design, in key
+// order: the input of DeriveSeed.
+var physicalKeyTerms = []keyTerm{
+	{"", "Circuit"}, {"|scale=", "Scale"}, {"|node=", "Node"}, {"|mode=", "Mode"},
+	{"|clock=", "ClockPs"}, {"|util=", "Util"}, {"|pincap=", "PinCapScale"},
+	{"|res=", "ResistivityScale"}, {"|wlm2d=", "Use2DWLM"}, {"|act=", "Activities"},
+	{"|seed=", "Seed"},
+}
+
+// gateKeyTerms close the key. Gate modes never change the layout, but they
+// change the Result (reports attached or not), so cached entries must not
+// alias.
+var gateKeyTerms = []keyTerm{{"|lint=", "Lint"}, {"|equiv=", "Equiv"}}
+
+// keyString renders the given terms.
+func (c Config) keyString(terms []keyTerm) string {
 	var b strings.Builder
-	c.writePhysicalKey(&b)
-	// Gate modes never change the layout, but they change the Result
-	// (reports attached or not), so cached entries must not alias.
-	b.WriteString("|lint=")
-	b.WriteString(strconv.Itoa(int(c.Lint)))
-	b.WriteString("|equiv=")
-	b.WriteString(strconv.Itoa(int(c.Equiv)))
+	for _, t := range terms {
+		b.WriteString(t.label)
+		b.WriteString(c.FieldKeyTerm(t.field))
+	}
 	return b.String()
 }
 
-// writePhysicalKey emits the fields that determine the physical design —
-// the layout-relevant subset of Key.
-func (c Config) writePhysicalKey(b *strings.Builder) {
-	c.writeKeyTerms(b, c.ClockPs)
-}
-
-// writeKeyTerms renders the physical key with an explicit clock term. Key
-// passes the real ClockPs; DeriveSeed pins it to 0: synthesis and placement
-// run at the base (Table 12) clock regardless of a sweep override — the
-// override is applied at the pre-route opt stage — so the RNG stream, and
-// with it the placement, is shared across sweep points. Without that, the
-// per-stage cache (internal/stage) could never reuse a synthesized or placed
-// artifact across a clock sweep.
-func (c Config) writeKeyTerms(b *strings.Builder, clockPs float64) {
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	b.WriteString(c.Circuit)
-	b.WriteString("|scale=")
-	b.WriteString(f(c.Scale))
-	b.WriteString("|node=")
-	b.WriteString(strconv.Itoa(int(c.Node)))
-	b.WriteString("|mode=")
-	b.WriteString(strconv.Itoa(int(c.Mode)))
-	b.WriteString("|clock=")
-	b.WriteString(f(clockPs))
-	b.WriteString("|util=")
-	b.WriteString(f(c.Util))
-	b.WriteString("|pincap=")
-	b.WriteString(f(c.PinCapScale))
-	b.WriteString("|res=")
-	// Map iteration order is random; sort by layer class for a stable key.
-	classes := make([]int, 0, len(c.ResistivityScale))
-	for cl := range c.ResistivityScale {
-		classes = append(classes, int(cl))
-	}
-	sort.Ints(classes)
-	for _, cl := range classes {
-		b.WriteString(strconv.Itoa(cl))
-		b.WriteByte(':')
-		b.WriteString(f(c.ResistivityScale[tech.LayerClass(cl)]))
-		b.WriteByte(',')
-	}
-	b.WriteString("|wlm2d=")
-	b.WriteString(strconv.FormatBool(c.Use2DWLM))
-	b.WriteString("|act=")
-	b.WriteString(f(c.Activities.PrimaryInput))
-	b.WriteByte('/')
-	b.WriteString(f(c.Activities.SeqOutput))
-	b.WriteString("|seed=")
-	b.WriteString(strconv.FormatUint(c.Seed, 10))
-}
-
 // DeriveSeed mixes the study seed with the physical configuration so every
-// distinct flow gets its own RNG stream. The derivation is a pure function of
-// the config, which is what makes parallel execution bit-identical to serial:
-// no stage consumes randomness whose value depends on scheduling order.
-// Gate modes (Lint, Equiv) are excluded — observation must not move the
-// layout. ClockPs is excluded too (the clock term is pinned to 0): the
-// override only steers the post-placement stages, so sweep points must draw
-// from the same stream to share their synth/place artifacts.
+// distinct flow gets its own RNG stream, which the equivalence gates' random
+// simulation draws from (placement and routing are deterministic and draw
+// none). The derivation is a pure function of the config, which is what
+// makes parallel execution bit-identical to serial: no stage consumes
+// randomness whose value depends on scheduling order. Gate modes (Lint,
+// Equiv) are excluded. ClockPs is excluded too (the clock term is pinned to
+// 0): the override only steers the post-placement stages, so sweep points
+// share the setup value, and with it every upstream artifact, of the
+// per-stage cache (internal/stage).
 func (c Config) DeriveSeed() uint64 {
-	var b strings.Builder
-	c.writeKeyTerms(&b, 0)
+	c.ClockPs = 0
 	h := fnv.New64a()
-	h.Write([]byte(b.String()))
+	h.Write([]byte(c.keyString(physicalKeyTerms)))
 	return h.Sum64()
+}
+
+// FieldKeyTerm renders one Config field's value in the canonical form of the
+// cache key (strconv round-trip floats, sorted map entries), the basis of
+// Key, DeriveSeed and the staged engine's per-stage keys. It panics on a
+// field name that is not a Config field — TestDAGMatchesStageKeys keeps the
+// engine's key sets inside this domain.
+func (c Config) FieldKeyTerm(field string) string {
+	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	switch field {
+	case "Circuit":
+		return c.Circuit
+	case "Scale":
+		return f(c.Scale)
+	case "Node":
+		return strconv.Itoa(int(c.Node))
+	case "Mode":
+		return strconv.Itoa(int(c.Mode))
+	case "ClockPs":
+		return f(c.ClockPs)
+	case "Util":
+		return f(c.Util)
+	case "PinCapScale":
+		return f(c.PinCapScale)
+	case "ResistivityScale":
+		classes := make([]int, 0, len(c.ResistivityScale))
+		for cl := range c.ResistivityScale {
+			classes = append(classes, int(cl))
+		}
+		sort.Ints(classes)
+		var b strings.Builder
+		for _, cl := range classes {
+			b.WriteString(strconv.Itoa(cl))
+			b.WriteByte(':')
+			b.WriteString(f(c.ResistivityScale[tech.LayerClass(cl)]))
+			b.WriteByte(',')
+		}
+		return b.String()
+	case "Use2DWLM":
+		return strconv.FormatBool(c.Use2DWLM)
+	case "Activities":
+		return f(c.Activities.PrimaryInput) + "/" + f(c.Activities.SeqOutput)
+	case "Seed":
+		return strconv.FormatUint(c.Seed, 10)
+	case "Lint":
+		return strconv.Itoa(int(c.Lint))
+	case "Equiv":
+		return strconv.Itoa(int(c.Equiv))
+	default:
+		panic("flow: FieldKeyTerm: unknown Config field " + field)
+	}
 }
 
 // StageTime is the wall-clock cost of one flow stage.

@@ -1,12 +1,13 @@
 package flow
 
+import "reflect"
+
 // StageKeys is the declarative per-stage cache-key contract of the Nodes
 // stage graph: for each node name, the Config fields whose values the
-// stage's cached artifacts may depend on. The stagedeps analyzer
-// (internal/vet) finds each stage body through its Nodes entry and diffs the
-// body's statically computed transitive read set against this map on every
-// CI run, so the manifest is proven sound — a field read here but missing
-// from the key would serve stale cached artifacts; a listed field the stage
+// stage's cached artifacts may depend on. The executor hands each body
+// Config.only of its entry, so a body can read no field its key omits: a
+// stray read sees the zero value, never a value its artifact ID does not
+// cover, and a cached artifact can never be stale. A listed field the stage
 // never reads would split identical artifacts into distinct cache entries.
 //
 // Everything a stage consumes beyond its key fields is an upstream node's
@@ -33,4 +34,15 @@ var StageKeys = map[string][]string{
 	"signoff":  {},
 	"power":    {"Activities"},
 	"report":   {"Activities", "Circuit", "ClockPs", "Equiv", "Lint", "Mode", "Node", "PinCapScale", "ResistivityScale", "Scale", "Seed", "Use2DWLM", "Util", "Workers"},
+}
+
+// only returns a copy of the config with every field outside fields zeroed:
+// a stage body's view of its run.
+func (c Config) only(fields []string) Config {
+	var out Config
+	src, dst := reflect.ValueOf(c), reflect.ValueOf(&out).Elem()
+	for _, f := range fields {
+		dst.FieldByName(f).Set(src.FieldByName(f))
+	}
+	return out
 }

@@ -2,9 +2,6 @@ package flow
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"tmi3d/internal/captable"
@@ -26,10 +23,9 @@ import (
 )
 
 // This file holds the twelve stage bodies of the Nodes table. Each body is
-// the whole of its stage: the stagedeps analyzer finds it through its Nodes
-// entry and verifies its Config read set against its StageKeys entry, and
-// everything else it consumes comes through in — its node's Deps, which feed
-// its artifact ID.
+// the whole of its stage: its Config carries only its StageKeys fields (the
+// executor zeroes the rest), and everything else it consumes comes through
+// in — its node's Deps, which feed its artifact ID.
 
 // runSetup derives the per-run constants.
 func runSetup(cfg Config, in *inputs) (any, error) {
@@ -128,16 +124,16 @@ func runSynth(cfg Config, in *inputs) (any, error) {
 // runPlace places the mapped netlist, which place.Run leaves untouched. It
 // reserves headroom for optimization growth (buffers, upsizing) so the FINAL
 // utilization lands near the target, as the paper's flow does (Section S6
-// reports post-optimization utilizations at the target).
+// reports post-optimization utilizations at the target). Placement is
+// deterministic and draws no random numbers, so it reads no setup value;
+// setup stays in its Deps because setup's ID feeds the place artifact's ID.
 func runPlace(cfg Config, in *inputs) (any, error) {
-	s, lib, w, sa := in.setup(), in.library(), in.wlm(), in.synth()
+	lib, w, sa := in.library(), in.wlm(), in.synth()
 	if in.err != nil {
 		return nil, in.err
 	}
 	t0 := time.Now()
-	pl, err := place.Run(sa.Design, place.Options{
-		Lib: lib.lib, Tech: lib.tech, TargetUtil: w.Util * 0.90, Seed: s.seed,
-	})
+	pl, err := place.Run(sa.Design, place.Options{Lib: lib.lib, Tech: lib.tech, TargetUtil: w.Util * 0.90})
 	if err != nil {
 		return nil, err
 	}
@@ -417,55 +413,4 @@ func (c Config) GenerateDesign() (*netlist.Design, float64, error) {
 	calib := ClockCalibrationFactor(c.Circuit, c.Node)
 	d.TargetClockPs = baseClock * calib
 	return d, calib, nil
-}
-
-// FieldKeyTerm renders one Config field's value in the same canonical form
-// the cache key uses (strconv round-trip floats, sorted map entries), the
-// basis of the staged engine's per-stage keys. It panics on a field name that
-// is not a Config field — TestDAGMatchesStageKeys keeps the engine's key
-// sets inside this domain.
-func (c Config) FieldKeyTerm(field string) string {
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	switch field {
-	case "Circuit":
-		return c.Circuit
-	case "Scale":
-		return f(c.Scale)
-	case "Node":
-		return strconv.Itoa(int(c.Node))
-	case "Mode":
-		return strconv.Itoa(int(c.Mode))
-	case "ClockPs":
-		return f(c.ClockPs)
-	case "Util":
-		return f(c.Util)
-	case "PinCapScale":
-		return f(c.PinCapScale)
-	case "ResistivityScale":
-		classes := make([]int, 0, len(c.ResistivityScale))
-		for cl := range c.ResistivityScale {
-			classes = append(classes, int(cl))
-		}
-		sort.Ints(classes)
-		var b strings.Builder
-		for _, cl := range classes {
-			b.WriteString(strconv.Itoa(cl))
-			b.WriteByte(':')
-			b.WriteString(f(c.ResistivityScale[tech.LayerClass(cl)]))
-			b.WriteByte(',')
-		}
-		return b.String()
-	case "Use2DWLM":
-		return strconv.FormatBool(c.Use2DWLM)
-	case "Activities":
-		return f(c.Activities.PrimaryInput) + "/" + f(c.Activities.SeqOutput)
-	case "Seed":
-		return strconv.FormatUint(c.Seed, 10)
-	case "Lint":
-		return strconv.Itoa(int(c.Lint))
-	case "Equiv":
-		return strconv.Itoa(int(c.Equiv))
-	default:
-		panic("flow: FieldKeyTerm: unknown Config field " + field)
-	}
 }

@@ -11,32 +11,15 @@ import (
 // they are built once per process and shared — SPICE characterization of the
 // whole library takes a few seconds.
 //
-// Each (node, mode) key owns a cacheEntry whose sync.Once runs the build.
+// Each (node, mode) key owns a sync.OnceValues function that runs the build.
 // The mutex only guards the map: concurrent callers of *different* keys
 // characterize in parallel, and concurrent callers of the *same* key block on
-// that key's Once rather than on a global lock — a flow characterizing the
-// 2D library never stalls one characterizing T-MI.
-type cacheEntry struct {
-	once sync.Once
-	lib  *Library
-	err  error
-}
-
+// that key's function rather than on a global lock — a flow characterizing
+// the 2D library never stalls one characterizing T-MI.
 var (
 	cacheMu sync.Mutex
-	cache   = map[[2]int]*cacheEntry{}
+	cache   = map[[2]int]func() (*Library, error){}
 )
-
-func entryFor(key [2]int) *cacheEntry {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	e, ok := cache[key]
-	if !ok {
-		e = &cacheEntry{}
-		cache[key] = e
-	}
-	return e
-}
 
 // Default returns the shared characterized library for a node and design
 // mode. ModeTMIM designs use the T-MI cell library (the modified metal stack
@@ -46,9 +29,15 @@ func Default(node tech.Node, mode tech.Mode) (*Library, error) {
 	if mode == tech.ModeTMIM {
 		mode = tech.ModeTMI
 	}
-	e := entryFor([2]int{int(node), int(mode)})
-	e.once.Do(func() { e.lib, e.err = build(node, mode) })
-	return e.lib, e.err
+	key := [2]int{int(node), int(mode)}
+	cacheMu.Lock()
+	get, ok := cache[key]
+	if !ok {
+		get = sync.OnceValues(func() (*Library, error) { return build(node, mode) })
+		cache[key] = get
+	}
+	cacheMu.Unlock()
+	return get()
 }
 
 // build characterizes (or loads) one library. The 7nm library derives from

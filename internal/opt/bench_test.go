@@ -36,7 +36,7 @@ func placedDesign(tb testing.TB, circuit string, scale float64, mode tech.Mode) 
 		tb.Fatal(err)
 	}
 	tt := tech.New(tech.N45, mode)
-	p, err := place.Run(sr.Design, place.Options{Lib: lib, Tech: tt, TargetUtil: 0.72, Seed: 1})
+	p, err := place.Run(sr.Design, place.Options{Lib: lib, Tech: tt, TargetUtil: 0.72})
 	if err != nil {
 		tb.Fatal(err)
 	}

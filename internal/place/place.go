@@ -36,7 +36,6 @@ type Options struct {
 	Lib        *liberty.Library
 	Tech       *tech.Technology
 	TargetUtil float64
-	Seed       uint64
 	// DisableFM skips the Fiduccia–Mattheyses refinement (ablation: the
 	// bisection then relies on the structural index-order prior alone).
 	DisableFM bool
@@ -92,7 +91,6 @@ func Run(d *netlist.Design, opt Options) (*Placement, error) {
 	}
 
 	eng := newEngine(p, widths, opt.DisableFM)
-	_ = opt.Seed // placement is fully deterministic; the seed is reserved
 	all := make([]int32, n)
 	for i := range all {
 		all[i] = int32(i)

@@ -27,7 +27,7 @@ func placed(t testing.TB, circuit string, scale float64, mode tech.Mode, util fl
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Run(sr.Design, Options{Lib: lib, Tech: tech.New(tech.N45, mode), TargetUtil: util, Seed: 3})
+	p, err := Run(sr.Design, Options{Lib: lib, Tech: tech.New(tech.N45, mode), TargetUtil: util})
 	if err != nil {
 		t.Fatal(err)
 	}

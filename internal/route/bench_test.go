@@ -31,7 +31,7 @@ func BenchmarkRoute(b *testing.B) {
 		b.Fatal(err)
 	}
 	tt := tech.New(tech.N45, tech.ModeTMI)
-	p, err := place.Run(sr.Design, place.Options{Lib: lib, Tech: tt, TargetUtil: 0.72, Seed: 1})
+	p, err := place.Run(sr.Design, place.Options{Lib: lib, Tech: tt, TargetUtil: 0.72})
 	if err != nil {
 		b.Fatal(err)
 	}

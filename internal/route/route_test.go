@@ -38,7 +38,7 @@ func placed(t testing.TB, circuit string, scale float64, mode tech.Mode) *place.
 		t.Fatal(err)
 	}
 	tt := tech.New(tech.N45, mode)
-	p, err := place.Run(sr.Design, place.Options{Lib: lib, Tech: tt, TargetUtil: 0.8, Seed: 5})
+	p, err := place.Run(sr.Design, place.Options{Lib: lib, Tech: tt, TargetUtil: 0.8})
 	if err != nil {
 		t.Fatal(err)
 	}

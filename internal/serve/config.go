@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -52,26 +53,9 @@ func ParseConfig(q url.Values) (flow.Config, error) {
 	}
 
 	seen["circuit"] = true
-	name := strings.ToUpper(q.Get("circuit"))
-	if name == "" {
-		return cfg, fmt.Errorf("param circuit is required (one of %s)", strings.Join(circuits.Names, ", "))
-	}
-	ok := false
-	for _, c := range circuits.Names {
-		if c == name {
-			ok = true
-		}
-	}
-	if !ok {
-		return cfg, fmt.Errorf("unknown circuit %q (one of %s)", name, strings.Join(circuits.Names, ", "))
-	}
-	cfg.Circuit = name
-
+	cfg.Circuit = strings.ToUpper(q.Get("circuit"))
 	if err := getf("scale", &cfg.Scale); err != nil {
 		return cfg, err
-	}
-	if cfg.Scale <= 0 {
-		return cfg, fmt.Errorf("param scale must be > 0")
 	}
 
 	seen["node"] = true
@@ -140,7 +124,71 @@ func ParseConfig(q url.Values) (flow.Config, error) {
 			return cfg, fmt.Errorf("unknown parameter %q", k)
 		}
 	}
-	return cfg, nil
+	return cfg, checkConfig(cfg)
+}
+
+// checkConfig is the range check of every requested configuration, parsed
+// from a query or decoded from a POST body: a known circuit and enum values,
+// a positive scale, a utilization in [0, 1] (0 selects the default), and no
+// negative clock, pin-cap scale, activity or resistivity scale. Past it, a
+// flow would ignore the value, fail late, or report a negative quantity.
+func checkConfig(cfg flow.Config) error {
+	if cfg.Circuit == "" {
+		return fmt.Errorf("circuit is required (one of %s)", strings.Join(circuits.Names, ", "))
+	}
+	if !slices.Contains(circuits.Names, cfg.Circuit) {
+		return fmt.Errorf("unknown circuit %q (one of %s)", cfg.Circuit, strings.Join(circuits.Names, ", "))
+	}
+	if !(cfg.Scale > 0) {
+		return fmt.Errorf("scale must be > 0, got %g", cfg.Scale)
+	}
+	switch cfg.Node {
+	case tech.N45, tech.N7:
+	default:
+		return fmt.Errorf("unknown node %d (45nm=%d, 7nm=%d)", int(cfg.Node), int(tech.N45), int(tech.N7))
+	}
+	switch cfg.Mode {
+	case tech.Mode2D, tech.ModeTMI, tech.ModeTMIM:
+	default:
+		return fmt.Errorf("unknown mode %d (2d=%d, tmi=%d, tmim=%d)",
+			int(cfg.Mode), int(tech.Mode2D), int(tech.ModeTMI), int(tech.ModeTMIM))
+	}
+	for _, g := range []struct {
+		name string
+		mode lint.GateMode
+	}{{"lint", cfg.Lint}, {"equiv", cfg.Equiv}} {
+		switch g.mode {
+		case lint.GateEnforce, lint.GateWarnOnly, lint.GateOff:
+		default:
+			return fmt.Errorf("unknown %s gate mode %d (enforce=%d, warn=%d, off=%d)",
+				g.name, int(g.mode), int(lint.GateEnforce), int(lint.GateWarnOnly), int(lint.GateOff))
+		}
+	}
+	if !(cfg.Util >= 0 && cfg.Util <= 1) {
+		return fmt.Errorf("util must be in [0, 1], got %g", cfg.Util)
+	}
+	for _, v := range []struct {
+		name string
+		x    float64
+	}{
+		{"clock", cfg.ClockPs}, {"pincap", cfg.PinCapScale},
+		{"act_pi", cfg.Activities.PrimaryInput}, {"act_seq", cfg.Activities.SeqOutput},
+	} {
+		if !(v.x >= 0) {
+			return fmt.Errorf("%s must not be negative, got %g", v.name, v.x)
+		}
+	}
+	for class, x := range cfg.ResistivityScale {
+		switch class {
+		case tech.ClassM1, tech.ClassLocal, tech.ClassIntermediate, tech.ClassGlobal:
+		default:
+			return fmt.Errorf("unknown resistivity_scale layer class %d", int(class))
+		}
+		if !(x >= 0) {
+			return fmt.Errorf("resistivity_scale %v must not be negative, got %g", class, x)
+		}
+	}
+	return nil
 }
 
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }

@@ -32,7 +32,6 @@ import (
 	"tmi3d/internal/castore"
 	"tmi3d/internal/core"
 	"tmi3d/internal/flow"
-	"tmi3d/internal/lint"
 	"tmi3d/internal/report"
 	"tmi3d/internal/tech"
 )
@@ -469,43 +468,7 @@ func (s *Server) requestConfig(r *http.Request) (flow.Config, error) {
 		if cfg.Scale == 0 {
 			cfg.Scale = 1.0
 		}
-		// Re-parse through the query surface so POST obeys the same
-		// validation as GET (known circuit, positive scale).
-		if _, err := ParseConfig(ConfigQuery(flow.Config{Circuit: cfg.Circuit, Scale: cfg.Scale})); err != nil {
-			return cfg, err
-		}
-		// JSON decodes the enum fields as bare ints, and the flow panics on
-		// values outside the known sets — reject them at the boundary.
-		switch cfg.Node {
-		case tech.N45, tech.N7:
-		default:
-			return cfg, fmt.Errorf("body: unknown node %d (45nm=%d, 7nm=%d)", int(cfg.Node), int(tech.N45), int(tech.N7))
-		}
-		switch cfg.Mode {
-		case tech.Mode2D, tech.ModeTMI, tech.ModeTMIM:
-		default:
-			return cfg, fmt.Errorf("body: unknown mode %d (2d=%d, tmi=%d, tmim=%d)",
-				int(cfg.Mode), int(tech.Mode2D), int(tech.ModeTMI), int(tech.ModeTMIM))
-		}
-		for _, g := range []struct {
-			name string
-			mode lint.GateMode
-		}{{"lint", cfg.Lint}, {"equiv", cfg.Equiv}} {
-			switch g.mode {
-			case lint.GateEnforce, lint.GateWarnOnly, lint.GateOff:
-			default:
-				return cfg, fmt.Errorf("body: unknown %s gate mode %d (enforce=%d, warn=%d, off=%d)",
-					g.name, int(g.mode), int(lint.GateEnforce), int(lint.GateWarnOnly), int(lint.GateOff))
-			}
-		}
-		for class := range cfg.ResistivityScale {
-			switch class {
-			case tech.ClassM1, tech.ClassLocal, tech.ClassIntermediate, tech.ClassGlobal:
-			default:
-				return cfg, fmt.Errorf("body: unknown resistivity_scale layer class %d", int(class))
-			}
-		}
-		return cfg, nil
+		return cfg, checkConfig(cfg)
 	}
 	return ParseConfig(r.URL.Query())
 }

@@ -565,6 +565,53 @@ func TestPostRejectsBadEnums(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeConfigRejected: GET and POST share one range check, so a
+// utilization outside [0, 1] or a negative clock, pin-cap scale, activity or
+// resistivity scale is a 400 on either path and never reaches the flow
+// (which would ignore it, fail late with a 500, or report negative power).
+func TestOutOfRangeConfigRejected(t *testing.T) {
+	var runs atomic.Int64
+	_, ts := newTestServer(t, Config{Workers: 1},
+		func(cfg flow.Config) (*flow.Result, error) {
+			runs.Add(1)
+			return stubResult(cfg), nil
+		})
+	for _, q := range []string{
+		"util=1.5", "util=3", "util=-0.5", "clock=-100", "pincap=-1", "act_pi=-1", "act_seq=-0.25",
+	} {
+		if code, _, body := get(t, ts.URL+"/v1/ppa?circuit=FPU&scale=0.05&"+q); code != http.StatusBadRequest {
+			t.Errorf("GET %s: status %d (%s), want 400", q, code, body)
+		}
+		if code, _, body := get(t, ts.URL+"/v1/compare?circuit=FPU&scale=0.05&"+q); code != http.StatusBadRequest {
+			t.Errorf("compare %s: status %d (%s), want 400", q, code, body)
+		}
+	}
+	for _, body := range []string{
+		`{"circuit":"NOPE"}`,
+		`{"circuit":"FPU","scale":-1}`,
+		`{"circuit":"FPU","util":1.5}`,
+		`{"circuit":"FPU","util":-0.5}`,
+		`{"circuit":"FPU","clock_ps":-100}`,
+		`{"circuit":"FPU","pin_cap_scale":-1}`,
+		`{"circuit":"FPU","activities":{"primary_input":-1}}`,
+		`{"circuit":"FPU","activities":{"seq_output":-0.25}}`,
+		`{"circuit":"FPU","resistivity_scale":{"1":-2}}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/ppa", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s: status %d (%s), want 400", body, resp.StatusCode, data)
+		}
+	}
+	if got := runs.Load(); got != 0 {
+		t.Fatalf("out-of-range configurations reached the flow %d times", got)
+	}
+}
+
 // TestJobPanicIsAnError: a panic inside a job must surface as that request's
 // 500 and leave the worker pool serving subsequent requests.
 func TestJobPanicIsAnError(t *testing.T) {

@@ -15,9 +15,9 @@
 //
 // Two configs share a stage's artifact exactly when they agree on that
 // stage's key fields and, recursively, on everything its upstream cone
-// depends on. Soundness rests on two facts: the stagedeps analyzer proves
-// each body reads no Config field outside its manifest entry, and the
-// executor lets a body read no node's value outside its Deps.
+// depends on. Soundness rests on two facts, both held by flow's executor: it
+// hands each body a Config with every field outside its manifest entry
+// zeroed, and it lets a body read no node's value outside its Deps.
 //
 // # Byte identity
 //

@@ -26,20 +26,8 @@ type suppression struct {
 
 type suppressions struct {
 	directive string
-	audit     bool                            // this pass owns the bare/stale audit (directiveOwner)
 	byLine    map[string]map[int]*suppression // filename -> line -> suppression
 	all       []*suppression
-}
-
-// directiveOwner maps each suppression directive to the analyzer that audits
-// the annotations themselves: only the owner reports bare directives (missing
-// reason) and stale suppressions. Any analyzer may consult any directive —
-// stagedeps honors //tmi3dvet:global at ambient-read sites while globalmut
-// owns the audit — and the ownership table is what guarantees one annotation
-// never double-reports across analyzers.
-var directiveOwner = map[string]string{
-	"ordered": "maporder",
-	"global":  "globalmut",
 }
 
 // cutDirective returns the payload of a //tmi3dvet:<directive> line comment,
@@ -57,12 +45,9 @@ func cutDirective(c *ast.Comment, directive string) (rest string, ok bool) {
 }
 
 // collectSuppressions gathers every //tmi3dvet:<directive> comment in the
-// package. The bare-directive report (and, later, reportStale) fires only
-// when the calling analyzer owns the directive per directiveOwner, so a
-// consulting analyzer gets the annotations without duplicating the audit.
+// package, reporting each one that gives no reason.
 func collectSuppressions(p *Pass, directive string) *suppressions {
-	audit := directiveOwner[directive] == p.check
-	s := &suppressions{directive: directive, audit: audit, byLine: map[string]map[int]*suppression{}}
+	s := &suppressions{directive: directive, byLine: map[string]map[int]*suppression{}}
 	for _, f := range p.Pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -77,7 +62,7 @@ func collectSuppressions(p *Pass, directive string) *suppressions {
 					line:   pos.Line,
 					reason: strings.TrimSpace(rest),
 				}
-				if sup.reason == "" && audit {
+				if sup.reason == "" {
 					p.Reportf(c.Pos(), "//tmi3dvet:%s suppression without a reason — say why the site is safe", directive)
 				}
 				if s.byLine[sup.file] == nil {
@@ -114,12 +99,8 @@ func (s *suppressions) at(p *Pass, pos token.Pos) *suppression {
 	return nil
 }
 
-// reportStale flags suppressions that matched no site this run; a no-op for
-// passes that merely consult a directive another analyzer owns.
+// reportStale flags suppressions that matched no site this run.
 func (s *suppressions) reportStale(p *Pass, what string) {
-	if !s.audit {
-		return
-	}
 	for _, sup := range s.all {
 		if !sup.used && sup.reason != "" {
 			p.Reportf(sup.pos, "stale //tmi3dvet:%s suppression: no %s on this or the next line", s.directive, what)

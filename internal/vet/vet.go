@@ -12,24 +12,26 @@
 //     order-dependent float-summation variant.
 //   - seedpurity: wall-clock or global-RNG inputs inside flow-deterministic
 //     packages, which must derive randomness from flow.Config.DeriveSeed.
-//   - stagedeps: per-stage Config read sets of the flow.Nodes stage bodies
-//     diffed against the declarative StageKeys manifest — the soundness proof
-//     for the staged engine's per-stage cache keys: a stage that reads a
-//     Config field its key omits would serve stale cached artifacts.
-//   - globalmut: reads or writes of mutable package-level state outside the
-//     key-addressed sync.Once cache shape (liberty.Default, flow.generated) —
-//     the class where a cache entry mutated after publication silently
-//     couples two configs.
 //
-// That flow.Config.Key and DeriveSeed cover the right fields is not an
-// analyzer: flow's TestConfigKeyCoversFields and TestDeriveSeed check it over
-// every field of the struct. Neither is the wire contract (a decoded value
-// equals the encoded one): flow's TestWireFormatTotal round-trips every type
-// the wire roots reach and compares every field. Nor is concurrency: flows
-// are serial, serve's mutexes are leaf locks, and each concurrency defect
-// class has a runtime test under go test -race (serve's slow-scrape,
-// scrape-during-submit and goroutine-leak tests, loadgen's body-close test,
-// castore's handle test).
+// Both defect classes can hide on a path no test runs, so they stay static.
+// The other contracts are runtime tests, and the cache contracts also hold
+// by construction:
+//
+//   - That flow.Config.Key and DeriveSeed cover the right fields: flow's
+//     TestConfigKeyCoversFields and TestDeriveSeed, over every field.
+//   - A stage's output depends only on its key: the executor hands each
+//     stage body a Config with every field outside its StageKeys entry
+//     zeroed (flow's TestStageBodiesSeeOnlyKeyFields).
+//   - No flow changes a value the process caches share with another flow:
+//     the caches publish through sync.OnceValues, and flow's
+//     TestProcessCachesSurviveFlows checks the published values and the
+//     history independence of a result.
+//   - The wire contract (a decoded value equals the encoded one): flow's
+//     TestWireFormatTotal round-trips every type the wire roots reach.
+//   - Concurrency: flows are serial, serve's mutexes are leaf locks, and
+//     each concurrency defect class has a runtime test under go test -race
+//     (serve's slow-scrape, scrape-during-submit and goroutine-leak tests,
+//     loadgen's body-close test, castore's handle test).
 //
 // cmd/tmi3dvet runs the suite over the whole module; scripts/check.sh gates
 // CI on a clean report.
@@ -52,7 +54,7 @@ type Analyzer struct {
 }
 
 // All is the full analyzer suite in reporting order.
-var All = []*Analyzer{MapOrder, SeedPurity, StageDeps, GlobalMut}
+var All = []*Analyzer{MapOrder, SeedPurity}
 
 // deterministicPkgs lists the module-relative package paths whose output
 // feeds the byte-identity contract: any map-iteration order or impure seed
@@ -76,26 +78,7 @@ var deterministicPkgs = []string{
 // Deterministic reports whether the import path carries the byte-identity
 // contract (module-relative suffix match against deterministicPkgs).
 func Deterministic(importPath string) bool {
-	return pathIn(importPath, deterministicPkgs)
-}
-
-// globalStatePkgs extends the deterministic set with the flow package itself
-// for globalmut: flow owns the cross-config process caches (genCache, the
-// library-check once) whose mutation-after-publication is exactly the bug
-// class globalmut targets, even though flow's wall-clock StageTimes keep it
-// out of the seedpurity/maporder set. The staged engine rides along for the
-// same reason — its artifact caches publish decoded artifacts across runs —
-// while its stage profiling (time.Now) keeps it out of the seedpurity set.
-var globalStatePkgs = append([]string{"internal/flow", "internal/stage"}, deterministicPkgs...)
-
-// GlobalStateScoped reports whether globalmut audits the package's
-// package-level state.
-func GlobalStateScoped(importPath string) bool {
-	return pathIn(importPath, globalStatePkgs)
-}
-
-func pathIn(importPath string, set []string) bool {
-	for _, s := range set {
+	for _, s := range deterministicPkgs {
 		if importPath == s || strings.HasSuffix(importPath, "/"+s) {
 			return true
 		}
@@ -174,59 +157,6 @@ func ExprString(e ast.Expr) string {
 	default:
 		return "expr"
 	}
-}
-
-// funcBodies maps each function declared in the package to its body.
-func funcBodies(p *Pass) map[*types.Func]*ast.BlockStmt {
-	bodies := map[*types.Func]*ast.BlockStmt{}
-	for _, f := range p.Pkg.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				if fn, ok := p.Pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					bodies[fn] = fd.Body
-				}
-			}
-		}
-	}
-	return bodies
-}
-
-// derefType strips one level of pointer indirection.
-func derefType(t types.Type) types.Type {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		return p.Elem()
-	}
-	return t
-}
-
-// isMutexType reports whether t is (a pointer to) sync.Mutex or
-// sync.RWMutex.
-func isMutexType(t types.Type) bool {
-	n, ok := derefType(t).(*types.Named)
-	if !ok {
-		return false
-	}
-	o := n.Obj()
-	return o.Pkg() != nil && o.Pkg().Path() == "sync" &&
-		(o.Name() == "Mutex" || o.Name() == "RWMutex")
-}
-
-// staticCalleeOf resolves the function or method a call statically targets,
-// or nil (calls through func values and interfaces).
-func staticCalleeOf(p *Pass, call *ast.CallExpr) *types.Func {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		f, _ := p.ObjectOf(fun).(*types.Func)
-		return f
-	case *ast.SelectorExpr:
-		if sel := p.Pkg.Info.Selections[fun]; sel != nil {
-			f, _ := sel.Obj().(*types.Func)
-			return f
-		}
-		f, _ := p.ObjectOf(fun.Sel).(*types.Func)
-		return f
-	}
-	return nil
 }
 
 // Run applies the analyzers to every package of the module and returns the

@@ -81,84 +81,6 @@ func TestSeedPurityFixture(t *testing.T) {
 	}
 }
 
-func TestStageDepsFixture(t *testing.T) {
-	diags := runFixture(t, "stagedeps", "fixture/internal/flow", StageDeps)
-	for _, want := range []string{
-		// Read-set classes.
-		"StageKeys[\"build\"] omits it",
-		"dead key field",
-		"not a field of Config",
-		"ambient package state counter",
-		// Liveness: an entry whose body stagedeps cannot read.
-		"Nodes entry \"inline\" has no body function",
-	} {
-		if !hasDiag(diags, want) {
-			t.Errorf("stagedeps fixture lost the %q diagnostic class", want)
-		}
-	}
-	// The reasoned //tmi3dvet:global on the hits access suppresses the
-	// ambient-state diagnostic; the audit of that directive belongs to
-	// globalmut, so stagedeps must not add bare/stale noise either. The
-	// report stage's whole-Config use reads every field its key lists.
-	for _, d := range diags {
-		if strings.Contains(d.Message, "hits") || strings.Contains(d.Message, "tmi3dvet:global sup") ||
-			strings.Contains(d.Message, `"report"`) {
-			t.Errorf("stagedeps fixture: clean shape reported: %s", d)
-		}
-	}
-}
-
-// A package with a StageKeys manifest but no Nodes table to find the stage
-// bodies in must be reported, not verified as vacuously clean.
-func TestStageDepsMissingManifest(t *testing.T) {
-	diags := runFixture(t, "stagedeps_nonodes", "fixture/stagedeps_nonodes", StageDeps)
-	if !hasDiag(diags, "no resolvable Nodes table") {
-		t.Error("stagedeps did not demand a Nodes table from a package with StageKeys")
-	}
-}
-
-func TestGlobalMutFixture(t *testing.T) {
-	diags := runFixture(t, "globalmut", "fixture/internal/liberty", GlobalMut)
-	for _, want := range []string{
-		"written after initialization",
-		"read of mutable package-level",
-		"never synchronizes on its sync.Once",
-		"outside a mutex-holding function",
-		"written outside its sync.Once.Do",
-		"never calls a sync.Once.Do",
-		"suppression without a reason",
-		"stale //tmi3dvet:global",
-	} {
-		if !hasDiag(diags, want) {
-			t.Errorf("globalmut fixture lost the %q diagnostic class", want)
-		}
-	}
-	// The allowed shapes must stay silent: the once-cell map machinery, the
-	// once-published Table accessor, init-time population, and the reasoned
-	// suppression in Bump.
-	for _, clean := range []string{"cache[key] = e", "statDirty", "boot"} {
-		for _, d := range diags {
-			if strings.Contains(d.Message, clean) {
-				t.Errorf("clean shape %q was reported: %s", clean, d)
-			}
-		}
-	}
-}
-
-func TestGlobalStateScoped(t *testing.T) {
-	for path, want := range map[string]bool{
-		"tmi3d/internal/flow":    true, // owns the process caches
-		"tmi3d/internal/liberty": true,
-		"tmi3d/internal/place":   true,
-		"tmi3d/internal/serve":   false,
-		"tmi3d/cmd/tmi3d":        false,
-	} {
-		if got := GlobalStateScoped(path); got != want {
-			t.Errorf("GlobalStateScoped(%q) = %v, want %v", path, got, want)
-		}
-	}
-}
-
 // TestSuppressionScope pins the placement rule: an annotation suppresses the
 // same line or the line directly above, and nothing else.
 func TestSuppressionScope(t *testing.T) {
@@ -186,11 +108,9 @@ func TestDeterministicList(t *testing.T) {
 	}
 }
 
-// TestRepoClean is the self-application gate: the full analyzer suite —
-// including stagedeps and globalmut — over the real module must report
-// nothing. This is the same contract scripts/check.sh enforces via
-// cmd/tmi3dvet; stagedeps reports a stage table it cannot resolve, so a
-// clean run means its proof ran.
+// TestRepoClean is the self-application gate: the full analyzer suite over
+// the real module must report nothing. This is the same contract
+// scripts/check.sh enforces via cmd/tmi3dvet.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checking the whole module is slow; covered by check.sh")
@@ -201,41 +121,5 @@ func TestRepoClean(t *testing.T) {
 	}
 	for _, d := range Run(mod, All) {
 		t.Errorf("unsuppressed diagnostic: %s", d)
-	}
-}
-
-// TestNoDoubleSuppressionReports pins the directive-ownership contract from
-// suppress.go: every fixture package is scanned by the full suite, and no
-// bare/stale-suppression diagnostic may appear twice — which is exactly what
-// happens if two analyzers both believe they audit the same directive.
-func TestNoDoubleSuppressionReports(t *testing.T) {
-	fixtures := map[string]string{
-		"maporder":   "fixture/internal/place",
-		"seedpurity": "fixture/internal/route",
-		"stagedeps":  "fixture/internal/flow",
-		"globalmut":  "fixture/internal/liberty",
-	}
-	dirs := make([]string, 0, len(fixtures))
-	for dir := range fixtures {
-		dirs = append(dirs, dir)
-	}
-	for _, dir := range dirs {
-		mod, err := LoadDir(filepath.Join("testdata", "src", dir), fixtures[dir])
-		if err != nil {
-			t.Fatalf("LoadDir(%s): %v", dir, err)
-		}
-		diags := Run(mod, All)
-		seen := map[string]string{}
-		for _, d := range diags {
-			if !strings.Contains(d.Message, "suppression without a reason") &&
-				!strings.Contains(d.Message, "stale //tmi3dvet:") {
-				continue
-			}
-			key := d.Pos.String() + " " + d.Message
-			if prev, dup := seen[key]; dup {
-				t.Errorf("%s: directive reported by both %s and %s: %s", dir, prev, d.Check, d.Message)
-			}
-			seen[key] = d.Check
-		}
 	}
 }

@@ -50,12 +50,12 @@ stage build
 go build ./...
 
 stage tmi3dvet
-# The repo's own analyzers: map-iteration order, seed purity, per-stage key
-# soundness over flow.Nodes (stagedeps) and global-state purity (globalmut).
-# The wire contract (internal/flow TestWireFormatTotal) and concurrency have
-# runtime tests instead, run by the race stage below. A single unsuppressed
-# diagnostic fails the gate; the report ends with one count line per
-# analyzer (four) so the log shows every check ran. Run
+# The repo's own analyzers: map-iteration order and seed purity. The stage
+# cache keys and the shared process caches hold by construction, and they,
+# the wire contract and concurrency have runtime tests in internal/flow and
+# serve, run by the race stage below. A single unsuppressed diagnostic fails
+# the gate; the report ends with two count lines, one per analyzer, so the
+# log shows every check ran. Run
 # `go run ./cmd/tmi3dvet -list` for the suite; the suppression syntax is in
 # cmd/tmi3dvet's doc.
 go run ./cmd/tmi3dvet ./...
