@@ -11,7 +11,7 @@ test:
 	go test ./...
 
 fmt:
-	gofmt -w cmd internal
+	gofmt -w .
 
 # Design-integrity lint over every benchmark, both libraries, and both
 # layout sets (see internal/lint).

@@ -39,7 +39,7 @@ func main() {
 		{tech.ModeTMI, "lib45_tmi.json"},
 	} {
 		log.Printf("characterizing 45nm %v library...", mc.mode)
-		lib, err := liberty.Characterize45(mc.mode, liberty.CharOptions{})
+		lib, err := liberty.Characterize45(mc.mode)
 		if err != nil {
 			log.Fatal(err)
 		}

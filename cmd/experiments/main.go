@@ -9,6 +9,8 @@
 //
 //	experiments -scale 0.5 -j 8 -out EXPERIMENTS_DATA.txt
 //	experiments -only table4,fig4
+//
+// An unknown -only id exits 1 and lists the valid ids (core.Experiments).
 package main
 
 import (
@@ -21,7 +23,6 @@ import (
 	"time"
 
 	"tmi3d/internal/core"
-	"tmi3d/internal/tech"
 )
 
 func main() {
@@ -34,59 +35,37 @@ func main() {
 	log.SetFlags(0)
 	log.Printf("tmi3d experiments — scale %.2f, -j %d — %s", *scale, *jobs, time.Now().Format(time.RFC1123))
 
+	// Resolve -only before any flow runs: a typoed id is an error listing
+	// the valid ones, not an empty report.
+	want := map[string]bool{}
+	for _, id := range strings.Split(*only, ",") {
+		if id = strings.TrimSpace(id); id == "" {
+			continue
+		}
+		e, err := core.FindExperiment(id)
+		if err != nil {
+			log.Fatal(err)
+		}
+		want[e.ID] = true
+	}
+
 	s := core.NewStudy(*scale)
 	s.Workers = *jobs
 	s.Seed = *seed
 	var b strings.Builder
 	fmt.Fprintf(&b, "tmi3d experiment report — scale %.2f — seed %d\n\n", *scale, *seed)
 
-	want := map[string]bool{}
-	for _, id := range strings.Split(*only, ",") {
-		id = strings.TrimSpace(strings.ToLower(id))
-		if id != "" {
-			want[id] = true
-		}
-	}
-	sel := func(id string) bool { return len(want) == 0 || want[id] }
-
-	type exp struct {
-		id  string
-		gen func() (string, error)
-	}
-	experiments := []exp{
-		{"table1", func() (string, error) { return core.RenderTable1(), nil }},
-		{"table2", core.RenderTable2},
-		{"table3", func() (string, error) { return core.RenderTable3(), nil }},
-		{"table4", func() (string, error) { return s.RenderSummary(tech.N45) }},
-		{"table5", s.RenderTable5},
-		{"table6", func() (string, error) { return core.RenderTable6(), nil }},
-		{"table7", func() (string, error) { return s.RenderSummary(tech.N7) }},
-		{"table8", s.RenderTable8},
-		{"table9", s.RenderTable9},
-		{"table10", func() (string, error) { return core.RenderTable10(), nil }},
-		{"table11", core.RenderTable11},
-		{"table12", s.RenderTable12},
-		{"table13", func() (string, error) { return s.RenderDetail(tech.N45) }},
-		{"table14", func() (string, error) { return s.RenderDetail(tech.N7) }},
-		{"table15", s.RenderTable15},
-		{"table16", s.RenderTable16},
-		{"table17", s.RenderTable17},
-		{"fig4", s.RenderFig4},
-		{"fig6", s.RenderFig6},
-		{"fig10", s.RenderFig10},
-		{"fig11", func() (string, error) { return s.RenderFig11(nil) }},
-	}
 	wall := time.Now()
-	for _, e := range experiments {
-		if !sel(e.id) {
+	for _, e := range core.Experiments {
+		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
 		t0 := time.Now()
-		text, err := e.gen()
+		text, err := e.Render(s)
 		if err != nil {
-			log.Fatalf("%s: %v", e.id, err)
+			log.Fatalf("%s: %v", e.ID, err)
 		}
-		log.Printf("%s done in %v", e.id, time.Since(t0).Round(time.Millisecond))
+		log.Printf("%s done in %v", e.ID, time.Since(t0).Round(time.Millisecond))
 		b.WriteString(text)
 		b.WriteString("\n")
 	}

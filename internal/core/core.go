@@ -37,16 +37,13 @@ type Study struct {
 	// Runner, when set, replaces flow.Run as the flow executor. The staged
 	// engine's Run plugs in here (byte-identical by contract), so an
 	// experiment matrix reuses per-stage artifacts across its sweep points
-	// instead of only deduplicating whole-flow repeats. Set before first use.
+	// instead of only deduplicating whole-flow repeats; tests set it to
+	// count or stub executions. Set before first use.
 	Runner func(flow.Config) (*flow.Result, error)
 
 	mu       sync.Mutex
 	cache    map[string]*flow.Result
 	inflight map[string]*inflightRun
-
-	// runFlow is the flow executor, replaceable by tests to count or stub
-	// executions; nil means flow.Run.
-	runFlow func(flow.Config) (*flow.Result, error)
 
 	// Per-stage wall-clock totals across every flow this study executed
 	// (cache hits and deduplicated waiters excluded) — the profile behind
@@ -112,10 +109,7 @@ func (s *Study) run(cfg flow.Config) (*flow.Result, error) {
 	s.inflight[key] = f
 	s.mu.Unlock()
 
-	runner := s.runFlow
-	if runner == nil {
-		runner = s.Runner
-	}
+	runner := s.Runner
 	if runner == nil {
 		runner = flow.Run
 	}

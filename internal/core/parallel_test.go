@@ -26,7 +26,7 @@ import (
 func stubStudy(runner func(flow.Config) (*flow.Result, error)) (*Study, *int64) {
 	s := NewStudy(0.1)
 	var calls int64
-	s.runFlow = func(cfg flow.Config) (*flow.Result, error) {
+	s.Runner = func(cfg flow.Config) (*flow.Result, error) {
 		atomic.AddInt64(&calls, 1)
 		return runner(cfg)
 	}
@@ -178,7 +178,7 @@ func TestRunErrorNotCached(t *testing.T) {
 	fail := errors.New("transient")
 	var attempt int64
 	s := NewStudy(0.1)
-	s.runFlow = func(cfg flow.Config) (*flow.Result, error) {
+	s.Runner = func(cfg flow.Config) (*flow.Result, error) {
 		if atomic.AddInt64(&attempt, 1) == 1 {
 			return nil, fail
 		}

@@ -10,25 +10,19 @@ import (
 
 // Options configures a check.
 type Options struct {
-	// SimWords is the number of 64-bit random simulation words used to
-	// filter candidate miters before SAT (default 4 → 256 vectors).
-	SimWords int
 	// Seed drives the deterministic random simulation.
 	Seed uint64
-	// MaxDiagnosed caps how many mismatches get full counterexample replay
-	// and diverging-net diagnosis (default 8); further mismatching points
-	// are still counted.
-	MaxDiagnosed int
 }
 
-func (o *Options) defaults() {
-	if o.SimWords == 0 {
-		o.SimWords = 4
-	}
-	if o.MaxDiagnosed == 0 {
-		o.MaxDiagnosed = 8
-	}
-}
+const (
+	// simWords is the number of 64-bit random simulation words used to
+	// filter candidate miters before SAT (4 → 256 vectors).
+	simWords = 4
+	// maxDiagnosed caps how many mismatches get full counterexample replay
+	// and diverging-net diagnosis; further mismatching points are still
+	// counted.
+	maxDiagnosed = 8
+)
 
 // regPair is one matched flip-flop pair; Key is the shared cut-point name.
 type regPair struct {
@@ -51,7 +45,6 @@ type regPair struct {
 // heuristic — a wrong match cannot produce a false "equivalent", because the
 // D cones of a mismatched pair are themselves compare points.
 func Check(a, b *netlist.Design, opt Options) (*Report, error) {
-	opt.defaults()
 	rep := &Report{
 		Subject: fmt.Sprintf("%s vs %s", a.Name, b.Name),
 		NameA:   a.Name, NameB: b.Name,
@@ -129,7 +122,7 @@ func Check(a, b *netlist.Design, opt Options) (*Report, error) {
 
 	// Random-simulation candidate filtering: one linear sweep of the shared
 	// AIG decides most non-structural points without SAT.
-	words := make([][]uint64, opt.SimWords)
+	words := make([][]uint64, simWords)
 	rng := opt.Seed*0x9e3779b97f4a7c15 + 0xda3e39cb94b95bdb
 	piWords := make([]uint64, g.NumPIs())
 	for w := range words {
@@ -173,7 +166,7 @@ func Check(a, b *netlist.Design, opt Options) (*Report, error) {
 			mm.RegisterB = b.Instances[pt.pair.BI].Name
 		}
 		rep.Failed++
-		if len(rep.Mismatches) < opt.MaxDiagnosed {
+		if len(rep.Mismatches) < maxDiagnosed {
 			diagnose(&mm, g, src, ca, cb, pt.la, pt.lb, cex, pairs, pt.poName)
 			rep.Mismatches = append(rep.Mismatches, mm)
 		}

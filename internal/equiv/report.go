@@ -58,7 +58,7 @@ type Report struct {
 	Unmatched []string
 	// MissingPorts lists PI/PO names present in only one design.
 	MissingPorts []string
-	// Mismatches carries up to Options.MaxDiagnosed counterexamples.
+	// Mismatches carries up to maxDiagnosed counterexamples.
 	Mismatches []Mismatch
 }
 

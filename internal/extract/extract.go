@@ -22,13 +22,13 @@ import (
 	"tmi3d/internal/geom"
 )
 
-// TopSilicon selects how the top-tier silicon is modeled during extraction.
-type TopSilicon int
+// SiliconModel selects how the top-tier silicon is modeled during extraction.
+type SiliconModel int
 
 // Extraction modes for the top-tier silicon (Table 1).
 const (
-	Dielectric TopSilicon = iota // "3D": coupling overestimated
-	Conductor                    // "3D-c": coupling underestimated
+	Dielectric SiliconModel = iota // "3D": coupling overestimated
+	Conductor                      // "3D-c": coupling underestimated
 	// Mean averages the two bounds — "the real case would be between these
 	// two extreme cases" (Section 3.2) — and is what the library
 	// characterization uses.
@@ -71,7 +71,7 @@ type NetRC struct {
 // Result is a full cell extraction.
 type Result struct {
 	Cell string
-	Mode TopSilicon
+	Mode SiliconModel
 	Nets map[string]NetRC
 	// TotalR sums signal-net resistance; TotalC sums capacitance over all
 	// nets including the supply strips — the quantities Table 1 reports.
@@ -115,7 +115,7 @@ func bottomTier(layer string) bool {
 }
 
 // Extract computes the parasitic RC of a cell layout.
-func Extract(def *cellgen.CellDef, l *cellgen.Layout, mode TopSilicon) *Result {
+func Extract(def *cellgen.CellDef, l *cellgen.Layout, mode SiliconModel) *Result {
 	if mode == Mean {
 		a := Extract(def, l, Dielectric)
 		b := Extract(def, l, Conductor)

@@ -1,15 +1,13 @@
 package liberty
 
 import (
-	"fmt"
 	"sync"
 
 	"tmi3d/internal/tech"
 )
 
 // The characterized libraries are deterministic for a (node, mode) pair, so
-// they are built once per process and shared — SPICE characterization of the
-// whole library takes a few seconds.
+// they are built once per process and shared.
 //
 // Each (node, mode) key owns a sync.OnceValues function that runs the build.
 // The mutex only guards the map: concurrent callers of *different* keys
@@ -40,9 +38,9 @@ func Default(node tech.Node, mode tech.Mode) (*Library, error) {
 	return get()
 }
 
-// build characterizes (or loads) one library. The 7nm library derives from
-// the 45nm one, fetched through Default so the 45nm build is shared and
-// deduplicated like any other key.
+// build loads one library. The 45nm libraries are the embedded artifacts;
+// the 7nm library derives from the 45nm one, fetched through Default so the
+// 45nm build is shared and deduplicated like any other key.
 func build(node tech.Node, mode tech.Mode) (*Library, error) {
 	if node != tech.N45 {
 		lib45, err := Default(tech.N45, mode)
@@ -51,14 +49,7 @@ func build(node tech.Node, mode tech.Mode) (*Library, error) {
 		}
 		return Derive7(lib45, PaperScale7), nil
 	}
-	if lib := loadEmbedded(mode); lib != nil {
-		return lib, nil
-	}
-	lib, err := Characterize45(mode, CharOptions{})
-	if err != nil {
-		return nil, fmt.Errorf("liberty: %w", err)
-	}
-	return lib, nil
+	return loadEmbedded(mode)
 }
 
 // MustDefault is Default for contexts where characterization cannot fail

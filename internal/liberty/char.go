@@ -56,22 +56,15 @@ func (e charEnv) deviceFor(tr cellgen.Transistor) (device.Params, float64) {
 	return device.PTM45(tr.Kind), tr.W
 }
 
-// CharOptions tunes characterization.
-type CharOptions struct {
-	// TopSilicon selects the extraction mode for T-MI cells (Table 1's "3D"
-	// dielectric assumption is the default, being the conservative bound).
-	TopSilicon extract.TopSilicon
-}
-
 // Characterize45 builds the 45nm library for the given design mode by running
 // SPICE on every cell function's extracted netlist. Strength variants are
 // derived from the X1 characterization by load scaling.
-func Characterize45(mode tech.Mode, opts CharOptions) (*Library, error) {
+func Characterize45(mode tech.Mode) (*Library, error) {
 	env := env45()
 	lib := &Library{Node: tech.N45, Mode: mode, VDD: env.vdd, Cells: map[string]*Cell{}}
 	for _, base := range cellgen.Functions() {
 		x1, _ := cellgen.Template(base)
-		cell, err := characterizeCell(&x1, mode, env, opts)
+		cell, err := characterizeCell(&x1, mode, env)
 		if err != nil {
 			return nil, fmt.Errorf("characterize %s (%v): %w", base, mode, err)
 		}
@@ -96,10 +89,10 @@ func layoutFor(def *cellgen.CellDef, mode tech.Mode) *cellgen.Layout {
 }
 
 // characterizeCell runs the full SPICE characterization of one X1 cell.
-func characterizeCell(def *cellgen.CellDef, mode tech.Mode, env charEnv, opts CharOptions) (*Cell, error) {
+func characterizeCell(def *cellgen.CellDef, mode tech.Mode, env charEnv) (*Cell, error) {
 	lay := layoutFor(def, mode)
-	exMode := opts.TopSilicon
-	if mode.Is3D() && exMode == extract.Dielectric {
+	exMode := extract.Dielectric
+	if mode.Is3D() {
 		// Library characterization uses the mean of the two top-silicon
 		// bounds (Section 3.2: the real case lies between them).
 		exMode = extract.Mean

@@ -13,7 +13,7 @@ import (
 // cmd/charlib; this keeps the SPICE-to-NLDM pipeline covered in-tree.
 func TestCharacterizeCellLive(t *testing.T) {
 	def, _ := cellgen.Template("NAND2")
-	cell, err := characterizeCell(&def, tech.Mode2D, env45(), CharOptions{})
+	cell, err := characterizeCell(&def, tech.Mode2D, env45())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestCharacterizeCellLive(t *testing.T) {
 
 func TestCharacterizeTMICellLive(t *testing.T) {
 	def, _ := cellgen.Template("INV")
-	cell, err := characterizeCell(&def, tech.ModeTMI, env45(), CharOptions{})
+	cell, err := characterizeCell(&def, tech.ModeTMI, env45())
 	if err != nil {
 		t.Fatal(err)
 	}

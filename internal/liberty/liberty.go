@@ -247,8 +247,5 @@ func (lib *Library) ScalePinCap(f float64) *Library {
 	return out
 }
 
-// bufferOrder returns buffers by ascending strength (used by optimizers).
-func (lib *Library) BufferVariants() []*Cell { return lib.byBase["BUF"] }
-
 // Inverter returns the X1 inverter (reference cell).
 func (lib *Library) Inverter() *Cell { return lib.MustCell("INV_X1") }

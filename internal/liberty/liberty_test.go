@@ -248,6 +248,29 @@ func TestSerializationRoundTrip(t *testing.T) {
 	}
 }
 
+// The embedded artifacts are exactly what cmd/charlib writes: EncodeJSON's
+// sorted-name bytes, so a regeneration that changes no number changes no
+// byte.
+func TestEmbeddedLibrariesCanonical(t *testing.T) {
+	for _, name := range []string{"libdata/lib45_2d.json", "libdata/lib45_tmi.json"} {
+		data, err := libData.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lib, err := DecodeJSON(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		again, err := lib.EncodeJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, again) {
+			t.Errorf("%s is not in EncodeJSON's canonical form (regenerate with go run ./cmd/charlib)", name)
+		}
+	}
+}
+
 // Property: LUT interpolation stays within the convex hull of table values
 // for in-range queries.
 func TestLUTBounds(t *testing.T) {

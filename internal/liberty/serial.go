@@ -12,7 +12,7 @@ import (
 // JSON serialization of characterized libraries. Characterization is
 // deterministic but takes ~30s per library, so — like the .lib artifacts of
 // a real flow — the characterized data is generated once (cmd/charlib) and
-// embedded; Default falls back to live characterization when absent.
+// embedded; Default reads only the embedded artifacts.
 
 type lutJSON struct {
 	Slews []float64   `json:"slews"`

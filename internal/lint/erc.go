@@ -22,10 +22,6 @@ type DesignOptions struct {
 	// MaxFanout is the ERC-FANOUT ceiling per net (clock excluded).
 	// 0 selects DefaultMaxFanout.
 	MaxFanout int
-	// Mapped treats the design as post-synthesis, enabling ERC-UNMAPPED.
-	// When nil, the mode is auto-detected: mapped iff any instance carries a
-	// bound cell name.
-	Mapped *bool
 }
 
 // DefaultMaxFanout is the ERC-FANOUT ceiling when none is configured. The
@@ -40,15 +36,13 @@ func CheckDesign(d *netlist.Design, opts DesignOptions) *Report {
 	if opts.MaxFanout == 0 {
 		opts.MaxFanout = DefaultMaxFanout
 	}
+	// The design is post-synthesis, enabling ERC-UNMAPPED, iff any instance
+	// carries a bound cell name.
 	mapped := false
-	if opts.Mapped != nil {
-		mapped = *opts.Mapped
-	} else {
-		for i := range d.Instances {
-			if d.Instances[i].CellName != "" {
-				mapped = true
-				break
-			}
+	for i := range d.Instances {
+		if d.Instances[i].CellName != "" {
+			mapped = true
+			break
 		}
 	}
 

@@ -29,15 +29,8 @@ type Options struct {
 	Placement *place.Placement
 	// MaxRounds bounds the closure loop (default 12).
 	MaxRounds int
-	// BufferCell names the buffer used for insertion (default BUF_X4).
-	BufferCell string
-	// WireDelayThresholdPs triggers buffering of nets whose wire delay
-	// exceeds this many ps (default 40).
-	WireDelayThresholdPs float64
 	// PowerRecovery enables the downsizing pass once timing is met.
 	PowerRecovery bool
-	// SlackMarginPs is the slack kept in hand while downsizing (default 15).
-	SlackMarginPs float64
 	// SkipDRV suppresses the max-cap pass (ECO reruns after routing, where
 	// DRVs were already fixed).
 	SkipDRV bool
@@ -60,6 +53,16 @@ type Options struct {
 	DebugChecks bool
 }
 
+const (
+	// bufferCell is the buffer used for insertion.
+	bufferCell = "BUF_X4"
+	// wireDelayThresholdPs triggers buffering of nets whose wire delay
+	// exceeds this many ps.
+	wireDelayThresholdPs = 40
+	// slackMarginPs is the slack kept in hand while downsizing.
+	slackMarginPs = 15
+)
+
 // Stats summarizes what the optimizer did.
 type Stats struct {
 	Upsized    int     `json:"upsized"`
@@ -73,15 +76,6 @@ type Stats struct {
 func Close(d *netlist.Design, opt Options) (*Stats, error) {
 	if opt.MaxRounds == 0 {
 		opt.MaxRounds = 12
-	}
-	if opt.BufferCell == "" {
-		opt.BufferCell = "BUF_X4"
-	}
-	if opt.WireDelayThresholdPs == 0 {
-		opt.WireDelayThresholdPs = 40
-	}
-	if opt.SlackMarginPs == 0 {
-		opt.SlackMarginPs = 15
 	}
 	env := sta.Env{Lib: opt.Lib, Wire: opt.Wire}
 	st := &Stats{}
@@ -163,7 +157,7 @@ func Close(d *netlist.Design, opt Options) (*Stats, error) {
 			if !res.Met() {
 				break
 			}
-			n, err := downsizeIdle(d, t, opt.Lib, res, opt.SlackMarginPs, st)
+			n, err := downsizeIdle(d, t, opt.Lib, res, st)
 			if err != nil {
 				return nil, err
 			}
@@ -223,7 +217,7 @@ func fixMaxCap(d *netlist.Design, t *sta.Timer, opt Options, res *sta.Result, st
 	numNets := len(d.Nets)
 	for ni := 0; ni < numNets; ni++ {
 		moved := maxCapCandidate(d, opt, res, ni)
-		if len(moved) == 0 || !area.allow(opt.Lib.MustCell(opt.BufferCell).Area) {
+		if len(moved) == 0 || !area.allow(opt.Lib.MustCell(bufferCell).Area) {
 			continue
 		}
 		if err := insertBuffer(d, t, opt, ni, moved); err != nil {
@@ -291,7 +285,7 @@ func bufferLongNets(d *netlist.Design, t *sta.Timer, opt Options, res *sta.Resul
 			continue
 		}
 		wireDelay := sta.WireDelay(opt.Wire(ni), res.Load[ni])
-		if wireDelay > opt.WireDelayThresholdPs && len(d.Nets[ni].Sinks) >= 2 {
+		if wireDelay > wireDelayThresholdPs && len(d.Nets[ni].Sinks) >= 2 {
 			cands = append(cands, cand{ni, wireDelay})
 		}
 	}
@@ -309,7 +303,7 @@ func bufferLongNets(d *netlist.Design, t *sta.Timer, opt Options, res *sta.Resul
 		}
 		// Move the farther half of the sinks behind a buffer.
 		moved := fartherHalf(d, opt, ni)
-		if len(moved) == 0 || !area.allow(opt.Lib.MustCell(opt.BufferCell).Area) {
+		if len(moved) == 0 || !area.allow(opt.Lib.MustCell(bufferCell).Area) {
 			continue
 		}
 		if err := insertBuffer(d, t, opt, ni, moved); err != nil {
@@ -325,7 +319,7 @@ func bufferLongNets(d *netlist.Design, t *sta.Timer, opt Options, res *sta.Resul
 // timer, places the buffer, and reports both split nets as changed.
 func insertBuffer(d *netlist.Design, t *sta.Timer, opt Options, ni int, moved []netlist.PinRef) error {
 	prevFanout := len(d.Nets[ni].Sinks)
-	newNet, instIdx, err := t.InsertBuffer(ni, moved, "BUF", opt.BufferCell)
+	newNet, instIdx, err := t.InsertBuffer(ni, moved, "BUF", bufferCell)
 	if err != nil {
 		return err
 	}
@@ -487,11 +481,11 @@ func (a *areaTracker) allow(delta float64) bool {
 // are downsized ... to reduce cell power"). Each candidate's delay penalty
 // is estimated from the library tables and charged against its slack, which
 // keeps a batch from overshooting too far.
-func downsizeIdle(d *netlist.Design, t *sta.Timer, lib *liberty.Library, res *sta.Result, margin float64, st *Stats) (int, error) {
+func downsizeIdle(d *netlist.Design, t *sta.Timer, lib *liberty.Library, res *sta.Result, st *Stats) (int, error) {
 	changed := 0
 	for ni := range d.Nets {
 		sl := res.Slack(ni)
-		if math.IsInf(sl, 1) || sl < 3*margin {
+		if math.IsInf(sl, 1) || sl < 3*slackMarginPs {
 			continue
 		}
 		drv := d.Nets[ni].Driver
@@ -513,7 +507,7 @@ func downsizeIdle(d *netlist.Design, t *sta.Timer, lib *liberty.Library, res *st
 		delta := next.Delay.At(slew, load) - cur.Delay.At(slew, load)
 		// A path may cross several downsized cells in one batch; demand
 		// headroom for a handful of them.
-		if delta > 0 && sl-5*delta < 2*margin {
+		if delta > 0 && sl-5*delta < 2*slackMarginPs {
 			continue
 		}
 		if err := t.Resize(drv.Inst, dn); err != nil {

@@ -27,14 +27,16 @@ const NumClasses = 4
 // Options configures routing.
 type Options struct {
 	Tech *tech.Technology
-	// GcellTracks sets the gcell pitch in local-layer routing tracks
-	// (default 40).
-	GcellTracks int
-	// Iterations is the number of rip-up-and-reroute passes (default 2).
-	Iterations int
 	// NoDetour disables the congestion detour-length model (ablation).
 	NoDetour bool
 }
+
+const (
+	// gcellTracks sets the gcell pitch in local-layer routing tracks.
+	gcellTracks = 40
+	// iterations is the number of rip-up-and-reroute passes.
+	iterations = 2
+)
 
 // routeChunk is the number of nets routed against one frozen grid snapshot
 // before their usage is committed in net order. The chunking is part of the
@@ -121,16 +123,8 @@ func Run(p *place.Placement, opt Options) (*Result, error) {
 	if opt.Tech == nil {
 		return nil, fmt.Errorf("route: technology required")
 	}
-	tracks := opt.GcellTracks
-	if tracks == 0 {
-		tracks = 40
-	}
-	iters := opt.Iterations
-	if iters == 0 {
-		iters = 2
-	}
 	localPitch := 2 * opt.Tech.Layer("M2").Pitch()
-	pitch := float64(tracks) * localPitch / 2
+	pitch := gcellTracks * localPitch / 2
 	g := &grid{die: p.Die, pitch: pitch}
 	g.gx = int(math.Ceil(p.Die.W()/pitch)) + 1
 	g.gy = int(math.Ceil(p.Die.H()/pitch)) + 1
@@ -212,7 +206,7 @@ func Run(p *place.Placement, opt Options) (*Result, error) {
 		}
 	}
 	routes := make([]NetRoute, routeChunk)
-	for pass := 0; pass < iters; pass++ {
+	for pass := 0; pass < iterations; pass++ {
 		// Pick this pass's work list up front, against the grid as the
 		// previous pass left it: every net on the first pass, only the
 		// congested ones later. Rip-ups are then batched before rerouting —

@@ -172,9 +172,10 @@ func fetCurrent(m *mosfet, v []float64) (ids float64, gm, gds float64, dEff, sEf
 type Options struct {
 	Stop float64 // end time, ps
 	Step float64 // fixed timestep, ps; default Stop/800
-	// MaxNewton bounds Newton iterations per step (default 60).
-	MaxNewton int
 }
+
+// maxNewton bounds Newton iterations per step.
+const maxNewton = 150
 
 // stampOp is one recorded matrix/rhs contribution: G[r,c] += v, or, when
 // c < 0, rhs[r] += v.
@@ -265,11 +266,6 @@ func (c *Circuit) Transient(o Options) (*Result, error) {
 	if h <= 0 {
 		h = o.Stop / 800
 	}
-	maxNewton := o.MaxNewton
-	if maxNewton == 0 {
-		maxNewton = 150
-	}
-
 	n := len(c.names)
 	fixed := make([]bool, n)
 	fixed[0] = true // ground

@@ -39,13 +39,6 @@ func BenchmarkStagedSweep(b *testing.B) {
 	upstream := func(c map[string]Counters) uint64 {
 		return c["wlm"].Executions + c["synth"].Executions + c["place"].Executions
 	}
-	total := func(c map[string]Counters) uint64 {
-		var n uint64
-		for _, ct := range c {
-			n += ct.Executions
-		}
-		return n
-	}
 
 	b.Run("monolithic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -73,7 +66,7 @@ func BenchmarkStagedSweep(b *testing.B) {
 				}
 			}
 			c := e.Counters()
-			totalExecs += total(c)
+			totalExecs += sumCounters(c).Executions
 			upstreamExecs += upstream(c)
 		}
 		n := points * float64(b.N)
@@ -107,7 +100,7 @@ func BenchmarkStagedSweep(b *testing.B) {
 				}
 			}
 			c := e.Counters()
-			totalExecs += total(c)
+			totalExecs += sumCounters(c).Executions
 			upstreamExecs += upstream(c)
 		}
 		n := points * float64(b.N)

@@ -10,7 +10,7 @@ import (
 	"tmi3d/internal/flow"
 )
 
-// Cache events, accumulated in Counters and a run's RunStats.
+// Cache events, accumulated in Counters.
 const (
 	eventMemHit  = "hit_mem"  // artifact served from the in-process cache
 	eventDiskHit = "hit_disk" // artifact loaded and verified from the store
@@ -26,16 +26,9 @@ type Counters struct {
 	Executions uint64 `json:"execute"`
 }
 
-// RunStats summarizes one Run's cache behavior across all stages.
-type RunStats struct {
-	MemHits    int
-	DiskHits   int
-	Executions int
-}
-
-// memLimit is the default in-process artifact cache capacity (entries). Eight
-// cached nodes per flow point means the default holds roughly eight sweep
-// points of hot artifacts.
+// memLimit is the in-process artifact cache capacity (entries). Eight cached
+// nodes per flow point means it holds roughly eight sweep points of hot
+// artifacts.
 const memLimit = 64
 
 // Engine executes flows through flow's stage graph with content-addressed
@@ -52,7 +45,6 @@ type Engine struct {
 	mu       sync.Mutex
 	mem      map[string]*list.Element // artifact ID → LRU element
 	lru      *list.List               // of *memEntry, front = most recent
-	limit    int
 	inflight map[string]*call
 	counters map[string]*Counters
 
@@ -80,7 +72,6 @@ func New(dir string) (*Engine, error) {
 	e := &Engine{
 		mem:      map[string]*list.Element{},
 		lru:      list.New(),
-		limit:    memLimit,
 		inflight: map[string]*call{},
 		counters: map[string]*Counters{},
 	}
@@ -94,17 +85,6 @@ func New(dir string) (*Engine, error) {
 	return e, nil
 }
 
-// SetMemLimit resizes the in-process artifact cache (entries; minimum 1).
-func (e *Engine) SetMemLimit(n int) {
-	if n < 1 {
-		n = 1
-	}
-	e.mu.Lock()
-	e.limit = n
-	e.evictLocked()
-	e.mu.Unlock()
-}
-
 // Counters returns a snapshot of the cumulative per-stage cache counters.
 func (e *Engine) Counters() map[string]Counters {
 	e.mu.Lock()
@@ -116,26 +96,22 @@ func (e *Engine) Counters() map[string]Counters {
 	return out
 }
 
-func (e *Engine) event(rc *runCtx, stage, ev string) {
+func (e *Engine) event(stage, ev string) {
 	e.mu.Lock()
 	c := e.counters[stage]
 	if c == nil {
 		c = &Counters{}
 		e.counters[stage] = c
 	}
-	// rc.stats belongs to one run's goroutine; the lock guards only c.
 	switch ev {
 	case eventMemHit:
 		c.MemHits++
-		rc.stats.MemHits++
 	case eventDiskHit:
 		c.DiskHits++
-		rc.stats.DiskHits++
 	case eventMiss:
 		c.Misses++
 	case eventExecute:
 		c.Executions++
-		rc.stats.Executions++
 	}
 	e.mu.Unlock()
 }
@@ -145,15 +121,16 @@ func (e *Engine) event(rc *runCtx, stage, ev string) {
 // and placement — whatever mix of cache tiers served the stages. Its wire
 // fields may be shared with the memory tier: callers must not mutate them.
 func (e *Engine) Run(cfg flow.Config) (*flow.Result, error) {
-	res, _, err := e.RunStats(cfg)
-	return res, err
-}
-
-// RunStats is Run plus this run's cache accounting.
-func (e *Engine) RunStats(cfg flow.Config) (*flow.Result, RunStats, error) {
-	rc := &runCtx{eng: e, ids: ids(cfg.Normalized())}
-	res, err := flow.NewExecution(cfg, rc.resolve).Result(true)
-	return res, rc.stats, err
+	idByName := ids(cfg.Normalized())
+	// The run's flow.Hook: uncached nodes always execute; cached nodes go
+	// through the tiers.
+	return flow.NewExecution(cfg, func(n *flow.Node, exec func() (any, error)) (any, error) {
+		if !n.Cached {
+			e.event(n.Name, eventExecute)
+			return exec()
+		}
+		return e.artifact(n, idByName[n.Name], exec)
+	}).Result(true)
 }
 
 // PlanEntry describes one DAG node's cache standing for a config.
@@ -224,8 +201,8 @@ func (e *Engine) memGet(id string) (any, bool) {
 	return el.Value.(*memEntry).v, true
 }
 
-// memPut inserts an artifact, evicting the coldest entries past the
-// cache limit. Caller holds mu.
+// memPut inserts an artifact, evicting the coldest entries past memLimit.
+// Caller holds mu.
 func (e *Engine) memPut(id string, v any) {
 	if el, ok := e.mem[id]; ok {
 		e.lru.MoveToFront(el)
@@ -233,43 +210,21 @@ func (e *Engine) memPut(id string, v any) {
 		return
 	}
 	e.mem[id] = e.lru.PushFront(&memEntry{id: id, v: v})
-	e.evictLocked()
-}
-
-func (e *Engine) evictLocked() {
-	for e.lru.Len() > e.limit {
+	for e.lru.Len() > memLimit {
 		el := e.lru.Back()
 		e.lru.Remove(el)
 		delete(e.mem, el.Value.(*memEntry).id)
 	}
 }
 
-// runCtx is one Run's cache view: the per-node artifact IDs and this run's
-// accounting.
-type runCtx struct {
-	eng   *Engine
-	ids   map[string]string
-	stats RunStats
-}
-
-// resolve is the run's flow.Hook: uncached nodes always execute; cached nodes
-// go through the tiers.
-func (rc *runCtx) resolve(n *flow.Node, exec func() (any, error)) (any, error) {
-	if !n.Cached {
-		rc.eng.event(rc, n.Name, eventExecute)
-		return exec()
-	}
-	return rc.eng.artifact(rc, n, exec)
-}
-
 // artifact serves one cached node: memory tier, then the store, then
 // execution (with inflight deduplication across concurrent runs).
-func (e *Engine) artifact(rc *runCtx, n *flow.Node, exec func() (any, error)) (any, error) {
-	name, id := n.Name, rc.ids[n.Name]
+func (e *Engine) artifact(n *flow.Node, id string, exec func() (any, error)) (any, error) {
+	name := n.Name
 	e.mu.Lock()
 	if v, ok := e.memGet(id); ok {
 		e.mu.Unlock()
-		e.event(rc, name, eventMemHit)
+		e.event(name, eventMemHit)
 		return v, nil
 	}
 	c, waiting := e.inflight[id]
@@ -286,7 +241,7 @@ func (e *Engine) artifact(rc *runCtx, n *flow.Node, exec func() (any, error)) (a
 		}
 		// The other run published the artifact; serving it without
 		// re-executing is this run's memory hit.
-		e.event(rc, name, eventMemHit)
+		e.event(name, eventMemHit)
 		return c.v, nil
 	}
 	done := false
@@ -303,7 +258,7 @@ func (e *Engine) artifact(rc *runCtx, n *flow.Node, exec func() (any, error)) (a
 		e.mu.Unlock()
 		c.wg.Done()
 	}()
-	v, err := e.fill(rc, n, id, exec)
+	v, err := e.fill(n, id, exec)
 	done = true
 	c.v, c.err = v, err
 	e.mu.Lock()
@@ -321,7 +276,7 @@ func (e *Engine) artifact(rc *runCtx, n *flow.Node, exec func() (any, error)) (a
 // encoding it only to persist it, so an engine without a store never touches
 // the codec. Either way the result is what flow.Run hands the next stage:
 // the codecs are exact inverses.
-func (e *Engine) fill(rc *runCtx, n *flow.Node, id string, exec func() (any, error)) (any, error) {
+func (e *Engine) fill(n *flow.Node, id string, exec func() (any, error)) (any, error) {
 	key := storeKey(n.Name, id)
 	if e.store != nil {
 		data, ok, err := e.store.Get(key)
@@ -330,15 +285,15 @@ func (e *Engine) fill(rc *runCtx, n *flow.Node, id string, exec func() (any, err
 		}
 		if ok {
 			if v, derr := n.Decode(data); derr == nil {
-				e.event(rc, n.Name, eventDiskHit)
+				e.event(n.Name, eventDiskHit)
 				return v, nil
 			}
 			// Undecodable despite a verified checksum: an envelope format
 			// skew. Recompute and overwrite below, like any miss.
 		}
 	}
-	e.event(rc, n.Name, eventMiss)
-	e.event(rc, n.Name, eventExecute)
+	e.event(n.Name, eventMiss)
+	e.event(n.Name, eventExecute)
 	if e.beforeExecute != nil {
 		e.beforeExecute(n.Name)
 	}

@@ -69,13 +69,33 @@ func node(t testing.TB, name string) *flow.Node {
 	return nil
 }
 
-func stagedRun(t *testing.T, e *Engine, cfg flow.Config) (resultBytes, RunStats) {
+// stagedRun runs cfg on e and returns the result with this run's cache
+// events: the change in e's counters, summed over every stage.
+func stagedRun(t *testing.T, e *Engine, cfg flow.Config) (resultBytes, Counters) {
 	t.Helper()
-	res, stats, err := e.RunStats(cfg)
+	before := sumCounters(e.Counters())
+	res, err := e.Run(cfg)
 	if err != nil {
 		t.Fatalf("staged run: %v", err)
 	}
-	return capture(t, res), stats
+	after := sumCounters(e.Counters())
+	return capture(t, res), Counters{
+		MemHits:    after.MemHits - before.MemHits,
+		DiskHits:   after.DiskHits - before.DiskHits,
+		Misses:     after.Misses - before.Misses,
+		Executions: after.Executions - before.Executions,
+	}
+}
+
+func sumCounters(byStage map[string]Counters) Counters {
+	var sum Counters
+	for _, c := range byStage {
+		sum.MemHits += c.MemHits
+		sum.DiskHits += c.DiskHits
+		sum.Misses += c.Misses
+		sum.Executions += c.Executions
+	}
+	return sum
 }
 
 func monoRun(t *testing.T, cfg flow.Config) resultBytes {

@@ -23,11 +23,14 @@ import (
 type Options struct {
 	Lib *liberty.Library
 	WLM *wlm.Model
-	// MaxFanout triggers buffer-tree insertion above this fanout.
-	MaxFanout int
-	// SizingRounds bounds the slack-driven upsizing loop.
-	SizingRounds int
 }
+
+const (
+	// maxFanout triggers buffer-tree insertion above this fanout.
+	maxFanout = 16
+	// sizingRounds bounds the slack-driven upsizing loop.
+	sizingRounds = 8
+)
 
 // Result is a synthesized design plus summary metrics (Table 12 rows).
 type Result struct {
@@ -42,12 +45,6 @@ func Run(src *netlist.Design, opt Options) (*Result, error) {
 	if opt.Lib == nil || opt.WLM == nil {
 		return nil, fmt.Errorf("synth: library and WLM required")
 	}
-	if opt.MaxFanout == 0 {
-		opt.MaxFanout = 16
-	}
-	if opt.SizingRounds == 0 {
-		opt.SizingRounds = 8
-	}
 	d := src.Clone()
 
 	// Technology mapping: bind every generic function to its X1 cell.
@@ -61,7 +58,7 @@ func Run(src *netlist.Design, opt Options) (*Result, error) {
 	}
 
 	// Fanout buffering: nets above the fanout limit get a buffer tree.
-	bufferHighFanout(d, opt)
+	bufferHighFanout(d)
 	// DRV buffering: nets whose estimated load exceeds the driver's
 	// max-capacitance limit are split. Because the estimate comes from the
 	// wire load model, the T-MI model's shorter wires synthesize fewer
@@ -83,7 +80,7 @@ func Run(src *netlist.Design, opt Options) (*Result, error) {
 		return nil, err
 	}
 	var last *sta.Result
-	for round := 0; round < opt.SizingRounds; round++ {
+	for round := 0; round < sizingRounds; round++ {
 		res, err := t.Analyze()
 		if err != nil {
 			return nil, err
@@ -115,7 +112,7 @@ func Run(src *netlist.Design, opt Options) (*Result, error) {
 
 // bufferHighFanout splits nets whose fanout exceeds the limit with BUF_X4
 // trees, recursively.
-func bufferHighFanout(d *netlist.Design, opt Options) {
+func bufferHighFanout(d *netlist.Design) {
 	for pass := 0; pass < 6; pass++ {
 		changed := false
 		numNets := len(d.Nets) // snapshot: inserted nets are already legal
@@ -124,16 +121,16 @@ func bufferHighFanout(d *netlist.Design, opt Options) {
 				continue
 			}
 			sinks := d.Nets[ni].Sinks
-			if len(sinks) <= opt.MaxFanout {
+			if len(sinks) <= maxFanout {
 				continue
 			}
-			// Move every sink behind ≤MaxFanout-wide buffers; the root is
+			// Move every sink behind ≤maxFanout-wide buffers; the root is
 			// left driving only the buffer inputs (re-split on the next
 			// pass if even those exceed the limit — a buffer tree).
-			groups := (len(sinks) + opt.MaxFanout - 1) / opt.MaxFanout
+			groups := (len(sinks) + maxFanout - 1) / maxFanout
 			for g := 0; g < groups; g++ {
-				lo := g * opt.MaxFanout
-				hi := lo + opt.MaxFanout
+				lo := g * maxFanout
+				hi := lo + maxFanout
 				if hi > len(sinks) {
 					hi = len(sinks)
 				}

@@ -59,7 +59,7 @@ func TestFanoutBuffering(t *testing.T) {
 	}
 	d.SetClock("clk")
 	d.TargetClockPs = 100000
-	res, err := Run(d, Options{Lib: lib, WLM: model, MaxFanout: 16})
+	res, err := Run(d, Options{Lib: lib, WLM: model})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestFanoutBuffering(t *testing.T) {
 		if ni == res.Design.ClockNet {
 			continue
 		}
-		if f := res.Design.Nets[ni].Fanout(); f > 16 {
+		if f := res.Design.Nets[ni].Fanout(); f > maxFanout {
 			t.Errorf("net %d fanout %d exceeds limit", ni, f)
 		}
 	}

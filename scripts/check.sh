@@ -36,7 +36,7 @@ stage() {
 }
 
 stage gofmt
-unformatted=$(gofmt -l cmd internal)
+unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
     echo "gofmt needed on:" >&2
     echo "$unformatted" >&2
