@@ -53,14 +53,14 @@ bench-trace:
 	bash bench/run.sh --trace 1 $(ARGS)
 
 # The hot kernels, with allocations: one sta.Analyze, place.Run,
-# lint.CheckDesign and equiv.Check per op on the fixed FPU@0.15 design, one
-# route.Run and one pre-route opt.Close per op on the fixed LDPC@1.0 T-MI
-# placement, and one castore Put and Get of the FPU@0.1 report payload; then
-# the stage artifact codec, encode and decode per cached node on FPU@0.1 (by
-# name: `-bench .` would also run the sweep benchmark).
+# lint.CheckDesign, equiv.Check and netlist Clone per op on the fixed
+# FPU@0.15 design, one route.Run and one pre-route opt.Close per op on the
+# fixed LDPC@1.0 T-MI placement, and one castore Put and Get of the FPU@0.1
+# report payload; then the stage artifact codec, encode and decode per cached
+# node on FPU@0.1 (by name: `-bench .` would also run the sweep benchmark).
 bench-kernels:
 	go test -run '^$$' -bench . -benchmem ./internal/sta ./internal/place ./internal/route ./internal/opt \
-		./internal/lint ./internal/equiv ./internal/castore
+		./internal/lint ./internal/equiv ./internal/castore ./internal/netlist
 	go test -run '^$$' -bench BenchmarkArtifactCodec -benchmem ./internal/stage
 
 # The serving layer alone over a stubbed flow: the LRU hit path and the miss

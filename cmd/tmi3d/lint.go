@@ -156,7 +156,7 @@ func injectDefect(d *netlist.Design, kind string) error {
 				_ = pin
 				continue
 			}
-			d.Instances[i].Pins[pin] = firstNet
+			d.Instances[i].Pins.Set(pin, firstNet)
 			return nil
 		}
 		return fmt.Errorf("corrupt multidrive: need two driving instances")
@@ -173,12 +173,12 @@ func injectDefect(d *netlist.Design, kind string) error {
 			}
 			_ = pin
 			in := def.Inputs[0]
-			old, exists := d.Instances[i].Pins[in]
+			old, exists := d.Instances[i].Pins.Net(in)
 			if !exists {
 				continue
 			}
 			removeSink(&d.Nets[old], netlist.PinRef{Inst: i, Pin: in})
-			d.Instances[i].Pins[in] = net
+			d.Instances[i].Pins.Set(in, net)
 			d.Nets[net].Sinks = append(d.Nets[net].Sinks, netlist.PinRef{Inst: i, Pin: in})
 			return nil
 		}
@@ -191,7 +191,7 @@ func injectDefect(d *netlist.Design, kind string) error {
 				continue
 			}
 			in := def.Inputs[0]
-			old, exists := d.Instances[i].Pins[in]
+			old, exists := d.Instances[i].Pins.Net(in)
 			if !exists {
 				continue
 			}
@@ -202,7 +202,7 @@ func injectDefect(d *netlist.Design, kind string) error {
 				Driver: netlist.PinRef{Inst: -2},
 				Sinks:  []netlist.PinRef{{Inst: i, Pin: in}},
 			})
-			d.Instances[i].Pins[in] = ni
+			d.Instances[i].Pins.Set(in, ni)
 			return nil
 		}
 		return fmt.Errorf("corrupt float: no instance with inputs found")
@@ -241,7 +241,11 @@ func injectDefect(d *netlist.Design, kind string) error {
 			if inst.Func != "INV" {
 				continue
 			}
-			an, zn := inst.Pins["A"], inst.Pins["Z"]
+			an, okA := inst.Pins.Net("A")
+			zn, okZ := inst.Pins.Net("Z")
+			if !okA || !okZ {
+				continue
+			}
 			onlyGates := true
 			for _, s := range d.Nets[zn].Sinks {
 				if s.Inst < 0 {
@@ -254,7 +258,7 @@ func injectDefect(d *netlist.Design, kind string) error {
 			}
 			for _, s := range append([]netlist.PinRef(nil), d.Nets[zn].Sinks...) {
 				removeSink(&d.Nets[zn], s)
-				d.Instances[s.Inst].Pins[s.Pin] = an
+				d.Instances[s.Inst].Pins.Set(s.Pin, an)
 				d.Nets[an].Sinks = append(d.Nets[an].Sinks, s)
 			}
 			if err := d.RemoveInstance(i); err != nil {
@@ -274,7 +278,7 @@ func outputPin(d *netlist.Design, i int) (string, int, bool) {
 		return "", 0, false
 	}
 	for _, out := range def.Outputs {
-		if net, ok := d.Instances[i].Pins[out]; ok {
+		if net, ok := d.Instances[i].Pins.Net(out); ok {
 			return out, net, true
 		}
 	}

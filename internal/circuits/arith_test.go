@@ -137,15 +137,15 @@ func TestPrefixAddDepth(t *testing.T) {
 		for ii := range d.Instances {
 			inst := &d.Instances[ii]
 			din := 0
-			for pin, ni := range inst.Pins {
-				if pin == "Z" {
+			for _, p := range inst.Pins {
+				if p.Name == "Z" {
 					continue
 				}
-				if depth[ni] > din {
-					din = depth[ni]
+				if depth[p.Net] > din {
+					din = depth[p.Net]
 				}
 			}
-			z := inst.Pins["Z"]
+			z, _ := inst.Pins.Net("Z")
 			if depth[z] < din+1 {
 				depth[z] = din + 1
 				changed = true

@@ -33,7 +33,8 @@ func evalCombinational(t *testing.T, d *netlist.Design, pi map[string]bool) []bo
 		for ii := range d.Instances {
 			inst := &d.Instances[ii]
 			if inst.Func == "DFF" {
-				dn, qn := inst.Pins["D"], inst.Pins["Q"]
+				dn, _ := inst.Pins.Net("D")
+				qn, _ := inst.Pins.Net("Q")
 				if have[dn] && (!have[qn] || val[qn] != val[dn]) {
 					val[qn], have[qn] = val[dn], true
 					changed = true
@@ -47,7 +48,7 @@ func evalCombinational(t *testing.T, d *netlist.Design, pi map[string]bool) []bo
 			in := make([]bool, len(def.Inputs))
 			ready := true
 			for k, pin := range def.Inputs {
-				ni := inst.Pins[pin]
+				ni, _ := inst.Pins.Net(pin)
 				if !have[ni] {
 					ready = false
 					break
@@ -59,7 +60,7 @@ func evalCombinational(t *testing.T, d *netlist.Design, pi map[string]bool) []bo
 			}
 			out := def.Logic(in)
 			for k, pin := range def.Outputs {
-				ni := inst.Pins[pin]
+				ni, _ := inst.Pins.Net(pin)
 				if !have[ni] || val[ni] != out[k] {
 					val[ni], have[ni] = out[k], true
 					changed = true

@@ -33,7 +33,7 @@ func Build(p *place.Placement, maxFanout int) *Result {
 		if d.Instances[i].Func != "DFF" {
 			continue
 		}
-		if _, ok := d.Instances[i].Pins["CK"]; ok {
+		if _, ok := d.Instances[i].Pins.Net("CK"); ok {
 			sinks = append(sinks, geom.Point{X: p.X[i], Y: p.Y[i]})
 		}
 	}

@@ -53,15 +53,51 @@ type aigNode struct {
 // linear sweeps evaluate the whole graph.
 type AIG struct {
 	nodes []aigNode
-	hash  map[[2]Lit]Lit
-	pis   []uint32 // node indices of primary inputs, in creation order
+	// hash is the structural-hashing table: open addressing with linear
+	// probing over AND-node indices, keyed by the node's fanin pair. 0 (the
+	// constant node, never an AND) marks an empty slot. The length is a
+	// power of two, kept at least twice the AND count by doubling.
+	hash []uint32
+	pis  []uint32 // node indices of primary inputs, in creation order
 }
+
+// hashSlots is the initial structural-hashing table size.
+const hashSlots = 1 << 10
 
 // NewAIG creates an AIG holding only the constant node.
 func NewAIG() *AIG {
 	return &AIG{
 		nodes: []aigNode{{kind: kindConst}},
-		hash:  map[[2]Lit]Lit{},
+		hash:  make([]uint32, hashSlots),
+	}
+}
+
+// lookup returns the AND node with fanins (a, b), or the empty slot where it
+// belongs. Probing starts at a multiplicative hash of the pair.
+func (g *AIG) lookup(a, b Lit) (node uint32, slot int) {
+	mask := len(g.hash) - 1
+	h := (uint64(a)<<32 | uint64(b)) * 0x9e3779b97f4a7c15
+	for i := int(h>>32) & mask; ; i = (i + 1) & mask {
+		idx := g.hash[i]
+		if idx == 0 {
+			return 0, i
+		}
+		if n := &g.nodes[idx]; n.f0 == a && n.f1 == b {
+			return idx, i
+		}
+	}
+}
+
+// grow doubles the table and reinserts every AND node.
+func (g *AIG) grow() {
+	old := g.hash
+	g.hash = make([]uint32, 2*len(old))
+	for _, idx := range old {
+		if idx != 0 {
+			n := &g.nodes[idx]
+			_, i := g.lookup(n.f0, n.f1)
+			g.hash[i] = idx
+		}
 	}
 }
 
@@ -111,15 +147,17 @@ func (g *AIG) And(a, b Lit) Lit {
 	if a.node() > b.node() || (a.node() == b.node() && a > b) {
 		a, b = b, a
 	}
-	key := [2]Lit{a, b}
-	if l, ok := g.hash[key]; ok {
-		return l
+	idx, slot := g.lookup(a, b)
+	if idx != 0 {
+		return Lit(idx << 1)
 	}
-	idx := uint32(len(g.nodes))
+	idx = uint32(len(g.nodes))
 	g.nodes = append(g.nodes, aigNode{kind: kindAnd, f0: a, f1: b})
-	l := Lit(idx << 1)
-	g.hash[key] = l
-	return l
+	g.hash[slot] = idx
+	if 2*g.NumAnds() > len(g.hash) {
+		g.grow()
+	}
+	return Lit(idx << 1)
 }
 
 // rewrite applies the asymmetric two-level rules for And(a, b) where a is

@@ -474,12 +474,17 @@ func diagnose(mm *Mismatch, g *AIG, src *inputSource, ca, cb *Compiled,
 
 	// Earliest diverging net: among nets present in both designs by name
 	// with different replayed values, the one of minimum logic depth in b.
+	// a is often a clone without a name index, so the walk builds its own.
+	aNet := make(map[string]int, len(a.Nets))
+	for i := range a.Nets {
+		aNet[a.Nets[i].Name] = i
+	}
 	depthB := netDepths(b)
 	bestDepth := int(^uint(0) >> 1)
 	for ni := range b.Nets {
 		name := b.Nets[ni].Name
-		ai := a.NetByName(name)
-		if ai < 0 {
+		ai, ok := aNet[name]
+		if !ok {
 			continue
 		}
 		if va[ai] == vb[ni] {
@@ -578,13 +583,14 @@ func netDepths(d *netlist.Design) []int {
 			inst := &d.Instances[drv.Inst]
 			ready := true
 			maxIn := 0
-			for pin, pn := range inst.Pins {
-				if pin == drv.Pin {
+			for _, p := range inst.Pins {
+				pn := p.Net
+				if p.Name == drv.Pin {
 					continue
 				}
 				// Only input pins feed depth; output pins of multi-output
 				// cells (HA/FA) are driven by the same instance.
-				if isOutputPinOf(d, drv.Inst, pin) {
+				if isOutputPinOf(d, drv.Inst, p.Name) {
 					continue
 				}
 				if !done[pn] {
@@ -612,7 +618,7 @@ func netDepths(d *netlist.Design) []int {
 // isOutputPinOf reports whether the pin drives a net (i.e. the net records
 // this instance+pin as its driver).
 func isOutputPinOf(d *netlist.Design, inst int, pin string) bool {
-	ni, ok := d.Instances[inst].Pins[pin]
+	ni, ok := d.Instances[inst].Pins.Net(pin)
 	if !ok || ni < 0 || ni >= len(d.Nets) {
 		return false
 	}

@@ -134,7 +134,8 @@ func TestCheckDetectsDroppedInverter(t *testing.T) {
 		if inst.Func != "INV" {
 			continue
 		}
-		an, zn := inst.Pins["A"], inst.Pins["Z"]
+		an, _ := inst.Pins.Net("A")
+		zn, _ := inst.Pins.Net("Z")
 		// Rewire every sink of Z to A, leaving the INV dangling; turn the
 		// inverter into a buffer so the netlist stays structurally legal.
 		sinks := append([]netlist.PinRef(nil), bad.Nets[zn].Sinks...)
@@ -157,7 +158,7 @@ func TestCheckDetectsDroppedInverter(t *testing.T) {
 			continue
 		}
 		for _, s := range sinks {
-			bad.Instances[s.Inst].Pins[s.Pin] = an
+			bad.Instances[s.Inst].Pins.Set(s.Pin, an)
 			bad.Nets[an].Sinks = append(bad.Nets[an].Sinks, s)
 		}
 		bad.Nets[zn].Sinks = nil

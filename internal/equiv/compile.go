@@ -188,7 +188,7 @@ func compile(d *netlist.Design, src *inputSource, regKey func(inst int) string) 
 			continue
 		}
 		c.Regs = append(c.Regs, i)
-		if qn, ok := inst.Pins["Q"]; ok {
+		if qn, ok := inst.Pins.Net("Q"); ok {
 			c.NetLit[qn] = src.get("reg:" + regKey(i))
 		}
 	}
@@ -247,7 +247,7 @@ func compile(d *netlist.Design, src *inputSource, regKey func(inst int) string) 
 				}
 				f.def, f.off = def, len(deps)
 				for _, pin := range def.Inputs {
-					pn, ok := inst.Pins[pin]
+					pn, ok := inst.Pins.Net(pin)
 					if !ok {
 						return fmt.Errorf("equiv: instance %q: missing input pin %s", inst.Name, pin)
 					}
@@ -289,7 +289,7 @@ func compile(d *netlist.Design, src *inputSource, regKey func(inst int) string) 
 				truthTableAIG(g, def, in, outs)
 			}
 			for k, pin := range def.Outputs {
-				if on, ok := inst.Pins[pin]; ok && c.NetLit[on] == litUnset {
+				if on, ok := inst.Pins.Net(pin); ok && c.NetLit[on] == litUnset {
 					c.NetLit[on] = outs[k]
 				}
 			}
@@ -309,7 +309,7 @@ func compile(d *netlist.Design, src *inputSource, regKey func(inst int) string) 
 		c.POs[name] = c.NetLit[d.POs[name]]
 	}
 	for _, ri := range c.Regs {
-		dn, ok := d.Instances[ri].Pins["D"]
+		dn, ok := d.Instances[ri].Pins.Net("D")
 		if !ok {
 			return nil, fmt.Errorf("equiv: DFF %q has no D pin", d.Instances[ri].Name)
 		}

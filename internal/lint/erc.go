@@ -83,7 +83,7 @@ func checkDrivers(rep *Report, d *netlist.Design) {
 				continue
 			}
 			for _, pin := range def.Outputs {
-				if ni, ok := inst.Pins[pin]; ok && ni >= 0 && ni < len(d.Nets) {
+				if ni, ok := inst.Pins.Net(pin); ok && ni >= 0 && ni < len(d.Nets) {
 					visit(ni, inst, pin)
 				}
 			}
@@ -296,12 +296,12 @@ func checkReachability(rep *Report, d *netlist.Design) {
 			continue
 		}
 		seenInst[drv.Inst] = true
-		for pin, pn := range d.Instances[drv.Inst].Pins {
-			if pin == drv.Pin || pn < 0 || pn >= len(d.Nets) || seenNet[pn] {
+		for _, p := range d.Instances[drv.Inst].Pins {
+			if p.Name == drv.Pin || p.Net < 0 || p.Net >= len(d.Nets) || seenNet[p.Net] {
 				continue
 			}
-			seenNet[pn] = true
-			work = append(work, pn)
+			seenNet[p.Net] = true
+			work = append(work, p.Net)
 		}
 	}
 	var dead []string
@@ -330,11 +330,11 @@ func checkMapping(rep *Report, d *netlist.Design, lib *liberty.Library, mapped b
 				rep.add("LIB-NOCELL", "instance "+inst.Name,
 					"function %q has no cellgen template", inst.Func)
 			}
-		} else if foreignPin(def, inst) {
-			for _, pin := range inst.SortedPins() {
-				if _, ok := def.Dir(pin); !ok {
+		} else {
+			for _, p := range inst.Pins {
+				if _, ok := def.Dir(p.Name); !ok {
 					rep.add("LIB-PINSET", "instance "+inst.Name,
-						"pin %q is not a port of function %q", pin, inst.Func)
+						"pin %q is not a port of function %q", p.Name, inst.Func)
 				}
 			}
 		}
@@ -355,18 +355,6 @@ func checkMapping(rep *Report, d *netlist.Design, lib *liberty.Library, mapped b
 				"bound cell %q not in the %v/%v library", inst.CellName, lib.Node, lib.Mode)
 		}
 	}
-}
-
-// foreignPin reports whether the instance carries a pin that is not a port of
-// its function's template. It checks without sorting, so the common clean
-// instance never pays for SortedPins.
-func foreignPin(def *cellgen.CellDef, inst *netlist.Instance) bool {
-	for pin := range inst.Pins {
-		if _, ok := def.Dir(pin); !ok {
-			return true
-		}
-	}
-	return false
 }
 
 func joinMax(names []string, limit int) string {

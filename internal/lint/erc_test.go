@@ -10,11 +10,11 @@ import (
 
 // TestForeignPinOrderDeterministic pins LIB-PINSET findings to sorted pin
 // order: an instance with several foreign pins must report them the same
-// way on every run, whatever the Pins map iteration order.
+// way on every run, whatever order they were bound in.
 func TestForeignPinOrderDeterministic(t *testing.T) {
 	d := cleanDesign()
 	for _, pin := range []string{"Q", "CK", "E"} {
-		d.Instances[0].Pins[pin] = d.PIs["a"]
+		d.Instances[0].Pins.Set(pin, d.PIs["a"])
 		na := d.PIs["a"]
 		d.Nets[na].Sinks = append(d.Nets[na].Sinks, netlist.PinRef{Inst: 0, Pin: pin})
 	}

@@ -66,9 +66,9 @@ func TestDesignRules(t *testing.T) {
 				d := cleanDesign()
 				// Rewire u1.B to a driverless net.
 				ni := d.AddNet("floating")
-				old := d.Instances[0].Pins["B"]
+				old, _ := d.Instances[0].Pins.Net("B")
 				d.Nets[old].Sinks = nil
-				d.Instances[0].Pins["B"] = ni
+				d.Instances[0].Pins.Set("B", ni)
 				d.Nets[ni].Sinks = []netlist.PinRef{{Inst: 0, Pin: "B"}}
 				return d, DesignOptions{}
 			},
@@ -150,7 +150,8 @@ func TestDesignRules(t *testing.T) {
 			build: func() (*netlist.Design, DesignOptions) {
 				d := cleanDesign()
 				// Q is not a port of XOR2.
-				d.Instances[0].Pins["Q"] = d.Instances[0].Pins["Z"]
+				z, _ := d.Instances[0].Pins.Net("Z")
+				d.Instances[0].Pins.Set("Q", z)
 				return d, DesignOptions{}
 			},
 		},

@@ -12,11 +12,16 @@ import (
 // FuzzDesignRoundTrip encodes arbitrary small designs — including the empty
 // design and nets with no sinks, the degenerate shapes a -scale run near zero
 // produces — and requires the decode to re-encode to identical bytes and to
-// rebuild the name index the wire format deliberately omits.
+// rebuild the name index the wire format deliberately omits. One instance per
+// net carries pins named after the fuzzed string, so pin names that need
+// escaping (<, ", \, U+2028) cross the pin codec, whose bytes must also be
+// encoding/json's bytes for the same pins as a map.
 func FuzzDesignRoundTrip(f *testing.F) {
 	f.Add("", uint8(0), uint8(0), -1, 0.0)
 	f.Add("fpu", uint8(3), uint8(2), 0, 500.0)
 	f.Add("m", uint8(1), uint8(0), -2, 1e12)
+	f.Add(`<a&"b\`, uint8(4), uint8(1), 0, 250.5)
+	f.Add("B\u2028>", uint8(2), uint8(3), 1, 1.0)
 	f.Fuzz(func(t *testing.T, name string, nets, sinks uint8, clockNet int, clock float64) {
 		if math.IsNaN(clock) || math.IsInf(clock, 0) {
 			t.Skip("TargetClockPs comes from the validated config and is finite by construction")
@@ -44,6 +49,23 @@ func FuzzDesignRoundTrip(f *testing.F) {
 		if len(d.Nets) > 0 {
 			d.PIs["in"] = 0
 			d.POs["out"] = len(d.Nets) - 1
+		}
+		for i := range d.Nets {
+			inst := Instance{Name: fmt.Sprintf("u%d", i), Func: "NAND2"}
+			asMap := map[string]int{}
+			for k, pin := range []string{"A", name, "Z" + name, name + "\x7f"} {
+				ni := (i + k) % len(d.Nets)
+				inst.Pins.Set(pin, ni)
+				asMap[pin] = ni
+			}
+			got, err := json.Marshal(inst.Pins)
+			if err != nil {
+				t.Fatalf("encode pins: %v", err)
+			}
+			if want, _ := json.Marshal(asMap); !bytes.Equal(got, want) {
+				t.Fatalf("pins encode as %s, a map as %s", got, want)
+			}
+			d.Instances = append(d.Instances, inst)
 		}
 		b1, err := json.Marshal(d)
 		if err != nil {

@@ -143,3 +143,100 @@ func TestDesignJSONNetsBulk(t *testing.T) {
 		}
 	}
 }
+
+// Pins encode to exactly the bytes encoding/json gives the same pins as a
+// map[string]int — sorted keys, HTML-escaped — on their own and inside an
+// Instance, and a nil list encodes as a nil map does.
+func TestPinsEncodeAsMap(t *testing.T) {
+	type mapInstance struct {
+		Name     string
+		Func     string
+		CellName string
+		Pins     map[string]int
+		IsBuffer bool
+	}
+	for _, names := range [][]string{
+		nil,
+		{},
+		{"A", "B", "Z"},
+		{"CK", "D", "Q", "QN"},
+		{"<", ">", "&", `"`, `\`, "\u2028", "\u2029", "\x01", "\x7f", "é", "a b", ""},
+	} {
+		var pins Pins
+		var m map[string]int
+		if names != nil {
+			pins, m = Pins{}, map[string]int{}
+		}
+		for i, name := range names {
+			pins.Set(name, 1000-7*i)
+			m[name] = 1000 - 7*i
+		}
+		got, err := json.Marshal(pins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := json.Marshal(m)
+		if !bytes.Equal(got, want) {
+			t.Errorf("pins %q encode as %s, the map as %s", names, got, want)
+		}
+		got, _ = json.Marshal(Instance{Name: "u<1>", Func: "F", Pins: pins})
+		want, _ = json.Marshal(mapInstance{Name: "u<1>", Func: "F", Pins: m})
+		if !bytes.Equal(got, want) {
+			t.Errorf("instance with pins %q encodes as %s, with a map as %s", names, got, want)
+		}
+	}
+	if _, err := json.Marshal(Pins{{Name: "Z", Net: 1}, {Name: "A", Net: 2}}); err == nil {
+		t.Error("unsorted pins encoded without error")
+	}
+}
+
+// The pin decoder reads the canonical form directly and every other spelling
+// of the object through a map: either way a decode gives the Pins the map
+// path gives, sorted, and fails where the map path fails.
+func TestPinsDecodeAsMap(t *testing.T) {
+	for _, in := range []string{
+		`{}`,
+		`null`,
+		`{"A":1,"B":22,"Z":333}`,
+		`{"A":-1,"B":0}`,
+		`{"":5,"A":6}`,
+		`{"Z":1,"A":2}`,         // keys out of order
+		`{"A":1,"A":2}`,         // repeated key: the last wins
+		`{"B":1,"A":2,"B":3}`,   // repeated and out of order
+		`{"\u0041":1,"B":2}`,    // escaped key
+		`{"<":1,"\"":2,"\\":3}`, // keys encoding/json escapes
+		`{ "A" : 1 , "B":2 }`,   // whitespace
+		`{"A":1e2}`,             // exponent
+		`{"A":-0}`,              // negative zero
+		`{"A":1234567890123}`,   // past the fast path's digits
+		`{"é":1,"A":2}`,         // non-ASCII key
+		`{"A":1.5}`,             // not an int: both fail
+		`{"A":01}`,              // leading zero: both fail
+		`{"A":1,}`,              // trailing comma: both fail
+		`{"A":"1"}`,             // string value: both fail
+		`["A",1]`,               // not an object: both fail
+		`{"A":1}x`,              // trailing bytes: both fail
+	} {
+		var m map[string]int
+		mapErr := json.Unmarshal([]byte(in), &m)
+		var got Pins
+		err := json.Unmarshal([]byte(in), &got)
+		if (err != nil) != (mapErr != nil) {
+			t.Errorf("%s: pins error %v, map error %v", in, err, mapErr)
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		var want Pins
+		if m != nil {
+			want = Pins{}
+			for _, k := range sortedKeys(m) {
+				want = append(want, Pin{Name: k, Net: m[k]})
+			}
+		}
+		if !reflect.DeepEqual(got, want) || (got == nil) != (want == nil) {
+			t.Errorf("%s: pins decode to %#v, the map path to %#v", in, got, want)
+		}
+	}
+}

@@ -10,6 +10,7 @@ package netlist
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 )
 
@@ -40,11 +41,53 @@ type Instance struct {
 	// CellName is the bound library cell after technology mapping
 	// (e.g. "XOR2_X2"); empty before mapping.
 	CellName string
-	// Pins maps pin names to net indices.
-	Pins map[string]int
+	// Pins binds pin names to net indices, sorted by name.
+	Pins Pins
 	// IsBuffer marks buffers/inverters inserted by optimization (the paper's
 	// "#buffers" metric counts inverting and non-inverting buffers).
 	IsBuffer bool
+}
+
+// Pin binds one instance pin to a net index.
+type Pin struct {
+	Name string
+	Net  int
+}
+
+// Pins is an instance's pin list: sorted by name, no name twice. Ranging
+// over it visits the pins in name order. Cell pin lists are a handful long,
+// so lookups scan.
+type Pins []Pin
+
+// Net returns the net bound to the named pin; ok is false (and the net -1)
+// when the pin is unbound.
+func (p Pins) Net(name string) (net int, ok bool) {
+	for i := range p {
+		if p[i].Name == name {
+			return p[i].Net, true
+		}
+	}
+	return -1, false
+}
+
+// Set binds the named pin to net, inserting the pin at its sorted place if it
+// is not bound yet. An insertion reallocates when the list is full, so a pin
+// list cut from a shared arena (see Design.Clone) never grows into its
+// neighbour.
+func (p *Pins) Set(name string, net int) {
+	s := *p
+	i := 0
+	for i < len(s) && s[i].Name < name {
+		i++
+	}
+	if i < len(s) && s[i].Name == name {
+		s[i].Net = net
+		return
+	}
+	s = append(s, Pin{})
+	copy(s[i+1:], s[i:])
+	s[i] = Pin{Name: name, Net: net}
+	*p = s
 }
 
 // Design is a complete gate-level netlist.
@@ -60,8 +103,10 @@ type Design struct {
 	// TargetClockPs is the synthesis/layout target clock period in ps.
 	TargetClockPs float64
 
-	// netIndex maps net names to indices. It stays off the wire:
-	// UnmarshalJSON rebuilds it from Nets.
+	// netIndex maps net names to indices. It is derived from Nets and stays
+	// off the wire: UnmarshalJSON rebuilds it, Clone leaves it nil, and
+	// AddNet builds it on first use. A nil index is never filled in by a
+	// read, because cached designs are read by concurrent flows.
 	netIndex map[string]int
 }
 
@@ -76,8 +121,20 @@ func New(name string) *Design {
 	}
 }
 
+// indexNets builds the net-name index; on a repeated name the last net wins,
+// as NetByName's scan does.
+func (d *Design) indexNets() {
+	d.netIndex = make(map[string]int, len(d.Nets))
+	for i := range d.Nets {
+		d.netIndex[d.Nets[i].Name] = i
+	}
+}
+
 // AddNet creates (or returns) the net with the given name.
 func (d *Design) AddNet(name string) int {
+	if d.netIndex == nil {
+		d.indexNets()
+	}
 	if i, ok := d.netIndex[name]; ok {
 		return i
 	}
@@ -87,10 +144,19 @@ func (d *Design) AddNet(name string) int {
 	return i
 }
 
-// NetByName returns the index of a named net, or -1.
+// NetByName returns the index of a named net, or -1. Without an index (a
+// clone no mutator has touched) it scans the nets.
 func (d *Design) NetByName(name string) int {
-	if i, ok := d.netIndex[name]; ok {
-		return i
+	if d.netIndex != nil {
+		if i, ok := d.netIndex[name]; ok {
+			return i
+		}
+		return -1
+	}
+	for i := len(d.Nets) - 1; i >= 0; i-- {
+		if d.Nets[i].Name == name {
+			return i
+		}
 	}
 	return -1
 }
@@ -99,7 +165,7 @@ func (d *Design) NetByName(name string) int {
 // output pin is recorded on the net.
 func (d *Design) AddInstance(name, fn string, pins map[string]string, outputs ...string) int {
 	idx := len(d.Instances)
-	inst := Instance{Name: name, Func: fn, Pins: map[string]int{}}
+	inst := Instance{Name: name, Func: fn, Pins: make(Pins, 0, len(pins))}
 	outSet := map[string]bool{}
 	for _, o := range outputs {
 		outSet[o] = true
@@ -114,7 +180,7 @@ func (d *Design) AddInstance(name, fn string, pins map[string]string, outputs ..
 	sort.Strings(names)
 	for _, pin := range names {
 		ni := d.AddNet(pins[pin])
-		inst.Pins[pin] = ni
+		inst.Pins = append(inst.Pins, Pin{Name: pin, Net: ni})
 		if outSet[pin] {
 			d.Nets[ni].Driver = PinRef{Inst: idx, Pin: pin}
 		} else {
@@ -190,7 +256,7 @@ const (
 	KindNoDriver = "no-driver"
 	// KindBadSink marks a sink referencing an out-of-range instance.
 	KindBadSink = "bad-sink"
-	// KindNoPins marks an instance with an empty pin map.
+	// KindNoPins marks an instance with no pins.
 	KindNoPins = "no-pins"
 	// KindBadPin marks an instance pin referencing an out-of-range net.
 	KindBadPin = "bad-pin"
@@ -266,10 +332,7 @@ func (d *Design) Violations() []Violation {
 		recorded[fill[r.Inst]] = r.Pin
 		fill[r.Inst]++
 	})
-	pinOK := func(i int, pin string, ni int) bool {
-		if ni < 0 || ni >= len(d.Nets) {
-			return false
-		}
+	recordedOn := func(i int, pin string) bool {
 		for _, p := range recorded[first[i]:first[i+1]] {
 			if p == pin {
 				return true
@@ -284,29 +347,16 @@ func (d *Design) Violations() []Violation {
 				fmt.Sprintf("instance %q (%d) has no pins", inst.Name, i)})
 			continue
 		}
-		clean := true
-		for pin, ni := range inst.Pins {
-			if !pinOK(i, pin, ni) {
-				clean = false
-				break
-			}
-		}
-		if clean {
-			continue
-		}
-		// Only an instance with a finding pays for the sort that fixes the
-		// report order.
-		for _, pin := range inst.SortedPins() {
-			ni := inst.Pins[pin]
-			if ni < 0 || ni >= len(d.Nets) {
-				out = append(out, Violation{KindBadPin, ni, i,
-					fmt.Sprintf("instance %q pin %s: net %d out of range", inst.Name, pin, ni)})
+		for _, p := range inst.Pins {
+			if p.Net < 0 || p.Net >= len(d.Nets) {
+				out = append(out, Violation{KindBadPin, p.Net, i,
+					fmt.Sprintf("instance %q pin %s: net %d out of range", inst.Name, p.Name, p.Net)})
 				continue
 			}
-			if !pinOK(i, pin, ni) {
-				out = append(out, Violation{KindUnlistedPin, ni, i,
+			if !recordedOn(i, p.Name) {
+				out = append(out, Violation{KindUnlistedPin, p.Net, i,
 					fmt.Sprintf("instance %q pin %s not recorded on net %q (driver overwritten?)",
-						inst.Name, pin, d.Nets[ni].Name)})
+						inst.Name, p.Name, d.Nets[p.Net].Name)})
 			}
 		}
 	}
@@ -381,11 +431,6 @@ func (d *Design) SortedPIs() []string {
 // SortedPOs returns primary output names, sorted (deterministic iteration).
 func (d *Design) SortedPOs() []string { return sortedKeys(d.POs) }
 
-// SortedPins returns the instance's pin names, sorted (deterministic
-// iteration; Pins is a map, so ranging it directly leaks iteration order
-// into anything the loop accumulates).
-func (inst *Instance) SortedPins() []string { return sortedKeys(inst.Pins) }
-
 // InsertBuffer splits a net: a new buffering instance of function fn (bound
 // to cellName) is driven by the net, and the listed sink pins move onto the
 // buffer's output net. It returns the new net and instance indices.
@@ -395,7 +440,7 @@ func (d *Design) InsertBuffer(net int, moved []PinRef, fn, cellName string) (new
 	instIdx = len(d.Instances)
 	inst := Instance{
 		Name: name, Func: fn, CellName: cellName, IsBuffer: true,
-		Pins: map[string]int{"A": net, "Z": newNet},
+		Pins: Pins{{Name: "A", Net: net}, {Name: "Z", Net: newNet}},
 	}
 	d.Instances = append(d.Instances, inst)
 	d.Nets[newNet].Driver = PinRef{Inst: instIdx, Pin: "Z"}
@@ -409,7 +454,7 @@ func (d *Design) InsertBuffer(net int, moved []PinRef, fn, cellName string) (new
 		if movedSet[s] {
 			d.Nets[newNet].Sinks = append(d.Nets[newNet].Sinks, s)
 			if s.Inst >= 0 {
-				d.Instances[s.Inst].Pins[s.Pin] = newNet
+				d.Instances[s.Inst].Pins.Set(s.Pin, newNet)
 			} else {
 				// A primary output moved onto the buffered net.
 				d.POs[s.Pin] = newNet
@@ -431,12 +476,12 @@ func (d *Design) RemoveInstance(i int) error {
 	if i < 0 || i >= len(d.Instances) {
 		return fmt.Errorf("netlist: remove instance %d out of range", i)
 	}
-	for _, pin := range d.Instances[i].SortedPins() {
-		ni := d.Instances[i].Pins[pin]
+	for _, p := range d.Instances[i].Pins {
+		ni := p.Net
 		if ni < 0 || ni >= len(d.Nets) {
 			continue
 		}
-		ref := PinRef{Inst: i, Pin: pin}
+		ref := PinRef{Inst: i, Pin: p.Name}
 		n := &d.Nets[ni]
 		if n.Driver == ref {
 			n.Driver = PinRef{Inst: -2}
@@ -447,18 +492,18 @@ func (d *Design) RemoveInstance(i int) error {
 	last := len(d.Instances) - 1
 	if i != last {
 		d.Instances[i] = d.Instances[last]
-		for pin, ni := range d.Instances[i].Pins {
-			if ni < 0 || ni >= len(d.Nets) {
+		for _, p := range d.Instances[i].Pins {
+			if p.Net < 0 || p.Net >= len(d.Nets) {
 				continue
 			}
-			n := &d.Nets[ni]
-			old := PinRef{Inst: last, Pin: pin}
+			n := &d.Nets[p.Net]
+			old := PinRef{Inst: last, Pin: p.Name}
 			if n.Driver == old {
-				n.Driver = PinRef{Inst: i, Pin: pin}
+				n.Driver = PinRef{Inst: i, Pin: p.Name}
 			}
 			for k := range n.Sinks {
 				if n.Sinks[k] == old {
-					n.Sinks[k] = PinRef{Inst: i, Pin: pin}
+					n.Sinks[k] = PinRef{Inst: i, Pin: p.Name}
 				}
 			}
 		}
@@ -470,7 +515,7 @@ func (d *Design) RemoveInstance(i int) error {
 // RemoveNet deletes a net that no pin references anymore (disconnect the
 // driver and sinks first — e.g. via RemoveInstance). The hole is swap-filled
 // with the last net and every reference to the moved net (instance pins,
-// port maps, clock, name index) is renumbered.
+// port maps, clock, name index if built) is renumbered.
 func (d *Design) RemoveNet(ni int) error {
 	if ni < 0 || ni >= len(d.Nets) {
 		return fmt.Errorf("netlist: remove net %d out of range", ni)
@@ -483,18 +528,22 @@ func (d *Design) RemoveNet(ni int) error {
 	if d.ClockNet == ni {
 		return fmt.Errorf("netlist: cannot remove the clock net %q", n.Name)
 	}
-	delete(d.netIndex, n.Name)
+	if d.netIndex != nil {
+		delete(d.netIndex, n.Name)
+	}
 	last := len(d.Nets) - 1
 	if ni != last {
 		moved := d.Nets[last]
 		d.Nets[ni] = moved
-		d.netIndex[moved.Name] = ni
+		if d.netIndex != nil {
+			d.netIndex[moved.Name] = ni
+		}
 		if moved.Driver.Inst >= 0 {
-			d.Instances[moved.Driver.Inst].Pins[moved.Driver.Pin] = ni
+			d.Instances[moved.Driver.Inst].Pins.Set(moved.Driver.Pin, ni)
 		}
 		for _, s := range moved.Sinks {
 			if s.Inst >= 0 {
-				d.Instances[s.Inst].Pins[s.Pin] = ni
+				d.Instances[s.Inst].Pins.Set(s.Pin, ni)
 			}
 		}
 		for port, pn := range d.PIs {
@@ -525,35 +574,53 @@ func removeSinkRef(n *Net, ref PinRef) {
 }
 
 // Clone deep-copies the design (used to branch 2D vs T-MI implementations
-// from one synthesized netlist).
+// from one synthesized netlist, and to give each mutating stage its own
+// copy). The copy is four flat allocations besides the port maps: the
+// instances, one arena holding every instance's pins, the nets, and one
+// arena holding every net's sinks. Each pin and sink list is a subslice of
+// its arena capped at its own length, so an append on one reallocates
+// instead of writing into its neighbour. The net-name index is derived
+// state and is not copied; AddNet rebuilds it if the copy is mutated.
 func (d *Design) Clone() *Design {
-	out := New(d.Name)
-	out.TargetClockPs = d.TargetClockPs
-	out.ClockNet = d.ClockNet
-	out.Instances = make([]Instance, len(d.Instances))
+	nPins, nSinks := 0, 0
+	for i := range d.Instances {
+		nPins += len(d.Instances[i].Pins)
+	}
+	for i := range d.Nets {
+		nSinks += len(d.Nets[i].Sinks)
+	}
+	out := &Design{
+		Name:          d.Name,
+		Instances:     make([]Instance, len(d.Instances)),
+		Nets:          make([]Net, len(d.Nets)),
+		PIs:           clonePorts(d.PIs),
+		POs:           clonePorts(d.POs),
+		ClockNet:      d.ClockNet,
+		TargetClockPs: d.TargetClockPs,
+	}
+	pins := make([]Pin, 0, nPins)
 	for i, inst := range d.Instances {
-		cp := inst
-		cp.Pins = make(map[string]int, len(inst.Pins))
-		for k, v := range inst.Pins {
-			cp.Pins[k] = v
+		if inst.Pins != nil {
+			lo := len(pins)
+			pins = append(pins, inst.Pins...)
+			inst.Pins = pins[lo:len(pins):len(pins)]
 		}
-		out.Instances[i] = cp
+		out.Instances[i] = inst
 	}
-	out.Nets = make([]Net, len(d.Nets))
+	sinks := make([]PinRef, 0, nSinks)
 	for i, n := range d.Nets {
-		cp := n
-		cp.Sinks = make([]PinRef, len(n.Sinks))
-		copy(cp.Sinks, n.Sinks)
-		out.Nets[i] = cp
-	}
-	for k, v := range d.PIs {
-		out.PIs[k] = v
-	}
-	for k, v := range d.POs {
-		out.POs[k] = v
-	}
-	for k, v := range d.netIndex {
-		out.netIndex[k] = v
+		lo := len(sinks)
+		sinks = append(sinks, n.Sinks...)
+		n.Sinks = sinks[lo:len(sinks):len(sinks)]
+		out.Nets[i] = n
 	}
 	return out
+}
+
+// clonePorts copies a port map; the copy is never nil.
+func clonePorts(m map[string]int) map[string]int {
+	if m == nil {
+		return map[string]int{}
+	}
+	return maps.Clone(m)
 }

@@ -87,7 +87,7 @@ func TestInsertBuffer(t *testing.T) {
 	}
 	// Moved instances now reference the new net.
 	for _, s := range d.Nets[newNet].Sinks {
-		if d.Instances[s.Inst].Pins[s.Pin] != newNet {
+		if ni, ok := d.Instances[s.Inst].Pins.Net(s.Pin); !ok || ni != newNet {
 			t.Error("moved sink pin not rebound")
 		}
 	}
@@ -251,7 +251,7 @@ func TestRemoveNet(t *testing.T) {
 	n1, n2 := d.NetByName("n1"), d.NetByName("n2")
 	ff := 2
 	removeSinkRef(&d.Nets[n2], PinRef{Inst: ff, Pin: "D"})
-	d.Instances[ff].Pins["D"] = n1
+	d.Instances[ff].Pins.Set("D", n1)
 	d.Nets[n1].Sinks = append(d.Nets[n1].Sinks, PinRef{Inst: ff, Pin: "D"})
 
 	if err := d.RemoveNet(n2); err == nil {
@@ -296,16 +296,16 @@ func TestRemoveNetRefusesConnected(t *testing.T) {
 
 // TestViolationsOrder pins the exact Violations sequence for one instance
 // with two unlisted pins and one out-of-range pin: findings come in sorted
-// pin order whatever the Pins map iteration order.
+// pin order whatever order the pins were bound in.
 func TestViolationsOrder(t *testing.T) {
 	d := New("v")
 	d.AddPI("a", "a")
 	d.AddInstance("g", "INV", map[string]string{"A": "a", "Z": "z"}, "Z")
 	d.AddPO("out", "z")
 	na, nz := d.NetByName("a"), d.NetByName("z")
-	d.Instances[0].Pins["Y"] = na
-	d.Instances[0].Pins["B"] = nz
-	d.Instances[0].Pins["X"] = 99
+	d.Instances[0].Pins.Set("Y", na)
+	d.Instances[0].Pins.Set("B", nz)
+	d.Instances[0].Pins.Set("X", 99)
 	want := []Violation{
 		{KindUnlistedPin, nz, 0, `instance "g" pin B not recorded on net "z" (driver overwritten?)`},
 		{KindBadPin, 99, 0, `instance "g" pin X: net 99 out of range`},

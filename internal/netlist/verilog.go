@@ -65,17 +65,12 @@ func (d *Design) WriteVerilog(w io.Writer) error {
 		if cell == "" {
 			cell = inst.Func
 		}
-		pins := make([]string, 0, len(inst.Pins))
-		for p := range inst.Pins {
-			pins = append(pins, p)
-		}
-		sort.Strings(pins)
 		fmt.Fprintf(bw, "  %s %s (", cell, sanitize(inst.Name))
-		for k, p := range pins {
+		for k, p := range inst.Pins {
 			if k > 0 {
 				bw.WriteString(", ")
 			}
-			fmt.Fprintf(bw, ".%s(%s)", p, netRef(inst.Pins[p]))
+			fmt.Fprintf(bw, ".%s(%s)", p.Name, netRef(p.Net))
 		}
 		bw.WriteString(");\n")
 	}

@@ -61,8 +61,8 @@ func TestVerilogRoundTrip(t *testing.T) {
 		t.Error("clock net not recovered")
 	}
 	// Connectivity: the NAND2 output feeds the INV input.
-	n1 := back.Instances[0].Pins["Z"]
-	if back.Instances[1].Pins["A"] != n1 {
+	n1, ok1 := back.Instances[0].Pins.Net("Z")
+	if n1a, ok := back.Instances[1].Pins.Net("A"); !ok || !ok1 || n1a != n1 {
 		t.Error("connectivity lost in round trip")
 	}
 }

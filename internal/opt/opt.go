@@ -375,9 +375,12 @@ func checkBufferInsertion(d *netlist.Design, opt Options, origNet, newNet, instI
 		return fmt.Errorf("opt: buffer %q input not recorded as sink of net %q", inst.Name, d.Nets[origNet].Name)
 	}
 	for _, s := range d.Nets[newNet].Sinks {
-		if s.Inst >= 0 && d.Instances[s.Inst].Pins[s.Pin] != newNet {
+		if s.Inst < 0 {
+			continue
+		}
+		if ni, ok := d.Instances[s.Inst].Pins.Net(s.Pin); !ok || ni != newNet {
 			return fmt.Errorf("opt: moved sink %+v of net %q still references net %d",
-				s, d.Nets[newNet].Name, d.Instances[s.Inst].Pins[s.Pin])
+				s, d.Nets[newNet].Name, ni)
 		}
 	}
 	// Fanout conservation: original sinks minus the buffer input plus the

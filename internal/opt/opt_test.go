@@ -181,7 +181,7 @@ func TestDebugChecksCatchInverter(t *testing.T) {
 	d.AddPO("o1", "z1")
 	d.AddPO("o2", "z2")
 	d.SetClock("clk")
-	ni := d.Instances[0].Pins["Z"]
+	ni, _ := d.Instances[0].Pins.Net("Z")
 	prev := len(d.Nets[ni].Sinks)
 	moved := []netlist.PinRef{{Inst: 2, Pin: "A"}}
 	// "Repeater" that is actually an inverter: polarity check must fire.

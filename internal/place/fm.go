@@ -78,9 +78,9 @@ func newEngine(p *Placement, widths []float64, noFM bool) *engine {
 	for i := range d.Instances {
 		e.netStart[i] = int32(len(e.nets))
 		row = row[:0]
-		for _, ni := range d.Instances[i].Pins {
-			if ni != d.ClockNet {
-				row = append(row, int32(ni))
+		for _, p := range d.Instances[i].Pins {
+			if p.Net != d.ClockNet {
+				row = append(row, int32(p.Net))
 			}
 		}
 		slices.Sort(row)

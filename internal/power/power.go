@@ -159,7 +159,7 @@ func Analyze(d *netlist.Design, env Env) (*Report, error) {
 		c := env.Lib.MustCell(inst.CellName)
 		rep.Leakage += c.Leakage
 		if c.Seq {
-			qNet, ok := inst.Pins["Q"]
+			qNet, ok := inst.Pins.Net("Q")
 			if !ok {
 				continue
 			}
@@ -175,7 +175,7 @@ func Analyze(d *netlist.Design, env Env) (*Report, error) {
 			continue
 		}
 		for _, out := range c.Outputs {
-			outNet, ok := inst.Pins[out]
+			outNet, ok := inst.Pins.Net(out)
 			if !ok {
 				continue
 			}
@@ -185,7 +185,7 @@ func Analyze(d *netlist.Design, env Env) (*Report, error) {
 			}
 			slew := medianIn(arc)
 			if env.Timing != nil {
-				if inNet, ok := inst.Pins[arc.From]; ok {
+				if inNet, ok := inst.Pins.Net(arc.From); ok {
 					s := env.Timing.Slew[inNet]
 					if s > 0 && !math.IsInf(s, 0) {
 						slew = s
@@ -245,7 +245,7 @@ func Propagate(d *netlist.Design, lib *liberty.Library, a Activities) (prob, act
 		if inst.Func != "DFF" {
 			continue
 		}
-		if q, ok := inst.Pins["Q"]; ok {
+		if q, ok := inst.Pins.Net("Q"); ok {
 			prob[q] = 0.5
 			act[q] = a.SeqOutput
 		}
@@ -263,7 +263,11 @@ func Propagate(d *netlist.Design, lib *liberty.Library, a Activities) (prob, act
 		k := len(def.Inputs)
 		inNets := make([]int, k)
 		for i, pin := range def.Inputs {
-			inNets[i] = inst.Pins[pin]
+			ni, ok := inst.Pins.Net(pin)
+			if !ok {
+				return nil, nil, fmt.Errorf("power: instance %q leaves input %s of %s unbound", inst.Name, pin, inst.CellName)
+			}
+			inNets[i] = ni
 		}
 		// Precompute the truth table once per cell.
 		nv := 1 << uint(k)
@@ -294,7 +298,7 @@ func Propagate(d *netlist.Design, lib *liberty.Library, a Activities) (prob, act
 			pv[v] = p
 		}
 		for oi, out := range def.Outputs {
-			outNet, ok := inst.Pins[out]
+			outNet, ok := inst.Pins.Net(out)
 			if !ok {
 				continue
 			}

@@ -2,6 +2,7 @@ package power
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"tmi3d/internal/circuits"
@@ -201,5 +202,25 @@ func TestByFunctionBreakdown(t *testing.T) {
 	// LDPC is XOR- and DFF-dominated.
 	if rep.ByFunction["XOR2"] <= 0 || rep.ByFunction["DFF"] <= 0 {
 		t.Errorf("expected XOR2 and DFF entries: %v", rep.ByFunction)
+	}
+}
+
+// An instance that leaves one of its cell's inputs unbound is an error naming
+// the instance and the pin, not a silent read of whichever net has index 0
+// (which once gave this NAND2 probability 0.75 from net a counted twice).
+func TestPropagateUnboundInput(t *testing.T) {
+	l := lib(t)
+	d := netlist.New("unbound")
+	d.AddPI("a", "a")
+	d.AddInstance("g", "NAND2", map[string]string{"A": "a", "Z": "z"}, "Z")
+	d.Instances[0].CellName = "NAND2_X1"
+	d.AddPO("o", "z")
+	d.SetClock("clk")
+	prob, _, err := Propagate(d, l, DefaultActivities())
+	if err == nil {
+		t.Fatalf("unbound input B propagated without error: P(z) = %v", prob[d.NetByName("z")])
+	}
+	if msg := err.Error(); !strings.Contains(msg, `"g"`) || !strings.Contains(msg, "input B") {
+		t.Errorf("error %q does not name instance g and pin B", msg)
 	}
 }

@@ -88,7 +88,7 @@ func run(d *netlist.Design, in Vector, state Vector, hold bool) (*Result, error)
 			if inst.Func != "DFF" {
 				continue
 			}
-			if qn, ok := inst.Pins["Q"]; ok {
+			if qn, ok := inst.Pins.Net("Q"); ok {
 				vals[qn], have[qn] = state[inst.Name], true
 			}
 		}
@@ -104,7 +104,14 @@ func run(d *netlist.Design, in Vector, state Vector, hold bool) (*Result, error)
 				if hold {
 					continue // state is held, not propagated
 				}
-				dn, qn := inst.Pins["D"], inst.Pins["Q"]
+				dn, ok := inst.Pins.Net("D")
+				if !ok {
+					return nil, fmt.Errorf("sim: instance %q leaves input D of DFF unbound", inst.Name)
+				}
+				qn, ok := inst.Pins.Net("Q")
+				if !ok {
+					return nil, fmt.Errorf("sim: instance %q leaves output Q of DFF unbound", inst.Name)
+				}
 				if have[dn] && (!have[qn] || vals[qn] != vals[dn]) {
 					vals[qn], have[qn] = vals[dn], true
 					changed = true
@@ -118,8 +125,11 @@ func run(d *netlist.Design, in Vector, state Vector, hold bool) (*Result, error)
 			ready := true
 			args = args[:0]
 			for _, pin := range def.Inputs {
-				ni, ok := inst.Pins[pin]
-				if !ok || !have[ni] {
+				ni, ok := inst.Pins.Net(pin)
+				if !ok {
+					return nil, fmt.Errorf("sim: instance %q leaves input %s of %s unbound", inst.Name, pin, inst.Func)
+				}
+				if !have[ni] {
 					ready = false
 					break
 				}
@@ -130,7 +140,7 @@ func run(d *netlist.Design, in Vector, state Vector, hold bool) (*Result, error)
 			}
 			outs := def.Logic(args)
 			for k, pin := range def.Outputs {
-				ni, ok := inst.Pins[pin]
+				ni, ok := inst.Pins.Net(pin)
 				if !ok {
 					continue
 				}

@@ -2,9 +2,11 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"tmi3d/internal/circuits"
+	"tmi3d/internal/netlist"
 )
 
 // The M256 miniature must multiply through the simulator API.
@@ -78,5 +80,35 @@ func TestRandomVectorsDeterministic(t *testing.T) {
 	}
 	if !diff {
 		t.Error("different seeds should give different vectors")
+	}
+}
+
+// An instance with a template pin unbound is an error naming the instance
+// and the pin: a DFF missing D or Q would copy through whichever net has
+// index 0, and a gate missing an input would leave its output false.
+func TestUnboundPin(t *testing.T) {
+	for _, c := range []struct {
+		fn   string
+		pins map[string]string
+		out  string
+		want string
+	}{
+		{"DFF", map[string]string{"CK": "clk", "Q": "q"}, "Q", "input D of DFF"},
+		{"DFF", map[string]string{"CK": "clk", "D": "a"}, "Q", "output Q of DFF"},
+		{"NAND2", map[string]string{"A": "a", "Z": "z"}, "Z", "input B of NAND2"},
+	} {
+		d := netlist.New("unbound")
+		d.AddPI("a", "a")
+		d.AddInstance("r", c.fn, c.pins, c.out)
+		d.AddPO("o", "a")
+		d.SetClock("clk")
+		_, err := Run(d, Vector{"a": true})
+		if err == nil {
+			t.Errorf("%s without %s simulated without error", c.fn, c.want)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, `"r"`) || !strings.Contains(msg, c.want) {
+			t.Errorf("error %q does not name instance r and %s", msg, c.want)
+		}
 	}
 }

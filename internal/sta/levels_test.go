@@ -17,8 +17,8 @@ import (
 func combDrivers(d *netlist.Design, ii int) []int {
 	inst := &d.Instances[ii]
 	var out []int
-	for _, pin := range inst.SortedPins() {
-		switch pin {
+	for _, p := range inst.Pins {
+		switch p.Name {
 		case "Z", "Q", "CO":
 			continue
 		case "S":
@@ -26,7 +26,7 @@ func combDrivers(d *netlist.Design, ii int) []int {
 				continue
 			}
 		}
-		drv := d.Nets[inst.Pins[pin]].Driver.Inst
+		drv := d.Nets[p.Net].Driver.Inst
 		if drv >= 0 && d.Instances[drv].Func != "DFF" {
 			out = append(out, drv)
 		}

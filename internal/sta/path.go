@@ -65,7 +65,7 @@ func CriticalPath(d *netlist.Design, env Env, res *Result) []PathStep {
 			if arc.To != drv.Pin {
 				continue
 			}
-			inNet, ok := inst.Pins[arc.From]
+			inNet, ok := inst.Pins.Net(arc.From)
 			if !ok || math.IsInf(res.Arrival[inNet], -1) {
 				continue
 			}

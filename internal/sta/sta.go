@@ -190,12 +190,12 @@ func compile(d *netlist.Design, cells []*liberty.Cell) (*graph, error) {
 }
 
 // bindSeq binds a flop's D and Q pins and its launch arc.
-func bindSeq(c *liberty.Cell, pins map[string]int) (seqInst, error) {
+func bindSeq(c *liberty.Cell, pins netlist.Pins) (seqInst, error) {
 	s := seqInst{cell: c, d: -1, q: -1}
-	if ni, ok := pins["D"]; ok {
+	if ni, ok := pins.Net("D"); ok {
 		s.d = int32(ni)
 	}
-	if ni, ok := pins["Q"]; ok {
+	if ni, ok := pins.Net("Q"); ok {
 		s.q = int32(ni)
 		if s.launch = c.Arc(c.Clock, "Q"); s.launch == nil {
 			return s, fmt.Errorf("sta: %s has no %s→Q arc", c.Name, c.Clock)
@@ -206,9 +206,9 @@ func bindSeq(c *liberty.Cell, pins map[string]int) (seqInst, error) {
 
 // appendComb appends a combinational instance's connected outputs and their
 // connected arcs, in Cell.Outputs and Cell.Arcs order.
-func appendComb(outs []outPin, arcs []arcIn, c *liberty.Cell, pins map[string]int) ([]outPin, []arcIn) {
+func appendComb(outs []outPin, arcs []arcIn, c *liberty.Cell, pins netlist.Pins) ([]outPin, []arcIn) {
 	for _, out := range c.Outputs {
-		outNet, ok := pins[out]
+		outNet, ok := pins.Net(out)
 		if !ok {
 			continue
 		}
@@ -218,7 +218,7 @@ func appendComb(outs []outPin, arcs []arcIn, c *liberty.Cell, pins map[string]in
 			if arc.To != out {
 				continue
 			}
-			if inNet, ok := pins[arc.From]; ok {
+			if inNet, ok := pins.Net(arc.From); ok {
 				arcs = append(arcs, arcIn{net: int32(inNet), arc: arc})
 			}
 		}
@@ -728,15 +728,14 @@ func levelize(d *netlist.Design) (start, order []int32, err error) {
 		o, dep := rowStart[ii], rowStart[ii+1]
 		if !isSeq[ii] {
 			inst := &d.Instances[ii]
-			//tmi3dvet:ordered pins are only split into per-instance rows and counted; levels are longest-path depths bucketed in index order, so they do not depend on queue order
-			for pin, ni := range inst.Pins {
-				if isOutputPin(inst.Func, pin) {
-					rows[o] = int32(ni)
+			for _, p := range inst.Pins {
+				if isOutputPin(inst.Func, p.Name) {
+					rows[o] = int32(p.Net)
 					o++
-				} else if drv := d.Nets[ni].Driver; drv.Inst >= 0 && !isSeq[drv.Inst] {
+				} else if drv := d.Nets[p.Net].Driver; drv.Inst >= 0 && !isSeq[drv.Inst] {
 					dep--
-					rows[dep] = int32(ni)
-					netStart[ni+1]++
+					rows[dep] = int32(p.Net)
+					netStart[p.Net+1]++
 				}
 			}
 		}

@@ -63,20 +63,27 @@ func matchesFull(t *testing.T, tm *sta.Timer, d *netlist.Design, env sta.Env) *s
 func TestTimerFlopResize(t *testing.T) {
 	lib, d, env, tm, before := timedFPU(t)
 	// The flops launching and capturing the worst-slack register paths.
+	pin := func(ii int, name string) int {
+		ni, ok := d.Instances[ii].Pins.Net(name)
+		if !ok {
+			t.Fatalf("flop %s has no %s pin", d.Instances[ii].Name, name)
+		}
+		return ni
+	}
 	launch, capture := -1, -1
 	for ii := range d.Instances {
 		if d.Instances[ii].Func != "DFF" {
 			continue
 		}
-		q, dn := d.Instances[ii].Pins["Q"], d.Instances[ii].Pins["D"]
-		if launch < 0 || before.Slack(q) < before.Slack(d.Instances[launch].Pins["Q"]) {
+		q, dn := pin(ii, "Q"), pin(ii, "D")
+		if launch < 0 || before.Slack(q) < before.Slack(pin(launch, "Q")) {
 			launch = ii
 		}
-		if capture < 0 || before.Slack(dn) < before.Slack(d.Instances[capture].Pins["D"]) {
+		if capture < 0 || before.Slack(dn) < before.Slack(pin(capture, "D")) {
 			capture = ii
 		}
 	}
-	if launch < 0 || before.Slack(d.Instances[launch].Pins["Q"]) >= 0 {
+	if launch < 0 || before.Slack(pin(launch, "Q")) >= 0 {
 		t.Fatal("no flop launches a failing path")
 	}
 	flops := []int{launch}

@@ -69,11 +69,11 @@ stage bench-smoke
 
 stage bench-kernels
 # The kernel benchmarks (sta.Analyze, place.Run, route.Run, opt.Close,
-# lint.CheckDesign, equiv.Check, castore Put/Get, the stage artifact codec)
-# run once each, so they keep compiling and running; `make bench-kernels`
-# times them with -benchmem.
+# lint.CheckDesign, equiv.Check, castore Put/Get, netlist Clone, the stage
+# artifact codec) run once each, so they keep compiling and running; `make
+# bench-kernels` times them with -benchmem.
 go test -run '^$' -bench . -benchtime 1x ./internal/sta ./internal/place ./internal/route ./internal/opt \
-    ./internal/lint ./internal/equiv ./internal/castore
+    ./internal/lint ./internal/equiv ./internal/castore ./internal/netlist
 go test -run '^$' -bench BenchmarkArtifactCodec -benchtime 1x ./internal/stage
 
 stage race
