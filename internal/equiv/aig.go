@@ -56,19 +56,29 @@ type AIG struct {
 	// hash is the structural-hashing table: open addressing with linear
 	// probing over AND-node indices, keyed by the node's fanin pair. 0 (the
 	// constant node, never an AND) marks an empty slot. The length is a
-	// power of two, kept at least twice the AND count by doubling.
+	// power of two, sized from the caller's estimate of the AND count and
+	// kept at least twice the AND count by doubling.
 	hash []uint32
 	pis  []uint32 // node indices of primary inputs, in creation order
 }
 
-// hashSlots is the initial structural-hashing table size.
+// hashSlots is the smallest structural-hashing table.
 const hashSlots = 1 << 10
 
 // NewAIG creates an AIG holding only the constant node.
-func NewAIG() *AIG {
+func NewAIG() *AIG { return newAIG(0) }
+
+// newAIG creates an AIG whose hash table holds ands AND nodes before it
+// grows. The size changes no node's number, only how often the table
+// doubles on the way.
+func newAIG(ands int) *AIG {
+	slots := hashSlots
+	for slots < 2*ands {
+		slots *= 2
+	}
 	return &AIG{
 		nodes: []aigNode{{kind: kindConst}},
-		hash:  make([]uint32, hashSlots),
+		hash:  make([]uint32, slots),
 	}
 }
 

@@ -82,7 +82,7 @@ func Check(a, b *netlist.Design, opt Options) (*Report, error) {
 	}
 
 	// Final compile with the agreed correspondence keys.
-	g := NewAIG()
+	g := newAIG(andEstimate(a, b))
 	src := newInputSource(g)
 	keyA := map[int]string{}
 	keyB := map[int]string{}
@@ -271,6 +271,22 @@ func matchByName(a, b *netlist.Design) (pairs []regPair, leftA, leftB []int) {
 	return pairs, leftA, leftB
 }
 
+// andEstimate estimates the AND nodes a miter of a and b compiles to: one
+// per instance pin beyond the first, over the larger design (the two
+// designs of a check mostly hash onto the same nodes). Across the benchmark
+// circuits it is within 0.7x–1.1x of the count, and 4x over on DES.
+func andEstimate(a, b *netlist.Design) int {
+	est := 0
+	for _, d := range []*netlist.Design{a, b} {
+		n := 0
+		for i := range d.Instances {
+			n += len(d.Instances[i].Pins) - 1
+		}
+		est = max(est, n)
+	}
+	return est
+}
+
 // matchBySignature matches leftover registers by iteratively refined
 // fanin-cone signatures: every unmatched register starts in one class,
 // classes seed the random words of their members' Q inputs, and each round
@@ -279,7 +295,7 @@ func matchByName(a, b *netlist.Design) (pairs []regPair, leftA, leftB []int) {
 // become candidate pairs.
 func matchBySignature(a, b *netlist.Design, named []regPair, leftA, leftB []int, opt Options) ([]regPair, error) {
 	// Compile once with unique keys per leftover register.
-	g := NewAIG()
+	g := newAIG(andEstimate(a, b))
 	src := newInputSource(g)
 	keyA := map[int]string{}
 	keyB := map[int]string{}

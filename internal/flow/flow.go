@@ -143,7 +143,7 @@ type Result struct {
 
 	// WLSamples maps fanout → routed net lengths (µm), the raw data of
 	// Fig 6 and the input to wlm.Measured.
-	WLSamples map[int][]float64 `json:"wl_samples,omitempty"`
+	WLSamples FanoutSamples `json:"wl_samples,omitempty"`
 
 	// Design and Placement expose the final implementation for artifact
 	// export (Verilog, DEF, snapshots) and further analysis.

@@ -22,7 +22,7 @@ var offWire = map[string]string{
 	"flow.Result.Design":      "gigabyte-class at scale 1; exported via Verilog/DEF, and Execution.Result reattaches it from the signoff artifact",
 	"flow.Result.Placement":   "rides with Design: reattached from the signoff artifact, exported as DEF",
 	"flow.Result.StageTimes":  "wall-clock observation: on the wire it would break byte identity between a cached response and a fresh run",
-	"netlist.Design.netIndex": "derived index: UnmarshalJSON rebuilds it from Nets",
+	"netlist.Design.netIndex": "derived index: decoding leaves it nil, as Clone does, and AddNet builds it from Nets on first use",
 	"liberty.Library.byBase":  "derived index: DecodeJSON rebuilds it from Cells",
 }
 

@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"tmi3d/internal/jsonwire"
 )
 
 // Severity ranks diagnostics. The flow's invariant gates fail on Error;
@@ -33,6 +35,9 @@ const (
 
 var severityNames = map[Severity]string{Info: "info", Warning: "warning", Error: "error"}
 
+// severityByName inverts severityNames.
+var severityByName = map[string]Severity{"info": Info, "warning": Warning, "error": Error}
+
 func (s Severity) String() string {
 	if n, ok := severityNames[s]; ok {
 		return n
@@ -49,13 +54,12 @@ func (s *Severity) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &name); err != nil {
 		return err
 	}
-	for sev, n := range severityNames {
-		if n == name {
-			*s = sev
-			return nil
-		}
+	sev, ok := severityByName[name]
+	if !ok {
+		return fmt.Errorf("lint: unknown severity %q", name)
 	}
-	return fmt.Errorf("lint: unknown severity %q", name)
+	*s = sev
+	return nil
 }
 
 // Diagnostic is one finding of one rule.
@@ -281,15 +285,83 @@ func (r *Report) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// UnmarshalJSON restores a report written by MarshalJSON.
+// UnmarshalJSON restores a report written by MarshalJSON, replacing r. The
+// canonical bytes MarshalJSON writes decode in one pass (decodeReport); any
+// other spelling decodes through encoding/json into reportJSON, with the
+// same result. The summary counts are derived, so both read and drop them.
 func (r *Report) UnmarshalJSON(b []byte) error {
+	if out, ok := decodeReport(b); ok {
+		*r = *out
+		return nil
+	}
 	var rj reportJSON
 	if err := json.Unmarshal(b, &rj); err != nil {
 		return err
 	}
-	r.Subject = rj.Subject
-	r.Diags = rj.Diagnostics
+	*r = Report{Subject: rj.Subject, Diags: rj.Diagnostics}
 	return nil
+}
+
+// decodeReport reads the canonical bytes of a report in one pass, or reports
+// false. Rule IDs, locations, messages and hints repeat across diagnostics,
+// so each distinct string is made once.
+func decodeReport(b []byte) (*Report, bool) {
+	r := jsonwire.NewReader(b)
+	strs := map[string]string{}
+	str := func() string {
+		b := r.Str()
+		if s, ok := strs[string(b)]; ok {
+			return s
+		}
+		s := string(b)
+		strs[s] = s
+		return s
+	}
+	out := &Report{}
+	r.Delim('{')
+	r.Key("subject")
+	out.Subject = str()
+	r.Delim(',')
+	r.Key("errors")
+	r.Int()
+	r.Delim(',')
+	r.Key("warnings")
+	r.Int()
+	r.Delim(',')
+	r.Key("clean")
+	r.Bool()
+	r.Delim(',')
+	r.Key("diagnostics")
+	if !r.Null() {
+		r.Delim('[')
+		out.Diags = []Diagnostic{}
+		for n := 0; r.More(']', n); n++ {
+			var d Diagnostic
+			r.Delim('{')
+			r.Key("rule")
+			d.Rule = str()
+			r.Delim(',')
+			r.Key("severity")
+			sev, ok := severityByName[string(r.Str())]
+			if !ok {
+				r.Fail()
+			}
+			d.Severity = sev
+			r.Delim(',')
+			r.Key("where")
+			d.Where = str()
+			r.Delim(',')
+			r.Key("message")
+			d.Message = str()
+			if r.Field("hint", 1) {
+				d.Hint = str()
+			}
+			r.Delim('}')
+			out.Diags = append(out.Diags, d)
+		}
+	}
+	r.Delim('}')
+	return out, r.Done()
 }
 
 // WriteJSON renders the report as indented JSON.

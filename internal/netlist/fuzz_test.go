@@ -12,7 +12,8 @@ import (
 // FuzzDesignRoundTrip encodes arbitrary small designs — including the empty
 // design and nets with no sinks, the degenerate shapes a -scale run near zero
 // produces — and requires the decode to re-encode to identical bytes and to
-// rebuild the name index the wire format deliberately omits. One instance per
+// resolve every net name without the index the wire format deliberately
+// omits. One instance per
 // net carries pins named after the fuzzed string, so pin names that need
 // escaping (<, ", \, U+2028) cross the pin codec, whose bytes must also be
 // encoding/json's bytes for the same pins as a map.
@@ -82,8 +83,8 @@ func FuzzDesignRoundTrip(f *testing.F) {
 		if !bytes.Equal(b1, b2) {
 			t.Fatalf("round trip not byte-identical:\n first %s\nsecond %s", b1, b2)
 		}
-		// The decoder must rebuild netIndex: every net resolves by name, and
-		// an unknown name misses — a decoded design behaves like the original.
+		// Every net resolves by name without netIndex, and an unknown name
+		// misses — a decoded design behaves like the original.
 		for i := range back.Nets {
 			if got := back.NetByName(back.Nets[i].Name); got != i {
 				t.Fatalf("decoded NetByName(%q) = %d, want %d", back.Nets[i].Name, got, i)

@@ -1,16 +1,20 @@
 package netlist
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
+
+	"tmi3d/internal/jsonwire"
 )
 
 // JSON codec for Design — the staged engine's netlist artifact format. The
 // exported topology round-trips exactly; the unexported name index is
-// derivable (netIndex[n.Name] = i for every net) and is rebuilt on decode,
-// so a decoded design behaves identically to the original, AddNet dedup
+// derivable (netIndex[n.Name] = i for every net) and stays nil on decode, as
+// on Clone: NetByName scans without it and AddNet builds it on first use, so
+// a decoded design behaves identically to the original, AddNet dedup
 // included. Maps encode with sorted keys under encoding/json, so equal
 // designs encode to identical bytes.
 
@@ -51,29 +55,24 @@ func (p Pins) MarshalJSON() ([]byte, error) {
 // quotes.
 func plainKey(name string) bool {
 	for i := 0; i < len(name); i++ {
-		if !plainByte(name[i]) {
+		if !jsonwire.Plain(name[i]) {
 			return false
 		}
 	}
 	return true
 }
 
-// plainByte reports whether c is printable ASCII that encoding/json writes
-// unescaped in a string (it escapes ", \ and, for HTML, <, > and &).
-func plainByte(c byte) bool {
-	return c >= 0x20 && c <= 0x7e && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
-}
-
 // UnmarshalJSON decodes a pin object. The canonical form MarshalJSON writes
-// is parsed directly; any other valid spelling of the object (keys out of
+// is read directly; any other valid spelling of the object (keys out of
 // order or repeated, escapes, whitespace) decodes as a map[string]int would,
 // then sorts.
 func (p *Pins) UnmarshalJSON(b []byte) error {
-	if string(b) == "null" {
-		*p = nil
-		return nil
-	}
-	if ps, ok := parseCanonicalPins(b); ok {
+	r := jsonwire.NewReader(b)
+	dr := designReader{r: r}
+	if ps, null := dr.pins(nil); r.Done() {
+		if ps == nil && !null {
+			ps = Pins{}
+		}
 		*p = ps
 		return nil
 	}
@@ -88,80 +87,6 @@ func (p *Pins) UnmarshalJSON(b []byte) error {
 	sort.Slice(ps, func(i, j int) bool { return ps[i].Name < ps[j].Name })
 	*p = ps
 	return nil
-}
-
-// parseCanonicalPins parses {"k":n,...} with no whitespace, plain keys in
-// strictly increasing order and integers in shortest form, or reports false.
-// Every name is a substring of one string copy of b, so the pins cost two
-// allocations however many there are.
-func parseCanonicalPins(b []byte) (Pins, bool) {
-	if len(b) < 2 || b[0] != '{' || b[len(b)-1] != '}' {
-		return nil, false
-	}
-	if len(b) == 2 {
-		return Pins{}, true
-	}
-	n := 0
-	for _, c := range b {
-		if c == ':' {
-			n++
-		}
-	}
-	s := string(b)
-	ps := make(Pins, 0, n)
-	i := 1
-	for {
-		if s[i] != '"' {
-			return nil, false
-		}
-		j := i + 1
-		for j < len(s) && plainByte(s[j]) {
-			j++
-		}
-		if j+1 >= len(s) || s[j] != '"' || s[j+1] != ':' {
-			return nil, false
-		}
-		name := s[i+1 : j]
-		if len(ps) > 0 && ps[len(ps)-1].Name >= name {
-			return nil, false
-		}
-		net, k, ok := parseCanonicalInt(s, j+2)
-		if !ok {
-			return nil, false
-		}
-		ps = append(ps, Pin{Name: name, Net: net})
-		switch {
-		case s[k] == ',':
-			i = k + 1
-		case k == len(s)-1: // the closing brace
-			return ps, true
-		default:
-			return nil, false
-		}
-	}
-}
-
-// parseCanonicalInt parses the integer strconv.AppendInt writes at s[i:]
-// and returns it with the index just past it. Leading zeros, a plus sign
-// and anything that might overflow an int32 fall back to the map decoder.
-func parseCanonicalInt(s string, i int) (v, end int, ok bool) {
-	neg := i < len(s) && s[i] == '-'
-	if neg {
-		i++
-	}
-	start := i
-	for i < len(s) && s[i] >= '0' && s[i] <= '9' && i-start < 9 {
-		v = v*10 + int(s[i]-'0')
-		i++
-	}
-	switch {
-	case i == start, i >= len(s), s[i] >= '0' && s[i] <= '9', s[start] == '0' && i-start > 1, neg && v == 0:
-		return 0, 0, false
-	}
-	if neg {
-		v = -v
-	}
-	return v, i, true
 }
 
 // netJSON is the canonical wire form of a Net. Its fields are Net's, so the
@@ -232,29 +157,282 @@ func (d *Design) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// UnmarshalJSON restores a design written by MarshalJSON, rebuilding the
-// net name index.
+// UnmarshalJSON restores a design written by MarshalJSON. The canonical
+// bytes MarshalJSON writes decode in one pass (decodeDesign); any other
+// spelling decodes through encoding/json into designJSON, with the same
+// result. Either way UnmarshalJSON replaces the whole design, and leaves the
+// net-name index nil, as Clone does: AddNet builds it on first use.
 func (d *Design) UnmarshalJSON(b []byte) error {
+	out, ok := decodeDesign(b)
+	if !ok {
+		var err error
+		if out, err = decodeDesignJSON(b); err != nil {
+			return err
+		}
+	}
+	*d = *out
+	return nil
+}
+
+// decodeDesignJSON decodes any spelling of a design through encoding/json.
+func decodeDesignJSON(b []byte) (*Design, error) {
 	var in designJSON
 	if err := json.Unmarshal(b, &in); err != nil {
-		return err
+		return nil, err
 	}
-	d.Name = in.Name
-	d.Instances = in.Instances
-	d.Nets = netsFromWire(in.Nets)
-	d.PIs = in.PIs
-	d.POs = in.POs
+	d := &Design{
+		Name:          in.Name,
+		Instances:     in.Instances,
+		Nets:          netsFromWire(in.Nets),
+		PIs:           in.PIs,
+		POs:           in.POs,
+		ClockNet:      in.ClockNet,
+		TargetClockPs: in.TargetClockPs,
+	}
 	if d.PIs == nil {
 		d.PIs = map[string]int{}
 	}
 	if d.POs == nil {
 		d.POs = map[string]int{}
 	}
-	d.ClockNet = in.ClockNet
-	d.TargetClockPs = in.TargetClockPs
-	d.netIndex = make(map[string]int, len(d.Nets))
-	for i := range d.Nets {
-		d.netIndex[d.Nets[i].Name] = i
+	return d, nil
+}
+
+// designReader reads the canonical bytes of one design. Instance and net
+// names are cut from one string that holds only name bytes, and the other
+// names (pins, functions, cells, ports) are interned, so a decoded design
+// keeps no part of its artifact alive.
+type designReader struct {
+	r *jsonwire.Reader
+	// names holds the instance and net names read so far, back to back;
+	// ends[k] is the end of the k-th.
+	names []byte
+	ends  []int
+	// intern maps each pin, function, cell and port name to its one string;
+	// nil makes every name its own string.
+	intern map[string]string
+}
+
+// name reads an instance or net name into the name arena.
+func (dr *designReader) name() {
+	dr.names = append(dr.names, dr.r.Str()...)
+	dr.ends = append(dr.ends, len(dr.names))
+}
+
+// str reads a pin, function, cell or port name.
+func (dr *designReader) str() string {
+	b := dr.r.Str()
+	if dr.intern == nil || len(b) <= 1 {
+		return string(b) // the runtime allocates no one-byte string
 	}
-	return nil
+	if s, ok := dr.intern[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	dr.intern[s] = s
+	return s
+}
+
+// pins appends the pins of one canonical pin object — plain keys in
+// strictly increasing order — to arena, and reports whether the object was
+// null instead.
+func (dr *designReader) pins(arena []Pin) ([]Pin, bool) {
+	r := dr.r
+	if r.Null() {
+		return arena, true
+	}
+	r.Delim('{')
+	for n := 0; r.More('}', n); n++ {
+		name := dr.str()
+		r.Delim(':')
+		if n > 0 && arena[len(arena)-1].Name >= name {
+			r.Fail()
+		}
+		arena = append(arena, Pin{Name: name, Net: r.Int()})
+	}
+	return arena, false
+}
+
+// pinRef reads one {"Inst":n,"Pin":"p"} object.
+func (dr *designReader) pinRef() PinRef {
+	r := dr.r
+	r.Delim('{')
+	r.Key("Inst")
+	inst := r.Int()
+	r.Delim(',')
+	r.Key("Pin")
+	pin := dr.str()
+	r.Delim('}')
+	return PinRef{Inst: inst, Pin: pin}
+}
+
+// ports reads a port map; null reads as an empty map, as the
+// encoding/json path normalizes it.
+func (dr *designReader) ports() map[string]int {
+	r := dr.r
+	m := map[string]int{}
+	if r.Null() {
+		return m
+	}
+	r.Delim('{')
+	for n := 0; r.More('}', n); n++ {
+		name := dr.str()
+		r.Delim(':')
+		m[name] = r.Int()
+	}
+	return m
+}
+
+// designSizes are the lengths of decodeDesign's slices.
+type designSizes struct{ insts, pins, nets, sinks int }
+
+// estimateSizes counts bytes to size decodeDesign's slices before it reads
+// them. In canonical bytes each instance spells two '{' (itself and its pin
+// object) and five ':' plus one per pin; each net spells two '{' (itself and
+// its driver) plus one per sink, and five ':' plus two per sink. A name that
+// holds '{' or ':' skews the counts, which only size allocations.
+func estimateSizes(b []byte) designSizes {
+	netsAt := bytes.Index(b, []byte(`],"nets":[`))
+	portsAt := bytes.LastIndex(b, []byte(`],"pis":`))
+	if netsAt < 0 || portsAt < netsAt {
+		return designSizes{}
+	}
+	insts, nets := b[:netsAt], b[netsAt:portsAt]
+	var s designSizes
+	s.insts = bytes.Count(insts, []byte{'{'}) / 2            // and the design's own '{'
+	s.pins = bytes.Count(insts, []byte{':'}) - 2 - 5*s.insts // and "name": and "instances":
+	braces := bytes.Count(nets, []byte{'{'})
+	s.nets = bytes.Count(nets, []byte{':'}) - 1 - 2*braces // and "nets":
+	s.sinks = braces - 2*s.nets
+	s.pins, s.nets, s.sinks = max(s.pins, 0), max(s.nets, 0), max(s.sinks, 0)
+	return s
+}
+
+// decodeDesign reads the canonical bytes of a design in one pass, or reports
+// false. Its result equals what the encoding/json path gives for the same
+// bytes: null and empty instance and net lists and pin objects stay
+// distinct, empty sink lists read as nil, null port maps as empty maps.
+func decodeDesign(b []byte) (*Design, bool) {
+	size := estimateSizes(b)
+	dr := designReader{
+		r:      jsonwire.NewReader(b),
+		names:  make([]byte, 0, 8*(size.insts+size.nets)),
+		ends:   make([]int, 0, size.insts+size.nets),
+		intern: map[string]string{},
+	}
+	r := dr.r
+	d := &Design{}
+	r.Delim('{')
+	r.Key("name")
+	d.Name = string(r.Str())
+
+	// Instances: pins go to one arena, cut per instance at the end (the
+	// arena moves as it grows); pinEnds[i] is -1 for a null pin object.
+	r.Delim(',')
+	r.Key("instances")
+	pins := make([]Pin, 0, size.pins)
+	pinEnds := make([]int, 0, size.insts)
+	if !r.Null() {
+		d.Instances = make([]Instance, 0, size.insts)
+		r.Delim('[')
+		for n := 0; r.More(']', n); n++ {
+			var inst Instance
+			r.Delim('{')
+			r.Key("Name")
+			dr.name()
+			r.Delim(',')
+			r.Key("Func")
+			inst.Func = dr.str()
+			r.Delim(',')
+			r.Key("CellName")
+			inst.CellName = dr.str()
+			r.Delim(',')
+			r.Key("Pins")
+			var null bool
+			pins, null = dr.pins(pins)
+			if null {
+				pinEnds = append(pinEnds, -1)
+			} else {
+				pinEnds = append(pinEnds, len(pins))
+			}
+			r.Delim(',')
+			r.Key("IsBuffer")
+			inst.IsBuffer = r.Bool()
+			r.Delim('}')
+			d.Instances = append(d.Instances, inst)
+		}
+	}
+
+	// Nets: sinks go to one arena the same way.
+	r.Delim(',')
+	r.Key("nets")
+	sinks := make([]PinRef, 0, size.sinks)
+	sinkEnds := make([]int, 0, size.nets)
+	if !r.Null() {
+		d.Nets = make([]Net, 0, size.nets)
+		r.Delim('[')
+		for n := 0; r.More(']', n); n++ {
+			var net Net
+			r.Delim('{')
+			r.Key("name")
+			dr.name()
+			r.Delim(',')
+			r.Key("driver")
+			net.Driver = dr.pinRef()
+			r.Delim(',')
+			r.Key("sinks")
+			r.Delim('[')
+			for k := 0; r.More(']', k); k++ {
+				sinks = append(sinks, dr.pinRef())
+			}
+			sinkEnds = append(sinkEnds, len(sinks))
+			r.Delim('}')
+			d.Nets = append(d.Nets, net)
+		}
+	}
+
+	r.Delim(',')
+	r.Key("pis")
+	d.PIs = dr.ports()
+	r.Delim(',')
+	r.Key("pos")
+	d.POs = dr.ports()
+	r.Delim(',')
+	r.Key("clock_net")
+	d.ClockNet = r.Int()
+	r.Delim(',')
+	r.Key("target_clock_ps")
+	d.TargetClockPs = r.Float()
+	r.Delim('}')
+	if !r.Done() {
+		return nil, false
+	}
+
+	names := string(dr.names)
+	k, lo := 0, 0
+	cut := func() string {
+		s := names[lo:dr.ends[k]]
+		lo = dr.ends[k]
+		k++
+		return s
+	}
+	p := 0
+	for i := range d.Instances {
+		inst := &d.Instances[i]
+		inst.Name = cut()
+		if e := pinEnds[i]; e >= 0 {
+			inst.Pins = pins[p:e:e]
+			p = e
+		}
+	}
+	s := 0
+	for i := range d.Nets {
+		net := &d.Nets[i]
+		net.Name = cut()
+		if e := sinkEnds[i]; e > s {
+			net.Sinks = sinks[s:e:e]
+			s = e
+		}
+	}
+	return d, true
 }

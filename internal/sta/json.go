@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+
+	"tmi3d/internal/jsonwire"
 )
 
 // JSON codec for Result. Timing vectors legitimately carry non-finite
@@ -125,10 +127,12 @@ func appendNF(b []byte, x float64) []byte {
 	return b
 }
 
-// UnmarshalJSON restores a vector written by MarshalJSON. encoding/json has
-// validated the whole document before it calls an Unmarshaler, so b is one
-// well-formed JSON value; entries that are neither numbers nor the
-// non-finite strings are rejected, as nfFloat rejects them.
+// UnmarshalJSON restores a vector written by MarshalJSON. Only encoding/json
+// calls it (Result.UnmarshalJSON reads canonical vectors itself and hands any
+// other spelling to json.Unmarshal), and encoding/json has validated the
+// whole document before it calls an Unmarshaler, so b is one well-formed
+// JSON value; entries that are neither numbers nor the non-finite strings
+// are rejected, as nfFloat rejects them.
 func (v *nfVec) UnmarshalJSON(b []byte) error {
 	b = bytes.TrimSpace(b)
 	if string(b) == "null" {
@@ -217,20 +221,105 @@ func (r *Result) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// UnmarshalJSON restores a result written by MarshalJSON.
+// UnmarshalJSON restores a result written by MarshalJSON, replacing r. The
+// canonical bytes MarshalJSON writes decode in one pass (decodeResult); any
+// other spelling decodes through encoding/json into resultJSON, with the
+// same result.
 func (r *Result) UnmarshalJSON(b []byte) error {
+	out, ok := decodeResult(b)
+	if !ok {
+		var err error
+		if out, err = decodeResultJSON(b); err != nil {
+			return err
+		}
+	}
+	*r = *out
+	return nil
+}
+
+// decodeResultJSON decodes any spelling of a result through encoding/json.
+func decodeResultJSON(b []byte) (*Result, error) {
 	var in resultJSON
 	if err := json.Unmarshal(b, &in); err != nil {
-		return err
+		return nil, err
 	}
-	r.Arrival = in.Arrival
-	r.Slew = in.Slew
-	r.Required = in.Required
-	r.Load = in.Load
-	r.WNS = float64(in.WNS)
-	r.TNS = float64(in.TNS)
-	r.HoldWNS = float64(in.HoldWNS)
-	r.CriticalNet = in.CriticalNet
-	r.ClockPs = in.ClockPs
-	return nil
+	return &Result{
+		Arrival:     in.Arrival,
+		Slew:        in.Slew,
+		Required:    in.Required,
+		Load:        in.Load,
+		WNS:         float64(in.WNS),
+		TNS:         float64(in.TNS),
+		HoldWNS:     float64(in.HoldWNS),
+		CriticalNet: in.CriticalNet,
+		ClockPs:     in.ClockPs,
+	}, nil
+}
+
+// decodeResult reads the canonical bytes of a result in one pass, or
+// reports false.
+func decodeResult(b []byte) (*Result, bool) {
+	r := jsonwire.NewReader(b)
+	out := &Result{}
+	r.Delim('{')
+	r.Key("arrival_ps")
+	out.Arrival = readVec(r)
+	r.Delim(',')
+	r.Key("slew_ps")
+	out.Slew = readVec(r)
+	r.Delim(',')
+	r.Key("required_ps")
+	out.Required = readVec(r)
+	r.Delim(',')
+	r.Key("load_ff")
+	out.Load = readVec(r)
+	r.Delim(',')
+	r.Key("wns_ps")
+	out.WNS = readNF(r)
+	r.Delim(',')
+	r.Key("tns_ps")
+	out.TNS = readNF(r)
+	r.Delim(',')
+	r.Key("hold_wns_ps")
+	out.HoldWNS = readNF(r)
+	r.Delim(',')
+	r.Key("critical_net")
+	out.CriticalNet = r.Int()
+	r.Delim(',')
+	r.Key("clock_ps")
+	out.ClockPs = r.Float()
+	r.Delim('}')
+	return out, r.Done()
+}
+
+// readVec reads a canonical timing vector: null reads as nil, [] as an empty
+// non-nil vector.
+func readVec(r *jsonwire.Reader) []float64 {
+	if r.Null() {
+		return nil
+	}
+	r.Delim('[')
+	out := make([]float64, 0, r.FlatLen())
+	for n := 0; r.More(']', n); n++ {
+		out = append(out, readNF(r))
+	}
+	return out
+}
+
+// readNF reads one entry in nfFloat's canonical form: a number, or exactly
+// "+Inf", "-Inf" or "NaN".
+func readNF(r *jsonwire.Reader) float64 {
+	if r.Peek() != '"' {
+		return r.Float()
+	}
+	switch string(r.Str()) {
+	case "+Inf":
+		return math.Inf(1)
+	case "-Inf":
+		return math.Inf(-1)
+	case "NaN":
+		return math.NaN()
+	}
+	r.Fail()
+	return 0
 }

@@ -156,3 +156,49 @@ func BenchmarkArtifactCodec(b *testing.B) {
 		})
 	}
 }
+
+// TestArtifactDecodeAllocs guards the one-pass artifact decoder: decoding
+// the signoff artifact of FPU@0.1 T-MI cuts names from one arena, interns
+// the rest, and sizes its slices from byte counts before it reads them.
+// It allocates 381 times per decode; through encoding/json, before the
+// one-pass decoders, it allocated 19,655 times. The bound is about twice
+// the measured count.
+func TestArtifactDecodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	cfg := testConfig()
+	cfg.Mode = tech.ModeTMI
+	e, err := New("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	n := node(t, "signoff")
+	var data []byte
+	for _, pe := range e.Plan(cfg) {
+		if pe.Name != "signoff" {
+			continue
+		}
+		e.mu.Lock()
+		v, ok := e.memGet(pe.ID)
+		e.mu.Unlock()
+		if !ok {
+			t.Fatal("signoff artifact missing from the memory tier")
+		}
+		if data, err = n.Encode(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := testing.AllocsPerRun(3, func() {
+		if _, err := n.Decode(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("signoff artifact decode, %d bytes: %.0f allocs/run", len(data), got)
+	if got > 800 {
+		t.Fatalf("signoff artifact decode made %.0f allocations, want at most 800", got)
+	}
+}

@@ -100,7 +100,9 @@ stage staged-identity
 # The staged flow engine's contract: byte-identical to the monolithic flow at
 # any cache state. Run a 3-point clock sweep monolithically, then staged with
 # a cold artifact store, then staged again fully warm (the second pass
-# executes no stage bodies at all), and diff report + Verilog + DEF per point.
+# executes no stage bodies at all), then one new clock point over the warm
+# store (its upstream stages decode from disk), and diff report + Verilog +
+# DEF per point.
 go build -o "$pdir/tmi3d" ./cmd/tmi3d
 for clk in 0 2000 2400; do
     "$pdir/tmi3d" -circuit FPU -scale 0.1 -mode tmi -clock "$clk" -byfunc \
@@ -118,6 +120,28 @@ for pass in cold warm; do
             fi
         done
     done
+done
+# A new clock point over the warm store is a partial hit: a new process
+# decodes wlm, synth and place from disk and runs the stages after them.
+"$pdir/tmi3d" stages -circuit FPU -scale 0.1 -mode tmi -clock 2200 \
+    -stagecache "$pdir/stagecache" >"$pdir/plan2200.txt"
+for node in wlm synth place; do
+    if ! grep -Eq "^$node +disk " "$pdir/plan2200.txt"; then
+        echo "staged (partial, clock 2200): $node is not a disk hit" >&2
+        cat "$pdir/plan2200.txt" >&2
+        exit 1
+    fi
+done
+"$pdir/tmi3d" -circuit FPU -scale 0.1 -mode tmi -clock 2200 -byfunc \
+    -dump "$pdir/mono2200" >"$pdir/mono2200.txt" 2>/dev/null
+"$pdir/tmi3d" -circuit FPU -scale 0.1 -mode tmi -clock 2200 -byfunc \
+    -stagecache "$pdir/stagecache" \
+    -dump "$pdir/partial2200" >"$pdir/partial2200.txt" 2>/dev/null
+for f in txt v def; do
+    if ! diff -u "$pdir/mono2200.$f" "$pdir/partial2200.$f"; then
+        echo "staged (partial, clock 2200) .$f output differs from monolithic" >&2
+        exit 1
+    fi
 done
 
 stage equiv-smoke
