@@ -54,8 +54,9 @@ bench-trace:
 
 # The hot kernels, with allocations: one sta.Analyze, place.Run,
 # lint.CheckDesign, equiv.Check and netlist Clone per op on the fixed
-# FPU@0.15 design, one route.Run and one pre-route opt.Close per op on the
-# fixed LDPC@1.0 T-MI placement, and one castore Put and Get of the FPU@0.1
+# FPU@0.15 design, one place.Run of LDPC@1.0 T-MI and one route.Run and one
+# pre-route opt.Close per op on its fixed placement, and one castore Put and
+# Get of the FPU@0.1
 # report payload; then the stage artifact codec, encode and decode per cached
 # node on FPU@0.1 (by name: `-bench .` would also run the sweep benchmark).
 bench-kernels:

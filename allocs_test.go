@@ -159,7 +159,7 @@ func TestPlaceRunAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// 2604 allocs/run; per-region maps and pin slices made 272772.
+	// ~790 allocs/run; per-region maps and pin slices made 272772.
 	const bound = 5200
 	t.Logf("place.Run, FPU %d instances: %.0f allocs/run", len(s.Instances), got)
 	if got > bound {

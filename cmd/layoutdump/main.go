@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"tmi3d/internal/circuits"
+	"tmi3d/internal/geom"
 	"tmi3d/internal/liberty"
 	"tmi3d/internal/place"
 	"tmi3d/internal/route"
@@ -78,27 +79,43 @@ func main() {
 	}
 	writeHeat(*out+"_place.ppm", density, px, py)
 
-	// Congestion from wirelength per gcell, projected onto the same grid.
-	cong := make([]float64, px*py)
-	for ni, nr := range rt.Routes {
-		if nr.Len == 0 {
-			continue
-		}
-		// Smear each net's length over its bounding box.
-		hp := pl.NetHPWL(ni)
-		_ = hp
-		pt := pl.PinPoint(sr.Design.Nets[ni].Driver)
-		x := int(pt.X / pl.Die.W() * float64(px-1))
-		y := int(pt.Y / pl.Die.H() * float64(py-1))
-		if x >= 0 && x < px && y >= 0 && y < py {
-			cong[y*px+x] += nr.Len
-		}
-	}
-	writeHeat(*out+"_congestion.ppm", cong, px, py)
+	writeHeat(*out+"_congestion.ppm", congestion(pl, rt, px, py), px, py)
 
 	fmt.Println("\nplacement density:")
 	ascii(density, px, py)
 	log.Printf("wrote %s_place.ppm and %s_congestion.ppm", *out, *out)
+}
+
+// congestion projects routed wirelength onto a w×h grid over the die: each
+// net's length is spread evenly over the grid cells of its pins' bounding
+// box, so the grid sums to the total routed length.
+func congestion(pl *place.Placement, rt *route.Result, w, h int) []float64 {
+	grid := make([]float64, w*h)
+	cellOf := func(pt geom.Point) (int, int) {
+		x := int((pt.X - pl.Die.Lo.X) / pl.Die.W() * float64(w-1))
+		y := int((pt.Y - pl.Die.Lo.Y) / pl.Die.H() * float64(h-1))
+		return min(max(x, 0), w-1), min(max(y, 0), h-1)
+	}
+	for ni, nr := range rt.Routes {
+		if nr.Len == 0 {
+			continue
+		}
+		net := &pl.Design.Nets[ni]
+		x0, y0 := cellOf(pl.PinPoint(net.Driver))
+		x1, y1 := x0, y0
+		for _, s := range net.Sinks {
+			x, y := cellOf(pl.PinPoint(s))
+			x0, x1 = min(x0, x), max(x1, x)
+			y0, y1 = min(y0, y), max(y1, y)
+		}
+		share := nr.Len / float64((x1-x0+1)*(y1-y0+1))
+		for y := y0; y <= y1; y++ {
+			for x := x0; x <= x1; x++ {
+				grid[y*w+x] += share
+			}
+		}
+	}
+	return grid
 }
 
 // writeHeat dumps a scalar field as a colored PPM.

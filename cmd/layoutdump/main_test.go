@@ -1,11 +1,20 @@
 package main
 
 import (
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"tmi3d/internal/circuits"
+	"tmi3d/internal/liberty"
+	"tmi3d/internal/place"
+	"tmi3d/internal/route"
+	"tmi3d/internal/synth"
+	"tmi3d/internal/tech"
+	"tmi3d/internal/wlm"
 )
 
 // layoutdump renders FPU in both modes, writing both heat maps, and refuses
@@ -46,5 +55,58 @@ func TestLayoutDumpSmoke(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "typo_place.ppm")); err == nil {
 		t.Error("layoutdump -mode tml wrote a layout")
+	}
+}
+
+// The congestion map spreads each net over its pins' bounding box: the grid
+// sums to the total routed length, and a net spanning several grid cells
+// lands in more than one.
+func TestCongestionSpreadsOverBoundingBox(t *testing.T) {
+	lib, err := liberty.Default(tech.N45, tech.Mode2D)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := circuits.Generate("FPU", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := synth.Run(d, synth.Options{Lib: lib, WLM: wlm.BuildForMode(tech.N45, tech.Mode2D, 30000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tt := tech.New(tech.N45, tech.Mode2D)
+	pl, err := place.Run(sr.Design, place.Options{Lib: lib, Tech: tt, TargetUtil: 0.8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := route.Run(pl, route.Options{Tech: tt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const w, h = 64, 48
+	sum := 0.0
+	for _, v := range congestion(pl, rt, w, h) {
+		sum += v
+	}
+	if math.Abs(sum-rt.TotalLen) > 1e-9*rt.TotalLen {
+		t.Errorf("congestion grid sums to %v µm, routed length is %v µm", sum, rt.TotalLen)
+	}
+	// The longest-spanning routed net alone.
+	widest := -1
+	for ni, nr := range rt.Routes {
+		if nr.Len > 0 && (widest < 0 || pl.NetHPWL(ni) > pl.NetHPWL(widest)) {
+			widest = ni
+		}
+	}
+	one := &route.Result{Routes: make([]route.NetRoute, len(rt.Routes))}
+	one.Routes[widest] = rt.Routes[widest]
+	cells := 0
+	for _, v := range congestion(pl, one, w, h) {
+		if v > 0 {
+			cells++
+		}
+	}
+	if cells < 2 {
+		t.Errorf("net %d (HPWL %.0f µm on a %.0f µm die) lands in %d grid cell(s), want its bounding box", widest, pl.NetHPWL(widest), pl.Die.W(), cells)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"tmi3d/internal/geom"
+	"tmi3d/internal/netlist"
 )
 
 // engine drives the recursive bisection. Its FM scratch is owned here and
@@ -21,6 +22,12 @@ type engine struct {
 	// one entry per pin (duplicates kept).
 	netStart []int32
 	nets     []int32
+	// netPinStart/netPins hold each net's pins, driver first, as compressed
+	// rows: an instance index, or ^k for a port at ports[k]. Ports with no
+	// position are left out.
+	netPinStart []int32
+	netPins     []int32
+	ports       []geom.Point
 	// side is the current bipartition side of each instance (true = B).
 	side []bool
 	// instStamp[i] == epoch marks instance i inside the region being
@@ -30,49 +37,37 @@ type engine struct {
 	instStamp []int32
 	netStamp  []int32
 	netLocal  []int32
-	// Region buffers, resliced per region and sized for the root region
-	// (every instance, every net): the collected global net ids, their pin
-	// states, and the flat backing of the FM core's cell→net and net→cell
-	// lists with the net rows' offsets.
-	netList  []int32
-	states   []netState
-	cellBuf  []int32
-	pinBuf   []int32
-	pinStart []int32
-	core     fmCore
+	// netList holds the region's global net ids, resliced per region and
+	// sized for the root region; core is the FM core loaded per region.
+	netList []int32
+	core    fmCore
 	// scratch holds one side of a region while bisect splits it in place.
 	scratch []int32
-}
-
-// netState counts a net's pins inside the region per side and records
-// whether it has an external anchor on either side.
-type netState struct {
-	cntA, cntB int
-	ancA, ancB bool
 }
 
 // newEngine builds the instance→nets rows once and sizes the FM scratch.
 func newEngine(p *Placement, widths []float64, noFM bool) *engine {
 	d := p.Design
 	n, m := len(d.Instances), len(d.Nets)
-	pins := 0
+	pins, netPins := 0, 0
 	for i := range d.Instances {
 		pins += len(d.Instances[i].Pins)
 	}
+	for ni := range d.Nets {
+		netPins += 1 + len(d.Nets[ni].Sinks)
+	}
 	e := &engine{
 		p: p, widths: widths, noFM: noFM,
-		netStart:  make([]int32, n+1),
-		nets:      make([]int32, 0, pins),
-		side:      make([]bool, n),
-		instStamp: make([]int32, n),
-		netStamp:  make([]int32, m),
-		netLocal:  make([]int32, m),
-		netList:   make([]int32, 0, m),
-		states:    make([]netState, m),
-		cellBuf:   make([]int32, 0, pins),
-		pinBuf:    make([]int32, pins),
-		pinStart:  make([]int32, m+1),
-		scratch:   make([]int32, n),
+		netStart:    make([]int32, n+1),
+		nets:        make([]int32, 0, pins),
+		netPinStart: make([]int32, m+1),
+		netPins:     make([]int32, 0, netPins),
+		side:        make([]bool, n),
+		instStamp:   make([]int32, n),
+		netStamp:    make([]int32, m),
+		netLocal:    make([]int32, m),
+		netList:     make([]int32, 0, m),
+		scratch:     make([]int32, n),
 	}
 	var row []int32
 	for i := range d.Instances {
@@ -87,6 +82,30 @@ func newEngine(p *Placement, widths []float64, noFM bool) *engine {
 		e.nets = append(e.nets, row...)
 	}
 	e.netStart[n] = int32(len(e.nets))
+	// Size the FM core for the root region: every instance and pin.
+	e.core = fmCore{
+		nets:     make([]fmNet, 0, m),
+		pins:     make([]int32, 0, len(e.nets)),
+		cells:    make([]fmCell, 0, n),
+		netStart: make([]int32, 0, n+1),
+		cellNets: make([]int32, 0, len(e.nets)),
+	}
+	pin := func(ref netlist.PinRef) {
+		if ref.Inst >= 0 {
+			e.netPins = append(e.netPins, int32(ref.Inst))
+		} else if pt, ok := p.Ports[ref.Pin]; ok {
+			e.netPins = append(e.netPins, ^int32(len(e.ports)))
+			e.ports = append(e.ports, pt)
+		}
+	}
+	for ni := range d.Nets {
+		e.netPinStart[ni] = int32(len(e.netPins))
+		pin(d.Nets[ni].Driver)
+		for _, s := range d.Nets[ni].Sinks {
+			pin(s)
+		}
+	}
+	e.netPinStart[m] = int32(len(e.netPins))
 	return e
 }
 
@@ -167,137 +186,72 @@ func (e *engine) bisect(insts []int32, region geom.Rect, vertical bool) {
 	e.bisect(bset, rb, !vertical)
 }
 
-// fmRefine improves the region's initial bipartition (e.side) with a
-// bounded Fiduccia–Mattheyses pass using anchor-aware cut gains.
+// fmRefine improves the region's initial bipartition (e.side) with at most
+// three Fiduccia–Mattheyses passes using anchor-aware cut gains.
 func (e *engine) fmRefine(insts []int32, region geom.Rect, vertical bool, totalArea float64) {
-	d := e.p.Design
+	e.core.refine(0.42*totalArea, 0.58*totalArea, func() { e.loadRegion(insts, region, vertical) })
+	for k, i := range insts {
+		e.side[i] = e.core.cells[k].side
+	}
+}
+
+// loadRegion loads the FM core with the region's cells (local id k is
+// insts[k]), their sides in e.side, and the nets touching them, anchored on
+// the side of the cut line where each pin outside the region sits.
+func (e *engine) loadRegion(insts []int32, region geom.Rect, vertical bool) {
 	e.epoch++
 	epoch := e.epoch
 	for _, i := range insts {
 		e.instStamp[i] = epoch
 	}
-	cutPos := region.Center().Y
-	if vertical {
-		cutPos = region.Center().X
-	}
-	sideOf := func(pt geom.Point) bool {
-		if vertical {
-			return pt.X >= cutPos
-		}
-		return pt.Y >= cutPos
-	}
-
-	// Collect the nets touching the region, numbered in first-touch order
-	// (instances ascending, each instance's nets ascending).
+	// Number the nets touching the region in first-touch order (instances
+	// ascending, each instance's nets ascending) while filling the cells'
+	// rows of local net ids.
+	core := &e.core
+	core.reset(len(insts))
 	e.netList = e.netList[:0]
-	for _, i := range insts {
+	for k, i := range insts {
+		core.netStart[k] = int32(len(core.cellNets))
 		for _, ni := range e.netsOf(i) {
 			if e.netStamp[ni] != epoch {
 				e.netStamp[ni] = epoch
 				e.netLocal[ni] = int32(len(e.netList))
 				e.netList = append(e.netList, ni)
+				core.nets = append(core.nets, fmNet{})
 			}
+			core.cellNets = append(core.cellNets, e.netLocal[ni])
 		}
+		core.cells[k] = fmCell{area: e.widths[i], side: e.side[i]}
 	}
-	netList := e.netList
-	states := e.states[:len(netList)]
-	for pk := range netList {
-		st := &states[pk]
-		*st = netState{}
-		visit := func(inst int) {
-			if inst < 0 {
-				return
-			}
-			if e.instStamp[inst] == epoch {
-				if e.side[inst] {
-					st.cntB++
-				} else {
-					st.cntA++
+	core.netStart[len(insts)] = int32(len(core.cellNets))
+	// Anchor each net on the sides of the cut line where its pins outside
+	// the region sit; a net's anchors are settled once it has both.
+	cut, coord := region.Center().Y, e.p.Y
+	if vertical {
+		cut, coord = region.Center().X, e.p.X
+	}
+	for li, ni := range e.netList {
+		anc := &core.nets[li].anc
+		for _, v := range e.netPins[e.netPinStart[ni]:e.netPinStart[ni+1]] {
+			var x float64
+			switch {
+			case v < 0:
+				x = e.ports[^v].Y
+				if vertical {
+					x = e.ports[^v].X
 				}
-			} else {
-				if sideOf(geom.Point{X: e.p.X[inst], Y: e.p.Y[inst]}) {
-					st.ancB = true
-				} else {
-					st.ancA = true
-				}
+			case e.instStamp[v] == epoch:
+				continue
+			default:
+				x = coord[v]
+			}
+			anc[boolIdx(x >= cut)] = true
+			if anc[0] && anc[1] {
+				break
 			}
 		}
-		net := &d.Nets[netList[pk]]
-		if net.Driver.Inst >= 0 {
-			visit(net.Driver.Inst)
-		} else if pt, ok := e.p.Ports[net.Driver.Pin]; ok {
-			if sideOf(pt) {
-				st.ancB = true
-			} else {
-				st.ancA = true
-			}
-		}
-		for _, s := range net.Sinks {
-			if s.Inst >= 0 {
-				visit(s.Inst)
-			} else if pt, ok := e.p.Ports[s.Pin]; ok {
-				if sideOf(pt) {
-					st.ancB = true
-				} else {
-					st.ancA = true
-				}
-			}
-		}
-
 	}
-
-	// Build the FM core over local ids: each cell's local nets and each
-	// net's local cells are sub-slices of two flat buffers, filled in cell
-	// order. Then run bucket-based passes with best-prefix rollback.
-	core := &e.core
-	core.reset(len(insts), len(netList))
-	for li := range netList {
-		st := &states[li]
-		core.nets[li] = fmNet{
-			cnt: [2]int{st.cntA, st.cntB},
-			anc: [2]bool{st.ancA, st.ancB},
-		}
-	}
-	cellBuf := e.cellBuf[:0]
-	pinStart := e.pinStart[:len(netList)+1]
-	clear(pinStart)
-	for k, i := range insts {
-		lo := len(cellBuf)
-		for _, ni := range e.netsOf(i) {
-			li := e.netLocal[ni]
-			cellBuf = append(cellBuf, li)
-			pinStart[li+1]++
-		}
-		core.cells[k] = cellBuf[lo:]
-		core.side[k] = e.side[i]
-		core.area[k] = e.widths[i]
-		if !e.side[i] {
-			core.areaA += e.widths[i]
-		}
-		core.totArea += e.widths[i]
-	}
-	for li := 1; li < len(pinStart); li++ {
-		pinStart[li] += pinStart[li-1]
-	}
-	// Each net's pin list starts empty with exactly its row's capacity, so
-	// the appends below fill pinBuf in place, in cell order.
-	for li := range core.nets {
-		core.nets[li].pins = e.pinBuf[pinStart[li]:pinStart[li]:pinStart[li+1]]
-	}
-	for k := range insts {
-		for _, li := range core.cells[k] {
-			core.nets[li].pins = append(core.nets[li].pins, int32(k))
-		}
-	}
-	lo, hi := 0.42*totalArea, 0.58*totalArea
-	for pass := 0; pass < 3; pass++ {
-		if core.runPass(lo, hi) <= 0 {
-			break
-		}
-	}
-	for k, i := range insts {
-		e.side[i] = core.side[k]
-	}
+	core.link()
 }
 
 // placeLeaf spreads a handful of cells, in index order, across the leaf
