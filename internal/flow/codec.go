@@ -3,6 +3,8 @@ package flow
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strconv"
 
 	"tmi3d/internal/jsonwire"
 )
@@ -34,6 +36,43 @@ func DecodeResult(data []byte) (*Result, error) {
 // FanoutSamples maps a fanout to the routed lengths of its nets (µm). It is
 // a plain map with a one-pass decoder for the bytes encoding/json writes.
 type FanoutSamples map[int][]float64
+
+// AppendJSON appends the bytes encoding/json writes for the samples in one
+// pass: keys in the order of their decimal spellings, as encoding/json sorts
+// map keys. A non-finite length, which encoding/json refuses, marks w failed
+// instead.
+func (s FanoutSamples) AppendJSON(w *jsonwire.Writer) {
+	if s == nil {
+		w.Null()
+		return
+	}
+	keys := make([]string, 0, len(s))
+	for fanout := range s {
+		keys = append(keys, strconv.Itoa(fanout))
+	}
+	slices.Sort(keys)
+	w.Byte('{')
+	for i, k := range keys {
+		if i > 0 {
+			w.Byte(',')
+		}
+		fanout, _ := strconv.Atoi(k)
+		w.Byte('"')
+		w.Raw(k)
+		w.Raw(`":`)
+		w.Floats(s[fanout])
+	}
+	w.Byte('}')
+}
+
+// WireSize estimates the bytes AppendJSON writes for s.
+func (s FanoutSamples) WireSize() int {
+	n := 0
+	for _, lengths := range s {
+		n += 8 + 16*len(lengths)
+	}
+	return n
+}
 
 // UnmarshalJSON decodes the samples, replacing s. The canonical object
 // encoding/json writes — keys as shortest-form integers in quotes, values

@@ -1,11 +1,13 @@
-// Package jsonwire reads the canonical JSON the stage artifact encoders
-// write: compact (no whitespace), keys in a fixed order, strings of plain
-// printable ASCII and numbers as encoding/json formats them. A Reader is a
-// cursor over such bytes with strict primitives; it guesses nothing, and the
-// first byte that does not match what a primitive expects marks the reader
-// failed. Every later call is then a no-op, so a decoder reads a whole value
-// and checks OK (or Done) once. A failed read means "not canonical", never
-// "invalid": callers fall back to encoding/json, which decides.
+// Package jsonwire reads and writes the canonical JSON of the stage
+// artifacts: compact (no whitespace), keys in a fixed order, strings and
+// numbers as encoding/json formats them. A Writer (writer.go) appends those
+// bytes to one buffer. A Reader is a cursor over them with strict
+// primitives; it guesses nothing, and the first byte that does not match
+// what a primitive expects marks the reader failed. Every later call is then
+// a no-op, so a decoder reads a whole value and checks OK (or Done) once. A
+// failed read means "not canonical", never "invalid": callers fall back to
+// encoding/json, which decides. The reader's strings are the plain
+// printable-ASCII ones; any other string is left to encoding/json.
 package jsonwire
 
 import (
@@ -288,7 +290,7 @@ func (r *Reader) Str() []byte {
 	}
 	start := r.i + 1
 	i := start
-	for i < len(r.b) && Plain(r.b[i]) {
+	for i < len(r.b) && plain(r.b[i]) {
 		i++
 	}
 	if i >= len(r.b) || r.b[i] != '"' {
@@ -299,9 +301,9 @@ func (r *Reader) Str() []byte {
 	return r.b[start:i]
 }
 
-// Plain reports whether encoding/json writes c unescaped in a string: c is
+// plain reports whether encoding/json writes c unescaped in a string: c is
 // printable ASCII and not '"', '\\' or, for HTML, '<', '>' or '&'.
-func Plain(c byte) bool {
+func plain(c byte) bool {
 	return c >= 0x20 && c <= 0x7e && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
 }
 

@@ -285,6 +285,43 @@ func (r *Report) MarshalJSON() ([]byte, error) {
 	})
 }
 
+// AppendJSON appends the bytes MarshalJSON writes for r in one pass,
+// strings HTML-escaped as json.Marshal escapes them.
+func (r *Report) AppendJSON(w *jsonwire.Writer) {
+	w.Raw(`{"subject":`)
+	w.String(r.Subject, true)
+	w.Raw(`,"errors":`)
+	w.Int(r.Errors())
+	w.Raw(`,"warnings":`)
+	w.Int(r.Warnings())
+	w.Raw(`,"clean":`)
+	w.Bool(r.Clean())
+	w.Raw(`,"diagnostics":[`)
+	for i := range r.Diags {
+		d := &r.Diags[i]
+		if i > 0 {
+			w.Byte(',')
+		}
+		w.Raw(`{"rule":`)
+		w.String(d.Rule, true)
+		w.Raw(`,"severity":`)
+		w.String(d.Severity.String(), true)
+		w.Raw(`,"where":`)
+		w.String(d.Where, true)
+		w.Raw(`,"message":`)
+		w.String(d.Message, true)
+		if d.Hint != "" {
+			w.Raw(`,"hint":`)
+			w.String(d.Hint, true)
+		}
+		w.Byte('}')
+	}
+	w.Raw(`]}`)
+}
+
+// WireSize estimates the bytes AppendJSON writes for r.
+func (r *Report) WireSize() int { return 96 + 192*len(r.Diags) }
+
 // UnmarshalJSON restores a report written by MarshalJSON, replacing r. The
 // canonical bytes MarshalJSON writes decode in one pass (decodeReport); any
 // other spelling decodes through encoding/json into reportJSON, with the

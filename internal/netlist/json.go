@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"strconv"
 
 	"tmi3d/internal/jsonwire"
 )
@@ -22,44 +21,14 @@ import (
 // to under encoding/json: keys in sorted order, escaped as encoding/json
 // escapes strings (HTML characters included), and nil as null.
 func (p Pins) MarshalJSON() ([]byte, error) {
-	if p == nil {
-		return []byte("null"), nil
-	}
-	b := make([]byte, 0, 2+8*len(p))
-	b = append(b, '{')
-	for i, q := range p {
-		if i > 0 {
-			if p[i-1].Name >= q.Name {
-				return nil, fmt.Errorf("netlist: pins %q and %q out of order", p[i-1].Name, q.Name)
-			}
-			b = append(b, ',')
-		}
-		if plainKey(q.Name) {
-			b = append(b, '"')
-			b = append(b, q.Name...)
-			b = append(b, '"')
-		} else {
-			k, err := json.Marshal(q.Name)
-			if err != nil {
-				return nil, err
-			}
-			b = append(b, k...)
-		}
-		b = append(b, ':')
-		b = strconv.AppendInt(b, int64(q.Net), 10)
-	}
-	return append(b, '}'), nil
-}
-
-// plainKey reports whether encoding/json writes name as its bytes between
-// quotes.
-func plainKey(name string) bool {
-	for i := 0; i < len(name); i++ {
-		if !jsonwire.Plain(name[i]) {
-			return false
+	for i := 1; i < len(p); i++ {
+		if p[i-1].Name >= p[i].Name {
+			return nil, fmt.Errorf("netlist: pins %q and %q out of order", p[i-1].Name, p[i].Name)
 		}
 	}
-	return true
+	w := jsonwire.NewWriter(make([]byte, 0, 2+8*len(p)))
+	p.appendJSON(w)
+	return w.Bytes(), nil
 }
 
 // UnmarshalJSON decodes a pin object. The canonical form MarshalJSON writes
@@ -155,6 +124,132 @@ func (d *Design) MarshalJSON() ([]byte, error) {
 		ClockNet:      d.ClockNet,
 		TargetClockPs: d.TargetClockPs,
 	})
+}
+
+// AppendJSON appends the bytes MarshalJSON writes for d to w in one pass,
+// strings HTML-escaped as json.Marshal escapes them. Where MarshalJSON
+// would fail — pins out of order, a non-finite TargetClockPs — it marks w
+// failed instead, and the caller encodes d through MarshalJSON, which
+// returns the error.
+func (d *Design) AppendJSON(w *jsonwire.Writer) {
+	if d == nil {
+		w.Null()
+		return
+	}
+	w.Raw(`{"name":`)
+	w.String(d.Name, true)
+	w.Raw(`,"instances":`)
+	if d.Instances == nil {
+		w.Null()
+	} else {
+		w.Byte('[')
+		for i := range d.Instances {
+			if i > 0 {
+				w.Byte(',')
+			}
+			inst := &d.Instances[i]
+			w.Raw(`{"Name":`)
+			w.String(inst.Name, true)
+			w.Raw(`,"Func":`)
+			w.String(inst.Func, true)
+			w.Raw(`,"CellName":`)
+			w.String(inst.CellName, true)
+			w.Raw(`,"Pins":`)
+			inst.Pins.appendJSON(w)
+			w.Raw(`,"IsBuffer":`)
+			w.Bool(inst.IsBuffer)
+			w.Byte('}')
+		}
+		w.Byte(']')
+	}
+	w.Raw(`,"nets":`)
+	if d.Nets == nil {
+		w.Null()
+	} else {
+		w.Byte('[')
+		for i := range d.Nets {
+			if i > 0 {
+				w.Byte(',')
+			}
+			net := &d.Nets[i]
+			w.Raw(`{"name":`)
+			w.String(net.Name, true)
+			w.Raw(`,"driver":`)
+			appendPinRef(w, net.Driver)
+			w.Raw(`,"sinks":[`)
+			for k, s := range net.Sinks {
+				if k > 0 {
+					w.Byte(',')
+				}
+				appendPinRef(w, s)
+			}
+			w.Raw(`]}`)
+		}
+		w.Byte(']')
+	}
+	w.Raw(`,"pis":`)
+	appendPorts(w, d.PIs)
+	w.Raw(`,"pos":`)
+	appendPorts(w, d.POs)
+	w.Raw(`,"clock_net":`)
+	w.Int(d.ClockNet)
+	w.Raw(`,"target_clock_ps":`)
+	w.Float(d.TargetClockPs)
+	w.Byte('}')
+}
+
+// WireSize estimates the bytes AppendJSON writes for d, slightly over for a
+// typical design, so a writer sized from it seldom grows.
+func (d *Design) WireSize() int { return 116*len(d.Instances) + 112*len(d.Nets) }
+
+// appendJSON appends the bytes MarshalJSON writes for p, or marks w failed
+// where MarshalJSON fails.
+func (p Pins) appendJSON(w *jsonwire.Writer) {
+	if p == nil {
+		w.Null()
+		return
+	}
+	w.Byte('{')
+	for i, q := range p {
+		if i > 0 {
+			if p[i-1].Name >= q.Name {
+				w.Fail()
+			}
+			w.Byte(',')
+		}
+		w.String(q.Name, true)
+		w.Byte(':')
+		w.Int(q.Net)
+	}
+	w.Byte('}')
+}
+
+// appendPinRef appends one {"Inst":n,"Pin":"p"} object.
+func appendPinRef(w *jsonwire.Writer, r PinRef) {
+	w.Raw(`{"Inst":`)
+	w.Int(r.Inst)
+	w.Raw(`,"Pin":`)
+	w.String(r.Pin, true)
+	w.Byte('}')
+}
+
+// appendPorts appends a port map as json.Marshal writes a map[string]int:
+// keys sorted, nil as null.
+func appendPorts(w *jsonwire.Writer, m map[string]int) {
+	if m == nil {
+		w.Null()
+		return
+	}
+	w.Byte('{')
+	for i, name := range sortedKeys(m) {
+		if i > 0 {
+			w.Byte(',')
+		}
+		w.String(name, true)
+		w.Byte(':')
+		w.Int(m[name])
+	}
+	w.Byte('}')
 }
 
 // UnmarshalJSON restores a design written by MarshalJSON. The canonical

@@ -163,7 +163,7 @@ func TestPinsEncodeAsMap(t *testing.T) {
 		{},
 		{"A", "B", "Z"},
 		{"CK", "D", "Q", "QN"},
-		{"<", ">", "&", `"`, `\`, "\u2028", "\u2029", "\x01", "\x7f", "é", "a b", ""},
+		{"<", ">", "&", `"`, `\`, "\u2028", "\u2029", "\x01", "\x7f", "é", "a b", "", "\xff", "\xe2\x80"},
 	} {
 		var pins Pins
 		var m map[string]int

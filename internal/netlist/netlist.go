@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"maps"
 	"sort"
+	"strconv"
 )
 
 // PinRef identifies one pin of one instance.
@@ -433,39 +434,50 @@ func (d *Design) SortedPOs() []string { return sortedKeys(d.POs) }
 
 // InsertBuffer splits a net: a new buffering instance of function fn (bound
 // to cellName) is driven by the net, and the listed sink pins move onto the
-// buffer's output net. It returns the new net and instance indices.
+// buffer's output net. It returns the new net and instance indices. The new
+// net is always appended, even if a net of its name exists; the net-name
+// index, when one is built, then names the new net, as NetByName's scan
+// without an index does.
 func (d *Design) InsertBuffer(net int, moved []PinRef, fn, cellName string) (newNet, instIdx int) {
-	name := fmt.Sprintf("optbuf_%d", len(d.Instances))
-	newNet = d.AddNet(name + "_z")
-	instIdx = len(d.Instances)
-	inst := Instance{
+	name := "optbuf_" + strconv.Itoa(len(d.Instances))
+	newNet, instIdx = len(d.Nets), len(d.Instances)
+	d.Nets = append(d.Nets, Net{Name: name + "_z", Driver: PinRef{Inst: instIdx, Pin: "Z"}})
+	if d.netIndex != nil {
+		d.netIndex[name+"_z"] = newNet
+	}
+	d.Instances = append(d.Instances, Instance{
 		Name: name, Func: fn, CellName: cellName, IsBuffer: true,
 		Pins: Pins{{Name: "A", Net: net}, {Name: "Z", Net: newNet}},
-	}
-	d.Instances = append(d.Instances, inst)
-	d.Nets[newNet].Driver = PinRef{Inst: instIdx, Pin: "Z"}
+	})
 
-	movedSet := make(map[PinRef]bool, len(moved))
-	for _, m := range moved {
-		movedSet[m] = true
-	}
 	var keep []PinRef
 	for _, s := range d.Nets[net].Sinks {
-		if movedSet[s] {
-			d.Nets[newNet].Sinks = append(d.Nets[newNet].Sinks, s)
-			if s.Inst >= 0 {
-				d.Instances[s.Inst].Pins.Set(s.Pin, newNet)
-			} else {
-				// A primary output moved onto the buffered net.
-				d.POs[s.Pin] = newNet
-			}
-		} else {
+		if !containsRef(moved, s) {
 			keep = append(keep, s)
+			continue
+		}
+		d.Nets[newNet].Sinks = append(d.Nets[newNet].Sinks, s)
+		if s.Inst >= 0 {
+			d.Instances[s.Inst].Pins.Set(s.Pin, newNet)
+		} else {
+			// A primary output moved onto the buffered net.
+			d.POs[s.Pin] = newNet
 		}
 	}
 	keep = append(keep, PinRef{Inst: instIdx, Pin: "A"})
 	d.Nets[net].Sinks = keep
 	return newNet, instIdx
+}
+
+// containsRef reports whether refs holds r. Move lists are a fanout group
+// long, so a scan that compares instance indices first beats hashing.
+func containsRef(refs []PinRef, r PinRef) bool {
+	for _, x := range refs {
+		if x.Inst == r.Inst && x.Pin == r.Pin {
+			return true
+		}
+	}
+	return false
 }
 
 // RemoveInstance deletes an instance, disconnecting every pin from its net

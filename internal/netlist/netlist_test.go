@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -108,6 +109,37 @@ func TestInsertBufferMovesPO(t *testing.T) {
 	}
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// InsertBuffer always appends its output net, even over a net of the same
+// name: it once returned the existing net as the "new" one and rewired it.
+// The name index stays nil on a clone (no index built for one lookup) and,
+// when built, names the new net, as NetByName's scan would.
+func TestInsertBufferAppendsItsNet(t *testing.T) {
+	for _, indexed := range []bool{false, true} {
+		d := sample().Clone()
+		clash := "optbuf_" + strconv.Itoa(len(d.Instances)) + "_z"
+		if indexed {
+			d.AddNet(clash)
+		} else {
+			d.Nets = append(d.Nets, Net{Name: clash, Driver: PinRef{Inst: -2}})
+		}
+		old := len(d.Nets) - 1
+		n1 := d.NetByName("n1")
+		newNet, _ := d.InsertBuffer(n1, append([]PinRef(nil), d.Nets[n1].Sinks...), "BUF", "BUF_X1")
+		if newNet != old+1 || len(d.Nets) != old+2 {
+			t.Fatalf("indexed %v: new net %d of %d nets, want %d of %d", indexed, newNet, len(d.Nets), old+1, old+2)
+		}
+		if d.Nets[old].Driver.Inst != -2 || len(d.Nets[old].Sinks) != 0 {
+			t.Errorf("indexed %v: the existing net %q was rewired", indexed, clash)
+		}
+		if (d.netIndex != nil) != indexed {
+			t.Errorf("indexed %v: InsertBuffer left the index %v", indexed, d.netIndex != nil)
+		}
+		if got := d.NetByName(clash); got != newNet {
+			t.Errorf("indexed %v: NetByName(%q) = %d, want the new net %d", indexed, clash, got, newNet)
+		}
 	}
 }
 

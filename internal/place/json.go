@@ -2,6 +2,7 @@ package place
 
 import (
 	"encoding/json"
+	"sort"
 
 	"tmi3d/internal/geom"
 	"tmi3d/internal/jsonwire"
@@ -37,6 +38,60 @@ func (s *Snapshot) UnmarshalJSON(b []byte) error {
 	}
 	*s = out
 	return nil
+}
+
+// AppendJSON appends the bytes encoding/json writes for s with HTML escaping
+// off, as the artifact envelopes encode it, in one pass: port names in
+// sorted order. A non-finite coordinate, which encoding/json refuses, marks
+// w failed instead.
+func (s *Snapshot) AppendJSON(w *jsonwire.Writer) {
+	w.Raw(`{"die":{"Lo":`)
+	appendPoint(w, s.Die.Lo)
+	w.Raw(`,"Hi":`)
+	appendPoint(w, s.Die.Hi)
+	w.Raw(`},"row_h":`)
+	w.Float(s.RowH)
+	w.Raw(`,"site_w":`)
+	w.Float(s.SiteW)
+	w.Raw(`,"x":`)
+	w.Floats(s.X)
+	w.Raw(`,"y":`)
+	w.Floats(s.Y)
+	w.Raw(`,"ports":`)
+	if s.Ports == nil {
+		w.Null()
+	} else {
+		names := make([]string, 0, len(s.Ports))
+		for name := range s.Ports {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		w.Byte('{')
+		for i, name := range names {
+			if i > 0 {
+				w.Byte(',')
+			}
+			w.String(name, false)
+			w.Byte(':')
+			appendPoint(w, s.Ports[name])
+		}
+		w.Byte('}')
+	}
+	w.Raw(`,"util":`)
+	w.Float(s.Util)
+	w.Byte('}')
+}
+
+// WireSize estimates the bytes AppendJSON writes for s.
+func (s *Snapshot) WireSize() int { return 128 + 12*(len(s.X)+len(s.Y)) + 48*len(s.Ports) }
+
+// appendPoint appends one {"X":x,"Y":y} object.
+func appendPoint(w *jsonwire.Writer, p geom.Point) {
+	w.Raw(`{"X":`)
+	w.Float(p.X)
+	w.Raw(`,"Y":`)
+	w.Float(p.Y)
+	w.Byte('}')
 }
 
 // snapshotJSON is Snapshot without its methods: encoding/json decodes it

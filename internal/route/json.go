@@ -25,6 +25,51 @@ func (r *Result) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
+// AppendJSON appends the bytes encoding/json writes for r in one pass. A
+// non-finite length, which encoding/json refuses, marks w failed instead.
+func (r *Result) AppendJSON(w *jsonwire.Writer) {
+	w.Raw(`{"Routes":`)
+	if r.Routes == nil {
+		w.Null()
+	} else {
+		w.Byte('[')
+		for i := range r.Routes {
+			if i > 0 {
+				w.Byte(',')
+			}
+			nr := &r.Routes[i]
+			w.Raw(`{"Len":`)
+			w.Float(nr.Len)
+			w.Raw(`,"LenByClass":`)
+			w.Floats(nr.LenByClass[:])
+			w.Raw(`,"Vias":`)
+			w.Int(nr.Vias)
+			w.Raw(`,"Class":`)
+			w.Int(int(nr.Class))
+			w.Byte('}')
+		}
+		w.Byte(']')
+	}
+	w.Raw(`,"TotalLen":`)
+	w.Float(r.TotalLen)
+	w.Raw(`,"LenByClass":`)
+	w.Floats(r.LenByClass[:])
+	w.Raw(`,"Overflow":`)
+	w.Int(r.Overflow)
+	w.Raw(`,"MaxCongestion":`)
+	w.Float(r.MaxCongestion)
+	w.Raw(`,"GX":`)
+	w.Int(r.GX)
+	w.Raw(`,"GY":`)
+	w.Int(r.GY)
+	w.Raw(`,"Pitch":`)
+	w.Float(r.Pitch)
+	w.Byte('}')
+}
+
+// WireSize estimates the bytes AppendJSON writes for r.
+func (r *Result) WireSize() int { return 256 + 88*len(r.Routes) }
+
 // resultJSON is Result without its methods: encoding/json decodes it
 // field by field.
 type resultJSON Result

@@ -87,44 +87,41 @@ func (f *nfFloat) UnmarshalJSON(b []byte) error {
 type nfVec []float64
 
 func (v nfVec) MarshalJSON() ([]byte, error) {
-	if v == nil {
-		return []byte("null"), nil
-	}
-	b := make([]byte, 0, 2+8*len(v))
-	b = append(b, '[')
-	for i, x := range v {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendNF(b, x)
-	}
-	return append(b, ']'), nil
+	w := jsonwire.NewWriter(make([]byte, 0, 2+8*len(v)))
+	writeVec(w, v)
+	return w.Bytes(), nil
 }
 
-// appendNF appends one vector entry in nfFloat's wire form.
-func appendNF(b []byte, x float64) []byte {
+// writeVec writes a timing vector: null for nil.
+func writeVec(w *jsonwire.Writer, v []float64) {
+	if v == nil {
+		w.Null()
+		return
+	}
+	w.Byte('[')
+	for i, x := range v {
+		if i > 0 {
+			w.Byte(',')
+		}
+		writeNF(w, x)
+	}
+	w.Byte(']')
+}
+
+// writeNF writes one value in nfFloat's wire form: a finite value as
+// encoding/json writes a float64, a non-finite one as "+Inf", "-Inf" or
+// "NaN".
+func writeNF(w *jsonwire.Writer, x float64) {
 	switch {
 	case math.IsNaN(x):
-		return append(b, `"NaN"`...)
+		w.Raw(`"NaN"`)
 	case math.IsInf(x, 1):
-		return append(b, `"+Inf"`...)
+		w.Raw(`"+Inf"`)
 	case math.IsInf(x, -1):
-		return append(b, `"-Inf"`...)
+		w.Raw(`"-Inf"`)
+	default:
+		w.Float(x)
 	}
-	// encoding/json's float64 format: shortest 'f', or 'e' outside
-	// [1e-6, 1e21), with a two-digit negative exponent shortened (e-09 → e-9).
-	format := byte('f')
-	if abs := math.Abs(x); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, x, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
 }
 
 // UnmarshalJSON restores a vector written by MarshalJSON. Only encoding/json
@@ -219,6 +216,35 @@ func (r *Result) MarshalJSON() ([]byte, error) {
 		CriticalNet: r.CriticalNet,
 		ClockPs:     r.ClockPs,
 	})
+}
+
+// AppendJSON appends the bytes MarshalJSON writes for r in one pass. A
+// non-finite ClockPs, which MarshalJSON refuses, marks w failed instead.
+func (r *Result) AppendJSON(w *jsonwire.Writer) {
+	w.Raw(`{"arrival_ps":`)
+	writeVec(w, r.Arrival)
+	w.Raw(`,"slew_ps":`)
+	writeVec(w, r.Slew)
+	w.Raw(`,"required_ps":`)
+	writeVec(w, r.Required)
+	w.Raw(`,"load_ff":`)
+	writeVec(w, r.Load)
+	w.Raw(`,"wns_ps":`)
+	writeNF(w, r.WNS)
+	w.Raw(`,"tns_ps":`)
+	writeNF(w, r.TNS)
+	w.Raw(`,"hold_wns_ps":`)
+	writeNF(w, r.HoldWNS)
+	w.Raw(`,"critical_net":`)
+	w.Int(r.CriticalNet)
+	w.Raw(`,"clock_ps":`)
+	w.Float(r.ClockPs)
+	w.Byte('}')
+}
+
+// WireSize estimates the bytes AppendJSON writes for r.
+func (r *Result) WireSize() int {
+	return 256 + 19*(len(r.Arrival)+len(r.Slew)+len(r.Required)+len(r.Load))
 }
 
 // UnmarshalJSON restores a result written by MarshalJSON, replacing r. The

@@ -11,6 +11,7 @@ package sta
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"tmi3d/internal/liberty"
 	"tmi3d/internal/netlist"
@@ -635,12 +636,11 @@ func (t *Timer) Analyze() (*Result, error) {
 	return res, nil
 }
 
-// resize returns buf with length n, reallocating only when it is too small.
+// resize returns buf with length n, reallocating only when it is too small,
+// and then with append's headroom: a timer's scratch grows by one buffer
+// net at a time, and an exact fit would reallocate on every Analyze.
 func resize(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
+	return slices.Grow(buf[:0], n)[:n]
 }
 
 // Diff reports the first field in which r and o differ, comparing every

@@ -330,3 +330,23 @@ func TestUnconnectedInputPinSkipped(t *testing.T) {
 		t.Errorf("required at a = %v, want %v", res.Required[a], want)
 	}
 }
+
+// A timer's scratch grows one buffer net at a time; resize reallocates with
+// headroom, so growing to n nets reallocates O(log n) times, not n.
+func TestResizeGrowsWithHeadroom(t *testing.T) {
+	var buf []float64
+	grows := 0
+	for n := 1; n <= 10000; n++ {
+		next := resize(buf, n)
+		if len(next) != n {
+			t.Fatalf("resize to %d gives length %d", n, len(next))
+		}
+		if cap(next) != cap(buf) {
+			grows++
+		}
+		buf = next
+	}
+	if grows > 40 {
+		t.Fatalf("growing to 10000 one at a time reallocated %d times", grows)
+	}
+}

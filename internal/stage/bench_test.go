@@ -157,16 +157,10 @@ func BenchmarkArtifactCodec(b *testing.B) {
 	}
 }
 
-// TestArtifactDecodeAllocs guards the one-pass artifact decoder: decoding
-// the signoff artifact of FPU@0.1 T-MI cuts names from one arena, interns
-// the rest, and sizes its slices from byte counts before it reads them.
-// It allocates 381 times per decode; through encoding/json, before the
-// one-pass decoders, it allocated 19,655 times. The bound is about twice
-// the measured count.
-func TestArtifactDecodeAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
-	}
+// signoffArtifact runs FPU@0.1 T-MI and returns the signoff node, its
+// artifact value and the value's stored bytes.
+func signoffArtifact(t *testing.T) (*flow.Node, any, []byte) {
+	t.Helper()
 	cfg := testConfig()
 	cfg.Mode = tech.ModeTMI
 	e, err := New("")
@@ -177,7 +171,6 @@ func TestArtifactDecodeAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := node(t, "signoff")
-	var data []byte
 	for _, pe := range e.Plan(cfg) {
 		if pe.Name != "signoff" {
 			continue
@@ -188,10 +181,27 @@ func TestArtifactDecodeAllocs(t *testing.T) {
 		if !ok {
 			t.Fatal("signoff artifact missing from the memory tier")
 		}
-		if data, err = n.Encode(v); err != nil {
+		data, err := n.Encode(v)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return n, v, data
 	}
+	t.Fatal("no signoff node in the plan")
+	return nil, nil, nil
+}
+
+// TestArtifactDecodeAllocs guards the one-pass artifact decoder: decoding
+// the signoff artifact of FPU@0.1 T-MI cuts names from one arena, interns
+// the rest, and sizes its slices from byte counts before it reads them.
+// It allocates 381 times per decode; through encoding/json, before the
+// one-pass decoders, it allocated 19,655 times. The bound is about twice
+// the measured count.
+func TestArtifactDecodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	n, _, data := signoffArtifact(t)
 	got := testing.AllocsPerRun(3, func() {
 		if _, err := n.Decode(data); err != nil {
 			t.Fatal(err)
@@ -200,5 +210,27 @@ func TestArtifactDecodeAllocs(t *testing.T) {
 	t.Logf("signoff artifact decode, %d bytes: %.0f allocs/run", len(data), got)
 	if got > 800 {
 		t.Fatalf("signoff artifact decode made %.0f allocations, want at most 800", got)
+	}
+}
+
+// TestArtifactEncodeAllocs guards the one-pass artifact encoder: encoding
+// the signoff artifact of FPU@0.1 T-MI writes every bulky field through its
+// appender into one buffer sized once. It allocates 14 times per encode
+// (the buffer, port and map key lists, and the small fields' encoding/json
+// encoder); through encoding/json alone it allocated 3,701 times. The bound
+// is about twice the measured count.
+func TestArtifactEncodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	n, v, data := signoffArtifact(t)
+	got := testing.AllocsPerRun(3, func() {
+		if _, err := n.Encode(v); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("signoff artifact encode, %d bytes: %.0f allocs/run", len(data), got)
+	if got > 30 {
+		t.Fatalf("signoff artifact encode made %.0f allocations, want at most 30", got)
 	}
 }

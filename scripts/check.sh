@@ -4,8 +4,8 @@
 #
 # The gates run fail-fast in cost order: formatting and stock static analysis
 # first, then the custom tmi3dvet determinism/wire-format analyzers, then the
-# benchmark module's smoke test and the kernel benchmarks, then the
-# race-detector test suite, then the end-to-end smokes (parallel determinism,
+# benchmark module's smoke test, the kernel benchmarks and the codec
+# fuzzers, then the race-detector test suite, then the end-to-end smokes (parallel determinism,
 # staged identity, formal equivalence, serving). Each gate opens with a named banner so a CI
 # log identifies the failing stage at a glance, closes with its wall time,
 # and a passing run ends with one timing line per stage.
@@ -75,6 +75,18 @@ stage bench-kernels
 go test -run '^$' -bench . -benchtime 1x ./internal/sta ./internal/place ./internal/route ./internal/opt \
     ./internal/lint ./internal/equiv ./internal/castore ./internal/netlist
 go test -run '^$' -bench BenchmarkArtifactCodec -benchtime 1x ./internal/stage
+
+stage codec-fuzz
+# The one-pass artifact encoder against encoding/json, beyond the seed
+# corpora the race stage runs: each encode-oracle fuzz target gets 10 s of
+# new inputs (escaped and invalid-UTF-8 names, non-finite floats, nil and
+# empty lists, pins out of order). A failing input lands in the package's
+# testdata/fuzz, where `go test` replays it from then on.
+for target in jsonwire:FuzzWriterString jsonwire:FuzzWriterFloat netlist:FuzzDesignEncode \
+    sta:FuzzResultEncode route:FuzzResultEncode place:FuzzSnapshotEncode lint:FuzzReportEncode \
+    flow:FuzzSamplesEncode flow:FuzzArtifactEncode; do
+    go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 10s "./internal/${target%%:*}"
+done
 
 stage race
 go test -race ./...
