@@ -168,8 +168,7 @@ type appender interface {
 var appenderType = reflect.TypeFor[appender]()
 
 // encodeFields writes the canonical bytes of the struct v points to in one
-// pass, or reports false, as it does for an envelope with no appender
-// field (wlm, power). It walks the fields as encoding/json does — in
+// pass, or reports false. It walks the fields as encoding/json does — in
 // declaration order, omitempty fields left out when empty — and writes each
 // value with its AppendJSON where it has one (a nil pointer as null), a list
 // of such values ([]*lint.Report) element by element, and any other value
@@ -185,26 +184,7 @@ func encodeFields(v any) ([]byte, bool) {
 		return nil, false
 	}
 	rv = rv.Elem()
-	size, appenders := 1024, 0
-	for _, f := range fields {
-		fv := rv.Field(f.index)
-		if f.codec != fieldJSON {
-			appenders++
-		}
-		if f.codec == fieldList {
-			for i := 0; i < fv.Len(); i++ {
-				if a, ok := fieldAppenderOf(fv.Index(i), fieldPointer); ok {
-					size += a.WireSize()
-				}
-			}
-		} else if a, ok := fieldAppenderOf(fv, f.codec); ok {
-			size += a.WireSize()
-		}
-	}
-	if appenders == 0 {
-		return nil, false // one encoding/json pass over the whole is quicker
-	}
-	w := jsonwire.NewWriter(make([]byte, 0, size))
+	w := jsonwire.NewWriter(make([]byte, 0, wireSize(rv, fields)))
 	var other fieldEncoder
 	w.Byte('{')
 	n := 0
@@ -248,6 +228,28 @@ func encodeFields(v any) ([]byte, bool) {
 	}
 	w.Raw("}\n")
 	return w.Bytes(), w.OK()
+}
+
+// wireSize estimates the bytes encodeFields writes for the envelope rv:
+// the appenders' WireSize and 1 kB for the small fields. Sizing the buffer
+// once matters: grown by append from 1 kB instead, an FPU@0.1 signoff
+// encode allocates 5.2 MB instead of 1.0 MB and runs 30% slower (synth and
+// opt 40%). TestEncodeMatchesJSON holds the estimate to real artifacts.
+func wireSize(rv reflect.Value, fields []wireField) int {
+	size := 1024
+	for _, f := range fields {
+		fv := rv.Field(f.index)
+		if f.codec == fieldList {
+			for i := 0; i < fv.Len(); i++ {
+				if a, ok := fieldAppenderOf(fv.Index(i), fieldPointer); ok {
+					size += a.WireSize()
+				}
+			}
+		} else if a, ok := fieldAppenderOf(fv, f.codec); ok {
+			size += a.WireSize()
+		}
+	}
+	return size
 }
 
 // fieldAppenderOf returns the appender of a fieldAppender or fieldPointer

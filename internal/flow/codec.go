@@ -69,7 +69,7 @@ func (s FanoutSamples) AppendJSON(w *jsonwire.Writer) {
 func (s FanoutSamples) WireSize() int {
 	n := 0
 	for _, lengths := range s {
-		n += 8 + 16*len(lengths)
+		n += 8 + 19*len(lengths)
 	}
 	return n
 }

@@ -81,10 +81,11 @@ var encodeRuns = sync.OnceValues(func() (map[string][]value, error) {
 	return out, nil
 })
 
-// Every artifact and result of real runs with an appender field encodes in
-// one pass to exactly encoding/json's bytes, and the others through
-// encoding/json whole. Without the fast-path check a one-pass encoder that
-// always fell back would pass.
+// Every artifact and result of real runs encodes in one pass to exactly
+// encoding/json's bytes, into a buffer its wire size estimate sized. Without
+// the fast-path check a one-pass encoder that always fell back would pass;
+// without the size check a wire format that outgrew its WireSize constants
+// would only slow the encoder down.
 func TestEncodeMatchesJSON(t *testing.T) {
 	runs, err := encodeRuns()
 	if err != nil {
@@ -93,23 +94,18 @@ func TestEncodeMatchesJSON(t *testing.T) {
 	for _, run := range sortedKeys(runs) {
 		for _, a := range runs[run] {
 			what := run + " " + a.node.Name
-			if fast, want := sameEncode(t, what, a.v), hasAppender(a.v); fast != want {
-				t.Errorf("%s: one pass %v, want %v", what, fast, want)
+			if !sameEncode(t, what, a.v) {
+				t.Errorf("%s: not encoded in one pass", what)
+				continue
+			}
+			rv := reflect.ValueOf(a.v).Elem()
+			fields, _ := wireFields(rv.Type())
+			got, _ := encodeFields(a.v)
+			if est := wireSize(rv, fields); len(got) > est || est > 2*len(got)+1024 {
+				t.Errorf("%s: estimated %d bytes for %d", what, est, len(got))
 			}
 		}
 	}
-}
-
-// hasAppender reports whether the envelope v points to has a field the
-// one-pass encoder writes through an appender.
-func hasAppender(v any) bool {
-	fields, _ := wireFields(reflect.TypeOf(v).Elem())
-	for _, f := range fields {
-		if f.codec != fieldJSON {
-			return true
-		}
-	}
-	return false
 }
 
 // Every envelope field whose type has an AppendJSON is planned onto it: a

@@ -16,20 +16,6 @@ import (
 type Writer struct {
 	b   []byte
 	bad bool
-	// seen remembers where recent non-integer floats were written, so a
-	// repeat is copied instead of formatted again: placement rows, route
-	// lengths and timing requirements repeat often. It is direct-mapped
-	// by the float's bits; a newer value evicts an older one.
-	seen *[1 << seenBits]seenFloat
-}
-
-const seenBits = 8
-
-// seenFloat says that b[lo:lo+n] spells the float64 whose bits are bits; n
-// is 0 in an empty slot.
-type seenFloat struct {
-	bits  uint64
-	lo, n int
 }
 
 // NewWriter returns a writer that appends to b.
@@ -94,17 +80,7 @@ func (w *Writer) appendFloat(b []byte, f float64) []byte {
 	case isSmallInt(f):
 		b = strconv.AppendInt(b, int64(f), 10)
 	default:
-		if w.seen == nil {
-			w.seen = new([1 << seenBits]seenFloat)
-		}
-		bits := math.Float64bits(f)
-		e := &w.seen[(bits*0x9e3779b97f4a7c15)>>(64-seenBits)]
-		if e.n > 0 && e.bits == bits {
-			return append(b, b[e.lo:e.lo+e.n]...)
-		}
-		lo := len(b)
 		b = appendFraction(b, f)
-		*e = seenFloat{bits: bits, lo: lo, n: len(b) - lo}
 	}
 	return b
 }
@@ -119,15 +95,6 @@ func isSmallInt(f float64) bool {
 // appendFraction appends a finite f that is not a small integer as Float
 // does.
 func appendFraction(b []byte, f float64) []byte {
-	// A decimal of at most three fraction digits, such as most placement
-	// coordinates, is its own shortest form below 1e12: k/1000 rounds to f,
-	// and any other decimal that rounds to f lies within an ulp (at most
-	// 2^-13 there) of it, so it has more fraction digits, and so more digits.
-	if abs := math.Abs(f); abs >= 1e-3 && abs < 1e12 {
-		if k := math.Round(f * 1000); k/1000 == f {
-			return appendMilli(b, int64(k))
-		}
-	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -140,23 +107,6 @@ func appendFraction(b []byte, f float64) []byte {
 		}
 	}
 	return b
-}
-
-// appendMilli appends k/1000 for a k that is not a multiple of 1000, with
-// no trailing zero.
-func appendMilli(b []byte, k int64) []byte {
-	if k < 0 {
-		b = append(b, '-')
-		k = -k
-	}
-	b = strconv.AppendInt(b, k/1000, 10)
-	frac := k % 1000
-	digits := [4]byte{'.', byte('0' + frac/100), byte('0' + frac/10%10), byte('0' + frac%10)}
-	n := len(digits)
-	for digits[n-1] == '0' {
-		n--
-	}
-	return append(b, digits[:n]...)
 }
 
 // String appends s as encoding/json writes a string: with escapeHTML, as

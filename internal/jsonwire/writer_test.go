@@ -72,7 +72,7 @@ func FuzzWriterFloat(f *testing.F) {
 		if err == nil && !bytes.Equal(w.Bytes(), want) {
 			t.Fatalf("%v: writes %s, encoding/json %s", x, w.Bytes(), want)
 		}
-		// A repeat, after an integer between, is copied from the first.
+		// In a list, and again after it, it writes the same.
 		w = NewWriter(nil)
 		w.Floats([]float64{x, 1, x})
 		w.Float(x)
@@ -110,55 +110,5 @@ func TestWriterPrimitives(t *testing.T) {
 	w.Fail()
 	if w.OK() {
 		t.Fatal("Fail left the writer OK")
-	}
-}
-
-// Decimals of up to three fraction digits, which Float writes without
-// strconv, and their neighbours an ulp away, which it must not, write as
-// encoding/json writes them: a sweep of small ones, and ones near the 1e12
-// and 1e-3 edges.
-func TestWriterFloatDecimals(t *testing.T) {
-	var ks []int64
-	for k := int64(-60000); k <= 60000; k++ {
-		ks = append(ks, k)
-	}
-	for k := int64(-3000); k <= 3000; k++ {
-		ks = append(ks, 999999999999000+k, -999999999999000-k, 1e12*1000/1024+k)
-	}
-	var fs []float64
-	for _, k := range ks {
-		f := float64(k) / 1000
-		fs = append(fs, f, math.Nextafter(f, math.Inf(1)), math.Nextafter(f, math.Inf(-1)))
-	}
-	w := NewWriter(nil)
-	w.Floats(fs)
-	want, err := json.Marshal(fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := w.Bytes(); !bytes.Equal(got, want) {
-		i := 0
-		for i < len(got) && i < len(want) && got[i] == want[i] {
-			i++
-		}
-		t.Fatalf("writes %.40q at byte %d, encoding/json %.40q", got[max(i-20, 0):], i, want[max(i-20, 0):])
-	}
-}
-
-// Repeats, near and far, of more distinct values than the writer remembers
-// (so its slots are evicted and reused), write as encoding/json writes them.
-func TestWriterFloatRepeats(t *testing.T) {
-	var fs []float64
-	for i := 0; i < 20000; i++ {
-		k := (i * 7919) % 700
-		fs = append(fs, float64(k)*1.1+0.05, float64(k%3))
-	}
-	w := NewWriter(nil)
-	w.Floats(fs)
-	w.Floats(fs[:100])
-	a, _ := json.Marshal(fs)
-	b, _ := json.Marshal(fs[:100])
-	if want := append(a, b...); !bytes.Equal(w.Bytes(), want) {
-		t.Fatal("repeated floats write differently from encoding/json")
 	}
 }
