@@ -15,7 +15,13 @@ import (
 // serving layer stores on disk, caches in its LRU, and serves to clients,
 // and the stored bytes of the report node's artifact.
 func EncodeResult(r *Result) ([]byte, error) {
-	return encodeCanonical(r, "result")
+	b, err := encodeCanonical(r, "result")
+	if err != nil {
+		return nil, err
+	}
+	// The LRU keeps the payload: keep none of the slack the buffer's size
+	// estimate left (up to a fifth of an FPU result, ~4 MB over a full LRU).
+	return slices.Clone(b), nil
 }
 
 // DecodeResult parses a payload written by EncodeResult. The returned result
