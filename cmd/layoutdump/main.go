@@ -1,7 +1,8 @@
-// Command layoutdump renders a placed-and-routed benchmark as images: cell
-// placement density and routing congestion heat maps — the Fig 3 / Fig 8
-// snapshots of the paper. Output is PPM (viewable anywhere) plus an ASCII
-// thumbnail on stdout.
+// Command layoutdump renders a benchmark's flow implementation as images:
+// cell placement density and routing congestion heat maps — the Fig 3 /
+// Fig 8 snapshots of the paper. It runs the flow (flow.Run) and takes the
+// route from the flow's sign-off (flow.Analyze). Output is PPM (viewable
+// anywhere) plus an ASCII thumbnail on stdout.
 //
 // Usage:
 //
@@ -16,14 +17,11 @@ import (
 	"os"
 	"strings"
 
-	"tmi3d/internal/circuits"
+	"tmi3d/internal/flow"
 	"tmi3d/internal/geom"
-	"tmi3d/internal/liberty"
 	"tmi3d/internal/place"
 	"tmi3d/internal/route"
-	"tmi3d/internal/synth"
 	"tmi3d/internal/tech"
-	"tmi3d/internal/wlm"
 )
 
 func main() {
@@ -38,29 +36,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	lib, err := liberty.Default(tech.N45, mode)
+	pl, a, err := implement(flow.Config{Circuit: *circuit, Scale: *scale, Node: tech.N45, Mode: mode})
 	if err != nil {
 		log.Fatal(err)
 	}
-	d, err := circuits.Generate(*circuit, *scale)
-	if err != nil {
-		log.Fatal(err)
-	}
-	tt := tech.New(tech.N45, mode)
-	sr, err := synth.Run(d, synth.Options{Lib: lib, WLM: wlm.BuildForMode(tech.N45, mode, 30000)})
-	if err != nil {
-		log.Fatal(err)
-	}
-	pl, err := place.Run(sr.Design, place.Options{
-		Lib: lib, Tech: tt, TargetUtil: circuits.TargetUtilization(*circuit),
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	rt, err := route.Run(pl, route.Options{Tech: tt})
-	if err != nil {
-		log.Fatal(err)
-	}
+	rt, lib := a.Route, a.Env.Lib
 
 	fmt.Printf("%s %v: die %.0f × %.0f µm, WL %.3f m, overflow %d, peak congestion %.2f\n",
 		*circuit, mode, pl.Die.W(), pl.Die.H(), rt.TotalLen/1e6, rt.Overflow, rt.MaxCongestion)
@@ -73,7 +53,7 @@ func main() {
 		x := int(pl.X[i] / pl.Die.W() * float64(px-1))
 		y := int(pl.Y[i] / pl.Die.H() * float64(py-1))
 		if x >= 0 && x < px && y >= 0 && y < py {
-			c := lib.MustCell(sr.Design.Instances[i].CellName)
+			c := lib.MustCell(pl.Design.Instances[i].CellName)
 			density[y*px+x] += c.Area
 		}
 	}
@@ -84,6 +64,16 @@ func main() {
 	fmt.Println("\nplacement density:")
 	ascii(density, px, py)
 	log.Printf("wrote %s_place.ppm and %s_congestion.ppm", *out, *out)
+}
+
+// implement runs the flow for cfg and its sign-off for the final route.
+func implement(cfg flow.Config) (*place.Placement, *flow.Analysis, error) {
+	r, err := flow.Run(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	a, err := flow.Analyze(r.Config, r.Design, r.Placement)
+	return r.Placement, a, err
 }
 
 // congestion projects routed wirelength onto a w×h grid over the die: each

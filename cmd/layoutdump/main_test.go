@@ -8,13 +8,9 @@ import (
 	"strings"
 	"testing"
 
-	"tmi3d/internal/circuits"
-	"tmi3d/internal/liberty"
-	"tmi3d/internal/place"
+	"tmi3d/internal/flow"
 	"tmi3d/internal/route"
-	"tmi3d/internal/synth"
 	"tmi3d/internal/tech"
-	"tmi3d/internal/wlm"
 )
 
 // layoutdump renders FPU in both modes, writing both heat maps, and refuses
@@ -62,27 +58,11 @@ func TestLayoutDumpSmoke(t *testing.T) {
 // sums to the total routed length, and a net spanning several grid cells
 // lands in more than one.
 func TestCongestionSpreadsOverBoundingBox(t *testing.T) {
-	lib, err := liberty.Default(tech.N45, tech.Mode2D)
+	pl, a, err := implement(flow.Config{Circuit: "FPU", Scale: 0.05, Node: tech.N45, Mode: tech.Mode2D})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := circuits.Generate("FPU", 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr, err := synth.Run(d, synth.Options{Lib: lib, WLM: wlm.BuildForMode(tech.N45, tech.Mode2D, 30000)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tt := tech.New(tech.N45, tech.Mode2D)
-	pl, err := place.Run(sr.Design, place.Options{Lib: lib, Tech: tt, TargetUtil: 0.8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := route.Run(pl, route.Options{Tech: tt})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := a.Route
 	const w, h = 64, 48
 	sum := 0.0
 	for _, v := range congestion(pl, rt, w, h) {

@@ -10,6 +10,8 @@
 //	tmi3d stages -stagecache ./cache       # show the per-stage cache plan
 //	tmi3d lint -circuit AES -node 45       # design-integrity lint report
 //	tmi3d equiv -circuit AES -node 45      # formal equivalence sign-off report
+//	tmi3d -circuit AES -dump /tmp/aes      # also write /tmp/aes.v and /tmp/aes.def
+//	tmi3d replay -dump /tmp/aes            # re-run the flow's sign-off on that dump
 package main
 
 import (
@@ -25,26 +27,22 @@ import (
 	"tmi3d/internal/tech"
 )
 
+// subcommands are the commands besides the flow run, by first argument.
+var subcommands = map[string]func(args []string){
+	"lint":   lintMain,
+	"equiv":  equivMain,
+	"serve":  serveMain,
+	"stages": stagesMain,
+	"replay": replayMain,
+}
+
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "lint" {
-		log.SetFlags(0)
-		lintMain(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "equiv" {
-		log.SetFlags(0)
-		equivMain(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "serve" {
-		log.SetFlags(0)
-		serveMain(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "stages" {
-		log.SetFlags(0)
-		stagesMain(os.Args[2:])
-		return
+	if len(os.Args) > 1 {
+		if sub, ok := subcommands[os.Args[1]]; ok {
+			log.SetFlags(0)
+			sub(os.Args[2:])
+			return
+		}
 	}
 	circuit := flag.String("circuit", "AES", "benchmark: FPU, AES, LDPC, DES, M256")
 	nodeF := flag.String("node", "45", "process node: 45 or 7")
@@ -105,27 +103,6 @@ func printByFunc(r *flow.Result) {
 	for _, line := range strings.Split(strings.TrimRight(r.Power.FunctionTable(), "\n"), "\n") {
 		fmt.Printf("    %s\n", line)
 	}
-}
-
-// writeArtifacts emits the final netlist and placement.
-func writeArtifacts(r *flow.Result, prefix string) {
-	vf, err := os.Create(prefix + ".v")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer vf.Close()
-	if err := r.Design.WriteVerilog(vf); err != nil {
-		log.Fatal(err)
-	}
-	df, err := os.Create(prefix + ".def")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer df.Close()
-	if err := r.Placement.WriteDEF(df); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("wrote %s.v and %s.def", prefix, prefix)
 }
 
 // nodeMode parses the -node and -mode flags, exiting non-zero with the

@@ -2,6 +2,7 @@ package flow
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -211,5 +212,33 @@ func TestEquivGates(t *testing.T) {
 	off := run(t, Config{Circuit: "DES", Node: tech.N45, Mode: tech.Mode2D, Scale: 0.1, Equiv: lint.GateOff})
 	if len(off.EquivReports) != 0 || off.LibCheck != nil {
 		t.Errorf("GateOff still produced %d equiv reports (libcheck=%v)", len(off.EquivReports), off.LibCheck)
+	}
+}
+
+// Analyze is the flow's own sign-off: on a flow's final design and
+// placement it reproduces every physical field of the flow's Result bit for
+// bit, including under the config fields sign-off reads (activities, pin
+// capacitance, resistivity) and at 7 nm.
+func TestAnalyzeReproducesFlow(t *testing.T) {
+	for _, cfg := range []Config{
+		{Circuit: "FPU", Scale: 0.1, Node: tech.N45, Mode: tech.Mode2D},
+		{Circuit: "FPU", Scale: 0.1, Node: tech.N45, Mode: tech.ModeTMI, ClockPs: 2000},
+		{Circuit: "DES", Scale: 0.05, Node: tech.N7, Mode: tech.ModeTMI, PinCapScale: 0.6,
+			Activities:       actOf(0.3, 0.2),
+			ResistivityScale: map[tech.LayerClass]float64{tech.ClassLocal: 0.5}},
+	} {
+		r := run(t, cfg)
+		a, err := Analyze(r.Config, r.Design, r.Placement)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := *a.Result
+		got.SynthStats, got.OptStats, got.LibCheck = r.SynthStats, r.OptStats, r.LibCheck
+		got.LintReports, got.EquivReports = r.LintReports, r.EquivReports
+		got.Design, got.Placement, got.StageTimes = r.Design, r.Placement, r.StageTimes
+		if !reflect.DeepEqual(&got, r) {
+			t.Errorf("%s %v %v: Analyze gives WL %v, WNS %v, power %+v; the flow gave WL %v, WNS %v, power %+v",
+				cfg.Circuit, cfg.Node, cfg.Mode, got.TotalWL, got.WNS, *got.Power, r.TotalWL, r.WNS, *r.Power)
+		}
 	}
 }

@@ -6,14 +6,12 @@ import (
 
 	"tmi3d/internal/captable"
 	"tmi3d/internal/circuits"
-	"tmi3d/internal/cts"
 	"tmi3d/internal/equiv"
 	"tmi3d/internal/liberty"
 	"tmi3d/internal/lint"
 	"tmi3d/internal/netlist"
 	"tmi3d/internal/opt"
 	"tmi3d/internal/place"
-	"tmi3d/internal/power"
 	"tmi3d/internal/rcx"
 	"tmi3d/internal/route"
 	"tmi3d/internal/sta"
@@ -246,24 +244,14 @@ func runSignoff(cfg Config, in *inputs) (any, error) {
 // counts accumulate into stats.
 func converge(d *netlist.Design, pl *place.Placement, tb *captable.Table, lib *libraryValue, areaBudget float64, stats *opt.Stats, prof *profile) (*route.Result, *sta.Result, error) {
 	for pass := 0; ; pass++ {
-		t0 := time.Now()
-		rt, err := route.Run(pl, route.Options{Tech: lib.tech})
+		rt, wire, timing, err := signoffPass(d, pl, tb, lib, prof)
 		if err != nil {
 			return nil, nil, err
 		}
-		ex := rcx.Extract(rt, tb, lib.tech)
-		prof.add("route", time.Since(t0))
-		wire := extractedWire(ex, pl, tb).fn
-		t0 = time.Now()
-		timing, err := sta.Analyze(d, sta.Env{Lib: lib.lib, Wire: wire})
-		if err != nil {
-			return nil, nil, err
-		}
-		prof.add("sta", time.Since(t0))
 		if timing.Met() || pass >= 2 {
 			return rt, timing, nil
 		}
-		t0 = time.Now()
+		t0 := time.Now()
 		eco, err := opt.Close(d, opt.Options{
 			Lib: lib.lib, Wire: wire, Placement: pl, MaxRounds: 6, SkipDRV: true,
 			AreaBudget: areaBudget,
@@ -277,10 +265,8 @@ func converge(d *netlist.Design, pl *place.Placement, tb *captable.Table, lib *l
 	}
 }
 
-// runPower computes the sign-off power report, including the clock
-// distribution tree: an ideal-skew buffered tree over the DFFs. Its wire
-// capacitance and buffer energy are charged at two transitions per cycle; the
-// tree shrinks with the T-MI footprint like signal wiring.
+// runPower computes the sign-off power report with the clock tree
+// (signoffPower) on the parasitics sign-off timed with.
 func runPower(cfg Config, in *inputs) (any, error) {
 	s, lib, sg := in.setup(), in.library(), in.signoff()
 	if in.err != nil {
@@ -292,34 +278,17 @@ func runPower(cfg Config, in *inputs) (any, error) {
 	// Nothing is re-optimized after sign-off's last route, so the wire
 	// function rebuilt from its extraction is the one sign-off timed.
 	wire := extractedWire(rcx.Extract(sg.Route, tb, lib.tech), pl, tb).fn
-	t0 := time.Now()
-	pow, err := power.Analyze(d, power.Env{
-		Lib: lib.lib, Wire: wire, Activities: cfg.Activities, Timing: sg.Timing,
-	})
+	pow, clk, err := signoffPower(d, pl, tb, lib, cfg.Activities, wire, sg.Timing, in.prof)
 	if err != nil {
 		return nil, err
 	}
-	clock := d.TargetClockPs
-	clk := cts.Build(pl, 0)
-	_, cInt, _ := tb.ClassAverage(tech.ClassIntermediate)
-	clkCap := clk.Wirelength * cInt
-	pow.Wire += clkCap * lib.lib.VDD * lib.lib.VDD / clock
-	pow.WireCap += clkCap / 1000
-	if buf := lib.lib.Cell("CLKBUF_X4"); buf != nil && len(buf.Arcs) > 0 {
-		e := buf.Arcs[0].Energy.At(20, 10)
-		pow.Cell += float64(clk.NumBuffers) * e * 2 / clock
-		pow.Leakage += float64(clk.NumBuffers) * buf.Leakage
-	}
-	pow.Net = pow.Wire + pow.Pin
-	pow.Total = pow.Cell + pow.Net + pow.Leakage
-	in.prof.add("power", time.Since(t0))
 	return &powerArtifact{Power: pow, Clock: clk}, nil
 }
 
 // runReport assembles the Result's wire form from the final artifacts;
 // Execution.Result attaches the netlist, placement and profile.
 func runReport(cfg Config, in *inputs) (any, error) {
-	res := &Result{Config: cfg, WLSamples: map[int][]float64{}}
+	res := &Result{Config: cfg}
 	// Take only the statistics and gate reports from the synth and opt
 	// artifacts, and read them before sign-off: their netlists are then free
 	// to go while sign-off runs. Reports concatenate in check order
@@ -337,35 +306,8 @@ func runReport(cfg Config, in *inputs) (any, error) {
 	res.LintReports = append(res.LintReports, sg.Lint...)
 	res.EquivReports = append(res.EquivReports, sg.Equiv...)
 	res.LibCheck = gates.libCheck
-	d, rt, die, clk := sg.Design, sg.Route, sg.Snap.Die, pw.Clock
-	res.Footprint, res.DieW, res.DieH = die.Area(), die.W(), die.H()
-	res.NumCells = len(d.Instances)
-	res.TotalWL = rt.TotalLen + clk.Wirelength
-	res.WLByClass = rt.LenByClass
-	res.WLByClass[tech.ClassIntermediate] += clk.Wirelength // clock routes on 2x layers
-	res.Overflow = rt.Overflow
-	res.WNS = sta.Finite(sg.Timing.WNS)
-	res.ClockPs = d.TargetClockPs
-	res.Power, res.OptStats = pw.Power, sg.Stats
-	res.ClockWL = clk.Wirelength
-	res.ClockBuffers = clk.NumBuffers
-	st := d.Stats()
-	res.NumBuffers = st.NumBuffers + clk.NumBuffers
-	res.AvgFanout = st.AverageFanout
-	for i := range d.Instances {
-		res.CellArea += lib.lib.MustCell(d.Instances[i].CellName).Area
-	}
-	res.Util = res.CellArea / die.Area()
-	for ni := range d.Nets {
-		if ni == d.ClockNet {
-			continue
-		}
-		f := d.Nets[ni].Fanout()
-		if f > 32 {
-			f = 32
-		}
-		res.WLSamples[f] = append(res.WLSamples[f], rt.Routes[ni].Len)
-	}
+	res.physical(lib.lib, sg.Design, sg.Snap.Die, sg.Route, sg.Timing, pw.Power, pw.Clock)
+	res.OptStats = sg.Stats
 	return res, nil
 }
 

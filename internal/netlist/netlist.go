@@ -432,6 +432,10 @@ func (d *Design) SortedPIs() []string {
 // SortedPOs returns primary output names, sorted (deterministic iteration).
 func (d *Design) SortedPOs() []string { return sortedKeys(d.POs) }
 
+// bufferPrefix starts the name of every instance InsertBuffer makes, which
+// is how ParseVerilog gets IsBuffer back.
+const bufferPrefix = "optbuf_"
+
 // InsertBuffer splits a net: a new buffering instance of function fn (bound
 // to cellName) is driven by the net, and the listed sink pins move onto the
 // buffer's output net. It returns the new net and instance indices. The new
@@ -439,7 +443,7 @@ func (d *Design) SortedPOs() []string { return sortedKeys(d.POs) }
 // index, when one is built, then names the new net, as NetByName's scan
 // without an index does.
 func (d *Design) InsertBuffer(net int, moved []PinRef, fn, cellName string) (newNet, instIdx int) {
-	name := "optbuf_" + strconv.Itoa(len(d.Instances))
+	name := bufferPrefix + strconv.Itoa(len(d.Instances))
 	newNet, instIdx = len(d.Nets), len(d.Instances)
 	d.Nets = append(d.Nets, Net{Name: name + "_z", Driver: PinRef{Inst: instIdx, Pin: "Z"}})
 	if d.netIndex != nil {

@@ -97,7 +97,8 @@ func sanitize(s string) string {
 
 // ParseVerilog reads a structural Verilog module written by WriteVerilog
 // (single module, gate instances with named port connections). isOutput
-// classifies instance pins; cell names of the form BASE_Xk bind CellName.
+// classifies instance pins; cell names of the form BASE_Xk bind CellName,
+// and InsertBuffer's instance names mark IsBuffer.
 func ParseVerilog(r io.Reader, isOutput func(cell, pin string) bool) (*Design, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
@@ -204,5 +205,6 @@ func parseInstance(d *Design, line string, isOutput func(cell, pin string) bool)
 	if fn != cell {
 		d.Instances[idx].CellName = cell
 	}
+	d.Instances[idx].IsBuffer = strings.HasPrefix(name, bufferPrefix)
 	return nil
 }

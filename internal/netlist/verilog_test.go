@@ -21,6 +21,7 @@ func TestVerilogRoundTrip(t *testing.T) {
 	d.Instances[0].CellName = "NAND2_X2"
 	d.Instances[1].CellName = "INV_X1"
 	d.Instances[2].CellName = "DFF_X1"
+	d.InsertBuffer(d.NetByName("n1"), d.Nets[d.NetByName("n1")].Sinks, "BUF", "BUF_X2")
 	var buf bytes.Buffer
 	if err := d.WriteVerilog(&buf); err != nil {
 		t.Fatal(err)
@@ -54,15 +55,21 @@ func TestVerilogRoundTrip(t *testing.T) {
 			t.Errorf("instance %d lost its cell binding", i)
 		}
 	}
+	// Only the instance InsertBuffer made is a buffer.
+	for i := range back.Instances {
+		if back.Instances[i].IsBuffer != d.Instances[i].IsBuffer {
+			t.Errorf("instance %s: IsBuffer %v, want %v", back.Instances[i].Name, back.Instances[i].IsBuffer, d.Instances[i].IsBuffer)
+		}
+	}
 	if back.Instances[0].Func != "NAND2" {
 		t.Errorf("func = %q, want NAND2", back.Instances[0].Func)
 	}
 	if back.ClockNet < 0 {
 		t.Error("clock net not recovered")
 	}
-	// Connectivity: the NAND2 output feeds the INV input.
+	// Connectivity: the NAND2 output feeds the buffer's input.
 	n1, ok1 := back.Instances[0].Pins.Net("Z")
-	if n1a, ok := back.Instances[1].Pins.Net("A"); !ok || !ok1 || n1a != n1 {
+	if n1a, ok := back.Instances[3].Pins.Net("A"); !ok || !ok1 || n1a != n1 {
 		t.Error("connectivity lost in round trip")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tmi3d/internal/circuits"
+	"tmi3d/internal/geom"
 	"tmi3d/internal/liberty"
 	"tmi3d/internal/synth"
 	"tmi3d/internal/tech"
@@ -155,6 +156,13 @@ func TestOptionsValidation(t *testing.T) {
 
 func TestDEFRoundTrip(t *testing.T) {
 	p, _ := placed(t, "FPU", 0.05, tech.Mode2D, 0.8)
+	// Off-grid coordinates, as optimization leaves them, must survive too.
+	p.X[0], p.Y[0] = 1.0/3, math.Nextafter(p.Y[0], math.Inf(1))
+	p.X[1] = 5e-7
+	for name, pt := range p.Ports {
+		p.Ports[name] = geom.Point{X: pt.X + 0.1, Y: pt.Y}
+		break
+	}
 	var buf bytes.Buffer
 	if err := p.WriteDEF(&buf); err != nil {
 		t.Fatal(err)
@@ -165,17 +173,56 @@ func TestDEFRoundTrip(t *testing.T) {
 			t.Fatalf("DEF missing %q", want)
 		}
 	}
-	// Perturb locations, then restore from the DEF.
-	saved := append([]float64{}, p.X...)
-	for i := range p.X {
-		p.X[i] = 0
-	}
-	if err := p.ReadDEFLocations(&buf); err != nil {
+	back, err := ReadDEF(&buf, p.Design)
+	if err != nil {
 		t.Fatal(err)
 	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	samePt := func(a, b geom.Point) bool { return same(a.X, b.X) && same(a.Y, b.Y) }
+	if !samePt(back.Die.Lo, p.Die.Lo) || !samePt(back.Die.Hi, p.Die.Hi) {
+		t.Errorf("die %v, want %v", back.Die, p.Die)
+	}
 	for i := range p.X {
-		if math.Abs(p.X[i]-saved[i]) > 0.002 { // DEF dbu rounding
-			t.Fatalf("instance %d x=%v, want %v", i, p.X[i], saved[i])
+		if !same(back.X[i], p.X[i]) || !same(back.Y[i], p.Y[i]) {
+			t.Fatalf("instance %d at (%v, %v), want (%v, %v)", i, back.X[i], back.Y[i], p.X[i], p.Y[i])
+		}
+	}
+	if len(back.Ports) != len(p.Ports) {
+		t.Errorf("%d ports, want %d", len(back.Ports), len(p.Ports))
+	}
+	for name, pt := range p.Ports {
+		if got, ok := back.Ports[name]; !ok || !samePt(got, pt) {
+			t.Errorf("port %s at %v (present %v), want %v", name, got, ok, pt)
+		}
+	}
+}
+
+// ReadDEF refuses a DEF that does not describe the design's placement
+// exactly, instead of skipping what it does not know or leaving a cell where
+// it was.
+func TestReadDEFErrors(t *testing.T) {
+	p, _ := placed(t, "FPU", 0.05, tech.Mode2D, 0.8)
+	var buf bytes.Buffer
+	if err := p.WriteDEF(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.String()
+	first := "- " + p.Design.Instances[0].Name + " "
+	line := good[strings.Index(good, first):]
+	line = line[:strings.IndexByte(line, '\n')+1]
+	for _, c := range []struct{ name, def, want string }{
+		{"unknown component", strings.Replace(good, first, "- nosuchcell ", 1), "nosuchcell is not in design"},
+		{"missing instance", strings.Replace(good, line, "", 1), "does not place instance " + p.Design.Instances[0].Name},
+		{"truncated component", strings.Replace(good, line, line[:len(line)/2]+"\n", 1), "malformed"},
+		{"bad coordinate", strings.Replace(good, line, strings.Replace(line, "PLACED ( ", "PLACED ( x", 1), 1), "malformed"},
+		{"unknown pin", strings.Replace(good, "END PINS", "- nosuchport + PLACED ( 0 0 ) N ;\nEND PINS", 1), "nosuchport is no port"},
+		{"no die", strings.Replace(good, "DIEAREA", "DIEAREAX", 1), "no DIEAREA"},
+		{"placed twice", strings.Replace(good, line, line+line, 1), "placed twice"},
+		{"other units", strings.Replace(good, "MICRONS 1000", "MICRONS 2000", 1), "malformed"},
+	} {
+		_, err := ReadDEF(strings.NewReader(c.def), p.Design)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
 		}
 	}
 }

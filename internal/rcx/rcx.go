@@ -8,7 +8,6 @@ package rcx
 import (
 	"tmi3d/internal/captable"
 	"tmi3d/internal/route"
-	"tmi3d/internal/sta"
 	"tmi3d/internal/tech"
 )
 
@@ -53,12 +52,4 @@ func Extract(r *route.Result, tb *captable.Table, t *tech.Technology) *Extractio
 		ex.TotalWireCap += rc.C
 	}
 	return ex
-}
-
-// WireFunc adapts the extraction for the timing engine.
-func (ex *Extraction) WireFunc() func(net int) sta.WireRC {
-	return func(net int) sta.WireRC {
-		rc := ex.Nets[net]
-		return sta.WireRC{R: rc.R, C: rc.C}
-	}
 }

@@ -67,13 +67,3 @@ func TestTMIIncludesMIV(t *testing.T) {
 		t.Errorf("MIV term %v Ω should be tiny ('almost negligible parasitic RC')", extra)
 	}
 }
-
-func TestWireFuncAdapter(t *testing.T) {
-	tb, tt := table(tech.Mode2D)
-	ex := Extract(fakeRoutes(), tb, tt)
-	w := ex.WireFunc()
-	got := w(1)
-	if got.R != ex.Nets[1].R || got.C != ex.Nets[1].C {
-		t.Error("WireFunc mismatch")
-	}
-}
