@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -86,7 +87,7 @@ func firstDiffContext(a, b []byte) []byte {
 	return a[lo:hi]
 }
 
-// A typo'd -node or -mode must stop the command with the accepted
+// A typo'd -node, -mode or -circuit must stop the command with the accepted
 // spellings, never fall back to a default and run a whole flow.
 func TestBadNodeOrModeExits(t *testing.T) {
 	if testing.Short() {
@@ -101,8 +102,13 @@ func TestBadNodeOrModeExits(t *testing.T) {
 		{[]string{"-node", "22"}, "45, 45nm, 7, 7nm"},
 		{[]string{"stages", "-mode", "t-mi"}, "2d, tmi, 3d, tmim, 3d+m"},
 		{[]string{"lint", "-node", "22"}, "45, 45nm, 7, 7nm"},
+		{[]string{"-circuit", "XYZ"}, "FPU, AES, LDPC, DES, M256"},
+		{[]string{"lint", "-circuit", "XYZ"}, "FPU, AES, LDPC, DES, M256"},
 	} {
-		args := append(tc.args, "-circuit", "FPU", "-scale", "0.02")
+		args := append(tc.args, "-scale", "0.02")
+		if !slices.Contains(tc.args, "-circuit") {
+			args = append(args, "-circuit", "FPU")
+		}
 		cmd := exec.Command(bin, args...)
 		cmd.Dir = t.TempDir() // the stages subcommand opens its store here
 		out, err := cmd.CombinedOutput()

@@ -1,7 +1,8 @@
 // The equiv subcommand runs the formal equivalence checker standalone: it
-// synthesizes a benchmark and proves the mapped netlist equivalent to the
-// generated source (the Conformal/Formality sign-off of the paper's Fig 1
-// flow), optionally after injecting a logic-corrupting defect to demonstrate
+// synthesizes a benchmark through the flow's own front end (flow.Synthesize,
+// 2D, gates off) and proves the mapped netlist equivalent to the generated
+// source (the Conformal/Formality sign-off of the paper's Fig 1 flow),
+// optionally after injecting a logic-corrupting defect to demonstrate
 // detection, plus a switch-level verification of the folded T-MI library.
 //
 // Usage:
@@ -89,12 +90,12 @@ func equivMain(args []string) {
 	}
 }
 
-// equivCircuit synthesizes one benchmark (synthRelaxed) and checks the
+// equivCircuit synthesizes one benchmark and checks the
 // mapped netlist against the generated source. With corruptions, the
 // corrupted post-synthesis netlist is checked against the intact one instead
 // — the counterexample then names the injected defect's first diverging net.
 func equivCircuit(name string, node tech.Node, scale float64, corrupt string) (*equiv.Report, error) {
-	_, src, mapped, err := synthRelaxed(name, node, scale)
+	_, src, mapped, err := synthesize(name, node, scale)
 	if err != nil {
 		return nil, err
 	}

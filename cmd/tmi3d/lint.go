@@ -1,6 +1,8 @@
 // The lint subcommand runs the design-integrity engine standalone: it
-// synthesizes a benchmark and lints the mapped netlist, optionally the cell
-// libraries and folded layouts too, writing a structured report to stdout.
+// synthesizes a benchmark through the flow's own front end (flow.Synthesize,
+// 2D, gates off) and lints the mapped netlist the flow would place,
+// optionally the cell libraries and folded layouts too, writing a structured
+// report to stdout.
 //
 // Usage:
 //
@@ -23,9 +25,7 @@ import (
 	"tmi3d/internal/liberty"
 	"tmi3d/internal/lint"
 	"tmi3d/internal/netlist"
-	"tmi3d/internal/synth"
 	"tmi3d/internal/tech"
-	"tmi3d/internal/wlm"
 )
 
 func lintMain(args []string) {
@@ -94,34 +94,17 @@ func lintMain(args []string) {
 	}
 }
 
-// synthRelaxed synthesizes one benchmark the way the flow does, on the 2D
-// library at 4× its Table 12 clock: lint and equiv check structure and
-// logic, not closure. It returns the library, the generated source netlist
-// and the mapped one.
-func synthRelaxed(name string, node tech.Node, scale float64) (lib *liberty.Library, src, mapped *netlist.Design, err error) {
-	if lib, err = liberty.Default(node, tech.Mode2D); err != nil {
-		return nil, nil, nil, err
-	}
-	if src, err = circuits.Generate(name, scale); err != nil {
-		return nil, nil, nil, err
-	}
-	clock, err := circuits.TargetClockPs(name, node)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	src.TargetClockPs = clock * 4
-	model := wlm.BuildForMode(node, tech.Mode2D, flow.EstimateArea(src, lib)/circuits.TargetUtilization(name))
-	res, err := synth.Run(src, synth.Options{Lib: lib, WLM: model})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return lib, src, res.Design, nil
+// synthesize runs the flow's own front end (flow.Synthesize) for one
+// benchmark on the 2D library with the flow's gates off: lint and equiv
+// check the netlist the flow synthesizes, and report on it themselves.
+func synthesize(name string, node tech.Node, scale float64) (lib *liberty.Library, src, mapped *netlist.Design, err error) {
+	return flow.Synthesize(flow.Config{Circuit: name, Scale: scale, Node: node, Mode: tech.Mode2D,
+		Lint: lint.GateOff, Equiv: lint.GateOff})
 }
 
-// lintCircuit synthesizes one benchmark (synthRelaxed) and lints the mapped
-// netlist.
+// lintCircuit synthesizes one benchmark and lints the mapped netlist.
 func lintCircuit(name string, node tech.Node, scale float64, corrupt string) (*lint.Report, error) {
-	lib, _, d, err := synthRelaxed(name, node, scale)
+	lib, _, d, err := synthesize(name, node, scale)
 	if err != nil {
 		return nil, err
 	}

@@ -93,22 +93,6 @@ func (c *CellDef) Dir(pin string) (PortDir, bool) {
 	return In, false
 }
 
-// NumP and NumN return the transistor counts by polarity.
-func (c *CellDef) NumP() int { return c.countKind(device.PMOS) }
-
-// NumN returns the NMOS count.
-func (c *CellDef) NumN() int { return c.countKind(device.NMOS) }
-
-func (c *CellDef) countKind(k device.Kind) int {
-	n := 0
-	for _, t := range c.Transistors {
-		if t.Kind == k {
-			n++
-		}
-	}
-	return n
-}
-
 // Widths used by the X1 templates (µm, Nangate-like).
 const (
 	wp1 = 0.63  // PMOS single finger
@@ -161,23 +145,6 @@ func scaleStrength(def CellDef, k int) CellDef {
 		out.Transistors[i].W *= float64(k)
 	}
 	return out
-}
-
-// Columns returns the number of poly columns the layout needs: paired P/N
-// fingers share a column; wide devices split into fingers.
-func (c *CellDef) Columns() int {
-	p, n := 0, 0
-	for _, t := range c.Transistors {
-		if t.Kind == device.PMOS {
-			p += fingers(t.W, maxFingerP)
-		} else {
-			n += fingers(t.W, maxFingerN)
-		}
-	}
-	if p > n {
-		return p
-	}
-	return n
 }
 
 func fingers(w, max float64) int {

@@ -142,9 +142,6 @@ func TestStrengthScaling(t *testing.T) {
 			t.Errorf("X4 width %v != 4× X1 width %v", x4.Transistors[i].W, x1.Transistors[i].W)
 		}
 	}
-	if x4.Columns() <= x1.Columns() {
-		t.Error("X4 should need more poly columns than X1 (finger splitting)")
-	}
 }
 
 func TestLayout2DBasics(t *testing.T) {

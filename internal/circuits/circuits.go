@@ -2,7 +2,9 @@ package circuits
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"tmi3d/internal/netlist"
 	"tmi3d/internal/tech"
@@ -11,9 +13,21 @@ import (
 // Names lists the benchmark circuits in the paper's order.
 var Names = []string{"FPU", "AES", "LDPC", "DES", "M256"}
 
+// Check returns nil for a name in Names and otherwise an error that lists
+// them.
+func Check(name string) error {
+	if slices.Contains(Names, name) {
+		return nil
+	}
+	return fmt.Errorf("circuits: unknown benchmark %q (one of %s)", name, strings.Join(Names, ", "))
+}
+
 // TargetClockPs returns the target clock period of Table 12 for a circuit at
 // a node, in picoseconds.
 func TargetClockPs(name string, node tech.Node) (float64, error) {
+	if err := Check(name); err != nil {
+		return 0, err
+	}
 	t45 := map[string]float64{
 		"FPU": 1800, "AES": 800, "LDPC": 2400, "DES": 1000, "M256": 2400,
 	}
@@ -24,11 +38,7 @@ func TargetClockPs(name string, node tech.Node) (float64, error) {
 	if node == tech.N7 {
 		m = t7
 	}
-	v, ok := m[name]
-	if !ok {
-		return 0, fmt.Errorf("circuits: unknown benchmark %q", name)
-	}
-	return v, nil
+	return m[name], nil
 }
 
 // TargetUtilization returns the placement utilization target of Section S6:
@@ -45,30 +55,21 @@ func TargetUtilization(name string) float64 {
 	}
 }
 
+// generators builds each of Names.
+var generators = map[string]func(scale float64) (*builderResult, error){
+	"FPU": GenerateFPU, "AES": GenerateAES, "LDPC": GenerateLDPC, "DES": GenerateDES, "M256": GenerateM256,
+}
+
 // Generate builds a benchmark circuit at the given scale (1.0 = the paper's
 // full size) with the 45nm target clock preset.
 func Generate(name string, scale float64) (*netlist.Design, error) {
 	if scale <= 0 {
 		return nil, fmt.Errorf("circuits: non-positive scale %g", scale)
 	}
-	var (
-		res *builderResult
-		err error
-	)
-	switch name {
-	case "FPU":
-		res, err = GenerateFPU(scale)
-	case "AES":
-		res, err = GenerateAES(scale)
-	case "LDPC":
-		res, err = GenerateLDPC(scale)
-	case "DES":
-		res, err = GenerateDES(scale)
-	case "M256":
-		res, err = GenerateM256(scale)
-	default:
-		return nil, fmt.Errorf("circuits: unknown benchmark %q", name)
+	if err := Check(name); err != nil {
+		return nil, err
 	}
+	res, err := generators[name](scale)
 	if err != nil {
 		return nil, err
 	}

@@ -190,15 +190,6 @@ func (s *Study) Pairs(circuitNames []string, node tech.Node) ([][2]*flow.Result,
 	return pairs, nil
 }
 
-// Pair runs the 2D and T-MI flows of an iso-performance comparison.
-func (s *Study) Pair(circuit string, node tech.Node) (d2, d3 *flow.Result, err error) {
-	pairs, err := s.Pairs([]string{circuit}, node)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pairs[0][0], pairs[0][1], nil
-}
-
 // recordStages folds one completed flow's stage profile into the study
 // totals.
 func (s *Study) recordStages(r *flow.Result) {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"tmi3d/internal/circuits"
 	"tmi3d/internal/tech"
 )
 
@@ -106,6 +107,37 @@ func TestSummary45(t *testing.T) {
 	}
 	if _, err := s.RenderSummary(tech.N45); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Table 12 reports the flow's own synthesis: each 45 nm row's counts are the
+// 2D flow's post-synth statistics.
+func TestTable12MatchesFlow(t *testing.T) {
+	s := study()
+	rows, err := s.Table12()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs, err := s.Pairs(circuits.Names, tech.N45)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range circuits.Names {
+		want := pairs[i][0].SynthStats
+		found := false
+		for _, r := range rows {
+			if r.Node != tech.N45 || r.Circuit != name {
+				continue
+			}
+			found = true
+			if r.NumCells != want.NumCells || r.NumNets != want.NumNets || r.AvgFanout != want.AverageFanout {
+				t.Errorf("%s: Table 12 row %d cells, %d nets, fanout %v; 2D flow synthesized %d, %d, %v",
+					name, r.NumCells, r.NumNets, r.AvgFanout, want.NumCells, want.NumNets, want.AverageFanout)
+			}
+		}
+		if !found {
+			t.Errorf("%s: no 45 nm Table 12 row", name)
+		}
 	}
 }
 

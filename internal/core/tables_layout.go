@@ -3,11 +3,9 @@ package core
 import (
 	"tmi3d/internal/circuits"
 	"tmi3d/internal/flow"
-	"tmi3d/internal/liberty"
+	"tmi3d/internal/lint"
 	"tmi3d/internal/report"
-	"tmi3d/internal/synth"
 	"tmi3d/internal/tech"
-	"tmi3d/internal/wlm"
 )
 
 // SummaryRow is one circuit of the layout summary (Tables 4 and 7): the
@@ -169,36 +167,32 @@ type Table12Row struct {
 	AvgFanout     float64
 }
 
-// Table12 synthesizes every benchmark at both nodes and reports the
-// statistics of the paper's Table 12 (2D results, as in the paper).
+// Table12 synthesizes every benchmark at both nodes through the flow's own
+// front end (flow.Synthesize, 2D, gates off) and reports the statistics of
+// the paper's Table 12 (2D results, as in the paper).
 func (s *Study) Table12() ([]Table12Row, error) {
 	var rows []Table12Row
 	for _, node := range []tech.Node{tech.N45, tech.N7} {
-		lib, err := liberty.Default(node, tech.Mode2D)
-		if err != nil {
-			return nil, err
-		}
 		for _, name := range circuits.Names {
-			d, err := circuits.Generate(name, s.Scale)
+			lib, _, d, err := flow.Synthesize(flow.Config{Circuit: name, Scale: s.Scale, Node: node,
+				Mode: tech.Mode2D, Lint: lint.GateOff, Equiv: lint.GateOff})
 			if err != nil {
 				return nil, err
 			}
 			clock, _ := circuits.TargetClockPs(name, node)
-			dd := d.Clone()
-			dd.TargetClockPs = clock * flow.ClockCalibrationFactor(name, node)
-			model := wlm.BuildForMode(node, tech.Mode2D, flow.EstimateArea(dd, lib)/circuits.TargetUtilization(name))
-			sr, err := synth.Run(dd, synth.Options{Lib: lib, WLM: model})
-			if err != nil {
-				return nil, err
+			st := d.Stats()
+			area := 0.0
+			for i := range d.Instances {
+				area += lib.MustCell(d.Instances[i].CellName).Area
 			}
 			rows = append(rows, Table12Row{
 				Circuit:       name,
 				Node:          node,
 				TargetClockNs: clock / 1000,
-				NumCells:      sr.Stats.NumCells,
-				CellArea:      sr.CellArea,
-				NumNets:       sr.Stats.NumNets,
-				AvgFanout:     sr.Stats.AverageFanout,
+				NumCells:      st.NumCells,
+				CellArea:      area,
+				NumNets:       st.NumNets,
+				AvgFanout:     st.AverageFanout,
 			})
 		}
 	}

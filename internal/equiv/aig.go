@@ -65,9 +65,6 @@ type AIG struct {
 // hashSlots is the smallest structural-hashing table.
 const hashSlots = 1 << 10
 
-// NewAIG creates an AIG holding only the constant node.
-func NewAIG() *AIG { return newAIG(0) }
-
 // newAIG creates an AIG whose hash table holds ands AND nodes before it
 // grows. The size changes no node's number, only how often the table
 // doubles on the way.
@@ -110,9 +107,6 @@ func (g *AIG) grow() {
 		}
 	}
 }
-
-// NumNodes returns the node count (constant and PIs included).
-func (g *AIG) NumNodes() int { return len(g.nodes) }
 
 // NumPIs returns the number of primary inputs.
 func (g *AIG) NumPIs() int { return len(g.pis) }

@@ -16,7 +16,7 @@ func TestAIGBaseFunctions(t *testing.T) {
 			continue
 		}
 		builder, hasBuilder := baseFuncs[fn]
-		g := NewAIG()
+		g := newAIG(0)
 		in := make([]Lit, len(def.Inputs))
 		for i := range in {
 			in[i] = g.PI()
@@ -69,7 +69,7 @@ func TestAIGBaseFunctions(t *testing.T) {
 // TestAIGStructuralHashing verifies shared subexpressions collapse and the
 // two-level rewrite rules fire.
 func TestAIGStructuralHashing(t *testing.T) {
-	g := NewAIG()
+	g := newAIG(0)
 	a, b := g.PI(), g.PI()
 	if g.And(a, b) != g.And(b, a) {
 		t.Error("And not commutative under hashing")
@@ -103,7 +103,7 @@ func TestAIGStructuralHashing(t *testing.T) {
 // TestAIGSimWordsMatchesEval cross-checks 64-way parallel simulation against
 // scalar evaluation on a small random circuit.
 func TestAIGSimWordsMatchesEval(t *testing.T) {
-	g := NewAIG()
+	g := newAIG(0)
 	pis := make([]Lit, 6)
 	for i := range pis {
 		pis[i] = g.PI()
@@ -137,7 +137,7 @@ func TestAIGSimWordsMatchesEval(t *testing.T) {
 // TestSolveMiterFindsDifference checks SAT counterexample extraction on a
 // deliberately inequivalent pair (NAND vs NOR of the same inputs).
 func TestSolveMiterFindsDifference(t *testing.T) {
-	g := NewAIG()
+	g := newAIG(0)
 	a, b := g.PI(), g.PI()
 	nand := g.And(a, b).Not()
 	nor := g.Or(a, b).Not()

@@ -174,8 +174,7 @@ func Check(a, b *netlist.Design, opt Options) (*Report, error) {
 	return rep, nil
 }
 
-// xorshift is the deterministic PRNG step shared with sim.RandomVectors'
-// style of seeding.
+// xorshift is one step of the deterministic 64-bit xorshift PRNG.
 func xorshift(s uint64) uint64 {
 	s ^= s << 13
 	s ^= s >> 7

@@ -243,13 +243,3 @@ func (r *Report) UnmarshalJSON(b []byte) error {
 	}
 	return nil
 }
-
-// WriteJSON writes the indented JSON report.
-func (r *Report) WriteJSON(w io.Writer) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(data, '\n'))
-	return err
-}

@@ -86,9 +86,6 @@ func NewSolver() *Solver {
 	return &Solver{varInc: 1}
 }
 
-// NumVars returns the number of variables.
-func (s *Solver) NumVars() int { return len(s.assign) }
-
 // NewVar adds a variable and returns its index.
 func (s *Solver) NewVar() int {
 	v := len(s.assign)

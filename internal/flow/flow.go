@@ -47,9 +47,9 @@ var clockCalibration = map[string][2]float64{
 	"M256": {2.5, 3.0},
 }
 
-// ClockCalibrationFactor returns the clock scaling applied for a circuit at
+// clockCalibrationFactor returns the clock scaling applied for a circuit at
 // a node (1.0 for unknown circuits).
-func ClockCalibrationFactor(circuit string, node tech.Node) float64 {
+func clockCalibrationFactor(circuit string, node tech.Node) float64 {
 	k, ok := clockCalibration[circuit]
 	if !ok {
 		return 1.0
@@ -142,7 +142,7 @@ type Result struct {
 	SynthStats   netlist.Stats `json:"synth_stats"`
 
 	// WLSamples maps fanout → routed net lengths (µm), the raw data of
-	// Fig 6 and the input to wlm.Measured.
+	// Fig 6.
 	WLSamples FanoutSamples `json:"wl_samples,omitempty"`
 
 	// Design and Placement expose the final implementation for artifact
@@ -203,9 +203,29 @@ func Run(cfg Config) (*Result, error) {
 	return NewExecution(cfg, nil).Result(false)
 }
 
-// EstimateArea sums X1-mapped cell areas of the generic netlist: the area
+// Synthesize runs the flow's front end for cfg: its library, generate, wlm
+// and synth stages, with the gates cfg asks for. It returns the library, the
+// generated source netlist (carrying the calibrated Table 12 clock) and the
+// mapped netlist, both the caller's to keep or edit.
+func Synthesize(cfg Config) (lib *liberty.Library, src, mapped *netlist.Design, err error) {
+	// The execution drops library and generate after their last reader; the
+	// hook keeps them for the caller.
+	vals := map[string]any{}
+	x := NewExecution(cfg, func(n *Node, exec func() (any, error)) (any, error) {
+		v, err := exec()
+		vals[n.Name] = v
+		return v, err
+	})
+	v, err := x.resolve("synth")
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return vals["library"].(*libraryValue).lib, vals["generate"].(*netlist.Design), v.(*synthArtifact).Design, nil
+}
+
+// estimateArea sums X1-mapped cell areas of the generic netlist: the area
 // the wire load model is sized from before synthesis.
-func EstimateArea(d *netlist.Design, lib *liberty.Library) float64 {
+func estimateArea(d *netlist.Design, lib *liberty.Library) float64 {
 	area := 0.0
 	for i := range d.Instances {
 		if c := lib.Cell(d.Instances[i].Func + "_X1"); c != nil {

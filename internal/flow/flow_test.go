@@ -65,13 +65,13 @@ func TestIsoPerformanceComparison(t *testing.T) {
 }
 
 func TestClockCalibration(t *testing.T) {
-	if f := ClockCalibrationFactor("AES", tech.N45); f <= 1 {
+	if f := clockCalibrationFactor("AES", tech.N45); f <= 1 {
 		t.Errorf("AES 45nm factor = %v", f)
 	}
-	if f := ClockCalibrationFactor("AES", tech.N7); f <= ClockCalibrationFactor("AES", tech.N45) {
+	if f := clockCalibrationFactor("AES", tech.N7); f <= clockCalibrationFactor("AES", tech.N45) {
 		t.Error("7nm pressure factor should exceed 45nm (wires scale worse)")
 	}
-	if f := ClockCalibrationFactor("UNKNOWN", tech.N45); f != 1 {
+	if f := clockCalibrationFactor("UNKNOWN", tech.N45); f != 1 {
 		t.Errorf("unknown circuit factor = %v, want 1", f)
 	}
 }

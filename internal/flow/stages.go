@@ -33,7 +33,7 @@ func runSetup(cfg Config, in *inputs) (any, error) {
 		// determinism contract that lets the experiment engine run flows in
 		// parallel and still produce bit-identical reports.
 		seed:  cfg.DeriveSeed(),
-		calib: ClockCalibrationFactor(cfg.Circuit, cfg.Node),
+		calib: clockCalibrationFactor(cfg.Circuit, cfg.Node),
 		res:   cfg.ResistivityScale,
 	}, nil
 }
@@ -76,7 +76,7 @@ func runWLM(cfg Config, in *inputs) (any, error) {
 	if cfg.Use2DWLM {
 		wlmMode = tech.Mode2D
 	}
-	model := wlm.BuildForMode(cfg.Node, wlmMode, EstimateArea(d, lib.lib)/util)
+	model := wlm.BuildForMode(cfg.Node, wlmMode, estimateArea(d, lib.lib)/util)
 	return &wlmArtifact{Model: model, Util: util}, nil
 }
 
@@ -352,7 +352,7 @@ func (c Config) GenerateDesign() (*netlist.Design, float64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	calib := ClockCalibrationFactor(c.Circuit, c.Node)
+	calib := clockCalibrationFactor(c.Circuit, c.Node)
 	d.TargetClockPs = baseClock * calib
 	return d, calib, nil
 }

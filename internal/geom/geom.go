@@ -25,14 +25,6 @@ type Point struct {
 // Add returns p translated by q.
 func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 
-// Sub returns p minus q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
-// Dist returns the Euclidean distance between p and q.
-func (p Point) Dist(q Point) float64 {
-	return math.Hypot(p.X-q.X, p.Y-q.Y)
-}
-
 // ManhattanDist returns the L1 distance between p and q.
 func (p Point) ManhattanDist(q Point) float64 {
 	return math.Abs(p.X-q.X) + math.Abs(p.Y-q.Y)
@@ -110,9 +102,6 @@ func (r Rect) Union(s Rect) Rect {
 func (r Rect) Expand(d float64) Rect {
 	return NewRect(r.Lo.X-d, r.Lo.Y-d, r.Hi.X+d, r.Hi.Y+d)
 }
-
-// Empty reports whether r has zero area.
-func (r Rect) Empty() bool { return r.W() <= 0 || r.H() <= 0 }
 
 func (r Rect) String() string {
 	return fmt.Sprintf("[%s %s]", r.Lo, r.Hi)

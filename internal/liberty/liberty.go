@@ -160,15 +160,6 @@ func (c *Cell) MaxCap() float64 {
 	return m
 }
 
-// InputCapTotal sums the input pin capacitance of the cell.
-func (c *Cell) InputCapTotal() float64 {
-	t := 0.0
-	for _, p := range c.Inputs {
-		t += c.PinCap[p]
-	}
-	return t
-}
-
 // Library is a full characterized cell library.
 type Library struct {
 	Node tech.Node
@@ -246,6 +237,3 @@ func (lib *Library) ScalePinCap(f float64) *Library {
 	out.index()
 	return out
 }
-
-// Inverter returns the X1 inverter (reference cell).
-func (lib *Library) Inverter() *Cell { return lib.MustCell("INV_X1") }

@@ -3,7 +3,6 @@ package liberty
 import (
 	"bytes"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -302,30 +301,4 @@ func TestMustCellPanics(t *testing.T) {
 		}
 	}()
 	lib.MustCell("NOPE_X9")
-}
-
-func TestWriteLib(t *testing.T) {
-	lib := lib2D(t)
-	var buf bytes.Buffer
-	if err := lib.WriteLib(&buf, "tmi3d_45_2d"); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	for _, want := range []string{
-		"library (tmi3d_45_2d)", "delay_model : table_lookup",
-		"cell (INV_X1)", "cell (DFF_X4)", "lu_table_template",
-		"timing_sense : negative_unate", "clocked_on", "clock : true",
-		"internal_power", "max_capacitance",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf(".lib missing %q", want)
-		}
-	}
-	if n := strings.Count(text, "cell ("); n != 66 {
-		t.Errorf("%d cells in .lib, want 66", n)
-	}
-	// Balanced braces — a syntactically plausible Liberty file.
-	if strings.Count(text, "{") != strings.Count(text, "}") {
-		t.Error("unbalanced braces in .lib output")
-	}
 }

@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"tmi3d/internal/jsonwire"
 )
@@ -143,20 +142,6 @@ var registryByID = func() map[string]Rule {
 	return m
 }()
 
-// Rules returns the full rule registry, sorted by ID.
-func Rules() []Rule {
-	out := make([]Rule, len(registry))
-	copy(out, registry)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// RuleByID returns the registry entry for a rule ID.
-func RuleByID(id string) (Rule, bool) {
-	r, ok := registryByID[id]
-	return r, ok
-}
-
 // Report collects the diagnostics of one lint subject (a design at a flow
 // stage, a library, a cell set).
 type Report struct {
@@ -202,22 +187,6 @@ func (r *Report) Warnings() int { return r.Count(Warning) }
 
 // Clean reports whether the subject passed: no Error-severity diagnostics.
 func (r *Report) Clean() bool { return r.Errors() == 0 }
-
-// ByRule returns the diagnostics of one rule.
-func (r *Report) ByRule(rule string) []Diagnostic {
-	var out []Diagnostic
-	for _, d := range r.Diags {
-		if d.Rule == rule {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// Merge appends another report's diagnostics.
-func (r *Report) Merge(o *Report) {
-	r.Diags = append(r.Diags, o.Diags...)
-}
 
 // Err converts the report into an error: nil when Clean, otherwise an error
 // naming the failing rules and the first few diagnostics.
@@ -399,13 +368,6 @@ func decodeReport(b []byte) (*Report, bool) {
 	}
 	r.Delim('}')
 	return out, r.Done()
-}
-
-// WriteJSON renders the report as indented JSON.
-func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // GateMode selects how the flow's invariant gates react to lint results.

@@ -34,6 +34,17 @@ func lib45(t *testing.T) *liberty.Library {
 	return lib
 }
 
+// byRule returns the diagnostics of one rule.
+func byRule(rep *Report, rule string) []Diagnostic {
+	var out []Diagnostic
+	for _, d := range rep.Diags {
+		if d.Rule == rule {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
 // TestDesignRules drives every netlist ERC rule with a minimal failing
 // fixture derived from the clean base design.
 func TestDesignRules(t *testing.T) {
@@ -167,7 +178,7 @@ func TestDesignRules(t *testing.T) {
 				}
 				return
 			}
-			diags := rep.ByRule(tc.rule)
+			diags := byRule(rep, tc.rule)
 			if len(diags) == 0 {
 				t.Fatalf("expected %s, got: %v", tc.rule, rep.Diags)
 			}
@@ -186,7 +197,7 @@ func TestDesignRulesAgainstLibrary(t *testing.T) {
 	d := cleanDesign()
 	d.Instances[0].CellName = "XOR2_X99"
 	rep := CheckDesign(d, DesignOptions{Lib: lib})
-	if len(rep.ByRule("LIB-NOCELL")) == 0 {
+	if len(byRule(rep, "LIB-NOCELL")) == 0 {
 		t.Errorf("unknown bound cell: expected LIB-NOCELL, got %v", rep.Diags)
 	}
 
@@ -266,7 +277,7 @@ func TestLibraryRules(t *testing.T) {
 				}
 				return
 			}
-			if len(rep.ByRule(tc.rule)) == 0 {
+			if len(byRule(rep, tc.rule)) == 0 {
 				t.Fatalf("expected %s, got: %v", tc.rule, rep.Diags)
 			}
 		})
@@ -297,7 +308,7 @@ func TestLayoutRules(t *testing.T) {
 		})
 		rep := NewReport("fixture")
 		CheckCellLayout(rep, &d, lay)
-		if len(rep.ByRule("LAY-DRC")) == 0 {
+		if len(byRule(rep, "LAY-DRC")) == 0 {
 			t.Fatalf("expected LAY-DRC, got: %v", rep.Diags)
 		}
 	})
@@ -307,7 +318,7 @@ func TestLayoutRules(t *testing.T) {
 		lay.NumMIV++
 		rep := NewReport("fixture")
 		CheckCellLayout(rep, &d, lay)
-		if len(rep.ByRule("TMI-MIVCOUNT")) == 0 {
+		if len(byRule(rep, "TMI-MIVCOUNT")) == 0 {
 			t.Fatalf("expected TMI-MIVCOUNT, got: %v", rep.Diags)
 		}
 	})
@@ -319,7 +330,7 @@ func TestLayoutRules(t *testing.T) {
 		}
 		rep := NewReport("fixture")
 		CheckCellLayout(rep, &d, lay)
-		if len(rep.ByRule("TMI-TIER")) == 0 {
+		if len(byRule(rep, "TMI-TIER")) == 0 {
 			t.Fatalf("expected TMI-TIER, got: %v", rep.Diags)
 		}
 	})
@@ -360,18 +371,11 @@ func TestReport(t *testing.T) {
 		t.Fatalf("JSON round-trip mismatch: %+v vs %+v", back, rep)
 	}
 
-	other := NewReport("other")
-	other.add("LIB-CAP", "cell INV_X1", "zero cap")
-	rep.Merge(other)
-	if rep.Errors() != 2 {
-		t.Fatalf("merge: errors=%d, want 2", rep.Errors())
-	}
-
-	if _, ok := RuleByID("ERC-LOOP"); !ok {
+	if _, ok := registryByID["ERC-LOOP"]; !ok {
 		t.Error("registry missing ERC-LOOP")
 	}
-	if len(Rules()) < 15 {
-		t.Errorf("registry has %d rules, want >= 15", len(Rules()))
+	if len(registry) < 15 {
+		t.Errorf("registry has %d rules, want >= 15", len(registry))
 	}
 }
 

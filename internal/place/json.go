@@ -197,11 +197,3 @@ func (s Snapshot) Restore(d *netlist.Design) *Placement {
 	}
 	return p
 }
-
-// CloneFor returns a deep copy of the placement bound to d — the staged
-// engine's clone-on-consume discipline: cached placement artifacts are
-// immutable, and a consumer that optimizes the design (moving and adding
-// cells) works on its own copy.
-func (p *Placement) CloneFor(d *netlist.Design) *Placement {
-	return p.Snapshot().Restore(d)
-}

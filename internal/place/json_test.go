@@ -50,17 +50,18 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// Snapshots and clones are isolated from later mutation of the original —
-// the cached-artifact immutability the staged engine relies on when
-// optimization appends buffer coordinates to a consumed placement.
+// Snapshots, and placements restored from them for another design, are
+// isolated from later mutation of the original — the cached-artifact
+// immutability the staged engine relies on when optimization appends buffer
+// coordinates to a consumed placement.
 func TestSnapshotAndCloneForIsolation(t *testing.T) {
 	d := netlist.New("d")
 	p := testPlacement(d)
 	snap := p.Snapshot()
 	d2 := netlist.New("d2")
-	clone := p.CloneFor(d2)
+	clone := p.Snapshot().Restore(d2)
 	if clone.Design != d2 {
-		t.Fatal("CloneFor did not rebind the design")
+		t.Fatal("Restore did not rebind the design")
 	}
 	p.X = append(p.X, 99)
 	p.Y = append(p.Y, 99)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"net/url"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -136,8 +135,8 @@ func checkConfig(cfg flow.Config) error {
 	if cfg.Circuit == "" {
 		return fmt.Errorf("circuit is required (one of %s)", strings.Join(circuits.Names, ", "))
 	}
-	if !slices.Contains(circuits.Names, cfg.Circuit) {
-		return fmt.Errorf("unknown circuit %q (one of %s)", cfg.Circuit, strings.Join(circuits.Names, ", "))
+	if err := circuits.Check(cfg.Circuit); err != nil {
+		return err
 	}
 	if !(cfg.Scale > 0) {
 		return fmt.Errorf("scale must be > 0, got %g", cfg.Scale)

@@ -186,25 +186,3 @@ func Equivalent(a, b *netlist.Design, vectors []Vector) (bool, string, error) {
 	}
 	return true, "", nil
 }
-
-// RandomVectors generates n deterministic pseudo-random vectors over the
-// design's primary inputs.
-func RandomVectors(d *netlist.Design, n int, seed uint64) []Vector {
-	pis := d.SortedPIs()
-	out := make([]Vector, n)
-	s := seed*2862933555777941757 + 3037000493
-	for i := range out {
-		v := Vector{}
-		for _, pi := range pis {
-			if pi == "clk" || pi == "tie0" || pi == "tie1" {
-				continue
-			}
-			s ^= s << 13
-			s ^= s >> 7
-			s ^= s << 17
-			v[pi] = s&1 == 1
-		}
-		out[i] = v
-	}
-	return out
-}

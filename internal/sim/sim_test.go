@@ -60,29 +60,6 @@ func TestNetAndOutputLookup(t *testing.T) {
 	}
 }
 
-func TestRandomVectorsDeterministic(t *testing.T) {
-	d, _ := circuits.Generate("AES", 0.05)
-	a := RandomVectors(d, 3, 7)
-	b := RandomVectors(d, 3, 7)
-	for i := range a {
-		for k, v := range a[i] {
-			if b[i][k] != v {
-				t.Fatal("vectors not deterministic")
-			}
-		}
-	}
-	c := RandomVectors(d, 1, 8)
-	diff := false
-	for k, v := range a[0] {
-		if c[0][k] != v {
-			diff = true
-		}
-	}
-	if !diff {
-		t.Error("different seeds should give different vectors")
-	}
-}
-
 // An instance with a template pin unbound is an error naming the instance
 // and the pin: a DFF missing D or Q would copy through whichever net has
 // index 0, and a gate missing an input would leave its output false.

@@ -352,17 +352,6 @@ func (t *Technology) LayersOfClass(c LayerClass) []MetalLayer {
 	return out
 }
 
-// NumLayers returns the number of routing layers in the stack.
-func (t *Technology) NumLayers() int { return len(t.Layers) }
-
-// ScaleFromN45 returns the linear dimension scale factor versus the 45nm node.
-func (t *Technology) ScaleFromN45() float64 {
-	if t.Node == N7 {
-		return 7.0 / 45.0
-	}
-	return 1.0
-}
-
 func (t *Technology) String() string {
 	return fmt.Sprintf("%s %s (%d metal layers, VDD=%.2gV)", t.Node, t.Mode, len(t.Layers), t.VDD)
 }

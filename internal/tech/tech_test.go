@@ -20,7 +20,7 @@ func TestStackSizes(t *testing.T) {
 	}
 	for _, c := range cases {
 		tt := New(c.node, c.mode)
-		if got := tt.NumLayers(); got != c.want {
+		if got := len(tt.Layers); got != c.want {
 			t.Errorf("%v %v: %d layers, want %d", c.node, c.mode, got, c.want)
 		}
 	}
@@ -130,15 +130,6 @@ func TestMIVSpec(t *testing.T) {
 	// 2D has no MIV.
 	if d2 := New(N45, Mode2D); d2.MIV.Diameter != 0 {
 		t.Errorf("2D should have no MIV, got %v", d2.MIV)
-	}
-}
-
-func TestScaleFromN45(t *testing.T) {
-	if s := New(N45, Mode2D).ScaleFromN45(); s != 1.0 {
-		t.Errorf("45nm scale = %v", s)
-	}
-	if s := New(N7, Mode2D).ScaleFromN45(); math.Abs(s-7.0/45.0) > 1e-12 {
-		t.Errorf("7nm scale = %v, want 0.1556", s)
 	}
 }
 

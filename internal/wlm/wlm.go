@@ -87,40 +87,3 @@ func BuildForMode(node tech.Node, mode tech.Mode, dieArea2D float64) *Model {
 	}
 	return Build(t, area)
 }
-
-// Measured builds a model from observed per-fanout wirelength averages (the
-// construction of Fig 6 and Section S2: models extracted from preliminary
-// layout runs). samples[i] lists measured lengths of fanout-i nets.
-func Measured(t *tech.Technology, samples map[int][]float64) *Model {
-	base := Build(t, 1e4)
-	maxF := 2
-	for f := range samples {
-		if f > maxF {
-			maxF = f
-		}
-	}
-	if maxF > 32 {
-		maxF = 32
-	}
-	lengths := make([]float64, maxF+1)
-	var prev float64
-	for f := 1; f <= maxF; f++ {
-		if xs := samples[f]; len(xs) > 0 {
-			sum := 0.0
-			for _, x := range xs {
-				sum += x
-			}
-			lengths[f] = sum / float64(len(xs))
-			prev = lengths[f]
-		} else {
-			lengths[f] = prev
-		}
-	}
-	// Enforce monotone non-decreasing lengths for sane extrapolation.
-	for f := 2; f <= maxF; f++ {
-		if lengths[f] < lengths[f-1] {
-			lengths[f] = lengths[f-1]
-		}
-	}
-	return &Model{Node: t.Node, Mode: t.Mode, Lengths: lengths, UnitR: base.UnitR, UnitC: base.UnitC}
-}

@@ -64,31 +64,6 @@ func TestBiggerDieLongerWires(t *testing.T) {
 	}
 }
 
-func TestMeasuredModel(t *testing.T) {
-	tt := tech.New(tech.N45, tech.Mode2D)
-	samples := map[int][]float64{
-		1: {4, 6},
-		2: {9, 11},
-		4: {30},
-		8: {42, 38},
-	}
-	m := Measured(tt, samples)
-	if got := m.Length(1); math.Abs(got-5) > 1e-9 {
-		t.Errorf("length(1) = %v, want 5", got)
-	}
-	if got := m.Length(2); math.Abs(got-10) > 1e-9 {
-		t.Errorf("length(2) = %v, want 10", got)
-	}
-	// Gap at fanout 3 filled with the previous value, then monotonized.
-	if m.Length(3) < m.Length(2) {
-		t.Error("gap fill must keep monotonicity")
-	}
-	// Extrapolation beyond the last sample continues linearly.
-	if m.Length(20) <= m.Length(8) {
-		t.Error("extrapolation should continue growing")
-	}
-}
-
 // Property: extrapolated lengths are finite and positive for any fanout.
 func TestLengthAlwaysPositive(t *testing.T) {
 	m := Build(tech.New(tech.N7, tech.ModeTMI), 4000)

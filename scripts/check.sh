@@ -114,7 +114,7 @@ stage staged-identity
 # a cold artifact store, then staged again fully warm (the second pass
 # executes no stage bodies at all), then one new clock point over the warm
 # store (its upstream stages decode from disk), and diff report + Verilog +
-# DEF per point.
+# DEF per point. The tmi3d binary built here serves every later stage.
 go build -o "$pdir/tmi3d" ./cmd/tmi3d
 for clk in 0 2000 2400; do
     "$pdir/tmi3d" -circuit FPU -scale 0.1 -mode tmi -clock "$clk" -byfunc \
@@ -159,8 +159,8 @@ done
 stage equiv-smoke
 # Formal sign-off must prove the smallest benchmark's mapped netlist and pass
 # the switch-level library check — and must catch an injected logic defect.
-go run ./cmd/tmi3d equiv -circuit FPU -scale 0.1 -lib -format text
-if go run ./cmd/tmi3d equiv -circuit FPU -scale 0.1 -corrupt swapgate >/dev/null; then
+"$pdir/tmi3d" equiv -circuit FPU -scale 0.1 -lib -format text
+if "$pdir/tmi3d" equiv -circuit FPU -scale 0.1 -corrupt swapgate >/dev/null; then
     echo "equiv failed to detect injected swapgate corruption" >&2
     exit 1
 fi
@@ -171,7 +171,6 @@ stage serve-smoke
 # twice (cold then cached), and diff against the direct encoding via loadgen.
 # The staged engine's identity is covered by staged-identity above; serve
 # always runs flow.Run.
-go build -o "$pdir/tmi3d" ./cmd/tmi3d
 go build -o "$pdir/loadgen" ./cmd/loadgen
 "$pdir/tmi3d" serve -addr 127.0.0.1:0 -store "$pdir/store" \
     -addrfile "$pdir/addr" 2>"$pdir/serve.log" &
