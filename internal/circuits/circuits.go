@@ -86,9 +86,6 @@ func Generate(name string, scale float64) (*netlist.Design, error) {
 func (b *builder) sinkDangling() {
 	d := b.d
 	sunk := make([]bool, len(d.Nets))
-	for _, n := range d.Nets {
-		_ = n
-	}
 	for i := range d.Nets {
 		sunk[i] = len(d.Nets[i].Sinks) > 0
 	}

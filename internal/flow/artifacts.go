@@ -2,13 +2,12 @@ package flow
 
 import (
 	"bytes"
-	"encoding"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
-	"strings"
-	"sync"
 
+	"tmi3d/internal/binwire"
 	"tmi3d/internal/cts"
 	"tmi3d/internal/equiv"
 	"tmi3d/internal/jsonwire"
@@ -31,24 +30,20 @@ import (
 // optimize the netlist) clones it first.
 //
 // The four uncached nodes return plain in-process values. Each cached node
-// returns an artifact envelope, which is also its wire form: every envelope
-// encodes canonically — the bytes encoding/json writes with sorted map keys
-// and HTML escaping off — and decodes to an exact inverse, so a value
-// decoded from a store is interchangeable with the value that was encoded.
-// Encode writes those bytes in one pass (encodeFields, and the appenders of
-// the design, snapshot, route, timing, lint reports and fanout samples inside
-// it), leaving to encoding/json only the small fields and any value the
-// appenders cannot write identically. Decode reads the canonical bytes in
-// one pass (decodeCanonical, and the one-pass decoders of the same types)
-// and leaves every other spelling to encoding/json, which gives the same
-// value or the same error. TestWireFormatTotal fills every envelope's
-// fields, round-trips it and compares every field (the offWire table lists
-// the fields deliberately left off); TestEncodeMatchesJSON holds the
-// one-pass encoder to encoding/json on the envelopes of real runs; the stage
-// engine's TestArtifactRoundTrip re-encodes the envelopes of real runs, and
-// its TestPublishedValueIsStored checks that a published value encodes to
-// the stored bytes. The report node's artifact is the Result itself, whose
-// wire form is EncodeResult's payload.
+// returns an artifact value whose stored bytes decode to an exact inverse,
+// so a value decoded from a store is interchangeable with the value that was
+// encoded. The report node's artifact is the Result itself, stored as
+// EncodeResult's JSON payload (codec.go). Every other cached node returns an
+// envelope stored in binary (internal/binwire): its fields in declaration
+// order, the netlist, placement snapshot, route and timing in their own
+// binary forms (WriteBinary/ReadBinary) and every other field as a
+// length-prefixed blob of its canonical JSON. Those four types are written
+// and read by the store alone, so they have no JSON form at all; the small
+// fields keep theirs. TestWireFormatTotal fills every envelope's fields,
+// round-trips it and compares every field (the offWire table lists the
+// fields deliberately left off); the stage engine's TestArtifactRoundTrip
+// re-encodes the envelopes of real runs, and its TestPublishedValueIsStored
+// checks that a published value encodes to the stored bytes.
 
 // setupValue is the setup node's output: the per-run constants every later
 // stage draws from.
@@ -73,40 +68,40 @@ type libraryValue struct {
 // wlmArtifact is the wire-load-model node's output: the model plus the
 // resolved target utilization (placement consumes both).
 type wlmArtifact struct {
-	Model *wlm.Model `json:"model"`
-	Util  float64    `json:"util"`
+	Model *wlm.Model
+	Util  float64
 }
 
 // synthArtifact is the mapped netlist with its synthesis statistics and the
 // post-synth gate reports.
 type synthArtifact struct {
-	Design *netlist.Design `json:"design"`
-	Stats  netlist.Stats   `json:"stats"`
-	Lint   []*lint.Report  `json:"lint,omitempty"`
-	Equiv  []*equiv.Report `json:"equiv,omitempty"`
+	Design *netlist.Design
+	Stats  netlist.Stats
+	Lint   []*lint.Report
+	Equiv  []*equiv.Report
 }
 
 // placeArtifact is the placement geometry; the design it places is the synth
 // artifact, rebound on consumption.
 type placeArtifact struct {
-	Snap place.Snapshot `json:"snapshot"`
+	Snap place.Snapshot
 }
 
 // optArtifact is the pre-route-closed implementation: the optimized netlist,
 // its placement (optimization moves cells and adds buffers), the pre-route
 // optimization statistics, and the post-place gate reports.
 type optArtifact struct {
-	Design   *netlist.Design `json:"design"`
-	Snap     place.Snapshot  `json:"snapshot"`
-	PreStats *opt.Stats      `json:"pre_stats"`
-	Lint     []*lint.Report  `json:"lint,omitempty"`
-	Equiv    []*equiv.Report `json:"equiv,omitempty"`
+	Design   *netlist.Design
+	Snap     place.Snapshot
+	PreStats *opt.Stats
+	Lint     []*lint.Report
+	Equiv    []*equiv.Report
 }
 
 // routeArtifact is the first global route of the pre-route-closed placement;
 // sign-off extracts its parasitics for post-route optimization.
 type routeArtifact struct {
-	Route *route.Result `json:"route"`
+	Route *route.Result
 }
 
 // signoffArtifact is the converged final implementation: the post-route
@@ -114,384 +109,153 @@ type routeArtifact struct {
 // accumulated optimization statistics (pre-route + post-route + ECO), and the
 // post-route gate reports.
 type signoffArtifact struct {
-	Design *netlist.Design `json:"design"`
-	Snap   place.Snapshot  `json:"snapshot"`
-	Route  *route.Result   `json:"route"`
-	Timing *sta.Result     `json:"timing"`
-	Stats  *opt.Stats      `json:"stats"`
-	Lint   []*lint.Report  `json:"lint,omitempty"`
-	Equiv  []*equiv.Report `json:"equiv,omitempty"`
+	Design *netlist.Design
+	Snap   place.Snapshot
+	Route  *route.Result
+	Timing *sta.Result
+	Stats  *opt.Stats
+	Lint   []*lint.Report
+	Equiv  []*equiv.Report
 }
 
 // powerArtifact is the sign-off power report plus the clock tree it charged.
 type powerArtifact struct {
-	Power *power.Report `json:"power"`
-	Clock *cts.Result   `json:"clock_tree"`
+	Power *power.Report
+	Clock *cts.Result
 }
 
-// encodeCanonical renders the canonical wire bytes of a value: compact JSON
-// with sorted map keys and unescaped HTML, terminated by a newline. It
-// writes them in one pass (encodeFields); a value that pass cannot write
-// byte for byte as encoding/json does goes to encodeJSON whole, which writes
-// the same bytes or returns encoding/json's error.
-func encodeCanonical(v any, what string) ([]byte, error) {
-	if b, ok := encodeFields(v); ok {
-		return b, nil
+// binaryValue is a store-only type with a binary form: the netlist,
+// placement snapshot, route and timing.
+type binaryValue interface {
+	WriteBinary(w *binwire.Writer)
+	ReadBinary(r *binwire.Reader)
+}
+
+var binaryType = reflect.TypeFor[binaryValue]()
+
+// encodeArtifact writes the binary form of the envelope v points to: each
+// field in declaration order, a binary value as its WriteBinary writes it (a
+// pointer behind a presence flag), any other as a blob of the JSON
+// appendField writes for it, null for nil. The fields share one symbol
+// table, so the snapshot's port names refer back to the design's.
+func encodeArtifact(v any) ([]byte, error) {
+	rv := reflect.ValueOf(v).Elem()
+	fields, ok := wireFields(rv.Type())
+	if !ok {
+		return nil, fmt.Errorf("%T is not an artifact envelope", v)
 	}
-	b, err := encodeJSON(v)
+	w := binwire.NewWriter(make([]byte, 0, 4<<10))
+	js := jsonwire.NewWriter(nil)
+	var other fieldEncoder
+	var err error
+	for _, f := range fields {
+		fv := rv.Field(f.index)
+		switch f.codec {
+		case fieldBinary:
+			fv.Addr().Interface().(binaryValue).WriteBinary(w)
+		case fieldBinaryPointer:
+			w.Bool(!fv.IsNil())
+			if !fv.IsNil() {
+				fv.Interface().(binaryValue).WriteBinary(w)
+			}
+		default:
+			w.BlobFunc(func(b []byte) []byte {
+				var blob []byte
+				blob, err = appendJSONField(js, b, fv, f.codec, &other)
+				return blob
+			})
+			if err != nil {
+				return nil, fmt.Errorf("field %s: %w", f.name, err)
+			}
+		}
+	}
+	return w.Bytes(), nil
+}
+
+// appendJSONField appends the canonical JSON of one envelope field to b,
+// through js: the bytes appendField writes, or encoding/json's where
+// appendField cannot write them.
+func appendJSONField(js *jsonwire.Writer, b []byte, fv reflect.Value, c fieldCodec, other *fieldEncoder) ([]byte, error) {
+	js.Reset(b)
+	appendField(js, fv, c, other)
+	if js.OK() {
+		return js.Bytes(), nil
+	}
+	j, err := encodeJSON(fv.Addr().Interface())
+	return append(b, bytes.TrimSuffix(j, []byte{'\n'})...), err
+}
+
+// decodeArtifact fills the envelope v points to, which must be zero, from
+// the bytes encodeArtifact wrote. It takes only those bytes: a JSON blob
+// that decodes but is not the canonical spelling of its value, or anything
+// after the last field, is an error, so decoded bytes always re-encode to
+// themselves.
+func decodeArtifact(data []byte, v any) error {
+	rv := reflect.ValueOf(v).Elem()
+	fields, ok := wireFields(rv.Type())
+	if !ok {
+		return fmt.Errorf("%T is not an artifact envelope", v)
+	}
+	r := binwire.NewReader(data)
+	js := jsonwire.NewWriter(nil)
+	var other fieldEncoder
+	for _, f := range fields {
+		fv := rv.Field(f.index)
+		switch f.codec {
+		case fieldBinary:
+			fv.Addr().Interface().(binaryValue).ReadBinary(r)
+		case fieldBinaryPointer:
+			if r.Bool() {
+				fv.Set(reflect.New(fv.Type().Elem()))
+				fv.Interface().(binaryValue).ReadBinary(r)
+			}
+		default:
+			blob := r.Blob()
+			if !r.OK() {
+				break
+			}
+			if err := json.Unmarshal(blob, fv.Addr().Interface()); err != nil {
+				return fmt.Errorf("field %s: %w", f.name, err)
+			}
+			if again, err := appendJSONField(js, make([]byte, 0, len(blob)), fv, f.codec, &other); err != nil || !bytes.Equal(again, blob) {
+				return fmt.Errorf("field %s: not canonical JSON", f.name)
+			}
+		}
+		if !r.OK() {
+			return fmt.Errorf("field %s: malformed", f.name)
+		}
+	}
+	if !r.Done() {
+		return errors.New("bytes after the last field")
+	}
+	return nil
+}
+
+// Encode renders a cached node's artifact value as its stored bytes: the
+// report's canonical JSON, any other node's binary envelope.
+func (n *Node) Encode(v any) ([]byte, error) {
+	if _, ok := v.(*Result); ok {
+		return encodeCanonical(v, n.Name+" artifact")
+	}
+	b, err := encodeArtifact(v)
 	if err != nil {
-		return nil, fmt.Errorf("flow: encode %s: %w", what, err)
+		return nil, fmt.Errorf("flow: encode %s artifact: %w", n.Name, err)
 	}
 	return b, nil
 }
 
-// encodeJSON renders v through encoding/json with HTML escaping off: the
-// canonical bytes by definition, and encodeFields' fallback.
-func encodeJSON(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// appender is a wire type that writes its own canonical bytes: exactly what
-// encoding/json writes for it, or a failed writer where those would differ.
-// WireSize estimates how many, to size the buffer once.
-type appender interface {
-	AppendJSON(w *jsonwire.Writer)
-	WireSize() int
-}
-
-var appenderType = reflect.TypeFor[appender]()
-
-// encodeFields writes the canonical bytes of the struct v points to in one
-// pass, or reports false. It walks the fields as encoding/json does — in
-// declaration order, omitempty fields left out when empty — and writes each
-// value with its AppendJSON where it has one (a nil pointer as null), a list
-// of such values ([]*lint.Report) element by element, and any other value
-// through encoding/json with HTML escaping off, which is how encoding/json
-// writes it inside the envelope.
-func encodeFields(v any) ([]byte, bool) {
-	rv := reflect.ValueOf(v)
-	if rv.Kind() != reflect.Pointer || rv.IsNil() {
-		return nil, false
-	}
-	fields, ok := wireFields(rv.Type().Elem())
-	if !ok {
-		return nil, false
-	}
-	rv = rv.Elem()
-	w := jsonwire.NewWriter(make([]byte, 0, wireSize(rv, fields)))
-	var other fieldEncoder
-	w.Byte('{')
-	n := 0
-	for _, f := range fields {
-		fv := rv.Field(f.index)
-		if f.omitEmpty && isEmptyValue(fv) {
-			continue
-		}
-		if n > 0 {
-			w.Byte(',')
-		}
-		n++
-		w.Raw(f.key)
-		switch f.codec {
-		case fieldAppender, fieldPointer:
-			if a, ok := fieldAppenderOf(fv, f.codec); ok {
-				a.AppendJSON(w)
-			} else {
-				w.Null()
-			}
-		case fieldList:
-			if fv.IsNil() {
-				w.Null()
-				break
-			}
-			w.Byte('[')
-			for i := 0; i < fv.Len(); i++ {
-				if i > 0 {
-					w.Byte(',')
-				}
-				if a, ok := fieldAppenderOf(fv.Index(i), fieldPointer); ok {
-					a.AppendJSON(w)
-				} else {
-					w.Null()
-				}
-			}
-			w.Byte(']')
-		default:
-			other.encode(w, fv.Addr().Interface())
-		}
-	}
-	w.Raw("}\n")
-	return w.Bytes(), w.OK()
-}
-
-// wireSize estimates the bytes encodeFields writes for the envelope rv:
-// the appenders' WireSize and 1 kB for the small fields. Sizing the buffer
-// once matters: grown by append from 1 kB instead, an FPU@0.1 signoff
-// encode allocates 5.2 MB instead of 1.0 MB and runs 30% slower (synth and
-// opt 40%). TestEncodeMatchesJSON holds the estimate to real artifacts.
-func wireSize(rv reflect.Value, fields []wireField) int {
-	size := 1024
-	for _, f := range fields {
-		fv := rv.Field(f.index)
-		if f.codec == fieldList {
-			for i := 0; i < fv.Len(); i++ {
-				if a, ok := fieldAppenderOf(fv.Index(i), fieldPointer); ok {
-					size += a.WireSize()
-				}
-			}
-		} else if a, ok := fieldAppenderOf(fv, f.codec); ok {
-			size += a.WireSize()
-		}
-	}
-	return size
-}
-
-// fieldAppenderOf returns the appender of a fieldAppender or fieldPointer
-// field, or false for a nil pointer or a field of another codec.
-func fieldAppenderOf(fv reflect.Value, c fieldCodec) (appender, bool) {
-	switch {
-	case c == fieldAppender:
-		return fv.Addr().Interface().(appender), true
-	case c == fieldPointer && !fv.IsNil():
-		return fv.Interface().(appender), true
-	}
-	return nil, false
-}
-
-// fieldEncoder writes the fields without an appender through one
-// encoding/json Encoder.
-type fieldEncoder struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-// encode writes what encoding/json writes for the value p points to, or
-// marks w failed if encoding/json fails.
-func (e *fieldEncoder) encode(w *jsonwire.Writer, p any) {
-	if e.enc == nil {
-		e.enc = json.NewEncoder(&e.buf)
-		e.enc.SetEscapeHTML(false)
-	}
-	e.buf.Reset()
-	if err := e.enc.Encode(p); err != nil {
-		w.Fail()
-		return
-	}
-	w.RawBytes(bytes.TrimSuffix(e.buf.Bytes(), []byte{'\n'}))
-}
-
-// isEmptyValue reports whether encoding/json leaves out v under omitempty.
-func isEmptyValue(v reflect.Value) bool {
-	switch v.Kind() {
-	case reflect.Array, reflect.Map, reflect.Slice, reflect.String:
-		return v.Len() == 0
-	case reflect.Struct:
-		return false
-	}
-	return v.IsZero()
-}
-
-// wireField is one field of an envelope as encoding/json spells it.
-type wireField struct {
-	index     int
-	name      string // the JSON key
-	key       string // the key as written: "name":
-	omitEmpty bool
-	codec     fieldCodec
-}
-
-// fieldCodec selects how encodeFields writes a field.
-type fieldCodec int
-
-const (
-	fieldJSON     fieldCodec = iota // through encoding/json
-	fieldAppender                   // a value whose address has AppendJSON
-	fieldPointer                    // a pointer with AppendJSON
-	fieldList                       // a slice of pointers with AppendJSON
-)
-
-// wirePlans caches wireFields per envelope type.
-var wirePlans sync.Map // reflect.Type → []wireField, or nil
-
-// wireFields returns the fields encoding/json writes for the struct type t,
-// in order, or false for a type the one-pass codecs leave to encoding/json:
-// not a struct, a marshaler or unmarshaler itself, or one with a field
-// encoding/json spells some other way (embedded, a tag option other than
-// omitempty, a key that is not a plain identifier, two fields of one key).
-func wireFields(t reflect.Type) ([]wireField, bool) {
-	if plan, ok := wirePlans.Load(t); ok {
-		fields := plan.([]wireField)
-		return fields, fields != nil
-	}
-	fields := planFields(t)
-	wirePlans.Store(t, fields)
-	return fields, fields != nil
-}
-
-var (
-	marshalerType     = reflect.TypeFor[json.Marshaler]()
-	textMarshalerType = reflect.TypeFor[encoding.TextMarshaler]()
-)
-
-// planFields builds wireFields' answer, nil for a type it refuses.
-func planFields(t reflect.Type) []wireField {
-	if t.Kind() != reflect.Struct {
-		return nil
-	}
-	for _, m := range []reflect.Type{marshalerType, textMarshalerType, unmarshalerType} {
-		if reflect.PointerTo(t).Implements(m) {
-			return nil
-		}
-	}
-	fields := []wireField{}
-	seen := map[string]bool{}
-	for i := 0; i < t.NumField(); i++ {
-		sf := t.Field(i)
-		name, opts, _ := strings.Cut(sf.Tag.Get("json"), ",")
-		switch {
-		case !sf.IsExported() || (name == "-" && opts == ""):
-			continue
-		case sf.Anonymous || (opts != "" && opts != "omitempty"):
-			return nil
-		case name == "":
-			name = sf.Name
-		}
-		if !identifier(name) || seen[name] {
-			return nil
-		}
-		seen[name] = true
-		f := wireField{index: i, name: name, key: `"` + name + `":`, omitEmpty: opts == "omitempty"}
-		ft := sf.Type
-		switch {
-		case ft.Kind() == reflect.Pointer && ft.Implements(appenderType):
-			f.codec = fieldPointer
-		case ft.Kind() != reflect.Pointer && reflect.PointerTo(ft).Implements(appenderType):
-			f.codec = fieldAppender
-		case ft.Kind() == reflect.Slice && ft.Elem().Kind() == reflect.Pointer && ft.Elem().Implements(appenderType):
-			f.codec = fieldList
-		}
-		fields = append(fields, f)
-	}
-	return fields
-}
-
-// identifier reports whether name is letters, digits and underscores only:
-// a key encoding/json takes from the tag as it is and writes unescaped.
-func identifier(name string) bool {
-	if name == "" {
-		return false
-	}
-	for _, c := range []byte(name) {
-		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_') {
-			return false
-		}
-	}
-	return true
-}
-
-// Encode renders a cached node's artifact value as its canonical stored
-// bytes.
-func (n *Node) Encode(v any) ([]byte, error) {
-	return encodeCanonical(v, n.Name+" artifact")
-}
-
 // Decode parses a cached node's stored bytes into its artifact value — the
-// exact inverse of Encode. Canonical bytes decode in one pass (decodeFast);
-// anything else decodes through json.Unmarshal, with the same result.
+// exact inverse of Encode.
 func (n *Node) Decode(data []byte) (any, error) {
 	if n.wire == nil {
 		return nil, fmt.Errorf("flow: stage %s has no artifact codec", n.Name)
 	}
-	if v, ok := n.decodeFast(data); ok {
-		return v, nil
-	}
 	v := n.wire()
-	if err := json.Unmarshal(data, v); err != nil {
+	if _, ok := v.(*Result); ok {
+		return DecodeResult(data)
+	}
+	if err := decodeArtifact(data, v); err != nil {
 		return nil, fmt.Errorf("flow: decode %s artifact: %w", n.Name, err)
 	}
 	return v, nil
-}
-
-// decodeFast decodes canonical artifact bytes in one pass, or reports false.
-func (n *Node) decodeFast(data []byte) (any, bool) {
-	v := n.wire()
-	return v, decodeCanonical(data, v)
-}
-
-// decodeCanonical decodes the bytes encodeCanonical writes for the struct v
-// points to in one pass over its fields, or reports false, leaving v partly
-// filled. It walks the fields in declaration order, matching each one's JSON
-// key exactly; an omitempty field may be absent. Each value's bytes go
-// straight to the field's UnmarshalJSON when it has one, element by element
-// to it for a list of such values ([]*lint.Report), and to json.Unmarshal
-// otherwise. Every UnmarshalJSON in the wire set reads canonical bytes
-// strictly and hands anything else to json.Unmarshal, which validates them.
-// Any other shape — an unknown, repeated, reordered or case-variant key, a
-// null, whitespace, or anything after the one closing newline — reports
-// false, and the caller decodes the whole value with json.Unmarshal.
-func decodeCanonical(data []byte, v any) bool {
-	rv := reflect.ValueOf(v).Elem()
-	fields, ok := wireFields(rv.Type())
-	if !ok {
-		return false
-	}
-	r := jsonwire.NewReader(data)
-	r.Delim('{')
-	n := 0
-	for _, f := range fields {
-		if !r.Field(f.name, n) {
-			if f.omitEmpty {
-				continue
-			}
-			return false
-		}
-		n++
-		if !decodeValue(r, rv.Field(f.index)) {
-			return false
-		}
-	}
-	r.Delim('}')
-	r.Delim('\n')
-	return r.Done()
-}
-
-var unmarshalerType = reflect.TypeFor[json.Unmarshaler]()
-
-// decodeValue decodes the value at r into f, or reports false.
-func decodeValue(r *jsonwire.Reader, f reflect.Value) bool {
-	if r.Null() {
-		return false
-	}
-	if t := f.Type(); t.Kind() == reflect.Slice && t.Elem().Kind() == reflect.Pointer && t.Elem().Implements(unmarshalerType) {
-		r.Delim('[')
-		s := reflect.MakeSlice(t, 0, 0)
-		for n := 0; r.More(']', n); n++ {
-			e := reflect.New(t.Elem().Elem())
-			if !decodeValue(r, e.Elem()) {
-				return false
-			}
-			s = reflect.Append(s, e)
-		}
-		f.Set(s)
-		return r.OK()
-	}
-	b := r.Skip()
-	if !r.OK() {
-		return false
-	}
-	target := f.Addr()
-	if f.Kind() == reflect.Pointer {
-		f.Set(reflect.New(f.Type().Elem()))
-		target = f
-	}
-	if u, ok := target.Interface().(json.Unmarshaler); ok {
-		return u.UnmarshalJSON(b) == nil
-	}
-	return json.Unmarshal(b, target.Interface()) == nil
 }

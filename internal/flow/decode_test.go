@@ -89,9 +89,10 @@ func sameDecode(t *testing.T, n *Node, data []byte) {
 	}
 }
 
-// Every cached node's canonical artifact decodes on the fast path, to a
-// value that re-encodes to the same bytes. Without this a fast path that
-// always fell back would pass every identity test.
+// Every cached node's stored artifact decodes to a value that re-encodes to
+// the same bytes, and the report's canonical JSON decodes on the one-pass
+// path. Without the last check a one-pass decoder that always fell back
+// would pass every identity test.
 func TestArtifactsDecodeOnFastPath(t *testing.T) {
 	arts := artifacts(t)
 	for i := range Nodes {
@@ -100,21 +101,21 @@ func TestArtifactsDecodeOnFastPath(t *testing.T) {
 		}
 	}
 	for _, a := range arts {
-		v, ok := a.node.decodeFast(a.data)
-		if !ok {
-			t.Errorf("%s: canonical artifact (%d bytes) left the fast path", a.node.Name, len(a.data))
+		v, err := a.node.Decode(a.data)
+		if err != nil {
+			t.Errorf("%s: stored artifact (%d bytes) does not decode: %v", a.node.Name, len(a.data), err)
 			continue
 		}
 		again, err := a.node.Encode(v)
 		if err != nil || !bytes.Equal(again, a.data) {
-			t.Errorf("%s: fast-path value re-encodes differently (%v)", a.node.Name, err)
+			t.Errorf("%s: decoded value re-encodes differently (%v)", a.node.Name, err)
 		}
-		sameDecode(t, a.node, a.data)
 	}
 	report := artifactOf(t, "report")
 	if r := new(Result); !decodeCanonical(report.data, r) {
 		t.Error("DecodeResult's canonical payload left the fast path")
 	}
+	sameDecode(t, report.node, report.data)
 }
 
 func slicesHasNode(arts []artifact, n *Node) bool {
@@ -126,57 +127,39 @@ func slicesHasNode(arts []artifact, n *Node) bool {
 	return false
 }
 
-// Non-canonical spellings of real artifacts decode to what encoding/json
-// gives them, value for value and failure for failure.
+// Non-canonical spellings of the report's JSON artifact decode to what
+// encoding/json gives them, value for value and failure for failure.
 func TestArtifactDecodeMatchesJSON(t *testing.T) {
 	cases := []struct {
 		name, node string
 		edit       func(s string) string
 	}{
-		{"whitespace after the envelope brace", "signoff", replace(`{"design":`, `{ "design":`)},
-		{"whitespace inside the design", "signoff", replace(`"instances":[`, `"instances": [`)},
-		{"indented", "power", indent},
-		{"reordered keys", "wlm", swapFields},
-		{"reordered envelope keys", "signoff", swapFields},
-		{"duplicate key, the last wins", "place", func(s string) string {
-			return strings.Replace(s, `{"snapshot":`, `{"snapshot":{"die":{"Lo":{"X":1,"Y":2},"Hi":{"X":3,"Y":4}}},"snapshot":`, 1)
-		}},
-		{"case-variant envelope key", "signoff", replace(`"timing":`, `"Timing":`)},
-		{"case-variant route key", "route", replace(`"TotalLen":`, `"totallen":`)},
-		{"unknown key", "signoff", replace(`"stats":`, `"extra":1,"stats":`)},
-		{"escaped instance name", "synth", escapeFirst(`"Name":"`)},
-		{"escaped design name", "opt", escapeFirst(`"name":"`)},
-		{"escaped net name", "opt", escapeFirst(`"nets":[{"name":"`)},
-		{"escaped pin name", "signoff", replace(`"Pin":"D"`, `"Pin":"\u0044"`)},
+		{"whitespace after the envelope brace", "report", replace(`{"config":`, `{ "config":`)},
+		{"indented", "report", indent},
+		{"reordered keys", "report", reorder("power")},
+		{"reordered envelope keys", "report", swapFields},
+		{"duplicate key, the last wins", "report", replace(`{"config":`, `{"config":{"circuit":"X"},"config":`)},
+		{"case-variant envelope key", "report", replace(`"power":`, `"Power":`)},
+		{"unknown key", "report", replace(`"opt_stats":`, `"extra":1,"opt_stats":`)},
+		{"escaped design name", "report", escapeFirst(`"design_a":"`)},
 		{"escaped circuit name", "report", escapeFirst(`"circuit":"`)},
-		{"negative zero int", "signoff", replaceInt(`"clock_net":`, "-0")},
-		{"negative zero float", "route", replaceValue("TotalLen", "-0")},
-		{"negative zero coordinate", "place", replaceValue("row_h", "-0.0")},
-		{"negative zero vias", "route", replaceInt(`"Vias":`, "-0")},
-		{"float out of range", "route", replaceInt(`"Vias":`, "1e400")},
-		{"float out of range in timing", "signoff", replaceValue("clock_ps", "1e400")},
-		{"float with exponent", "route", replaceValue("Pitch", "2.5E+1")},
-		{"ten-digit int", "signoff", replaceInt(`"Inst":`, "1234567890")},
-		{"twenty-digit int", "signoff", replaceInt(`"Inst":`, "12345678901234567890")},
-		{"int with exponent", "signoff", replaceInt(`"Inst":`, "1e2")},
-		{"null design", "signoff", replaceValue("design", "null")},
-		{"null route", "route", replaceValue("route", "null")},
-		{"null timing", "signoff", replaceValue("timing", "null")},
-		{"null snapshot", "opt", replaceValue("snapshot", "null")},
-		{"null pins", "synth", replaceValue("Pins", "null")},
-		{"null sinks", "synth", replaceValue("sinks", "null")},
-		{"null timing entry", "signoff", replace(`"arrival_ps":[`, `"arrival_ps":[null,`)},
-		{"string timing entry", "signoff", replace(`"arrival_ps":[`, `"arrival_ps":["+Inf","Inf",`)},
-		{"short LenByClass", "route", replaceValue("LenByClass", "[1,2,3]")},
-		{"long LenByClass", "route", replaceValue("LenByClass", "[1,2,3,4,5]")},
-		{"unsorted pins", "synth", replaceValue("Pins", `{"Z":1,"A":2}`)},
-		{"no closing newline", "signoff", func(s string) string { return strings.TrimSuffix(s, "\n") }},
-		{"two closing newlines", "signoff", func(s string) string { return s + "\n" }},
+		{"negative zero int", "report", replaceInt(`"num_cells":`, "-0")},
+		{"negative zero float", "report", replaceValue("footprint_um2", "-0")},
+		{"float out of range", "report", replaceValue("footprint_um2", "1e400")},
+		{"float out of range in timing", "report", replaceValue("wns_ps", "1e400")},
+		{"float with exponent", "report", replaceValue("total_wl_um", "2.5E+1")},
+		{"ten-digit int", "report", replaceInt(`"num_cells":`, "1234567890")},
+		{"twenty-digit int", "report", replaceInt(`"num_cells":`, "12345678901234567890")},
+		{"int with exponent", "report", replaceInt(`"num_cells":`, "1e2")},
+		{"short LenByClass", "report", replaceValue("wl_by_class_um", "[1,2,3]")},
+		{"long LenByClass", "report", replaceValue("wl_by_class_um", "[1,2,3,4,5]")},
+		{"no closing newline", "report", func(s string) string { return strings.TrimSuffix(s, "\n") }},
+		{"two closing newlines", "report", func(s string) string { return s + "\n" }},
 		{"trailing space", "report", func(s string) string { return s + " " }},
-		{"trailing bytes", "signoff", func(s string) string { return s + "x" }},
+		{"trailing bytes", "report", func(s string) string { return s + "x" }},
 		{"trailing value", "report", func(s string) string { return s + "{}\n" }},
-		{"truncated", "signoff", func(s string) string { return s[:len(s)/2] }},
-		{"unbalanced", "place", replace(`"x":[`, `"x":[[`)},
+		{"truncated", "report", func(s string) string { return s[:len(s)/2] }},
+		{"unbalanced", "report", replace(`"wl_by_class_um":[`, `"wl_by_class_um":[[`)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -255,6 +238,22 @@ func indent(s string) string {
 	return b.String()
 }
 
+// reorder swaps the first two fields of the object that is key's value.
+func reorder(key string) func(string) string {
+	return func(s string) string {
+		i := strings.Index(s, `"`+key+`":`)
+		if i < 0 {
+			return s
+		}
+		i += len(key) + 3
+		var raw json.RawMessage
+		if err := json.NewDecoder(strings.NewReader(s[i:])).Decode(&raw); err != nil {
+			return s
+		}
+		return s[:i] + strings.TrimSuffix(swapFields(string(raw)), "\n") + s[i+len(raw):]
+	}
+}
+
 // swapFields swaps the first two fields of the envelope.
 func swapFields(s string) string {
 	var m []json.RawMessage
@@ -293,19 +292,34 @@ func swapFields(s string) string {
 	return b.String()
 }
 
-// FuzzArtifactDecode checks the one-pass decoder against encoding/json on
-// arbitrary bytes, seeded with the canonical artifact of every cached node of
-// a tiny run: Node.Decode and json.Unmarshal into the node's wire value both
-// fail, or both succeed with the same value.
+// FuzzArtifactDecode feeds arbitrary bytes to a cached node's decoder,
+// seeded with the stored artifact of every cached node of a tiny run and
+// with damaged copies of the wlm artifact. A binary envelope's decoder must
+// neither panic nor allocate more than the input describes, and whatever it
+// accepts must re-encode to exactly the bytes it read; the report's JSON
+// decoder must fail where json.Unmarshal fails and otherwise give its value.
 func FuzzArtifactDecode(f *testing.F) {
 	arts := artifacts(f)
 	for i, a := range arts {
 		f.Add(uint8(i), a.data)
 	}
-	f.Add(uint8(0), []byte(`{"model":null,"util":0.5}`+"\n"))
-	f.Add(uint8(0), []byte(`{"util":0.5,"model":null}`+"\n"))
+	wlm := artifactOf(f, "wlm").data
+	f.Add(uint8(0), wlm[:len(wlm)-1])
+	f.Add(uint8(0), append(bytes.Clone(wlm), 0))
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
-		sameDecode(t, arts[int(which)%len(arts)].node, data)
+		n := arts[int(which)%len(arts)].node
+		if n.Name == "report" {
+			sameDecode(t, n, data)
+			return
+		}
+		v, err := n.Decode(data)
+		if err != nil {
+			return
+		}
+		again, err := n.Encode(v)
+		if err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("%s: %d bytes decode, and re-encode as %d bytes (%v)", n.Name, len(data), len(again), err)
+		}
 	})
 }
 

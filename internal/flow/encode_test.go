@@ -2,11 +2,13 @@ package flow
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -81,11 +83,40 @@ var encodeRuns = sync.OnceValues(func() (map[string][]value, error) {
 	return out, nil
 })
 
-// Every artifact and result of real runs encodes in one pass to exactly
-// encoding/json's bytes, into a buffer its wire size estimate sized. Without
-// the fast-path check a one-pass encoder that always fell back would pass;
-// without the size check a wire format that outgrew its WireSize constants
-// would only slow the encoder down.
+// sameBlobs holds the JSON blobs of a binary envelope — every field that is
+// not a netlist, snapshot, route or timing — to encoding/json: the same
+// bytes, or a failure where encoding/json fails.
+func sameBlobs(t *testing.T, what string, v any) {
+	t.Helper()
+	rv := reflect.ValueOf(v).Elem()
+	fields, ok := wireFields(rv.Type())
+	if !ok {
+		t.Fatalf("%s: no field plan", what)
+	}
+	js := jsonwire.NewWriter(nil)
+	var other fieldEncoder
+	for _, f := range fields {
+		if f.codec == fieldBinary || f.codec == fieldBinaryPointer {
+			continue
+		}
+		fv := rv.Field(f.index)
+		got, err := appendJSONField(js, nil, fv, f.codec, &other)
+		want, wantErr := encodeJSON(fv.Addr().Interface())
+		switch {
+		case (err != nil) != (wantErr != nil):
+			t.Fatalf("%s.%s: blob error %v, encoding/json error %v", what, f.name, err, wantErr)
+		case err == nil && !bytes.Equal(got, bytes.TrimSuffix(want, []byte{'\n'})):
+			t.Fatalf("%s.%s: blob %.120q, encoding/json %.120q", what, f.name, got, want)
+		}
+	}
+}
+
+// Every result of real runs encodes in one pass to exactly encoding/json's
+// bytes, into a buffer its wire size estimate sized, and every JSON blob of
+// their binary artifacts holds encoding/json's bytes. Without the fast-path
+// check a one-pass encoder that always fell back would pass; without the
+// size check a wire format that outgrew its WireSize constants would only
+// slow the encoder down.
 func TestEncodeMatchesJSON(t *testing.T) {
 	runs, err := encodeRuns()
 	if err != nil {
@@ -94,6 +125,10 @@ func TestEncodeMatchesJSON(t *testing.T) {
 	for _, run := range sortedKeys(runs) {
 		for _, a := range runs[run] {
 			what := run + " " + a.node.Name
+			if _, ok := a.v.(*Result); !ok {
+				sameBlobs(t, what, a.v)
+				continue
+			}
 			if !sameEncode(t, what, a.v) {
 				t.Errorf("%s: not encoded in one pass", what)
 				continue
@@ -108,9 +143,10 @@ func TestEncodeMatchesJSON(t *testing.T) {
 	}
 }
 
-// Every envelope field whose type has an AppendJSON is planned onto it: a
-// type that lost half of the appender interface would otherwise fall to
-// encoding/json field by field, with the same bytes, unnoticed.
+// Every envelope field whose type has a WriteBinary is planned onto it, and
+// every one whose type has an AppendJSON onto that: a type that lost half of
+// either interface would otherwise go through encoding/json as a JSON blob,
+// or field by field, unnoticed.
 func TestEnvelopeFieldsUseAppenders(t *testing.T) {
 	roots := []any{new(Result)}
 	for i := range Nodes {
@@ -118,7 +154,7 @@ func TestEnvelopeFieldsUseAppenders(t *testing.T) {
 			roots = append(roots, n.wire())
 		}
 	}
-	planned := 0
+	planned, binary := 0, 0
 	for _, v := range roots {
 		rt := reflect.TypeOf(v).Elem()
 		fields, ok := wireFields(rt)
@@ -130,36 +166,48 @@ func TestEnvelopeFieldsUseAppenders(t *testing.T) {
 			if ft.Kind() == reflect.Slice {
 				ft = ft.Elem()
 			}
-			_, has := reflect.PointerTo(ft).MethodByName("AppendJSON")
-			if ft.Kind() == reflect.Pointer {
-				_, has = ft.MethodByName("AppendJSON")
+			has := func(method string) bool {
+				if ft.Kind() == reflect.Pointer {
+					_, ok := ft.MethodByName(method)
+					return ok
+				}
+				_, ok := reflect.PointerTo(ft).MethodByName(method)
+				return ok
 			}
 			switch {
-			case has && f.codec == fieldJSON:
+			case has("WriteBinary") && f.codec != fieldBinary && f.codec != fieldBinaryPointer:
+				t.Errorf("%v.%s: its type has WriteBinary but is not written in binary", rt, f.name)
+			case has("AppendJSON") && f.codec == fieldJSON:
 				t.Errorf("%v.%s: its type has AppendJSON but is not an appender", rt, f.name)
+			case f.codec == fieldBinary || f.codec == fieldBinaryPointer:
+				binary++
 			case f.codec != fieldJSON:
 				planned++
 			}
 		}
 	}
-	if planned < 12 {
-		t.Errorf("only %d envelope fields write through appenders", planned)
+	if binary < 9 || planned < 7 {
+		t.Errorf("only %d envelope fields write in binary and %d through appenders", binary, planned)
 	}
 }
 
 // Every wire root filled by TestWireFormatTotal's filler — every exported
-// field set — encodes to encoding/json's bytes or fails with its error.
+// field set — encodes to encoding/json's bytes or fails with its error: the
+// JSON roots whole, the artifact envelopes blob by blob.
 func TestEncodeFilledMatchesJSON(t *testing.T) {
-	roots := map[string]any{"Config": new(Config), "Result": new(Result)}
-	for i := range Nodes {
-		if n := &Nodes[i]; n.Cached {
-			roots[n.Name+" artifact"] = n.wire()
-		}
-	}
-	for _, name := range sortedKeys(roots) {
+	for _, v := range []any{new(Config), new(Result)} {
 		var f filler
-		f.fill(reflect.ValueOf(roots[name]).Elem())
-		t.Logf("%s: one pass %v", name, sameEncode(t, name, roots[name]))
+		f.fill(reflect.ValueOf(v).Elem())
+		name := reflect.TypeOf(v).Elem().Name()
+		t.Logf("%s: one pass %v", name, sameEncode(t, name, v))
+	}
+	for i := range Nodes {
+		if n := &Nodes[i]; n.Cached && n.Name != "report" {
+			v := n.wire()
+			var f filler
+			f.fill(reflect.ValueOf(v).Elem())
+			sameBlobs(t, n.Name+" artifact", v)
+		}
 	}
 }
 
@@ -194,14 +242,71 @@ func fresh(t *testing.T, node string) any {
 // levels apart.
 var oddNames = []string{`<a&b>`, `q"b\s`, "t\tn\x01", "ls\xe2\x80\xa8", "bad\xff", "del\x7f"}
 
-// Values the one pass cannot write byte for byte fall back to encoding/json
-// whole, which writes the same bytes or returns the same error; values it
-// can write, odd names and non-finite timing included, stay on the one pass.
+// sameStored requires a binary artifact value to encode — or to fail where
+// encoding/json fails on one of its JSON blobs, with that error — and to
+// decode to a value equal to it in every exported field (NaN to NaN) that
+// re-encodes to the same bytes, unless encoding/json cannot decode one of
+// its blobs either (a lint severity with no name).
+func sameStored(t *testing.T, n *Node, v any) {
+	t.Helper()
+	sameBlobs(t, n.Name, v)
+	data, err := n.Encode(v)
+	rv := reflect.ValueOf(v).Elem()
+	fields, _ := wireFields(rv.Type())
+	var wantErr error
+	undecodable := false
+	for _, f := range fields {
+		if f.codec == fieldBinary || f.codec == fieldBinaryPointer {
+			continue
+		}
+		fv := rv.Field(f.index)
+		b, err := encodeJSON(fv.Addr().Interface())
+		if err != nil && wantErr == nil {
+			wantErr = err
+		}
+		if err == nil && json.Unmarshal(b, reflect.New(fv.Type()).Interface()) != nil {
+			undecodable = true
+		}
+	}
+	switch {
+	case (err != nil) != (wantErr != nil):
+		t.Fatalf("%s: Encode error %v, encoding/json error %v", n.Name, err, wantErr)
+	case err != nil:
+		if !strings.Contains(err.Error(), wantErr.Error()) {
+			t.Fatalf("%s: Encode error %q, encoding/json error %q", n.Name, err, wantErr)
+		}
+		return
+	}
+	back, err := n.Decode(data)
+	if (err != nil) != undecodable {
+		t.Fatalf("%s: decode error %v, want one: %v", n.Name, err, undecodable)
+	}
+	if err != nil {
+		return
+	}
+	w := &wireWalk{differs: map[string]string{}, reached: map[string]bool{}}
+	w.compare(reflect.ValueOf(v), reflect.ValueOf(back), n.Name, "")
+	for _, k := range sortedKeys(w.differs) {
+		if _, ok := offWire[k]; !ok {
+			t.Errorf("%s: %s does not round-trip (%s)", n.Name, k, w.differs[k])
+		}
+	}
+	if again, err := n.Encode(back); err != nil || !bytes.Equal(again, data) {
+		t.Fatalf("%s: the decoded value re-encodes differently (%v)", n.Name, err)
+	}
+}
+
+// Values the report's one pass cannot write byte for byte fall back to
+// encoding/json whole, which writes the same bytes or returns the same
+// error; values it can write, odd names included, stay on the one pass.
+// The binary artifacts take every value, these included — NaN, ±Inf, odd
+// names, pins out of order or repeated, nil and empty lists — and decode
+// it back exactly; only a JSON blob encoding/json refuses fails them.
 func TestEncodeFallsBack(t *testing.T) {
 	cases := []struct {
 		name, node string
 		edit       func(v any)
-		fast       bool
+		fast       bool // the report's one pass writes it (report cases only)
 	}{
 		{"NaN footprint", "report", func(v any) { v.(*Result).Footprint = math.NaN() }, false},
 		{"infinite WNS", "report", func(v any) { v.(*Result).WNS = math.Inf(-1) }, false},
@@ -291,11 +396,27 @@ func TestEncodeFallsBack(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			v := fresh(t, c.node)
 			c.edit(v)
+			if c.node != "report" {
+				sameStored(t, node(t, c.node), v)
+				return
+			}
 			if fast := sameEncode(t, c.name, v); fast != c.fast {
 				t.Fatalf("one pass %v, want %v", fast, c.fast)
 			}
 		})
 	}
+}
+
+// node returns the named node of the stage graph.
+func node(t *testing.T, name string) *Node {
+	t.Helper()
+	for i := range Nodes {
+		if Nodes[i].Name == name {
+			return &Nodes[i]
+		}
+	}
+	t.Fatalf("no stage %s", name)
+	return nil
 }
 
 // Encoding a value that is not a pointer to an envelope falls back whole.
@@ -339,21 +460,70 @@ func FuzzSamplesEncode(f *testing.F) {
 	})
 }
 
-// FuzzArtifactEncode decodes arbitrary bytes into a cached node's wire
-// value through encoding/json, seeded with the canonical artifact of every
-// cached node of a tiny run, and holds the encoder to encoding/json on
-// whatever value results.
+// FuzzArtifactEncode writes arbitrary values into a real artifact of every
+// cached node of a tiny run — the fuzzed bytes, eight at a time, as the bit
+// patterns of its first floats, and as its first strings — and requires the
+// binary envelopes to store the result exactly (sameStored) and the report
+// to encode as encoding/json does.
 func FuzzArtifactEncode(f *testing.F) {
 	arts := artifacts(f)
 	for i, a := range arts {
-		f.Add(uint8(i), a.data)
+		f.Add(uint8(i), a.data[:min(len(a.data), 8*(i+1))])
 	}
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
-		n := arts[int(which)%len(arts)].node
-		v := n.wire()
-		if json.Unmarshal(data, v) != nil {
+		a := arts[int(which)%len(arts)]
+		v, err := a.node.Decode(a.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perturb(reflect.ValueOf(v).Elem(), data, 16)
+		if a.node.Name == "report" {
+			sameEncode(t, a.node.Name, v)
 			return
 		}
-		sameEncode(t, n.Name, v)
+		sameStored(t, a.node, v)
 	})
+}
+
+// perturb overwrites the first n floats and the first n strings reachable
+// from v (exported fields only, slices and pointers followed, maps left
+// alone) with values cut from data.
+func perturb(v reflect.Value, data []byte, n int) {
+	floats, strs := n, n
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		if floats == 0 && strs == 0 {
+			return
+		}
+		switch v.Kind() {
+		case reflect.Float64:
+			if floats > 0 && len(data) >= 8 {
+				v.SetFloat(math.Float64frombits(binary.LittleEndian.Uint64(data)))
+				data = data[8:]
+				floats--
+			}
+		case reflect.String:
+			if strs > 0 && len(data) > 0 {
+				k := min(len(data), int(data[0]%8)+1)
+				v.SetString(string(data[:k]))
+				data = data[k:]
+				strs--
+			}
+		case reflect.Pointer:
+			if !v.IsNil() {
+				walk(v.Elem())
+			}
+		case reflect.Slice, reflect.Array:
+			for i := 0; i < v.Len() && i < n; i++ {
+				walk(v.Index(i))
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				if v.Type().Field(i).IsExported() {
+					walk(v.Field(i))
+				}
+			}
+		}
+	}
+	walk(v)
 }

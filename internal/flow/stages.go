@@ -221,7 +221,19 @@ func runSignoff(cfg Config, in *inputs) (any, error) {
 	stats.Upsized += oa.PreStats.Upsized
 	stats.BuffersAdd += oa.PreStats.BuffersAdd
 	stats.Downsized += oa.PreStats.Downsized
-	rt, timing, err := converge(d, pl, tb, lib, areaBudget, stats, in.prof)
+	pass := func() (*route.Result, func(int) sta.WireRC, *sta.Result, error) {
+		return signoffPass(d, pl, tb, lib, in.prof)
+	}
+	eco := func(wire func(int) sta.WireRC) (*opt.Stats, error) {
+		t0 := time.Now()
+		st, err := opt.Close(d, opt.Options{
+			Lib: lib.lib, Wire: wire, Placement: pl, MaxRounds: 6, SkipDRV: true,
+			AreaBudget: areaBudget,
+		})
+		in.prof.add("opt", time.Since(t0))
+		return st, err
+	}
+	rt, timing, err := converge(pass, eco, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -238,30 +250,32 @@ func runSignoff(cfg Config, in *inputs) (any, error) {
 }
 
 // converge closes final routing, extraction, and sign-off timing. Buffers
-// moved nets around, so it re-routes, re-extracts, and analyzes; if the
-// re-routed parasitics uncover a residual violation it closes once more on
-// the final extraction (ECO-style) and re-routes, up to three passes. ECO fix
-// counts accumulate into stats.
-func converge(d *netlist.Design, pl *place.Placement, tb *captable.Table, lib *libraryValue, areaBudget float64, stats *opt.Stats, prof *profile) (*route.Result, *sta.Result, error) {
-	for pass := 0; ; pass++ {
-		rt, wire, timing, err := signoffPass(d, pl, tb, lib, prof)
+// moved nets around, so it runs a sign-off pass (re-route, re-extract,
+// analyze); if the pass's parasitics uncover a residual violation it closes
+// once more on them (an ECO round) and runs another pass, up to three. ECO
+// fix counts accumulate into stats. An ECO round that upsized nothing and
+// added no buffer changed nothing — with SkipDRV and no power recovery those
+// are all opt.Close does — so the next pass would route and time the same
+// design again: converge returns the current pass instead.
+func converge(pass func() (*route.Result, func(int) sta.WireRC, *sta.Result, error),
+	eco func(wire func(int) sta.WireRC) (*opt.Stats, error), stats *opt.Stats) (*route.Result, *sta.Result, error) {
+	for n := 0; ; n++ {
+		rt, wire, timing, err := pass()
 		if err != nil {
 			return nil, nil, err
 		}
-		if timing.Met() || pass >= 2 {
+		if timing.Met() || n >= 2 {
 			return rt, timing, nil
 		}
-		t0 := time.Now()
-		eco, err := opt.Close(d, opt.Options{
-			Lib: lib.lib, Wire: wire, Placement: pl, MaxRounds: 6, SkipDRV: true,
-			AreaBudget: areaBudget,
-		})
+		st, err := eco(wire)
 		if err != nil {
 			return nil, nil, err
 		}
-		prof.add("opt", time.Since(t0))
-		stats.Upsized += eco.Upsized
-		stats.BuffersAdd += eco.BuffersAdd
+		stats.Upsized += st.Upsized
+		stats.BuffersAdd += st.BuffersAdd
+		if st.Upsized+st.BuffersAdd == 0 {
+			return rt, timing, nil
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
-// Package jsonwire reads and writes the canonical JSON of the stage
-// artifacts: compact (no whitespace), keys in a fixed order, strings and
-// numbers as encoding/json formats them. A Writer (writer.go) appends those
+// Package jsonwire reads and writes canonical JSON — the flow result, and
+// the gate reports inside it and inside the stage artifacts: compact (no
+// whitespace), keys in a fixed order, strings and numbers as encoding/json
+// formats them. A Writer (writer.go) appends those
 // bytes to one buffer. A Reader is a cursor over them with strict
 // primitives; it guesses nothing, and the first byte that does not match
 // what a primitive expects marks the reader failed. Every later call is then
@@ -35,9 +36,9 @@ func (r *Reader) Done() bool { return !r.bad && r.i == len(r.b) }
 // Fail marks the reader failed, for checks a caller makes itself.
 func (r *Reader) Fail() { r.bad = true }
 
-// Peek returns the next byte, or 0 at the end of the input or after a
+// peek returns the next byte, or 0 at the end of the input or after a
 // failure.
-func (r *Reader) Peek() byte {
+func (r *Reader) peek() byte {
 	if r.bad || r.i >= len(r.b) {
 		return 0
 	}
@@ -46,7 +47,7 @@ func (r *Reader) Peek() byte {
 
 // Delim consumes the byte c ('{', '}', '[', ']', ',' or ':').
 func (r *Reader) Delim(c byte) {
-	if r.Peek() != c || c == 0 {
+	if r.peek() != c || c == 0 {
 		r.bad = true
 		return
 	}
@@ -92,7 +93,7 @@ func (r *Reader) Field(k string, n int) bool {
 //	r.Delim('[')
 //	for n := 0; r.More(']', n); n++ { ... }
 func (r *Reader) More(close byte, n int) bool {
-	switch c := r.Peek(); {
+	switch c := r.peek(); {
 	case c == close && c != 0:
 		r.i++
 		return false
@@ -259,17 +260,17 @@ func (r *Reader) Floats() []float64 {
 		return nil
 	}
 	r.Delim('[')
-	out := make([]float64, 0, r.FlatLen())
+	out := make([]float64, 0, r.flatLen())
 	for k := 0; r.More(']', k); k++ {
 		out = append(out, r.Float())
 	}
 	return out
 }
 
-// FlatLen returns the length of the array just opened, counted as one more
+// flatLen returns the length of the array just opened, counted as one more
 // than its commas before the first ']': exact for an array of numbers, and
 // only a capacity hint for anything else.
-func (r *Reader) FlatLen() int {
+func (r *Reader) flatLen() int {
 	if r.bad {
 		return 0
 	}

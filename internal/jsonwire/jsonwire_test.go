@@ -126,7 +126,7 @@ func TestStr(t *testing.T) {
 func TestFailureSticks(t *testing.T) {
 	r := NewReader([]byte(`{"a":1,"b":2}`))
 	r.Delim('[')
-	if r.Field("a", 0) || r.OK() || r.More('}', 0) || r.Int() != 0 || r.Peek() != 0 {
+	if r.Field("a", 0) || r.OK() || r.More('}', 0) || r.Int() != 0 || r.peek() != 0 {
 		t.Fatal("reads went on after a failure")
 	}
 	r = NewReader([]byte(`{"a":1,"b":2}`))

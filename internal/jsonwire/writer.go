@@ -21,6 +21,10 @@ type Writer struct {
 // NewWriter returns a writer that appends to b.
 func NewWriter(b []byte) *Writer { return &Writer{b: b} }
 
+// Reset makes w append to b, as NewWriter(b) would, so one writer serves
+// many values.
+func (w *Writer) Reset(b []byte) { w.b, w.bad = b, false }
+
 // Bytes returns the bytes written so far.
 func (w *Writer) Bytes() []byte { return w.b }
 

@@ -2,7 +2,6 @@ package netlist
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"testing"
 )
@@ -31,14 +30,11 @@ func chain(n int) *Design {
 	return d
 }
 
-func mustJSON(t *testing.T, v any) []byte {
-	t.Helper()
-	b, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
+// netBytes and instBytes encode one net or instance, as a design holding
+// only it.
+func netBytes(n Net) []byte { return encode(&Design{Nets: []Net{n}}) }
+
+func instBytes(inst Instance) []byte { return encode(&Design{Instances: []Instance{inst}}) }
 
 // Every mutator applied to a clone leaves the source's bytes alone, and the
 // clone's nets and instances the mutations do not touch keep their bytes
@@ -47,14 +43,14 @@ func mustJSON(t *testing.T, v any) []byte {
 // sinks.
 func TestCloneIsolation(t *testing.T) {
 	src := chain(64)
-	before := mustJSON(t, src)
+	before := encode(src)
 	c := src.Clone()
-	if got := mustJSON(t, c); !bytes.Equal(got, before) {
+	if got := encode(c); !bytes.Equal(got, before) {
 		t.Fatal("clone encodes differently from its source")
 	}
 	untouched := make([][]byte, len(c.Nets))
 	for i := range c.Nets {
-		untouched[i] = mustJSON(t, netJSON(c.Nets[i]))
+		untouched[i] = netBytes(c.Nets[i])
 	}
 
 	// Pins.Set: rebind an existing pin and add a new one (an insertion
@@ -97,14 +93,14 @@ func TestCloneIsolation(t *testing.T) {
 		c.Nets[i].Sinks = append(c.Nets[i].Sinks, PinRef{Inst: -1, Pin: "probe"})
 	}
 
-	if after := mustJSON(t, src); !bytes.Equal(after, before) {
+	if after := encode(src); !bytes.Equal(after, before) {
 		t.Fatal("mutating the clone changed the source's bytes")
 	}
 	for i := range src.Instances {
 		if touchedInst[i] {
 			continue
 		}
-		if got, want := mustJSON(t, c.Instances[i]), mustJSON(t, src.Instances[i]); !bytes.Equal(got, want) {
+		if got, want := instBytes(c.Instances[i]), instBytes(src.Instances[i]); !bytes.Equal(got, want) {
 			t.Errorf("untouched instance %d changed in the clone:\n got %s\nwant %s", i, got, want)
 		}
 	}
@@ -127,7 +123,7 @@ func TestCloneIsolation(t *testing.T) {
 		}
 		cn := c.Nets[ci]
 		cn.Sinks = cn.Sinks[:len(cn.Sinks)-1] // drop the probe
-		if got := mustJSON(t, netJSON(cn)); !bytes.Equal(got, untouched[i]) {
+		if got := netBytes(cn); !bytes.Equal(got, untouched[i]) {
 			t.Errorf("untouched net %q changed in the clone:\n got %s\nwant %s", n.Name, got, untouched[i])
 		}
 		checked++

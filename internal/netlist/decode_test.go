@@ -1,68 +1,49 @@
 package netlist
 
 import (
-	"encoding/json"
-	"reflect"
-	"strings"
+	"bytes"
+	"math"
 	"testing"
 )
 
-// FuzzDesignDecode holds the one-pass decoder to the encoding/json path: on
-// any bytes the one-pass decoder accepts, the encoding/json path succeeds
-// with a deeply equal design (nil and empty lists told apart). The seeds are
-// canonical designs and respellings of them, which the one-pass decoder
-// must accept or leave to encoding/json; the canonical ones must take the
-// one-pass path.
+// FuzzDesignDecode feeds arbitrary bytes to the decoder: it must neither
+// panic nor allocate more than the input describes, and whatever it accepts
+// must re-encode to exactly the bytes it read — one encoding per design.
+// The seeds are real encodings (with nil and empty lists, a floating net, an
+// empty pin list, odd names and a NaN clock) and damaged copies of one: truncated, extended, with a
+// byte flipped, a varint respelled longer, a count raised.
 func FuzzDesignDecode(f *testing.F) {
 	d := testDesign()
 	d.AddNet("floating")
 	d.Instances[1].Pins = Pins{}
-	canonical, err := json.Marshal(d)
-	if err != nil {
-		f.Fatal(err)
-	}
-	empty, _ := json.Marshal(&Design{Name: "e", Instances: []Instance{}, Nets: []Net{}})
-	null, _ := json.Marshal(&Design{Name: "n"})
-	for _, b := range [][]byte{canonical, empty, null} {
-		if _, ok := decodeDesign(b); !ok {
-			f.Fatalf("canonical design %s left the one-pass path", b)
+	canonical := encode(d)
+	odd := &Design{Name: "\xff<", TargetClockPs: math.NaN(), ClockNet: math.MinInt64, PIs: map[string]int{"\x00": -1, "é": 1}}
+	for _, b := range [][]byte{canonical, encode(&Design{Name: "e", Instances: []Instance{}, Nets: []Net{}}), encode(&Design{Name: "n"}), encode(odd)} {
+		if _, ok := decode(b); !ok {
+			f.Fatalf("encoded design %q does not decode", b)
 		}
 		f.Add(b)
 	}
-	s := string(canonical)
-	for _, edit := range [][2]string{
-		{`"instances":[`, `"instances": [`},
-		{`"Pins":{}`, `"Pins":null`},
-		{`"sinks":[]`, `"sinks":null`},
-		{`"pis":{`, `"pis":null,"x":{`},
-		{`"pis":{"a":0,`, `"pis":{"a":0,"a":1,`},
-		{`"Name":"u1"`, `"Name":"u\u0031"`},
-		{`"Pin":"A"`, `"Pin":"\u0041"`},
-		{`{"A":0,"B":1`, `{"B":1,"A":0`},
-		{`{"A":0,"B":1`, `{"A":0,"A":1`},
-		{`"clock_net":4`, `"clock_net":-0`},
-		{`"clock_net":4`, `"clock_net":4.0`},
-		{`"clock_net":4`, `"clock_net":1234567890`},
-		{`"target_clock_ps":437.25`, `"target_clock_ps":1e400`},
-		{`"target_clock_ps":437.25`, `"target_clock_ps":-0`},
-		{`"IsBuffer":true`, `"isbuffer":true`},
-		{`"IsBuffer":true`, `"IsBuffer":1`},
-		{`}`, `} `},
-	} {
-		f.Add([]byte(strings.Replace(s, edit[0], edit[1], 1)))
+	for _, n := range []int{0, 1, 2, len(canonical) / 3, len(canonical) / 2, len(canonical) - 1} {
+		f.Add(canonical[:n])
 	}
-	f.Add([]byte(s + "x"))
+	f.Add(append(bytes.Clone(canonical), 0))
+	for _, i := range []int{0, 1, 7, 8, 9, 10, len(canonical) / 2, len(canonical) - 9} {
+		b := bytes.Clone(canonical)
+		b[i] ^= 0x41
+		f.Add(b)
+	}
+	// The design name's length respelled as a two-byte varint.
+	f.Add(append([]byte{canonical[0] | 0x80, 0}, canonical[1:]...))
+	// A pin count far beyond the input.
+	f.Add(append([]byte{0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}, canonical...))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		fast, ok := decodeDesign(b)
+		d, ok := decode(b)
 		if !ok {
 			return
 		}
-		slow, err := decodeDesignJSON(b)
-		if err != nil {
-			t.Fatalf("one-pass decode accepted %q, encoding/json fails: %v", b, err)
-		}
-		if !reflect.DeepEqual(fast, slow) {
-			t.Fatalf("%q decodes to\n%#v\none pass, and to\n%#v\nthrough encoding/json", b, fast, slow)
+		if again := encode(d); !bytes.Equal(again, b) {
+			t.Fatalf("%q decodes, and re-encodes as %q", b, again)
 		}
 	})
 }

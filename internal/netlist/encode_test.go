@@ -1,41 +1,23 @@
 package netlist
 
 import (
-	"bytes"
-	"encoding/json"
+	"math"
 	"strconv"
 	"testing"
-
-	"tmi3d/internal/jsonwire"
 )
 
-// sameAppend holds AppendJSON to json.Marshal, the design's MarshalJSON:
-// the same bytes, or a failed writer where encoding/json fails.
-func sameAppend(t *testing.T, d *Design) {
-	t.Helper()
-	w := jsonwire.NewWriter(nil)
-	d.AppendJSON(w)
-	want, err := json.Marshal(d)
-	if w.OK() != (err == nil) {
-		t.Fatalf("writer ok %v, encoding/json error %v", w.OK(), err)
-	}
-	if err == nil && !bytes.Equal(w.Bytes(), want) {
-		t.Fatalf("AppendJSON writes\n%s\nencoding/json\n%s", w.Bytes(), want)
-	}
-}
-
 // FuzzDesignEncode builds designs from a fuzzed name, pin name, clock and
-// shape, and holds AppendJSON to json.Marshal on each. Names cross every
-// string the design writes: escaped and invalid-UTF-8 ones included. The
-// shape picks nil or empty instance, net, pin, sink and port lists, and pin
-// lists out of order or with a name twice, which MarshalJSON refuses; a
-// NaN or infinite clock is refused the same way.
+// shape, and round-trips each. Names cross every string the design writes:
+// escaped and invalid-UTF-8 ones included. The shape picks nil or empty
+// instance, net, pin, sink and port lists, and pin lists out of order or
+// with a name twice, which the codec carries as they are; a NaN or infinite
+// clock crosses as its bits.
 func FuzzDesignEncode(f *testing.F) {
 	f.Add("fpu", "A", 500.0, []byte{3, 2, 0, 1})
 	f.Add(`<a&"b\`, "Z\x7f", 250.5, []byte{4, 1, 0xff, 0x10})
 	f.Add("B\xe2\x80\xa8>", "\xff", 1e21, []byte{2, 3, 0x21, 0x42})
-	f.Add("", "", 0.0, []byte{})
-	f.Add("n", "A", 1.0, []byte{1, 0, 0x80})
+	f.Add("", "", math.NaN(), []byte{})
+	f.Add("n", "A", math.Copysign(0, -1), []byte{1, 0, 0x80})
 	f.Fuzz(func(t *testing.T, name, pin string, clock float64, shape []byte) {
 		at := func(i int) byte {
 			if i < len(shape) {
@@ -83,12 +65,20 @@ func FuzzDesignEncode(f *testing.F) {
 		if mode&128 != 0 {
 			d.POs = map[string]int{"out" + name: 2, pin + "<": 3}
 		}
-		sameAppend(t, d)
+		roundTrip(t, d)
 	})
 }
 
-// A nil design writes null, as encoding/json writes a nil pointer.
+// A design whose lists and maps are all nil round-trips with each still nil,
+// and a design with each empty with each still empty.
 func TestDesignAppendNil(t *testing.T) {
-	sameAppend(t, nil)
-	sameAppend(t, testDesign())
+	back := roundTrip(t, &Design{Name: "nil"})
+	if back.Instances != nil || back.Nets != nil || back.PIs != nil || back.POs != nil {
+		t.Fatalf("nil lists and maps decode as %#v", back)
+	}
+	back = roundTrip(t, &Design{Instances: []Instance{{Pins: Pins{}}}, Nets: []Net{}, PIs: map[string]int{}, POs: map[string]int{}})
+	if back.Instances[0].Pins == nil || back.Nets == nil || back.PIs == nil || back.POs == nil {
+		t.Fatalf("empty lists and maps decode as %#v", back)
+	}
+	roundTrip(t, testDesign())
 }

@@ -105,8 +105,8 @@ type Design struct {
 	TargetClockPs float64
 
 	// netIndex maps net names to indices. It is derived from Nets and stays
-	// off the wire: UnmarshalJSON rebuilds it, Clone leaves it nil, and
-	// AddNet builds it on first use. A nil index is never filled in by a
+	// off the wire: decoding leaves it nil, as Clone does, and AddNet builds
+	// it on first use. A nil index is never filled in by a
 	// read, because cached designs are read by concurrent flows.
 	netIndex map[string]int
 }

@@ -1,60 +1,50 @@
 package place
 
 import (
-	"encoding/json"
-	"reflect"
-	"strings"
+	"bytes"
+	"math"
 	"testing"
 
 	"tmi3d/internal/geom"
 	"tmi3d/internal/netlist"
 )
 
-// FuzzSnapshotDecode holds the one-pass decoder to the encoding/json path:
-// on any bytes the one-pass decoder accepts, decoding into the method-free
-// snapshotJSON succeeds with a deeply equal snapshot. The canonical seeds
-// must take the one-pass path.
+// FuzzSnapshotDecode feeds arbitrary bytes to the decoder: it must neither
+// panic nor allocate more than the input describes, and whatever it accepts
+// must re-encode to exactly the bytes it read. The seeds are real encodings
+// and damaged copies of one: truncated, extended (by a byte, by a copy), with a byte flipped, a
+// varint respelled longer, ports out of order.
 func FuzzSnapshotDecode(f *testing.F) {
-	var seeds [][]byte
-	for _, s := range []Snapshot{testPlacement(netlist.New("d")).Snapshot(), {X: []float64{}, Ports: map[string]geom.Point{}}, {}} {
-		b, err := json.Marshal(s)
-		if err != nil {
-			f.Fatal(err)
+	full := encode(&Snapshot{Die: geom.NewRect(0, 0, 120.5, 87.25), RowH: 1.4, SiteW: 0.19,
+		X: []float64{1.25, math.NaN()}, Y: []float64{1.4, 2.8},
+		Ports: map[string]geom.Point{"a": {X: 0, Y: 3.5}, "out": {X: 120.5, Y: 42}}, Util: 0.8125})
+	real := testPlacement(netlist.New("d")).Snapshot()
+	for _, b := range [][]byte{full, encode(&real), encode(&Snapshot{X: []float64{}, Ports: map[string]geom.Point{}}), encode(&Snapshot{})} {
+		if _, ok := decode(b); !ok {
+			f.Fatalf("encoded snapshot %q does not decode", b)
 		}
-		if _, ok := decodeSnapshot(b); !ok {
-			f.Fatalf("canonical snapshot %s left the one-pass path", b)
-		}
-		seeds = append(seeds, b)
-	}
-	s := string(seeds[0])
-	for _, edit := range [][2]string{
-		{`"x":[`, `"x": [`},
-		{`"x":[`, `"x":[null,`},
-		{`"ports":{"a"`, `"ports":{"\u0061"`},
-		{`"ports":{"a":`, `"ports":{"out":{"X":1,"Y":2},"a":`},
-		{`"row_h":1.4`, `"row_h":-0`},
-		{`"row_h":1.4`, `"row_h":1e400`},
-		{`"row_h":1.4`, `"Row_h":1.4`},
-		{`"util":0.8125`, `"util":0.8125,"util":1`},
-		{`{"X":0,"Y":3.5}`, `{"Y":3.5,"X":0}`},
-		{`"y":[`, `"y":null,"z":[`},
-	} {
-		seeds = append(seeds, []byte(strings.Replace(s, edit[0], edit[1], 1)))
-	}
-	for _, b := range seeds {
 		f.Add(b)
 	}
+	for _, n := range []int{0, 8, len(full) / 2, len(full) - 1} {
+		f.Add(full[:n])
+	}
+	f.Add(append(bytes.Clone(full), 0))
+	f.Add(append(bytes.Clone(full), full...))
+	for _, i := range []int{48, len(full) - 9} {
+		b := bytes.Clone(full)
+		b[i] ^= 0x80
+		f.Add(b)
+	}
+	// The two ports swapped: names out of order.
+	swapped := bytes.Replace(bytes.Clone(full), []byte("\x00\x01a"), []byte("\x00\x01~"), 1)
+	f.Add(swapped)
 	f.Fuzz(func(t *testing.T, b []byte) {
-		fast, ok := decodeSnapshot(b)
+		s, ok := decode(b)
 		if !ok {
 			return
 		}
-		var slow snapshotJSON
-		if err := json.Unmarshal(b, &slow); err != nil {
-			t.Fatalf("one-pass decode accepted %q, encoding/json fails: %v", b, err)
-		}
-		if !reflect.DeepEqual(fast, Snapshot(slow)) {
-			t.Fatalf("%q decodes to %+v one pass, and to %+v through encoding/json", b, fast, slow)
+		if again := encode(&s); !bytes.Equal(again, b) {
+			t.Fatalf("%q decodes, and re-encodes as %q", b, again)
 		}
 	})
 }

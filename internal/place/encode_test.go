@@ -1,20 +1,15 @@
 package place
 
 import (
-	"bytes"
-	"encoding/json"
 	"math"
 	"testing"
 
 	"tmi3d/internal/geom"
-	"tmi3d/internal/jsonwire"
 )
 
-// FuzzSnapshotEncode holds AppendJSON to encoding/json with HTML escaping
-// off, as the artifact envelopes encode a snapshot: the same bytes, or a
-// failed writer where encoding/json fails (a NaN or infinite coordinate).
-// Port names cross the unescaped string writer, escaped and invalid-UTF-8
-// ones included; the shape picks nil and empty coordinate and port lists.
+// FuzzSnapshotEncode round-trips snapshots built from fuzzed coordinates and
+// a port name: NaN and infinite coordinates, escaped and invalid-UTF-8
+// names included; the shape picks nil and empty coordinate and port lists.
 func FuzzSnapshotEncode(f *testing.F) {
 	f.Add(uint8(0), 0.0, 0.0, 0.0, 0.0, 0.0, "", uint8(0))
 	f.Add(uint8(3), 1.14, 0.19, 120.5, 1.4, 0.8125, "out", uint8(1))
@@ -35,17 +30,6 @@ func FuzzSnapshotEncode(f *testing.F) {
 			s.Ports = map[string]geom.Point{port: {X: util, Y: x0}}
 			s.X = nil
 		}
-		w := jsonwire.NewWriter(nil)
-		s.AppendJSON(w)
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		enc.SetEscapeHTML(false)
-		err := enc.Encode(s)
-		if w.OK() != (err == nil) {
-			t.Fatalf("writer ok %v, encoding/json error %v", w.OK(), err)
-		}
-		if want := bytes.TrimSuffix(buf.Bytes(), []byte{'\n'}); err == nil && !bytes.Equal(w.Bytes(), want) {
-			t.Fatalf("AppendJSON writes\n%s\nencoding/json\n%s", w.Bytes(), want)
-		}
+		roundTrip(t, s)
 	})
 }

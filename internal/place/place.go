@@ -133,19 +133,6 @@ func perimeterPoint(r geom.Rect, dist float64) geom.Point {
 	}
 }
 
-// HPWL returns the total half-perimeter wirelength in µm, excluding the
-// clock net (routed as an ideal network).
-func (p *Placement) HPWL() float64 {
-	total := 0.0
-	for ni := range p.Design.Nets {
-		if ni == p.Design.ClockNet {
-			continue
-		}
-		total += p.NetHPWL(ni)
-	}
-	return total
-}
-
 // NetHPWL returns one net's bounding-box wirelength.
 func (p *Placement) NetHPWL(ni int) float64 {
 	net := &p.Design.Nets[ni]

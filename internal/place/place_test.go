@@ -109,7 +109,7 @@ func TestTMIFootprintShrink(t *testing.T) {
 // round-robin scatter of the same cells.
 func TestPlacementBeatsScatter(t *testing.T) {
 	p, _ := placed(t, "DES", 0.08, tech.Mode2D, 0.8)
-	good := p.HPWL()
+	good := totalHPWL(p)
 	// Scatter: place instances round-robin across the die.
 	saveX := append([]float64{}, p.X...)
 	saveY := append([]float64{}, p.Y...)
@@ -121,7 +121,7 @@ func TestPlacementBeatsScatter(t *testing.T) {
 		p.X[i] = p.Die.Lo.X + (float64(k%cols)+0.5)*p.Die.W()/float64(cols)
 		p.Y[i] = p.Die.Lo.Y + (float64(k/cols)+0.5)*p.Die.H()/float64(cols+1)
 	}
-	scatter := p.HPWL()
+	scatter := totalHPWL(p)
 	copy(p.X, saveX)
 	copy(p.Y, saveY)
 	if good > scatter*0.6 {
@@ -143,7 +143,7 @@ func TestPortsOnBoundary(t *testing.T) {
 func TestDeterministic(t *testing.T) {
 	a, _ := placed(t, "AES", 0.05, tech.Mode2D, 0.8)
 	b, _ := placed(t, "AES", 0.05, tech.Mode2D, 0.8)
-	if a.HPWL() != b.HPWL() {
+	if totalHPWL(a) != totalHPWL(b) {
 		t.Error("placement not deterministic")
 	}
 }
@@ -225,4 +225,16 @@ func TestReadDEFErrors(t *testing.T) {
 			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
 		}
 	}
+}
+
+// totalHPWL sums NetHPWL over every net but the clock (routed as an ideal
+// network).
+func totalHPWL(p *Placement) float64 {
+	total := 0.0
+	for ni := range p.Design.Nets {
+		if ni != p.Design.ClockNet {
+			total += p.NetHPWL(ni)
+		}
+	}
+	return total
 }

@@ -1,68 +1,54 @@
 package route
 
 import (
-	"encoding/json"
-	"reflect"
-	"strings"
+	"bytes"
+	"math"
 	"testing"
 
 	"tmi3d/internal/tech"
 )
 
-// FuzzResultDecode holds the one-pass decoder to the encoding/json path: on
-// any bytes the one-pass decoder accepts, decoding into the method-free
-// resultJSON succeeds with a deeply equal result. The canonical seeds must
-// take the one-pass path.
+// FuzzResultDecode feeds arbitrary bytes to the decoder: it must neither
+// panic nor allocate more than the input describes, and whatever it accepts
+// must re-encode to exactly the bytes it read. The seeds are real encodings
+// and damaged copies of one — truncated, extended, with a byte flipped, a
+// varint respelled longer, a route count raised past the input — and the
+// committed corpus carries an old JSON fragment, which must not decode as
+// anything.
 func FuzzResultDecode(f *testing.F) {
-	r := &Result{
+	full := encode(&Result{
 		Routes: []NetRoute{
 			{Len: 12.5, LenByClass: [NumClasses]float64{0.5, 12}, Vias: 5, Class: tech.ClassLocal},
-			{Len: 1.5599999999999998, LenByClass: [NumClasses]float64{1.5599999999999998}, Vias: 2},
+			{Len: 1.5599999999999998, LenByClass: [NumClasses]float64{1.5599999999999998, math.NaN()}, Vias: 2},
 		},
 		TotalLen: 14.06, LenByClass: [NumClasses]float64{2.06, 12}, Overflow: 3, MaxCongestion: 1.25,
 		GX: 40, GY: 31, Pitch: 5.6,
-	}
-	var seeds [][]byte
-	for _, r := range []*Result{r, {Routes: []NetRoute{}}, {}} {
-		b, err := json.Marshal(r)
-		if err != nil {
-			f.Fatal(err)
+	})
+	for _, b := range [][]byte{full, encode(&Result{Routes: []NetRoute{}}), encode(&Result{})} {
+		if _, ok := decode(b); !ok {
+			f.Fatalf("encoded result %q does not decode", b)
 		}
-		if _, ok := decodeResult(b); !ok {
-			f.Fatalf("canonical result %s left the one-pass path", b)
-		}
-		seeds = append(seeds, b)
-	}
-	s := string(seeds[0])
-	for _, edit := range [][2]string{
-		{`"Routes":[`, `"Routes": [`},
-		{`"LenByClass":[0.5,12,0,0]`, `"LenByClass":[0.5,12,0]`},
-		{`"LenByClass":[0.5,12,0,0]`, `"LenByClass":[0.5,12,0,0,9]`},
-		{`"LenByClass":[0.5,12,0,0]`, `"LenByClass":null`},
-		{`"Vias":5`, `"Vias":-0`},
-		{`"Vias":5`, `"Vias":5e0`},
-		{`"Vias":5`, `"vias":5`},
-		{`"Len":12.5`, `"Len":-0`},
-		{`"Len":12.5`, `"Len":1e400`},
-		{`"GX":40`, `"GX":40,"GX":41`},
-		{`"Pitch":5.6`, `"Pitch":5.6,"Extra":1`},
-	} {
-		seeds = append(seeds, []byte(strings.Replace(s, edit[0], edit[1], 1)))
-	}
-	for _, b := range seeds {
 		f.Add(b)
 	}
+	for _, n := range []int{0, 1, 41, len(full) / 2, len(full) - 1} {
+		f.Add(full[:n])
+	}
+	f.Add(append(bytes.Clone(full), 0))
+	f.Add(append(bytes.Clone(full), full...))
+	for _, i := range []int{0, 41, len(full) - 9} {
+		b := bytes.Clone(full)
+		b[i] ^= 0x80
+		f.Add(b)
+	}
+	f.Add(append([]byte{full[0] | 0x80, 0}, full[1:]...))
+	f.Add(append([]byte{0xff, 0xff, 0xff, 0xff, 0x0f}, full[1:]...))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		fast, ok := decodeResult(b)
+		r, ok := decode(b)
 		if !ok {
 			return
 		}
-		var slow resultJSON
-		if err := json.Unmarshal(b, &slow); err != nil {
-			t.Fatalf("one-pass decode accepted %q, encoding/json fails: %v", b, err)
-		}
-		if !reflect.DeepEqual(fast, (*Result)(&slow)) {
-			t.Fatalf("%q decodes to %+v one pass, and to %+v through encoding/json", b, fast, slow)
+		if again := encode(r); !bytes.Equal(again, b) {
+			t.Fatalf("%q decodes, and re-encodes as %q", b, again)
 		}
 	})
 }

@@ -1,19 +1,15 @@
 package route
 
 import (
-	"bytes"
-	"encoding/json"
 	"math"
 	"testing"
 
-	"tmi3d/internal/jsonwire"
 	"tmi3d/internal/tech"
 )
 
-// FuzzResultEncode holds AppendJSON to json.Marshal: the same bytes, or a
-// failed writer where encoding/json fails (a NaN or infinite length).
-// Routes are cut from raw bytes as in FuzzRouteResultRoundTrip; the shape
-// picks nil, empty and repeated route lists.
+// FuzzResultEncode round-trips results whose routes are cut from raw bytes
+// as in FuzzRouteResultRoundTrip; the shape picks nil, empty and repeated
+// route lists.
 func FuzzResultEncode(f *testing.F) {
 	f.Add(0.0, 0.0, 0.0, 0, 2, uint8(0), []byte{})
 	f.Add(1234.5, 1.75, 35.0, 17, 40, uint8(1),
@@ -33,14 +29,6 @@ func FuzzResultEncode(f *testing.F) {
 			}
 			r.Routes = append(r.Routes, r.Routes...)
 		}
-		w := jsonwire.NewWriter(nil)
-		r.AppendJSON(w)
-		want, err := json.Marshal(r)
-		if w.OK() != (err == nil) {
-			t.Fatalf("writer ok %v, encoding/json error %v", w.OK(), err)
-		}
-		if err == nil && !bytes.Equal(w.Bytes(), want) {
-			t.Fatalf("AppendJSON writes\n%s\nencoding/json\n%s", w.Bytes(), want)
-		}
+		roundTrip(t, r)
 	})
 }

@@ -3,22 +3,67 @@ package route
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"math"
 	"reflect"
 	"testing"
 
+	"tmi3d/internal/binwire"
 	"tmi3d/internal/tech"
 )
 
+// encode returns r's binary form.
+func encode(r *Result) []byte {
+	w := binwire.NewWriter(nil)
+	r.WriteBinary(w)
+	return w.Bytes()
+}
+
+// decode reads a result from b, reporting false for bytes ReadBinary
+// refuses or leaves unread.
+func decode(b []byte) (*Result, bool) {
+	rd := binwire.NewReader(b)
+	r := new(Result)
+	r.ReadBinary(rd)
+	return r, rd.Done()
+}
+
+// roundTrip encodes r and requires the decode to hold every value bit for
+// bit (NaN payloads, −0 and ±Inf included, nil and empty route lists told
+// apart) and to re-encode to the same bytes.
+func roundTrip(t *testing.T, r *Result) {
+	t.Helper()
+	data := encode(r)
+	back, ok := decode(data)
+	if !ok {
+		t.Fatalf("%d bytes of a result do not decode", len(data))
+	}
+	if again := encode(back); !bytes.Equal(again, data) {
+		t.Fatal("the decoded result re-encodes differently")
+	}
+	want, got := *r, *back
+	wf, gf := floats(&want), floats(&got)
+	if len(wf) != len(gf) || (want.Routes == nil) != (got.Routes == nil) {
+		t.Fatalf("decoded result differs:\n got %+v\nwant %+v", got, want)
+	}
+	want.Routes = append([]NetRoute(nil), want.Routes...)
+	got.Routes = append([]NetRoute(nil), got.Routes...)
+	wf, gf = floats(&want), floats(&got)
+	for k := range wf {
+		if math.Float64bits(*wf[k]) != math.Float64bits(*gf[k]) {
+			t.Fatalf("float %d decodes as %v, want %v", k, *gf[k], *wf[k])
+		}
+		*wf[k], *gf[k] = 0, 0
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("decoded result differs:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // FuzzRouteResultRoundTrip builds arbitrary routing results — per-net
 // routes cut from raw bytes, arbitrary class lengths, overflow, congestion
-// and grid geometry — and requires a decoded Result to re-encode to the
-// identical bytes and compare equal to the original: the byte-identity
-// contract the route stage's artifact and the flow result build on. Result
-// has no non-finite codec, so a NaN or ±Inf anywhere must make the encoder
-// fail loudly; such values are then zeroed and the round trip checked on
-// the rest.
+// and grid geometry, non-finite values included — and requires a decoded
+// Result to re-encode to the identical bytes and hold every value exactly:
+// the byte-identity contract the route stage's artifact builds on.
 func FuzzRouteResultRoundTrip(f *testing.F) {
 	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 2, 2, []byte{})
 	f.Add(1234.5, 1.0, 200.25, 900.0, 133.25, 1.75, 35.0, 17, 40, 31,
@@ -27,7 +72,7 @@ func FuzzRouteResultRoundTrip(f *testing.F) {
 	f.Add(math.Copysign(0, -1), 5e-324, -1e300, math.MaxFloat64, 1e21, math.NaN(), math.Inf(1), -3, 0, -1,
 		append(routeBytes(NetRoute{Len: math.Inf(-1), Vias: -7, Class: tech.ClassGlobal}), 1, 2, 3))
 	f.Fuzz(func(t *testing.T, total, l0, l1, l2, l3, maxCong, pitch float64, overflow, gx, gy int, raw []byte) {
-		r := &Result{
+		roundTrip(t, &Result{
 			Routes:        bytesRoutes(raw),
 			TotalLen:      total,
 			LenByClass:    [NumClasses]float64{l0, l1, l2, l3},
@@ -36,35 +81,7 @@ func FuzzRouteResultRoundTrip(f *testing.F) {
 			GX:            gx,
 			GY:            gy,
 			Pitch:         pitch,
-		}
-		if nonFinite(r) {
-			if _, err := json.Marshal(r); err == nil {
-				t.Fatal("encoding a non-finite Result succeeded")
-			}
-			for _, x := range floats(r) {
-				if math.IsNaN(*x) || math.IsInf(*x, 0) {
-					*x = 0
-				}
-			}
-		}
-		b1, err := json.Marshal(r)
-		if err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		var back Result
-		if err := json.Unmarshal(b1, &back); err != nil {
-			t.Fatalf("decode %s: %v", b1, err)
-		}
-		b2, err := json.Marshal(&back)
-		if err != nil {
-			t.Fatalf("re-encode: %v", err)
-		}
-		if !bytes.Equal(b1, b2) {
-			t.Fatalf("round trip not byte-identical:\n first %s\nsecond %s", b1, b2)
-		}
-		if !reflect.DeepEqual(r, &back) {
-			t.Fatalf("decoded result differs:\n got %+v\nwant %+v", back, *r)
-		}
+		})
 	})
 }
 
@@ -81,15 +98,6 @@ func floats(r *Result) []*float64 {
 		}
 	}
 	return out
-}
-
-func nonFinite(r *Result) bool {
-	for _, x := range floats(r) {
-		if math.IsNaN(*x) || math.IsInf(*x, 0) {
-			return true
-		}
-	}
-	return false
 }
 
 // routeWords is the number of little-endian 64-bit words one NetRoute takes

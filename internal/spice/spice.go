@@ -111,9 +111,6 @@ func (c *Circuit) Node(name string) int {
 	return i
 }
 
-// NumNodes returns the number of nodes including ground.
-func (c *Circuit) NumNodes() int { return len(c.names) }
-
 // AddR adds a resistor of r kΩ between nodes a and b. Non-positive r panics.
 func (c *Circuit) AddR(a, b string, r float64) {
 	if r <= 0 {

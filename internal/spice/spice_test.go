@@ -195,8 +195,8 @@ func TestNodeDedup(t *testing.T) {
 	if c.Node(Ground) != 0 {
 		t.Error("ground must be node 0")
 	}
-	if c.NumNodes() != 2 {
-		t.Errorf("NumNodes = %d, want 2", c.NumNodes())
+	if len(c.names) != 2 {
+		t.Errorf("%d nodes, want 2", len(c.names))
 	}
 }
 

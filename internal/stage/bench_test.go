@@ -191,12 +191,13 @@ func signoffArtifact(t *testing.T) (*flow.Node, any, []byte) {
 	return nil, nil, nil
 }
 
-// TestArtifactDecodeAllocs guards the one-pass artifact decoder: decoding
-// the signoff artifact of FPU@0.1 T-MI cuts names from one arena, interns
-// the rest, and sizes its slices from byte counts before it reads them.
-// It allocates 381 times per decode; through encoding/json, before the
-// one-pass decoders, it allocated 19,655 times. The bound is about twice
-// the measured count.
+// TestArtifactDecodeAllocs guards the binary artifact decoder: decoding the
+// signoff artifact of FPU@0.1 T-MI cuts names from one string and pin and
+// sink lists from one arena each, sized from counts written before them,
+// and allocates one string per distinct pin, function, cell and port name
+// (31). It allocates 274 times per decode, a third of them for the lint
+// reports' JSON blob (the one-pass JSON decoder before it allocated 381
+// times, encoding/json 19,655). The bound is about twice the measured count.
 func TestArtifactDecodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -208,17 +209,19 @@ func TestArtifactDecodeAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("signoff artifact decode, %d bytes: %.0f allocs/run", len(data), got)
-	if got > 800 {
-		t.Fatalf("signoff artifact decode made %.0f allocations, want at most 800", got)
+	if got > 600 {
+		t.Fatalf("signoff artifact decode made %.0f allocations, want at most 600", got)
 	}
 }
 
-// TestArtifactEncodeAllocs guards the one-pass artifact encoder: encoding
-// the signoff artifact of FPU@0.1 T-MI writes every bulky field through its
-// appender into one buffer sized once. It allocates 14 times per encode
-// (the buffer, port and map key lists, and the small fields' encoding/json
-// encoder); through encoding/json alone it allocated 3,701 times. The bound
-// is about twice the measured count.
+// TestArtifactEncodeAllocs guards the binary artifact encoder: encoding the
+// signoff artifact of FPU@0.1 T-MI writes every field into one buffer that
+// doubles as it grows (a 4 kB start, so the small wlm and power artifacts
+// allocate little; seven growths for this 315 kB artifact) and writes the
+// JSON blobs in place through one writer. It allocates 25 times per encode:
+// the buffer and its growths, the symbol table, the sorted port lists, and
+// the small fields' encoding/json encoder. The one-pass JSON encoder before
+// it allocated 14 times, encoding/json alone 3,701. The bound stays at 30.
 func TestArtifactEncodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")

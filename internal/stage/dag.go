@@ -32,6 +32,12 @@
 // artifacts are immutable (a body that mutates an input clones it first).
 // Tests diff report, Verilog, and DEF bytes across cold, warm, and
 // partial-hit stores.
+//
+// The store holds the report as the Result's JSON payload and every other
+// artifact in flow's binary envelope (internal/binwire). An entry whose
+// checksum verifies but whose bytes do not decode is a miss: the node runs
+// and its entry is overwritten. A change to stored bytes bumps idVersion, so
+// no entry of an older format is ever looked up.
 package stage
 
 import (
@@ -74,7 +80,7 @@ func KeyString(cfg flow.Config, name string) string {
 	return strings.Join(terms, "|")
 }
 
-const idVersion = "tmi3d-stage-v1"
+const idVersion = "tmi3d-stage-v2"
 
 // ids computes every node's artifact ID for a config, walking the DAG in
 // topological order. cfg must be normalized (cfg.Normalized()).

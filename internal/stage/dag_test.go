@@ -15,18 +15,18 @@ import (
 func TestArtifactIDsGolden(t *testing.T) {
 	cfg := flow.Config{Circuit: "FPU", Scale: 0.1, Node: tech.N45, Mode: tech.ModeTMI, Seed: 1}
 	want := map[string]string{
-		"setup":    "41927217c54defacb730bc98462d986252a4008cb21a8e01ed4826d8a2595819",
-		"library":  "1ed2577231669addccec9085ffc212add8caf52f9984793c55884246026e7179",
-		"generate": "477ea12406871ed6a716edc2b8337851e9f1dc4018afc842d6ddd5214f6d5510",
-		"wlm":      "a9352f822653721f10c562306f2f077aeb5bfbe931024acf48b883d545799d0b",
-		"gates":    "7b177b2956fcd8f49a2dbf3d022834182fb0cf960db2f24a334b5f281d02b9d8",
-		"synth":    "22b70cce17a7ceef8fc858f319df96c81cad447dcc7f4d6ac88b7a489a101585",
-		"place":    "846bc4c0acf59ae4a2ad8bb2f5364f15aba865a7d5c1baae71bebf9e390439ac",
-		"opt":      "8190c23c95a45b0a5f6f0f8cdef41ed9285279a8d06598cd9f0f7c79cf647161",
-		"route":    "17bd873ce6714cda805a1b27180ac23a34f4e01adc2611f96e0a35a37019687d",
-		"signoff":  "abd53339b67f69f5f50b30680ce4a538f52b9cf2f0b477f4a91431c07d5b1c2b",
-		"power":    "4cec6160a2bca1d47473ee6e8cc59bd129d820e20a7e5988038d1f6ccc2a7496",
-		"report":   "924fecd28520652cec55f140c99e2b447537cb1b337aa0739a32f2a5209bfaeb",
+		"setup":    "ed13db1108f9405e64211532662ceeecfcaed754a04e06bd272968f2061148ab",
+		"library":  "5e97534421271e1d19a880ffacef86a5be23c47dc93a7cdd11078bc473630b6d",
+		"generate": "17dc24f9613c648600364cab52c0cdcebe0b5deb73b4bb73a448f03d512f1cd2",
+		"wlm":      "06669705d47bbf2840de9f231b838d728091510220cba589ad8fbb7bf0a71b80",
+		"gates":    "314b67def334f278a21c25b55603b4cb1efe40fbfb55fa46a215b4987283bf5d",
+		"synth":    "931378e20bf0e8240ff03548dbae225e996ccdd634704c94a8624b0d2032a227",
+		"place":    "a8e87dd7080a2cffc79269964e3c441add09d884c0dc3642cf61368507a92056",
+		"opt":      "7da37eefac2a0850399f6235853bbc67dcce0f05e55a0b0436ad4ca7b7e135d4",
+		"route":    "e3f46b0c0989b97c47afbd7b5216fd647dfa2a437f36b84d71d4e57d5024d2b5",
+		"signoff":  "c53978e475517b67bb00869cf218efb75c24a2a727a7c0d3e2d1ebb9976276e5",
+		"power":    "0ccc255b00b40a54efbd3f43a3dbd50cab5388d8883cb7fa56ba3ea52c287c02",
+		"report":   "81e463001b5e9834139237c1a47b159419e2f8340a83a19ea2775434cbb1b0a4",
 	}
 	got := ids(cfg.Normalized())
 	if len(got) != len(want) {

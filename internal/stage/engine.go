@@ -288,8 +288,9 @@ func (e *Engine) fill(n *flow.Node, id string, exec func() (any, error)) (any, e
 				e.event(n.Name, eventDiskHit)
 				return v, nil
 			}
-			// Undecodable despite a verified checksum: an envelope format
-			// skew. Recompute and overwrite below, like any miss.
+			// Undecodable despite a verified checksum: bytes damaged before
+			// they were stored, or a format change without its idVersion
+			// bump. Recompute and overwrite below, like any miss.
 		}
 	}
 	e.event(n.Name, eventMiss)

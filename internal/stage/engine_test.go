@@ -215,6 +215,67 @@ func TestStagedByteIdentity(t *testing.T) {
 	}
 }
 
+// An entry whose checksum verifies but whose payload does not decode — an
+// artifact truncated or garbled before the store wrote it — is a miss: the
+// run executes that node, overwrites the entry with the artifact's real
+// bytes, and still matches flow.Run.
+func TestUndecodableEntryRecomputes(t *testing.T) {
+	cfg := testConfig()
+	mono := monoRun(t, cfg)
+	dir := t.TempDir()
+	e, err := New(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stagedRun(t, e, cfg)
+	for _, c := range []struct {
+		name, node string
+		damage     func([]byte) []byte
+	}{
+		{"truncated signoff", "signoff", func(b []byte) []byte { return b[:len(b)/2] }},
+		{"signoff with a byte more", "signoff", func(b []byte) []byte { return append(b, 0) }},
+		{"garbled signoff", "signoff", func(b []byte) []byte {
+			for i := range b {
+				b[i] ^= 0x5a
+			}
+			return b
+		}},
+		{"truncated report", "report", func(b []byte) []byte { return b[:len(b)-2] }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var key string
+			for _, pe := range e.Plan(cfg) {
+				if pe.Name == c.node {
+					key = storeKey(pe.Name, pe.ID)
+				}
+			}
+			good, ok, err := e.store.Get(key)
+			if err != nil || !ok {
+				t.Fatalf("no %s entry (%v)", c.node, err)
+			}
+			if err := e.store.Put(key, c.damage(bytes.Clone(good))); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := New(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := stagedRun(t, fresh, cfg)
+			mustEqual(t, c.name, mono, got)
+			if ct := fresh.Counters()[c.node]; ct.Misses != 1 || ct.Executions != 1 || ct.DiskHits != 0 {
+				t.Errorf("%s counters = %+v, want one miss and execution", c.node, ct)
+			}
+			stored, ok, err := e.store.Get(key)
+			if err != nil || !ok || !bytes.Equal(stored, good) {
+				t.Errorf("the %s entry was not overwritten with its artifact's bytes (%v)", c.node, err)
+			}
+			if q, err := fresh.store.QuarantineLen(); err != nil || q != 0 {
+				t.Errorf("quarantined entries = %d (%v), want 0: the checksums verify", q, err)
+			}
+		})
+	}
+}
+
 // A clock sweep recomputes only the dirty cone: generate/synth/place run for
 // the first point and are reused — byte-identically — by every later point.
 func TestClockSweepReuse(t *testing.T) {

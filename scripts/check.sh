@@ -77,14 +77,19 @@ go test -run '^$' -bench . -benchtime 1x ./internal/sta ./internal/place ./inter
 go test -run '^$' -bench BenchmarkArtifactCodec -benchtime 1x ./internal/stage
 
 stage codec-fuzz
-# The one-pass artifact encoder against encoding/json, beyond the seed
-# corpora the race stage runs: each encode-oracle fuzz target gets 10 s of
-# new inputs (escaped and invalid-UTF-8 names, non-finite floats, nil and
-# empty lists, pins out of order). A failing input lands in the package's
-# testdata/fuzz, where `go test` replays it from then on.
-for target in jsonwire:FuzzWriterString jsonwire:FuzzWriterFloat netlist:FuzzDesignEncode \
-    sta:FuzzResultEncode route:FuzzResultEncode place:FuzzSnapshotEncode lint:FuzzReportEncode \
-    flow:FuzzSamplesEncode flow:FuzzArtifactEncode; do
+# The artifact codecs beyond the seed corpora the race stage runs, each
+# fuzz target for 10 s of new inputs. The binary store form of the netlist,
+# timing, route, snapshot and whole artifact: every Encode target round-trips
+# built values (escaped and invalid-UTF-8 names, NaN bits, -0, +-Inf, nil and
+# empty lists, pins out of order) and every Decode target feeds arbitrary
+# bytes, which must fail or re-encode to themselves. The JSON that remains
+# (results, lint reports, fanout samples) against encoding/json. A failing
+# input lands in the package's testdata/fuzz, where `go test` replays it
+# from then on.
+for target in netlist:FuzzDesignEncode netlist:FuzzDesignDecode sta:FuzzResultEncode sta:FuzzResultDecode \
+    route:FuzzResultEncode route:FuzzResultDecode place:FuzzSnapshotEncode place:FuzzSnapshotDecode \
+    flow:FuzzArtifactEncode flow:FuzzArtifactDecode \
+    jsonwire:FuzzWriterString jsonwire:FuzzWriterFloat lint:FuzzReportEncode flow:FuzzSamplesEncode; do
     go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 10s "./internal/${target%%:*}"
 done
 
