@@ -143,6 +143,8 @@ func TestArtifactDecodeMatchesJSON(t *testing.T) {
 		{"unknown key", "report", replace(`"opt_stats":`, `"extra":1,"opt_stats":`)},
 		{"escaped design name", "report", escapeFirst(`"design_a":"`)},
 		{"escaped circuit name", "report", escapeFirst(`"circuit":"`)},
+		{"escaped net name", "report", escapeFirst(`"where":"net `)},
+		{"escaped instance name", "report", escapeFirst(`cannot reach any primary output: `)},
 		{"negative zero int", "report", replaceInt(`"num_cells":`, "-0")},
 		{"negative zero float", "report", replaceValue("footprint_um2", "-0")},
 		{"float out of range", "report", replaceValue("footprint_um2", "1e400")},
@@ -151,6 +153,9 @@ func TestArtifactDecodeMatchesJSON(t *testing.T) {
 		{"ten-digit int", "report", replaceInt(`"num_cells":`, "1234567890")},
 		{"twenty-digit int", "report", replaceInt(`"num_cells":`, "12345678901234567890")},
 		{"int with exponent", "report", replaceInt(`"num_cells":`, "1e2")},
+		{"null design", "report", replaceValue("design_a", "null")},
+		{"null timing", "report", replaceValue("wns_ps", "null")},
+		{"string timing entry", "report", replaceValue("wns_ps", `"+Inf"`)},
 		{"short LenByClass", "report", replaceValue("wl_by_class_um", "[1,2,3]")},
 		{"long LenByClass", "report", replaceValue("wl_by_class_um", "[1,2,3,4,5]")},
 		{"no closing newline", "report", func(s string) string { return strings.TrimSuffix(s, "\n") }},
