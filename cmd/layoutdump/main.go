@@ -72,8 +72,12 @@ func implement(cfg flow.Config) (*place.Placement, *flow.Analysis, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	a, err := flow.Analyze(r.Config, r.Design, r.Placement)
-	return r.Placement, a, err
+	d, pl, err := r.Implementation()
+	if err != nil {
+		return nil, nil, err
+	}
+	a, err := flow.Analyze(r.Config, d, pl)
+	return pl, a, err
 }
 
 // congestion projects routed wirelength onto a w×h grid over the die: each

@@ -54,6 +54,10 @@ func replayMain(args []string) {
 // writeArtifacts emits the final netlist, behind the dump header line, and
 // the placement.
 func writeArtifacts(r *flow.Result, prefix string) {
+	d, pl, err := r.Implementation()
+	if err != nil {
+		log.Fatal(err)
+	}
 	hdr, err := json.Marshal(dumpHeader{Config: r.Config, ClockPs: r.ClockPs})
 	if err != nil {
 		log.Fatal(err)
@@ -74,9 +78,9 @@ func writeArtifacts(r *flow.Result, prefix string) {
 		if _, err := fmt.Fprintf(w, "%s%s\n", dumpTag, hdr); err != nil {
 			return err
 		}
-		return r.Design.WriteVerilog(w)
+		return d.WriteVerilog(w)
 	})
-	write(prefix+".def", r.Placement.WriteDEF)
+	write(prefix+".def", pl.WriteDEF)
 	log.Printf("wrote %s.v and %s.def", prefix, prefix)
 }
 

@@ -89,7 +89,7 @@ func (s *Study) workers() int {
 // old %.0f ClockPs key collided Fig 4 points under 1 ps apart) stay
 // distinct. The check and the run are bridged by an inflight map: the first
 // caller of a key executes, every concurrent caller of the same key waits
-// for that single execution. Cached results carry no Design or Placement.
+// for that single execution. Cached results carry no Implementation.
 func (s *Study) run(cfg flow.Config) (*flow.Result, error) {
 	cfg.Scale = s.Scale
 	cfg.Seed = s.Seed
@@ -121,7 +121,7 @@ func (s *Study) run(cfg flow.Config) (*flow.Result, error) {
 		// report out of memory. The first caller gets the same copy as
 		// every waiter and later hit.
 		lean := *f.res
-		lean.Design, lean.Placement = nil, nil
+		lean.Implementation = nil
 		f.res = &lean
 	}
 

@@ -115,7 +115,7 @@ func TestRunStampedeSingleflight(t *testing.T) {
 
 // The study caches a flow's report, not its implementation: the first
 // caller, a concurrent waiter and a later cache hit all get one copy with
-// no Design or Placement, while the wire fields survive intact.
+// no Implementation, while the wire fields survive intact.
 func TestCachedResultDropsLayout(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -123,10 +123,11 @@ func TestCachedResultDropsLayout(t *testing.T) {
 		close(started)
 		<-release
 		return &flow.Result{
-			Config:    cfg,
-			TotalWL:   42,
-			Design:    &netlist.Design{Name: cfg.Circuit},
-			Placement: &place.Placement{},
+			Config:  cfg,
+			TotalWL: 42,
+			Implementation: func() (*netlist.Design, *place.Placement, error) {
+				return &netlist.Design{Name: cfg.Circuit}, &place.Placement{}, nil
+			},
 		}, nil
 	})
 	cfg := flow.Config{Circuit: "FPU", Node: tech.N45, Mode: tech.ModeTMI}
@@ -163,8 +164,8 @@ func TestCachedResultDropsLayout(t *testing.T) {
 		if r != hit {
 			t.Errorf("%s got a different result pointer", name)
 		}
-		if r.Design != nil || r.Placement != nil {
-			t.Errorf("%s: cached result keeps its Design or Placement", name)
+		if r.Implementation != nil {
+			t.Errorf("%s: cached result keeps its Implementation", name)
 		}
 		if r.TotalWL != 42 || r.Config.Circuit != "FPU" {
 			t.Errorf("%s: report fields lost: TotalWL %v, circuit %q", name, r.TotalWL, r.Config.Circuit)

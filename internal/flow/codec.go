@@ -43,7 +43,7 @@ func EncodeResult(r *Result) ([]byte, error) {
 }
 
 // DecodeResult parses a payload written by EncodeResult. The returned result
-// carries no Design/Placement (they never go over the wire). Canonical bytes
+// carries no Implementation (it never goes over the wire). Canonical bytes
 // decode in one pass, as an artifact does (decodeCanonical); anything else
 // decodes through json.Unmarshal, with the same result.
 func DecodeResult(data []byte) (*Result, error) {

@@ -245,8 +245,9 @@ var oddNames = []string{`<a&b>`, `q"b\s`, "t\tn\x01", "ls\xe2\x80\xa8", "bad\xff
 // sameStored requires a binary artifact value to encode — or to fail where
 // encoding/json fails on one of its JSON blobs, with that error — and to
 // decode to a value equal to it in every exported field (NaN to NaN) that
-// re-encodes to the same bytes, unless encoding/json cannot decode one of
-// its blobs either (a lint severity with no name).
+// re-encodes to the same bytes, unless encoding/json cannot give one of its
+// blobs back either (a string that is not UTF-8 decodes as U+FFFD, so the
+// blob's bytes are not the canonical bytes of what they decode to).
 func sameStored(t *testing.T, n *Node, v any) {
 	t.Helper()
 	sameBlobs(t, n.Name, v)
@@ -264,7 +265,13 @@ func sameStored(t *testing.T, n *Node, v any) {
 		if err != nil && wantErr == nil {
 			wantErr = err
 		}
-		if err == nil && json.Unmarshal(b, reflect.New(fv.Type()).Interface()) != nil {
+		if err != nil {
+			continue
+		}
+		back := reflect.New(fv.Type()).Interface()
+		if json.Unmarshal(b, back) != nil {
+			undecodable = true
+		} else if again, err := encodeJSON(back); err != nil || !bytes.Equal(again, b) {
 			undecodable = true
 		}
 	}
@@ -351,9 +358,19 @@ func TestEncodeFallsBack(t *testing.T) {
 			d.Instances[0].Pins = netlist.Pins{{Name: "A", Net: 0}, {Name: "Z\x7f", Net: 1}, {Name: "\xe2\x80\xa9<", Net: 2}}
 			a.Lint = append(a.Lint, &lint.Report{Subject: oddNames[1], Diags: []lint.Diagnostic{
 				{Rule: oddNames[0], Severity: lint.Error, Where: oddNames[3], Message: oddNames[4], Hint: oddNames[2]},
-				{Rule: "R", Severity: lint.Severity(7), Where: "w", Message: "m"},
 			}})
 		}, true},
+		// A severity with no name has no JSON: encoding/json refuses it, and
+		// so do the artifact and the report, rather than write bytes that
+		// never decode.
+		{"unnamed severity", "signoff", func(v any) {
+			a := v.(*signoffArtifact)
+			a.Lint = append(a.Lint, &lint.Report{Subject: "s", Diags: []lint.Diagnostic{{Rule: "R", Severity: lint.Severity(7)}}})
+		}, false},
+		{"unnamed severity in the report", "report", func(v any) {
+			r := v.(*Result)
+			r.LintReports = append(r.LintReports, &lint.Report{Subject: "s", Diags: []lint.Diagnostic{{Rule: "R", Severity: lint.Severity(7)}}})
+		}, false},
 		{"odd config", "report", func(v any) {
 			r := v.(*Result)
 			r.Config.Circuit = oddNames[0] + oddNames[4]

@@ -112,11 +112,11 @@ type Config struct {
 //
 // The JSON encoding is the wire format of the serving layer: it is
 // deterministic (a decoded Result re-encodes to the same bytes, maps render
-// with sorted keys) and carries everything a PPA query needs. The heavy
-// in-memory artifacts — Design, Placement — and the observational StageTimes
-// are excluded: the first two are gigabyte-class at scale 1 and exportable
-// via Verilog/DEF instead, and wall-clock timing would break the byte-
-// identity contract between a cached response and a fresh run.
+// with sorted keys) and carries everything a PPA query needs. The final
+// implementation and the observational StageTimes are excluded: the netlist
+// and placement are gigabyte-class at scale 1 and exportable via Verilog/DEF
+// instead, and wall-clock timing would break the byte-identity contract
+// between a cached response and a fresh run.
 type Result struct {
 	Config Config `json:"config"`
 
@@ -145,10 +145,15 @@ type Result struct {
 	// Fig 6.
 	WLSamples FanoutSamples `json:"wl_samples,omitempty"`
 
-	// Design and Placement expose the final implementation for artifact
-	// export (Verilog, DEF, snapshots) and further analysis.
-	Design    *netlist.Design  `json:"-"`
-	Placement *place.Placement `json:"-"`
+	// Implementation returns the final netlist and its placement, for
+	// artifact export (Verilog, DEF) and further analysis; both are the
+	// caller's to keep or edit. A run that resolved the sign-off artifact
+	// holds its netlist and placement snapshot; a run served its report
+	// from a cache keeps the cache reachable and reads sign-off through it
+	// on the first call. Repeated calls return the same values. Nil on a
+	// Result that dropped its implementation (core.Study's cache) or was
+	// decoded.
+	Implementation func() (*netlist.Design, *place.Placement, error) `json:"-"`
 
 	// StageTimes is the wall-clock cost of each flow stage in pipeline
 	// order — the profile that shows where a parallel experiment run still

@@ -228,15 +228,20 @@ func TestAnalyzeReproducesFlow(t *testing.T) {
 			ResistivityScale: map[tech.LayerClass]float64{tech.ClassLocal: 0.5}},
 	} {
 		r := run(t, cfg)
-		a, err := Analyze(r.Config, r.Design, r.Placement)
+		d, pl, err := r.Implementation()
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := *a.Result
+		a, err := Analyze(r.Config, d, pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := *a.Result, *r
 		got.SynthStats, got.OptStats, got.LibCheck = r.SynthStats, r.OptStats, r.LibCheck
 		got.LintReports, got.EquivReports = r.LintReports, r.EquivReports
-		got.Design, got.Placement, got.StageTimes = r.Design, r.Placement, r.StageTimes
-		if !reflect.DeepEqual(&got, r) {
+		got.StageTimes = r.StageTimes
+		want.Implementation = nil // func values are DeepEqual only when nil
+		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s %v %v: Analyze gives WL %v, WNS %v, power %+v; the flow gave WL %v, WNS %v, power %+v",
 				cfg.Circuit, cfg.Node, cfg.Mode, got.TotalWL, got.WNS, *got.Power, r.TotalWL, r.WNS, *r.Power)
 		}

@@ -3,8 +3,10 @@ package flow
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"tmi3d/internal/netlist"
+	"tmi3d/internal/place"
 )
 
 // Node is one stage of the flow's stage graph.
@@ -78,8 +80,8 @@ type Execution struct {
 // NewExecution prepares a run of the stage graph for cfg (normalized). A nil
 // hook executes every node; the stage engine passes its cache lookup.
 func NewExecution(cfg Config, hook Hook) *Execution {
-	// Result reads report and signoff once each, besides their readers in
-	// the graph.
+	// Result reads report once, and its implementation accessor signoff
+	// once, besides their readers in the graph.
 	readers := map[string]int{"report": 1, "signoff": 1}
 	for i := range Nodes {
 		for _, dep := range Nodes[i].Deps {
@@ -148,27 +150,51 @@ func (x *Execution) resolve(name string) (any, error) {
 }
 
 // Result resolves the report and attaches what its wire form excludes: the
-// final netlist and placement, from the signoff artifact, and this run's
-// stage profile. shared says the signoff artifact outlives the run in a
-// cache tier, so the result must get its own copy of the netlist for its
-// caller to own; without a cache the result takes it directly.
+// final implementation, as Result.Implementation, and this run's stage
+// profile.
+//
+// A run that resolved signoff on its way to the report (every run without a
+// cache, and an engine run that executed the report) hands the accessor the
+// signoff netlist and placement snapshot and lets the route, timing and
+// reports go. A run whose report a cache served never resolved signoff: the
+// accessor keeps the Execution and reads signoff through the run's hook on
+// its first call, consuming Result's read of it, so a caller that never asks
+// reads one artifact. shared says the signoff artifact outlives the run in a
+// cache tier, so the accessor hands out its own copy of the netlist; without
+// a cache the caller takes it directly.
 func (x *Execution) Result(shared bool) (*Result, error) {
 	rv, err := x.read("report")
 	if err != nil {
 		return nil, err
 	}
-	sv, err := x.read("signoff")
-	if err != nil {
-		return nil, err
-	}
 	res := *rv.(*Result)
-	sg := sv.(*signoffArtifact)
-	d := sg.Design
-	if shared {
-		d = d.Clone()
-	}
-	res.Design, res.Placement = d, sg.Snap.Restore(d)
 	res.StageTimes = x.prof.times()
+	load := func() (any, error) { return x.read("signoff") }
+	if _, ok := x.vals["signoff"]; ok {
+		sv, _ := load() // resolved: the read cannot fail
+		sg := sv.(*signoffArtifact)
+		kept := &signoffArtifact{Design: sg.Design, Snap: sg.Snap}
+		load = func() (any, error) { return kept, nil }
+	}
+	impl := sync.OnceValues(func() (*place.Placement, error) {
+		sv, err := load()
+		if err != nil {
+			return nil, err
+		}
+		sg := sv.(*signoffArtifact)
+		d := sg.Design
+		if shared {
+			d = d.Clone()
+		}
+		return sg.Snap.Restore(d), nil
+	})
+	res.Implementation = func() (*netlist.Design, *place.Placement, error) {
+		pl, err := impl()
+		if err != nil {
+			return nil, nil, err
+		}
+		return pl.Design, pl, nil
+	}
 	return &res, nil
 }
 

@@ -83,8 +83,9 @@ func sampleResult() *Result {
 		SynthStats: netlist.Stats{NumCells: 300, NumNets: 310, NumBuffers: 10, NumSeq: 32, AverageFanout: 2.4},
 		WLSamples:  map[int][]float64{1: {1.5, 2.5}, 2: {3.5}, 10: {4.5}},
 		// In-memory-only fields: must never reach the wire.
-		Design:     &netlist.Design{Name: "not-serialized"},
-		Placement:  &place.Placement{},
+		Implementation: func() (*netlist.Design, *place.Placement, error) {
+			return &netlist.Design{Name: "not-serialized"}, &place.Placement{}, nil
+		},
 		StageTimes: []StageTime{{Stage: "synth", D: 1}},
 		LintReports: []*lint.Report{
 			{Subject: "AES/7nm/T-MI post-synth"},
@@ -110,7 +111,7 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Design != nil || back.Placement != nil || back.StageTimes != nil {
+	if back.Implementation != nil || back.StageTimes != nil {
 		t.Fatal("decoded result grew in-memory-only fields")
 	}
 	data2, err := json.Marshal(&back)

@@ -34,8 +34,8 @@ type Analysis struct {
 // own, in the same three steps: a sign-off pass (route, extract, time:
 // signoffPass, each pass of converge), power with the clock tree
 // (signoffPower, the power stage) and the report's physical fields
-// (physical, the report stage). On a flow's Result.Design and
-// Result.Placement it gives the flow's numbers. It times against
+// (physical, the report stage). On the netlist and placement a flow's
+// Result.Implementation returns it gives the flow's numbers. It times against
 // d.TargetClockPs, the calibrated clock, and changes neither d nor pl.
 func Analyze(cfg Config, d *netlist.Design, pl *place.Placement) (*Analysis, error) {
 	cfg = cfg.Normalized()

@@ -18,12 +18,11 @@ import (
 // field it reaches that is not listed here, and on a listed field that
 // round-trips or is no longer reached.
 var offWire = map[string]string{
-	"flow.Config.Workers":     "ignored field: not a result input",
-	"flow.Result.Design":      "gigabyte-class at scale 1; exported via Verilog/DEF, and Execution.Result reattaches it from the signoff artifact",
-	"flow.Result.Placement":   "rides with Design: reattached from the signoff artifact, exported as DEF",
-	"flow.Result.StageTimes":  "wall-clock observation: on the wire it would break byte identity between a cached response and a fresh run",
-	"netlist.Design.netIndex": "derived index: decoding leaves it nil, as Clone does, and AddNet builds it from Nets on first use",
-	"liberty.Library.byBase":  "derived index: DecodeJSON rebuilds it from Cells",
+	"flow.Config.Workers":        "ignored field: not a result input",
+	"flow.Result.Implementation": "gigabyte-class at scale 1; exported via Verilog/DEF, and Execution.Result resolves it from the signoff artifact",
+	"flow.Result.StageTimes":     "wall-clock observation: on the wire it would break byte identity between a cached response and a fresh run",
+	"netlist.Design.netIndex":    "derived index: decoding leaves it nil, as Clone does, and AddNet builds it from Nets on first use",
+	"liberty.Library.byBase":     "derived index: DecodeJSON rebuilds it from Cells",
 }
 
 // TestWireFormatTotal proves the wire contract of every type whose bytes
@@ -35,10 +34,10 @@ var offWire = map[string]string{
 //
 // Each flow root is filled by reflection with every exported field non-zero
 // (ints 1, a valid value of every enum; distinct floats and strings;
-// two-element slices; one-entry maps; allocated pointers; any other kind
-// stops the test until the filler handles it), encoded with its
-// canonical codec, decoded, and compared field by field. The libraries are
-// the four real ones, through EncodeJSON/DecodeJSON.
+// two-element slices; one-entry maps; allocated pointers; funcs returning
+// zero values; any other kind stops the test until the filler handles it),
+// encoded with its canonical codec, decoded, and compared field by field.
+// The libraries are the four real ones, through EncodeJSON/DecodeJSON.
 func TestWireFormatTotal(t *testing.T) {
 	type root struct {
 		name   string
@@ -151,6 +150,14 @@ func (f *filler) fill(v reflect.Value) {
 		for i := 0; i < v.Len(); i++ {
 			f.fill(v.Index(i))
 		}
+	case reflect.Func:
+		v.Set(reflect.MakeFunc(t, func([]reflect.Value) []reflect.Value {
+			out := make([]reflect.Value, t.NumOut())
+			for i := range out {
+				out[i] = reflect.Zero(t.Out(i))
+			}
+			return out
+		}))
 	case reflect.Map:
 		k, e := reflect.New(t.Key()).Elem(), reflect.New(t.Elem()).Elem()
 		f.fill(k)

@@ -113,24 +113,16 @@ func appendFraction(b []byte, f float64) []byte {
 	return b
 }
 
-// String appends s as encoding/json writes a string: with escapeHTML, as
-// json.Marshal does (and so every MarshalJSON built on it), '<', '>' and
-// '&' as \u003c, \u003e and \u0026; without, as an Encoder with
-// SetEscapeHTML(false) does. Either way control bytes, '"' and '\\' are
-// escaped, U+2028 and U+2029 spelled \u2028 and \u2029, and each byte of
-// invalid UTF-8 replaced by \ufffd.
-func (w *Writer) String(s string, escapeHTML bool) {
-	w.b = appendString(w.b, s, escapeHTML)
-}
+// String appends s as json.Marshal writes a string (and so every
+// MarshalJSON built on it): '<', '>' and '&' as \u003c, \u003e and \u0026,
+// control bytes, '"' and '\\' escaped, U+2028 and U+2029 spelled \u2028 and
+// \u2029, and each byte of invalid UTF-8 replaced by \ufffd.
+func (w *Writer) String(s string) { w.b = appendString(w.b, s) }
 
 // appendString appends s as Writer.String does.
-func appendString(b []byte, s string, escapeHTML bool) []byte {
-	safe := &safeSet
-	if escapeHTML {
-		safe = &htmlSafeSet
-	}
+func appendString(b []byte, s string) []byte {
 	i := 0
-	for i < len(s) && safe[s[i]] {
+	for i < len(s) && htmlSafeSet[s[i]] {
 		i++
 	}
 	b = append(b, '"')
@@ -142,7 +134,7 @@ func appendString(b []byte, s string, escapeHTML bool) []byte {
 	for i < len(s) {
 		c := s[i]
 		if c < utf8.RuneSelf {
-			if safe[c] {
+			if htmlSafeSet[c] {
 				i++
 				continue
 			}
@@ -188,15 +180,13 @@ func appendString(b []byte, s string, escapeHTML bool) []byte {
 
 const hex = "0123456789abcdef"
 
-// safeSet marks the bytes encoding/json writes as themselves in a string
-// with HTML escaping off: ASCII from ' ' to DEL but '"' and '\\'.
-// htmlSafeSet also leaves out '<', '>' and '&'. Bytes from 0x80 up are
-// neither: they start a UTF-8 sequence, which appendString checks.
-var safeSet, htmlSafeSet [256]bool
+// htmlSafeSet marks the bytes json.Marshal writes as themselves in a
+// string: ASCII from ' ' to DEL but '"', '\\', '<', '>' and '&'. Bytes from
+// 0x80 up are not: they start a UTF-8 sequence, which appendString checks.
+var htmlSafeSet [256]bool
 
 func init() {
 	for c := 0x20; c <= 0x7f; c++ {
-		safeSet[c] = c != '"' && c != '\\'
-		htmlSafeSet[c] = safeSet[c] && c != '<' && c != '>' && c != '&'
+		htmlSafeSet[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
 	}
 }

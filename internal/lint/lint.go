@@ -44,8 +44,15 @@ func (s Severity) String() string {
 	return fmt.Sprintf("severity(%d)", int(s))
 }
 
-// MarshalJSON encodes the severity as its lowercase name.
-func (s Severity) MarshalJSON() ([]byte, error) { return json.Marshal(s.String()) }
+// MarshalJSON encodes the severity as its lowercase name. A severity with no
+// name is an error: UnmarshalJSON could not read it back.
+func (s Severity) MarshalJSON() ([]byte, error) {
+	n, ok := severityNames[s]
+	if !ok {
+		return nil, fmt.Errorf("lint: unknown severity %d", int(s))
+	}
+	return json.Marshal(n)
+}
 
 // UnmarshalJSON decodes a severity name.
 func (s *Severity) UnmarshalJSON(b []byte) error {
@@ -255,10 +262,11 @@ func (r *Report) MarshalJSON() ([]byte, error) {
 }
 
 // AppendJSON appends the bytes MarshalJSON writes for r in one pass,
-// strings HTML-escaped as json.Marshal escapes them.
+// strings HTML-escaped as json.Marshal escapes them. A severity with no name
+// fails w, as MarshalJSON fails.
 func (r *Report) AppendJSON(w *jsonwire.Writer) {
 	w.Raw(`{"subject":`)
-	w.String(r.Subject, true)
+	w.String(r.Subject)
 	w.Raw(`,"errors":`)
 	w.Int(r.Errors())
 	w.Raw(`,"warnings":`)
@@ -272,16 +280,20 @@ func (r *Report) AppendJSON(w *jsonwire.Writer) {
 			w.Byte(',')
 		}
 		w.Raw(`{"rule":`)
-		w.String(d.Rule, true)
+		w.String(d.Rule)
 		w.Raw(`,"severity":`)
-		w.String(d.Severity.String(), true)
+		sev, ok := severityNames[d.Severity]
+		if !ok {
+			w.Fail()
+		}
+		w.String(sev)
 		w.Raw(`,"where":`)
-		w.String(d.Where, true)
+		w.String(d.Where)
 		w.Raw(`,"message":`)
-		w.String(d.Message, true)
+		w.String(d.Message)
 		if d.Hint != "" {
 			w.Raw(`,"hint":`)
-			w.String(d.Hint, true)
+			w.String(d.Hint)
 		}
 		w.Byte('}')
 	}

@@ -23,8 +23,12 @@ func TestFlowPreservesLogic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	d, _, err := r.Implementation()
+	if err != nil {
+		t.Fatal(err)
+	}
 	vectors := randomVectors(src, 4, 99)
-	ok, why, err := sim.Equivalent(src, r.Design, vectors)
+	ok, why, err := sim.Equivalent(src, d, vectors)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,9 +117,13 @@ func (e *Engine) event(stage, ev string) {
 }
 
 // Run executes the flow for cfg through the stage graph. The result is
-// byte-identical to flow.Run(cfg) — same report payload, same final netlist
-// and placement — whatever mix of cache tiers served the stages. Its wire
-// fields may be shared with the memory tier: callers must not mutate them.
+// byte-identical to flow.Run(cfg) — same report payload, and an
+// Implementation that returns the same final netlist and placement —
+// whatever mix of cache tiers served the stages. A run whose report a tier
+// served reads the signoff artifact only when Implementation is first
+// called, through the same tiers, so a caller that never asks reads one
+// artifact. Its wire fields may be shared with the memory tier: callers must
+// not mutate them.
 func (e *Engine) Run(cfg flow.Config) (*flow.Result, error) {
 	idByName := ids(cfg.Normalized())
 	// The run's flow.Hook: uncached nodes always execute; cached nodes go

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
@@ -30,11 +31,15 @@ func capture(t *testing.T, res *flow.Result) resultBytes {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v, d bytes.Buffer
-	if err := res.Design.WriteVerilog(&v); err != nil {
+	design, pl, err := res.Implementation()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Placement.WriteDEF(&d); err != nil {
+	var v, d bytes.Buffer
+	if err := design.WriteVerilog(&v); err != nil {
+		t.Fatal(err)
+	}
+	if err := pl.WriteDEF(&d); err != nil {
 		t.Fatal(err)
 	}
 	return resultBytes{report: report, verilog: v.Bytes(), def: d.Bytes()}
@@ -69,22 +74,18 @@ func node(t testing.TB, name string) *flow.Node {
 	return nil
 }
 
-// stagedRun runs cfg on e and returns the result with this run's cache
-// events: the change in e's counters, summed over every stage.
+// stagedRun runs cfg on e and captures the result, implementation included,
+// with this run's cache events: the change in e's counters, summed over
+// every stage.
 func stagedRun(t *testing.T, e *Engine, cfg flow.Config) (resultBytes, Counters) {
 	t.Helper()
-	before := sumCounters(e.Counters())
+	before := e.Counters()
 	res, err := e.Run(cfg)
 	if err != nil {
 		t.Fatalf("staged run: %v", err)
 	}
-	after := sumCounters(e.Counters())
-	return capture(t, res), Counters{
-		MemHits:    after.MemHits - before.MemHits,
-		DiskHits:   after.DiskHits - before.DiskHits,
-		Misses:     after.Misses - before.Misses,
-		Executions: after.Executions - before.Executions,
-	}
+	got := capture(t, res)
+	return got, sumCounters(countersSince(e, before))
 }
 
 func sumCounters(byStage map[string]Counters) Counters {
@@ -96,6 +97,25 @@ func sumCounters(byStage map[string]Counters) Counters {
 		sum.Executions += c.Executions
 	}
 	return sum
+}
+
+// countersSince returns the change in e's counters since before, leaving out
+// the stages whose counters did not move.
+func countersSince(e *Engine, before map[string]Counters) map[string]Counters {
+	out := map[string]Counters{}
+	for name, c := range e.Counters() {
+		b := before[name]
+		d := Counters{
+			MemHits:    c.MemHits - b.MemHits,
+			DiskHits:   c.DiskHits - b.DiskHits,
+			Misses:     c.Misses - b.Misses,
+			Executions: c.Executions - b.Executions,
+		}
+		if d != (Counters{}) {
+			out[name] = d
+		}
+	}
+	return out
 }
 
 func monoRun(t *testing.T, cfg flow.Config) resultBytes {
@@ -212,6 +232,90 @@ func TestStagedByteIdentity(t *testing.T) {
 	}
 	if c4["signoff"].DiskHits == 0 || c4["signoff"].Executions != 0 {
 		t.Errorf("corrupted: signoff counters = %+v, want disk hit only", c4["signoff"])
+	}
+}
+
+// A warm run reads one artifact, the report, until its caller asks for the
+// implementation: that reads signoff once, from the tier that holds it, and
+// gives flow.Run's Verilog and DEF; asking again reads nothing and returns
+// the same values. It holds for a fresh engine over a primed store (disk
+// hits) and for an engine without a store re-running a point (memory hits).
+func TestWarmRunReadsOneArtifact(t *testing.T) {
+	cfg := testConfig()
+	mono := monoRun(t, cfg)
+	dir := t.TempDir()
+	primed, err := New(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := primed.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	warmDisk, err := New(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmMem, err := New("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := warmMem.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		e    *Engine
+		hit  Counters
+	}{
+		{"disk", warmDisk, Counters{DiskHits: 1}},
+		{"memory", warmMem, Counters{MemHits: 1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			mustCount := func(what string, before map[string]Counters, want map[string]Counters) {
+				t.Helper()
+				if got := countersSince(c.e, before); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: counters moved by %+v, want %+v", what, got, want)
+				}
+			}
+			before := c.e.Counters()
+			res, err := c.e.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			report, err := flow.EncodeResult(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(report, mono.report) {
+				t.Error("warm report bytes differ from flow.Run's")
+			}
+			mustCount("run", before, map[string]Counters{"report": c.hit})
+
+			before = c.e.Counters()
+			d, pl, err := res.Implementation()
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustCount("first Implementation call", before, map[string]Counters{"signoff": c.hit})
+			var v, def bytes.Buffer
+			if err := d.WriteVerilog(&v); err != nil {
+				t.Fatal(err)
+			}
+			if err := pl.WriteDEF(&def); err != nil {
+				t.Fatal(err)
+			}
+			mustEqual(t, c.name, mono, resultBytes{report: report, verilog: v.Bytes(), def: def.Bytes()})
+
+			before = c.e.Counters()
+			d2, pl2, err := res.Implementation()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d2 != d || pl2 != pl {
+				t.Error("a second Implementation call returned different values")
+			}
+			mustCount("second Implementation call", before, map[string]Counters{})
+		})
 	}
 }
 

@@ -117,9 +117,10 @@ stage staged-identity
 # The staged flow engine's contract: byte-identical to the monolithic flow at
 # any cache state. Run a 3-point clock sweep monolithically, then staged with
 # a cold artifact store, then staged again fully warm (the second pass
-# executes no stage bodies at all), then one new clock point over the warm
-# store (its upstream stages decode from disk), and diff report + Verilog +
-# DEF per point. The tmi3d binary built here serves every later stage.
+# executes no stage bodies at all), then warm without -dump (reading only the
+# report artifact), then one new clock point over the warm store (its
+# upstream stages decode from disk), and diff report + Verilog + DEF per
+# point. The tmi3d binary built here serves every later stage.
 go build -o "$pdir/tmi3d" ./cmd/tmi3d
 for clk in 0 2000 2400; do
     "$pdir/tmi3d" -circuit FPU -scale 0.1 -mode tmi -clock "$clk" -byfunc \
@@ -137,6 +138,16 @@ for pass in cold warm; do
             fi
         done
     done
+done
+# A warm pass without -dump never asks for the final netlist and placement,
+# so each run reads the report artifact alone; its report must still match.
+for clk in 0 2000 2400; do
+    "$pdir/tmi3d" -circuit FPU -scale 0.1 -mode tmi -clock "$clk" -byfunc \
+        -stagecache "$pdir/stagecache" >"$pdir/report$clk.txt" 2>/dev/null
+    if ! diff -u "$pdir/mono$clk.txt" "$pdir/report$clk.txt"; then
+        echo "staged (warm, no -dump, clock $clk) output differs from monolithic" >&2
+        exit 1
+    fi
 done
 # A new clock point over the warm store is a partial hit: a new process
 # decodes wlm, synth and place from disk and runs the stages after them.
