@@ -9,10 +9,15 @@ import (
 
 // stringSeeds cover every escape: HTML characters, quotes and backslashes,
 // the named and unnamed control bytes, DEL, U+2028 and U+2029, and invalid
-// UTF-8 (a stray continuation byte, a truncated sequence, a surrogate).
+// UTF-8 (a stray continuation byte, a truncated sequence, a surrogate, an
+// overlong form, a code point past U+10FFFF). The second half puts most
+// escapes after a run of safe bytes, so the copy of that run is checked too.
 var stringSeeds = []string{
 	"", "u1/n_2", `<a&"b\`, "tab\tnl\ncr\rbs\bff\f", "\x00\x01\x1f\x7f", "B > ",
 	"\xff", "ok\x80", "\xe2\x80", "\xed\xa0\x80", "é中🙂", "plain name[3]",
+	"a b", " ", "net<3>&vdd", `path\to"x"`, "x\x1fy\x7fz", "name\xff",
+	"\xc3", "a\xf0\x9f\x99", "\xef\xbf\xbd", "\xc0\xaf", "\xf4\x90\x80\x80",
+	"cell_the_quick_brown_fox_jumps_over_the_lazy_dog\n",
 }
 
 // String writes what json.Marshal writes for a string, HTML escaping
