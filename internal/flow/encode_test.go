@@ -314,35 +314,36 @@ func TestEncodeFallsBack(t *testing.T) {
 		name, node string
 		edit       func(v any)
 		fast       bool // the report's one pass writes it (report cases only)
+		fails      bool // the node's Encode refuses it
 	}{
-		{"NaN footprint", "report", func(v any) { v.(*Result).Footprint = math.NaN() }, false},
-		{"infinite WNS", "report", func(v any) { v.(*Result).WNS = math.Inf(-1) }, false},
+		{"NaN footprint", "report", func(v any) { v.(*Result).Footprint = math.NaN() }, false, false},
+		{"infinite WNS", "report", func(v any) { v.(*Result).WNS = math.Inf(-1) }, false, false},
 		{"NaN fanout sample", "report", func(v any) {
 			r := v.(*Result)
 			for k := range r.WLSamples {
 				r.WLSamples[k] = append(r.WLSamples[k], math.NaN())
 				break
 			}
-		}, false},
+		}, false, false},
 		{"unsorted pins", "signoff", func(v any) {
 			p := v.(*signoffArtifact).Design.Instances[0].Pins
 			p[0], p[1] = p[1], p[0]
-		}, false},
+		}, false, false},
 		{"repeated pin", "synth", func(v any) {
 			p := v.(*synthArtifact).Design.Instances[0].Pins
 			p[1].Name = p[0].Name
-		}, false},
-		{"NaN clock", "synth", func(v any) { v.(*synthArtifact).Design.TargetClockPs = math.NaN() }, false},
-		{"infinite timing clock", "signoff", func(v any) { v.(*signoffArtifact).Timing.ClockPs = math.Inf(1) }, false},
-		{"NaN coordinate", "place", func(v any) { v.(*placeArtifact).Snap.X[0] = math.NaN() }, false},
-		{"infinite die", "opt", func(v any) { v.(*optArtifact).Snap.Die.Hi.Y = math.Inf(1) }, false},
-		{"infinite route length", "route", func(v any) { v.(*routeArtifact).Route.Routes[0].LenByClass[1] = math.Inf(1) }, false},
-		{"infinite stats", "signoff", func(v any) { v.(*signoffArtifact).Stats.FinalWNS = math.Inf(1) }, false},
+		}, false, false},
+		{"NaN clock", "synth", func(v any) { v.(*synthArtifact).Design.TargetClockPs = math.NaN() }, false, false},
+		{"infinite timing clock", "signoff", func(v any) { v.(*signoffArtifact).Timing.ClockPs = math.Inf(1) }, false, false},
+		{"NaN coordinate", "place", func(v any) { v.(*placeArtifact).Snap.X[0] = math.NaN() }, false, false},
+		{"infinite die", "opt", func(v any) { v.(*optArtifact).Snap.Die.Hi.Y = math.Inf(1) }, false, false},
+		{"infinite route length", "route", func(v any) { v.(*routeArtifact).Route.Routes[0].LenByClass[1] = math.Inf(1) }, false, false},
+		{"infinite stats", "signoff", func(v any) { v.(*signoffArtifact).Stats.FinalWNS = math.Inf(1) }, false, false},
 		{"non-finite timing", "signoff", func(v any) {
 			tm := v.(*signoffArtifact).Timing
 			tm.Arrival[0], tm.Slew[0], tm.Required[0] = math.NaN(), math.Inf(1), math.Inf(-1)
 			tm.WNS, tm.TNS, tm.HoldWNS = math.Inf(1), math.NaN(), math.Inf(-1)
-		}, true},
+		}, true, false},
 		{"odd names", "signoff", func(v any) {
 			a := v.(*signoffArtifact)
 			d := a.Design
@@ -357,25 +358,34 @@ func TestEncodeFallsBack(t *testing.T) {
 			d.Name = oddNames[0]
 			d.Instances[0].Pins = netlist.Pins{{Name: "A", Net: 0}, {Name: "Z\x7f", Net: 1}, {Name: "\xe2\x80\xa9<", Net: 2}}
 			a.Lint = append(a.Lint, &lint.Report{Subject: oddNames[1], Diags: []lint.Diagnostic{
-				{Rule: oddNames[0], Severity: lint.Error, Where: oddNames[3], Message: oddNames[4], Hint: oddNames[2]},
+				{Rule: oddNames[0], Severity: lint.Error, Where: oddNames[3], Message: oddNames[5], Hint: oddNames[2]},
 			}})
-		}, true},
-		// A severity with no name has no JSON: encoding/json refuses it, and
-		// so do the artifact and the report, rather than write bytes that
-		// never decode.
+		}, true, false},
+		// A severity with no name, or lint text that is not UTF-8, has no
+		// JSON that reads back: encoding/json refuses it, and so do the
+		// artifact and the report, rather than write bytes that never decode.
 		{"unnamed severity", "signoff", func(v any) {
 			a := v.(*signoffArtifact)
 			a.Lint = append(a.Lint, &lint.Report{Subject: "s", Diags: []lint.Diagnostic{{Rule: "R", Severity: lint.Severity(7)}}})
-		}, false},
+		}, false, true},
 		{"unnamed severity in the report", "report", func(v any) {
 			r := v.(*Result)
 			r.LintReports = append(r.LintReports, &lint.Report{Subject: "s", Diags: []lint.Diagnostic{{Rule: "R", Severity: lint.Severity(7)}}})
-		}, false},
+		}, false, true},
+		{"invalid UTF-8 in lint text", "signoff", func(v any) {
+			a := v.(*signoffArtifact)
+			a.Lint = append(a.Lint, &lint.Report{Subject: "s", Diags: []lint.Diagnostic{
+				{Rule: "R", Severity: lint.Warning, Where: "w", Message: oddNames[4]},
+			}})
+		}, false, true},
+		{"invalid UTF-8 in a lint subject in the report", "report", func(v any) {
+			v.(*Result).LintReports[0].Subject = oddNames[4]
+		}, false, true},
 		{"odd config", "report", func(v any) {
 			r := v.(*Result)
 			r.Config.Circuit = oddNames[0] + oddNames[4]
 			r.LintReports[0].Subject = oddNames[0]
-		}, true},
+		}, true, false},
 		{"nil and empty", "signoff", func(v any) {
 			a := v.(*signoffArtifact)
 			a.Design.Instances[0].Pins = nil
@@ -388,31 +398,36 @@ func TestEncodeFallsBack(t *testing.T) {
 			a.Route.Routes = []route.NetRoute{}
 			a.Lint = append(a.Lint, nil, &lint.Report{})
 			a.Equiv = nil
-		}, true},
+		}, true, false},
 		{"nil values", "signoff", func(v any) {
 			a := v.(*signoffArtifact)
 			a.Design, a.Route, a.Timing, a.Stats = nil, nil, nil, nil
 			a.Snap.X = nil
-		}, true},
+		}, true, false},
 		{"nil design lists", "synth", func(v any) {
 			d := v.(*synthArtifact).Design
 			d.Instances, d.Nets, d.PIs = nil, []netlist.Net{}, nil
-		}, true},
+		}, true, false},
 		{"empty result lists", "report", func(v any) {
 			r := v.(*Result)
 			r.WLSamples = FanoutSamples{}
 			r.LintReports = []*lint.Report{}
 			r.OptStats = nil
 			r.Power = nil
-		}, true},
+		}, true, false},
 		{"fanout sample keys sort as strings", "report", func(v any) {
 			v.(*Result).WLSamples = FanoutSamples{2: {1.5}, 10: nil, -3: {}, 100: {2e-7, 1e21}}
-		}, true},
+		}, true, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			v := fresh(t, c.node)
 			c.edit(v)
+			if c.fails {
+				if _, err := node(t, c.node).Encode(v); err == nil {
+					t.Fatal("Encode wrote bytes that cannot be read back")
+				}
+			}
 			if c.node != "report" {
 				sameStored(t, node(t, c.node), v)
 				return

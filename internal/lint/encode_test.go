@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+	"unicode/utf8"
 
 	"tmi3d/internal/jsonwire"
 )
@@ -12,12 +13,14 @@ import (
 // MarshalJSON, on reports whose every string is fuzzed — escaped and
 // invalid-UTF-8 ones included, HTML-escaped as json.Marshal escapes them —
 // with any severity, an empty or set hint, and nil or empty diagnostics. A
-// severity with no name fails both.
+// severity with no name, or text that is not valid UTF-8, fails both.
 func FuzzReportEncode(f *testing.F) {
 	f.Add("FPU/45nm/T-MI post-route", "ERC-DANGLE", "net n_154", "driven net has no sinks", "prune it", 1, uint8(2))
 	f.Add(`<a&"b\`, "R\x7f", "w\xe2\x80\xa8", "m\xff", "", 2, uint8(1))
 	f.Add("", "", "", "", "", 9, uint8(0))
 	f.Add("s", "R", "w", "m", "", 7, uint8(1))
+	f.Add("sub\xc3", "R", "w", "m", "h\x80", 1, uint8(2))
+	f.Add("s", "R", "w", "m", "\xed\xa0\x80", 0, uint8(3))
 	f.Fuzz(func(t *testing.T, subject, rule, where, message, hint string, sev int, n uint8) {
 		r := &Report{Subject: subject}
 		if n%4 == 1 {
@@ -31,6 +34,15 @@ func FuzzReportEncode(f *testing.F) {
 		want, err := json.Marshal(r)
 		if w.OK() != (err == nil) {
 			t.Fatalf("AppendJSON ok %v, encoding/json error %v", w.OK(), err)
+		}
+		utf := utf8.ValidString(subject)
+		if len(r.Diags) > 0 {
+			for _, s := range []string{rule, where, message, hint} {
+				utf = utf && utf8.ValidString(s)
+			}
+		}
+		if !utf && w.OK() {
+			t.Fatalf("AppendJSON wrote text that is not UTF-8: %q", w.Bytes())
 		}
 		if err == nil && !bytes.Equal(w.Bytes(), want) {
 			t.Fatalf("AppendJSON writes\n%s\nencoding/json\n%s", w.Bytes(), want)

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"unicode/utf8"
 
 	"tmi3d/internal/jsonwire"
 )
@@ -77,6 +78,27 @@ type Diagnostic struct {
 	Message string `json:"message"`
 	// Hint suggests the fix, taken from the rule registry.
 	Hint string `json:"hint,omitempty"`
+}
+
+// MarshalJSON encodes the diagnostic's fields. A string that is not valid
+// UTF-8 is an error, as an unnamed severity is: encoding/json would write
+// U+FFFD for its bad bytes, which reads back as another string.
+func (d Diagnostic) MarshalJSON() ([]byte, error) {
+	for _, s := range [...]string{d.Rule, d.Where, d.Message, d.Hint} {
+		if err := checkText(s); err != nil {
+			return nil, err
+		}
+	}
+	type plain Diagnostic
+	return json.Marshal(plain(d))
+}
+
+// checkText refuses a string that is not valid UTF-8.
+func checkText(s string) error {
+	if !utf8.ValidString(s) {
+		return fmt.Errorf("lint: text %q is not valid UTF-8", s)
+	}
+	return nil
 }
 
 func (d Diagnostic) String() string {
@@ -246,8 +268,12 @@ type reportJSON struct {
 	Diagnostics []Diagnostic `json:"diagnostics"`
 }
 
-// MarshalJSON renders the report with summary counts.
+// MarshalJSON renders the report with summary counts. A subject or
+// diagnostic text that is not valid UTF-8 is an error.
 func (r *Report) MarshalJSON() ([]byte, error) {
+	if err := checkText(r.Subject); err != nil {
+		return nil, err
+	}
 	diags := r.Diags
 	if diags == nil {
 		diags = []Diagnostic{}
@@ -263,8 +289,11 @@ func (r *Report) MarshalJSON() ([]byte, error) {
 
 // AppendJSON appends the bytes MarshalJSON writes for r in one pass,
 // strings HTML-escaped as json.Marshal escapes them. A severity with no name
-// fails w, as MarshalJSON fails.
+// or a string that is not valid UTF-8 fails w, as MarshalJSON fails.
 func (r *Report) AppendJSON(w *jsonwire.Writer) {
+	if !utf8.ValidString(r.Subject) {
+		w.Fail()
+	}
 	w.Raw(`{"subject":`)
 	w.String(r.Subject)
 	w.Raw(`,"errors":`)
@@ -283,7 +312,8 @@ func (r *Report) AppendJSON(w *jsonwire.Writer) {
 		w.String(d.Rule)
 		w.Raw(`,"severity":`)
 		sev, ok := severityNames[d.Severity]
-		if !ok {
+		if !ok || !utf8.ValidString(d.Rule) || !utf8.ValidString(d.Where) ||
+			!utf8.ValidString(d.Message) || !utf8.ValidString(d.Hint) {
 			w.Fail()
 		}
 		w.String(sev)

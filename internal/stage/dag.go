@@ -33,6 +33,14 @@
 // Tests diff report, Verilog, and DEF bytes across cold, warm, and
 // partial-hit stores.
 //
+// A run's artifacts are durable when Run returns. Each Run has one writer, a
+// goroutine started on the run's first miss, that encodes and stores the
+// artifacts the run executed in node order while the run executes the next
+// stage; Run drains it before returning, whether the run succeeded, failed
+// or panicked, and fails with the first encode or store error. A write after
+// Run returned (Result.Implementation executing signoff) is made in the
+// caller.
+//
 // The store holds the report as the Result's JSON payload and every other
 // artifact in flow's binary envelope (internal/binwire). An entry whose
 // checksum verifies but whose bytes do not decode is a miss: the node runs

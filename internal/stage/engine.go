@@ -124,8 +124,20 @@ func (e *Engine) event(stage, ev string) {
 // called, through the same tiers, so a caller that never asks reads one
 // artifact. Its wire fields may be shared with the memory tier: callers must
 // not mutate them.
-func (e *Engine) Run(cfg flow.Config) (*flow.Result, error) {
+//
+// With a store, the run's writer persists each artifact the run executed
+// while the run goes on to the next stage. Run returns only after the writer
+// has drained — on success, on error and on panic — so the run's artifacts
+// are durable when it returns, and a failed encode or store write fails the
+// run with that error.
+func (e *Engine) Run(cfg flow.Config) (res *flow.Result, err error) {
 	idByName := ids(cfg.Normalized())
+	w := &writer{e: e}
+	defer func() {
+		if werr := w.drain(); werr != nil {
+			res, err = nil, werr
+		}
+	}()
 	// The run's flow.Hook: uncached nodes always execute; cached nodes go
 	// through the tiers.
 	return flow.NewExecution(cfg, func(n *flow.Node, exec func() (any, error)) (any, error) {
@@ -133,7 +145,7 @@ func (e *Engine) Run(cfg flow.Config) (*flow.Result, error) {
 			e.event(n.Name, eventExecute)
 			return exec()
 		}
-		return e.artifact(n, idByName[n.Name], exec)
+		return e.artifact(n, idByName[n.Name], exec, w)
 	}).Result(true)
 }
 
@@ -222,8 +234,10 @@ func (e *Engine) memPut(id string, v any) {
 }
 
 // artifact serves one cached node: memory tier, then the store, then
-// execution (with inflight deduplication across concurrent runs).
-func (e *Engine) artifact(n *flow.Node, id string, exec func() (any, error)) (any, error) {
+// execution (with inflight deduplication across concurrent runs). An
+// executed artifact goes to the memory tier and to waiting runs as soon as
+// its body returns, and to w to be stored.
+func (e *Engine) artifact(n *flow.Node, id string, exec func() (any, error), w *writer) (any, error) {
 	name := n.Name
 	e.mu.Lock()
 	if v, ok := e.memGet(id); ok {
@@ -262,7 +276,7 @@ func (e *Engine) artifact(n *flow.Node, id string, exec func() (any, error)) (an
 		e.mu.Unlock()
 		c.wg.Done()
 	}()
-	v, err := e.fill(n, id, exec)
+	v, executed, err := e.fill(n, id, exec)
 	done = true
 	c.v, c.err = v, err
 	e.mu.Lock()
@@ -272,29 +286,34 @@ func (e *Engine) artifact(n *flow.Node, id string, exec func() (any, error)) (an
 	}
 	e.mu.Unlock()
 	c.wg.Done()
-	return v, err
+	if err == nil && executed && e.store != nil {
+		err = w.put(n, id, v)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return v, nil
 }
 
-// fill loads a node's artifact from the store or executes it. A store hit
-// returns the decoded envelope; a miss returns the value the body built,
-// encoding it only to persist it, so an engine without a store never touches
-// the codec. Either way the result is what flow.Run hands the next stage:
-// the codecs are exact inverses.
-func (e *Engine) fill(n *flow.Node, id string, exec func() (any, error)) (any, error) {
-	key := storeKey(n.Name, id)
+// fill loads a node's artifact from the store or executes its body,
+// reporting which. A store hit returns the decoded envelope; a miss returns
+// the value the body built, which the caller hands to the run's writer, so
+// an engine without a store never touches the codec. Either way the result
+// is what flow.Run hands the next stage: the codecs are exact inverses.
+func (e *Engine) fill(n *flow.Node, id string, exec func() (any, error)) (any, bool, error) {
 	if e.store != nil {
-		data, ok, err := e.store.Get(key)
+		data, ok, err := e.store.Get(storeKey(n.Name, id))
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		if ok {
 			if v, derr := n.Decode(data); derr == nil {
 				e.event(n.Name, eventDiskHit)
-				return v, nil
+				return v, false, nil
 			}
 			// Undecodable despite a verified checksum: bytes damaged before
 			// they were stored, or a format change without its idVersion
-			// bump. Recompute and overwrite below, like any miss.
+			// bump. Recompute and overwrite, like any miss.
 		}
 	}
 	e.event(n.Name, eventMiss)
@@ -304,16 +323,92 @@ func (e *Engine) fill(n *flow.Node, id string, exec func() (any, error)) (any, e
 	}
 	v, err := exec()
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	if e.store != nil {
-		data, err := n.Encode(v)
-		if err != nil {
-			return nil, err
-		}
-		if err := e.store.Put(key, data); err != nil {
-			return nil, err
-		}
+	return v, true, nil
+}
+
+// persist encodes an executed artifact and stores it. An artifact that is
+// not stored leaves the memory tier as well, so the next run that needs it
+// executes and stores it again rather than serve a value no store holds.
+func (e *Engine) persist(n *flow.Node, id string, v any) error {
+	data, err := n.Encode(v)
+	if err == nil {
+		err = e.store.Put(storeKey(n.Name, id), data)
 	}
-	return v, nil
+	if err != nil {
+		e.forget(id)
+	}
+	return err
+}
+
+// forget drops an artifact from the memory tier.
+func (e *Engine) forget(id string) {
+	e.mu.Lock()
+	if el, ok := e.mem[id]; ok {
+		e.lru.Remove(el)
+		delete(e.mem, id)
+	}
+	e.mu.Unlock()
+}
+
+// writer persists the artifacts one Run executes. A single goroutine,
+// started on the run's first miss, encodes and stores them in the order the
+// run executed them (node order), so at most one encode buffer is alive at a
+// time, while the run executes the next stage. After a failed write it
+// stores none of the run's later artifacts, so the store holds what it held
+// when a run stopped at its failed write. Run drains it before returning. A
+// write asked for after that — Result.Implementation executing signoff's
+// cone — is made in the caller before the call returns.
+type writer struct {
+	e       *Engine
+	queue   chan pendingWrite // nil until the run's first miss
+	done    chan struct{}     // closed when the goroutine has written the queue
+	drained bool              // Run has returned: persist in the caller
+	err     error             // the goroutine's first encode or store error
+}
+
+type pendingWrite struct {
+	n  *flow.Node
+	id string
+	v  any
+}
+
+// put persists an executed artifact: queued while the run is going, at once
+// after it returned.
+func (w *writer) put(n *flow.Node, id string, v any) error {
+	if w.drained {
+		return w.e.persist(n, id, v)
+	}
+	if w.queue == nil {
+		// A run executes each node at most once, so the queue never fills.
+		w.queue = make(chan pendingWrite, len(Nodes))
+		w.done = make(chan struct{})
+		go w.loop(w.queue)
+	}
+	w.queue <- pendingWrite{n, id, v}
+	return nil
+}
+
+func (w *writer) loop(queue <-chan pendingWrite) {
+	defer close(w.done)
+	for p := range queue {
+		if w.err != nil {
+			w.e.forget(p.id)
+			continue
+		}
+		w.err = w.e.persist(p.n, p.id, p.v)
+	}
+}
+
+// drain waits until every queued artifact is stored and returns the first
+// write error; later writes are synchronous.
+func (w *writer) drain() error {
+	w.drained = true
+	if w.queue == nil {
+		return nil
+	}
+	close(w.queue)
+	<-w.done
+	return w.err
 }

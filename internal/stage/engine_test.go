@@ -2,9 +2,16 @@ package stage
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -131,14 +138,9 @@ func monoRun(t *testing.T, cfg flow.Config) resultBytes {
 // simulating a partially-populated cache.
 func removeEntries(t *testing.T, e *Engine, cfg flow.Config, names ...string) {
 	t.Helper()
-	for _, pe := range e.Plan(cfg) {
-		for _, name := range names {
-			if pe.Name == name {
-				p := e.store.EntryPath(storeKey(pe.Name, pe.ID))
-				if err := os.Remove(p); err != nil {
-					t.Fatalf("remove %s entry: %v", name, err)
-				}
-			}
+	for _, name := range names {
+		if err := os.Remove(entryPath(t, e, cfg, name)); err != nil {
+			t.Fatalf("remove %s entry: %v", name, err)
 		}
 	}
 }
@@ -203,12 +205,7 @@ func TestStagedByteIdentity(t *testing.T) {
 	// Corruption: a flipped payload byte quarantines the entry, costing one
 	// clean recompute — and the result still matches the monolith.
 	removeEntries(t, e3, cfg, "report")
-	var powerPath string
-	for _, pe := range e3.Plan(cfg) {
-		if pe.Name == "power" {
-			powerPath = e3.store.EntryPath(storeKey(pe.Name, pe.ID))
-		}
-	}
+	powerPath := entryPath(t, e3, cfg, "power")
 	raw, err := os.ReadFile(powerPath)
 	if err != nil {
 		t.Fatal(err)
@@ -466,46 +463,247 @@ func TestPublishedValueIsStored(t *testing.T) {
 
 // A panicking stage body must release its inflight call: the panic reaches
 // the caller, and the next run of the same config executes the node afresh
-// instead of blocking forever on the abandoned call.
+// instead of blocking forever on the abandoned call. With a store, the
+// artifacts built before the panic are on disk when the panic reaches the
+// caller, and no writer outlives the run.
 func TestPanickingStageReleasesInflight(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		dir  func() string
+	}{
+		{"memory", func() string { return "" }},
+		{"store", t.TempDir},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := testConfig()
+			e, err := New(c.dir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := runtime.NumGoroutine()
+			e.SetBeforeExecute(func(name string) {
+				if name == "opt" {
+					panic("injected opt failure")
+				}
+			})
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("the opt body's panic did not reach Run")
+					}
+				}()
+				_, _ = e.Run(cfg)
+			}()
+			e.SetBeforeExecute(nil)
+			if n := len(e.inflight); n != 0 {
+				t.Fatalf("%d inflight calls left behind by the panicked run", n)
+			}
+			if e.store != nil {
+				// The report's body reads synth, then opt, whose body would
+				// read place: wlm and synth are the artifacts the run built
+				// before the panic.
+				mustStore(t, e, cfg, "wlm", "synth")
+				noGoroutineLeft(t, base)
+			}
+
+			done := make(chan error, 1)
+			go func() {
+				_, err := e.Run(cfg)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("second run: %v", err)
+				}
+			case <-time.After(2 * time.Minute):
+				t.Fatal("second run of the same config blocked on the panicked run's inflight call")
+			}
+			if c := e.Counters()["opt"]; c.Executions != 2 {
+				t.Errorf("opt counters = %+v, want two executions (panicked, then fresh)", c)
+			}
+		})
+	}
+}
+
+// A store write that fails fails the run with castore's error, however far
+// the run got past the failed write; none of the run's later artifacts is
+// stored, and no writer is left behind. Once the store takes writes again,
+// the next run of the same engine stores every cached node — the one the
+// store refused included — and matches flow.Run byte for byte.
+func TestStoreWriteFailureFailsRun(t *testing.T) {
 	cfg := testConfig()
-	e, err := New("")
+	mono := monoRun(t, cfg)
+	e, err := New(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := runtime.NumGoroutine()
+	// A regular file where the opt entry's shard directory belongs, put
+	// there once the run has looked the entry up: Put cannot make the
+	// directory, whichever user runs the test.
+	shard := filepath.Dir(entryPath(t, e, cfg, "opt"))
 	e.SetBeforeExecute(func(name string) {
-		if name == "opt" {
-			panic("injected opt failure")
+		if name != "opt" {
+			return
+		}
+		if err := os.WriteFile(shard, nil, 0o644); err != nil {
+			panic(fmt.Sprintf("cannot block the opt entry's shard: %v", err))
 		}
 	})
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("the opt body's panic did not reach Run")
-			}
-		}()
-		_, _ = e.Run(cfg)
-	}()
-	e.SetBeforeExecute(nil)
-	if n := len(e.inflight); n != 0 {
-		t.Fatalf("%d inflight calls left behind by the panicked run", n)
+	res, err := e.Run(cfg)
+	if err == nil || res != nil {
+		t.Fatalf("run over a store that cannot take the opt entry: result %v, error %v; want an error", res != nil, err)
 	}
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := e.Run(cfg)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("second run: %v", err)
+	if !errors.Is(err, syscall.ENOTDIR) || !strings.HasPrefix(err.Error(), "castore: put: ") {
+		t.Errorf("run error %q, want castore's put error wrapping ENOTDIR", err)
+	}
+	for _, name := range []string{"route", "signoff", "power", "report"} {
+		if _, err := os.Stat(entryPath(t, e, cfg, name)); err == nil {
+			t.Errorf("%s was stored after the opt entry failed", name)
 		}
-	case <-time.After(2 * time.Minute):
-		t.Fatal("second run of the same config blocked on the panicked run's inflight call")
 	}
-	if c := e.Counters()["opt"]; c.Executions != 2 {
-		t.Errorf("opt counters = %+v, want two executions (panicked, then fresh)", c)
+	noGoroutineLeft(t, base)
+	e.SetBeforeExecute(nil)
+
+	if err := os.Remove(shard); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := stagedRun(t, e, cfg)
+	mustEqual(t, "after the store recovered", mono, got)
+	mustStore(t, e, cfg, cachedNames()...)
+	noGoroutineLeft(t, base)
+}
+
+// An artifact executed after Run returned — a warm run's first
+// Implementation call over a store that lost its signoff entry — is stored
+// by that call before it returns, not by a writer left behind by the run.
+func TestImplementationStoresSignoff(t *testing.T) {
+	cfg := testConfig()
+	mono := monoRun(t, cfg)
+	dir := t.TempDir()
+	primed, err := New(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := primed.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	removeEntries(t, primed, cfg, "signoff")
+	e, err := New(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := e.Counters(); !reflect.DeepEqual(c, map[string]Counters{"report": {DiskHits: 1}}) {
+		t.Fatalf("run counters = %+v, want the report's disk hit alone", c)
+	}
+	if _, _, err := res.Implementation(); err != nil {
+		t.Fatal(err)
+	}
+	mustStore(t, e, cfg, "signoff")
+	if c := e.Counters()["signoff"]; c.Executions != 1 {
+		t.Errorf("signoff counters = %+v, want one execution by Implementation", c)
+	}
+	mustEqual(t, "lazy signoff", mono, capture(t, res))
+}
+
+// Runs of one engine at once share its tiers: two sweep points run
+// concurrently, each by a writer of its own, execute the shared upstream
+// cone once, store every artifact, and match flow.Run.
+func TestConcurrentRunsStore(t *testing.T) {
+	base, err := circuits.TargetClockPs("FPU", tech.N45)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := []flow.Config{testConfig(), testConfig()}
+	cfgs[1].ClockPs = base * 1.15
+	results := make([]*flow.Result, len(cfgs))
+	errs := make([]error, len(cfgs))
+	var wg sync.WaitGroup
+	for i, cfg := range cfgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = e.Run(cfg)
+		}()
+	}
+	wg.Wait()
+	for i, cfg := range cfgs {
+		if errs[i] != nil {
+			t.Fatalf("point %d: %v", i, errs[i])
+		}
+		mustStore(t, e, cfg, cachedNames()...)
+		mustEqual(t, fmt.Sprintf("point %d", i), monoRun(t, cfg), capture(t, results[i]))
+	}
+	for _, name := range []string{"wlm", "synth", "place"} {
+		if c := e.Counters()[name]; c.Executions != 1 {
+			t.Errorf("%s counters = %+v, want one execution shared by both points", name, c)
+		}
+	}
+}
+
+// cachedNames lists the stage graph's cached nodes.
+func cachedNames() []string {
+	var out []string
+	for i := range Nodes {
+		if Nodes[i].Cached {
+			out = append(out, Nodes[i].Name)
+		}
+	}
+	return out
+}
+
+// entryPath returns the store path of the named node's artifact for cfg.
+func entryPath(t *testing.T, e *Engine, cfg flow.Config, name string) string {
+	t.Helper()
+	for _, pe := range e.Plan(cfg) {
+		if pe.Name == name {
+			return e.store.EntryPath(storeKey(pe.Name, pe.ID))
+		}
+	}
+	t.Fatalf("no stage %q", name)
+	return ""
+}
+
+// mustStore requires the store to hold a decodable artifact for each named
+// node of cfg.
+func mustStore(t *testing.T, e *Engine, cfg flow.Config, names ...string) {
+	t.Helper()
+	for _, pe := range e.Plan(cfg) {
+		if !slices.Contains(names, pe.Name) {
+			continue
+		}
+		data, ok, err := e.store.Get(storeKey(pe.Name, pe.ID))
+		if err != nil || !ok {
+			t.Errorf("%s artifact is not in the store (%v)", pe.Name, err)
+			continue
+		}
+		if _, err := node(t, pe.Name).Decode(data); err != nil {
+			t.Errorf("stored %s artifact does not decode: %v", pe.Name, err)
+		}
+	}
+}
+
+// noGoroutineLeft waits for the process to be back to base goroutines: a
+// writer that drained has exited, or is about to.
+func noGoroutineLeft(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("%d goroutines after the run, %d before:\n%s", runtime.NumGoroutine(), base, buf)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

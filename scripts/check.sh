@@ -116,11 +116,13 @@ fi
 stage staged-identity
 # The staged flow engine's contract: byte-identical to the monolithic flow at
 # any cache state. Run a 3-point clock sweep monolithically, then staged with
-# a cold artifact store, then staged again fully warm (the second pass
-# executes no stage bodies at all), then warm without -dump (reading only the
-# report artifact), then one new clock point over the warm store (its
-# upstream stages decode from disk), and diff report + Verilog + DEF per
-# point. The tmi3d binary built here serves every later stage.
+# a cold artifact store, then staged again fully warm (the cold processes
+# stored every cached node before exiting, so the second pass reads each
+# point's report from disk and executes no cached stage body), then warm
+# without -dump (reading only the report artifact), then one new clock point
+# over the warm store (its upstream stages decode from disk), and diff report
+# + Verilog + DEF per point. The tmi3d binary built here serves every later
+# stage.
 go build -o "$pdir/tmi3d" ./cmd/tmi3d
 for clk in 0 2000 2400; do
     "$pdir/tmi3d" -circuit FPU -scale 0.1 -mode tmi -clock "$clk" -byfunc \
@@ -134,6 +136,20 @@ for pass in cold warm; do
         for f in txt v def; do
             if ! diff -u "$pdir/mono$clk.$f" "$pdir/$pass$clk.$f"; then
                 echo "staged ($pass, clock $clk) .$f output differs from monolithic" >&2
+                exit 1
+            fi
+        done
+    done
+    [ "$pass" = cold ] || continue
+    # Each cold process has exited, so whatever its run stored is durable:
+    # every cached node of every point must read from disk.
+    for clk in 0 2000 2400; do
+        "$pdir/tmi3d" stages -circuit FPU -scale 0.1 -mode tmi -clock "$clk" \
+            -stagecache "$pdir/stagecache" >"$pdir/plan$clk.txt"
+        for node in wlm synth place opt route signoff power report; do
+            if ! grep -Eq "^$node +disk " "$pdir/plan$clk.txt"; then
+                echo "staged (cold, clock $clk): $node was not stored" >&2
+                cat "$pdir/plan$clk.txt" >&2
                 exit 1
             fi
         done
