@@ -8,17 +8,16 @@
 // booleans as one byte, and length-prefixed strings, byte blobs and float
 // vectors. A list length is written as n+1, with 0 for a nil list, where a
 // type tells nil from empty. Symbols are strings a value repeats (pin,
-// function, cell and port names): a writer spells each one once, at its
+// function, cell and port names, lint rules and messages): a writer spells each one once, at its
 // first use, and refers back to it by number afterwards.
 //
-// A Reader, like jsonwire's, fails sticky: the first read that does not
-// match — a truncated value, a varint in a longer form than the shortest, a
-// boolean byte other than 0 or 1, a length larger than the bytes left, a
-// symbol spelled twice — marks it failed, every later read returns a zero
-// value, and the caller checks Done (or OK) once. A length is checked
-// against the bytes left before anything is allocated for it, so arbitrary
-// input can neither panic a reader nor make it allocate more than the input
-// could describe.
+// A Reader fails sticky: the first read that does not match — a truncated
+// value, a varint in a longer form than the shortest, a boolean byte other
+// than 0 or 1, a length larger than the bytes left, a symbol spelled twice —
+// marks it failed, every later read returns a zero value, and the caller
+// checks Done (or OK) once. A length is checked against the bytes left
+// before anything is allocated for it, so arbitrary input can neither panic
+// a reader nor make it allocate more than the input could describe.
 package binwire
 
 import (

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"tmi3d/internal/flow"
-	"tmi3d/internal/power"
 	"tmi3d/internal/report"
 	"tmi3d/internal/tech"
 )
@@ -246,5 +245,3 @@ func pct(a, b float64) float64 {
 	}
 	return (b - a) / a * 100
 }
-
-var _ = power.DefaultActivities // referenced by experiment files

@@ -32,18 +32,20 @@ import (
 // The four uncached nodes return plain in-process values. Each cached node
 // returns an artifact value whose stored bytes decode to an exact inverse,
 // so a value decoded from a store is interchangeable with the value that was
-// encoded. The report node's artifact is the Result itself, stored as
-// EncodeResult's JSON payload (codec.go). Every other cached node returns an
-// envelope stored in binary (internal/binwire): its fields in declaration
-// order, the netlist, placement snapshot, route and timing in their own
-// binary forms (WriteBinary/ReadBinary) and every other field as a
-// length-prefixed blob of its canonical JSON. Those four types are written
-// and read by the store alone, so they have no JSON form at all; the small
-// fields keep theirs. TestWireFormatTotal fills every envelope's fields,
-// round-trips it and compares every field (the offWire table lists the
-// fields deliberately left off); the stage engine's TestArtifactRoundTrip
-// re-encodes the envelopes of real runs, and its TestPublishedValueIsStored
-// checks that a published value encodes to the stored bytes.
+// encoded. Every cached node's artifact is an envelope — the report node's
+// is the Result itself — stored in binary (internal/binwire): its fields in
+// declaration order, the netlist, placement snapshot, route, timing, lint
+// reports and fanout samples in their own binary forms
+// (WriteBinary/ReadBinary), and every other field as a length-prefixed blob
+// of its canonical JSON (codec.go). The first four are written and read by
+// the store alone, so they have no JSON form at all; the lint reports and
+// fanout samples keep theirs for EncodeResult, and the small fields keep
+// theirs. Fields tagged json:"-" stay off both. TestWireFormatTotal fills
+// every envelope's fields, round-trips it and compares every field (the
+// offWire table lists the fields deliberately left off); the stage engine's
+// TestArtifactRoundTrip re-encodes the envelopes of real runs, and its
+// TestPublishedValueIsStored checks that a published value encodes to the
+// stored bytes.
 
 // setupValue is the setup node's output: the per-run constants every later
 // stage draws from.
@@ -124,8 +126,8 @@ type powerArtifact struct {
 	Clock *cts.Result
 }
 
-// binaryValue is a store-only type with a binary form: the netlist,
-// placement snapshot, route and timing.
+// binaryValue is a type with a binary form: the netlist, placement snapshot,
+// route, timing, lint report and fanout samples.
 type binaryValue interface {
 	WriteBinary(w *binwire.Writer)
 	ReadBinary(r *binwire.Reader)
@@ -135,7 +137,8 @@ var binaryType = reflect.TypeFor[binaryValue]()
 
 // encodeArtifact writes the binary form of the envelope v points to: each
 // field in declaration order, a binary value as its WriteBinary writes it (a
-// pointer behind a presence flag), any other as a blob of the JSON
+// pointer behind a presence flag, a list of pointers as its length, nil
+// apart from empty, then each pointer), any other as a blob of the JSON
 // appendField writes for it, null for nil. The fields share one symbol
 // table, so the snapshot's port names refer back to the design's.
 func encodeArtifact(v any) ([]byte, error) {
@@ -150,13 +153,15 @@ func encodeArtifact(v any) ([]byte, error) {
 	var err error
 	for _, f := range fields {
 		fv := rv.Field(f.index)
-		switch f.codec {
+		switch f.binary {
 		case fieldBinary:
 			fv.Addr().Interface().(binaryValue).WriteBinary(w)
 		case fieldBinaryPointer:
-			w.Bool(!fv.IsNil())
-			if !fv.IsNil() {
-				fv.Interface().(binaryValue).WriteBinary(w)
+			writePointer(w, fv)
+		case fieldBinaryList:
+			w.Len(fv.Len(), fv.IsNil())
+			for i := 0; i < fv.Len(); i++ {
+				writePointer(w, fv.Index(i))
 			}
 		default:
 			w.BlobFunc(func(b []byte) []byte {
@@ -170,6 +175,23 @@ func encodeArtifact(v any) ([]byte, error) {
 		}
 	}
 	return w.Bytes(), nil
+}
+
+// writePointer writes the binary value the pointer fv holds behind a
+// presence flag.
+func writePointer(w *binwire.Writer, fv reflect.Value) {
+	w.Bool(!fv.IsNil())
+	if !fv.IsNil() {
+		fv.Interface().(binaryValue).WriteBinary(w)
+	}
+}
+
+// readPointer reads what writePointer wrote into the nil pointer fv.
+func readPointer(r *binwire.Reader, fv reflect.Value) {
+	if r.Bool() {
+		fv.Set(reflect.New(fv.Type().Elem()))
+		fv.Interface().(binaryValue).ReadBinary(r)
+	}
 }
 
 // appendJSONField appends the canonical JSON of one envelope field to b,
@@ -201,13 +223,18 @@ func decodeArtifact(data []byte, v any) error {
 	var other fieldEncoder
 	for _, f := range fields {
 		fv := rv.Field(f.index)
-		switch f.codec {
+		switch f.binary {
 		case fieldBinary:
 			fv.Addr().Interface().(binaryValue).ReadBinary(r)
 		case fieldBinaryPointer:
-			if r.Bool() {
-				fv.Set(reflect.New(fv.Type().Elem()))
-				fv.Interface().(binaryValue).ReadBinary(r)
+			readPointer(r, fv)
+		case fieldBinaryList:
+			// A pointer takes at least its presence flag.
+			if n, null := r.Len(1); !null && r.OK() {
+				fv.Set(reflect.MakeSlice(fv.Type(), n, n))
+				for i := 0; i < n; i++ {
+					readPointer(r, fv.Index(i))
+				}
 			}
 		default:
 			blob := r.Blob()
@@ -231,12 +258,9 @@ func decodeArtifact(data []byte, v any) error {
 	return nil
 }
 
-// Encode renders a cached node's artifact value as its stored bytes: the
-// report's canonical JSON, any other node's binary envelope.
+// Encode renders a cached node's artifact value as its stored bytes, its
+// binary envelope.
 func (n *Node) Encode(v any) ([]byte, error) {
-	if _, ok := v.(*Result); ok {
-		return encodeCanonical(v, n.Name+" artifact")
-	}
 	b, err := encodeArtifact(v)
 	if err != nil {
 		return nil, fmt.Errorf("flow: encode %s artifact: %w", n.Name, err)
@@ -251,9 +275,6 @@ func (n *Node) Decode(data []byte) (any, error) {
 		return nil, fmt.Errorf("flow: stage %s has no artifact codec", n.Name)
 	}
 	v := n.wire()
-	if _, ok := v.(*Result); ok {
-		return DecodeResult(data)
-	}
 	if err := decodeArtifact(data, v); err != nil {
 		return nil, fmt.Errorf("flow: decode %s artifact: %w", n.Name, err)
 	}

@@ -11,27 +11,30 @@ import (
 	"strings"
 	"sync"
 
+	"tmi3d/internal/binwire"
 	"tmi3d/internal/jsonwire"
 )
 
-// The JSON wire codec. A Result — serve's payload and the report node's
-// artifact — and the small fields of the artifact envelopes (statistics,
-// gate reports, the wire load model, power and clock tree) are JSON. It is
-// canonical — the bytes encoding/json writes with sorted map keys and HTML
-// escaping off — and decodes to an exact inverse. Encode writes those bytes
-// in one pass (encodeFields, and the appenders of the lint reports and
-// fanout samples inside it), leaving to encoding/json only the small fields
-// and any value the appenders cannot write identically. Decode reads the
-// canonical bytes in one pass (decodeCanonical, and the one-pass decoders of
-// the same types) and leaves every other spelling to encoding/json, which
-// gives the same value or the same error. TestEncodeMatchesJSON holds the
-// one-pass encoder to encoding/json on the results of real runs.
+// The JSON wire codec. A Result — serve's payload — and the small fields of
+// the stage store's binary envelopes (statistics, equivalence reports, the
+// wire load model, power and clock tree) are JSON. It is canonical: the
+// bytes encoding/json writes with sorted map keys and HTML escaping off at
+// the envelope's level. Strings a type's own MarshalJSON writes through
+// json.Marshal — the lint and equivalence reports' — keep json.Marshal's
+// escaping of '<', '>' and '&' (a lint subject <s&> is written
+// "\u003cs\u0026\u003e"); every other string, Config.Circuit <a&b> for one,
+// is written as it is. Encode writes those bytes in one pass (encodeFields,
+// and the appenders of the lint reports and fanout samples inside it),
+// leaving to encoding/json only the small fields and any value the
+// appenders cannot write identically. Decode is encoding/json's.
+// TestEncodeMatchesJSON holds the one-pass encoder to encoding/json on the
+// results of real runs.
 
 // EncodeResult renders the canonical wire encoding of a flow result: compact
-// JSON with sorted map keys and unescaped HTML, terminated by a newline.
-// Two encodings of equal results are byte-identical; this is the payload the
-// serving layer stores on disk, caches in its LRU, and serves to clients,
-// and the stored bytes of the report node's artifact.
+// JSON with sorted map keys, HTML escaping only inside the lint and
+// equivalence reports, terminated by a newline. Two encodings of equal
+// results are byte-identical; this is the payload the serving layer stores
+// on disk, caches in its LRU, and serves to clients.
 func EncodeResult(r *Result) ([]byte, error) {
 	b, err := encodeCanonical(r, "result")
 	if err != nil {
@@ -43,13 +46,8 @@ func EncodeResult(r *Result) ([]byte, error) {
 }
 
 // DecodeResult parses a payload written by EncodeResult. The returned result
-// carries no Implementation (it never goes over the wire). Canonical bytes
-// decode in one pass, as an artifact does (decodeCanonical); anything else
-// decodes through json.Unmarshal, with the same result.
+// carries no Implementation (it never goes over the wire).
 func DecodeResult(data []byte) (*Result, error) {
-	if r := new(Result); decodeCanonical(data, r) {
-		return r, nil
-	}
 	r := new(Result)
 	if err := json.Unmarshal(data, r); err != nil {
 		return nil, fmt.Errorf("flow: decode result: %w", err)
@@ -57,8 +55,7 @@ func DecodeResult(data []byte) (*Result, error) {
 	return r, nil
 }
 
-// FanoutSamples maps a fanout to the routed lengths of its nets (µm). It is
-// a plain map with a one-pass decoder for the bytes encoding/json writes.
+// FanoutSamples maps a fanout to the routed lengths of its nets (µm).
 type FanoutSamples map[int][]float64
 
 // AppendJSON appends the bytes encoding/json writes for the samples in one
@@ -98,49 +95,50 @@ func (s FanoutSamples) WireSize() int {
 	return n
 }
 
-// UnmarshalJSON decodes the samples, replacing s. The canonical object
-// encoding/json writes — keys as shortest-form integers in quotes, values
-// as arrays of numbers — is read in one pass; any other spelling decodes
-// through encoding/json, with the same result.
-func (s *FanoutSamples) UnmarshalJSON(b []byte) error {
-	if m, ok := decodeSamples(b); ok {
-		*s = m
-		return nil
+// WriteBinary writes the samples in the stage store's binary form: the
+// number of fanouts (nil apart from empty), then each fanout in ascending
+// order with its lengths.
+func (s FanoutSamples) WriteBinary(w *binwire.Writer) {
+	fanouts := make([]int, 0, len(s))
+	for fanout := range s {
+		fanouts = append(fanouts, fanout)
 	}
-	var m map[int][]float64
-	if err := json.Unmarshal(b, &m); err != nil {
-		return err
+	slices.Sort(fanouts)
+	w.Len(len(fanouts), s == nil)
+	for _, fanout := range fanouts {
+		w.Int(fanout)
+		w.Floats(s[fanout])
 	}
-	*s = m
-	return nil
 }
 
-// decodeSamples reads the canonical bytes of fanout samples in one pass, or
-// reports false. A repeated key keeps its last value, as a map decode does.
-func decodeSamples(b []byte) (FanoutSamples, bool) {
-	r := jsonwire.NewReader(b)
-	if r.Null() {
-		return nil, r.Done()
+// ReadBinary reads samples written by WriteBinary into s, which must be nil.
+// Fanouts out of ascending order or repeated, which a writer never writes,
+// fail r.
+func (s *FanoutSamples) ReadBinary(r *binwire.Reader) {
+	// A fanout takes at least a byte for itself and one for its lengths.
+	n, null := r.Len(2)
+	if null || !r.OK() {
+		return
 	}
-	m := FanoutSamples{}
-	r.Delim('{')
-	for n := 0; r.More('}', n); n++ {
-		key := jsonwire.NewReader(r.Str())
-		fanout := key.Int()
-		if !key.Done() {
+	m := make(FanoutSamples, n)
+	prev := 0
+	for i := 0; i < n; i++ {
+		fanout := r.Int()
+		if i > 0 && fanout <= prev {
 			r.Fail()
 		}
-		r.Delim(':')
+		prev = fanout
 		m[fanout] = r.Floats()
 	}
-	return m, r.Done()
+	*s = m
 }
 
 // encodeCanonical renders the canonical wire bytes of a value: compact JSON
-// with sorted map keys and unescaped HTML, terminated by a newline. It
-// writes them in one pass (encodeFields); a value that pass cannot write
-// byte for byte as encoding/json does goes to encodeJSON whole, which writes
-// the same bytes or returns encoding/json's error.
+// with sorted map keys and HTML escaping off at the envelope's level,
+// terminated by a newline. It writes them in one pass (encodeFields); a
+// value that pass cannot write byte for byte as encoding/json does goes to
+// encodeJSON whole, which writes the same bytes or returns encoding/json's
+// error.
 func encodeCanonical(v any, what string) ([]byte, error) {
 	if b, ok := encodeFields(v); ok {
 		return b, nil
@@ -310,25 +308,37 @@ func isEmptyValue(v reflect.Value) bool {
 	return v.IsZero()
 }
 
-// wireField is one field of an envelope as encoding/json spells it.
+// wireField is one field of an envelope as encoding/json spells it, with
+// how each codec writes it. The two are planned apart: a type with both an
+// AppendJSON and a WriteBinary (lint reports, fanout samples) is written by
+// the first in JSON and by the second in the store's binary envelopes.
 type wireField struct {
 	index     int
 	name      string // the JSON key
 	key       string // the key as written: "name":
 	omitEmpty bool
-	codec     fieldCodec
+	codec     fieldCodec  // how encodeFields writes it as JSON
+	binary    binaryCodec // how encodeArtifact writes it
 }
 
 // fieldCodec selects how encodeFields writes a field.
 type fieldCodec int
 
 const (
-	fieldJSON          fieldCodec = iota // through encoding/json
-	fieldAppender                        // a value whose address has AppendJSON
-	fieldPointer                         // a pointer with AppendJSON
-	fieldList                            // a slice of pointers with AppendJSON
-	fieldBinary                          // a value whose address has WriteBinary: envelopes only
-	fieldBinaryPointer                   // a pointer with WriteBinary: envelopes only
+	fieldJSON     fieldCodec = iota // through encoding/json
+	fieldAppender                   // a value whose address has AppendJSON
+	fieldPointer                    // a pointer with AppendJSON
+	fieldList                       // a slice of pointers with AppendJSON
+)
+
+// binaryCodec selects how encodeArtifact writes a field.
+type binaryCodec int
+
+const (
+	fieldBlob          binaryCodec = iota // a blob of its JSON, written as encodeFields writes it
+	fieldBinary                           // a value whose address has WriteBinary
+	fieldBinaryPointer                    // a pointer with WriteBinary
+	fieldBinaryList                       // a slice of pointers with WriteBinary
 )
 
 // wirePlans caches wireFields per envelope type.
@@ -336,7 +346,7 @@ var wirePlans sync.Map // reflect.Type → []wireField, or nil
 
 // wireFields returns the fields encoding/json writes for the struct type t,
 // in order, or false for a type the one-pass codecs leave to encoding/json:
-// not a struct, a marshaler or unmarshaler itself, or one with a field
+// not a struct, a marshaler itself, or one with a field
 // encoding/json spells some other way (embedded, a tag option other than
 // omitempty, a key that is not a plain identifier, two fields of one key).
 func wireFields(t reflect.Type) ([]wireField, bool) {
@@ -359,7 +369,7 @@ func planFields(t reflect.Type) []wireField {
 	if t.Kind() != reflect.Struct {
 		return nil
 	}
-	for _, m := range []reflect.Type{marshalerType, textMarshalerType, unmarshalerType} {
+	for _, m := range []reflect.Type{marshalerType, textMarshalerType} {
 		if reflect.PointerTo(t).Implements(m) {
 			return nil
 		}
@@ -384,20 +394,29 @@ func planFields(t reflect.Type) []wireField {
 		f := wireField{index: i, name: name, key: `"` + name + `":`, omitEmpty: opts == "omitempty"}
 		ft := sf.Type
 		switch {
-		case ft.Kind() == reflect.Pointer && ft.Implements(binaryType):
-			f.codec = fieldBinaryPointer
-		case ft.Kind() != reflect.Pointer && reflect.PointerTo(ft).Implements(binaryType):
-			f.codec = fieldBinary
 		case ft.Kind() == reflect.Pointer && ft.Implements(appenderType):
 			f.codec = fieldPointer
 		case ft.Kind() != reflect.Pointer && reflect.PointerTo(ft).Implements(appenderType):
 			f.codec = fieldAppender
-		case ft.Kind() == reflect.Slice && ft.Elem().Kind() == reflect.Pointer && ft.Elem().Implements(appenderType):
+		case pointerList(ft, appenderType):
 			f.codec = fieldList
+		}
+		switch {
+		case ft.Kind() == reflect.Pointer && ft.Implements(binaryType):
+			f.binary = fieldBinaryPointer
+		case ft.Kind() != reflect.Pointer && reflect.PointerTo(ft).Implements(binaryType):
+			f.binary = fieldBinary
+		case pointerList(ft, binaryType):
+			f.binary = fieldBinaryList
 		}
 		fields = append(fields, f)
 	}
 	return fields
+}
+
+// pointerList reports whether t is a slice of pointers that implement i.
+func pointerList(t, i reflect.Type) bool {
+	return t.Kind() == reflect.Slice && t.Elem().Kind() == reflect.Pointer && t.Elem().Implements(i)
 }
 
 // identifier reports whether name is letters, digits and underscores only:
@@ -412,76 +431,4 @@ func identifier(name string) bool {
 		}
 	}
 	return true
-}
-
-// decodeCanonical decodes the bytes encodeCanonical writes for the struct v
-// points to in one pass over its fields, or reports false, leaving v partly
-// filled. It walks the fields in declaration order, matching each one's JSON
-// key exactly; an omitempty field may be absent. Each value's bytes go
-// straight to the field's UnmarshalJSON when it has one, element by element
-// to it for a list of such values ([]*lint.Report), and to json.Unmarshal
-// otherwise. Every UnmarshalJSON in the wire set reads canonical bytes
-// strictly and hands anything else to json.Unmarshal, which validates them.
-// Any other shape — an unknown, repeated, reordered or case-variant key, a
-// null, whitespace, or anything after the one closing newline — reports
-// false, and the caller decodes the whole value with json.Unmarshal.
-func decodeCanonical(data []byte, v any) bool {
-	rv := reflect.ValueOf(v).Elem()
-	fields, ok := wireFields(rv.Type())
-	if !ok {
-		return false
-	}
-	r := jsonwire.NewReader(data)
-	r.Delim('{')
-	n := 0
-	for _, f := range fields {
-		if !r.Field(f.name, n) {
-			if f.omitEmpty {
-				continue
-			}
-			return false
-		}
-		n++
-		if !decodeValue(r, rv.Field(f.index)) {
-			return false
-		}
-	}
-	r.Delim('}')
-	r.Delim('\n')
-	return r.Done()
-}
-
-var unmarshalerType = reflect.TypeFor[json.Unmarshaler]()
-
-// decodeValue decodes the value at r into f, or reports false.
-func decodeValue(r *jsonwire.Reader, f reflect.Value) bool {
-	if r.Null() {
-		return false
-	}
-	if t := f.Type(); t.Kind() == reflect.Slice && t.Elem().Kind() == reflect.Pointer && t.Elem().Implements(unmarshalerType) {
-		r.Delim('[')
-		s := reflect.MakeSlice(t, 0, 0)
-		for n := 0; r.More(']', n); n++ {
-			e := reflect.New(t.Elem().Elem())
-			if !decodeValue(r, e.Elem()) {
-				return false
-			}
-			s = reflect.Append(s, e)
-		}
-		f.Set(s)
-		return r.OK()
-	}
-	b := r.Skip()
-	if !r.OK() {
-		return false
-	}
-	target := f.Addr()
-	if f.Kind() == reflect.Pointer {
-		f.Set(reflect.New(f.Type().Elem()))
-		target = f
-	}
-	if u, ok := target.Interface().(json.Unmarshaler); ok {
-		return u.UnmarshalJSON(b) == nil
-	}
-	return json.Unmarshal(b, target.Interface()) == nil
 }

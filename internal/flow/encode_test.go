@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"tmi3d/internal/binwire"
 	"tmi3d/internal/jsonwire"
 	"tmi3d/internal/lint"
 	"tmi3d/internal/netlist"
@@ -83,9 +84,9 @@ var encodeRuns = sync.OnceValues(func() (map[string][]value, error) {
 	return out, nil
 })
 
-// sameBlobs holds the JSON blobs of a binary envelope — every field that is
-// not a netlist, snapshot, route or timing — to encoding/json: the same
-// bytes, or a failure where encoding/json fails.
+// sameBlobs holds the JSON blobs of a binary envelope — every field without
+// a binary form — to encoding/json: the same bytes, or a failure where
+// encoding/json fails.
 func sameBlobs(t *testing.T, what string, v any) {
 	t.Helper()
 	rv := reflect.ValueOf(v).Elem()
@@ -96,7 +97,7 @@ func sameBlobs(t *testing.T, what string, v any) {
 	js := jsonwire.NewWriter(nil)
 	var other fieldEncoder
 	for _, f := range fields {
-		if f.codec == fieldBinary || f.codec == fieldBinaryPointer {
+		if f.binary != fieldBlob {
 			continue
 		}
 		fv := rv.Field(f.index)
@@ -125,8 +126,8 @@ func TestEncodeMatchesJSON(t *testing.T) {
 	for _, run := range sortedKeys(runs) {
 		for _, a := range runs[run] {
 			what := run + " " + a.node.Name
+			sameBlobs(t, what, a.v)
 			if _, ok := a.v.(*Result); !ok {
-				sameBlobs(t, what, a.v)
 				continue
 			}
 			if !sameEncode(t, what, a.v) {
@@ -143,20 +144,20 @@ func TestEncodeMatchesJSON(t *testing.T) {
 	}
 }
 
-// Every envelope field whose type has a WriteBinary is planned onto it, and
-// every one whose type has an AppendJSON onto that: a type that lost half of
-// either interface would otherwise go through encoding/json as a JSON blob,
-// or field by field, unnoticed.
+// Every envelope field whose type has a WriteBinary is planned onto it in
+// the binary envelopes, and every one whose type has an AppendJSON onto that
+// in JSON; a type with both (lint reports, fanout samples) is planned onto
+// each in its own codec. A type that lost half of either interface would
+// otherwise go through encoding/json as a JSON blob, or field by field,
+// unnoticed.
 func TestEnvelopeFieldsUseAppenders(t *testing.T) {
-	roots := []any{new(Result)}
+	appenders, binary, both := 0, 0, 0
 	for i := range Nodes {
-		if n := &Nodes[i]; n.Cached {
-			roots = append(roots, n.wire())
+		n := &Nodes[i]
+		if !n.Cached {
+			continue
 		}
-	}
-	planned, binary := 0, 0
-	for _, v := range roots {
-		rt := reflect.TypeOf(v).Elem()
+		rt := reflect.TypeOf(n.wire()).Elem()
 		fields, ok := wireFields(rt)
 		if !ok {
 			t.Fatalf("%v: no field plan", rt)
@@ -174,20 +175,26 @@ func TestEnvelopeFieldsUseAppenders(t *testing.T) {
 				_, ok := reflect.PointerTo(ft).MethodByName(method)
 				return ok
 			}
+			hasBinary, hasJSON := has("WriteBinary"), has("AppendJSON")
 			switch {
-			case has("WriteBinary") && f.codec != fieldBinary && f.codec != fieldBinaryPointer:
-				t.Errorf("%v.%s: its type has WriteBinary but is not written in binary", rt, f.name)
-			case has("AppendJSON") && f.codec == fieldJSON:
-				t.Errorf("%v.%s: its type has AppendJSON but is not an appender", rt, f.name)
-			case f.codec == fieldBinary || f.codec == fieldBinaryPointer:
+			case hasBinary != (f.binary != fieldBlob):
+				t.Errorf("%v.%s: WriteBinary %v, written in binary %v", rt, f.name, hasBinary, f.binary != fieldBlob)
+			case hasJSON != (f.codec != fieldJSON):
+				t.Errorf("%v.%s: AppendJSON %v, written through it %v", rt, f.name, hasJSON, f.codec != fieldJSON)
+			}
+			if hasBinary {
 				binary++
-			case f.codec != fieldJSON:
-				planned++
+			}
+			if hasJSON {
+				appenders++
+			}
+			if hasBinary && hasJSON {
+				both++
 			}
 		}
 	}
-	if binary < 9 || planned < 7 {
-		t.Errorf("only %d envelope fields write in binary and %d through appenders", binary, planned)
+	if binary < 14 || appenders < 5 || both < 5 {
+		t.Errorf("only %d envelope fields write in binary, %d through appenders, %d both", binary, appenders, both)
 	}
 }
 
@@ -202,7 +209,7 @@ func TestEncodeFilledMatchesJSON(t *testing.T) {
 		t.Logf("%s: one pass %v", name, sameEncode(t, name, v))
 	}
 	for i := range Nodes {
-		if n := &Nodes[i]; n.Cached && n.Name != "report" {
+		if n := &Nodes[i]; n.Cached {
 			v := n.wire()
 			var f filler
 			f.fill(reflect.ValueOf(v).Elem())
@@ -257,7 +264,7 @@ func sameStored(t *testing.T, n *Node, v any) {
 	var wantErr error
 	undecodable := false
 	for _, f := range fields {
-		if f.codec == fieldBinary || f.codec == fieldBinaryPointer {
+		if f.binary != fieldBlob {
 			continue
 		}
 		fv := rv.Field(f.index)
@@ -303,18 +310,19 @@ func sameStored(t *testing.T, n *Node, v any) {
 	}
 }
 
-// Values the report's one pass cannot write byte for byte fall back to
+// Values EncodeResult's one pass cannot write byte for byte fall back to
 // encoding/json whole, which writes the same bytes or returns the same
 // error; values it can write, odd names included, stay on the one pass.
-// The binary artifacts take every value, these included — NaN, ±Inf, odd
-// names, pins out of order or repeated, nil and empty lists — and decode
-// it back exactly; only a JSON blob encoding/json refuses fails them.
+// The binary artifacts, the report's included, take every value — NaN,
+// ±Inf, odd names, unnamed severities, pins out of order or repeated, nil
+// and empty lists — and decode it back exactly; only a JSON blob
+// encoding/json refuses fails them.
 func TestEncodeFallsBack(t *testing.T) {
 	cases := []struct {
 		name, node string
 		edit       func(v any)
-		fast       bool // the report's one pass writes it (report cases only)
-		fails      bool // the node's Encode refuses it
+		fast       bool // EncodeResult's one pass writes it (report cases only)
+		refused    bool // EncodeResult refuses the lint reports it holds
 	}{
 		{"NaN footprint", "report", func(v any) { v.(*Result).Footprint = math.NaN() }, false, false},
 		{"infinite WNS", "report", func(v any) { v.(*Result).WNS = math.Inf(-1) }, false, false},
@@ -362,8 +370,10 @@ func TestEncodeFallsBack(t *testing.T) {
 			}})
 		}, true, false},
 		// A severity with no name, or lint text that is not UTF-8, has no
-		// JSON that reads back: encoding/json refuses it, and so do the
-		// artifact and the report, rather than write bytes that never decode.
+		// JSON that reads back: encoding/json refuses it, and so does
+		// EncodeResult, rather than write bytes that never decode. The store
+		// keeps it exactly, so a staged run fails where flow.Run and
+		// EncodeResult fail.
 		{"unnamed severity", "signoff", func(v any) {
 			a := v.(*signoffArtifact)
 			a.Lint = append(a.Lint, &lint.Report{Subject: "s", Diags: []lint.Diagnostic{{Rule: "R", Severity: lint.Severity(7)}}})
@@ -423,13 +433,13 @@ func TestEncodeFallsBack(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			v := fresh(t, c.node)
 			c.edit(v)
-			if c.fails {
-				if _, err := node(t, c.node).Encode(v); err == nil {
-					t.Fatal("Encode wrote bytes that cannot be read back")
+			if c.refused {
+				if _, err := EncodeResult(&Result{LintReports: lintReports(v)}); err == nil {
+					t.Fatal("EncodeResult wrote lint reports that cannot be read back")
 				}
 			}
+			sameStored(t, node(t, c.node), v)
 			if c.node != "report" {
-				sameStored(t, node(t, c.node), v)
 				return
 			}
 			if fast := sameEncode(t, c.name, v); fast != c.fast {
@@ -437,6 +447,14 @@ func TestEncodeFallsBack(t *testing.T) {
 			}
 		})
 	}
+}
+
+// lintReports returns the lint reports a report or signoff artifact holds.
+func lintReports(v any) []*lint.Report {
+	if r, ok := v.(*Result); ok {
+		return r.LintReports
+	}
+	return v.(*signoffArtifact).Lint
 }
 
 // node returns the named node of the stage graph.
@@ -464,7 +482,8 @@ func TestEncodeNonEnvelope(t *testing.T) {
 
 // FuzzSamplesEncode holds FanoutSamples.AppendJSON to json.Marshal of the
 // same map[int][]float64: equal bytes, or a failed writer where
-// encoding/json fails.
+// encoding/json fails. The binary form takes every one of them and reads it
+// back exactly, NaN bits, nil and empty included.
 func FuzzSamplesEncode(f *testing.F) {
 	f.Add(int64(1), int64(10), 1.5, 2.5, uint8(0))
 	f.Add(int64(-3), int64(2), 1e21, 1e-7, uint8(1))
@@ -489,6 +508,15 @@ func FuzzSamplesEncode(f *testing.F) {
 		if err == nil && !bytes.Equal(w.Bytes(), want) {
 			t.Fatalf("%v: writes %s, encoding/json %s", s, w.Bytes(), want)
 		}
+		// The binary form spells nil, empty and every float's bits apart,
+		// so equal bytes are an exact round trip.
+		data := samplesBinary(s)
+		r := binwire.NewReader(data)
+		var back FanoutSamples
+		back.ReadBinary(r)
+		if !r.Done() || !bytes.Equal(samplesBinary(back), data) {
+			t.Fatalf("%v: binary round trip gives %v (done %v)", s, back, r.Done())
+		}
 	})
 }
 
@@ -496,7 +524,7 @@ func FuzzSamplesEncode(f *testing.F) {
 // cached node of a tiny run — the fuzzed bytes, eight at a time, as the bit
 // patterns of its first floats, and as its first strings — and requires the
 // binary envelopes to store the result exactly (sameStored) and the report
-// to encode as encoding/json does.
+// also to encode as encoding/json does.
 func FuzzArtifactEncode(f *testing.F) {
 	arts := artifacts(f)
 	for i, a := range arts {
@@ -511,7 +539,6 @@ func FuzzArtifactEncode(f *testing.F) {
 		perturb(reflect.ValueOf(v).Elem(), data, 16)
 		if a.node.Name == "report" {
 			sameEncode(t, a.node.Name, v)
-			return
 		}
 		sameStored(t, a.node, v)
 	})

@@ -1,3 +1,8 @@
+// Package jsonwire writes canonical JSON — the flow result, and the gate
+// reports and fanout samples inside it: compact (no whitespace), keys in a
+// fixed order, strings and numbers as encoding/json formats them. A Writer
+// appends those bytes to one buffer in one pass; reading them back is
+// encoding/json's.
 package jsonwire
 
 import (

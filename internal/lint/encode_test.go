@@ -3,9 +3,11 @@ package lint
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 	"unicode/utf8"
 
+	"tmi3d/internal/binwire"
 	"tmi3d/internal/jsonwire"
 )
 
@@ -13,7 +15,8 @@ import (
 // MarshalJSON, on reports whose every string is fuzzed — escaped and
 // invalid-UTF-8 ones included, HTML-escaped as json.Marshal escapes them —
 // with any severity, an empty or set hint, and nil or empty diagnostics. A
-// severity with no name, or text that is not valid UTF-8, fails both.
+// severity with no name, or text that is not valid UTF-8, fails both. The
+// binary form takes every one of them and reads it back exactly.
 func FuzzReportEncode(f *testing.F) {
 	f.Add("FPU/45nm/T-MI post-route", "ERC-DANGLE", "net n_154", "driven net has no sinks", "prune it", 1, uint8(2))
 	f.Add(`<a&"b\`, "R\x7f", "w\xe2\x80\xa8", "m\xff", "", 2, uint8(1))
@@ -46,6 +49,12 @@ func FuzzReportEncode(f *testing.F) {
 		}
 		if err == nil && !bytes.Equal(w.Bytes(), want) {
 			t.Fatalf("AppendJSON writes\n%s\nencoding/json\n%s", w.Bytes(), want)
+		}
+		rd := binwire.NewReader(binaryOf(r))
+		var back Report
+		back.ReadBinary(rd)
+		if !rd.Done() || !reflect.DeepEqual(&back, r) {
+			t.Fatalf("binary round trip of %+v gives %+v (done %v)", r, back, rd.Done())
 		}
 	})
 }

@@ -17,6 +17,7 @@ import (
 	"io"
 	"unicode/utf8"
 
+	"tmi3d/internal/binwire"
 	"tmi3d/internal/jsonwire"
 )
 
@@ -334,14 +335,8 @@ func (r *Report) AppendJSON(w *jsonwire.Writer) {
 func (r *Report) WireSize() int { return 96 + 192*len(r.Diags) }
 
 // UnmarshalJSON restores a report written by MarshalJSON, replacing r. The
-// canonical bytes MarshalJSON writes decode in one pass (decodeReport); any
-// other spelling decodes through encoding/json into reportJSON, with the
-// same result. The summary counts are derived, so both read and drop them.
+// summary counts are derived, so it reads and drops them.
 func (r *Report) UnmarshalJSON(b []byte) error {
-	if out, ok := decodeReport(b); ok {
-		*r = *out
-		return nil
-	}
 	var rj reportJSON
 	if err := json.Unmarshal(b, &rj); err != nil {
 		return err
@@ -350,66 +345,42 @@ func (r *Report) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// decodeReport reads the canonical bytes of a report in one pass, or reports
-// false. Rule IDs, locations, messages and hints repeat across diagnostics,
-// so each distinct string is made once.
-func decodeReport(b []byte) (*Report, bool) {
-	r := jsonwire.NewReader(b)
-	strs := map[string]string{}
-	str := func() string {
-		b := r.Str()
-		if s, ok := strs[string(b)]; ok {
-			return s
-		}
-		s := string(b)
-		strs[s] = s
-		return s
+// WriteBinary writes r in the stage store's binary form (internal/binwire):
+// the subject, then the diagnostics (nil apart from empty), each field in
+// declaration order, the severity as its number and the rule, message and
+// hint, which repeat across diagnostics, as symbols. Unlike the JSON it
+// takes any severity and any bytes, and ReadBinary gives them back.
+func (r *Report) WriteBinary(w *binwire.Writer) {
+	w.String(r.Subject)
+	w.Len(len(r.Diags), r.Diags == nil)
+	for i := range r.Diags {
+		d := &r.Diags[i]
+		w.Symbol(d.Rule)
+		w.Int(int(d.Severity))
+		w.String(d.Where)
+		w.Symbol(d.Message)
+		w.Symbol(d.Hint)
 	}
-	out := &Report{}
-	r.Delim('{')
-	r.Key("subject")
-	out.Subject = str()
-	r.Delim(',')
-	r.Key("errors")
-	r.Int()
-	r.Delim(',')
-	r.Key("warnings")
-	r.Int()
-	r.Delim(',')
-	r.Key("clean")
-	r.Bool()
-	r.Delim(',')
-	r.Key("diagnostics")
-	if !r.Null() {
-		r.Delim('[')
-		out.Diags = []Diagnostic{}
-		for n := 0; r.More(']', n); n++ {
-			var d Diagnostic
-			r.Delim('{')
-			r.Key("rule")
-			d.Rule = str()
-			r.Delim(',')
-			r.Key("severity")
-			sev, ok := severityByName[string(r.Str())]
-			if !ok {
-				r.Fail()
-			}
-			d.Severity = sev
-			r.Delim(',')
-			r.Key("where")
-			d.Where = str()
-			r.Delim(',')
-			r.Key("message")
-			d.Message = str()
-			if r.Field("hint", 1) {
-				d.Hint = str()
-			}
-			r.Delim('}')
-			out.Diags = append(out.Diags, d)
-		}
+}
+
+// ReadBinary reads a report written by WriteBinary into r, which must be
+// zero.
+func (r *Report) ReadBinary(rd *binwire.Reader) {
+	r.Subject = rd.String()
+	// A diagnostic takes at least one byte for each of its five fields.
+	n, null := rd.Len(5)
+	if null || !rd.OK() {
+		return
 	}
-	r.Delim('}')
-	return out, r.Done()
+	r.Diags = make([]Diagnostic, n)
+	for i := range r.Diags {
+		d := &r.Diags[i]
+		d.Rule = rd.Symbol()
+		d.Severity = Severity(rd.Int())
+		d.Where = rd.String()
+		d.Message = rd.Symbol()
+		d.Hint = rd.Symbol()
+	}
 }
 
 // GateMode selects how the flow's invariant gates react to lint results.

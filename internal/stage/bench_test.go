@@ -195,9 +195,10 @@ func signoffArtifact(t *testing.T) (*flow.Node, any, []byte) {
 // signoff artifact of FPU@0.1 T-MI cuts names from one string and pin and
 // sink lists from one arena each, sized from counts written before them,
 // and allocates one string per distinct pin, function, cell and port name
-// (31). It allocates 274 times per decode, a third of them for the lint
-// reports' JSON blob (the one-pass JSON decoder before it allocated 381
-// times, encoding/json 19,655). The bound is about twice the measured count.
+// (31), and one string per lint location. It allocates 256 times per
+// decode (274 with the lint reports in a JSON blob; the one-pass JSON
+// decoder before it allocated 381 times, encoding/json 19,655). The bound is
+// about twice the measured count.
 func TestArtifactDecodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")

@@ -41,11 +41,11 @@
 // Run returned (Result.Implementation executing signoff) is made in the
 // caller.
 //
-// The store holds the report as the Result's JSON payload and every other
-// artifact in flow's binary envelope (internal/binwire). An entry whose
-// checksum verifies but whose bytes do not decode is a miss: the node runs
-// and its entry is overwritten. A change to stored bytes bumps idVersion, so
-// no entry of an older format is ever looked up.
+// The store holds every artifact, the report's Result included, in flow's
+// binary envelope (internal/binwire). An entry whose checksum verifies but
+// whose bytes do not decode is a miss: the node runs and its entry is
+// overwritten. A change to stored bytes bumps idVersion, so no entry of an
+// older format is ever looked up.
 package stage
 
 import (
@@ -88,7 +88,7 @@ func KeyString(cfg flow.Config, name string) string {
 	return strings.Join(terms, "|")
 }
 
-const idVersion = "tmi3d-stage-v2"
+const idVersion = "tmi3d-stage-v3"
 
 // ids computes every node's artifact ID for a config, walking the DAG in
 // topological order. cfg must be normalized (cfg.Normalized()).

@@ -15,18 +15,18 @@ import (
 func TestArtifactIDsGolden(t *testing.T) {
 	cfg := flow.Config{Circuit: "FPU", Scale: 0.1, Node: tech.N45, Mode: tech.ModeTMI, Seed: 1}
 	want := map[string]string{
-		"setup":    "ed13db1108f9405e64211532662ceeecfcaed754a04e06bd272968f2061148ab",
-		"library":  "5e97534421271e1d19a880ffacef86a5be23c47dc93a7cdd11078bc473630b6d",
-		"generate": "17dc24f9613c648600364cab52c0cdcebe0b5deb73b4bb73a448f03d512f1cd2",
-		"wlm":      "06669705d47bbf2840de9f231b838d728091510220cba589ad8fbb7bf0a71b80",
-		"gates":    "314b67def334f278a21c25b55603b4cb1efe40fbfb55fa46a215b4987283bf5d",
-		"synth":    "931378e20bf0e8240ff03548dbae225e996ccdd634704c94a8624b0d2032a227",
-		"place":    "a8e87dd7080a2cffc79269964e3c441add09d884c0dc3642cf61368507a92056",
-		"opt":      "7da37eefac2a0850399f6235853bbc67dcce0f05e55a0b0436ad4ca7b7e135d4",
-		"route":    "e3f46b0c0989b97c47afbd7b5216fd647dfa2a437f36b84d71d4e57d5024d2b5",
-		"signoff":  "c53978e475517b67bb00869cf218efb75c24a2a727a7c0d3e2d1ebb9976276e5",
-		"power":    "0ccc255b00b40a54efbd3f43a3dbd50cab5388d8883cb7fa56ba3ea52c287c02",
-		"report":   "81e463001b5e9834139237c1a47b159419e2f8340a83a19ea2775434cbb1b0a4",
+		"setup":    "13342ee98bbd11eadb32d54184c5b78fa229e806ad2b27e6fb9e4b4db9114c12",
+		"library":  "2dd724ef028639b5a541549ba5c81fd8995314039a36c9a152d30ad4f48aff88",
+		"generate": "d275917ba8471c89c2f3630b93d41bd404cd1520c8d3747505cdb3f93b01a54c",
+		"wlm":      "204ff2392620a368e0ee08910afcc9fbed55602038f3af1aa2e81dd72773e9d2",
+		"gates":    "5bf43f4e270670f1467663a7013b4e715e415957a91cefb0de09c0f1832db764",
+		"synth":    "6b4ef57cf5ee9d353dc05a67e2cba5bd7d1785d113cc72aa27b98095b17632fc",
+		"place":    "80b15fe41a8db635e33333360f7470acdd6b07522d776355932b87eb08530e2c",
+		"opt":      "ac10e7387a6dda27bf9ce57b0120db25126881552e1100b61de67dfcb5c5883d",
+		"route":    "f8ffa87a1f2bee2ae4e1198d24c6b8cfc1abb5838e1d55d9d824630c79bbda3a",
+		"signoff":  "b19dcca5352bb2062159367b55247890a346f37670812bb7ccbae089a0f7a1f4",
+		"power":    "aacfb1a3dc12e153672ca989a3e9ed22b16666cbb20863e93ea4618437290b06",
+		"report":   "60c4bd63247f9e8166c507c962f6fcb23405f59066a093a6027fc9f9e71c6d0f",
 	}
 	got := ids(cfg.Normalized())
 	if len(got) != len(want) {

@@ -79,17 +79,18 @@ go test -run '^$' -bench BenchmarkArtifactCodec -benchtime 1x ./internal/stage
 stage codec-fuzz
 # The artifact codecs beyond the seed corpora the race stage runs, each
 # fuzz target for 10 s of new inputs. The binary store form of the netlist,
-# timing, route, snapshot and whole artifact: every Encode target round-trips
-# built values (escaped and invalid-UTF-8 names, NaN bits, -0, +-Inf, nil and
-# empty lists, pins out of order) and every Decode target feeds arbitrary
-# bytes, which must fail or re-encode to themselves. The JSON that remains
-# (results, lint reports, fanout samples) against encoding/json. A failing
-# input lands in the package's testdata/fuzz, where `go test` replays it
-# from then on.
+# timing, route, snapshot, lint report, fanout samples and whole artifact:
+# every Encode target round-trips built values (escaped and invalid-UTF-8
+# names, NaN bits, -0, +-Inf, nil and empty lists, pins out of order) and
+# every Decode target feeds arbitrary bytes, which must fail or re-encode to
+# themselves. The JSON writers (results, lint reports, fanout samples,
+# strings, floats) against encoding/json, in the Encode and Writer targets;
+# JSON is only ever read by encoding/json. A failing input lands in the
+# package's testdata/fuzz, where `go test` replays it from then on.
 for target in netlist:FuzzDesignEncode netlist:FuzzDesignDecode sta:FuzzResultEncode sta:FuzzResultDecode \
     route:FuzzResultEncode route:FuzzResultDecode place:FuzzSnapshotEncode place:FuzzSnapshotDecode \
-    flow:FuzzArtifactEncode flow:FuzzArtifactDecode \
-    jsonwire:FuzzWriterString jsonwire:FuzzWriterFloat lint:FuzzReportEncode flow:FuzzSamplesEncode; do
+    flow:FuzzArtifactEncode flow:FuzzArtifactDecode lint:FuzzReportEncode lint:FuzzReportDecode \
+    flow:FuzzSamplesEncode flow:FuzzSamplesDecode jsonwire:FuzzWriterString jsonwire:FuzzWriterFloat; do
     go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 10s "./internal/${target%%:*}"
 done
 
