@@ -63,6 +63,7 @@ bench-kernels:
 	go test -run '^$$' -bench . -benchmem ./internal/sta ./internal/place ./internal/route ./internal/opt \
 		./internal/lint ./internal/equiv ./internal/castore ./internal/netlist
 	go test -run '^$$' -bench BenchmarkArtifactCodec -benchmem ./internal/stage
+	go test -run '^$$' -bench BenchmarkRun -benchmem ./internal/flow
 
 # The serving layer alone over a stubbed flow: the LRU hit path and the miss
 # path (job table, queue hand-off, encode, store write).

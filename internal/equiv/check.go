@@ -121,22 +121,17 @@ func Check(a, b *netlist.Design, opt Options) (*Report, error) {
 	rep.Points = len(points)
 
 	// Random-simulation candidate filtering: one linear sweep of the shared
-	// AIG decides most non-structural points without SAT.
-	words := make([][]uint64, simWords)
-	rng := opt.Seed*0x9e3779b97f4a7c15 + 0xda3e39cb94b95bdb
-	piWords := make([]uint64, g.NumPIs())
-	for w := range words {
-		for i := range piWords {
-			rng = xorshift(rng + uint64(i)*0x2545f4914f6cdd1d)
-			piWords[i] = rng
-		}
-		words[w] = g.SimWords(piWords)
-	}
-
+	// AIG decides most non-structural points without SAT. It runs at the
+	// first non-structural point, so a check whose points all close
+	// structurally (a logic-neutral flow stage) never holds the node words.
+	var words [][]uint64
 	for _, pt := range points {
 		if pt.la == pt.lb {
 			rep.Structural++
 			continue
+		}
+		if words == nil {
+			words = simulate(g, opt.Seed)
 		}
 		// Sim filter: any differing word yields a counterexample bit.
 		var cex map[int]bool
@@ -172,6 +167,22 @@ func Check(a, b *netlist.Design, opt Options) (*Report, error) {
 		}
 	}
 	return rep, nil
+}
+
+// simulate runs simWords rounds of random simulation over the AIG, each from
+// PI words drawn from seed, and returns every round's node words.
+func simulate(g *AIG, seed uint64) [][]uint64 {
+	words := make([][]uint64, simWords)
+	rng := seed*0x9e3779b97f4a7c15 + 0xda3e39cb94b95bdb
+	piWords := make([]uint64, g.NumPIs())
+	for w := range words {
+		for i := range piWords {
+			rng = xorshift(rng + uint64(i)*0x2545f4914f6cdd1d)
+			piWords[i] = rng
+		}
+		words[w] = g.SimWords(piWords)
+	}
+	return words
 }
 
 // xorshift is one step of the deterministic 64-bit xorshift PRNG.

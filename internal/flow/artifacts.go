@@ -27,7 +27,9 @@ import (
 // downstream bodies read it and never mutate it, so one value can be shared
 // by every consumer in the run and, for cached nodes, by every run a cache
 // tier serves it to. A body that needs to change an input (opt and signoff
-// optimize the netlist) clones it first.
+// optimize the netlist) clones it first. The one exception is a gating
+// stage's Lint and Equiv fields: its gate pair (gates.go) fills them after
+// the body returned, and every reader joins the pair first.
 //
 // The four uncached nodes return plain in-process values. Each cached node
 // returns an artifact value whose stored bytes decode to an exact inverse,
@@ -81,6 +83,8 @@ type synthArtifact struct {
 	Stats  netlist.Stats
 	Lint   []*lint.Report
 	Equiv  []*equiv.Report
+
+	gates *gatePair // filling Lint and Equiv; nil once decoded
 }
 
 // placeArtifact is the placement geometry; the design it places is the synth
@@ -98,6 +102,8 @@ type optArtifact struct {
 	PreStats *opt.Stats
 	Lint     []*lint.Report
 	Equiv    []*equiv.Report
+
+	gates *gatePair // filling Lint and Equiv; nil once decoded
 }
 
 // routeArtifact is the first global route of the pre-route-closed placement;
@@ -118,6 +124,8 @@ type signoffArtifact struct {
 	Stats  *opt.Stats
 	Lint   []*lint.Report
 	Equiv  []*equiv.Report
+
+	gates *gatePair // filling Lint and Equiv; nil once decoded
 }
 
 // powerArtifact is the sign-off power report plus the clock tree it charged.
@@ -259,8 +267,12 @@ func decodeArtifact(data []byte, v any) error {
 }
 
 // Encode renders a cached node's artifact value as its stored bytes, its
-// binary envelope.
+// binary envelope. It waits for the gates checking v first, so it never
+// encodes half-filled reports, and refuses an artifact whose gates failed.
 func (n *Node) Encode(v any) ([]byte, error) {
+	if err := n.Wait(v); err != nil {
+		return nil, fmt.Errorf("flow: encode %s artifact: %w", n.Name, err)
+	}
 	b, err := encodeArtifact(v)
 	if err != nil {
 		return nil, fmt.Errorf("flow: encode %s artifact: %w", n.Name, err)

@@ -100,8 +100,9 @@ type Config struct {
 	// compare point aborts the flow. GateWarnOnly records reports without
 	// failing; GateOff skips the checks.
 	Equiv lint.GateMode `json:"equiv,omitempty"`
-	// Workers is ignored: a flow runs on one goroutine, and concurrency is
-	// between flows (core.Study.Workers, serve's job pool).
+	// Workers is ignored: a flow runs its stages one after another, with
+	// only its gates beside them, and the cores are otherwise shared between
+	// flows (core.Study.Workers, serve's job pool).
 	//
 	// Deprecated: kept only because the benchmark harness still sets it;
 	// the next benchmark change removes it.
@@ -221,8 +222,11 @@ func Synthesize(cfg Config) (lib *liberty.Library, src, mapped *netlist.Design, 
 		vals[n.Name] = v
 		return v, err
 	})
-	v, err := x.resolve("synth")
-	if err != nil {
+	var v any
+	if err := x.joined(func() (err error) {
+		v, err = x.resolve("synth")
+		return err
+	}); err != nil {
 		return nil, nil, nil, err
 	}
 	return vals["library"].(*libraryValue).lib, vals["generate"].(*netlist.Design), v.(*synthArtifact).Design, nil

@@ -67,7 +67,17 @@ type Hook func(n *Node, exec func() (any, error)) (any, error)
 // nodes on demand: a node runs when a body (or Result) first reads it, and
 // its value is kept until every node that lists it in Deps has read it. So
 // each node runs at most once per run, and a netlist lives no longer than
-// its last reader needs it. An Execution is not safe for concurrent use.
+// its last reader needs it.
+//
+// The stages run one after another on the caller's goroutine. Beside them,
+// each gating stage (synth, opt, signoff) checks its netlist on a goroutine
+// of its own (gatePair) while the next stage goes on. Result, and the
+// Implementation accessor it returns, join every gate their resolutions
+// started before they return, on success, error and panic alike, so no gate
+// outlives its call. A run that fails after a gate failed fails with the
+// error of the first failing gate in pipeline order, the error that would
+// have stopped it had the gate run before the next stage. An Execution is
+// not safe for concurrent use.
 type Execution struct {
 	cfg     Config
 	hook    Hook
@@ -75,6 +85,7 @@ type Execution struct {
 	vals    map[string]any
 	readers map[string]int // reads each node's value still has to serve
 	prof    *profile
+	gates   []*gatePair // of every gated value resolved, in pipeline order
 }
 
 // NewExecution prepares a run of the stage graph for cfg (normalized). A nil
@@ -128,6 +139,13 @@ func (x *Execution) resolve(name string) (any, error) {
 		return nil, fmt.Errorf("flow: no stage %q", name)
 	}
 	exec := func() (any, error) {
+		// A gate that has failed already stops the run before the next
+		// body: the stages after it would build on a netlist it refused.
+		for _, g := range x.gates {
+			if err := g.failed(); err != nil {
+				return nil, err
+			}
+		}
 		in := &inputs{read: x.read, node: n, prof: x.prof}
 		v, err := n.run(x.cfg.only(StageKeys[n.Name]), in)
 		if in.err != nil {
@@ -145,8 +163,39 @@ func (x *Execution) resolve(name string) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	if a, ok := v.(gatedArtifact); ok {
+		x.gates = append(x.gates, a.checks())
+	}
 	x.vals[name] = v
 	return v, nil
+}
+
+// joined runs f, which resolves nodes, and then joins every gate those
+// resolutions started or came upon, whether f returned or panicked. The
+// first gate in pipeline order that failed sets the error: a gate's panic is
+// re-raised, and a gate's error replaces f's error or panic, which came from
+// a stage the gate would have kept from running.
+func (x *Execution) joined(f func() error) (err error) {
+	from := len(x.gates)
+	returned := false
+	defer func() {
+		gates := x.gates[from:]
+		for _, g := range gates {
+			_ = g.wait() // every gate has finished before any is re-raised
+		}
+		for _, g := range gates {
+			if gerr := g.join(); gerr != nil {
+				if !returned {
+					recover()
+				}
+				err = gerr
+				return
+			}
+		}
+	}()
+	err = f()
+	returned = true
+	return err
 }
 
 // Result resolves the report and attaches what its wire form excludes: the
@@ -163,8 +212,11 @@ func (x *Execution) resolve(name string) (any, error) {
 // cache tier, so the accessor hands out its own copy of the netlist; without
 // a cache the caller takes it directly.
 func (x *Execution) Result(shared bool) (*Result, error) {
-	rv, err := x.read("report")
-	if err != nil {
+	var rv any
+	if err := x.joined(func() (err error) {
+		rv, err = x.read("report")
+		return err
+	}); err != nil {
 		return nil, err
 	}
 	res := *rv.(*Result)
@@ -177,8 +229,11 @@ func (x *Execution) Result(shared bool) (*Result, error) {
 		load = func() (any, error) { return kept, nil }
 	}
 	impl := sync.OnceValues(func() (*place.Placement, error) {
-		sv, err := load()
-		if err != nil {
+		var sv any
+		if err := x.joined(func() (err error) {
+			sv, err = load()
+			return err
+		}); err != nil {
 			return nil, err
 		}
 		sg := sv.(*signoffArtifact)

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"tmi3d/internal/tech"
@@ -114,11 +115,15 @@ func (c Config) FieldKeyTerm(field string) string {
 	}
 }
 
-// StageTime is the wall-clock cost of one flow stage.
+// StageTime is the wall-clock time one flow stage accumulated. The lint and
+// equiv gates run beside the pipeline stages, so stage times can overlap:
+// their sum may exceed the flow's wall time, and a stage's share of the sum
+// (core.Study's stage report, the benchmark's gate share) is a share of
+// accumulated time, not of the wall clock.
 type StageTime struct {
 	Stage string
 	D     time.Duration
-	// Workers is always 0: every stage runs on the flow's one goroutine.
+	// Workers is always 0: no stage runs worker goroutines of its own.
 	//
 	// Deprecated: kept only because the benchmark harness still reads it;
 	// the next benchmark change removes it.
@@ -127,9 +132,11 @@ type StageTime struct {
 
 // profile accumulates wall-clock per named stage, preserving first-seen
 // order so reports read in pipeline order. Stages that run more than once
-// (route, opt, sta in the ECO loop) accumulate. One profile spans an
-// Execution; timing is observational only.
+// (route, opt, sta in the ECO loop, and the gates) accumulate. One profile
+// spans an Execution, whose gate goroutines add to it too; timing is
+// observational only.
 type profile struct {
+	mu    sync.Mutex
 	order []string
 	acc   map[string]time.Duration
 }
@@ -140,6 +147,8 @@ func newProfile() *profile {
 
 // add records a stage interval.
 func (t *profile) add(stage string, d time.Duration) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if _, ok := t.acc[stage]; !ok {
 		t.order = append(t.order, stage)
 	}
@@ -148,6 +157,8 @@ func (t *profile) add(stage string, d time.Duration) {
 
 // times returns the accumulated per-stage costs in first-seen order.
 func (t *profile) times() []StageTime {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	out := make([]StageTime, 0, len(t.order))
 	for _, s := range t.order {
 		out = append(out, StageTime{Stage: s, D: t.acc[s]})

@@ -61,7 +61,7 @@ var configBase = Config{Circuit: "DES", Scale: 0.3, Node: tech.N7, Mode: tech.Mo
 
 // nonKeyFields are the Config fields Key deliberately ignores.
 var nonKeyFields = map[string]string{
-	"Workers": "ignored: a flow runs on one goroutine, so no stage uses its value",
+	"Workers": "ignored: no stage runs worker goroutines, so none uses its value",
 }
 
 // nonSeedFields are the keyed fields DeriveSeed deliberately leaves out.

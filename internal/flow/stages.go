@@ -6,9 +6,7 @@ import (
 
 	"tmi3d/internal/captable"
 	"tmi3d/internal/circuits"
-	"tmi3d/internal/equiv"
 	"tmi3d/internal/liberty"
-	"tmi3d/internal/lint"
 	"tmi3d/internal/netlist"
 	"tmi3d/internal/opt"
 	"tmi3d/internal/place"
@@ -96,27 +94,23 @@ func runGates(cfg Config, in *inputs) (any, error) {
 }
 
 // runSynth maps the source netlist onto the library under the wire load
-// model and runs the post-synth gates. synth.Run leaves its source untouched.
+// model and starts the post-synth gates. synth.Run leaves its source
+// untouched.
 func runSynth(cfg Config, in *inputs) (any, error) {
 	lib, src, w, gates := in.library(), in.generate(), in.wlm(), in.gates()
 	if in.err != nil {
 		return nil, in.err
 	}
-	gs := gates.fork()
 	t0 := time.Now()
 	sres, err := synth.Run(src, synth.Options{Lib: lib.lib, WLM: w.Model})
 	if err != nil {
-		return nil, fmt.Errorf("flow %s: synth: %w", gs.subject, err)
+		return nil, fmt.Errorf("flow %s: synth: %w", gates.subject, err)
 	}
 	d := sres.Design
 	in.prof.add("synth", time.Since(t0))
-	if err := gs.checkLint("post-synth", d); err != nil {
-		return nil, err
-	}
-	if err := gs.checkEquiv("post-synth vs source", src, d); err != nil {
-		return nil, err
-	}
-	return &synthArtifact{Design: d, Stats: sres.Stats, Lint: gs.lintReports, Equiv: gs.equivReports}, nil
+	art := &synthArtifact{Design: d, Stats: sres.Stats}
+	art.gates = gates.start("post-synth", "source", src, d, &art.Lint, &art.Equiv)
+	return art, nil
 }
 
 // runPlace places the mapped netlist, which place.Run leaves untouched. It
@@ -139,8 +133,8 @@ func runPlace(cfg Config, in *inputs) (any, error) {
 	return &placeArtifact{Snap: pl.Snapshot()}, nil
 }
 
-// runOpt runs pre-route optimization on bounding-box parasitics plus the
-// post-place gates. From here on the flow targets the sweep clock: the
+// runOpt runs pre-route optimization on bounding-box parasitics and starts
+// the post-place gates. From here on the flow targets the sweep clock: the
 // ClockPs override steers optimization, sign-off and power while the
 // artifacts above stay clock-independent.
 func runOpt(cfg Config, in *inputs) (any, error) {
@@ -148,7 +142,6 @@ func runOpt(cfg Config, in *inputs) (any, error) {
 	if in.err != nil {
 		return nil, in.err
 	}
-	gs := gates.fork()
 	// Optimization mutates the netlist; the synth artifact stays the
 	// immutable post-synth reference.
 	d := sa.Design.Clone()
@@ -165,13 +158,9 @@ func runOpt(cfg Config, in *inputs) (any, error) {
 		return nil, err
 	}
 	in.prof.add("opt", time.Since(t0))
-	if err := gs.checkLint("post-place", d); err != nil {
-		return nil, err
-	}
-	if err := gs.checkEquiv("post-place vs post-synth", sa.Design, d); err != nil {
-		return nil, err
-	}
-	return &optArtifact{Design: d, Snap: pl.Snapshot(), PreStats: preStats, Lint: gs.lintReports, Equiv: gs.equivReports}, nil
+	art := &optArtifact{Design: d, Snap: pl.Snapshot(), PreStats: preStats}
+	art.gates = gates.start("post-place", "post-synth", sa.Design, d, &art.Lint, &art.Equiv)
+	return art, nil
 }
 
 // runRoute globally routes the pre-route-closed placement. It reads no
@@ -195,13 +184,13 @@ func runRoute(cfg Config, in *inputs) (any, error) {
 // parasitics (power recovery on), then converges sign-off: final route,
 // extraction and timing, with ECO-style re-closing on residual violations.
 // Post-route closure is one stage with sign-off because it is keyed by the
-// first route's parasitics.
+// first route's parasitics. It starts the post-route gates on the converged
+// netlist.
 func runSignoff(cfg Config, in *inputs) (any, error) {
 	s, lib, gates, oa, ra := in.setup(), in.library(), in.gates(), in.opt(), in.route()
 	if in.err != nil {
 		return nil, in.err
 	}
-	gs := gates.fork()
 	// Post-route optimization mutates the netlist; the opt artifact stays the
 	// immutable post-place reference.
 	d := oa.Design.Clone()
@@ -237,16 +226,9 @@ func runSignoff(cfg Config, in *inputs) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := gs.checkLint("post-route", d); err != nil {
-		return nil, err
-	}
-	if err := gs.checkEquiv("post-route vs post-place", oa.Design, d); err != nil {
-		return nil, err
-	}
-	return &signoffArtifact{
-		Design: d, Snap: pl.Snapshot(), Route: rt, Timing: timing,
-		Stats: stats, Lint: gs.lintReports, Equiv: gs.equivReports,
-	}, nil
+	art := &signoffArtifact{Design: d, Snap: pl.Snapshot(), Route: rt, Timing: timing, Stats: stats}
+	art.gates = gates.start("post-route", "post-place", oa.Design, d, &art.Lint, &art.Equiv)
+	return art, nil
 }
 
 // converge closes final routing, extraction, and sign-off timing. Buffers
@@ -303,22 +285,28 @@ func runPower(cfg Config, in *inputs) (any, error) {
 // Execution.Result attaches the netlist, placement and profile.
 func runReport(cfg Config, in *inputs) (any, error) {
 	res := &Result{Config: cfg}
-	// Take only the statistics and gate reports from the synth and opt
+	// Take only the statistics and gate pairs from the synth and opt
 	// artifacts, and read them before sign-off: their netlists are then free
-	// to go while sign-off runs. Reports concatenate in check order
-	// (post-synth, post-place, post-route); all-nil stays nil, so a gates-off
-	// run omits them.
+	// to go once their gates finish, while sign-off runs.
+	var pairs []*gatePair
 	if sa, oa := in.synth(), in.opt(); in.err == nil {
 		res.SynthStats = sa.Stats
-		res.LintReports = append(append([]*lint.Report(nil), sa.Lint...), oa.Lint...)
-		res.EquivReports = append(append([]*equiv.Report(nil), sa.Equiv...), oa.Equiv...)
+		pairs = append(pairs, sa.checks(), oa.checks())
 	}
 	lib, gates, sg, pw := in.library(), in.gates(), in.signoff(), in.power()
 	if in.err != nil {
 		return nil, in.err
 	}
-	res.LintReports = append(res.LintReports, sg.Lint...)
-	res.EquivReports = append(res.EquivReports, sg.Equiv...)
+	// Join the gates in pipeline order, so the first failing one fails the
+	// report. Reports concatenate in check order (post-synth, post-place,
+	// post-route); all-nil stays nil, so a gates-off run omits them.
+	for _, p := range append(pairs, sg.checks()) {
+		if err := p.join(); err != nil {
+			return nil, err
+		}
+		res.LintReports = append(res.LintReports, p.lint...)
+		res.EquivReports = append(res.EquivReports, p.equiv...)
+	}
 	res.LibCheck = gates.libCheck
 	res.physical(lib.lib, sg.Design, sg.Snap.Die, sg.Route, sg.Timing, pw.Power, pw.Clock)
 	res.OptStats = sg.Stats

@@ -21,6 +21,9 @@ var offWire = map[string]string{
 	"flow.Config.Workers":        "ignored field: not a result input",
 	"flow.Result.Implementation": "gigabyte-class at scale 1; exported via Verilog/DEF, and Execution.Result resolves it from the signoff artifact",
 	"flow.Result.StageTimes":     "wall-clock observation: on the wire it would break byte identity between a cached response and a fresh run",
+	"flow.optArtifact.gates":     "the post-place gates' goroutine in flight; Encode waits for it, and the Lint and Equiv fields it fills are stored",
+	"flow.signoffArtifact.gates": "the post-route gates' goroutine in flight; Encode waits for it, and the Lint and Equiv fields it fills are stored",
+	"flow.synthArtifact.gates":   "the post-synth gates' goroutine in flight; Encode waits for it, and the Lint and Equiv fields it fills are stored",
 	"netlist.Design.netIndex":    "derived index: decoding leaves it nil, as Clone does, and AddNet builds it from Nets on first use",
 	"liberty.Library.byBase":     "derived index: DecodeJSON rebuilds it from Cells",
 }

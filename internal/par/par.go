@@ -1,5 +1,6 @@
 // Package par holds the worker-budget helper the benchmark harness still
-// calls. Flows run on one goroutine; concurrency is between flows
+// calls. A flow runs its stages one after another, with only its sign-off
+// gates beside them; the other concurrency is between flows
 // (core.Study.Workers, serve's job pool).
 package par
 

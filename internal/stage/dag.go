@@ -39,7 +39,9 @@
 // stage; Run drains it before returning, whether the run succeeded, failed
 // or panicked, and fails with the first encode or store error. A write after
 // Run returned (Result.Implementation executing signoff) is made in the
-// caller.
+// caller. The writer waits for the gates still checking a gating stage's
+// artifact (synth, opt, signoff) before it encodes it; an artifact whose
+// gates failed is never stored and leaves the memory tier.
 //
 // The store holds every artifact, the report's Result included, in flow's
 // binary envelope (internal/binwire). An entry whose checksum verifies but

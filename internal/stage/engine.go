@@ -48,9 +48,10 @@ type Engine struct {
 	inflight map[string]*call
 	counters map[string]*Counters
 
-	// beforeExecute, when set, runs before every cached node's body. Only
-	// tests set it (export_test.go), to fail a body on demand.
-	beforeExecute func(name string)
+	// execHook, when set, runs every node body the engine executes, through
+	// the body's exec. Only tests set it (export_test.go), to fail a body or
+	// change its value on demand.
+	execHook flow.Hook
 }
 
 type memEntry struct {
@@ -125,11 +126,13 @@ func (e *Engine) event(stage, ev string) {
 // artifact. Its wire fields may be shared with the memory tier: callers must
 // not mutate them.
 //
-// With a store, the run's writer persists each artifact the run executed
-// while the run goes on to the next stage. Run returns only after the writer
-// has drained — on success, on error and on panic — so the run's artifacts
-// are durable when it returns, and a failed encode or store write fails the
-// run with that error.
+// The run's writer persists each artifact the run executed, once the gates
+// checking it have passed, while the run goes on to the next stage; an
+// artifact whose gates failed leaves the memory tier instead, and the run
+// fails with the gate's error, as flow.Run does. Run returns only after the
+// writer has drained — on success, on error and on panic — so the run's
+// artifacts are durable when it returns, and a failed encode or store write
+// fails the run with that error.
 func (e *Engine) Run(cfg flow.Config) (res *flow.Result, err error) {
 	idByName := ids(cfg.Normalized())
 	w := &writer{e: e}
@@ -141,6 +144,10 @@ func (e *Engine) Run(cfg flow.Config) (res *flow.Result, err error) {
 	// The run's flow.Hook: uncached nodes always execute; cached nodes go
 	// through the tiers.
 	return flow.NewExecution(cfg, func(n *flow.Node, exec func() (any, error)) (any, error) {
+		if h := e.execHook; h != nil {
+			body := exec
+			exec = func() (any, error) { return h(n, body) }
+		}
 		if !n.Cached {
 			e.event(n.Name, eventExecute)
 			return exec()
@@ -286,7 +293,7 @@ func (e *Engine) artifact(n *flow.Node, id string, exec func() (any, error), w *
 	}
 	e.mu.Unlock()
 	c.wg.Done()
-	if err == nil && executed && e.store != nil {
+	if err == nil && executed {
 		err = w.put(n, id, v)
 	}
 	if err != nil {
@@ -318,9 +325,6 @@ func (e *Engine) fill(n *flow.Node, id string, exec func() (any, error)) (any, b
 	}
 	e.event(n.Name, eventMiss)
 	e.event(n.Name, eventExecute)
-	if e.beforeExecute != nil {
-		e.beforeExecute(n.Name)
-	}
 	v, err := exec()
 	if err != nil {
 		return nil, false, err
@@ -328,10 +332,14 @@ func (e *Engine) fill(n *flow.Node, id string, exec func() (any, error)) (any, b
 	return v, true, nil
 }
 
-// persist encodes an executed artifact and stores it. An artifact that is
-// not stored leaves the memory tier as well, so the next run that needs it
-// executes and stores it again rather than serve a value no store holds.
+// persist encodes an executed artifact and stores it, if the engine has a
+// store. An artifact that is not stored leaves the memory tier as well, so
+// the next run that needs it executes and stores it again rather than serve
+// a value no store holds.
 func (e *Engine) persist(n *flow.Node, id string, v any) error {
+	if e.store == nil {
+		return nil
+	}
 	data, err := n.Encode(v)
 	if err == nil {
 		err = e.store.Put(storeKey(n.Name, id), data)
@@ -355,10 +363,13 @@ func (e *Engine) forget(id string) {
 // writer persists the artifacts one Run executes. A single goroutine,
 // started on the run's first miss, encodes and stores them in the order the
 // run executed them (node order), so at most one encode buffer is alive at a
-// time, while the run executes the next stage. After a failed write it
-// stores none of the run's later artifacts, so the store holds what it held
-// when a run stopped at its failed write. Run drains it before returning. A
-// write asked for after that — Result.Implementation executing signoff's
+// time, while the run executes the next stage. It first waits for the gates
+// still checking an artifact (flow.Node.Wait): an artifact whose gates
+// failed leaves the memory tier and is never stored, with or without a
+// store. After a failed gate or write it stores none of the run's later
+// artifacts and drops them from the memory tier, so the tiers hold what they
+// held when the run stopped at the failure. Run drains it before returning.
+// A write asked for after that — Result.Implementation executing signoff's
 // cone — is made in the caller before the call returns.
 type writer struct {
 	e       *Engine
@@ -366,6 +377,7 @@ type writer struct {
 	done    chan struct{}     // closed when the goroutine has written the queue
 	drained bool              // Run has returned: persist in the caller
 	err     error             // the goroutine's first encode or store error
+	refused bool              // the gates of one of the run's artifacts failed
 }
 
 type pendingWrite struct {
@@ -375,9 +387,14 @@ type pendingWrite struct {
 }
 
 // put persists an executed artifact: queued while the run is going, at once
-// after it returned.
+// after it returned. The failure of the artifact's gates is not a write
+// error: the run reports it itself.
 func (w *writer) put(n *flow.Node, id string, v any) error {
 	if w.drained {
+		if n.Wait(v) != nil {
+			w.e.forget(id)
+			return nil
+		}
 		return w.e.persist(n, id, v)
 	}
 	if w.queue == nil {
@@ -393,7 +410,10 @@ func (w *writer) put(n *flow.Node, id string, v any) error {
 func (w *writer) loop(queue <-chan pendingWrite) {
 	defer close(w.done)
 	for p := range queue {
-		if w.err != nil {
+		if w.err == nil && !w.refused {
+			w.refused = p.n.Wait(p.v) != nil
+		}
+		if w.err != nil || w.refused {
 			w.e.forget(p.id)
 			continue
 		}

@@ -17,6 +17,7 @@ import (
 
 	"tmi3d/internal/circuits"
 	"tmi3d/internal/flow"
+	"tmi3d/internal/netlist"
 	"tmi3d/internal/tech"
 )
 
@@ -609,6 +610,65 @@ func TestImplementationStoresSignoff(t *testing.T) {
 		t.Errorf("signoff counters = %+v, want one execution by Implementation", c)
 	}
 	mustEqual(t, "lazy signoff", mono, capture(t, res))
+}
+
+// floatingSource is a stage-body hook that adds an inverter on an undriven
+// net to the generated source: synthesis maps it, and the post-synth lint
+// gate refuses the mapped netlist.
+func floatingSource(n *flow.Node, exec func() (any, error)) (any, error) {
+	v, err := exec()
+	if n.Name == "generate" && err == nil {
+		d := v.(*netlist.Design)
+		d.AddInstance("floater", "INV", map[string]string{"A": "floating", "Z": "floater_out"}, "Z")
+		d.AddPO("floater_out", "floater_out")
+	}
+	return v, err
+}
+
+// A synth artifact whose enforcing gate fails fails the engine run with the
+// error flow's own execution returns for the same source, although the
+// stages after synth went on while the gate checked. The artifact the gate
+// refused is neither stored nor left in the memory tier, none of the run's
+// later artifacts is either, and no goroutine outlives the run.
+func TestEnforcedGateFailureNotKept(t *testing.T) {
+	cfg := flow.Config{Circuit: "FPU", Node: tech.N45, Mode: tech.Mode2D, Scale: 0.05}
+	_, want := flow.NewExecution(cfg, floatingSource).Result(false)
+	if want == nil || !strings.HasPrefix(want.Error(), "lint gate post-synth: ") {
+		t.Fatalf("flow run of the floating source: %v, want the post-synth lint gate's error", want)
+	}
+	for _, c := range []struct {
+		name string
+		dir  func() string
+	}{
+		{"memory", func() string { return "" }},
+		{"store", t.TempDir},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e, err := New(c.dir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.SetExecHook(floatingSource)
+			base := runtime.NumGoroutine()
+			res, err := e.Run(cfg)
+			if err == nil || res != nil {
+				t.Fatalf("engine run: result %v, error %v; want the gate's error", res != nil, err)
+			}
+			if err.Error() != want.Error() {
+				t.Errorf("engine run error %q, want flow's %q", err, want)
+			}
+			noGoroutineLeft(t, base)
+			for _, pe := range e.Plan(cfg) {
+				switch {
+				case !pe.Cached:
+				case pe.Name == "wlm" && e.store != nil:
+					mustStore(t, e, cfg, "wlm")
+				case pe.Name != "wlm" && pe.Tier != "":
+					t.Errorf("%s artifact kept in the %s tier after the post-synth gate failed", pe.Name, pe.Tier)
+				}
+			}
+		})
+	}
 }
 
 // Runs of one engine at once share its tiers: two sweep points run

@@ -70,11 +70,12 @@ stage bench-smoke
 stage bench-kernels
 # The kernel benchmarks (sta.Analyze, place.Run, route.Run, opt.Close,
 # lint.CheckDesign, equiv.Check, castore Put/Get, netlist Clone, the stage
-# artifact codec) run once each, so they keep compiling and running; `make
+# artifact codec, a whole flow.Run) run once each, so they keep compiling and running; `make
 # bench-kernels` times them with -benchmem.
 go test -run '^$' -bench . -benchtime 1x ./internal/sta ./internal/place ./internal/route ./internal/opt \
     ./internal/lint ./internal/equiv ./internal/castore ./internal/netlist
 go test -run '^$' -bench BenchmarkArtifactCodec -benchtime 1x ./internal/stage
+go test -run '^$' -bench BenchmarkRun -benchtime 1x ./internal/flow
 
 stage codec-fuzz
 # The artifact codecs beyond the seed corpora the race stage runs, each
@@ -100,6 +101,8 @@ go test -race ./...
 stage parallel-determinism
 # The experiment engine's contract: the report is byte-identical at any -j.
 # Run a real (small) experiment serially and at -j 4 and diff the outputs.
+# The serial run again under GOMAXPROCS=1, where a flow's gates and its
+# next stage share one core, shows that gate scheduling moves no byte.
 pdir=$(mktemp -d)
 serve_pid=""
 cleanup() {
@@ -111,6 +114,11 @@ go run ./cmd/experiments -scale 0.1 -only table16 -j 1 -out "$pdir/j1.txt" >/dev
 go run ./cmd/experiments -scale 0.1 -only table16 -j 4 -out "$pdir/j4.txt" >/dev/null
 if ! diff -u "$pdir/j1.txt" "$pdir/j4.txt"; then
     echo "experiments output differs between -j 1 and -j 4" >&2
+    exit 1
+fi
+GOMAXPROCS=1 go run ./cmd/experiments -scale 0.1 -only table16 -j 1 -out "$pdir/p1.txt" >/dev/null
+if ! diff -u "$pdir/j1.txt" "$pdir/p1.txt"; then
+    echo "experiments output differs between GOMAXPROCS=1 and the default" >&2
     exit 1
 fi
 
